@@ -14,17 +14,16 @@ import numpy as np
 from .liealg import LieAlgebra
 
 
-def bracket_tensor(alg) -> np.ndarray:
+def bracket_tensor(alg: LieAlgebra) -> np.ndarray:
     """Dense structure tensor C[a, b, k] with [e_a, e_b] = sum_k C[a,b,k] e_k.
 
-    Accepts a LieAlgebra or any view exposing dim/p/bracket_vec."""
+    Reads only `bracket_vec`, so it takes a realized algebra and the
+    realization-free views of `radicals` (subalgebras, quotients) alike."""
     d = alg.dim
     c = np.zeros((d, d, d), dtype=np.int64)
     for a in range(d):
-        ua = [1 if t == a else 0 for t in range(d)]
         for b in range(d):
-            ub = [1 if t == b else 0 for t in range(d)]
-            c[a, b, :] = alg.bracket_vec(ua, ub)
+            c[a, b, :] = alg.bracket_vec(alg.unit(a), alg.unit(b))
     return c % alg.p
 
 

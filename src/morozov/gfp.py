@@ -1,15 +1,13 @@
-"""Exact arithmetic over GF(p): field elements, dense matrices, subspaces
-in canonical reduced row echelon form, and univariate polynomial
-factorization (Berlekamp).
+"""Exact arithmetic over GF(p): dense matrices, subspaces in canonical
+reduced row echelon form, and `solve_linear`, the one solver for "the
+subspace on which a linear condition vanishes".
 
 Everything here is immutable after construction and all operations are
-pure.  Entries are stored as plain ints reduced into [0, p); `Fp` is the
-value type used at API boundaries.
+pure.  Field elements are plain ints reduced into [0, p).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 MAX_PRIME = 13
@@ -41,59 +39,6 @@ def inv_mod(a: int, p: int) -> int:
     if a == 0:
         raise ZeroDivisionError("inverse of 0 in GF(p)")
     return pow(a, p - 2, p)
-
-
-@dataclass(frozen=True)
-class Fp:
-    """An element of GF(p), reduced into [0, p)."""
-
-    value: int
-    p: int
-
-    def __post_init__(self):
-        check_modulus(self.p)
-        object.__setattr__(self, "value", self.value % self.p)
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, Fp):
-            if other.p != self.p:
-                raise ValueError("mixed moduli")
-            return other.value
-        return int(other) % self.p
-
-    def __add__(self, other):
-        return Fp(self.value + self._coerce(other), self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return Fp(self.value - self._coerce(other), self.p)
-
-    def __rsub__(self, other):
-        return Fp(self._coerce(other) - self.value, self.p)
-
-    def __mul__(self, other):
-        return Fp(self.value * self._coerce(other), self.p)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Fp(-self.value, self.p)
-
-    def inverse(self) -> "Fp":
-        return Fp(inv_mod(self.value, self.p), self.p)
-
-    def __truediv__(self, other):
-        return self * Fp(self._coerce(other), self.p).inverse()
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"Fp({self.value} mod {self.p})"
 
 
 class FieldMatrix:
@@ -136,9 +81,6 @@ class FieldMatrix:
 
     def to_rows(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def entry(self, i: int, j: int) -> Fp:
-        return Fp(self.entries[i * self.cols + j], self.p)
 
     def __eq__(self, other):
         return (isinstance(other, FieldMatrix) and self.p == other.p
@@ -228,6 +170,17 @@ class FieldMatrix:
                 return True
             m = m @ m
         return m.is_zero()
+
+    def inverse(self) -> "FieldMatrix":
+        n = self.rows
+        if n != self.cols:
+            raise ValueError("inverse of a non-square matrix")
+        aug = [list(self.row(i)) + [1 if j == i else 0 for j in range(n)]
+               for i in range(n)]
+        reduced, pivots = _rref_rows(aug, n, self.p)
+        if len(pivots) != n:
+            raise ValueError("singular matrix")
+        return FieldMatrix.from_rows([row[n:] for row in reduced], self.p)
 
     def nilpotency_order(self) -> int | None:
         """Least m with self^m = 0, or None if not nilpotent."""
@@ -344,25 +297,7 @@ class Subspace:
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ambient_dim, self.p)
-        # x = y A = z B  <=>  (y, z) in ker [A^T | -B^T]
-        n = self.ambient_dim
-        a, b = self.dim, other.dim
-        rows = []
-        for i in range(n):
-            rows.append([self.basis[r][i] for r in range(a)]
-                        + [(-other.basis[r][i]) % self.p for r in range(b)])
-        ker = kernel(FieldMatrix.from_rows(rows, self.p))
-        vecs = []
-        for w in ker.basis:
-            v = [0] * n
-            for r in range(a):
-                if w[r]:
-                    for i in range(n):
-                        v[i] = (v[i] + w[r] * self.basis[r][i]) % self.p
-            vecs.append(v)
-        return Subspace.from_vectors(vecs, n, self.p)
+        return solve_linear(self, other.reduce_vector)
 
     def reduce_vector(self, v: Sequence[int]) -> list:
         """Residual of v after elimination against the canonical basis."""
@@ -418,210 +353,27 @@ class Subspace:
         return f"Subspace(dim {self.dim} of GF({self.p})^{self.ambient_dim})"
 
 
-# ---------------------------------------------------------------------------
-# Univariate polynomials over GF(p)
-# ---------------------------------------------------------------------------
-
-class FpPoly:
-    """Polynomial over GF(p); coefficients lowest degree first, trimmed."""
-
-    __slots__ = ("p", "coeffs")
-
-    def __init__(self, coeffs: Sequence[int], p: int):
-        check_modulus(p)
-        c = [x % p for x in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        self.p = p
-        self.coeffs = tuple(c)
-
-    @classmethod
-    def zero(cls, p: int) -> "FpPoly":
-        return cls([], p)
-
-    @classmethod
-    def x(cls, p: int) -> "FpPoly":
-        return cls([0, 1], p)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return isinstance(other, FpPoly) and self.p == other.p and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.p, self.coeffs))
-
-    def __add__(self, other: "FpPoly") -> "FpPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [0] * (n - len(other.coeffs))
-        return FpPoly([x + y for x, y in zip(a, b)], self.p)
-
-    def __sub__(self, other: "FpPoly") -> "FpPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [0] * (n - len(other.coeffs))
-        return FpPoly([x - y for x, y in zip(a, b)], self.p)
-
-    def __mul__(self, other: "FpPoly") -> "FpPoly":
-        if self.is_zero() or other.is_zero():
-            return FpPoly.zero(self.p)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return FpPoly(out, self.p)
-
-    def scale(self, c: int) -> "FpPoly":
-        return FpPoly([c * a for a in self.coeffs], self.p)
-
-    def monic(self) -> "FpPoly":
-        if self.is_zero():
-            return self
-        return self.scale(inv_mod(self.coeffs[-1], self.p))
-
-    def divmod(self, other: "FpPoly") -> tuple:
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        p = self.p
-        rem = list(self.coeffs)
-        quot = [0] * max(0, len(rem) - len(other.coeffs) + 1)
-        dlead = inv_mod(other.coeffs[-1], p)
-        for i in range(len(rem) - len(other.coeffs), -1, -1):
-            c = (rem[i + len(other.coeffs) - 1] * dlead) % p
+def solve_linear(space: Subspace, condition) -> Subspace:
+    """{x in space : condition(x) = 0} for a linear map `condition` given as
+    a function of one vector (a list) returning a list of ints."""
+    if space.dim == 0:
+        return space
+    cols = [condition(list(b)) for b in space.basis]
+    height = len(cols[0])
+    if height == 0:
+        return space
+    ker = kernel(FieldMatrix(height, space.dim, space.p,
+                             [col[t] for t in range(height) for col in cols]))
+    if space.dim == space.ambient_dim:
+        # the canonical basis of the whole space is the identity
+        return ker
+    n, p = space.ambient_dim, space.p
+    vecs = []
+    for coeffs in ker.basis:
+        v = [0] * n
+        for c, row in zip(coeffs, space.basis):
             if c:
-                quot[i] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[i + j] = (rem[i + j] - c * b) % p
-        return FpPoly(quot, p), FpPoly(rem, p)
-
-    def __mod__(self, other: "FpPoly") -> "FpPoly":
-        return self.divmod(other)[1]
-
-    def __floordiv__(self, other: "FpPoly") -> "FpPoly":
-        return self.divmod(other)[0]
-
-    def gcd(self, other: "FpPoly") -> "FpPoly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
-
-    def derivative(self) -> "FpPoly":
-        return FpPoly([(i * c) % self.p for i, c in enumerate(self.coeffs)][1:], self.p)
-
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % self.p
-        return acc
-
-    def pow_mod(self, e: int, modulus: "FpPoly") -> "FpPoly":
-        result = FpPoly([1], self.p)
-        base = self % modulus
-        while e > 0:
-            if e & 1:
-                result = (result * base) % modulus
-            e >>= 1
-            if e:
-                base = (base * base) % modulus
-        return result
-
-    def __repr__(self):
-        if self.is_zero():
-            return f"FpPoly(0 mod {self.p})"
-        terms = [f"{c}*x^{i}" for i, c in enumerate(self.coeffs) if c]
-        return f"FpPoly({' + '.join(terms)} mod {self.p})"
-
-
-def _berlekamp_splitting(f: FpPoly) -> list:
-    """Split a squarefree monic f into irreducible monic factors."""
-    p, n = f.p, f.degree
-    if n <= 1:
-        return [f]
-    # Berlekamp matrix: rows are x^(p*i) mod f for i < n.
-    x = FpPoly.x(p)
-    xp = x.pow_mod(p, f)
-    rows = []
-    power = FpPoly([1], p)
-    for i in range(n):
-        coeffs = list(power.coeffs) + [0] * (n - len(power.coeffs))
-        rows.append(coeffs)
-        power = (power * xp) % f
-    q = FieldMatrix.from_rows(rows, p).transpose()
-    null = kernel(q - FieldMatrix.identity(n, p))
-    if null.dim == 1:
-        return [f.monic()]
-    factors = [f.monic()]
-    for bvec in null.basis:
-        v = FpPoly(list(bvec), p)
-        if v.degree < 1:
-            continue
-        next_factors = []
-        for g in factors:
-            if g.degree <= 1:
-                next_factors.append(g)
-                continue
-            pieces = []
-            rest = g
-            for s in range(p):
-                d = rest.gcd(v - FpPoly([s], p))
-                if 0 < d.degree < rest.degree:
-                    pieces.append(d)
-                    rest = rest // d
-            pieces.append(rest)
-            next_factors.extend(pc for pc in pieces if pc.degree >= 1)
-        factors = next_factors
-        if len(factors) == null.dim:
-            break
-    out = []
-    for g in factors:
-        if g.degree == 1:
-            out.append(g.monic())
-        else:
-            out.extend(_berlekamp_splitting(g.monic()))
-    return out
-
-
-def factor(f: FpPoly) -> list:
-    """Complete factorization into monic irreducibles with multiplicities,
-    sorted by (degree, coefficients).  The leading unit is dropped; the
-    invariant is unit * product(irr^mult) == f."""
-    if f.is_zero():
-        raise ValueError("cannot factor the zero polynomial")
-    p = f.p
-    result: dict = {}
-
-    def decompose(g: FpPoly, mult: int):
-        if g.degree <= 0:
-            return
-        d = g.derivative()
-        if d.is_zero():
-            # g = h(x^p) = h^p over the prime field (Frobenius fixes GF(p))
-            base = FpPoly([g.coeffs[i] for i in range(0, len(g.coeffs), p)], p)
-            decompose(base, mult * p)
-            return
-        # every irreducible factor of g with multiplicity not divisible by p
-        # shows up in the squarefree part; the leftover has zero derivative
-        sqfree = g // g.gcd(d)
-        leftover = g
-        for irr in _berlekamp_splitting(sqfree):
-            m = 0
-            while True:
-                quot, rem = leftover.divmod(irr)
-                if not rem.is_zero():
-                    break
-                m += 1
-                leftover = quot
-            if m:
-                result[irr] = result.get(irr, 0) + mult * m
-        decompose(leftover, mult)
-
-    decompose(f.monic(), 1)
-    return sorted(result.items(), key=lambda kv: (kv[0].degree, kv[0].coeffs))
+                for i in range(n):
+                    v[i] = (v[i] + c * row[i]) % p
+        vecs.append(v)
+    return Subspace.from_vectors(vecs, n, p)

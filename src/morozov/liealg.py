@@ -15,9 +15,9 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Optional, Sequence
 
-from .gfp import (FieldMatrix, Fp, Subspace, check_modulus, inv_mod, kernel,
-                  rref)
-from .rootdata import RootDatum, build_rootdatum
+from .gfp import (MAX_DIM, FieldMatrix, Subspace, _rref_rows, check_modulus,
+                  inv_mod, kernel, rref, solve_linear)
+from .rootdata import RootDatum, build_rootdatum, parabolic_roots
 
 FAMILIES = ("gl", "sl", "pgl", "sp", "so")
 
@@ -76,12 +76,20 @@ class TorusFrame:
 
 class LieAlgebra:
     """A restricted Lie algebra given by structure constants over GF(p)
-    plus a faithful (or central-quotient) matrix realization."""
+    plus a faithful (or central-quotient) matrix realization.
+
+    The subalgebra calculus (series, centres, centralisers, normalisers,
+    Killing forms, largest ideals) needs only `p`, `dim` and `bracket_vec`,
+    so it also serves the realization-free views of `radicals`, which
+    override `bracket_vec` and `p_power_vec`."""
 
     def __init__(self, p: int, labels: Sequence[str], realization: Realization,
                  frame: Optional[TorusFrame] = None, family: Optional[str] = None,
                  verify: bool = True):
         check_modulus(p)
+        if len(labels) > MAX_DIM:
+            raise ValueError(f"dimension {len(labels)} exceeds the supported "
+                             f"bound {MAX_DIM}")
         self.p = p
         self.labels = tuple(labels)
         self.dim = len(labels)
@@ -105,35 +113,17 @@ class LieAlgebra:
         return list(m.entries)
 
     def _build_coordinatizer(self):
-        rows = [self._vectorize(m) for m in self.realization.mats]
-        n2 = self.realization.n ** 2
         # row-reduce the basis matrix once, remembering the operations via
         # an augmented identity block
-        aug = [list(r) + [1 if i == j else 0 for j in range(self.dim)]
-               for i, r in enumerate(rows)]
-        p = self.p
-        pivots = []
-        r = 0
-        for c in range(n2):
-            piv = next((i for i in range(r, self.dim) if aug[i][c] % p), None)
-            if piv is None:
-                continue
-            aug[r], aug[piv] = aug[piv], aug[r]
-            inv = inv_mod(aug[r][c], p)
-            aug[r] = [(x * inv) % p for x in aug[r]]
-            for i in range(self.dim):
-                if i != r and aug[i][c] % p:
-                    f = aug[i][c]
-                    aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.dim:
-                break
-        if r != self.dim:
+        n2 = self.realization.n ** 2
+        aug = [self._vectorize(m) + self.unit(i)
+               for i, m in enumerate(self.realization.mats)]
+        reduced, pivots = _rref_rows(aug, n2, self.p)
+        if len(pivots) != self.dim:
             raise ValueError("realization matrices are linearly dependent")
         self._pivots = pivots
-        self._reduced_rows = [row[:n2] for row in aug]
-        self._transform = [row[n2:] for row in aug]
+        self._reduced_rows = [row[:n2] for row in reduced]
+        self._transform = [row[n2:] for row in reduced]
 
     def coordinates_of_matrix(self, m: FieldMatrix) -> list:
         """Coordinates of a realizing matrix in the basis; raises if the
@@ -198,11 +188,7 @@ class LieAlgebra:
         return out
 
     def ad_matrix_vec(self, x: Sequence[int]) -> FieldMatrix:
-        cols = []
-        for j in range(self.dim):
-            unit = [0] * self.dim
-            unit[j] = 1
-            cols.append(self.bracket_vec(x, unit))
+        cols = [self.bracket_vec(x, self.unit(j)) for j in range(self.dim)]
         flat = [cols[j][i] for i in range(self.dim) for j in range(self.dim)]
         return FieldMatrix(self.dim, self.dim, self.p, flat)
 
@@ -211,11 +197,7 @@ class LieAlgebra:
         return self.coordinates_of_matrix(m.pow(self.p))
 
     def _verify_structure(self):
-        units = []
-        for i in range(self.dim):
-            u = [0] * self.dim
-            u[i] = 1
-            units.append(u)
+        units = [self.unit(i) for i in range(self.dim)]
         rng_triples = (
             [(i, j, k) for i in range(self.dim) for j in range(self.dim)
              for k in range(self.dim)]
@@ -236,6 +218,11 @@ class LieAlgebra:
                 raise AssertionError("ad(x^[p]) != ad(x)^p on a basis element")
 
     # -- elements --------------------------------------------------------
+
+    def unit(self, i: int) -> list:
+        u = [0] * self.dim
+        u[i] = 1
+        return u
 
     def element(self, coords: Sequence[int]) -> "Element":
         return Element(self, tuple(c % self.p for c in coords))
@@ -261,84 +248,49 @@ class LieAlgebra:
 
     def killing_gram(self) -> FieldMatrix:
         if "gram" not in self._memo:
-            ads = [self.ad_matrix_vec([1 if k == i else 0 for k in range(self.dim)])
-                   for i in range(self.dim)]
-            entries = []
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    entries.append((ads[i] @ ads[j]).trace())
+            ads = [self.ad_matrix_vec(self.unit(i)) for i in range(self.dim)]
+            entries = [(x @ y).trace() for x in ads for y in ads]
             self._memo["gram"] = FieldMatrix(self.dim, self.dim, self.p, entries)
         return self._memo["gram"]
 
-    def killing_form(self, x: "Element", y: "Element") -> Fp:
-        g = self.killing_gram()
-        val = 0
-        for i, xi in enumerate(x.coords):
-            if xi:
-                row = g.row(i)
-                val += xi * sum(row[j] * y.coords[j] for j in range(self.dim))
-        return Fp(val, self.p)
+    def killing_form(self, x: "Element", y: "Element") -> int:
+        g = self.killing_gram().entries
+        return sum(a * g[i * self.dim + j] * b for i, a in enumerate(x.coords)
+                   for j, b in enumerate(y.coords)) % self.p
 
     def killing_nondegenerate(self) -> bool:
         return rref(self.killing_gram())[1] == self.dim
 
+    def killing_kernel(self) -> Subspace:
+        return kernel(self.killing_gram())
+
     def orthogonal(self, s: Subspace) -> Subspace:
         """Orthogonal complement w.r.t. the Killing form."""
         g = self.killing_gram()
-        if s.dim == 0:
-            return self.full_space()
-        rows = []
-        for v in s.basis:
-            rows.append([sum(v[i] * g.entries[i * self.dim + j]
-                             for i in range(self.dim)) % self.p
-                         for j in range(self.dim)])
-        return kernel(FieldMatrix.from_rows(rows, self.p))
+        forms = [[sum(v[i] * g.entries[i * self.dim + j] for i in range(self.dim))
+                  for j in range(self.dim)] for v in s.basis]
+        return solve_linear(self.full_space(), lambda x: [
+            sum(a * b for a, b in zip(f, x)) % self.p for f in forms])
 
-    # -- normalisers and friends -------------------------------------------
+    # -- the subalgebra calculus -------------------------------------------
 
     def normalizer(self, u: Subspace) -> Subspace:
         key = ("norm", u.basis)
         if key not in self._memo:
-            if u.dim == 0:
-                self._memo[key] = self.full_space()
-            else:
-                rows = []
-                units = [[1 if k == i else 0 for k in range(self.dim)]
-                         for i in range(self.dim)]
-                cols = []
-                for i in range(self.dim):
-                    col = []
-                    for bv in u.basis:
-                        col.extend(u.reduce_vector(self.bracket_vec(units[i], list(bv))))
-                    cols.append(col)
-                height = len(cols[0])
-                rows = [[cols[i][r] for i in range(self.dim)] for r in range(height)]
-                self._memo[key] = kernel(FieldMatrix.from_rows(rows, self.p))
+            self._memo[key] = solve_linear(self.full_space(), lambda x: [
+                c for b in u.basis
+                for c in u.reduce_vector(self.bracket_vec(x, list(b)))])
         return self._memo[key]
 
     def centralizer(self, u: Subspace) -> Subspace:
-        if u.dim == 0:
-            return self.full_space()
-        units = [[1 if k == i else 0 for k in range(self.dim)]
-                 for i in range(self.dim)]
-        cols = []
-        for i in range(self.dim):
-            col = []
-            for bv in u.basis:
-                col.extend(self.bracket_vec(units[i], list(bv)))
-            cols.append(col)
-        height = len(cols[0])
-        rows = [[cols[i][r] for i in range(self.dim)] for r in range(height)]
-        return kernel(FieldMatrix.from_rows(rows, self.p))
+        return solve_linear(self.full_space(), lambda x: [
+            c for b in u.basis for c in self.bracket_vec(x, list(b))])
 
     def center(self) -> Subspace:
         return self.centralizer(self.full_space())
 
     def bracket_spaces(self, a: Subspace, b: Subspace) -> Subspace:
-        vecs = []
-        for x in a.basis:
-            for y in b.basis:
-                vecs.append(self.bracket_vec(list(x), list(y)))
+        vecs = [self.bracket_vec(list(x), list(y)) for x in a.basis for y in b.basis]
         return Subspace.from_vectors(vecs, self.dim, self.p)
 
     def subalgebra_closure(self, gens: Sequence["Element"]) -> Subspace:
@@ -355,21 +307,17 @@ class LieAlgebra:
     def derived_series(self, u: Subspace) -> list:
         series = [u]
         while series[-1].dim:
-            nxt = self.bracket_spaces(series[-1], series[-1])
-            if nxt.dim == series[-1].dim:
-                series.append(nxt)
+            series.append(self.bracket_spaces(series[-1], series[-1]))
+            if series[-1].dim == series[-2].dim:
                 break
-            series.append(nxt)
         return series
 
     def lower_central_series(self, u: Subspace) -> list:
         series = [u]
         while series[-1].dim:
-            nxt = self.bracket_spaces(u, series[-1])
-            if nxt.dim == series[-1].dim:
-                series.append(nxt)
+            series.append(self.bracket_spaces(u, series[-1]))
+            if series[-1].dim == series[-2].dim:
                 break
-            series.append(nxt)
         return series
 
     def is_solvable(self, u: Subspace) -> bool:
@@ -378,6 +326,20 @@ class LieAlgebra:
     def is_nilpotent(self, u: Subspace) -> bool:
         return self.lower_central_series(u)[-1].dim == 0
 
+    def spin_submodule(self, v) -> Subspace:
+        """Smallest subspace containing v and stable under all ad(e_i):
+        the ideal closure of the line through v."""
+        span = Subspace.from_vectors([v], self.dim, self.p)
+        while True:
+            vecs = list(span.basis)
+            for i in range(self.dim):
+                for b in span.basis:
+                    vecs.append(self.bracket_vec(self.unit(i), list(b)))
+            grown = Subspace.from_vectors(vecs, self.dim, self.p)
+            if grown.dim == span.dim:
+                return span
+            span = grown
+
     def largest_ideal_inside(self, h: Subspace, v: Subspace) -> Subspace:
         """Largest h-ideal contained in v (v must sit inside h): the fixed
         point of W <- {x in W : [h, x] subset of W}."""
@@ -385,27 +347,9 @@ class LieAlgebra:
             raise ValueError("v must be contained in h")
         w = v
         while w.dim:
-            hb = [list(r) for r in h.basis]
-            # condition on x = sum c_r w_r : [h_i, x] in w for all i
-            cols = []
-            for r, wb in enumerate(w.basis):
-                col = []
-                for hv in hb:
-                    col.extend(w.reduce_vector(self.bracket_vec(hv, list(wb))))
-                cols.append(col)
-            height = len(cols[0]) if cols else 0
-            mat = FieldMatrix.from_rows(
-                [[cols[r][t] for r in range(w.dim)] for t in range(height)], self.p)
-            ker = kernel(mat)
-            vecs = []
-            for coeffs in ker.basis:
-                vec = [0] * self.dim
-                for c, wb in zip(coeffs, w.basis):
-                    if c:
-                        for i in range(self.dim):
-                            vec[i] = (vec[i] + c * wb[i]) % self.p
-                vecs.append(vec)
-            new = Subspace.from_vectors(vecs, self.dim, self.p)
+            new = solve_linear(w, lambda x: [
+                c for hv in h.basis
+                for c in w.reduce_vector(self.bracket_vec(list(hv), x))])
             if new.dim == w.dim:
                 return w
             w = new
@@ -520,12 +464,6 @@ class Element:
 
     def p_power(self) -> "Element":
         return self.algebra.element(self.algebra.p_power_vec(self.coords))
-
-    def p_power_iterate(self, m: int) -> "Element":
-        x = self
-        for _ in range(m):
-            x = x.p_power()
-        return x
 
     def __repr__(self):
         terms = [f"{c}*{self.algebra.labels[i]}" for i, c in enumerate(self.coords) if c]
@@ -736,19 +674,22 @@ def _build_so(m: int, p: int) -> LieAlgebra:
 
 @lru_cache(maxsize=None)
 def build(family: str, n: int, p: int) -> LieAlgebra:
-    """Build one of gl_n, sl_n, pgl_n, sp_2n (n = rank), so_n."""
+    """Build gl_n, sl_n or pgl_n (2 <= n <= 8), sp_n (n = 2k, 4 <= n <= 10)
+    or so_n (5 <= n <= 11).  The upper ends are the largest matrix sizes
+    whose algebra fits the dimension cap gfp.MAX_DIM = 64 (gl_8 has
+    dimension 64, sp_10 55, so_11 55; sp_12 and so_12 exceed it)."""
     check_modulus(p)
     if family in ("gl", "sl", "pgl"):
         if n < 2 or n > 8:
-            raise ValueError("n out of range for gl/sl/pgl")
+            raise ValueError("gl/sl/pgl supported for 2 <= n <= 8")
         return _build_gl_like(family, n, p)
     if family == "sp":
-        if n % 2 or n < 4 or n > 12:
-            raise ValueError("sp takes the matrix size 2k, k >= 2")
+        if n % 2 or n < 4 or n > 10:
+            raise ValueError("sp takes the matrix size 2k, 4 <= 2k <= 10")
         return _build_sp(n // 2, p)
     if family == "so":
-        if n < 5 or n > 12:
-            raise ValueError("so supported for 5 <= n <= 12")
+        if n < 5 or n > 11:
+            raise ValueError("so supported for 5 <= n <= 11")
         return _build_so(n, p)
     raise ValueError(f"unknown family {family!r}")
 
@@ -758,12 +699,7 @@ def build(family: str, n: int, p: int) -> LieAlgebra:
 # ---------------------------------------------------------------------------
 
 def torus_subspace(g: LieAlgebra) -> Subspace:
-    vecs = []
-    for i in g.frame.torus_indices:
-        v = [0] * g.dim
-        v[i] = 1
-        vecs.append(v)
-    return g.subspace(vecs)
+    return g.subspace([g.unit(i) for i in g.frame.torus_indices])
 
 
 def root_vector_index(g: LieAlgebra, root) -> int:
@@ -773,42 +709,21 @@ def root_vector_index(g: LieAlgebra, root) -> int:
 def standard_parabolic(g: LieAlgebra, chosen_simples) -> dict:
     """The standard parabolic for a subset of simple roots: returns the
     subalgebra, its nilradical, the Levi part and the root subset."""
-    rd = g.frame.rootdatum
     chosen = frozenset(chosen_simples)
-    subset = set(rd.positive_roots)
-    n = rd.rank
-    for r in rd.roots:
-        coeffs = rd.simple_coefficients(list(r))
-        if all(c <= 0 for c in coeffs) and all(
-                coeffs[i] == 0 for i in range(n) if i not in chosen):
-            subset.add(tuple(r))
-    sym = {r for r in subset if tuple(-x for x in r) in subset}
-    nilroots = sorted(subset - sym)
-    vecs = []
-    for i in g.frame.torus_indices:
-        v = [0] * g.dim
-        v[i] = 1
-        vecs.append(v)
-    for r in sorted(subset):
-        v = [0] * g.dim
-        v[root_vector_index(g, r)] = 1
-        vecs.append(v)
-    par = g.subspace(vecs)
-    nil_vecs = []
-    for r in nilroots:
-        v = [0] * g.dim
-        v[root_vector_index(g, r)] = 1
-        nil_vecs.append(v)
-    levi_vecs = list(vecs[:len(g.frame.torus_indices)])
-    for r in sorted(sym):
-        v = [0] * g.dim
-        v[root_vector_index(g, r)] = 1
-        levi_vecs.append(v)
+    roots = parabolic_roots(g.frame.rootdatum, chosen)
+    rootset = set(roots)
+    sym = [r for r in roots if tuple(-x for x in r) in rootset]
+    nilroots = [r for r in roots if r not in sym]
+    torus = [g.unit(i) for i in g.frame.torus_indices]
+
+    def lines(rs):
+        return [g.unit(root_vector_index(g, r)) for r in rs]
+
     return {
-        "roots": tuple(sorted(subset)),
-        "parabolic": par,
-        "nilradical": g.subspace(nil_vecs),
-        "levi": g.subspace(levi_vecs),
+        "roots": roots,
+        "parabolic": g.subspace(torus + lines(roots)),
+        "nilradical": g.subspace(lines(nilroots)),
+        "levi": g.subspace(torus + lines(sym)),
         "simples": chosen,
     }
 
@@ -853,30 +768,9 @@ def weyl_matrices(g: LieAlgebra) -> list:
 def conjugate_subspace(g: LieAlgebra, w: FieldMatrix, s: Subspace) -> Subspace:
     """Image of a subspace under conjugation by an invertible realization
     matrix (must normalize the algebra, e.g. a Weyl representative)."""
-    n = g.realization.n
-    winv = _matrix_inverse(w)
+    winv = w.inverse()
     vecs = []
     for v in s.basis:
         m = g.matrix_of(list(v))
         vecs.append(g.coordinates_of_matrix(w @ m @ winv))
     return g.subspace(vecs)
-
-
-def _matrix_inverse(m: FieldMatrix) -> FieldMatrix:
-    n = m.rows
-    p = m.p
-    aug = [list(m.row(i)) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if aug[i][c] % p), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = inv_mod(aug[r][c], p)
-        aug[r] = [(x * inv) % p for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] % p:
-                f = aug[i][c]
-                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[r])]
-        r += 1
-    return FieldMatrix.from_rows([row[n:] for row in aug], p)

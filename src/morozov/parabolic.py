@@ -29,10 +29,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .gfp import FieldMatrix, Subspace, kernel, rref
-from .liealg import (LieAlgebra, _matrix_inverse, conjugate_subspace,
-                     standard_borel, standard_parabolic, torus_subspace,
-                     weyl_matrices)
-from .radicals import AmbientView, SubView
+from .liealg import (LieAlgebra, conjugate_subspace, standard_borel,
+                     standard_parabolic, torus_subspace, weyl_matrices)
+from .radicals import SubView
 from .rootdata import is_closed
 
 
@@ -100,9 +99,9 @@ def _coordinate_analysis(g: LieAlgebra, q: Subspace) -> Optional[dict]:
 def iso_invariants(g: LieAlgebra, q: Subspace) -> tuple:
     """Extension-stable invariants of the subalgebra (dimension data of
     canonical constructions plus ambient normalizer/centralizer)."""
-    view = SubView(AmbientView(g), q)
-    derived = tuple(s.dim for s in view.derived_series(view.full()))
-    lcs = tuple(s.dim for s in view.lower_central_series(view.full()))
+    view = SubView(g, q)
+    derived = tuple(s.dim for s in view.derived_series(view.full_space()))
+    lcs = tuple(s.dim for s in view.lower_central_series(view.full_space()))
     return (
         q.dim,
         derived,
@@ -223,7 +222,7 @@ def detect_parabolic(g: LieAlgebra, q: Subspace) -> ParabolicVerdict:
         frame = contains_borel(g, q)
     if frame is not None:
         analysis = _coordinate_analysis(
-            g, conjugate_subspace(g, _matrix_inverse(frame), q))
+            g, conjugate_subspace(g, frame.inverse(), q))
         if analysis is not None:
             verdict = finish_coordinate(
                 analysis, {"frame_translate": True, "frame": frame.to_rows()})

@@ -2,8 +2,10 @@
 
 The public operations take an ambient realized algebra and a subspace and
 return subspaces in ambient coordinates.  Internally everything runs on
-lightweight views (subalgebras and quotients as structure-constant
-algebras), so the abelian-ideal peeling recursion can cross quotients.
+views: subalgebras and quotients in their own coordinates.  A view is a
+`LieAlgebra` without a realization, so the one subalgebra calculus of
+`liealg` (series, centres, Killing forms, largest ideals) runs on it
+unchanged, and the abelian-ideal peeling recursion can cross quotients.
 
 Strategy notes:
   * an abelian ideal of h is always isotropic for h's own Killing form, so
@@ -19,11 +21,14 @@ Strategy notes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
-from .gfp import FieldMatrix, Subspace, kernel, rref
-from .liealg import Element, LieAlgebra
+# kernel and rref are unused here; the benchmark tracer's self-test checks
+# that rebinding reaches every module importing them by name
+from .gfp import Subspace, kernel, rref, solve_linear  # noqa: F401
+from .liealg import Element, LieAlgebra, torus_subspace
+from .rootdata import is_closed
 
 DEFAULT_BUDGET = 10 ** 7
 SCAN_BUDGET = 4_000_000
@@ -37,149 +42,42 @@ class Undetermined(Exception):
 # Views: subalgebras and quotients as structure-constant algebras
 # ---------------------------------------------------------------------------
 
-class View:
-    """A finite-dimensional Lie algebra in local coordinates with an
-    optional p-power map; local vectors are plain int lists."""
+class View(LieAlgebra):
+    """A Lie algebra in local coordinates, carried by a parent algebra
+    instead of a realization; local vectors are plain int lists."""
 
-    p: int
-    dim: int
+    realization = frame = family = None
 
-    def bracket_vec(self, x, y):
-        raise NotImplementedError
+    def __init__(self, parent: LieAlgebra, dim: int):
+        self.parent = parent
+        self.p = parent.p
+        self.dim = dim
+        self._memo = {}
 
     def p_power_vec(self, x):
         """Local p-power, or None when it leaves the carrier."""
         raise NotImplementedError
 
-    # generic helpers ----------------------------------------------------
-
-    def unit(self, i):
-        u = [0] * self.dim
-        u[i] = 1
-        return u
-
-    def ad_matrix_vec(self, x) -> FieldMatrix:
-        cols = [self.bracket_vec(x, self.unit(j)) for j in range(self.dim)]
-        flat = [cols[j][i] for i in range(self.dim) for j in range(self.dim)]
-        return FieldMatrix(self.dim, self.dim, self.p, flat)
-
-    def full(self) -> Subspace:
-        return Subspace.full(self.dim, self.p)
-
-    def bracket_spaces(self, a: Subspace, b: Subspace) -> Subspace:
-        vecs = [self.bracket_vec(list(x), list(y)) for x in a.basis for y in b.basis]
-        return Subspace.from_vectors(vecs, self.dim, self.p)
-
-    def derived_series(self, u: Subspace) -> list:
-        out = [u]
-        while out[-1].dim:
-            nxt = self.bracket_spaces(out[-1], out[-1])
-            out.append(nxt)
-            if nxt.dim == out[-2].dim:
-                break
-        return out
-
-    def lower_central_series(self, u: Subspace) -> list:
-        out = [u]
-        while out[-1].dim:
-            nxt = self.bracket_spaces(u, out[-1])
-            out.append(nxt)
-            if nxt.dim == out[-2].dim:
-                break
-        return out
-
-    def is_solvable(self, u: Subspace) -> bool:
-        return self.derived_series(u)[-1].dim == 0
-
-    def is_nilpotent(self, u: Subspace) -> bool:
-        return self.lower_central_series(u)[-1].dim == 0
-
-    def center(self) -> Subspace:
-        if self.dim == 0:
-            return Subspace.zero(0, self.p)
-        rows = []
-        for i in range(self.dim):
-            ad = self.ad_matrix_vec(self.unit(i))
-            rows.extend(ad.to_rows())
-        return kernel(FieldMatrix.from_rows(rows, self.p))
-
-    def killing_gram(self) -> FieldMatrix:
-        ads = [self.ad_matrix_vec(self.unit(i)) for i in range(self.dim)]
-        entries = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                entries.append((ads[i] @ ads[j]).trace())
-        return FieldMatrix(self.dim, self.dim, self.p, entries)
-
-    def killing_kernel(self) -> Subspace:
-        if self.dim == 0:
-            return Subspace.zero(0, self.p)
-        return kernel(self.killing_gram())
-
-    def spin_submodule(self, v) -> Subspace:
-        """Smallest subspace containing v and stable under all ad(e_i):
-        the ideal closure of the line through v."""
-        span = Subspace.from_vectors([v], self.dim, self.p)
-        while True:
-            vecs = list(span.basis)
-            for i in range(self.dim):
-                for b in span.basis:
-                    vecs.append(self.bracket_vec(self.unit(i), list(b)))
-            grown = Subspace.from_vectors(vecs, self.dim, self.p)
-            if grown.dim == span.dim:
-                return span
-            span = grown
-
-    def largest_ideal_inside(self, v: Subspace) -> Subspace:
-        w = v
-        while w.dim:
-            cols = []
-            for r in range(w.dim):
-                col = []
-                for i in range(self.dim):
-                    col.extend(w.reduce_vector(
-                        self.bracket_vec(self.unit(i), list(w.basis[r]))))
-                cols.append(col)
-            height = len(cols[0])
-            mat = FieldMatrix.from_rows(
-                [[cols[r][t] for r in range(w.dim)] for t in range(height)], self.p)
-            ker = kernel(mat)
-            vecs = []
-            for coeffs in ker.basis:
-                vec = [0] * self.dim
-                for c, wb in zip(coeffs, w.basis):
-                    if c:
-                        for i in range(self.dim):
-                            vec[i] = (vec[i] + c * wb[i]) % self.p
-                vecs.append(vec)
-            new = Subspace.from_vectors(vecs, self.dim, self.p)
-            if new.dim == w.dim:
-                return w
-            w = new
-        return w
-
 
 class AmbientView(View):
+    """The parent algebra itself, as a view."""
+
     def __init__(self, g: LieAlgebra):
-        self.g = g
-        self.p = g.p
-        self.dim = g.dim
+        super().__init__(g, g.dim)
 
     def bracket_vec(self, x, y):
-        return self.g.bracket_vec(x, y)
+        return self.parent.bracket_vec(x, y)
 
     def p_power_vec(self, x):
-        return self.g.p_power_vec(x)
+        return self.parent.p_power_vec(x)
 
 
 class SubView(View):
-    """A bracket-closed subspace of a parent view, in its own coordinates."""
+    """A bracket-closed subspace of a parent algebra, in its own coordinates."""
 
-    def __init__(self, parent: View, sub: Subspace):
-        self.parent = parent
+    def __init__(self, parent: LieAlgebra, sub: Subspace):
+        super().__init__(parent, sub.dim)
         self.sub = sub
-        self.p = parent.p
-        self.dim = sub.dim
 
     def lift(self, x) -> list:
         vec = [0] * self.sub.ambient_dim
@@ -214,16 +112,15 @@ class SubView(View):
 
 
 class QuotientView(View):
-    """Quotient of a parent view by an ideal, coordinatized by the
+    """Quotient of a parent algebra by an ideal, coordinatized by the
     non-pivot positions of the ideal's canonical basis."""
 
-    def __init__(self, parent: View, ideal: Subspace):
-        self.parent = parent
+    def __init__(self, parent: LieAlgebra, ideal: Subspace):
+        pivots = {next(j for j, x in enumerate(row) if x) for row in ideal.basis}
+        sections = [j for j in range(parent.dim) if j not in pivots]
+        super().__init__(parent, len(sections))
         self.ideal = ideal
-        self.p = parent.p
-        pivots = [next(j for j, x in enumerate(row) if x) for row in ideal.basis]
-        self.sections = [j for j in range(parent.dim) if j not in set(pivots)]
-        self.dim = len(self.sections)
+        self.sections = sections
 
     def lift(self, x) -> list:
         vec = [0] * self.parent.dim
@@ -234,10 +131,6 @@ class QuotientView(View):
     def project(self, vec) -> list:
         red = self.ideal.reduce_vector(vec)
         return [red[j] for j in self.sections]
-
-    def project_subspace(self, s: Subspace) -> Subspace:
-        return Subspace.from_vectors([self.project(list(b)) for b in s.basis],
-                                     self.dim, self.p)
 
     def preimage(self, s: Subspace) -> Subspace:
         vecs = [self.lift(list(b)) for b in s.basis] + [list(b) for b in self.ideal.basis]
@@ -309,38 +202,8 @@ def _abelian_spin_scan(view: View, region: Subspace, budget: int):
 def _centralizer_within(view: View, c: Subspace) -> Subspace:
     """{x in c : [x, c] = 0}; for an ideal c this is an abelian ideal of
     the whole view."""
-    if c.dim == 0:
-        return c
-    cols = []
-    for r in range(c.dim):
-        col = []
-        for b in c.basis:
-            col.extend(view.bracket_vec(list(c.basis[r]), list(b)))
-        cols.append(col)
-    height = len(cols[0])
-    mat = FieldMatrix.from_rows(
-        [[cols[r][t] for r in range(c.dim)] for t in range(height)], view.p)
-    ker = kernel(mat)
-    vecs = []
-    for coeffs in ker.basis:
-        vec = [0] * view.dim
-        for co, b in zip(coeffs, c.basis):
-            if co:
-                for i in range(view.dim):
-                    vec[i] = (vec[i] + co * b[i]) % view.p
-        vecs.append(vec)
-    return Subspace.from_vectors(vecs, view.dim, view.p)
-
-
-def _gram_orthogonal(view: View, s: Subspace, gram: FieldMatrix) -> Subspace:
-    if s.dim == 0:
-        return view.full()
-    rows = []
-    for v in s.basis:
-        rows.append([sum(v[i] * gram.entries[i * view.dim + j]
-                         for i in range(view.dim)) % view.p
-                     for j in range(view.dim)])
-    return kernel(FieldMatrix.from_rows(rows, view.p))
+    return solve_linear(c, lambda x: [
+        v for b in c.basis for v in view.bracket_vec(x, list(b))])
 
 
 def _find_solvable_ideal(view: View, budget: int):
@@ -354,14 +217,13 @@ def _find_solvable_ideal(view: View, budget: int):
     z = view.center()
     if z.dim:
         return z
-    gram = view.killing_gram()
-    k = kernel(gram)
+    k = view.killing_kernel()
     if k.dim == 0:
         # every abelian ideal is kappa-isotropic; no abelian ideal means a
         # zero solvable radical
         return None
-    derived = view.bracket_spaces(view.full(), view.full())
-    d = _gram_orthogonal(view, derived, gram)
+    full = view.full_space()
+    d = view.orthogonal(view.bracket_spaces(full, full))
     worklist = [k, d, k.intersect(d)]
     seen = set()
     rounds = 0
@@ -379,30 +241,12 @@ def _find_solvable_ideal(view: View, budget: int):
         worklist.append(view.bracket_spaces(c, c))
         worklist.append(view.lower_central_series(c)[-1])
         worklist.append(c.intersect(k))
-    a = _abelian_spin_scan(view, k, budget)
-    return a
-
-
-def minimal_abelian_ideal_view(view: View, budget: int = SCAN_BUDGET):
-    """A nonzero abelian ideal of the view, or None iff none exists."""
-    if view.dim == 0:
-        return None
-    s = _find_solvable_ideal(view, budget)
-    if s is None:
-        return None
-    if view.bracket_spaces(s, s).dim == 0:
-        return s
-    # the last nonzero derived term of a solvable ideal is an abelian
-    # ideal of the whole view
-    series = view.derived_series(s)
-    return next(t for t in reversed(series) if t.dim)
+    return _abelian_spin_scan(view, k, budget)
 
 
 def _solvable_radical_view(view: View, budget: int) -> Subspace:
-    if view.dim == 0:
-        return view.full()
-    if view.is_solvable(view.full()):
-        return view.full()
+    if view.is_solvable(view.full_space()):
+        return view.full_space()
     s = _find_solvable_ideal(view, budget)
     if s is None:
         return Subspace.zero(view.dim, view.p)
@@ -433,13 +277,11 @@ def _structured_solvable_radical(g: LieAlgebra, h: Subspace) -> Optional[Subspac
         return None
     if split.torus_part.dim and g.p ** split.torus_part.dim > 10 ** 6:
         return None
-    view = SubView(AmbientView(g), h)
+    view = SubView(g, h)
     zero = Subspace.zero(g.dim, g.p)
     spins = {}
     for root, idx in split.root_lines:
-        v = [0] * g.dim
-        v[idx] = 1
-        spins[root] = view.spin_submodule(view.restrict(v))
+        spins[root] = view.spin_submodule(view.restrict(g.unit(idx)))
     total = zero
     solvable_cache = {}
 
@@ -461,12 +303,8 @@ def _structured_solvable_radical(g: LieAlgebra, h: Subspace) -> Optional[Subspac
         for z in split.torus_part.enumerate_vectors():
             if not any(z):
                 continue
-            support = []
-            for root, idx in split.root_lines:
-                unit = [0] * g.dim
-                unit[idx] = 1
-                if any(g.bracket_vec(list(z), unit)):
-                    support.append(root)
+            support = [root for root, idx in split.root_lines
+                       if any(g.bracket_vec(z, g.unit(idx)))]
             if union_solvable(support):
                 total = total.sum(g.subspace([z]))
     return total
@@ -484,18 +322,11 @@ def solvable_radical(g: LieAlgebra, h: Subspace, budget: int = SCAN_BUDGET) -> S
         if structured is not None:
             g._memo[key] = structured
             return structured
-    view = SubView(AmbientView(g), h)
+    view = SubView(g, h)
     local = _solvable_radical_view(view, budget)
     out = view.lift_subspace(local)
     g._memo[key] = out
     return out
-
-
-def minimal_abelian_ideal(g: LieAlgebra, h: Subspace,
-                          budget: int = SCAN_BUDGET) -> Optional[Subspace]:
-    view = SubView(AmbientView(g), h)
-    local = minimal_abelian_ideal_view(view, budget)
-    return None if local is None else view.lift_subspace(local)
 
 
 # ---------------------------------------------------------------------------
@@ -513,23 +344,10 @@ def _coordinate_split(g: LieAlgebra, r: Subspace) -> Optional[_SplitData]:
     None if r is not a coordinate subspace in the torus frame."""
     if g.frame is None:
         return None
-    torus = [0] * g.dim
-    tvecs = []
-    for i in g.frame.torus_indices:
-        v = [0] * g.dim
-        v[i] = 1
-        tvecs.append(v)
-    tspan = g.subspace(tvecs)
-    tpart = r.intersect(tspan)
-    lines = []
-    total = tpart.dim
-    for idx, root in g.frame.index_root.items():
-        v = [0] * g.dim
-        v[idx] = 1
-        if r.contains_vector(v):
-            lines.append((root, idx))
-            total += 1
-    if total != r.dim:
+    tpart = r.intersect(torus_subspace(g))
+    lines = [(root, idx) for idx, root in g.frame.index_root.items()
+             if r.contains_vector(g.unit(idx))]
+    if tpart.dim + len(lines) != r.dim:
         return None
     return _SplitData(tpart, lines)
 
@@ -572,30 +390,27 @@ def _support_in_positive_system(g: LieAlgebra, roots) -> bool:
     return any(roots <= ps for ps in g._memo[key])
 
 
+def _certified_root_support(g: LieAlgebra, split: _SplitData) -> bool:
+    """Whether the root support of a coordinate split is asymmetric, closed
+    and inside a positive system."""
+    roots = [root for root, _ in split.root_lines]
+    rootset = set(roots)
+    if any(tuple(-x for x in rt) in rootset for rt in rootset):
+        return False
+    return is_closed(g.frame.rootdatum, roots) and \
+        _support_in_positive_system(g, roots)
+
+
 def _structured_pnil_cone(g: LieAlgebra, r: Subspace) -> Optional[Subspace]:
     """The set of p-nilpotent elements of a torus-stable solvable r, when
     certifiable: the root part, provided the root support is closed,
     asymmetric, and lies in a positive system (then elements with nonzero
     torus component keep it under p-powers, and the root part consists of
     nilpotent matrices)."""
-    from .rootdata import is_closed
     split = _coordinate_split(g, r)
-    if split is None:
+    if split is None or not _certified_root_support(g, split):
         return None
-    roots = [root for root, _ in split.root_lines]
-    rootset = set(roots)
-    if any(tuple(-x for x in rt) in rootset for rt in rootset):
-        return None
-    if not is_closed(g.frame.rootdatum, roots):
-        return None
-    if not _support_in_positive_system(g, roots):
-        return None
-    vecs = []
-    for _, idx in split.root_lines:
-        v = [0] * g.dim
-        v[idx] = 1
-        vecs.append(v)
-    return g.subspace(vecs)
+    return g.subspace([g.unit(idx) for _, idx in split.root_lines])
 
 
 def _structured_adnil_cone(g: LieAlgebra, h: Subspace, r: Subspace) -> Optional[Subspace]:
@@ -604,57 +419,13 @@ def _structured_adnil_cone(g: LieAlgebra, h: Subspace, r: Subspace) -> Optional[
     plus the whole root part of r."""
     split_r = _coordinate_split(g, r)
     split_h = _coordinate_split(g, h)
-    if split_r is None or split_h is None:
-        return None
-    roots = [root for root, _ in split_r.root_lines]
-    rootset = set(roots)
-    if any(tuple(-x for x in rt) in rootset for rt in rootset):
-        return None
-    from .rootdata import is_closed
-    if not is_closed(g.frame.rootdatum, roots):
-        return None
-    if not _support_in_positive_system(g, roots):
+    if split_r is None or split_h is None or not _certified_root_support(g, split_r):
         return None
     # torus part: [z, e_beta] = 0 for every root line of h
-    if split_r.torus_part.dim:
-        rows = []
-        for _, idx in split_h.root_lines:
-            unit = [0] * g.dim
-            unit[idx] = 1
-            for b in split_r.torus_part.basis:
-                rows.append(g.bracket_vec(list(b), unit))
-        if rows:
-            # solve for combinations of the torus basis vanishing on all lines
-            cols = []
-            for b in split_r.torus_part.basis:
-                col = []
-                for _, idx in split_h.root_lines:
-                    unit = [0] * g.dim
-                    unit[idx] = 1
-                    col.extend(g.bracket_vec(list(b), unit))
-                cols.append(col)
-            height = len(cols[0])
-            mat = FieldMatrix.from_rows(
-                [[cols[r_][t] for r_ in range(split_r.torus_part.dim)]
-                 for t in range(height)], g.p)
-            ker = kernel(mat)
-            zvecs = []
-            for coeffs in ker.basis:
-                vec = [0] * g.dim
-                for c, b in zip(coeffs, split_r.torus_part.basis):
-                    if c:
-                        for i in range(g.dim):
-                            vec[i] = (vec[i] + c * b[i]) % g.p
-                zvecs.append(vec)
-        else:
-            zvecs = [list(b) for b in split_r.torus_part.basis]
-    else:
-        zvecs = []
-    vecs = list(zvecs)
-    for _, idx in split_r.root_lines:
-        v = [0] * g.dim
-        v[idx] = 1
-        vecs.append(v)
+    torus = solve_linear(split_r.torus_part, lambda z: [
+        c for _, idx in split_h.root_lines for c in g.bracket_vec(z, g.unit(idx))])
+    vecs = [list(b) for b in torus.basis]
+    vecs.extend(g.unit(idx) for _, idx in split_r.root_lines)
     return g.subspace(vecs)
 
 
@@ -675,7 +446,7 @@ def _enumerate_cone(g: LieAlgebra, h: Subspace, r: Subspace, kind: str,
         if kind == "pnil":
             ok = is_p_nilpotent(g.element(v))
         else:
-            sub = SubView(AmbientView(g), h)
+            sub = SubView(g, h)
             loc = h.coordinates_of(v)
             ok = sub.ad_matrix_vec(loc).is_nilpotent()
         if ok:
@@ -709,12 +480,13 @@ def p_radical(g: LieAlgebra, h: Subspace, budget: int = DEFAULT_BUDGET) -> dict:
     """Maximal p-nil ideal of h: refine the p-nilpotent cone of rad(h) by
     the largest-ideal fixed point until every element is p-nilpotent."""
     part = pnil_part_of_radical(g, h, budget)
-    view = SubView(AmbientView(g), h)
+    view = SubView(g, h)
     span = part["span"]
     cone_flag = part["cone_is_subspace"]
     method = part["method"]
     while True:
-        local = view.largest_ideal_inside(view.restrict_subspace(span))
+        local = view.largest_ideal_inside(
+            view.full_space(), view.restrict_subspace(span))
         cand = view.lift_subspace(local)
         if method == "structured":
             # cand sits inside the certified cone: all p-nilpotent
@@ -738,13 +510,14 @@ def p_radical(g: LieAlgebra, h: Subspace, budget: int = DEFAULT_BUDGET) -> dict:
 def nilradical(g: LieAlgebra, h: Subspace, budget: int = DEFAULT_BUDGET) -> dict:
     """Maximal nilpotent ideal of h."""
     r = solvable_radical(g, h)
-    view = SubView(AmbientView(g), h)
+    view = SubView(g, h)
     cone = _structured_adnil_cone(g, h, r)
     method = "structured"
     if cone is None:
         method = "enumeration"
         members, cone, is_sub = _enumerate_cone(g, h, r, "adnil", budget)
-    local = view.largest_ideal_inside(view.restrict_subspace(cone))
+    local = view.largest_ideal_inside(view.full_space(),
+                                      view.restrict_subspace(cone))
     cand = view.lift_subspace(local)
     if not view.is_nilpotent(local):
         raise Undetermined("largest ideal inside the ad-nilpotent cone is "

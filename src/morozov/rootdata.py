@@ -26,7 +26,8 @@ def _dot(u, v):
 
 
 def _solve_integer(basis: Sequence[Sequence[int]], target: Sequence[int]) -> list:
-    """Write target as an integer combination of the basis vectors."""
+    """Write target as an integer combination of the basis vectors (whose
+    entries may be rational, as for coroots)."""
     cols = len(basis)
     rows = len(target)
     aug = [[Fraction(basis[j][i]) for j in range(cols)] + [Fraction(target[i])]
@@ -208,7 +209,7 @@ def build_rootdatum(type_label: str, n: int = 0) -> RootDatum:
 
     simple_coroots = [coroot(s) for s in simples]
     theta_vee = coroot(list(highest[1]))
-    b = _solve_rational(simple_coroots, theta_vee)
+    b = _solve_integer(simple_coroots, theta_vee)
     cartan = tuple(
         tuple(int(2 * Fraction(_dot(si, sj), _dot(sj, sj))) for sj in simples)
         for si in simples
@@ -219,39 +220,6 @@ def build_rootdatum(type_label: str, n: int = 0) -> RootDatum:
         tuple(t[1] for t in positives),
         a, tuple(b), cartan,
     )
-
-
-def _solve_rational(basis, target) -> list:
-    cols = len(basis)
-    rows = len(target)
-    aug = [[Fraction(basis[j][i]) for j in range(cols)] + [Fraction(target[i])]
-           for i in range(rows)]
-    r = 0
-    piv_cols = []
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        aug[r] = [x / aug[r][c] for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-    for i in range(r, rows):
-        if aug[i][cols] != 0:
-            raise ValueError("target not in span")
-    coeffs = [Fraction(0)] * cols
-    for i, c in enumerate(piv_cols):
-        coeffs[c] = aug[i][cols]
-    out = []
-    for x in coeffs:
-        if x.denominator != 1:
-            raise ValueError("non-integer coroot coefficient")
-        out.append(int(x))
-    return out
 
 
 def coxeter_number(rd: RootDatum) -> int:
@@ -341,25 +309,20 @@ def is_closed(rd: RootDatum, subset) -> bool:
     return True
 
 
-def parabolic_subsets(rd: RootDatum) -> list:
-    """The 2^rank standard parabolic subsets containing the positive system,
-    indexed by subsets of the simple roots.  Returns a list of
-    (simple_index_frozenset, roots_tuple) pairs in a deterministic order."""
+def parabolic_roots(rd: RootDatum, chosen) -> tuple:
+    """Roots of the standard parabolic for a set of simple-root indices:
+    the positive roots plus the negative roots whose simple coefficients
+    vanish off `chosen`, sorted."""
     if not rd.constructive:
-        raise ValueError("parabolic subsets need an enumerated root system")
-    n = rd.rank
-    pos = set(rd.positive_roots)
-    out = []
-    for mask in range(1 << n):
-        chosen = frozenset(i for i in range(n) if mask >> i & 1)
-        subset = set(pos)
-        for r in rd.roots:
-            coeffs = rd.simple_coefficients(list(r))
-            if all(c <= 0 for c in coeffs) and all(
-                    coeffs[i] == 0 for i in range(n) if i not in chosen):
-                subset.add(tuple(r))
-        out.append((chosen, tuple(sorted(subset))))
-    return out
+        raise ValueError("parabolic roots need an enumerated root system")
+    chosen = frozenset(chosen)
+    subset = set(rd.positive_roots)
+    for r in rd.roots:
+        coeffs = rd.simple_coefficients(list(r))
+        if all(c <= 0 for c in coeffs) and all(
+                coeffs[i] == 0 for i in range(rd.rank) if i not in chosen):
+            subset.add(tuple(r))
+    return tuple(sorted(subset))
 
 
 def table_rows():

@@ -19,7 +19,7 @@ from .gfp import Subspace, rref
 from .liealg import (LieAlgebra, build, jacobson_defect,
                      jacobson_defect_reference, standard_borel,
                      standard_parabolic, torus_subspace)
-from .radicals import AmbientView, SubView
+from .radicals import SubView
 
 LAW_SAMPLES = 1000
 EXP_SAMPLES = 500
@@ -432,7 +432,7 @@ def enumerate_subspaces(view, max_dim=None):
 def _brute_radicals(g: LieAlgebra, h: Subspace) -> dict:
     """Exhaustive-ideal-enumeration oracle: scan every subspace of h, keep
     the ideals, and take maxima of the solvable / nilpotent / p-nil ones."""
-    view = SubView(AmbientView(g), h)
+    view = SubView(g, h)
     pnil_lookup = {}
     for v in h.enumerate_vectors():
         pnil_lookup[tuple(v)] = radicals.is_p_nilpotent(g.element(v))
@@ -465,7 +465,7 @@ def _brute_radicals(g: LieAlgebra, h: Subspace) -> dict:
 
 
 def _subalgebras_of(g: LieAlgebra, h: Subspace, max_count=None):
-    view = SubView(AmbientView(g), h)
+    view = SubView(g, h)
     out = []
     for s in enumerate_subspaces(view):
         closed = True

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morozov.gfp import (FieldMatrix, Fp, FpPoly, Subspace, factor, inv_mod,
-                         is_prime, kernel, rref)
+from morozov.gfp import (FieldMatrix, Subspace, is_prime, kernel, rref,
+                         solve_linear)
 
 
 def naive_row_reduce(rows, cols, p):
@@ -120,64 +120,61 @@ def test_subspace_membership():
     assert s.coordinates_of([2, 2, 1]) == [2, 1]
 
 
-def test_fp_arithmetic():
-    a = Fp(3, 5)
-    b = Fp(4, 5)
-    assert (a + b).value == 2
-    assert (a * b).value == 2
-    assert (a / b).value == (3 * inv_mod(4, 5)) % 5
+def _brute_solve(space, condition):
+    """Oracle: every vector of the space on which the condition vanishes."""
+    return {tuple(v) for v in space.enumerate_vectors() if not any(condition(v))}
+
+
+def _random_linear_map(rng, p, n, height):
+    m = [[rng.randrange(p) for _ in range(n)] for _ in range(height)]
+    return lambda x: [sum(a * b for a, b in zip(row, x)) % p for row in m]
+
+
+def test_solve_linear_matches_brute_force():
+    rng = random.Random(7)
+    n = 5
+    for p in (2, 3, 5):
+        for _ in range(20):
+            k = rng.randrange(5)                      # p^k <= 5^4 vectors
+            space = Subspace.from_vectors(
+                [[rng.randrange(p) for _ in range(n)] for _ in range(k)], n, p)
+            condition = _random_linear_map(rng, p, n, rng.randrange(1, 4))
+            out = solve_linear(space, condition)
+            assert space.contains(out)
+            assert {tuple(v) for v in out.enumerate_vectors()} \
+                == _brute_solve(space, condition)
+
+
+def test_solve_linear_edge_cases():
+    p, n = 5, 4
+    full = Subspace.full(n, p)
+    zero = Subspace.zero(n, p)
+    condition = _random_linear_map(random.Random(3), p, n, 2)
+    assert solve_linear(zero, condition) == zero
+    assert solve_linear(full, lambda x: [0, 0]) == full
+    assert solve_linear(full, lambda x: []) == full
+    plane = Subspace.from_vectors([[1, 2, 0, 0], [0, 0, 1, 3]], n, p)
+    assert solve_linear(plane, lambda x: [0] * 3) == plane
+    # the full space returns the kernel itself
+    assert solve_linear(full, lambda x: x[:2]) == \
+        Subspace.from_vectors([[0, 0, 1, 0], [0, 0, 0, 1]], n, p)
+
+
+def test_inverse():
+    rng = random.Random(5)
+    for p in (3, 7):
+        found = 0
+        while found < 10:
+            m = FieldMatrix.from_rows(
+                [[rng.randrange(p) for _ in range(4)] for _ in range(4)], p)
+            if rref(m)[1] < 4:
+                with pytest.raises(ValueError):
+                    m.inverse()
+                continue
+            found += 1
+            assert m @ m.inverse() == FieldMatrix.identity(4, p)
     with pytest.raises(ValueError):
-        Fp(1, 4)
-
-
-def test_factor_x2_plus_1():
-    f5 = factor(FpPoly([1, 0, 1], 5))
-    assert [g.coeffs for g, m in f5] == [(2, 1), (3, 1)]
-    f3 = factor(FpPoly([1, 0, 1], 3))
-    assert len(f3) == 1 and f3[0][0].degree == 2 and f3[0][1] == 1
-
-
-def test_factor_frobenius_split():
-    p = 5
-    f = FpPoly([0, -1] + [0] * (p - 2) + [1], p)   # x^p - x
-    fs = factor(f)
-    assert len(fs) == p and all(g.degree == 1 and m == 1 for g, m in fs)
-
-
-def _random_poly(rnd, p, deg):
-    coeffs = [rnd.randrange(p) for _ in range(deg)] + [rnd.randrange(1, p)]
-    return FpPoly(coeffs, p)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 6),
-       st.randoms(use_true_random=False))
-def test_factor_roundtrip(p, deg, rnd):
-    f = _random_poly(rnd, p, deg)
-    fs = factor(f)
-    prod = FpPoly([f.coeffs[-1]], p)
-    for g, m in fs:
-        for _ in range(m):
-            prod = prod * g
-    assert prod == f
-    for g, _ in fs:
-        # irreducible: no roots when degree > 1, and one Berlekamp round
-        # (via factor itself on the squarefree part) finds nothing
-        if g.degree > 1:
-            assert all(g.evaluate(x) != 0 for x in range(p))
-        assert factor(g) == [(g.monic(), 1)]
-
-
-def test_factor_multiplicities():
-    p = 3
-    f = FpPoly([1, 3, 3, 1], p) * FpPoly([0, 0, 1], p)   # (x+1)^3 x^2
-    fs = factor(f)
-    assert fs == [(FpPoly([0, 1], p), 2), (FpPoly([1, 1], p), 3)]
-
-
-def test_factor_zero_rejected():
-    with pytest.raises(ValueError):
-        factor(FpPoly([], 5))
+        FieldMatrix.from_rows([[1, 2], [2, 4]], 5).inverse()
 
 
 def test_matrix_power_and_nilpotency():

@@ -21,6 +21,20 @@ def test_dimensions():
     assert build("so", 6, 5).dim == 15
 
 
+def test_dimension_cap():
+    # sp12 (dim 78) and so12 (dim 66) exceed gfp.MAX_DIM = 64
+    for fam in ("sp", "so"):
+        with pytest.raises(ValueError):
+            build(fam, 12, 5)
+    # so does a 65-dimensional algebra file, before any bracket is formed
+    units = [[[int(9 * i + j == t) for j in range(9)] for i in range(9)]
+             for t in range(65)]
+    data = {"p": 5, "labels": [f"x{t}" for t in range(65)],
+            "realization": {"n": 9, "mats": units, "mod_scalars": False}}
+    with pytest.raises(ValueError, match="exceeds the supported bound 64"):
+        algebra_from_dict(data)
+
+
 def test_sl2_relations():
     g = build("sl", 2, 5)
     e, f, h = (g.element_by_label(x) for x in ("e12", "f12", "h1"))

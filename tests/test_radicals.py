@@ -2,10 +2,9 @@ import random
 
 import pytest
 
-from morozov.gfp import FieldMatrix, Subspace
+from morozov.gfp import FieldMatrix, Subspace, rref
 from morozov.liealg import build, standard_borel, standard_parabolic
-from morozov.radicals import (AmbientView, QuotientView, SubView,
-                              is_p_nilpotent, minimal_abelian_ideal,
+from morozov.radicals import (QuotientView, SubView, is_p_nilpotent,
                               nilradical, p_radical, pnil_part_of_radical,
                               radical_report, solvable_radical)
 
@@ -25,14 +24,16 @@ def test_is_p_nilpotent_examples():
 
 
 def test_minimal_abelian_ideal_examples():
+    # a minimal abelian ideal is the last nonzero derived term of the radical
     g = build("sl", 2, 5)
     b = standard_borel(g)["parabolic"]
-    a = minimal_abelian_ideal(g, b)
-    assert a == line(g, "e12")
-    assert minimal_abelian_ideal(g, g.full_space()) is None
-    # abelian algebra: the whole torus is its own center
+    assert solvable_radical(g, b) == b
+    assert [s for s in g.derived_series(b) if s.dim][-1] == line(g, "e12")
+    assert solvable_radical(g, g.full_space()).dim == 0
+    # abelian algebra: the whole torus is its own radical
     t = g.subspace([g.element_by_label("h1").coords])
-    assert minimal_abelian_ideal(g, t) == t
+    assert solvable_radical(g, t) == t
+    assert g.bracket_spaces(t, t).dim == 0
 
 
 def test_minimal_abelian_matches_exhaustive_oracle_sl2():
@@ -40,7 +41,7 @@ def test_minimal_abelian_matches_exhaustive_oracle_sl2():
     from morozov.suite import enumerate_subspaces
     for p in (3, 5):
         g = build("sl", 2, p)
-        view = SubView(AmbientView(g), g.full_space())
+        view = SubView(g, g.full_space())
         found = []
         for s in enumerate_subspaces(view):
             if s.dim == 0:
@@ -52,7 +53,32 @@ def test_minimal_abelian_matches_exhaustive_oracle_sl2():
             if ideal and abelian:
                 found.append(s)
         assert not found
-        assert minimal_abelian_ideal(g, g.full_space()) is None
+        assert solvable_radical(g, g.full_space()).dim == 0
+
+
+@pytest.mark.parametrize("fam,n", [("sl", 3), ("sp", 4), ("so", 5)])
+def test_full_subview_calculus_matches_ambient(fam, n):
+    # the subalgebra calculus run on g as a view, lifted back, is g's own
+    g = build(fam, n, 5)
+    full = g.full_space()
+    view = SubView(g, full)
+    vfull = view.full_space()
+    lift, restrict = view.lift_subspace, view.restrict_subspace
+    assert [lift(s) for s in view.derived_series(vfull)] == g.derived_series(full)
+    assert [lift(s) for s in view.lower_central_series(vfull)] \
+        == g.lower_central_series(full)
+    assert lift(view.center()) == g.center()
+    assert rref(view.killing_gram())[1] == rref(g.killing_gram())[1]
+    assert lift(view.killing_kernel()) == g.killing_kernel()
+    borel = standard_borel(g)
+    b, nil = borel["parabolic"], borel["nilradical"]
+    assert lift(view.largest_ideal_inside(vfull, restrict(b))) \
+        == g.largest_ideal_inside(full, b)
+    assert lift(view.largest_ideal_inside(restrict(b), restrict(nil))) \
+        == g.largest_ideal_inside(b, nil) == nil
+    assert lift(view.centralizer(restrict(nil))) == g.centralizer(nil)
+    assert lift(view.normalizer(restrict(nil))) == g.normalizer(nil) == b
+    assert lift(view.orthogonal(restrict(b))) == g.orthogonal(b)
 
 
 def test_solvable_radical_examples():
@@ -149,7 +175,7 @@ def test_quotient_p_radical_idempotence():
         h = standard_parabolic(g, chosen)["parabolic"]
         out = p_radical(g, h)
         ideal = out["rad_p"]
-        view = SubView(AmbientView(g), h)
+        view = SubView(g, h)
         quot = QuotientView(view, view.restrict_subspace(ideal))
         # enumerate the radical of the quotient and check no nonzero
         # p-nil ideal survives

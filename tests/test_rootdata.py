@@ -3,7 +3,7 @@ import pytest
 from morozov.gfp import is_prime
 from morozov.rootdata import (EXCEPTIONAL, PRINTED_TABLE, build_rootdatum,
                               classify_prime, coxeter_number, is_closed,
-                              parabolic_subsets, table_rows)
+                              parabolic_roots, table_rows)
 
 
 @pytest.mark.parametrize("label,n,count", [
@@ -113,27 +113,33 @@ def _closed_supersets_of_positives(rd):
     return set(found)
 
 
+def _all_parabolic_roots(rd):
+    """parabolic_roots for each of the 2^rank sets of simple roots."""
+    return [parabolic_roots(rd, [i for i in range(rd.rank) if mask >> i & 1])
+            for mask in range(1 << rd.rank)]
+
+
 def test_parabolic_subsets_a1():
     rd = build_rootdatum("A", 1)
-    subs = parabolic_subsets(rd)
+    subs = _all_parabolic_roots(rd)
     assert len(subs) == 2
-    sizes = sorted(len(s[1]) for s in subs)
+    sizes = sorted(len(s) for s in subs)
     assert sizes == [1, 2]
 
 
 def test_parabolic_subsets_exhaustive_a2():
     rd = build_rootdatum("A", 2)
-    subs = parabolic_subsets(rd)
+    subs = _all_parabolic_roots(rd)
     assert len(subs) == 4
     oracle = _closed_supersets_of_positives(rd)
-    assert {frozenset(s[1]) for s in subs} == oracle
-    assert any(set(s[1]) == set(rd.roots) for s in subs)
+    assert {frozenset(s) for s in subs} == oracle
+    assert any(set(s) == set(rd.roots) for s in subs)
 
 
 def test_parabolic_subsets_properties():
     for label, n in (("A", 3), ("C", 2), ("B", 2)):
         rd = build_rootdatum(label, n)
-        for chosen, subset in parabolic_subsets(rd):
+        for subset in _all_parabolic_roots(rd):
             assert is_closed(rd, subset)
             assert {tuple(-x for x in r) for r in subset} | set(subset) \
                 == set(rd.roots)
@@ -151,7 +157,7 @@ def test_exceptional_stub():
     g2 = build_rootdatum("G2")
     assert not g2.constructive
     with pytest.raises(ValueError):
-        parabolic_subsets(g2)
+        parabolic_roots(g2, ())
     assert g2.highest_root_coeffs == (3, 2)
     assert g2.highest_coroot_coeffs == (1, 2)
 
