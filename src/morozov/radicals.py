@@ -15,6 +15,14 @@ Strategy notes:
   * for torus-stable inputs the p-nilpotent and ad-nilpotent cones split
     along coordinates (root support in a positive system), avoiding
     enumeration entirely ("structured" method);
+  * in that split, the torus part of rad(h) is one linear solve: a torus
+    vector lies in rad(h) exactly when it kills every root line whose
+    spin ideal is not solvable;
+  * "every element of the subalgebra u is p-nilpotent" is the Engel flag
+    on the faithful families (gl, sl, sp, so): the iterated common kernel
+    of u's basis matrices reaches the whole space exactly when u consists
+    of nilpotent matrices (Engel's theorem holds in every characteristic),
+    and there the p-power is the matrix p-th power;
   * enumeration with an explicit budget is the general fallback, and
     exceeding the budget is an Undetermined outcome, never a guess.
 """
@@ -150,25 +158,63 @@ class QuotientView(View):
 # p-nilpotency
 # ---------------------------------------------------------------------------
 
-def is_p_nilpotent(x: Element) -> bool:
-    """x^[p]^m = 0 for some m <= dim."""
-    cur = x
-    for _ in range(x.algebra.dim + 1):
-        if cur.is_zero():
-            return True
-        cur = cur.p_power()
-    return cur.is_zero()
+def _faithful(g: LieAlgebra) -> bool:
+    """Whether the p-power of g is the matrix p-th power of its
+    realization: gl, sl, sp and so, but not pgl (realized up to scalars)
+    and not a view (no realization)."""
+    return g.realization is not None and not g.realization.mod_scalars
 
 
-def _vec_p_nilpotent(view: View, x) -> Optional[bool]:
+def _vec_p_nilpotent(alg: LieAlgebra, x) -> Optional[bool]:
+    """x^[p]^m = 0 for some m <= dim, by iterating alg.p_power_vec; None
+    when a p-power leaves the carrier of a view."""
     cur = list(x)
-    for _ in range(view.dim + 1):
+    for _ in range(alg.dim + 1):
         if not any(cur):
             return True
-        cur = view.p_power_vec(cur)
+        cur = alg.p_power_vec(cur)
         if cur is None:
             return None
     return not any(cur)
+
+
+def is_p_nilpotent(x: Element) -> bool:
+    """x^[p]^m = 0 for some m <= dim.  On a faithful realization x^[p]^m
+    is the matrix power x^(p^m), so this is nilpotency of x's matrix."""
+    if _faithful(x.algebra):
+        return x.matrix().is_nilpotent()
+    return _vec_p_nilpotent(x.algebra, x.coords)
+
+
+def _engel_flag_reaches_top(g: LieAlgebra, u: Subspace) -> bool:
+    """Whether the flag 0 = W_0 < W_1 < ... with W_{k+1} = {v : b v in W_k
+    for every basis matrix b of u} reaches the whole space V of the
+    realization.  When it does, every element of u is nilpotent; for a Lie
+    subalgebra u the converse is Engel's theorem."""
+    n, p = g.realization.n, g.p
+    mats = [g.matrix_of(b) for b in u.basis]
+    top = Subspace.full(n, p)
+    w = Subspace.zero(n, p)
+    while w.dim < n:
+        below = w
+        w = solve_linear(top, lambda v: [
+            c for m in mats for c in below.reduce_vector(m.matvec(v))])
+        if w.dim == below.dim:
+            return False
+    return True
+
+
+def is_p_nil_subalgebra(g: LieAlgebra, u: Subspace,
+                        budget: int = DEFAULT_BUDGET) -> Optional[bool]:
+    """Whether every element of the subalgebra u is p-nilpotent.  Exact at
+    every size on the faithful families (the Engel flag); on pgl decided by
+    enumerating u, and None when p^dim(u) exceeds the budget."""
+    if _faithful(g):
+        return _engel_flag_reaches_top(g, u)
+    if g.p ** u.dim > budget:
+        return None
+    return all(is_p_nilpotent(g.element(v))
+               for v in u.enumerate_vectors() if any(v))
 
 
 # ---------------------------------------------------------------------------
@@ -275,39 +321,23 @@ def _structured_solvable_radical(g: LieAlgebra, h: Subspace) -> Optional[Subspac
     roots = [root for root, _ in split.root_lines]
     if not _distinct_torus_characters(g, roots):
         return None
-    if split.torus_part.dim and g.p ** split.torus_part.dim > 10 ** 6:
-        return None
     view = SubView(g, h)
-    zero = Subspace.zero(g.dim, g.p)
-    spins = {}
-    for root, idx in split.root_lines:
-        spins[root] = view.spin_submodule(view.restrict(g.unit(idx)))
-    total = zero
-    solvable_cache = {}
-
-    def union_solvable(rootset) -> bool:
-        key = frozenset(rootset)
-        if key not in solvable_cache:
-            span = Subspace.zero(view.dim, g.p)
-            for r in key:
-                span = span.sum(spins[r])
-            solvable_cache[key] = view.is_solvable(span)
-        return solvable_cache[key]
-
-    for root, _ in split.root_lines:
-        if union_solvable([root]):
-            total = total.sum(view.lift_subspace(spins[root]))
-    # torus directions: spin(z) = <z> + sum of spins over the root lines z
-    # does not kill, and the extra central line never affects solvability
-    if split.torus_part.dim:
-        for z in split.torus_part.enumerate_vectors():
-            if not any(z):
-                continue
-            support = [root for root, idx in split.root_lines
-                       if any(g.bracket_vec(z, g.unit(idx)))]
-            if union_solvable(support):
-                total = total.sum(g.subspace([z]))
-    return total
+    total = Subspace.zero(g.dim, g.p)
+    wild = []           # root lines whose spin ideal is not solvable
+    for _, idx in split.root_lines:
+        if total.contains_vector(g.unit(idx)):
+            continue        # inside a solvable ideal already found
+        spin = view.spin_submodule(view.restrict(g.unit(idx)))
+        if view.is_solvable(spin):
+            total = total.sum(view.lift_subspace(spin))
+        else:
+            wild.append(idx)
+    # torus directions: spin(z) = <z> + the spins of the root lines z does
+    # not kill, and the extra central line never affects solvability, so z
+    # lies in rad(h) exactly when it kills every wild root line
+    torus = solve_linear(split.torus_part, lambda z: [
+        c for idx in wild for c in g.bracket_vec(z, g.unit(idx))])
+    return total.sum(torus)
 
 
 def solvable_radical(g: LieAlgebra, h: Subspace, budget: int = SCAN_BUDGET) -> Subspace:
@@ -491,15 +521,12 @@ def p_radical(g: LieAlgebra, h: Subspace, budget: int = DEFAULT_BUDGET) -> dict:
         if method == "structured":
             # cand sits inside the certified cone: all p-nilpotent
             break
-        bad = []
+        if is_p_nil_subalgebra(g, cand, budget):
+            break
         if g.p ** cand.dim > budget:
             raise Undetermined("p-radical verification exceeds budget")
-        good = []
-        for v in cand.enumerate_vectors():
-            if any(v):
-                (good if is_p_nilpotent(g.element(v)) else bad).append(v)
-        if not bad:
-            break
+        good = [v for v in cand.enumerate_vectors()
+                if any(v) and is_p_nilpotent(g.element(v))]
         span = Subspace.from_vectors(good, g.dim, g.p)
     p_closed = all(
         cand.contains_vector(g.p_power_vec(list(b))) for b in cand.basis)

@@ -429,13 +429,23 @@ def enumerate_subspaces(view, max_dim=None):
                 yield Subspace(d, p, rows)
 
 
+def literal_p_nilpotent(g: LieAlgebra, v) -> bool:
+    """x^[p]^m = 0 for some m <= dim, by iterating g.p_power_vec: the
+    definition, kept apart from the fast tests of `radicals`."""
+    for _ in range(g.dim + 1):
+        if not any(v):
+            return True
+        v = g.p_power_vec(v)
+    return not any(v)
+
+
 def _brute_radicals(g: LieAlgebra, h: Subspace) -> dict:
     """Exhaustive-ideal-enumeration oracle: scan every subspace of h, keep
     the ideals, and take maxima of the solvable / nilpotent / p-nil ones."""
     view = SubView(g, h)
     pnil_lookup = {}
     for v in h.enumerate_vectors():
-        pnil_lookup[tuple(v)] = radicals.is_p_nilpotent(g.element(v))
+        pnil_lookup[tuple(v)] = literal_p_nilpotent(g, v)
     best = {"rad": Subspace.zero(view.dim, g.p),
             "nil": Subspace.zero(view.dim, g.p),
             "rad_p": Subspace.zero(view.dim, g.p)}

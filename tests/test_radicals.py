@@ -3,10 +3,16 @@ import random
 import pytest
 
 from morozov.gfp import FieldMatrix, Subspace, rref
-from morozov.liealg import build, standard_borel, standard_parabolic
-from morozov.radicals import (QuotientView, SubView, is_p_nilpotent,
-                              nilradical, p_radical, pnil_part_of_radical,
-                              radical_report, solvable_radical)
+from morozov.kempf import check_search_class
+from morozov.liealg import (build, conjugate_subspace, standard_borel,
+                            standard_parabolic)
+from morozov.radicals import (SCAN_BUDGET, QuotientView, SubView,
+                              Undetermined, _solvable_radical_view,
+                              _structured_solvable_radical, is_p_nil_subalgebra,
+                              is_p_nilpotent, nilradical, p_radical,
+                              pnil_part_of_radical, radical_report,
+                              solvable_radical)
+from morozov.suite import literal_p_nilpotent
 
 
 def line(g, label):
@@ -223,3 +229,164 @@ def test_undetermined_budget():
     assert skew != b
     with pytest.raises(Undetermined):
         pnil_part_of_radical(g, skew, budget=10)
+
+
+def _subsets(g):
+    rank = g.frame.rootdatum.rank
+    return [tuple(i for i in range(rank) if mask >> i & 1)
+            for mask in range(1 << rank)]
+
+
+def _group_element(g, rng):
+    """A seeded element of the group that normalises g: any invertible
+    matrix for the type-A families, a product of root-group elements
+    exp(t x_a) for sp and so."""
+    n, p = g.realization.n, g.p
+    if g.family.rstrip("0123456789") in ("gl", "sl", "pgl"):
+        while True:
+            m = FieldMatrix(n, n, p, [rng.randrange(p) for _ in range(n * n)])
+            if rref(m)[1] == n:
+                return m
+    w = FieldMatrix.identity(n, p)
+    roots = g.frame.rootdatum.roots
+    for _ in range(6):
+        v = [0] * g.dim
+        v[g.frame.root_index[tuple(rng.choice(roots))]] = rng.randrange(1, p)
+        w = w @ g.exp_trunc(g.element(v))
+    return w
+
+
+def _random_vector(space, rng):
+    vec = [0] * space.ambient_dim
+    for row in space.basis:
+        c = rng.randrange(space.p)
+        vec = [(a + c * b) % space.p for a, b in zip(vec, row)]
+    return vec
+
+
+@pytest.mark.parametrize("fam,n,p,samples", [
+    ("sl", 2, 5, None), ("sl", 3, 3, None), ("gl", 2, 5, None),
+    ("sp", 4, 5, 2000), ("so", 5, 5, 2000), ("pgl", 3, 3, 2000)])
+def test_is_p_nilpotent_matches_literal_iteration(fam, n, p, samples):
+    # every vector of the small algebras; on the others a seeded sample,
+    # a third each from g, the Borel and its nilradical, so that both
+    # answers occur
+    g = build(fam, n, p)
+    if samples is None:
+        vectors = list(g.full_space().enumerate_vectors())
+    else:
+        rng = random.Random(f"{fam}{n}@{p}")
+        borel = standard_borel(g)
+        spaces = [g.full_space(), borel["parabolic"], borel["nilradical"]]
+        vectors = [_random_vector(spaces[k % 3], rng) for k in range(samples)]
+    verdicts = set()
+    for v in vectors:
+        verdict = is_p_nilpotent(g.element(v))
+        assert verdict == literal_p_nilpotent(g, v), v
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def _every_vector_p_nilpotent(g, u):
+    return all(literal_p_nilpotent(g, v)
+               for v in u.enumerate_vectors() if any(v))
+
+
+def _flag_inputs(g, rng):
+    """Standard nilradicals, parabolics and Levis; seeded group conjugates
+    of the nilradicals; subalgebra closures of one or two seeded elements
+    of conjugated nilradicals or of g; last, a conjugated root sl2 with a
+    nilpotent canonical basis."""
+    out, nils = [], []
+    for chosen in _subsets(g):
+        data = standard_parabolic(g, chosen)
+        out += [data["nilradical"], data["parabolic"], data["levi"]]
+        nils.append(conjugate_subspace(g, _group_element(g, rng),
+                                       data["nilradical"]))
+    out += nils
+
+    def draw(space):
+        return g.element(_random_vector(space, rng))
+
+    for _ in range(4):
+        a, b = rng.choice(nils), rng.choice(nils)
+        out.append(g.subalgebra_closure([draw(a)]))
+        out.append(g.subalgebra_closure([draw(a), draw(a)]))
+        out.append(g.subalgebra_closure([draw(a), draw(b)]))
+        out.append(g.subalgebra_closure([draw(g.full_space())]))
+    # conjugates of the root sl2 of the last simple root whose canonical
+    # basis consists of nilpotent elements: a basis-only test accepts them
+    root = tuple(g.frame.rootdatum.simple_roots[-1])
+    sl2 = g.subalgebra_closure([
+        g.basis_element(g.frame.root_index[r])
+        for r in (root, tuple(-x for x in root))])
+    for _ in range(500):
+        u = conjugate_subspace(g, _group_element(g, rng), sl2)
+        if all(is_p_nilpotent(g.element(list(b))) for b in u.basis):
+            return out + [u]
+    raise AssertionError("no conjugated sl2 with a nilpotent basis")
+
+
+@pytest.mark.parametrize("fam,n,p", [
+    ("sl", 3, 3), ("sl", 3, 5), ("gl", 3, 5), ("sp", 4, 5), ("so", 5, 5),
+    ("sl", 4, 3)])
+def test_engel_flag_matches_enumeration(fam, n, p):
+    g = build(fam, n, p)
+    rng = random.Random(f"flag:{fam}{n}@{p}")
+    verdicts = []
+    for u in _flag_inputs(g, rng):
+        assert g.is_subalgebra(u)
+        # budget 1: the faithful families never fall back to enumeration
+        flag = is_p_nil_subalgebra(g, u, budget=1)
+        assert flag == _every_vector_p_nilpotent(g, u), u.basis
+        verdicts.append(flag)
+    assert True in verdicts and False in verdicts
+    assert not flag     # the rotated sl2 came last
+
+
+def test_root_supported_line_that_is_not_nil():
+    # e12 + e23 + e31 is a permutation matrix with x^3 = 1: its line is
+    # supported on root coordinates but is not p-nil
+    g = build("sl", 3, 5)
+    x = g.element_by_label("e12") + g.element_by_label("e23") \
+        + g.element_by_label("f13")
+    u = g.subspace([x.coords])
+    assert not is_p_nilpotent(x)
+    assert is_p_nil_subalgebra(g, u) is False
+    assert not _every_vector_p_nilpotent(g, u)
+    with pytest.raises(ValueError, match="not p-nil"):
+        check_search_class(g, u)
+
+
+def test_is_p_nil_subalgebra_on_pgl_keeps_the_budget():
+    g = build("pgl", 3, 5)
+    nil = standard_borel(g)["nilradical"]
+    assert is_p_nil_subalgebra(g, nil) is True
+    assert is_p_nil_subalgebra(g, nil, budget=10) is None
+
+
+@pytest.mark.parametrize("fam,n", [("sl", 3), ("sl", 4), ("sl", 5), ("gl", 3),
+                                   ("sp", 4), ("so", 5), ("so", 7)])
+def test_linear_torus_part_matches_view_path(fam, n):
+    # p = 7 passes the distinct-torus-characters gate on all of them; where
+    # the view path cannot certify its answer within the scan budget, the
+    # known radical of a standard parabolic, u + z(l), is the reference
+    g = build(fam, n, 7)
+    compared = 0
+    for chosen in _subsets(g):
+        data = standard_parabolic(g, chosen)
+        levi = data["levi"]
+        centre = levi.intersect(g.centralizer(levi))
+        known = {"parabolic": data["nilradical"].sum(centre), "levi": centre,
+                 "nilradical": data["nilradical"]}
+        for role, h in known.items():
+            structured = _structured_solvable_radical(g, data[role])
+            assert structured == h, (chosen, role)
+            view = SubView(g, data[role])
+            try:
+                local = _solvable_radical_view(view, SCAN_BUDGET)
+            except Undetermined:
+                continue
+            assert view.lift_subspace(local) == structured, (chosen, role)
+            compared += 1
+    assert compared >= 2 * len(_subsets(g))

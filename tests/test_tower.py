@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from morozov.gfp import FieldMatrix
-from morozov.kempf import optimize
+from morozov.gfp import FieldMatrix, Subspace
+from morozov.kempf import check_search_class, optimize
 from morozov.liealg import build, standard_borel, standard_parabolic
-from morozov.radicals import p_radical
+from morozov.radicals import p_radical, solvable_radical
 from morozov.tower import (TowerTrace, check_tower_input, run_tower,
                            tower_step, verify_morozov)
 
@@ -152,3 +152,19 @@ def test_trace_serialization_shape():
     assert d["status"] == "stabilized"
     assert [s["u_dim"] for s in d["steps"]] == [1, 3, 3]
     assert d["steps"][1]["q_dim"] == 5
+
+
+def test_p_nil_checks_and_radical_do_not_enumerate(monkeypatch):
+    # the sl5@5 Borel nilradical has 5^10 vectors and the sl6@7 Borel a
+    # 7^5-vector torus; neither check nor the radical may walk them
+    def refuse(self):
+        raise AssertionError("enumerate_vectors called")
+
+    monkeypatch.setattr(Subspace, "enumerate_vectors", refuse)
+    g = build.__wrapped__("sl", 5, 5)          # fresh memo
+    nil = standard_borel(g)["nilradical"]
+    check_tower_input(g, nil)
+    check_search_class(g, nil)
+    g = build.__wrapped__("sl", 6, 7)
+    b = standard_borel(g)["parabolic"]
+    assert solvable_radical(g, b) == b
