@@ -119,7 +119,7 @@ def cmd_kempf_optimize(args) -> int:
     g = _algebra_from_args(args)
     u = _subspace_from_args(args, g)
     try:
-        cert = kempf.optimize(g, u, args.bound)
+        cert = kempf.optimize(g, u)
     except ValueError as exc:
         return _emit(args, {"status": "inadmissible", "reason": str(exc)},
                      EXIT_UNDETERMINED)
@@ -154,7 +154,7 @@ def cmd_radical_compute(args) -> int:
     rep = radicals.radical_report(g, h, budget=args.budget)
     payload = {"report": rep.as_dict()}
     code = EXIT_UNDETERMINED if rep.status == "undetermined" else EXIT_OK
-    text = [f"rad dim {rep.rad.dim}",
+    text = [f"rad dim {None if rep.rad is None else rep.rad.dim}",
             f"nil dim {None if rep.nil is None else rep.nil.dim}",
             f"rad_p dim {None if rep.rad_p is None else rep.rad_p.dim}",
             f"method {rep.method_used}, status {rep.status}"]
@@ -265,8 +265,6 @@ def make_parser() -> argparse.ArgumentParser:
     ke = groups.add_parser("kempf").add_subparsers(dest="action", required=True)
     o = ke.add_parser("optimize")
     _add_common(o, subspace=True)
-    o.add_argument("--bound", type=int, default=None,
-                   help="cap on ||lambda||^2 (default 4h^2)")
     o.set_defaults(fn=cmd_kempf_optimize)
 
     pb = groups.add_parser("parabolic").add_subparsers(dest="action", required=True)

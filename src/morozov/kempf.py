@@ -1,22 +1,23 @@
-"""Desk-scale instability optimization: enumerate cocharacters of the
-standard maximal torus, compute the vanishing-order measure of a p-nil
-subalgebra, pick the optimal direction, and build the associated
-parabolic decomposition p = c + u by weight signs.
+"""Instability optimization on the standard maximal torus: the
+vanishing-order measure of a p-nil subalgebra under a cocharacter, the
+optimal cocharacter and the parabolic decomposition p = c + u by weight
+signs.
 
-All comparisons are exact (integer cross-multiplication); the optimum is
-stored as an indivisible lattice vector with deterministic lexicographic
-tie-breaking.
+The optimum lies on the ray of the point of least norm in the convex hull
+of the roots on the support, found by Wolfe's algorithm in exact rational
+arithmetic and returned with a certificate checked without any search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .gfp import Subspace
 from .liealg import LieAlgebra
+from .rootdata import _dot, _solve_rational
 from . import radicals
 
 
@@ -29,9 +30,7 @@ class Cocharacter:
         return sum(c * c for c in self.coords)
 
     def indivisible(self) -> "Cocharacter":
-        g = 0
-        for c in self.coords:
-            g = gcd(g, abs(c))
+        g = gcd(*self.coords)
         if g <= 1:
             return self
         return Cocharacter(tuple(c // g for c in self.coords))
@@ -78,34 +77,46 @@ def alpha(g: LieAlgebra, lam: Cocharacter, u: Subspace) -> AlphaResult:
     return AlphaResult("ok", min(vals))
 
 
-def enumerate_cocharacters(g: LieAlgebra, norm_sq_bound: int):
-    """All nonzero lattice vectors with norm_sq <= bound (sum-zero slice
-    for the sl/pgl convention)."""
-    frame = g.frame
-    rank = frame.cochar_rank
-    r = isqrt(norm_sq_bound)
-    if frame.sum_zero:
-        def rec(prefix, remaining):
-            if remaining == 1:
-                last = -sum(prefix)
-                vec = prefix + [last]
-                if any(vec) and sum(c * c for c in vec) <= norm_sq_bound:
-                    yield tuple(vec)
-                return
-            for c in range(-r, r + 1):
-                if sum(x * x for x in prefix) + c * c <= norm_sq_bound:
-                    yield from rec(prefix + [c], remaining - 1)
-        yield from (Cocharacter(v) for v in rec([], rank))
-    else:
-        def rec(prefix, remaining):
-            if remaining == 0:
-                if any(prefix) and sum(c * c for c in prefix) <= norm_sq_bound:
-                    yield tuple(prefix)
-                return
-            for c in range(-r, r + 1):
-                if sum(x * x for x in prefix) + c * c <= norm_sq_bound:
-                    yield from rec(prefix + [c], remaining - 1)
-        yield from (Cocharacter(v) for v in rec([], rank))
+def support_weights(g: LieAlgebra, u: Subspace) -> list:
+    """The distinct roots on the support of u, sorted."""
+    return sorted({g.frame.index_root[i] for i in support_indices(u)})
+
+
+def _combine(points: Sequence, mu: Sequence) -> list:
+    return [sum(m * s[k] for m, s in zip(mu, points))
+            for k in range(len(points[0]))]
+
+
+def min_norm_point(points: Sequence) -> tuple:
+    """Wolfe's algorithm (Math. Prog. 11, 1976) in exact arithmetic: the
+    point x of least norm in the convex hull of the points, as (active
+    points, barycentric weights mu > 0, x) with x = sum mu_i s_i."""
+    pts = sorted(set(points))
+    active = [min(pts, key=lambda w: (_dot(w, w), w))]
+    while True:
+        # a: the point of least norm in the affine hull of the active
+        # points (affinely independent): G a + m 1 = 0, 1.a = 1
+        k = len(active)
+        cols = [[_dot(s, t) for s in active] + [1] for t in active]
+        a = _solve_rational(cols + [[1] * k + [0]], [0] * k + [1])[:k]
+        if all(c > 0 for c in a):
+            x = _combine(active, a)
+            nearest = min(pts, key=lambda w: (_dot(x, w), w))
+            if _dot(x, nearest) >= _dot(x, x):
+                return active, a, x
+            active, mu = active + [nearest], a + [0]
+        else:
+            # walk from mu towards a until a weight reaches 0; drop those
+            theta = min([1] + [m / (m - c) for m, c in zip(mu, a) if c < 0])
+            mu = [(1 - theta) * m + theta * c for m, c in zip(mu, a)]
+            active = [s for s, m in zip(active, mu) if m]
+            mu = [m for m in mu if m]
+
+
+def _ray_cocharacter(x: Sequence) -> Cocharacter:
+    """The indivisible lattice vector on the ray of a rational vector."""
+    den = lcm(*(c.denominator for c in x))
+    return Cocharacter(tuple(int(c * den) for c in x)).indivisible()
 
 
 @dataclass
@@ -113,28 +124,23 @@ class OptimalityCertificate:
     lam: Cocharacter
     alpha: int
     ratio_sq: Fraction          # alpha^2 / ||lam||^2
-    search_bound: int           # cap on ||lam||^2
-    enumerated_count: int
-    admissible_count: int
-    ties: int                   # indivisible optima (1 = unique)
-    tie_set: tuple
+    active: tuple               # support weights spanning the optimum
+    mu: tuple                   # their barycentric weights (Fractions)
+
+    # No search is made.  `perfbench/layertrace.py` still reads these two
+    # counts of the lattice-ball search this optimizer replaced; they stay
+    # at 0, out of `as_dict`, until the benchmark drops them.
+    enumerated_count = 0
+    admissible_count = 0
 
     def as_dict(self) -> dict:
         return {
             "lambda": list(self.lam.coords),
             "alpha": self.alpha,
             "ratio_sq": str(self.ratio_sq),
-            "search_bound": self.search_bound,
-            "enumerated_count": self.enumerated_count,
-            "admissible_count": self.admissible_count,
-            "ties": self.ties,
-            "tie_set": [list(t.coords) for t in self.tie_set],
+            "active_weights": [list(w) for w in self.active],
+            "mu": [str(m) for m in self.mu],
         }
-
-
-def default_bound(g: LieAlgebra) -> int:
-    h = g.frame.rootdatum.coxeter_number()
-    return 4 * h * h
 
 
 def check_search_class(g: LieAlgebra, u: Subspace, budget: int = 10 ** 5) -> None:
@@ -162,43 +168,49 @@ def check_search_class(g: LieAlgebra, u: Subspace, budget: int = 10 ** 5) -> Non
         raise ValueError("input is not p-nil")
 
 
+def check_certificate(g: LieAlgebra, u: Subspace,
+                      cert: OptimalityCertificate) -> None:
+    """Kempf's optimality, checked without any search: mu > 0 sums to 1
+    over support weights, so x = sum mu_w w lies in their convex hull;
+    <x, w> >= <x, x> for every support weight w, so x is its point of
+    least norm; lambda is the indivisible vector on the ray of x.  A
+    failure is a bug in the optimizer."""
+    support = support_weights(g, u)
+    mu = cert.mu
+    if not (mu and all(m > 0 for m in mu) and sum(mu) == 1
+            and len(cert.active) == len(mu) and set(cert.active) <= set(support)):
+        raise RuntimeError("Kempf certificate: mu is not a convex combination "
+                           "of support weights")
+    x = _combine(cert.active, mu)
+    if not any(x) or any(_dot(x, w) < _dot(x, x) for w in support):
+        raise RuntimeError("Kempf certificate: x is not the point of least "
+                           "norm in the hull of the support weights")
+    if cert.lam != _ray_cocharacter(x):
+        raise RuntimeError("Kempf certificate: lambda is not the indivisible "
+                           "vector on the ray of x")
+
+
 def optimize(g: LieAlgebra, u: Subspace,
-             norm_sq_bound: Optional[int] = None) -> OptimalityCertificate:
-    """Exhaustive maximization of alpha(lam)^2 / ||lam||^2 over the lattice
-    ball; returns the indivisible optimum (lexicographically least among
-    ties, all ties reported)."""
+             _unused=None) -> OptimalityCertificate:
+    """The optimal cocharacter of u, the indivisible lambda maximizing
+    alpha(lambda)^2 / ||lambda||^2: the ray of the point x of least norm
+    in the convex hull of the support weights (Kempf, Ann. Math. 108,
+    1978), unique by Kempf's theorem.  Raises ValueError when x = 0, as
+    no cocharacter is admissible.  The certificate is checked on return.
+
+    The third argument is ignored: `perfbench/workloads.py` still passes
+    the bound of the lattice-ball search this replaced."""
     check_search_class(g, u)
-    bound = default_bound(g) if norm_sq_bound is None else norm_sq_bound
-    best_num = 0         # alpha^2
-    best_den = 1         # norm^2
-    best: list = []
-    enumerated = admissible = 0
-    for lam in enumerate_cocharacters(g, bound):
-        enumerated += 1
-        res = alpha(g, lam, u)
-        if res.status != "ok":
-            continue
-        admissible += 1
-        a2 = res.value * res.value
-        n2 = lam.norm_sq
-        # compare a2/n2 with best_num/best_den exactly
-        cmp = a2 * best_den - best_num * n2
-        if cmp > 0:
-            best_num, best_den = a2, n2
-            best = [lam]
-        elif cmp == 0 and best:
-            best.append(lam)
-    if not best:
-        raise ValueError(f"no admissible cocharacter within ||lam||^2 <= {bound}")
-    tie_set = sorted({l.indivisible().coords for l in best})
-    lam = Cocharacter(tie_set[0])
+    active, mu, x = min_norm_point(support_weights(g, u))
+    if not any(x):
+        raise ValueError("no admissible cocharacter: 0 lies in the convex "
+                         "hull of the support weights")
+    lam = _ray_cocharacter(x)
     a = alpha(g, lam, u).value
-    return OptimalityCertificate(
-        lam=lam, alpha=a, ratio_sq=Fraction(a * a, lam.norm_sq),
-        search_bound=bound, enumerated_count=enumerated,
-        admissible_count=admissible, ties=len(tie_set),
-        tie_set=tuple(Cocharacter(t) for t in tie_set),
-    )
+    cert = OptimalityCertificate(lam, a, Fraction(a * a, lam.norm_sq),
+                                 tuple(active), tuple(mu))
+    check_certificate(g, u, cert)
+    return cert
 
 
 def parabolic_from_cochar(g: LieAlgebra, lam: Cocharacter) -> dict:

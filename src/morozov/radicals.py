@@ -554,7 +554,7 @@ def nilradical(g: LieAlgebra, h: Subspace, budget: int = DEFAULT_BUDGET) -> dict
 
 @dataclass
 class RadicalReport:
-    rad: Subspace
+    rad: Optional[Subspace]
     nil: Optional[Subspace]
     rad_p: Optional[Subspace]
     p_nilpotent_cone_is_subspace: Optional[bool]
@@ -576,11 +576,11 @@ class RadicalReport:
 
 def radical_report(g: LieAlgebra, h: Subspace,
                    budget: int = DEFAULT_BUDGET) -> RadicalReport:
-    rad = solvable_radical(g, h)
-    nil = rad_p = cone_flag = p_closed = None
+    rad = nil = rad_p = cone_flag = p_closed = None
     method = "structured"
     status, detail = "ok", ""
     try:
+        rad = solvable_radical(g, h)
         nil_out = nilradical(g, h, budget)
         nil = nil_out["nil"]
         prad_out = p_radical(g, h, budget)

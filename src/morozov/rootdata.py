@@ -25,9 +25,9 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def _solve_integer(basis: Sequence[Sequence[int]], target: Sequence[int]) -> list:
-    """Write target as an integer combination of the basis vectors (whose
-    entries may be rational, as for coroots)."""
+def _solve_rational(basis: Sequence[Sequence], target: Sequence) -> list:
+    """Write target as a rational combination of the basis vectors (free
+    coefficients set to 0), as Fractions."""
     cols = len(basis)
     rows = len(target)
     aug = [[Fraction(basis[j][i]) for j in range(cols)] + [Fraction(target[i])]
@@ -52,12 +52,16 @@ def _solve_integer(basis: Sequence[Sequence[int]], target: Sequence[int]) -> lis
     for i in range(r, rows):
         if aug[i][cols] != 0:
             raise ValueError("target not in the span")
-    out = []
-    for x in coeffs:
-        if x.denominator != 1:
-            raise ValueError("non-integer coefficient in root expansion")
-        out.append(int(x))
-    return out
+    return coeffs
+
+
+def _solve_integer(basis: Sequence[Sequence[int]], target: Sequence[int]) -> list:
+    """Write target as an integer combination of the basis vectors (whose
+    entries may be rational, as for coroots)."""
+    coeffs = _solve_rational(basis, target)
+    if any(x.denominator != 1 for x in coeffs):
+        raise ValueError("non-integer coefficient in root expansion")
+    return [int(x) for x in coeffs]
 
 
 # Table of characteristic assumptions for a simple group, as printed:

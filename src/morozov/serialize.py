@@ -3,7 +3,7 @@
 Algebra files carry the structure constants and the realization; when the
 optional family stamp is present the loader rebuilds through the standard
 constructor and cross-checks, which also restores the torus frame needed
-by the cocharacter search.  All emission goes through canonical_json so
+by the cocharacter optimizer.  All emission goes through canonical_json so
 identical inputs give byte-identical outputs."""
 
 from __future__ import annotations

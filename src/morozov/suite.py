@@ -195,7 +195,7 @@ def criterion_kempf_crosscheck(seed: int = 0) -> CheckResult:
                 and rep["u_in_u_lambda"]):
             bad.append(row["tag"])
     return _result("4 optimal cocharacter reproduces N(u) = p(lambda), "
-                   "u = u(lambda) (bound 4h^2)",
+                   "u = u(lambda) (minimum-norm point)",
                    not bad, "; ".join(bad) or f"{checked} optimizations", t0)
 
 

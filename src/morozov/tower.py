@@ -128,16 +128,11 @@ def run_tower(g: LieAlgebra, u0: Subspace, max_steps: Optional[int] = None,
 class VerificationReport:
     checks: dict = field(default_factory=dict)
 
-    def ok(self) -> bool:
-        return all(v == "pass" for v in self.checks.values()
-                   if v not in ("skipped",))
-
     def as_dict(self) -> dict:
         return dict(self.checks)
 
 
 def verify_morozov(g: LieAlgebra, trace: TowerTrace,
-                   kempf_bound: Optional[int] = None,
                    budget: int = radicals.DEFAULT_BUDGET) -> VerificationReport:
     """At the tower's limit: (a) the fixed-point condition, (b) parabolicity
     of q, (c) u = rad_p(q), (d) q = p(lambda) for the optimal cocharacter."""
@@ -167,7 +162,7 @@ def verify_morozov(g: LieAlgebra, trace: TowerTrace,
         rep.checks["kempf"] = "skipped"
     else:
         try:
-            cert = kempf.optimize(g, u, kempf_bound)
+            cert = kempf.optimize(g, u)
             parts = kempf.parabolic_from_cochar(g, cert.lam)
             rep.checks["kempf"] = "pass" if parts["p"] == q else "fail"
             rep.checks["kempf_lambda"] = list(cert.lam.coords)

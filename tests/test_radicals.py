@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -390,3 +391,35 @@ def test_linear_torus_part_matches_view_path(fam, n):
             assert view.lift_subspace(local) == structured, (chosen, role)
             compared += 1
     assert compared >= 2 * len(_subsets(g))
+
+
+def _conjugated_sl4_parabolic():
+    """The sl4@7 parabolic S = (0, 1) moved by a seeded GL_4 element: the
+    view path's abelian-ideal scan is far over the budget here."""
+    g = build("sl", 4, 7)
+    w = _group_element(g, random.Random("undetermined:0"))
+    return g, conjugate_subspace(g, w, standard_parabolic(g, (0, 1))["parabolic"])
+
+
+def test_radical_report_returns_undetermined():
+    g, h = _conjugated_sl4_parabolic()
+    rep = radical_report(g, h)
+    assert rep.status == "undetermined"
+    assert "abelian-ideal scan" in rep.detail
+    assert rep.rad is None and rep.nil is None and rep.rad_p is None
+    assert rep.as_dict()["rad"] is None
+
+
+def test_radical_compute_cli_exits_undetermined(tmp_path, capsys):
+    from morozov.cli import EXIT_UNDETERMINED, main
+    from morozov.serialize import canonical_json, subspace_to_dict
+    g, h = _conjugated_sl4_parabolic()
+    path = tmp_path / "h.json"
+    path.write_text(canonical_json(subspace_to_dict(h)))
+    args = ["radical", "compute", "--family", "sl", "--n", "4", "--p", "7",
+            "--subspace", str(path)]
+    assert main(args) == EXIT_UNDETERMINED
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["status"] == "undetermined" and report["rad"] is None
+    assert main(args + ["--text"]) == EXIT_UNDETERMINED
+    assert "rad dim None" in capsys.readouterr().out
