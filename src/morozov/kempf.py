@@ -5,7 +5,8 @@ signs.
 
 The optimum lies on the ray of the point of least norm in the convex hull
 of the roots on the support, found by Wolfe's algorithm in exact rational
-arithmetic and returned with a certificate checked without any search.
+arithmetic (`rootdata.min_norm_point`, which `radicals` shares) and
+returned with a certificate checked without any search.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Optional, Sequence
 
 from .gfp import Subspace
 from .liealg import LieAlgebra
-from .rootdata import _dot, _solve_rational
+from .rootdata import _combine, _dot, min_norm_point
 from . import radicals
 
 
@@ -80,37 +81,6 @@ def alpha(g: LieAlgebra, lam: Cocharacter, u: Subspace) -> AlphaResult:
 def support_weights(g: LieAlgebra, u: Subspace) -> list:
     """The distinct roots on the support of u, sorted."""
     return sorted({g.frame.index_root[i] for i in support_indices(u)})
-
-
-def _combine(points: Sequence, mu: Sequence) -> list:
-    return [sum(m * s[k] for m, s in zip(mu, points))
-            for k in range(len(points[0]))]
-
-
-def min_norm_point(points: Sequence) -> tuple:
-    """Wolfe's algorithm (Math. Prog. 11, 1976) in exact arithmetic: the
-    point x of least norm in the convex hull of the points, as (active
-    points, barycentric weights mu > 0, x) with x = sum mu_i s_i."""
-    pts = sorted(set(points))
-    active = [min(pts, key=lambda w: (_dot(w, w), w))]
-    while True:
-        # a: the point of least norm in the affine hull of the active
-        # points (affinely independent): G a + m 1 = 0, 1.a = 1
-        k = len(active)
-        cols = [[_dot(s, t) for s in active] + [1] for t in active]
-        a = _solve_rational(cols + [[1] * k + [0]], [0] * k + [1])[:k]
-        if all(c > 0 for c in a):
-            x = _combine(active, a)
-            nearest = min(pts, key=lambda w: (_dot(x, w), w))
-            if _dot(x, nearest) >= _dot(x, x):
-                return active, a, x
-            active, mu = active + [nearest], a + [0]
-        else:
-            # walk from mu towards a until a weight reaches 0; drop those
-            theta = min([1] + [m / (m - c) for m, c in zip(mu, a) if c < 0])
-            mu = [(1 - theta) * m + theta * c for m, c in zip(mu, a)]
-            active = [s for s, m in zip(active, mu) if m]
-            mu = [m for m in mu if m]
 
 
 def _ray_cocharacter(x: Sequence) -> Cocharacter:

@@ -702,6 +702,27 @@ def torus_subspace(g: LieAlgebra) -> Subspace:
     return g.subspace([g.unit(i) for i in g.frame.torus_indices])
 
 
+def coordinate_split(g: LieAlgebra, s: Subspace) -> Optional[tuple]:
+    """(s n t, [(root, index)]) when s is its torus part plus root lines of
+    the standard frame, else None.  The two parts sit on disjoint
+    coordinates, so the canonical basis of such an s is the torus part's
+    canonical basis plus one unit row per root line: the split is read off
+    the rows, with no elimination."""
+    if g.frame is None:
+        return None
+    torus = set(g.frame.torus_indices)
+    rows, lines = [], []
+    for row in s.basis:
+        support = [i for i, x in enumerate(row) if x]
+        if torus.issuperset(support):
+            rows.append(row)
+        elif len(support) == 1:
+            lines.append((g.frame.index_root[support[0]], support[0]))
+        else:
+            return None
+    return Subspace(s.ambient_dim, s.p, rows), lines
+
+
 def root_vector_index(g: LieAlgebra, root) -> int:
     return g.frame.root_index[tuple(root)]
 

@@ -8,18 +8,20 @@ off the standard frame.  Otherwise detection looks for a conjugating frame:
 a realization matrix P such that P^-1 q P is a coordinate subspace passing
 the same test.  For gl/sl/pgl, P is adapted to the q-stable flag of the
 natural module cut out by the ideal N = [q, q n q^perp] (trace form); this
-finds every type-A parabolic at odd p.  For sp, away from p = 2, 3, P is a
-Weyl translate of the standard Borel inside q.  A frame verdict reports
-the root subset of P^-1 q P (a standard parabolic), the split torus
-P t P^-1 inside q as torus_used, and P as a list of rows with
-"frame_translate": True in details.  Re-conjugating q by P gives the
-standard parabolic exactly, so the verdict is exact however P was found.
+finds every type-A parabolic at odd p.  A frame verdict reports the root
+subset of P^-1 q P (a standard parabolic), the split torus P t P^-1 inside
+q as torus_used, and P as a list of rows with "frame_translate": True in
+details.  Re-conjugating q by P gives the standard parabolic exactly, so
+the verdict is exact however P was found.  No Weyl translate of the Borel
+is searched for: every such translate contains t, and when the root
+differentials on t are pairwise distinct and nonzero (sp at p >= 5, for
+one) a q containing t is t plus root lines, which the standard frame
+already decides.
 A "not-parabolic" verdict is certified by a battery of extension-stable
 isomorphism invariants that separates the input from every standard
 parabolic of matching dimension (conjugation over the algebraic closure
 preserves each of them).  Anything else is "undetermined" - never a false
-negative.  That includes so parabolics out of standard position and sp
-parabolics that are not Weyl translates of standard ones.
+negative.  That includes sp and so parabolics out of standard position.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .gfp import FieldMatrix, Subspace, kernel, rref
-from .liealg import (LieAlgebra, conjugate_subspace, standard_borel,
-                     standard_parabolic, torus_subspace, weyl_matrices)
+from .liealg import (LieAlgebra, conjugate_subspace, coordinate_split,
+                     standard_borel, standard_parabolic, weyl_matrices)
 from .radicals import SubView
 from .rootdata import is_closed
 
@@ -77,23 +79,6 @@ def cartan_subalgebra(g: LieAlgebra, seed: int = 0, attempts: int = 200) -> Subs
             continue
         return fit
     raise ValueError(f"no Cartan subalgebra found in {attempts} attempts (seed {seed})")
-
-
-def _coordinate_analysis(g: LieAlgebra, q: Subspace) -> Optional[dict]:
-    """Split q along the standard frame: torus part + root lines.  None if
-    q is not a coordinate subspace containing the full torus."""
-    t = torus_subspace(g)
-    if not q.contains(t):
-        return None
-    lines = []
-    for idx, root in g.frame.index_root.items():
-        v = [0] * g.dim
-        v[idx] = 1
-        if q.contains_vector(v):
-            lines.append(root)
-    if t.dim + len(lines) != q.dim:
-        return None
-    return {"torus": t, "roots": tuple(sorted(lines))}
 
 
 def iso_invariants(g: LieAlgebra, q: Subspace) -> tuple:
@@ -172,7 +157,9 @@ def flag_frame(g: LieAlgebra, q: Subspace) -> Optional[FieldMatrix]:
 def contains_borel(g: LieAlgebra, q: Subspace):
     """Search the Weyl-translate frame for a Borel inside q; returns the
     translating matrix or None.  The frame covers permutation conjugates
-    (type A) and signed block permutations (type C)."""
+    (type A) and signed block permutations (type C).  Detection does not
+    call it (see the module docstring); the suite's bad-prime regression
+    does."""
     b = standard_borel(g)["parabolic"]
     for w in weyl_matrices(g):
         if q.contains(conjugate_subspace(g, w, b)):
@@ -189,47 +176,40 @@ def detect_parabolic(g: LieAlgebra, q: Subspace) -> ParabolicVerdict:
     rd = g.frame.rootdatum
     allroots = set(rd.roots)
 
-    def finish_coordinate(analysis, extra):
-        roots = analysis["roots"]
+    def coordinate_verdict(s, extra):
+        """The verdict on s = t + root lines, or None for any other s."""
+        split = coordinate_split(g, s)
+        if split is None or split[0].dim < len(g.frame.torus_indices):
+            return None
+        roots = tuple(sorted(root for root, _ in split[1]))
         closed = is_closed(rd, roots)
         symmetric = {tuple(-x for x in r) for r in roots} | set(roots) == allroots
         if closed and symmetric:
             details = {"criterion": "torus + closed root subset with "
                                     "Phi' u -Phi' = Phi"}
             details.update(extra)
-            return ParabolicVerdict("parabolic", analysis["torus"], roots,
+            return ParabolicVerdict("parabolic", split[0], roots,
                                     details=details)
         reason = "not-closed" if not closed else "not-parabolic-subset"
-        return ParabolicVerdict("candidate-failed", analysis["torus"], roots,
+        return ParabolicVerdict("candidate-failed", split[0], roots,
                                 failure_reason=reason, details=extra)
 
-    analysis = _coordinate_analysis(g, q)
-    if analysis is not None:
-        verdict = finish_coordinate(analysis, {})
-        if verdict.status == "parabolic":
-            return verdict
-        # coordinate subset fails the parabolic-subset conditions;
-        # fall through to the invariant battery for a certificate
-        partial = verdict
-    else:
-        partial = None
+    # a coordinate subset failing the parabolic-subset conditions falls
+    # through to the invariant battery for a certificate
+    partial = coordinate_verdict(q, {})
+    if partial is not None and partial.status == "parabolic":
+        return partial
 
     # conjugating frame: the type-A flag finds every type-A parabolic at
-    # odd p; for sp, a Weyl translate of the Borel inside q (the
-    # Borel-containment shortcut, a valid characterisation away from 2, 3)
+    # odd p
     frame = flag_frame(g, q)
-    if frame is None and g.frame.family == "sp" and g.p not in (2, 3):
-        frame = contains_borel(g, q)
     if frame is not None:
-        analysis = _coordinate_analysis(
-            g, conjugate_subspace(g, frame.inverse(), q))
-        if analysis is not None:
-            verdict = finish_coordinate(
-                analysis, {"frame_translate": True, "frame": frame.to_rows()})
-            if verdict.status == "parabolic":
-                verdict.torus_used = conjugate_subspace(g, frame,
-                                                        analysis["torus"])
-                return verdict
+        verdict = coordinate_verdict(
+            conjugate_subspace(g, frame.inverse(), q),
+            {"frame_translate": True, "frame": frame.to_rows()})
+        if verdict is not None and verdict.status == "parabolic":
+            verdict.torus_used = conjugate_subspace(g, frame, verdict.torus_used)
+            return verdict
 
     # invariant battery against every standard parabolic of equal dimension
     inv = iso_invariants(g, q)

@@ -13,8 +13,11 @@ Strategy notes:
   * (ad v)^2 = 0 is necessary for v to lie in an abelian ideal, which makes
     the line scan over ker(kappa_h) a complete search;
   * for torus-stable inputs the p-nilpotent and ad-nilpotent cones split
-    along coordinates (root support in a positive system), avoiding
-    enumeration entirely ("structured" method);
+    along coordinates when the root support is closed and lies in a
+    positive system, avoiding enumeration entirely ("structured" method);
+    by Gordan's theorem the latter holds exactly when 0 is not in the
+    convex hull of the support, that is when its point of least norm
+    (`rootdata.min_norm_point`) is nonzero;
   * in that split, the torus part of rad(h) is one linear solve: a torus
     vector lies in rad(h) exactly when it kills every root line whose
     spin ideal is not solvable;
@@ -35,8 +38,8 @@ from typing import Optional
 # kernel and rref are unused here; the benchmark tracer's self-test checks
 # that rebinding reaches every module importing them by name
 from .gfp import Subspace, kernel, rref, solve_linear  # noqa: F401
-from .liealg import Element, LieAlgebra, torus_subspace
-from .rootdata import is_closed
+from .liealg import Element, LieAlgebra, coordinate_split
+from .rootdata import is_closed, min_norm_point
 
 DEFAULT_BUDGET = 10 ** 7
 SCAN_BUDGET = 4_000_000
@@ -315,16 +318,16 @@ def _structured_solvable_radical(g: LieAlgebra, h: Subspace) -> Optional[Subspac
     distinct: every ideal of h is then coordinate-split (finite-torus
     Fourier projections), so the radical is the sum of the solvable
     spin-ideals of the coordinate directions of h."""
-    split = _coordinate_split(g, h)
+    split = coordinate_split(g, h)
     if split is None:
         return None
-    roots = [root for root, _ in split.root_lines]
-    if not _distinct_torus_characters(g, roots):
+    torus_part, lines = split
+    if not _distinct_torus_characters(g, [root for root, _ in lines]):
         return None
     view = SubView(g, h)
     total = Subspace.zero(g.dim, g.p)
     wild = []           # root lines whose spin ideal is not solvable
-    for _, idx in split.root_lines:
+    for _, idx in lines:
         if total.contains_vector(g.unit(idx)):
             continue        # inside a solvable ideal already found
         spin = view.spin_submodule(view.restrict(g.unit(idx)))
@@ -335,7 +338,7 @@ def _structured_solvable_radical(g: LieAlgebra, h: Subspace) -> Optional[Subspac
     # torus directions: spin(z) = <z> + the spins of the root lines z does
     # not kill, and the extra central line never affects solvability, so z
     # lies in rad(h) exactly when it kills every wild root line
-    torus = solve_linear(split.torus_part, lambda z: [
+    torus = solve_linear(torus_part, lambda z: [
         c for idx in wild for c in g.bracket_vec(z, g.unit(idx))])
     return total.sum(torus)
 
@@ -363,99 +366,42 @@ def solvable_radical(g: LieAlgebra, h: Subspace, budget: int = SCAN_BUDGET) -> S
 # Structured (torus-stable) cone extraction
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _SplitData:
-    torus_part: Subspace
-    root_lines: list          # list of (root, ambient index)
-
-
-def _coordinate_split(g: LieAlgebra, r: Subspace) -> Optional[_SplitData]:
-    """Decompose r along the torus block and individual root lines;
-    None if r is not a coordinate subspace in the torus frame."""
-    if g.frame is None:
-        return None
-    tpart = r.intersect(torus_subspace(g))
-    lines = [(root, idx) for idx, root in g.frame.index_root.items()
-             if r.contains_vector(g.unit(idx))]
-    if tpart.dim + len(lines) != r.dim:
-        return None
-    return _SplitData(tpart, lines)
-
-
-def _positive_systems(rd) -> list:
-    """All positive systems of the root datum (Weyl images of the standard
-    one), generated by simple reflections."""
-    simples = [list(s) for s in rd.simple_roots]
-
-    def pairing(beta, alpha):
-        # <beta, alpha^vee> = 2 (beta, alpha) / (alpha, alpha)
-        num = 2 * sum(a * b for a, b in zip(beta, alpha))
-        den = sum(a * a for a in alpha)
-        assert num % den == 0
-        return num // den
-
-    def reflect(beta, alpha):
-        c = pairing(beta, alpha)
-        return tuple(b - c * a for b, a in zip(beta, alpha))
-
-    start = frozenset(rd.positive_roots)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        cur = frontier.pop()
-        for alpha in simples:
-            img = frozenset(reflect(list(b), alpha) for b in cur)
-            if img not in seen:
-                seen.add(img)
-                frontier.append(img)
-    return list(seen)
-
-
-def _support_in_positive_system(g: LieAlgebra, roots) -> bool:
-    rd = g.frame.rootdatum
-    roots = set(roots)
-    key = ("possys",)
-    if key not in g._memo:
-        g._memo[key] = _positive_systems(rd)
-    return any(roots <= ps for ps in g._memo[key])
-
-
-def _certified_root_support(g: LieAlgebra, split: _SplitData) -> bool:
-    """Whether the root support of a coordinate split is asymmetric, closed
-    and inside a positive system."""
-    roots = [root for root, _ in split.root_lines]
-    rootset = set(roots)
-    if any(tuple(-x for x in rt) in rootset for rt in rootset):
-        return False
+def _certified_root_support(g: LieAlgebra, roots) -> bool:
+    """Whether a set of roots is closed and lies in a positive system.  By
+    Gordan's theorem the second condition holds exactly when 0 is not in
+    the convex hull of the roots, that is when their point of least norm
+    is nonzero; a pair +-alpha puts 0 in the hull, and the empty set lies
+    in every positive system."""
     return is_closed(g.frame.rootdatum, roots) and \
-        _support_in_positive_system(g, roots)
+        (not roots or any(min_norm_point(roots)[2]))
 
 
 def _structured_pnil_cone(g: LieAlgebra, r: Subspace) -> Optional[Subspace]:
     """The set of p-nilpotent elements of a torus-stable solvable r, when
-    certifiable: the root part, provided the root support is closed,
-    asymmetric, and lies in a positive system (then elements with nonzero
-    torus component keep it under p-powers, and the root part consists of
-    nilpotent matrices)."""
-    split = _coordinate_split(g, r)
-    if split is None or not _certified_root_support(g, split):
+    certifiable: the root part, provided the root support is closed and
+    its minimum-norm point is nonzero, so that it lies in a positive system
+    (then elements with nonzero torus component keep it under p-powers,
+    and the root part consists of nilpotent matrices)."""
+    split = coordinate_split(g, r)
+    if split is None or not _certified_root_support(g, [a for a, _ in split[1]]):
         return None
-    return g.subspace([g.unit(idx) for _, idx in split.root_lines])
+    return g.subspace([g.unit(idx) for _, idx in split[1]])
 
 
 def _structured_adnil_cone(g: LieAlgebra, h: Subspace, r: Subspace) -> Optional[Subspace]:
     """Elements of torus-stable solvable r acting nilpotently on the
     coordinate-split subalgebra h: torus part killing every root line of h
     plus the whole root part of r."""
-    split_r = _coordinate_split(g, r)
-    split_h = _coordinate_split(g, h)
-    if split_r is None or split_h is None or not _certified_root_support(g, split_r):
+    split_r = coordinate_split(g, r)
+    split_h = coordinate_split(g, h)
+    if split_r is None or split_h is None or not _certified_root_support(
+            g, [a for a, _ in split_r[1]]):
         return None
     # torus part: [z, e_beta] = 0 for every root line of h
-    torus = solve_linear(split_r.torus_part, lambda z: [
-        c for _, idx in split_h.root_lines for c in g.bracket_vec(z, g.unit(idx))])
+    torus = solve_linear(split_r[0], lambda z: [
+        c for _, idx in split_h[1] for c in g.bracket_vec(z, g.unit(idx))])
     vecs = [list(b) for b in torus.basis]
-    vecs.extend(g.unit(idx) for _, idx in split_r.root_lines)
+    vecs.extend(g.unit(idx) for _, idx in split_r[1])
     return g.subspace(vecs)
 
 

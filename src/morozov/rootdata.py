@@ -1,7 +1,8 @@
 """Root-system combinatorics for the classical types and the prime
 classification data (torsion / bad / good / very good / separably good),
 with the printed characteristic table carried alongside the definitional
-computation.
+computation, and the one convex-geometry primitive: the point of least
+norm in the convex hull of a finite set of weights.
 
 Types A-D are built constructively (roots as integer vectors in the
 standard epsilon coordinates); E6-G2 are table-only stubs that still know
@@ -53,6 +54,41 @@ def _solve_rational(basis: Sequence[Sequence], target: Sequence) -> list:
         if aug[i][cols] != 0:
             raise ValueError("target not in the span")
     return coeffs
+
+
+def _combine(points: Sequence, mu: Sequence) -> list:
+    return [sum(m * s[k] for m, s in zip(mu, points))
+            for k in range(len(points[0]))]
+
+
+def min_norm_point(points: Sequence) -> tuple:
+    """Wolfe's algorithm (Math. Prog. 11, 1976) in exact arithmetic: the
+    point x of least norm in the convex hull of the points, as (active
+    points, barycentric weights mu > 0, x) with x = sum mu_i s_i.
+
+    Kempf's optimal cocharacter lies on the ray of x.  By Gordan's theorem
+    a finite set of roots lies in a positive system (some functional is
+    positive on all of it) exactly when x != 0."""
+    pts = sorted(set(points))
+    active = [min(pts, key=lambda w: (_dot(w, w), w))]
+    while True:
+        # a: the point of least norm in the affine hull of the active
+        # points (affinely independent): G a + m 1 = 0, 1.a = 1
+        k = len(active)
+        cols = [[_dot(s, t) for s in active] + [1] for t in active]
+        a = _solve_rational(cols + [[1] * k + [0]], [0] * k + [1])[:k]
+        if all(c > 0 for c in a):
+            x = _combine(active, a)
+            nearest = min(pts, key=lambda w: (_dot(x, w), w))
+            if _dot(x, nearest) >= _dot(x, x):
+                return active, a, x
+            active, mu = active + [nearest], a + [0]
+        else:
+            # walk from mu towards a until a weight reaches 0; drop those
+            theta = min([1] + [m / (m - c) for m, c in zip(mu, a) if c < 0])
+            mu = [(1 - theta) * m + theta * c for m, c in zip(mu, a)]
+            active = [s for s, m in zip(active, mu) if m]
+            mu = [m for m in mu if m]
 
 
 def _solve_integer(basis: Sequence[Sequence[int]], target: Sequence[int]) -> list:

@@ -7,10 +7,11 @@ from math import isqrt
 import pytest
 
 from morozov.kempf import (AlphaResult, Cocharacter, OptimalityCertificate,
-                           alpha, check_certificate, min_norm_point, optimize,
+                           alpha, check_certificate, optimize,
                            parabolic_from_cochar, support_weights,
                            verify_obstruction, weights)
 from morozov.liealg import build, standard_borel, standard_parabolic
+from morozov.rootdata import min_norm_point
 
 
 def line(g, label):

@@ -4,10 +4,10 @@ import random
 import pytest
 
 from morozov.gfp import FieldMatrix, Subspace, rref
-from morozov.liealg import (build, conjugate_subspace, exp_trunc_matrix,
-                            jacobson_defect, jacobson_defect_reference,
-                            standard_borel, standard_parabolic,
-                            torus_subspace, weyl_matrices)
+from morozov.liealg import (build, conjugate_subspace, coordinate_split,
+                            exp_trunc_matrix, jacobson_defect,
+                            jacobson_defect_reference, standard_borel,
+                            standard_parabolic, torus_subspace, weyl_matrices)
 from morozov.serialize import (algebra_from_dict, algebra_to_dict,
                                canonical_json)
 
@@ -291,6 +291,33 @@ def test_standard_parabolic_structure():
     assert par.contains(nil) and par.contains(levi)
     assert par.contains(torus_subspace(g))
     assert g.is_subalgebra(par)
+
+
+@pytest.mark.parametrize("fam,n,p", [("sl", 3, 5), ("gl", 3, 5), ("pgl", 3, 3),
+                                     ("sp", 4, 7), ("so", 5, 5)])
+def test_coordinate_split_matches_its_definition(fam, n, p):
+    # s is split when dim(s n t) plus the number of root lines inside s
+    # is dim s
+    g = build(fam, n, p)
+    t = torus_subspace(g)
+    rng = random.Random(n * p)
+    roots = sorted(g.frame.index_root)
+    splits = 0
+    for trial in range(60):
+        vecs = [g.unit(i) for i in rng.sample(roots, rng.randint(0, 4))]
+        for _ in range(rng.randint(0, 2)):
+            vecs.append([rng.randrange(p) if i in g.frame.torus_indices else 0
+                         for i in range(g.dim)])
+        if trial % 3 == 0:
+            vecs.append([rng.randrange(p) for _ in range(g.dim)])
+        s = g.subspace(vecs)
+        lines = [(g.frame.index_root[i], i) for i in roots
+                 if s.contains_vector(g.unit(i))]
+        torus = s.intersect(t)
+        expected = (torus, lines) if torus.dim + len(lines) == s.dim else None
+        assert coordinate_split(g, s) == expected
+        splits += expected is not None
+    assert 0 < splits < 60
 
 
 def test_json_roundtrip_bit_exact():

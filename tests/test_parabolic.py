@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from morozov import liealg, parabolic
 from morozov.fixtures import (ex1_pgl_pattern, ex1_sl3_subalgebra,
                               ex2_corrected_pattern, ex2_printed_pattern,
                               ex2_subalgebra)
@@ -67,6 +68,13 @@ def test_detect_non_parabolic_line():
     v = detect_parabolic(g, line(g, "e13"))
     assert v.status == "not-parabolic"
     assert detect_parabolic(g, g.subspace([])).status == "not-parabolic"
+
+
+def test_root_lines_without_the_torus_are_not_parabolic():
+    # the Borel nilradical has the root support of a parabolic
+    g = build("sl", 3, 5)
+    v = detect_parabolic(g, standard_borel(g)["nilradical"])
+    assert v.status == "not-parabolic"
 
 
 def test_counterexample_ex1():
@@ -232,3 +240,28 @@ def test_so_standard_levi_not_parabolic():
     g = build("so", 5, 5)
     v = detect_parabolic(g, standard_parabolic(g, (0,))["levi"])
     assert v.status == "not-parabolic"
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_sp4_conjugates_decided_without_weyl_frames(p, monkeypatch):
+    # the verdicts the Borel-containment search over Weyl frames gave;
+    # detection no longer makes that search
+    def no_weyl_walk(g):
+        raise AssertionError("detection walked the Weyl group")
+
+    monkeypatch.setattr(liealg, "weyl_matrices", no_weyl_walk)
+    monkeypatch.setattr(parabolic, "weyl_matrices", no_weyl_walk)
+    g = build("sp", 4, p)
+    rng = random.Random(10 * p)
+    full = _subsets(g)[-1]
+    for _ in range(2):
+        for chosen in _subsets(g):
+            data = standard_parabolic(g, chosen)
+            w = _root_group_element(g, rng)
+            for role, expected in (
+                    ("parabolic", ("undetermined", "no-torus-found")),
+                    ("levi", ("not-parabolic", "not-parabolic-subset"))):
+                if chosen == full:
+                    expected = ("parabolic", None)
+                v = detect_parabolic(g, conjugate_subspace(g, w, data[role]))
+                assert (v.status, v.failure_reason) == expected

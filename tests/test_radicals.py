@@ -8,12 +8,15 @@ from morozov.kempf import check_search_class
 from morozov.liealg import (build, conjugate_subspace, standard_borel,
                             standard_parabolic)
 from morozov.radicals import (SCAN_BUDGET, QuotientView, SubView,
-                              Undetermined, _solvable_radical_view,
+                              Undetermined, _certified_root_support,
+                              _solvable_radical_view,
                               _structured_solvable_radical, is_p_nil_subalgebra,
                               is_p_nilpotent, nilradical, p_radical,
                               pnil_part_of_radical, radical_report,
                               solvable_radical)
+from morozov.rootdata import is_closed, min_norm_point
 from morozov.suite import literal_p_nilpotent
+from morozov.tower import run_tower, verify_morozov
 
 
 def line(g, label):
@@ -423,3 +426,85 @@ def test_radical_compute_cli_exits_undetermined(tmp_path, capsys):
     assert report["status"] == "undetermined" and report["rad"] is None
     assert main(args + ["--text"]) == EXIT_UNDETERMINED
     assert "rad dim None" in capsys.readouterr().out
+
+
+def _weyl_orbit_of_positive_roots(rd):
+    """Every positive system of the root datum: the Weyl orbit of the
+    standard one, generated by simple reflections."""
+    def reflect(beta, alpha):
+        c = 2 * sum(a * b for a, b in zip(beta, alpha)) // sum(a * a for a in alpha)
+        return tuple(b - c * a for b, a in zip(beta, alpha))
+
+    seen = {frozenset(rd.positive_roots)}
+    frontier = list(seen)
+    while frontier:
+        cur = frontier.pop()
+        for alpha in rd.simple_roots:
+            img = frozenset(reflect(b, alpha) for b in cur)
+            if img not in seen:
+                seen.add(img)
+                frontier.append(img)
+    return seen
+
+
+def _closure(rd, roots):
+    out = set(roots)
+    allroots = set(rd.roots)
+    while True:
+        sums = {tuple(a + b for a, b in zip(x, y)) for x in out for y in out}
+        new = (sums & allroots) - out
+        if not new:
+            return sorted(out)
+        out |= new
+
+
+@pytest.mark.parametrize("fam,n,p", [
+    ("sl", 3, 5), ("sl", 4, 5), ("sl", 5, 7), ("gl", 3, 5), ("sp", 4, 5),
+    ("sp", 6, 7), ("so", 5, 5), ("so", 7, 7), ("so", 8, 5)])
+def test_positive_system_by_min_norm_point_matches_weyl_orbit(fam, n, p):
+    g = build(fam, n, p)
+    rd = g.frame.rootdatum
+    systems = _weyl_orbit_of_positive_roots(rd)
+    rng = random.Random(n * p)
+    outcomes = set()
+    for trial in range(160):
+        # random roots, roots of one positive system (with an extra root
+        # half of the time), and the closures of both
+        pool = sorted(rng.choice(sorted(systems, key=sorted))) \
+            if trial % 2 else list(rd.roots)
+        roots = rng.sample(pool, rng.randint(1, min(6, len(pool))))
+        if trial % 4 == 1:
+            roots.append(rng.choice(rd.roots))
+        if trial % 3 == 0:
+            roots = _closure(rd, roots)
+        inside = any(set(roots) <= ps for ps in systems)
+        assert bool(any(min_norm_point(roots)[2])) == inside
+        closed = is_closed(rd, roots)
+        assert _certified_root_support(g, roots) == (closed and inside)
+        outcomes.add((closed, inside))
+    assert len(outcomes) == 4
+
+
+def test_positive_system_pinned_cases():
+    g = build("sl", 3, 5)
+    # the empty support: the radical of a Levi is pure torus
+    assert _certified_root_support(g, [])
+    levi = standard_parabolic(g, (0,))["levi"]
+    part = pnil_part_of_radical(g, levi)
+    assert part["method"] == "structured" and part["span"].dim == 0
+    # a pair +-alpha puts 0 in the hull
+    assert not _certified_root_support(g, [(1, -1, 0), (-1, 1, 0)])
+    # e1-e2, e2-e3, e3-e1: 0 is in the hull with no pair +-alpha
+    triangle = [(1, -1, 0), (0, 1, -1), (-1, 0, 1)]
+    assert min_norm_point(triangle)[2] == [0, 0, 0]
+    assert not _certified_root_support(g, triangle)
+
+
+def test_borel_tower_of_sl8_at_13():
+    g = build("sl", 8, 13)
+    trace = run_tower(g, standard_borel(g)["nilradical"])
+    checks = verify_morozov(g, trace).checks
+    assert checks.pop("kempf_lambda") == [7, 5, 3, 1, -1, -3, -5, -7]
+    assert checks.pop("parabolic_status") == "parabolic"
+    assert set(checks.values()) == {"pass"}
+    assert trace.u_limit == standard_borel(g)["nilradical"]
