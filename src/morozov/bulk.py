@@ -17,13 +17,13 @@ from .liealg import LieAlgebra
 def bracket_tensor(alg: LieAlgebra) -> np.ndarray:
     """Dense structure tensor C[a, b, k] with [e_a, e_b] = sum_k C[a,b,k] e_k.
 
-    Reads only `bracket_vec`, so it takes a realized algebra and the
+    Reads only the structure table, so it takes a realized algebra and the
     realization-free views of `radicals` (subalgebras, quotients) alike."""
     d = alg.dim
     c = np.zeros((d, d, d), dtype=np.int64)
-    for a in range(d):
-        for b in range(d):
-            c[a, b, :] = alg.bracket_vec(alg.unit(a), alg.unit(b))
+    for (a, b), coords in alg.structure_constants().items():
+        c[a, b, :] = coords
+        c[b, a, :] = [-x for x in coords]
     return c % alg.p
 
 
@@ -91,18 +91,20 @@ def jacobson_batch_ok(g: LieAlgebra, c: np.ndarray, xs: np.ndarray,
     w = np.zeros((n, d), dtype=np.int64)
     for i in range(1, p):
         w = (w - pow(i, p - 2, p) * poly[:, i - 1, :]) % p
-    # matrix-power oracle for the p-powers
-    def ppow(vs):
-        mats = np.zeros((n, g.realization.n, g.realization.n), dtype=np.int64)
-        basis = np.array([m.to_rows() for m in g.realization.mats], dtype=np.int64)
-        mats = np.einsum("nd,dij->nij", vs, basis) % p
-        powed = matpow_batch(mats, p, p)
-        return np.array([g.coordinates_of_matrix(_as_matrix(g, powed[t]))
-                         for t in range(n)], dtype=np.int64)
-
-    lhs = ppow((xs + ys) % p)
-    rhs = (ppow(xs) + ppow(ys) - w) % p
+    lhs = p_power_batch(g, (xs + ys) % p)
+    rhs = (p_power_batch(g, xs) + p_power_batch(g, ys) - w) % p
     return bool(np.all((lhs - rhs) % p == 0))
+
+
+def p_power_batch(g: LieAlgebra, xs: np.ndarray) -> np.ndarray:
+    """x^[p] for each row of xs, through matrix p-th powers of the
+    realization."""
+    basis = np.array([m.to_rows() for m in g.realization.mats], dtype=np.int64)
+    mats = np.einsum("nd,dij->nij", xs, basis) % g.p
+    out = np.zeros_like(xs)
+    for t, m in enumerate(matpow_batch(mats, g.p, g.p)):
+        out[t] = g.coordinates_of_matrix(_as_matrix(g, m))
+    return out
 
 
 def _as_matrix(g: LieAlgebra, arr: np.ndarray):

@@ -94,8 +94,8 @@ def cmd_tower_run(args) -> int:
     g = _algebra_from_args(args)
     u0 = _subspace_from_args(args, g)
     trace = tower.run_tower(g, u0, max_steps=args.max_steps, budget=args.budget)
-    report = tower.verify_morozov(g, trace) if trace.status == "stabilized" \
-        else None
+    report = tower.verify_morozov(g, trace, budget=args.budget) \
+        if trace.status == "stabilized" else None
     payload = {"trace": trace.as_dict(),
                "verification": None if report is None else report.as_dict()}
     text = [f"tower status: {trace.status}"]

@@ -79,9 +79,10 @@ class LieAlgebra:
     plus a faithful (or central-quotient) matrix realization.
 
     The subalgebra calculus (series, centres, centralisers, normalisers,
-    Killing forms, largest ideals) needs only `p`, `dim` and `bracket_vec`,
-    so it also serves the realization-free views of `radicals`, which
-    override `bracket_vec` and `p_power_vec`."""
+    Killing forms, largest ideals) needs only `p`, `dim` and the structure
+    table, so it also serves the realization-free views of `radicals`,
+    which fill the same table from their parent's bracket and override
+    only `p_power_vec`."""
 
     def __init__(self, p: int, labels: Sequence[str], realization: Realization,
                  frame: Optional[TorusFrame] = None, family: Optional[str] = None,
@@ -98,7 +99,9 @@ class LieAlgebra:
         self.family = family
         self._memo: dict = {}
         self._build_coordinatizer()
-        self._build_structure()
+        mats = realization.mats
+        self._set_structure(lambda i, j: self.coordinates_of_matrix(
+            mats[i] @ mats[j] - mats[j] @ mats[i]))
         if verify:
             self._verify_structure()
 
@@ -157,21 +160,19 @@ class LieAlgebra:
 
     # -- structure constants -------------------------------------------
 
-    def _build_structure(self):
-        p = self.p
+    def _set_structure(self, bracket_of):
+        """Fill the structure table from bracket_of(i, j), the coordinates
+        of [b_i, b_j] for i < j: the dense map `_sc` and the sparse
+        per-pair entries the hot loops read."""
         self._sc: dict = {}
-        mats = self.realization.mats
+        self._sparse: dict = {}
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
-                bracket = mats[i] @ mats[j] - mats[j] @ mats[i]
-                coords = tuple(self.coordinates_of_matrix(bracket))
+                coords = tuple(bracket_of(i, j))
                 if any(coords):
                     self._sc[(i, j)] = coords
-        # sparse per-pair view used by the hot loops
-        self._sparse = {}
-        for (i, j), coords in self._sc.items():
-            entries = tuple((k, c) for k, c in enumerate(coords) if c)
-            self._sparse[(i, j)] = entries
+                    self._sparse[(i, j)] = tuple(
+                        (k, c) for k, c in enumerate(coords) if c)
 
     def structure_constants(self) -> dict:
         """Map (i, j) -> coordinates of [b_i, b_j], for i < j."""
@@ -326,15 +327,18 @@ class LieAlgebra:
     def is_nilpotent(self, u: Subspace) -> bool:
         return self.lower_central_series(u)[-1].dim == 0
 
-    def spin_submodule(self, v) -> Subspace:
-        """Smallest subspace containing v and stable under all ad(e_i):
-        the ideal closure of the line through v."""
+    def spin_submodule(self, v, h: Optional[Subspace] = None) -> Subspace:
+        """Smallest subspace containing v and stable under ad(x) for every
+        x in h (default: the whole algebra): the h-ideal closure of the
+        line through v."""
+        gens = ([self.unit(i) for i in range(self.dim)] if h is None
+                else [list(x) for x in h.basis])
         span = Subspace.from_vectors([v], self.dim, self.p)
         while True:
             vecs = list(span.basis)
-            for i in range(self.dim):
+            for x in gens:
                 for b in span.basis:
-                    vecs.append(self.bracket_vec(self.unit(i), list(b)))
+                    vecs.append(self.bracket_vec(x, list(b)))
             grown = Subspace.from_vectors(vecs, self.dim, self.p)
             if grown.dim == span.dim:
                 return span

@@ -1,11 +1,15 @@
 """Solvable radical, nilradical, p-radical and p-nilpotency testing.
 
-The public operations take an ambient realized algebra and a subspace and
-return subspaces in ambient coordinates.  Internally everything runs on
-views: subalgebras and quotients in their own coordinates.  A view is a
-`LieAlgebra` without a realization, so the one subalgebra calculus of
-`liealg` (series, centres, Killing forms, largest ideals) runs on it
-unchanged, and the abelian-ideal peeling recursion can cross quotients.
+The public operations take an ambient realized algebra and a subspace h and
+return subspaces in ambient coordinates.  Most of them also compute there:
+largest h-ideals, spins under ad(h) and the series of a subspace need only
+the ambient bracket.  Views, subalgebras and quotients in their own
+coordinates, are built only where h's own structure matters: the general
+solvable-radical path (h's centre and Killing form, and the abelian-ideal
+peeling recursion across quotients) and the ad_h-nilpotency enumeration.
+A view is a `LieAlgebra` without a realization whose structure table is
+filled once from its parent's bracket, so the one subalgebra calculus of
+`liealg` runs on it unchanged.
 
 Strategy notes:
   * an abelian ideal of h is always isotropic for h's own Killing form, so
@@ -55,7 +59,10 @@ class Undetermined(Exception):
 
 class View(LieAlgebra):
     """A Lie algebra in local coordinates, carried by a parent algebra
-    instead of a realization; local vectors are plain int lists."""
+    instead of a realization; local vectors are plain int lists.  A
+    subclass gives only its coordinate maps: `lift` to the parent and
+    `local` back, None when a parent vector leaves the carrier.  The
+    structure table is filled once from the parent's bracket."""
 
     realization = frame = family = None
 
@@ -65,9 +72,24 @@ class View(LieAlgebra):
         self.dim = dim
         self._memo = {}
 
+        def bracket_of(i, j):
+            coords = self.local(parent.bracket_vec(self.lift(self.unit(i)),
+                                                   self.lift(self.unit(j))))
+            if coords is None:
+                raise ValueError("subspace is not closed under the bracket")
+            return coords
+        self._set_structure(bracket_of)
+
+    def lift(self, x) -> list:
+        raise NotImplementedError
+
+    def local(self, vec) -> Optional[list]:
+        raise NotImplementedError
+
     def p_power_vec(self, x):
         """Local p-power, or None when it leaves the carrier."""
-        raise NotImplementedError
+        up = self.parent.p_power_vec(self.lift(x))
+        return None if up is None else self.local(up)
 
 
 class AmbientView(View):
@@ -76,19 +98,19 @@ class AmbientView(View):
     def __init__(self, g: LieAlgebra):
         super().__init__(g, g.dim)
 
-    def bracket_vec(self, x, y):
-        return self.parent.bracket_vec(x, y)
+    def lift(self, x) -> list:
+        return list(x)
 
-    def p_power_vec(self, x):
-        return self.parent.p_power_vec(x)
+    local = lift
 
 
 class SubView(View):
-    """A bracket-closed subspace of a parent algebra, in its own coordinates."""
+    """A bracket-closed subspace of a parent algebra, in its own
+    coordinates; a subspace that is not closed raises ValueError."""
 
     def __init__(self, parent: LieAlgebra, sub: Subspace):
-        super().__init__(parent, sub.dim)
         self.sub = sub
+        super().__init__(parent, sub.dim)
 
     def lift(self, x) -> list:
         vec = [0] * self.sub.ambient_dim
@@ -98,28 +120,18 @@ class SubView(View):
                     vec[i] = (vec[i] + c * row[i]) % self.p
         return vec
 
-    def restrict(self, vec) -> list:
-        coords = self.sub.coordinates_of(vec)
-        if coords is None:
-            raise ValueError("vector escapes the subalgebra")
-        return coords
+    def local(self, vec) -> Optional[list]:
+        return self.sub.coordinates_of(vec)
 
     def lift_subspace(self, s: Subspace) -> Subspace:
         return Subspace.from_vectors([self.lift(list(b)) for b in s.basis],
                                      self.sub.ambient_dim, self.p)
 
     def restrict_subspace(self, s: Subspace) -> Subspace:
-        return Subspace.from_vectors([self.restrict(list(b)) for b in s.basis],
-                                     self.dim, self.p)
-
-    def bracket_vec(self, x, y):
-        return self.restrict(self.parent.bracket_vec(self.lift(x), self.lift(y)))
-
-    def p_power_vec(self, x):
-        up = self.parent.p_power_vec(self.lift(x))
-        if up is None:
-            return None
-        return self.sub.coordinates_of(up)
+        coords = [self.local(list(b)) for b in s.basis]
+        if None in coords:
+            raise ValueError("subspace escapes the subalgebra")
+        return Subspace.from_vectors(coords, self.dim, self.p)
 
 
 class QuotientView(View):
@@ -128,10 +140,9 @@ class QuotientView(View):
 
     def __init__(self, parent: LieAlgebra, ideal: Subspace):
         pivots = {next(j for j, x in enumerate(row) if x) for row in ideal.basis}
-        sections = [j for j in range(parent.dim) if j not in pivots]
-        super().__init__(parent, len(sections))
         self.ideal = ideal
-        self.sections = sections
+        self.sections = [j for j in range(parent.dim) if j not in pivots]
+        super().__init__(parent, len(self.sections))
 
     def lift(self, x) -> list:
         vec = [0] * self.parent.dim
@@ -139,22 +150,13 @@ class QuotientView(View):
             vec[j] = c % self.p
         return vec
 
-    def project(self, vec) -> list:
+    def local(self, vec) -> list:
         red = self.ideal.reduce_vector(vec)
         return [red[j] for j in self.sections]
 
     def preimage(self, s: Subspace) -> Subspace:
         vecs = [self.lift(list(b)) for b in s.basis] + [list(b) for b in self.ideal.basis]
         return Subspace.from_vectors(vecs, self.parent.dim, self.p)
-
-    def bracket_vec(self, x, y):
-        return self.project(self.parent.bracket_vec(self.lift(x), self.lift(y)))
-
-    def p_power_vec(self, x):
-        up = self.parent.p_power_vec(self.lift(x))
-        if up is None:
-            return None
-        return self.project(up)
 
 
 # ---------------------------------------------------------------------------
@@ -324,15 +326,14 @@ def _structured_solvable_radical(g: LieAlgebra, h: Subspace) -> Optional[Subspac
     torus_part, lines = split
     if not _distinct_torus_characters(g, [root for root, _ in lines]):
         return None
-    view = SubView(g, h)
     total = Subspace.zero(g.dim, g.p)
     wild = []           # root lines whose spin ideal is not solvable
     for _, idx in lines:
         if total.contains_vector(g.unit(idx)):
             continue        # inside a solvable ideal already found
-        spin = view.spin_submodule(view.restrict(g.unit(idx)))
-        if view.is_solvable(spin):
-            total = total.sum(view.lift_subspace(spin))
+        spin = g.spin_submodule(g.unit(idx), h)
+        if g.is_solvable(spin):
+            total = total.sum(spin)
         else:
             wild.append(idx)
     # torus directions: spin(z) = <z> + the spins of the root lines z does
@@ -411,25 +412,25 @@ def _structured_adnil_cone(g: LieAlgebra, h: Subspace, r: Subspace) -> Optional[
 
 def _enumerate_cone(g: LieAlgebra, h: Subspace, r: Subspace, kind: str,
                     budget: int) -> tuple:
-    """(cone vectors, is_subspace) by exhaustive enumeration of r."""
+    """(span of the cone, is_subspace) by exhaustive enumeration of r: the
+    p-nilpotent elements for kind "pnil", else those acting nilpotently
+    on h."""
     if g.p ** r.dim > budget:
         raise Undetermined(
             f"enumeration of {g.p ** r.dim} elements exceeds budget {budget}")
+    sub = SubView(g, h) if kind == "adnil" else None
     members = []
     for v in r.enumerate_vectors():
         if not any(v):
             continue
-        if kind == "pnil":
+        if sub is None:
             ok = is_p_nilpotent(g.element(v))
         else:
-            sub = SubView(g, h)
-            loc = h.coordinates_of(v)
-            ok = sub.ad_matrix_vec(loc).is_nilpotent()
+            ok = sub.ad_matrix_vec(h.coordinates_of(v)).is_nilpotent()
         if ok:
             members.append(v)
     span = Subspace.from_vectors(members, g.dim, g.p)
-    is_subspace = (len(members) + 1 == g.p ** span.dim)
-    return members, span, is_subspace
+    return span, len(members) + 1 == g.p ** span.dim
 
 
 def pnil_part_of_radical(g: LieAlgebra, h: Subspace,
@@ -445,7 +446,7 @@ def pnil_part_of_radical(g: LieAlgebra, h: Subspace,
         out = {"span": cone, "cone_is_subspace": True, "method": "structured",
                "radical": r}
     else:
-        members, span, is_sub = _enumerate_cone(g, h, r, "pnil", budget)
+        span, is_sub = _enumerate_cone(g, h, r, "pnil", budget)
         out = {"span": span, "cone_is_subspace": is_sub, "method": "enumeration",
                "radical": r}
     g._memo[key] = out
@@ -456,14 +457,11 @@ def p_radical(g: LieAlgebra, h: Subspace, budget: int = DEFAULT_BUDGET) -> dict:
     """Maximal p-nil ideal of h: refine the p-nilpotent cone of rad(h) by
     the largest-ideal fixed point until every element is p-nilpotent."""
     part = pnil_part_of_radical(g, h, budget)
-    view = SubView(g, h)
     span = part["span"]
     cone_flag = part["cone_is_subspace"]
     method = part["method"]
     while True:
-        local = view.largest_ideal_inside(
-            view.full_space(), view.restrict_subspace(span))
-        cand = view.lift_subspace(local)
+        cand = g.largest_ideal_inside(h, span)
         if method == "structured":
             # cand sits inside the certified cone: all p-nilpotent
             break
@@ -483,16 +481,13 @@ def p_radical(g: LieAlgebra, h: Subspace, budget: int = DEFAULT_BUDGET) -> dict:
 def nilradical(g: LieAlgebra, h: Subspace, budget: int = DEFAULT_BUDGET) -> dict:
     """Maximal nilpotent ideal of h."""
     r = solvable_radical(g, h)
-    view = SubView(g, h)
     cone = _structured_adnil_cone(g, h, r)
     method = "structured"
     if cone is None:
         method = "enumeration"
-        members, cone, is_sub = _enumerate_cone(g, h, r, "adnil", budget)
-    local = view.largest_ideal_inside(view.full_space(),
-                                      view.restrict_subspace(cone))
-    cand = view.lift_subspace(local)
-    if not view.is_nilpotent(local):
+        cone, _ = _enumerate_cone(g, h, r, "adnil", budget)
+    cand = g.largest_ideal_inside(h, cone)
+    if not g.is_nilpotent(cand):
         raise Undetermined("largest ideal inside the ad-nilpotent cone is "
                            "not nilpotent; nilradical undecided")
     return {"nil": cand, "method": method, "radical": r}

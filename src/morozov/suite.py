@@ -89,19 +89,9 @@ def criterion_structure_laws(seed: int = 0) -> CheckResult:
         f"{len(LAW_ALGEBRAS) * len(LAW_PRIMES)} algebra/prime pairs", t0)
 
 
-def _p_power_batch(g: LieAlgebra, xs: np.ndarray) -> np.ndarray:
-    basis = np.array([m.to_rows() for m in g.realization.mats], dtype=np.int64)
-    mats = np.einsum("nd,dij->nij", xs, basis) % g.p
-    powed = bulk.matpow_batch(mats, g.p, g.p)
-    out = np.zeros_like(xs)
-    for t in range(xs.shape[0]):
-        out[t] = g.coordinates_of_matrix(bulk._as_matrix(g, powed[t]))
-    return out
-
-
 def _ad_power_law(g: LieAlgebra, c: np.ndarray, xs: np.ndarray) -> bool:
     p = g.p
-    pow_coords = _p_power_batch(g, xs)
+    pow_coords = bulk.p_power_batch(g, xs)
     lhs = bulk.ad_batch(c, p, pow_coords)
     rhs = bulk.matpow_batch(bulk.ad_batch(c, p, xs), p, p)
     return bool(np.all((lhs - rhs) % p == 0))
@@ -110,8 +100,8 @@ def _ad_power_law(g: LieAlgebra, c: np.ndarray, xs: np.ndarray) -> bool:
 def _scale_power_law(g: LieAlgebra, rng, xs: np.ndarray) -> bool:
     p = g.p
     lams = rng.integers(0, p, size=(xs.shape[0], 1), dtype=np.int64)
-    lhs = _p_power_batch(g, (lams * xs) % p)
-    rhs = (pow_mod_batch(lams, p, p) * _p_power_batch(g, xs)) % p
+    lhs = bulk.p_power_batch(g, (lams * xs) % p)
+    rhs = (pow_mod_batch(lams, p, p) * bulk.p_power_batch(g, xs)) % p
     return bool(np.all((lhs - rhs) % p == 0))
 
 

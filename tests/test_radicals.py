@@ -91,6 +91,104 @@ def test_full_subview_calculus_matches_ambient(fam, n):
     assert lift(view.orthogonal(restrict(b))) == g.orthogonal(b)
 
 
+def _root_group_word(g, rng, length=6):
+    """exp(t_1 x_a1) ... exp(t_k x_ak) for seeded roots and coefficients."""
+    w = FieldMatrix.identity(g.realization.n, g.p)
+    for _ in range(length):
+        v = [0] * g.dim
+        root = rng.choice(g.frame.rootdatum.roots)
+        v[g.frame.root_index[tuple(root)]] = rng.randrange(1, g.p)
+        w = w @ g.exp_trunc(g.element(v))
+    return w
+
+
+def _view_inputs(g):
+    """(name, h, an ideal of h, generators of h's root lines): a standard
+    parabolic over its nilradical, a root-group conjugate of both, and the
+    Borel nilradical over the third term of its lower central series."""
+    data = standard_parabolic(g, (0,))
+    w = _root_group_word(g, random.Random(f"views:{g.family}@{g.p}"))
+    lines = [g.unit(g.frame.root_index[r]) for r in data["roots"]]
+    conj = [g.coordinates_of_matrix(w @ g.matrix_of(v) @ w.inverse())
+            for v in lines]
+    nil = standard_borel(g)["nilradical"]
+    return [
+        ("parabolic", data["parabolic"], data["nilradical"], lines),
+        ("conjugated", conjugate_subspace(g, w, data["parabolic"]),
+         conjugate_subspace(g, w, data["nilradical"]), conj),
+        ("nilradical", nil, g.lower_central_series(nil)[2],
+         [v for v in lines if nil.contains_vector(v)]),
+    ]
+
+
+@pytest.mark.parametrize("fam,n,p", [("sl", 4, 5), ("sp", 4, 7)])
+def test_view_tables_match_the_parent_round_trip(fam, n, p):
+    # the structure table a view fills once agrees with the operation in
+    # the ambient algebra, local(g op lift), on subalgebras and quotients
+    g = build(fam, n, p)
+    rng = random.Random(f"tables:{fam}{n}@{p}")
+    for name, h, ideal, _ in _view_inputs(g):
+        sub = SubView(g, h)
+        quot = QuotientView(sub, sub.restrict_subspace(ideal))
+        assert quot.dim == h.dim - ideal.dim > 0, name
+
+        def ambient(view, x):
+            return sub.lift(quot.lift(x)) if view is quot else sub.lift(x)
+
+        def local(view, vec):
+            loc = sub.local(vec)
+            if view is sub or loc is None:
+                return loc
+            return quot.local(loc)
+
+        for view in (sub, quot):
+            for _ in range(40):
+                x = [rng.randrange(p) for _ in range(view.dim)]
+                y = [rng.randrange(p) for _ in range(view.dim)]
+                assert view.bracket_vec(x, y) == local(view, g.bracket_vec(
+                    ambient(view, x), ambient(view, y))), name
+                assert view.p_power_vec(x) == local(
+                    view, g.p_power_vec(ambient(view, x))), name
+
+
+@pytest.mark.parametrize("fam,n,p", [("sl", 4, 5), ("sp", 4, 7)])
+def test_subview_rejects_a_subspace_not_closed_under_the_bracket(fam, n, p):
+    g = build(fam, n, p)
+    root = g.frame.rootdatum.simple_roots[0]
+    pair = g.subspace([g.unit(g.frame.root_index[tuple(s * x for x in root)])
+                       for s in (1, -1)])
+    with pytest.raises(ValueError, match="not closed"):
+        SubView(g, pair)
+    rng = random.Random(f"closed:{fam}{n}@{p}")
+    verdicts = set()
+    for name, h, ideal, _ in _view_inputs(g):
+        for base in (h, ideal):
+            for _ in range(4):
+                s = base.sum(g.subspace([[rng.randrange(p) for _ in range(g.dim)]]))
+                closed = g.is_subalgebra(s)
+                verdicts.add(closed)
+                if closed:
+                    assert SubView(g, s).dim == s.dim
+                else:
+                    with pytest.raises(ValueError, match="not closed"):
+                        SubView(g, s)
+    assert False in verdicts
+
+
+@pytest.mark.parametrize("fam,n,p", [("sl", 4, 5), ("sp", 4, 7)])
+def test_spin_inside_h_matches_the_view_spin(fam, n, p):
+    g = build(fam, n, p)
+    for name, h, _, lines in _view_inputs(g):
+        sub = SubView(g, h)
+        assert lines
+        for v in lines:
+            assert g.spin_submodule(v, h) == \
+                sub.lift_subspace(sub.spin_submodule(sub.local(v))), name
+    # the default spins under the whole algebra
+    assert g.spin_submodule(lines[0]) == \
+        g.spin_submodule(lines[0], g.full_space())
+
+
 def test_solvable_radical_examples():
     sl2 = build("sl", 2, 5)
     b = standard_borel(sl2)["parabolic"]

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -89,6 +90,29 @@ def test_verify_morozov_sl3():
     assert rep.checks["parabolic"] == "pass"
     assert rep.checks["u_is_p_radical"] == "pass"
     assert rep.checks["kempf"] == "pass"
+
+
+def test_tower_run_cli_verifies_within_the_given_budget(tmp_path, capsys,
+                                                      monkeypatch):
+    from morozov import tower
+    from morozov.cli import EXIT_OK, main
+    from morozov.serialize import canonical_json, subspace_to_dict
+    budgets = []
+    verify = tower.verify_morozov
+
+    def recording(g, trace, **kwargs):
+        budgets.append(kwargs.get("budget"))
+        return verify(g, trace, **kwargs)
+
+    monkeypatch.setattr(tower, "verify_morozov", recording)
+    g = build("sl", 3, 5)
+    path = tmp_path / "u.json"
+    path.write_text(canonical_json(subspace_to_dict(line(g, "e13"))))
+    assert main(["tower", "run", "--family", "sl", "--n", "3", "--p", "5",
+                 "--subspace", str(path), "--budget", "4321"]) == EXIT_OK
+    assert budgets == [4321]
+    checks = json.loads(capsys.readouterr().out)["verification"]
+    assert checks["u_is_p_radical"] == "pass"
 
 
 def test_verify_morozov_sp4_small_p():
