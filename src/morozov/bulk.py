@@ -1,6 +1,7 @@
 """numpy-vectorized helpers for bulk sweeps: batched bracket/ad evaluation
-for the structure-law checks and the quadratic-cone enumeration used by the
-abelian-ideal scan.
+for the structure-law checks, and the quadratic-cone line stream of the
+abelian-ideal scan, made a chunk at a time so that its length is bounded
+by the caller's budget and not by memory.
 
 These mirror the exact scalar paths in liealg/radicals; the test suite
 cross-checks both on shared samples.  All arithmetic is int64 with explicit
@@ -12,6 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from .liealg import LieAlgebra
+
+# lines tested per batch by square_zero_lines
+_CHUNK = 8192
 
 
 def bracket_tensor(alg: LieAlgebra) -> np.ndarray:
@@ -113,41 +117,29 @@ def _as_matrix(g: LieAlgebra, arr: np.ndarray):
     return FieldMatrix(n, n, g.p, [int(x) for x in arr.reshape(-1)])
 
 
-def square_zero_lines(c: np.ndarray, p: int, basis: np.ndarray,
-                      max_vectors: int = 4_000_000) -> list:
-    """All projective lines [v] in the span of `basis` (rows, ambient
-    coordinates) with (ad v)^2 = 0, where ad is taken in the algebra the
-    tensor c describes.  Returns ambient coordinate vectors, one per line.
+def square_zero_lines(c: np.ndarray, p: int, basis: np.ndarray):
+    """Yield every projective line [v] in the span of `basis` (rows,
+    ambient coordinates) with (ad v)^2 = 0, where ad is taken in the
+    algebra the tensor c describes, as one ambient coordinate vector per
+    line.  The representatives are the coefficient tuples whose first
+    nonzero entry is 1, by lead position and then in base-p order of the
+    trailing entries; they are made and tested a chunk at a time, so a
+    long scan costs time and not memory.
 
     This is the necessary condition for v to lie in an abelian ideal, so
     scanning these lines is a complete search for abelian ideals."""
     k = basis.shape[0]
-    if k == 0:
-        return []
-    total = p ** k
-    if total > max_vectors:
-        raise OverflowError(f"scan of {total} vectors exceeds the budget")
-    # all coefficient tuples with first nonzero coefficient equal to 1
-    reps = []
     for lead in range(k):
-        tail = p ** (k - lead - 1)
-        grid = np.indices((p,) * (k - lead - 1)).reshape(k - lead - 1, tail).T \
-            if k - lead - 1 else np.zeros((1, 0), dtype=np.int64)
-        block = np.zeros((grid.shape[0], k), dtype=np.int64)
-        block[:, lead] = 1
-        if k - lead - 1:
-            block[:, lead + 1:] = grid
-        reps.append(block)
-    coeffs = np.concatenate(reps, axis=0)
-    vs = (coeffs @ basis) % p
-    out = []
-    chunk = 8192
-    d = c.shape[0]
-    for start in range(0, vs.shape[0], chunk):
-        batch = vs[start:start + chunk]
-        ads = ad_batch(c, p, batch)
-        sq = np.matmul(ads, ads) % p
-        mask = np.all(sq.reshape(sq.shape[0], -1) == 0, axis=1)
-        for row in batch[mask]:
-            out.append([int(x) for x in row])
-    return out
+        m = k - lead - 1
+        places = p ** np.arange(m - 1, -1, -1, dtype=np.int64)
+        for start in range(0, p ** m, _CHUNK):
+            idx = np.arange(start, min(start + _CHUNK, p ** m), dtype=np.int64)
+            coeffs = np.zeros((idx.shape[0], k), dtype=np.int64)
+            coeffs[:, lead] = 1
+            coeffs[:, lead + 1:] = idx[:, None] // places % p
+            batch = (coeffs @ basis) % p
+            ads = ad_batch(c, p, batch)
+            sq = np.matmul(ads, ads) % p
+            mask = np.all(sq.reshape(sq.shape[0], -1) == 0, axis=1)
+            for row in batch[mask]:
+                yield [int(x) for x in row]

@@ -115,12 +115,9 @@ class OptimalityCertificate:
 
 def check_search_class(g: LieAlgebra, u: Subspace, budget: int = 10 ** 5) -> None:
     """The optimizer's input class: a nonzero bracket-closed p-nil subspace
-    supported on root coordinates of the standard torus.
-
-    "p-nil" is decided exactly at every size on gl, sl, sp and so, by the
-    Engel flag of `radicals.is_p_nil_subalgebra`.  On pgl it is decided by
-    enumerating u within the budget; above the budget only the basis is
-    tested, which is a necessary check, not a proof."""
+    supported on root coordinates of the standard torus.  The p-nil gate
+    is `radicals.check_p_nil`: exact at every size on gl, sl, sp and so,
+    and Undetermined on pgl when u is over the budget."""
     if u.dim == 0:
         raise ValueError("optimization needs a nonzero subalgebra")
     torus = set(g.frame.torus_indices)
@@ -130,12 +127,7 @@ def check_search_class(g: LieAlgebra, u: Subspace, budget: int = 10 ** 5) -> Non
             "only covers subalgebras spanned inside the root coordinates")
     if not g.is_subalgebra(u):
         raise ValueError("input is not a subalgebra")
-    verdict = radicals.is_p_nil_subalgebra(g, u, budget)
-    if verdict is None:
-        verdict = all(radicals.is_p_nilpotent(g.element(list(b)))
-                      for b in u.basis)
-    if not verdict:
-        raise ValueError("input is not p-nil")
+    radicals.check_p_nil(g, u, budget)
 
 
 def check_certificate(g: LieAlgebra, u: Subspace,

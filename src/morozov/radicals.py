@@ -5,17 +5,22 @@ return subspaces in ambient coordinates.  Most of them also compute there:
 largest h-ideals, spins under ad(h) and the series of a subspace need only
 the ambient bracket.  Views, subalgebras and quotients in their own
 coordinates, are built only where h's own structure matters: the general
-solvable-radical path (h's centre and Killing form, and the abelian-ideal
-peeling recursion across quotients) and the ad_h-nilpotency enumeration.
+solvable-radical path (h's centre and Killing form, the recursion into a
+proper Killing kernel, and the peeling of solvable ideals across quotients)
+and the ad_h-nilpotency enumeration.
 A view is a `LieAlgebra` without a realization whose structure table is
 filled once from its parent's bracket, so the one subalgebra calculus of
 `liealg` runs on it unchanged.
 
 Strategy notes:
-  * an abelian ideal of h is always isotropic for h's own Killing form, so
-    ker(kappa_h) = 0 certifies that no abelian ideal exists;
-  * (ad v)^2 = 0 is necessary for v to lie in an abelian ideal, which makes
-    the line scan over ker(kappa_h) a complete search;
+  * every abelian ideal of h lies in k = ker(kappa_h), and the last
+    nonzero derived term of rad(h) is one, so k = 0 certifies rad(h) = 0;
+    for a proper k, rad(k) is computed in k's own view and the largest
+    ideal of h inside it is nonzero exactly when rad(h) is;
+  * only when kappa_h vanishes identically is k scanned line by line:
+    (ad v)^2 = 0 is necessary for v to lie in an abelian ideal, which
+    makes the scan complete.  The caller's budget bounds it, and every
+    memo key omits the budget, since a result that is returned is exact;
   * for torus-stable inputs the p-nilpotent and ad-nilpotent cones split
     along coordinates when the root support is closed and lies in a
     positive system, avoiding enumeration entirely ("structured" method);
@@ -46,7 +51,6 @@ from .liealg import Element, LieAlgebra, coordinate_split
 from .rootdata import is_closed, min_norm_point
 
 DEFAULT_BUDGET = 10 ** 7
-SCAN_BUDGET = 4_000_000
 
 
 class Undetermined(Exception):
@@ -222,6 +226,19 @@ def is_p_nil_subalgebra(g: LieAlgebra, u: Subspace,
                for v in u.enumerate_vectors() if any(v))
 
 
+def check_p_nil(g: LieAlgebra, u: Subspace, budget: int,
+                what: str = "input") -> None:
+    """The one p-nil gate: ValueError when the subalgebra u is not p-nil,
+    Undetermined when `is_p_nil_subalgebra` cannot decide it in the
+    budget."""
+    verdict = is_p_nil_subalgebra(g, u, budget)
+    if verdict is None:
+        raise Undetermined(f"p-nil test of {what} needs {g.p ** u.dim} "
+                           f"vectors, over budget {budget}")
+    if not verdict:
+        raise ValueError(f"{what} is not p-nil")
+
+
 # ---------------------------------------------------------------------------
 # Abelian ideals and the solvable radical
 # ---------------------------------------------------------------------------
@@ -240,7 +257,7 @@ def _abelian_spin_scan(view: View, region: Subspace, budget: int):
     c = bracket_tensor(view)
     basis = np.array([list(b) for b in region.basis], dtype=np.int64)
     best = None
-    for v in square_zero_lines(c, view.p, basis, max_vectors=budget):
+    for v in square_zero_lines(c, view.p, basis):
         spun = view.spin_submodule(v)
         if view.bracket_spaces(spun, spun).dim == 0:
             if best is None or spun.dim < best.dim:
@@ -250,49 +267,29 @@ def _abelian_spin_scan(view: View, region: Subspace, budget: int):
     return best
 
 
-def _centralizer_within(view: View, c: Subspace) -> Subspace:
-    """{x in c : [x, c] = 0}; for an ideal c this is an abelian ideal of
-    the whole view."""
-    return solve_linear(c, lambda x: [
-        v for b in c.basis for v in view.bracket_vec(x, list(b))])
-
-
 def _find_solvable_ideal(view: View, budget: int):
     """A nonzero solvable ideal of the view, or None certified to mean the
     solvable radical is zero.
 
-    Cheap certified constructions first (center; Killing kernel; the
-    Cartan-style ideal orthogonal to [h,h]; centralizers and derived /
-    lower-central limits of ideals already found), then the complete
-    quadratic-cone scan of ker(kappa) as a last resort."""
+    Every abelian ideal A lies in the Killing kernel k (for x in A,
+    (ad x ad y)^2 = 0), and the last nonzero derived term of rad(view) is
+    one.  So k = 0 certifies rad(view) = 0; for a proper k, the largest
+    ideal of the view inside rad(k) is solvable and contains that term,
+    hence nonzero exactly when rad(view) is.  Only when the Killing form
+    vanishes identically is k left to the complete line scan, within the
+    budget."""
     z = view.center()
     if z.dim:
         return z
     k = view.killing_kernel()
     if k.dim == 0:
-        # every abelian ideal is kappa-isotropic; no abelian ideal means a
-        # zero solvable radical
         return None
-    full = view.full_space()
-    d = view.orthogonal(view.bracket_spaces(full, full))
-    worklist = [k, d, k.intersect(d)]
-    seen = set()
-    rounds = 0
-    while worklist and rounds < 64:
-        rounds += 1
-        c = worklist.pop(0)
-        if c.dim == 0 or c.basis in seen:
-            continue
-        seen.add(c.basis)
-        if view.is_solvable(c):
-            return c
-        zc = _centralizer_within(view, c)
-        if zc.dim:
-            return zc
-        worklist.append(view.bracket_spaces(c, c))
-        worklist.append(view.lower_central_series(c)[-1])
-        worklist.append(c.intersect(k))
-    return _abelian_spin_scan(view, k, budget)
+    if k.dim == view.dim:
+        return _abelian_spin_scan(view, k, budget)
+    sub = SubView(view, k)
+    rad_k = sub.lift_subspace(_solvable_radical_view(sub, budget))
+    ideal = view.largest_ideal_inside(view.full_space(), rad_k)
+    return ideal if ideal.dim else None
 
 
 def _solvable_radical_view(view: View, budget: int) -> Subspace:
@@ -344,9 +341,12 @@ def _structured_solvable_radical(g: LieAlgebra, h: Subspace) -> Optional[Subspac
     return total.sum(torus)
 
 
-def solvable_radical(g: LieAlgebra, h: Subspace, budget: int = SCAN_BUDGET) -> Subspace:
-    """Maximal solvable ideal of the subalgebra h, in ambient coordinates."""
-    key = ("rad", h.basis, budget)
+def solvable_radical(g: LieAlgebra, h: Subspace,
+                     budget: int = DEFAULT_BUDGET) -> Subspace:
+    """Maximal solvable ideal of the subalgebra h, in ambient coordinates.
+    The budget bounds the abelian-ideal scan of the view path; a result
+    that is returned is exact at any budget, so the memo key omits it."""
+    key = ("rad", h.basis)
     if key in g._memo:
         return g._memo[key]
     if not g.is_subalgebra(h):
@@ -437,10 +437,10 @@ def pnil_part_of_radical(g: LieAlgebra, h: Subspace,
                          budget: int = DEFAULT_BUDGET) -> dict:
     """The set of p-nilpotent elements of rad(h): span, subspace flag and
     method; the tower consumes this directly."""
-    key = ("pnilpart", h.basis, budget)
+    key = ("pnilpart", h.basis)
     if key in g._memo:
         return g._memo[key]
-    r = solvable_radical(g, h)
+    r = solvable_radical(g, h, budget)
     cone = _structured_pnil_cone(g, r)
     if cone is not None:
         out = {"span": cone, "cone_is_subspace": True, "method": "structured",
@@ -462,10 +462,8 @@ def p_radical(g: LieAlgebra, h: Subspace, budget: int = DEFAULT_BUDGET) -> dict:
     method = part["method"]
     while True:
         cand = g.largest_ideal_inside(h, span)
-        if method == "structured":
-            # cand sits inside the certified cone: all p-nilpotent
-            break
-        if is_p_nil_subalgebra(g, cand, budget):
+        # inside a cone that is a subspace, cand is all p-nilpotent
+        if cone_flag or is_p_nil_subalgebra(g, cand, budget):
             break
         if g.p ** cand.dim > budget:
             raise Undetermined("p-radical verification exceeds budget")
@@ -480,7 +478,7 @@ def p_radical(g: LieAlgebra, h: Subspace, budget: int = DEFAULT_BUDGET) -> dict:
 
 def nilradical(g: LieAlgebra, h: Subspace, budget: int = DEFAULT_BUDGET) -> dict:
     """Maximal nilpotent ideal of h."""
-    r = solvable_radical(g, h)
+    r = solvable_radical(g, h, budget)
     cone = _structured_adnil_cone(g, h, r)
     method = "structured"
     if cone is None:
@@ -521,7 +519,7 @@ def radical_report(g: LieAlgebra, h: Subspace,
     method = "structured"
     status, detail = "ok", ""
     try:
-        rad = solvable_radical(g, h)
+        rad = solvable_radical(g, h, budget)
         nil_out = nilradical(g, h, budget)
         nil = nil_out["nil"]
         prad_out = p_radical(g, h, budget)

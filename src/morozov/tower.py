@@ -66,23 +66,15 @@ class TowerTrace:
 
 def check_tower_input(g: LieAlgebra, u: Subspace,
                       budget: int = radicals.DEFAULT_BUDGET) -> None:
-    """Hypothesis check: u must be a restricted p-nil subalgebra.
-
-    "p-nil" is decided exactly at every size on gl, sl, sp and so, by the
-    Engel flag of `radicals.is_p_nil_subalgebra`.  On pgl it is decided by
-    enumerating u within the budget; above the budget only the basis is
-    tested, which is a necessary check, not a proof."""
+    """Hypothesis check: u must be a restricted p-nil subalgebra.  The
+    p-nil gate is `radicals.check_p_nil`: exact at every size on gl, sl, sp
+    and so, and Undetermined on pgl when u is over the budget."""
     if not g.is_subalgebra(u):
         raise ValueError("tower input is not a subalgebra")
     for b in u.basis:
         if not u.contains_vector(g.p_power_vec(list(b))):
             raise ValueError("tower input is not closed under the p-power map")
-    verdict = radicals.is_p_nil_subalgebra(g, u, budget)
-    if verdict is False:
-        raise ValueError("tower input is not p-nil")
-    if verdict is None and not all(radicals.is_p_nilpotent(g.element(list(b)))
-                                   for b in u.basis):
-        raise ValueError("tower input basis is not p-nilpotent")
+    radicals.check_p_nil(g, u, budget, "tower input")
 
 
 def tower_step(g: LieAlgebra, u: Subspace,
@@ -101,6 +93,9 @@ def run_tower(g: LieAlgebra, u0: Subspace, max_steps: Optional[int] = None,
         check_tower_input(g, u0, budget)
     except ValueError as exc:
         return TowerTrace([TowerStep(0, u0, None)], "input-error", detail=str(exc))
+    except radicals.Undetermined as exc:
+        return TowerTrace([TowerStep(0, u0, None)], "budget-exceeded",
+                          detail=str(exc))
     steps = [TowerStep(0, u0, None)]
     history = {}
     u = u0
@@ -166,6 +161,8 @@ def verify_morozov(g: LieAlgebra, trace: TowerTrace,
             parts = kempf.parabolic_from_cochar(g, cert.lam)
             rep.checks["kempf"] = "pass" if parts["p"] == q else "fail"
             rep.checks["kempf_lambda"] = list(cert.lam.coords)
+        except radicals.Undetermined:
+            rep.checks["kempf"] = "undetermined"
         except ValueError as exc:
             rep.checks["kempf"] = "skipped"
             rep.checks["kempf_reason"] = str(exc)

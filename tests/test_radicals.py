@@ -7,7 +7,7 @@ from morozov.gfp import FieldMatrix, Subspace, rref
 from morozov.kempf import check_search_class
 from morozov.liealg import (build, conjugate_subspace, standard_borel,
                             standard_parabolic)
-from morozov.radicals import (SCAN_BUDGET, QuotientView, SubView,
+from morozov.radicals import (DEFAULT_BUDGET, QuotientView, SubView,
                               Undetermined, _certified_root_support,
                               _solvable_radical_view,
                               _structured_solvable_radical, is_p_nil_subalgebra,
@@ -486,7 +486,7 @@ def test_linear_torus_part_matches_view_path(fam, n):
             assert structured == h, (chosen, role)
             view = SubView(g, data[role])
             try:
-                local = _solvable_radical_view(view, SCAN_BUDGET)
+                local = _solvable_radical_view(view, DEFAULT_BUDGET)
             except Undetermined:
                 continue
             assert view.lift_subspace(local) == structured, (chosen, role)
@@ -606,3 +606,145 @@ def test_borel_tower_of_sl8_at_13():
     assert checks.pop("parabolic_status") == "parabolic"
     assert set(checks.values()) == {"pass"}
     assert trace.u_limit == standard_borel(g)["nilradical"]
+
+
+@pytest.mark.parametrize("fam,n,p", [
+    ("sl", 3, 3), ("sl", 3, 5), ("gl", 3, 5), ("sl", 4, 5), ("sp", 4, 5),
+    ("so", 5, 5), ("sp", 4, 7), ("so", 5, 7)])
+def test_view_radical_of_conjugates_matches_structured(fam, n, p, monkeypatch):
+    # the view path (centre, Killing kernel, rad of a proper kernel in its
+    # own view) on root-group conjugates of standard parabolics, Levis and
+    # nilradicals gives the conjugate of the known radical; where the
+    # structured path applies it gives that radical too
+    from morozov import radicals
+    recursions = []
+
+    class CountingSubView(SubView):
+        def __init__(self, parent, sub):
+            if isinstance(parent, radicals.View):
+                recursions.append(sub.dim)
+            super().__init__(parent, sub)
+
+    monkeypatch.setattr(radicals, "SubView", CountingSubView)
+    g = build(fam, n, p)
+    rng = random.Random(f"kernel-recursion:{fam}{n}@{p}")
+    for chosen in _subsets(g):
+        data = standard_parabolic(g, chosen)
+        levi = data["levi"]
+        centre = levi.intersect(g.centralizer(levi))
+        known = {"parabolic": data["nilradical"].sum(centre), "levi": centre,
+                 "nilradical": data["nilradical"]}
+        for role, rad in known.items():
+            structured = _structured_solvable_radical(g, data[role])
+            assert structured in (None, rad), (chosen, role)
+            w = _root_group_word(g, rng)
+            view = SubView(g, conjugate_subspace(g, w, data[role]))
+            local = _solvable_radical_view(view, DEFAULT_BUDGET)
+            assert view.lift_subspace(local) == conjugate_subspace(g, w, rad), \
+                (chosen, role)
+    assert recursions
+
+
+def _brute_square_zero_lines(view, basis):
+    """Lines with (ad v)^2 = 0, one representative each: the coefficient
+    tuples with leading coefficient 1, by lead position and then in
+    base-p order, tested one at a time with the scalar ad matrix."""
+    import itertools
+    p, k = view.p, len(basis)
+    out = []
+    for lead in range(k):
+        for tail in itertools.product(range(p), repeat=k - lead - 1):
+            coeffs = [0] * lead + [1] + list(tail)
+            v = [sum(c * row[i] for c, row in zip(coeffs, basis)) % p
+                 for i in range(view.dim)]
+            ad = view.ad_matrix_vec(v)
+            if (ad @ ad).is_zero():
+                out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("fam,n,p", [("sl", 3, 3), ("sl", 3, 5), ("sp", 4, 5),
+                                     ("so", 5, 5)])
+def test_square_zero_lines_match_brute_force(fam, n, p, monkeypatch):
+    import numpy as np
+
+    from morozov import bulk
+    from morozov.bulk import bracket_tensor, square_zero_lines
+    g = build(fam, n, p)
+    view = SubView(g, standard_borel(g)["parabolic"])
+    c = bracket_tensor(view)
+    rng = random.Random(f"square-zero:{fam}{n}@{p}")
+    spans = [view.full_space()] if p ** view.dim <= 5 ** 4 else []
+    for k in (1, 2, 3, 3, 4):
+        vecs = [[rng.randrange(p) for _ in range(view.dim)] for _ in range(k)]
+        spans.append(Subspace.from_vectors(vecs, view.dim, p))
+    found = 0
+    for span in spans:
+        basis = [list(b) for b in span.basis]
+        want = _brute_square_zero_lines(view, basis)
+        rows = np.array(basis, dtype=np.int64).reshape(len(basis), view.dim)
+        assert list(square_zero_lines(c, p, rows)) == want, basis
+        # chunks that split every lead block give the same stream
+        with monkeypatch.context() as m:
+            m.setattr(bulk, "_CHUNK", 3)
+            assert list(square_zero_lines(c, p, rows)) == want, basis
+        found += len(want)
+    assert found
+
+
+def test_radical_compute_cli_keeps_the_given_budget(tmp_path, capsys):
+    # the abelian-ideal scan is bounded by the user's --budget
+    from morozov.cli import EXIT_UNDETERMINED, main
+    from morozov.serialize import canonical_json, subspace_to_dict
+    g, h = _conjugated_sl4_parabolic()
+    path = tmp_path / "h.json"
+    path.write_text(canonical_json(subspace_to_dict(h)))
+    assert main(["radical", "compute", "--family", "sl", "--n", "4",
+                 "--p", "7", "--subspace", str(path),
+                 "--budget", "10"]) == EXIT_UNDETERMINED
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["status"] == "undetermined"
+    assert "over budget 10" in report["detail"]
+
+
+def test_radical_through_a_kernel_radical_that_is_not_an_ideal():
+    # h = (gl2 (x) A) + F.D in gl6@3, with A = F_3[x]/(x^3) acting on
+    # F^2 (x) A and D = d/dx + x d/dx acting on A.  The Killing kernel of
+    # h is k = gl2 (x) A, and rad(k) = z (x) A + gl2 (x) (x) is not
+    # D-stable (D x = 1 + x); the largest ideal of h inside it is z (x) A,
+    # and that is rad(h): A has no nonzero proper D-stable ideal
+    p = 3
+    g = build("gl", 6, p)
+
+    def kron(a, b):
+        m = len(b)
+        return FieldMatrix.from_rows(
+            [[a[i // m][j // m] * b[i % m][j % m] % p for j in range(6)]
+             for i in range(6)], p)
+
+    def units(n):
+        return [[[int((r, c) == (i, j)) for c in range(n)] for r in range(n)]
+                for i in range(n) for j in range(n)]
+
+    mult = [[[int(r == c + k) for c in range(3)] for r in range(3)]
+            for k in range(3)]
+    d = [[k if r in (k - 1, k) else 0 for k in range(3)] for r in range(3)]
+    one = [[1, 0], [0, 1]]
+    h = g.subspace([g.coordinates_of_matrix(kron(e, f))
+                    for e in units(2) for f in mult]
+                   + [g.coordinates_of_matrix(kron(one, d))])
+    assert h.dim == 13 and g.is_subalgebra(h)
+    view = SubView(g, h)
+    assert view.killing_kernel().dim == 12
+    centre = g.subspace([g.coordinates_of_matrix(kron(one, f)) for f in mult])
+    assert solvable_radical(g, h) == centre
+
+
+def test_abelian_ideal_scan_keeps_the_given_budget():
+    # kappa vanishes on sp4@3, so its radical is certified by the line
+    # scan of 3^10 vectors: over a budget of 10, within the default
+    g = build.__wrapped__("sp", 4, 3)           # fresh memo
+    with pytest.raises(Undetermined, match="over budget 10$"):
+        solvable_radical(g, g.full_space(), budget=10)
+    assert radical_report(g, g.full_space(), budget=10).status == "undetermined"
+    assert solvable_radical(g, g.full_space()).dim == 0

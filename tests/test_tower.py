@@ -192,3 +192,51 @@ def test_p_nil_checks_and_radical_do_not_enumerate(monkeypatch):
     g = build.__wrapped__("sl", 6, 7)
     b = standard_borel(g)["parabolic"]
     assert solvable_radical(g, b) == b
+
+
+def _conjugated_pgl3_root_sl2():
+    """A seeded GL_3 conjugate of pgl3@5's root sl2 whose canonical basis
+    is p-nilpotent: p-closed, but not p-nil (it contains a conjugate of h)."""
+    from morozov.gfp import rref
+    from morozov.liealg import conjugate_subspace
+    from morozov.radicals import is_p_nilpotent
+    g = build("pgl", 3, 5)
+    root = tuple(g.frame.rootdatum.simple_roots[0])
+    sl2 = g.subalgebra_closure([
+        g.basis_element(g.frame.root_index[r])
+        for r in (root, tuple(-x for x in root))])
+    rng = random.Random("pgl-gate")
+    for _ in range(500):
+        m = FieldMatrix(3, 3, 5, [rng.randrange(5) for _ in range(9)])
+        if rref(m)[1] < 3:
+            continue
+        u = conjugate_subspace(g, m, sl2)
+        if all(is_p_nilpotent(g.element(list(b))) for b in u.basis):
+            return g, u
+    raise AssertionError("no conjugated sl2 with a p-nilpotent basis")
+
+
+def test_pgl_input_over_budget_is_not_accepted():
+    # a basis test proves nothing: over the budget the p-nil gate is
+    # undecided, and the tower says so instead of starting
+    from morozov.radicals import Undetermined, is_p_nil_subalgebra
+    g, u = _conjugated_pgl3_root_sl2()
+    assert all(u.contains_vector(g.p_power_vec(list(b))) for b in u.basis)
+    assert is_p_nil_subalgebra(g, u) is False
+    with pytest.raises(ValueError, match="not p-nil"):
+        check_tower_input(g, u)
+    with pytest.raises(Undetermined, match="over budget 10"):
+        check_tower_input(g, u, budget=10)
+    tr = run_tower(g, u, budget=10)
+    assert tr.status == "budget-exceeded"
+    assert "over budget 10" in tr.detail
+    assert run_tower(g, u).status == "input-error"
+
+
+def test_kempf_input_class_over_budget_is_undetermined():
+    from morozov.radicals import Undetermined
+    g = build("pgl", 4, 5)
+    nil = standard_borel(g)["nilradical"]
+    check_search_class(g, nil)
+    with pytest.raises(Undetermined):
+        check_search_class(g, nil, budget=10)
