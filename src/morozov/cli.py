@@ -17,7 +17,7 @@ from . import fixtures as fixtures_mod
 from . import hnslope, kempf, parabolic, radicals, rootdata, suite, tower
 from .liealg import build
 from .serialize import (algebra_from_dict, algebra_to_dict, canonical_json,
-                        subspace_from_dict, subspace_to_dict)
+                        subspace_from_dict)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1

@@ -19,7 +19,7 @@ normalizer exactly."""
 from __future__ import annotations
 
 from .gfp import FieldMatrix, Subspace
-from .liealg import Element, LieAlgebra, build
+from .liealg import LieAlgebra, build
 
 P = 3
 

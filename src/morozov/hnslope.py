@@ -61,14 +61,6 @@ class HNFiltration:
                 "zero_index": self.zero_index}
 
 
-def mu_min(f: HNFiltration) -> Fraction:
-    return min(f.slopes())
-
-
-def mu_max(f: HNFiltration) -> Fraction:
-    return max(f.slopes())
-
-
 def verify_hn(f: HNFiltration) -> bool:
     """Slopes strictly decrease along the quotients."""
     s = f.slopes()
@@ -124,15 +116,7 @@ def dual_pattern(f: HNFiltration) -> dict:
         if neg[1] != pos[1]:
             mismatches.append({"kind": "degree-pairing", "i": i,
                                "deg_neg": neg[1], "deg_pos": pos[1]})
-    # dedupe factor-mirror double counting (j and its mirror)
-    out = []
-    seen = set()
-    for mm in mismatches:
-        key = tuple(sorted(mm.items(), key=lambda kv: kv[0]))
-        if key not in seen:
-            seen.add(key)
-            out.append(mm)
-    return {"passes": not out, "mismatches": out,
+    return {"passes": not mismatches, "mismatches": mismatches,
             "readings": zero_index_readings(f)}
 
 

@@ -113,7 +113,8 @@ class OptimalityCertificate:
         }
 
 
-def check_search_class(g: LieAlgebra, u: Subspace, budget: int = 10 ** 5) -> None:
+def check_search_class(g: LieAlgebra, u: Subspace,
+                       budget: int = radicals.DEFAULT_BUDGET) -> None:
     """The optimizer's input class: a nonzero bracket-closed p-nil subspace
     supported on root coordinates of the standard torus.  The p-nil gate
     is `radicals.check_p_nil`: exact at every size on gl, sl, sp and so,
@@ -153,16 +154,16 @@ def check_certificate(g: LieAlgebra, u: Subspace,
 
 
 def optimize(g: LieAlgebra, u: Subspace,
-             _unused=None) -> OptimalityCertificate:
+             budget: Optional[int] = None) -> OptimalityCertificate:
     """The optimal cocharacter of u, the indivisible lambda maximizing
     alpha(lambda)^2 / ||lambda||^2: the ray of the point x of least norm
     in the convex hull of the support weights (Kempf, Ann. Math. 108,
     1978), unique by Kempf's theorem.  Raises ValueError when x = 0, as
     no cocharacter is admissible.  The certificate is checked on return.
-
-    The third argument is ignored: `perfbench/workloads.py` still passes
-    the bound of the lattice-ball search this replaced."""
-    check_search_class(g, u)
+    The budget (None: `radicals.DEFAULT_BUDGET`) bounds the p-nil check
+    of the input, as it does the tower's."""
+    check_search_class(g, u, radicals.DEFAULT_BUDGET if budget is None
+                       else budget)
     active, mu, x = min_norm_point(support_weights(g, u))
     if not any(x):
         raise ValueError("no admissible cocharacter: 0 lies in the convex "

@@ -19,9 +19,6 @@ from .gfp import (MAX_DIM, FieldMatrix, Subspace, _rref_rows, check_modulus,
                   inv_mod, kernel, rref, solve_linear)
 from .rootdata import RootDatum, build_rootdatum, parabolic_roots
 
-FAMILIES = ("gl", "sl", "pgl", "sp", "so")
-
-
 # ---------------------------------------------------------------------------
 # Realization and torus frame
 # ---------------------------------------------------------------------------
@@ -85,8 +82,7 @@ class LieAlgebra:
     only `p_power_vec`."""
 
     def __init__(self, p: int, labels: Sequence[str], realization: Realization,
-                 frame: Optional[TorusFrame] = None, family: Optional[str] = None,
-                 verify: bool = True):
+                 frame: Optional[TorusFrame] = None, family: Optional[str] = None):
         check_modulus(p)
         if len(labels) > MAX_DIM:
             raise ValueError(f"dimension {len(labels)} exceeds the supported "
@@ -102,8 +98,7 @@ class LieAlgebra:
         mats = realization.mats
         self._set_structure(lambda i, j: self.coordinates_of_matrix(
             mats[i] @ mats[j] - mats[j] @ mats[i]))
-        if verify:
-            self._verify_structure()
+        self._verify_structure()
 
     # -- coordinates ---------------------------------------------------
 
@@ -249,8 +244,12 @@ class LieAlgebra:
 
     def killing_gram(self) -> FieldMatrix:
         if "gram" not in self._memo:
+            # tr(xy) = sum x_ij y_ji: the entrywise product with y transposed
             ads = [self.ad_matrix_vec(self.unit(i)) for i in range(self.dim)]
-            entries = [(x @ y).trace() for x in ads for y in ads]
+            rows = [x.entries for x in ads]
+            cols = [y.transpose().entries for y in ads]
+            entries = [sum(a * b for a, b in zip(x, y))
+                       for x in rows for y in cols]
             self._memo["gram"] = FieldMatrix(self.dim, self.dim, self.p, entries)
         return self._memo["gram"]
 

@@ -98,20 +98,6 @@ def iso_invariants(g: LieAlgebra, q: Subspace) -> tuple:
     )
 
 
-def _standard_parabolic_invariants(g: LieAlgebra) -> list:
-    key = ("std-parab-inv",)
-    if key not in g._memo:
-        out = []
-        rank = g.frame.rootdatum.rank
-        for mask in range(1 << rank):
-            chosen = tuple(i for i in range(rank) if mask >> i & 1)
-            data = standard_parabolic(g, chosen)
-            out.append((chosen, data["parabolic"],
-                        iso_invariants(g, data["parabolic"])))
-        g._memo[key] = out
-    return g._memo[key]
-
-
 def flag_frame(g: LieAlgebra, q: Subspace) -> Optional[FieldMatrix]:
     """Type-A conjugating frame: a matrix P whose columns run through a
     q-stable flag V > NV > N^2 V > ... > 0, deepest step first, so that
@@ -211,10 +197,17 @@ def detect_parabolic(g: LieAlgebra, q: Subspace) -> ParabolicVerdict:
             verdict.torus_used = conjugate_subspace(g, frame, verdict.torus_used)
             return verdict
 
-    # invariant battery against every standard parabolic of equal dimension
+    # invariant battery against every standard parabolic of equal
+    # dimension, in mask order; their invariants are memoised by dimension
+    key = ("std-parab-inv", q.dim)
+    if key not in g._memo:
+        subsets = [tuple(i for i in range(rd.rank) if mask >> i & 1)
+                   for mask in range(1 << rd.rank)]
+        pars = [(s, standard_parabolic(g, s)["parabolic"]) for s in subsets]
+        g._memo[key] = [(s, iso_invariants(g, par)) for s, par in pars
+                        if par.dim == q.dim]
     inv = iso_invariants(g, q)
-    matches = [chosen for chosen, par, pinv in _standard_parabolic_invariants(g)
-               if pinv == inv]
+    matches = [chosen for chosen, pinv in g._memo[key] if pinv == inv]
     details = {"invariants": repr(inv), "matching_standard_parabolics": matches}
     if partial is not None:
         details["coordinate_failure"] = partial.failure_reason

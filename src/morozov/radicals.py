@@ -2,12 +2,12 @@
 
 The public operations take an ambient realized algebra and a subspace h and
 return subspaces in ambient coordinates.  Most of them also compute there:
-largest h-ideals, spins under ad(h) and the series of a subspace need only
-the ambient bracket.  Views, subalgebras and quotients in their own
-coordinates, are built only where h's own structure matters: the general
-solvable-radical path (h's centre and Killing form, the recursion into a
-proper Killing kernel, and the peeling of solvable ideals across quotients)
-and the ad_h-nilpotency enumeration.
+largest h-ideals, spins under ad(h), the series of a subspace and the
+ad_h-nilpotency of an element need only the ambient bracket.  Views,
+subalgebras and quotients in their own coordinates, are built only where
+h's own structure matters: the general solvable-radical path (h's centre
+and Killing form, the recursion into a proper Killing kernel, and the
+peeling of solvable ideals across quotients).
 A view is a `LieAlgebra` without a realization whose structure table is
 filled once from its parent's bracket, so the one subalgebra calculus of
 `liealg` runs on it unchanged.
@@ -35,8 +35,9 @@ Strategy notes:
     of u's basis matrices reaches the whole space exactly when u consists
     of nilpotent matrices (Engel's theorem holds in every characteristic),
     and there the p-power is the matrix p-th power;
-  * enumeration with an explicit budget is the general fallback, and
-    exceeding the budget is an Undetermined outcome, never a guess.
+  * enumeration with an explicit budget (one walk, `_enumerate_cone`, for
+    p- and ad_h-nilpotency) is the general fallback, and exceeding the
+    budget is an Undetermined outcome, never a guess.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .gfp import Subspace, kernel, rref, solve_linear  # noqa: F401
 from .liealg import Element, LieAlgebra, coordinate_split
 from .rootdata import is_closed, min_norm_point
 
-DEFAULT_BUDGET = 10 ** 7
+DEFAULT_BUDGET = 10 ** 7    # also the tower's and the Kempf input check's
 
 
 class Undetermined(Exception):
@@ -213,6 +214,35 @@ def _engel_flag_reaches_top(g: LieAlgebra, u: Subspace) -> bool:
     return True
 
 
+def _enumerate_cone(g: LieAlgebra, r: Subspace, test, budget: int) -> tuple:
+    """(span, is_subspace) of the nonzero elements v of r with test(v), by
+    the one exhaustive enumeration of p^dim(r) vectors, within the budget."""
+    if g.p ** r.dim > budget:
+        raise Undetermined(
+            f"enumeration of {g.p ** r.dim} elements exceeds budget {budget}")
+    members = [v for v in r.enumerate_vectors() if any(v) and test(v)]
+    span = Subspace.from_vectors(members, g.dim, g.p)
+    return span, len(members) + 1 == g.p ** span.dim
+
+
+def _p_nilpotent_test(g: LieAlgebra):
+    return lambda v: is_p_nilpotent(g.element(v))
+
+
+def _ad_nilpotent_test(g: LieAlgebra, h: Subspace):
+    """v acts nilpotently on the subalgebra h containing it: the images
+    w <- [v, w] from w = h shrink to 0, and stall above 0 otherwise."""
+    def test(v):
+        w = h
+        while w.dim:
+            image = g.subspace([g.bracket_vec(v, list(b)) for b in w.basis])
+            if image.dim == w.dim:
+                return False
+            w = image
+        return True
+    return test
+
+
 def is_p_nil_subalgebra(g: LieAlgebra, u: Subspace,
                         budget: int = DEFAULT_BUDGET) -> Optional[bool]:
     """Whether every element of the subalgebra u is p-nilpotent.  Exact at
@@ -220,10 +250,11 @@ def is_p_nil_subalgebra(g: LieAlgebra, u: Subspace,
     enumerating u, and None when p^dim(u) exceeds the budget."""
     if _faithful(g):
         return _engel_flag_reaches_top(g, u)
-    if g.p ** u.dim > budget:
+    try:
+        cone, is_sub = _enumerate_cone(g, u, _p_nilpotent_test(g), budget)
+    except Undetermined:
         return None
-    return all(is_p_nilpotent(g.element(v))
-               for v in u.enumerate_vectors() if any(v))
+    return is_sub and cone.dim == u.dim
 
 
 def check_p_nil(g: LieAlgebra, u: Subspace, budget: int,
@@ -391,47 +422,20 @@ def _structured_pnil_cone(g: LieAlgebra, r: Subspace) -> Optional[Subspace]:
 
 def _structured_adnil_cone(g: LieAlgebra, h: Subspace, r: Subspace) -> Optional[Subspace]:
     """Elements of torus-stable solvable r acting nilpotently on the
-    coordinate-split subalgebra h: torus part killing every root line of h
-    plus the whole root part of r."""
-    split_r = coordinate_split(g, r)
+    coordinate-split subalgebra h: the p-nilpotent cone of r (its root
+    part) plus the torus part of r killing every root line of h."""
+    cone = _structured_pnil_cone(g, r)
     split_h = coordinate_split(g, h)
-    if split_r is None or split_h is None or not _certified_root_support(
-            g, [a for a, _ in split_r[1]]):
+    if cone is None or split_h is None:
         return None
-    # torus part: [z, e_beta] = 0 for every root line of h
-    torus = solve_linear(split_r[0], lambda z: [
+    torus = solve_linear(coordinate_split(g, r)[0], lambda z: [
         c for _, idx in split_h[1] for c in g.bracket_vec(z, g.unit(idx))])
-    vecs = [list(b) for b in torus.basis]
-    vecs.extend(g.unit(idx) for _, idx in split_r[1])
-    return g.subspace(vecs)
+    return cone.sum(torus)
 
 
 # ---------------------------------------------------------------------------
 # Nilradical and p-radical
 # ---------------------------------------------------------------------------
-
-def _enumerate_cone(g: LieAlgebra, h: Subspace, r: Subspace, kind: str,
-                    budget: int) -> tuple:
-    """(span of the cone, is_subspace) by exhaustive enumeration of r: the
-    p-nilpotent elements for kind "pnil", else those acting nilpotently
-    on h."""
-    if g.p ** r.dim > budget:
-        raise Undetermined(
-            f"enumeration of {g.p ** r.dim} elements exceeds budget {budget}")
-    sub = SubView(g, h) if kind == "adnil" else None
-    members = []
-    for v in r.enumerate_vectors():
-        if not any(v):
-            continue
-        if sub is None:
-            ok = is_p_nilpotent(g.element(v))
-        else:
-            ok = sub.ad_matrix_vec(h.coordinates_of(v)).is_nilpotent()
-        if ok:
-            members.append(v)
-    span = Subspace.from_vectors(members, g.dim, g.p)
-    return span, len(members) + 1 == g.p ** span.dim
-
 
 def pnil_part_of_radical(g: LieAlgebra, h: Subspace,
                          budget: int = DEFAULT_BUDGET) -> dict:
@@ -446,7 +450,7 @@ def pnil_part_of_radical(g: LieAlgebra, h: Subspace,
         out = {"span": cone, "cone_is_subspace": True, "method": "structured",
                "radical": r}
     else:
-        span, is_sub = _enumerate_cone(g, h, r, "pnil", budget)
+        span, is_sub = _enumerate_cone(g, r, _p_nilpotent_test(g), budget)
         out = {"span": span, "cone_is_subspace": is_sub, "method": "enumeration",
                "radical": r}
     g._memo[key] = out
@@ -457,23 +461,17 @@ def p_radical(g: LieAlgebra, h: Subspace, budget: int = DEFAULT_BUDGET) -> dict:
     """Maximal p-nil ideal of h: refine the p-nilpotent cone of rad(h) by
     the largest-ideal fixed point until every element is p-nilpotent."""
     part = pnil_part_of_radical(g, h, budget)
-    span = part["span"]
     cone_flag = part["cone_is_subspace"]
-    method = part["method"]
-    while True:
+    cand = g.largest_ideal_inside(h, part["span"])
+    # inside a cone that is a subspace, cand is all p-nilpotent
+    while not (cone_flag or is_p_nil_subalgebra(g, cand, budget)):
+        span, _ = _enumerate_cone(g, cand, _p_nilpotent_test(g), budget)
         cand = g.largest_ideal_inside(h, span)
-        # inside a cone that is a subspace, cand is all p-nilpotent
-        if cone_flag or is_p_nil_subalgebra(g, cand, budget):
-            break
-        if g.p ** cand.dim > budget:
-            raise Undetermined("p-radical verification exceeds budget")
-        good = [v for v in cand.enumerate_vectors()
-                if any(v) and is_p_nilpotent(g.element(v))]
-        span = Subspace.from_vectors(good, g.dim, g.p)
     p_closed = all(
         cand.contains_vector(g.p_power_vec(list(b))) for b in cand.basis)
-    return {"rad_p": cand, "cone_is_subspace": cone_flag, "method": method,
-            "p_closed": p_closed, "radical": part["radical"]}
+    return {"rad_p": cand, "cone_is_subspace": cone_flag,
+            "method": part["method"], "p_closed": p_closed,
+            "radical": part["radical"]}
 
 
 def nilradical(g: LieAlgebra, h: Subspace, budget: int = DEFAULT_BUDGET) -> dict:
@@ -483,7 +481,7 @@ def nilradical(g: LieAlgebra, h: Subspace, budget: int = DEFAULT_BUDGET) -> dict
     method = "structured"
     if cone is None:
         method = "enumeration"
-        cone, _ = _enumerate_cone(g, h, r, "adnil", budget)
+        cone, _ = _enumerate_cone(g, r, _ad_nilpotent_test(g, h), budget)
     cand = g.largest_ideal_inside(h, cone)
     if not g.is_nilpotent(cand):
         raise Undetermined("largest ideal inside the ad-nilpotent cone is "

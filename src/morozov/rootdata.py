@@ -136,7 +136,6 @@ class RootDatum:
     positive_roots: tuple
     highest_root_coeffs: tuple    # a_i
     highest_coroot_coeffs: tuple  # b_i
-    cartan_matrix: tuple
 
     @property
     def constructive(self) -> bool:
@@ -224,7 +223,7 @@ def build_rootdatum(type_label: str, n: int = 0) -> RootDatum:
     if type_label in EXCEPTIONAL:
         data = EXCEPTIONAL_DATA[type_label]
         return RootDatum(type_label, data["rank"], (), (), (),
-                         data["a"], data["b"], ())
+                         data["a"], data["b"])
     if type_label not in CLASSICAL:
         raise ValueError(f"unknown type {type_label!r}")
     minimum = {"A": 1, "B": 2, "C": 2, "D": 3}[type_label]
@@ -250,16 +249,9 @@ def build_rootdatum(type_label: str, n: int = 0) -> RootDatum:
     simple_coroots = [coroot(s) for s in simples]
     theta_vee = coroot(list(highest[1]))
     b = _solve_integer(simple_coroots, theta_vee)
-    cartan = tuple(
-        tuple(int(2 * Fraction(_dot(si, sj), _dot(sj, sj))) for sj in simples)
-        for si in simples
-    )
-    return RootDatum(
-        type_label, n, tuple(tuple(s) for s in simples),
-        tuple(tuple(r) for r in roots),
-        tuple(t[1] for t in positives),
-        a, tuple(b), cartan,
-    )
+    return RootDatum(type_label, n, tuple(tuple(s) for s in simples),
+                     tuple(tuple(r) for r in roots),
+                     tuple(t[1] for t in positives), a, tuple(b))
 
 
 def coxeter_number(rd: RootDatum) -> int:

@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bulk, fixtures, hnslope, kempf, parabolic, radicals, rootdata, tower
-from .gfp import Subspace, rref
-from .liealg import (LieAlgebra, build, jacobson_defect,
-                     jacobson_defect_reference, standard_borel,
-                     standard_parabolic, torus_subspace)
+from .gfp import Subspace
+from .liealg import (LieAlgebra, build, jacobson_defect, standard_borel,
+                     standard_parabolic)
 from .radicals import SubView
 
 LAW_SAMPLES = 1000
@@ -57,8 +56,7 @@ def criterion_structure_laws(seed: int = 0) -> CheckResult:
     failures = []
     for fam, n in LAW_ALGEBRAS:
         for p in LAW_PRIMES:
-            size = n if fam != "sp" else n
-            g = build(fam, size, p)
+            g = build(fam, n, p)
             c = bulk.bracket_tensor(g)
             xs = bulk.random_vectors(rng, LAW_SAMPLES, g.dim, p)
             ys = bulk.random_vectors(rng, LAW_SAMPLES, g.dim, p)

@@ -157,7 +157,7 @@ def verify_morozov(g: LieAlgebra, trace: TowerTrace,
         rep.checks["kempf"] = "skipped"
     else:
         try:
-            cert = kempf.optimize(g, u)
+            cert = kempf.optimize(g, u, budget)
             parts = kempf.parabolic_from_cochar(g, cert.lam)
             rep.checks["kempf"] = "pass" if parts["p"] == q else "fail"
             rep.checks["kempf_lambda"] = list(cert.lam.coords)

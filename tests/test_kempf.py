@@ -301,3 +301,14 @@ def test_rejections():
                                  tuple(active), tuple(mu))
     with pytest.raises(RuntimeError, match="Kempf certificate"):
         check_certificate(pgl3, u, zero)
+
+
+def test_optimize_keeps_the_given_budget():
+    # the p-nil check of a pgl input runs under the caller's budget; None
+    # is the default budget of the tower and the radicals
+    from morozov.radicals import Undetermined
+    g = build("pgl", 4, 5)
+    nil = standard_borel(g)["nilradical"]
+    with pytest.raises(Undetermined, match="over budget 10"):
+        optimize(g, nil, 10)
+    assert optimize(g, nil, None).lam == optimize(g, nil).lam

@@ -181,6 +181,16 @@ def test_killing_degenerate_sl3_at_3():
     assert not g.killing_nondegenerate()
 
 
+@pytest.mark.parametrize("fam,n,p", [("sl", 3, 5), ("pgl", 3, 3),
+                                     ("sp", 4, 7), ("so", 5, 5)])
+def test_killing_gram_is_the_trace_of_the_ad_products(fam, n, p):
+    # entrywise tr(xy) = sum x_ij y_ji agrees exactly with the traced product
+    g = build.__wrapped__(fam, n, p)            # fresh memo
+    ads = [g.ad_matrix_vec(g.unit(i)) for i in range(g.dim)]
+    assert list(g.killing_gram().entries) == [(x @ y).trace() for x in ads
+                                              for y in ads]
+
+
 def test_killing_invariance():
     rng = random.Random(5)
     g = build("sp", 4, 5)

@@ -265,3 +265,32 @@ def test_sp4_conjugates_decided_without_weyl_frames(p, monkeypatch):
                     expected = ("parabolic", None)
                 v = detect_parabolic(g, conjugate_subspace(g, w, data[role]))
                 assert (v.status, v.failure_reason) == expected
+
+
+def test_invariant_battery_reads_only_parabolics_of_equal_dimension(
+        monkeypatch):
+    # conjugated sp4@5 Borels go to the invariant battery; the Borel is the
+    # only standard parabolic of their dimension, and its invariants are
+    # computed once and then read from the memo
+    calls = []
+    invariants = parabolic.iso_invariants
+
+    def counting(g, q):
+        calls.append(q.dim)
+        return invariants(g, q)
+
+    monkeypatch.setattr(parabolic, "iso_invariants", counting)
+    g = build.__wrapped__("sp", 4, 5)           # fresh memo
+    b = standard_borel(g)["parabolic"]
+    rng = random.Random("battery")
+    conjugates = []
+    while len(conjugates) < 2:
+        q = conjugate_subspace(g, _root_group_element(g, rng), b)
+        if not q.contains(torus_subspace(g)):   # out of standard position
+            conjugates.append(q)
+    for q in conjugates:
+        v = detect_parabolic(g, q)
+        assert (v.status, v.failure_reason) == ("undetermined",
+                                                "no-torus-found")
+        assert v.details["matching_standard_parabolics"] == [()]
+    assert calls == [6, 6, 6]

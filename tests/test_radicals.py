@@ -748,3 +748,64 @@ def test_abelian_ideal_scan_keeps_the_given_budget():
         solvable_radical(g, g.full_space(), budget=10)
     assert radical_report(g, g.full_space(), budget=10).status == "undetermined"
     assert solvable_radical(g, g.full_space()).dim == 0
+
+
+@pytest.mark.parametrize("fam,n,p", [("sl", 3, 3), ("sl", 3, 5), ("sp", 4, 5)])
+def test_ad_nilpotent_test_matches_the_view_ad_matrix(fam, n, p):
+    # ad_h-nilpotency by the images [v, w] from w = h, in ambient
+    # coordinates, against the nilpotency of v's ad matrix in h's view
+    from morozov.radicals import _ad_nilpotent_test
+    g = build(fam, n, p)
+    rng = random.Random(f"adnil:{fam}{n}@{p}")
+    verdicts = set()
+    for _, h, _, _ in _view_inputs(g):
+        view = SubView(g, h)
+        test = _ad_nilpotent_test(g, h)
+        for _ in range(40):
+            v = _random_vector(h, rng)
+            ok = view.ad_matrix_vec(h.coordinates_of(v)).is_nilpotent()
+            assert test(v) == ok, (h.basis, v)
+            verdicts.add(ok)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("fam,n,p", [("sl", 3, 5), ("sp", 4, 5), ("so", 5, 5)])
+def test_structured_cones_match_enumeration(fam, n, p):
+    # both structured cones are the sets the one enumeration walks out,
+    # on every standard parabolic and Levi
+    from morozov.radicals import (_ad_nilpotent_test, _enumerate_cone,
+                                  _p_nilpotent_test, _structured_adnil_cone,
+                                  _structured_pnil_cone)
+    g = build(fam, n, p)
+    for chosen in _subsets(g):
+        for role in ("parabolic", "levi"):
+            h = standard_parabolic(g, chosen)[role]
+            r = solvable_radical(g, h)
+            for cone, test in (
+                    (_structured_pnil_cone(g, r), _p_nilpotent_test(g)),
+                    (_structured_adnil_cone(g, h, r),
+                     _ad_nilpotent_test(g, h))):
+                assert cone is not None
+                assert _enumerate_cone(g, r, test, DEFAULT_BUDGET) == \
+                    (cone, True), (chosen, role)
+
+
+def test_nilradical_enumeration_builds_no_view(monkeypatch):
+    # a conjugated sl3@5 Borel: rad(b) = b is enumerated for its
+    # ad-nilpotent elements in ambient coordinates
+    from morozov import radicals
+    g = build("sl", 3, 5)
+    data = standard_borel(g)
+    w = _root_group_word(g, random.Random("nil-no-view"))
+    b = conjugate_subspace(g, w, data["parabolic"])
+    assert solvable_radical(g, b) == b          # memoised before the patch
+
+    def refuse(*args):
+        raise AssertionError("a view was built")
+
+    monkeypatch.setattr(radicals, "SubView", refuse)
+    out = nilradical(g, b)
+    assert out["method"] == "enumeration"
+    assert out["nil"] == conjugate_subspace(g, w, data["nilradical"])
+    with pytest.raises(Undetermined, match="exceeds budget 10"):
+        nilradical(g, b, budget=10)

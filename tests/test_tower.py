@@ -240,3 +240,24 @@ def test_kempf_input_class_over_budget_is_undetermined():
     check_search_class(g, nil)
     with pytest.raises(Undetermined):
         check_search_class(g, nil, budget=10)
+
+
+def test_verify_morozov_hands_its_budget_to_kempf(monkeypatch):
+    from morozov import kempf
+    budgets = []
+    optimize = kempf.optimize
+
+    def recording(g, u, budget=None):
+        budgets.append(budget)
+        return optimize(g, u, budget)
+
+    monkeypatch.setattr(kempf, "optimize", recording)
+    g = build("pgl", 3, 5)
+    trace = run_tower(g, standard_borel(g)["nilradical"])
+    assert verify_morozov(g, trace, budget=4321).checks["kempf"] == "pass"
+    # 5^3 vectors: the Kempf input check is over budget 10, as the tower's
+    # own p-nil gate would be
+    checks = verify_morozov(g, trace, budget=10).checks
+    assert checks["kempf"] == "undetermined"
+    assert checks["u_is_p_radical"] == "pass"
+    assert budgets == [4321, 10]
