@@ -25,9 +25,10 @@ def bracket_tensor(alg: LieAlgebra) -> np.ndarray:
     realization-free views of `radicals` (subalgebras, quotients) alike."""
     d = alg.dim
     c = np.zeros((d, d, d), dtype=np.int64)
-    for (a, b), coords in alg.structure_constants().items():
-        c[a, b, :] = coords
-        c[b, a, :] = [-x for x in coords]
+    for (a, b), entries in alg.structure_constants().items():
+        for k, x in entries:
+            c[a, b, k] = x
+            c[b, a, k] = -x
     return c % alg.p
 
 

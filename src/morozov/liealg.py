@@ -79,7 +79,11 @@ class LieAlgebra:
     Killing forms, largest ideals) needs only `p`, `dim` and the structure
     table, so it also serves the realization-free views of `radicals`,
     which fill the same table from their parent's bracket and override
-    only `p_power_vec`."""
+    only `p_power_vec`.
+
+    The table is stored by rows (`_set_structure`): a bracket skips every
+    row i with x_i = y_i = 0, so its cost follows the support of its
+    arguments, and ad(x) is filled in one pass over the rows."""
 
     def __init__(self, p: int, labels: Sequence[str], realization: Realization,
                  frame: Optional[TorusFrame] = None, family: Optional[str] = None):
@@ -157,36 +161,54 @@ class LieAlgebra:
 
     def _set_structure(self, bracket_of):
         """Fill the structure table from bracket_of(i, j), the coordinates
-        of [b_i, b_j] for i < j: the dense map `_sc` and the sparse
-        per-pair entries the hot loops read."""
-        self._sc: dict = {}
-        self._sparse: dict = {}
+        of [b_i, b_j] for i < j.  The table is grouped by first index: row
+        i holds (j, ((k, c), ...)) for each j > i with [b_i, b_j] != 0,
+        listing the nonzero coordinates c of b_k."""
+        rows = []
         for i in range(self.dim):
+            row = []
             for j in range(i + 1, self.dim):
-                coords = tuple(bracket_of(i, j))
-                if any(coords):
-                    self._sc[(i, j)] = coords
-                    self._sparse[(i, j)] = tuple(
-                        (k, c) for k, c in enumerate(coords) if c)
+                entries = tuple((k, c) for k, c in enumerate(bracket_of(i, j))
+                                if c)
+                if entries:
+                    row.append((j, entries))
+            rows.append(tuple(row))
+        self._rows = tuple(rows)
 
     def structure_constants(self) -> dict:
-        """Map (i, j) -> coordinates of [b_i, b_j], for i < j."""
-        return dict(self._sc)
+        """Map (i, j) -> ((k, c), ...), the nonzero coordinates c of b_k in
+        [b_i, b_j], for i < j with [b_i, b_j] != 0."""
+        return {(i, j): entries for i, row in enumerate(self._rows)
+                for j, entries in row}
 
     def bracket_vec(self, x: Sequence[int], y: Sequence[int]) -> list:
+        # row i pairs b_i with later b_j only, so it adds nothing when
+        # x_i = y_i = 0
         p = self.p
         out = [0] * self.dim
-        for (i, j), entries in self._sparse.items():
-            f = (x[i] * y[j] - x[j] * y[i]) % p
-            if f:
-                for k, c in entries:
-                    out[k] = (out[k] + f * c) % p
+        for xi, yi, row in zip(x, y, self._rows):
+            if xi or yi:
+                for j, entries in row:
+                    f = (xi * y[j] - x[j] * yi) % p
+                    if f:
+                        for k, c in entries:
+                            out[k] = (out[k] + f * c) % p
         return out
 
     def ad_matrix_vec(self, x: Sequence[int]) -> FieldMatrix:
-        cols = [self.bracket_vec(x, self.unit(j)) for j in range(self.dim)]
-        flat = [cols[j][i] for i in range(self.dim) for j in range(self.dim)]
-        return FieldMatrix(self.dim, self.dim, self.p, flat)
+        # [x, b_j] = sum_i x_i [b_i, b_j]: entry c b_k of [b_i, b_j] adds
+        # x_i c to column j and -x_j c to column i of row k
+        d = self.dim
+        flat = [0] * (d * d)
+        for i, row in enumerate(self._rows):
+            xi = x[i]
+            for j, entries in row:
+                xj = x[j]
+                if xi or xj:
+                    for k, c in entries:
+                        flat[k * d + j] += xi * c
+                        flat[k * d + i] -= xj * c
+        return FieldMatrix(d, d, self.p, flat)
 
     def p_power_vec(self, x: Sequence[int]) -> list:
         m = self.matrix_of(x)

@@ -1,5 +1,4 @@
-"""Parabolic-subalgebra detection, Cartan subalgebra search, and the
-Killing-form detector.
+"""Parabolic-subalgebra detection and the Killing-form detector.
 
 A "parabolic" verdict always carries a witness (torus, root subset) with
 the subalgebra rebuilt exactly as torus + root spaces over a closed subset
@@ -26,7 +25,6 @@ negative.  That includes sp and so parabolics out of standard position.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -55,30 +53,6 @@ class ParabolicVerdict:
             "failure_reason": self.failure_reason,
             "details": self.details,
         }
-
-
-def cartan_subalgebra(g: LieAlgebra, seed: int = 0, attempts: int = 200) -> Subspace:
-    """Fitting null component of ad(x) for random x, retried until the
-    result is a nilpotent self-normalizing subalgebra; the seed makes the
-    search replayable."""
-    rng = random.Random(seed)
-    for _ in range(attempts):
-        x = [rng.randrange(g.p) for _ in range(g.dim)]
-        if not any(x):
-            continue
-        ad = g.ad_matrix_vec(x)
-        power = ad.pow(g.dim)
-        fit = kernel(power)
-        if fit.dim == 0:
-            continue
-        if not g.is_subalgebra(fit):
-            continue
-        if not g.is_nilpotent(fit):
-            continue
-        if g.normalizer(fit) != fit:
-            continue
-        return fit
-    raise ValueError(f"no Cartan subalgebra found in {attempts} attempts (seed {seed})")
 
 
 def iso_invariants(g: LieAlgebra, q: Subspace) -> tuple:

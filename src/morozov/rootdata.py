@@ -136,6 +136,8 @@ class RootDatum:
     positive_roots: tuple
     highest_root_coeffs: tuple    # a_i
     highest_coroot_coeffs: tuple  # b_i
+    # root -> its coefficients in the simple roots, solved once at build
+    coefficients: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def constructive(self) -> bool:
@@ -151,7 +153,7 @@ class RootDatum:
         return sum(self.highest_root_coeffs) + 1
 
     def simple_coefficients(self, root) -> list:
-        return _solve_integer(self.simple_roots, root)
+        return list(self.coefficients[tuple(root)])
 
     def is_positive(self, root) -> bool:
         return root in set(self.positive_roots)
@@ -233,12 +235,9 @@ def build_rootdatum(type_label: str, n: int = 0) -> RootDatum:
         raise ValueError("rank capped at 8")
     simples = _simple_roots(type_label, n)
     roots = _all_roots(type_label, n)
-    positives = []
-    for r in roots:
-        coeffs = _solve_integer(simples, r)
-        if all(c >= 0 for c in coeffs):
-            positives.append((sum(coeffs), tuple(r), tuple(coeffs)))
-    positives.sort()
+    coefficients = {tuple(r): tuple(_solve_integer(simples, r)) for r in roots}
+    positives = sorted((sum(c), r, c) for r, c in coefficients.items()
+                       if all(x >= 0 for x in c))
     highest = positives[-1]
     a = highest[2]
     # coroot of the highest root in the simple-coroot basis
@@ -251,7 +250,7 @@ def build_rootdatum(type_label: str, n: int = 0) -> RootDatum:
     b = _solve_integer(simple_coroots, theta_vee)
     return RootDatum(type_label, n, tuple(tuple(s) for s in simples),
                      tuple(tuple(r) for r in roots),
-                     tuple(t[1] for t in positives), a, tuple(b))
+                     tuple(t[1] for t in positives), a, tuple(b), coefficients)
 
 
 def coxeter_number(rd: RootDatum) -> int:

@@ -21,11 +21,8 @@ def canonical_json(payload) -> str:
 
 
 def algebra_to_dict(g: LieAlgebra) -> dict:
-    sc = []
-    for (i, j), coords in sorted(g.structure_constants().items()):
-        for k, c in enumerate(coords):
-            if c:
-                sc.append([i, j, k, c])
+    sc = [[i, j, k, c] for (i, j), entries in
+          sorted(g.structure_constants().items()) for k, c in entries]
     out = {
         "schema": SCHEMA_VERSION,
         "p": g.p,

@@ -342,3 +342,65 @@ def test_exp_trunc_matrix_truncation():
     m = FieldMatrix.from_rows([[0, 1], [0, 0]], 7)
     e = exp_trunc_matrix(m, 7)
     assert e == FieldMatrix.from_rows([[1, 1], [0, 1]], 7)
+
+
+# -- the bracket and ad kernels against the realization ------------------------
+
+def _test_vectors(g, rng):
+    """Random, unit and 1-2-sparse vectors, some with unreduced entries
+    (>= p or negative)."""
+    p, d = g.p, g.dim
+    vecs = [g.unit(i) for i in range(d)]
+    for _ in range(12):
+        vecs.append([rng.randrange(p) for _ in range(d)])
+        vecs.append([rng.randrange(-2 * p, 2 * p) for _ in range(d)])
+        for size in (1, 2):
+            v = [0] * d
+            for i in rng.sample(range(d), size):
+                v[i] = rng.choice([rng.randrange(1, p), p + 1, -1, 3 * p])
+            vecs.append(v)
+    return vecs
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("fam,n", [("gl", 3), ("sl", 3), ("pgl", 3), ("sp", 4),
+                                   ("so", 5)])
+def test_bracket_and_ad_match_the_matrix_commutator(fam, n, p):
+    g = build(fam, n, p)
+    rng = random.Random(f"{fam}{n}@{p}")
+    vecs = _test_vectors(g, rng)
+    for _ in range(150):
+        x, y = rng.choice(vecs), rng.choice(vecs)
+        mx, my = g.matrix_of(x), g.matrix_of(y)
+        assert g.bracket_vec(x, y) == g.coordinates_of_matrix(mx @ my - my @ mx)
+    for x in rng.sample(vecs, 20):
+        cols = [g.bracket_vec(x, g.unit(j)) for j in range(g.dim)]
+        expected = [cols[j][i] for i in range(g.dim) for j in range(g.dim)]
+        assert g.ad_matrix_vec(x).entries == tuple(expected)
+
+
+@pytest.mark.parametrize("fam,n,p", [("sl", 3, 5), ("sp", 4, 5), ("so", 5, 7)])
+def test_view_bracket_and_ad_match_the_parent(fam, n, p):
+    from morozov.radicals import SubView
+    g = build(fam, n, p)
+    rng = random.Random(n * p)
+    # exp(t x_-a), then exp(t x_a), over the simple roots a
+    w = FieldMatrix.identity(g.realization.n, p)
+    simples = g.frame.rootdatum.simple_roots
+    for root in [tuple(-x for x in a) for a in simples] + list(simples):
+        v = [0] * g.dim
+        v[g.frame.root_index[tuple(root)]] = rng.randrange(1, p)
+        w = w @ g.exp_trunc(g.element(v))
+    q = conjugate_subspace(g, w, standard_parabolic(g, (0,))["parabolic"])
+    assert not coordinate_split(g, q)
+    view = SubView(g, q)
+    vecs = _test_vectors(view, rng)
+    for _ in range(60):
+        a, b = rng.choice(vecs), rng.choice(vecs)
+        assert view.lift(view.bracket_vec(a, b)) == \
+            g.bracket_vec(view.lift(a), view.lift(b))
+    for a in rng.sample(vecs, 10):
+        cols = [view.local(g.bracket_vec(view.lift(a), list(b)))
+                for b in q.basis]
+        expected = [cols[j][i] for i in range(q.dim) for j in range(q.dim)]
+        assert view.ad_matrix_vec(a).entries == tuple(expected)

@@ -9,27 +9,12 @@ from morozov.fixtures import (ex1_pgl_pattern, ex1_sl3_subalgebra,
 from morozov.gfp import FieldMatrix, rref
 from morozov.liealg import (build, conjugate_subspace, standard_borel,
                             standard_parabolic, torus_subspace)
-from morozov.parabolic import (cartan_subalgebra, contains_borel,
-                               detect_parabolic, iso_invariants,
-                               killing_detector)
+from morozov.parabolic import (contains_borel, detect_parabolic,
+                               iso_invariants, killing_detector)
 
 
 def line(g, label):
     return g.subspace([g.element_by_label(label).coords])
-
-
-@pytest.mark.parametrize("fam,n,dim", [("sl", 2, 1), ("sl", 3, 2), ("gl", 3, 3)])
-def test_cartan_subalgebra_rank(fam, n, dim):
-    g = build(fam, n, 5)
-    c = cartan_subalgebra(g, seed=0)
-    assert c.dim == dim
-    assert g.is_nilpotent(c)
-    assert g.normalizer(c) == c
-
-
-def test_cartan_seed_reproducible():
-    g = build("sl", 3, 5)
-    assert cartan_subalgebra(g, seed=5) == cartan_subalgebra(g, seed=5)
 
 
 def test_detect_full_algebra():
