@@ -26,10 +26,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
+_MODULI = frozenset(q for q in range(MAX_PRIME + 1) if is_prime(q))
+
+
 def check_modulus(p: int) -> int:
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
-    if p > MAX_PRIME:
+    if p not in _MODULI:
+        if not is_prime(p):
+            raise ValueError(f"modulus {p} is not prime")
         raise ValueError(f"modulus {p} exceeds the supported bound {MAX_PRIME}")
     return p
 
@@ -196,26 +199,35 @@ class FieldMatrix:
 
 
 def _rref_rows(rows: list, cols: int, p: int) -> tuple:
-    """In-place row reduction; returns (reduced rows, pivot columns)."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] % p != 0), None)
-        if pivot is None:
+    """Reduced row echelon form with pivots in the first `cols` columns;
+    returns (the pivot rows in pivot order, their pivot columns).  Each
+    row is reduced once against the pivot rows kept so far and dropped
+    when nothing is left in the first `cols` columns."""
+    kept = {}           # pivot column -> normalised row as {column: entry}
+    for row in rows:
+        v = [x % p for x in row]
+        for c, r in kept.items():
+            f = v[c]
+            if f:
+                for j, y in r.items():
+                    v[j] = (v[j] - f * y) % p
+        for lead in range(cols):
+            if v[lead]:
+                break
+        else:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = inv_mod(rows[r][c], p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] % p != 0:
-                f = rows[i][c] % p
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return [tuple(x % p for x in row) for row in rows], pivots
+        inv = inv_mod(v[lead], p)
+        new = {j: x * inv % p for j, x in enumerate(v) if x}
+        for r in kept.values():
+            f = r.get(lead)
+            if f:
+                for j, y in new.items():
+                    r[j] = (r.get(j, 0) - f * y) % p
+        kept[lead] = new
+    pivots = sorted(kept)
+    width = len(rows[0]) if rows else 0
+    return [tuple(kept[c].get(j, 0) for j in range(width))
+            for c in pivots], pivots
 
 
 def rref(m: FieldMatrix) -> tuple:
@@ -223,6 +235,7 @@ def rref(m: FieldMatrix) -> tuple:
     equal row spaces give byte-equal results."""
     reduced, pivots = _rref_rows(m.to_rows(), m.cols, m.p)
     flat = [x for row in reduced for x in row]
+    flat += [0] * ((m.rows - len(reduced)) * m.cols)
     return FieldMatrix(m.rows, m.cols, m.p, flat), len(pivots)
 
 
@@ -261,10 +274,7 @@ class Subspace:
         for v in vecs:
             if len(v) != ambient_dim:
                 raise ValueError("vector length mismatch")
-        if not vecs:
-            return cls(ambient_dim, p, [])
-        reduced, pivots = _rref_rows(vecs, ambient_dim, p)
-        return cls(ambient_dim, p, reduced[:len(pivots)])
+        return cls(ambient_dim, p, _rref_rows(vecs, ambient_dim, p)[0])
 
     @classmethod
     def zero(cls, ambient_dim: int, p: int) -> "Subspace":

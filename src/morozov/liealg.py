@@ -10,6 +10,7 @@ is anchored to matrix arithmetic rather than hand-entered tables.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -83,7 +84,9 @@ class LieAlgebra:
 
     The table is stored by rows (`_set_structure`): a bracket skips every
     row i with x_i = y_i = 0, so its cost follows the support of its
-    arguments, and ad(x) is filled in one pass over the rows."""
+    arguments, and ad(x) is filled in one pass over the rows.  Every built
+    algebra is checked exhaustively off the rows (`_verify_structure`): the
+    Jacobi identity on all basis triples, ad(x^[p]) = ad(x)^p on the basis."""
 
     def __init__(self, p: int, labels: Sequence[str], realization: Realization,
                  frame: Optional[TorusFrame] = None, family: Optional[str] = None):
@@ -215,25 +218,49 @@ class LieAlgebra:
         return self.coordinates_of_matrix(m.pow(self.p))
 
     def _verify_structure(self):
-        units = [self.unit(i) for i in range(self.dim)]
-        rng_triples = (
-            [(i, j, k) for i in range(self.dim) for j in range(self.dim)
-             for k in range(self.dim)]
-            if self.dim <= 12 else
-            [( (7 * t) % self.dim, (11 * t + 1) % self.dim, (13 * t + 2) % self.dim)
-             for t in range(2000)]
-        )
-        for i, j, k in rng_triples:
-            a = self.bracket_vec(units[i], self.bracket_vec(units[j], units[k]))
-            b = self.bracket_vec(units[j], self.bracket_vec(units[i], units[k]))
-            c = self.bracket_vec(self.bracket_vec(units[i], units[j]), units[k])
-            if any((ai - bi - ci) % self.p for ai, bi, ci in zip(a, b, c)):
-                raise AssertionError("Jacobi identity fails on basis triple")
-        for i in range(self.dim):
-            adp = self.ad_matrix_vec(units[i]).pow(self.p)
-            adq = self.ad_matrix_vec(self.p_power_vec(units[i]))
-            if adp != adq:
-                raise AssertionError("ad(x^[p]) != ad(x)^p on a basis element")
+        """Check the Jacobi identity on every basis triple and ad(b_i^[p])
+        = ad(b_i)^p on every b_i, off the rows.  The Jacobiator is
+        alternating, as the bracket is; on {a, b, e} it is the sum of the
+        terms [b_e, [b_a, b_b]], so the sum of c [b_e, b_m] over the nonzero
+        [b_a, b_b] = sum c b_m and [b_e, b_m] gives it exactly."""
+        p, d = self.p, self.dim
+        ad = [{} for _ in range(d)]     # ad[i][m]: the entries of [b_i, b_m]
+        for i, row in enumerate(self._rows):
+            for j, entries in row:
+                ad[i][j] = entries
+                ad[j][i] = tuple((k, -c) for k, c in entries)
+
+        def combine(terms):
+            # nonzero coordinates of sum x (c b_k, ...) over (x, ((k, c), ...))
+            out = defaultdict(int)
+            for x, entries in terms:
+                for k, c in entries:
+                    out[k] += x * c
+            return {k: x % p for k, x in out.items() if x % p}
+
+        terms = defaultdict(list)
+        for a, row in enumerate(self._rows):
+            for b, entries in row:
+                for m, c in entries:
+                    for e, img in ad[m].items():
+                        if e != a and e != b:
+                            # [b_e, c b_m] = -c [b_m, b_e], signed by (e, a, b)
+                            # as a permutation of the sorted triple
+                            terms[tuple(sorted((a, b, e)))].append(
+                                (c if a < e < b else -c, img))
+        if any(map(combine, terms.values())):
+            raise AssertionError("Jacobi identity fails on basis triple")
+        for i in range(d):
+            xp = [(m, x) for m, x in enumerate(self.p_power_vec(self.unit(i)))
+                  if x]
+            for j in range(d):
+                v = {j: 1}      # ad(b_i)^p b_j, by p sparse applications
+                for _ in range(p):
+                    if not v:
+                        break
+                    v = combine((x, ad[i].get(m, ())) for m, x in v.items())
+                if v != combine((x, ad[m].get(j, ())) for m, x in xp):
+                    raise AssertionError("ad(x^[p]) != ad(x)^p on a basis element")
 
     # -- elements --------------------------------------------------------
 

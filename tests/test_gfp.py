@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morozov.gfp import (FieldMatrix, Subspace, is_prime, kernel, rref,
-                         solve_linear)
+from morozov.gfp import (MAX_DIM, FieldMatrix, Subspace, _rref_rows, is_prime,
+                         kernel, rref, solve_linear)
 
 
 def naive_row_reduce(rows, cols, p):
@@ -189,3 +189,86 @@ def test_prime_guard():
     assert is_prime(13) and not is_prime(1) and not is_prime(9)
     with pytest.raises(ValueError):
         FieldMatrix.zero(2, 2, 15)
+
+
+def _messy_rows(rng, p, count, cols):
+    """Seeded rows over the integers: zero rows (some of them only zero
+    mod p), rows dependent on a few base rows, negative entries and
+    entries >= p."""
+    base = [[rng.randrange(-2 * p, 3 * p) for _ in range(cols)]
+            for _ in range(rng.randrange(1, 4))]
+    rows = []
+    for _ in range(count):
+        kind = rng.randrange(3)
+        if kind == 0:
+            rows.append([p * rng.randrange(-2, 3) for _ in range(cols)])
+        elif kind == 1:
+            coeffs = [rng.randrange(-p, 2 * p) for _ in base]
+            rows.append([sum(c * b[j] for c, b in zip(coeffs, base))
+                         for j in range(cols)])
+        else:
+            rows.append([rng.randrange(-2 * p, 3 * p) for _ in range(cols)])
+    return rows
+
+
+def _reference_rref(rows, cols, p):
+    """(pivot rows, pivot columns) of naive_row_reduce, reduced into [0, p)."""
+    reduced, rank = naive_row_reduce(rows, cols, p)
+    pivot_rows = [tuple(x % p for x in row) for row in reduced[:rank]]
+    return pivot_rows, [next(c for c in range(cols) if row[c])
+                        for row in pivot_rows]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13])
+def test_row_reduction_matches_the_reference(p):
+    rng = random.Random(p)
+    for _ in range(40):
+        cols = rng.randrange(1, 10)
+        rows = _messy_rows(rng, p, rng.choice([0, 1, 4, 9, MAX_DIM + 6]), cols)
+        expected, pivots = _reference_rref(rows, cols, p)
+        assert _rref_rows(rows, cols, p) == (expected, pivots)
+        assert Subspace.from_vectors(rows, cols, p).basis == tuple(expected)
+        if not rows:
+            continue
+        m = FieldMatrix(len(rows), cols, p, [x for row in rows for x in row])
+        r, rank = rref(m)
+        assert r.rows == m.rows and rank == len(pivots)
+        assert r.entries == tuple(x for row in expected for x in row) \
+            + (0,) * ((m.rows - rank) * cols)
+        # the kernel read off the reference echelon form
+        free = [c for c in range(cols) if c not in pivots]
+        null = [[1 if j == c else 0 for j in range(cols)] for c in free]
+        for v, c in zip(null, free):
+            for row, pc in zip(expected, pivots):
+                v[pc] = -row[c]
+        assert kernel(m).basis == tuple(_reference_rref(null, cols, p)[0])
+
+
+@pytest.mark.parametrize("p", [3, 5, 13])
+def test_augmented_row_reduction_matches_the_reference(p):
+    rng = random.Random(10 * p)
+    for _ in range(40):
+        n, extra = rng.randrange(1, 7), rng.randrange(1, 4)
+        left = _messy_rows(rng, p, rng.choice([n, n + 3]), n)
+        rows = [a + [rng.randrange(-p, 2 * p) for _ in range(extra)]
+                for a in left]
+        got, pivots = _rref_rows(rows, n, p)
+        expected, ref_pivots = _reference_rref(rows, n, p)
+        assert pivots == ref_pivots
+        assert [row[:n] for row in got] == [row[:n] for row in expected]
+        if len(pivots) == len(rows):
+            assert got == expected
+        # every returned row lies in the row space of the input
+        rank = len(_reference_rref(rows, n + extra, p)[0])
+        assert len(_reference_rref(rows + [list(r) for r in got], n + extra,
+                                   p)[0]) == rank
+        if len(rows) == n:
+            m = FieldMatrix.from_rows(left, p)
+            aug = [row + [int(i == j) for j in range(n)]
+                   for i, row in enumerate(left)]
+            inv_rows, inv_pivots = _reference_rref(aug, n, p)
+            if len(inv_pivots) < n:
+                with pytest.raises(ValueError):
+                    m.inverse()
+            else:
+                assert m.inverse().to_rows() == [list(r[n:]) for r in inv_rows]

@@ -1,13 +1,16 @@
+import copy
+import itertools
 import json
 import random
 
 import pytest
 
 from morozov.gfp import FieldMatrix, Subspace, rref
-from morozov.liealg import (build, conjugate_subspace, coordinate_split,
-                            exp_trunc_matrix, jacobson_defect,
-                            jacobson_defect_reference, standard_borel,
-                            standard_parabolic, torus_subspace, weyl_matrices)
+from morozov.liealg import (LieAlgebra, build, conjugate_subspace,
+                            coordinate_split, exp_trunc_matrix,
+                            jacobson_defect, jacobson_defect_reference,
+                            standard_borel, standard_parabolic,
+                            torus_subspace, weyl_matrices)
 from morozov.serialize import (algebra_from_dict, algebra_to_dict,
                                canonical_json)
 
@@ -404,3 +407,100 @@ def test_view_bracket_and_ad_match_the_parent(fam, n, p):
                 for b in q.basis]
         expected = [cols[j][i] for i in range(q.dim) for j in range(q.dim)]
         assert view.ad_matrix_vec(a).entries == tuple(expected)
+
+
+def _single_entry_corruptions(g):
+    """The rows of g with one stored coefficient c of one [b_i, b_j]
+    replaced by c + 1 (the entry goes when c + 1 = p), one per entry."""
+    rows = g._rows
+    for i, row in enumerate(rows):
+        for t, (j, entries) in enumerate(row):
+            for s, (k, c) in enumerate(entries):
+                bad = entries[:s] + ((k, (c + 1) % g.p),) + entries[s + 1:]
+                bad = tuple(e for e in bad if e[1])
+                yield rows[:i] + (row[:t] + ((j, bad),) + row[t + 1:],) \
+                    + rows[i + 1:]
+
+
+@pytest.mark.parametrize("fam,n,p,count", [("sl", 4, 7, 64), ("sp", 6, 7, 105),
+                                           ("sl", 5, 7, 136)])
+def test_structure_check_rejects_every_single_entry_corruption(fam, n, p,
+                                                               count):
+    g = build(fam, n, p)
+    g._verify_structure()
+    seen = 0
+    for rows in _single_entry_corruptions(g):
+        h = copy.copy(g)
+        h._rows = rows
+        with pytest.raises(AssertionError):
+            h._verify_structure()
+        seen += 1
+    assert seen == count
+
+
+@pytest.mark.parametrize("fam,n,p", [("sp", 4, 5), ("pgl", 3, 5)])
+def test_structure_check_rejects_a_wrong_p_power(fam, n, p):
+    # x^[p] off by one in the coefficient of b_i on b_i alone; ad(b_i) != 0
+    # since both algebras are centreless
+    g = build(fam, n, p)
+    for i in range(g.dim):
+        def wrong(x, i=i):
+            out = g.p_power_vec(x)
+            if list(x) == g.unit(i):
+                out[i] += 1
+            return out
+        h = copy.copy(g)
+        h.p_power_vec = wrong
+        with pytest.raises(AssertionError, match="ad"):
+            h._verify_structure()
+
+
+@pytest.mark.parametrize("fam,n", [("gl", 3), ("sl", 3), ("pgl", 3), ("sp", 4),
+                                   ("so", 5), ("so", 6)])
+def test_every_build_checks_its_structure_once(fam, n, monkeypatch):
+    calls = []
+    check = LieAlgebra._verify_structure
+
+    def counting(self):
+        calls.append(self)
+        check(self)
+    monkeypatch.setattr(LieAlgebra, "_verify_structure", counting)
+    g = build.__wrapped__(fam, n, 5)
+    assert calls == [g]
+
+
+@pytest.mark.parametrize("fam,n,p", [("sl", 3, 5), ("sp", 4, 5), ("so", 5, 7)])
+def test_structure_check_agrees_with_brute_force_jacobi(fam, n, p):
+    # random tables near g's, entries added as well as changed, against
+    # the Jacobiator of every basis triple through bracket_vec
+    g = build(fam, n, p)
+    rng = random.Random(f"jacobi {fam}{n}@{p}")
+    units = [g.unit(i) for i in range(g.dim)]
+    outcomes = set()
+    for _ in range(40):
+        table = {(i, j): dict(e) for i, row in enumerate(g._rows)
+                 for j, e in row}
+        for _ in range(rng.choice([1, 1, 2, 3])):
+            i, j = sorted(rng.sample(range(g.dim), 2))
+            entries = table.setdefault((i, j), {})
+            entries[rng.randrange(g.dim)] = rng.randrange(p)
+        h = copy.copy(g)
+        h._rows = tuple(tuple(
+            (j, tuple((k, c) for k, c in sorted(table[i, j].items()) if c))
+            for j in range(i + 1, g.dim)
+            if any(table.get((i, j), {}).values()))
+            for i in range(g.dim))
+        brute = all(not any(
+            (x + y + z) % p for x, y, z in zip(
+                h.bracket_vec(units[i], h.bracket_vec(units[j], units[k])),
+                h.bracket_vec(units[j], h.bracket_vec(units[k], units[i])),
+                h.bracket_vec(units[k], h.bracket_vec(units[i], units[j]))))
+            for i, j, k in itertools.combinations(range(g.dim), 3))
+        try:
+            h._verify_structure()
+            jacobi = True
+        except AssertionError as exc:
+            jacobi = "Jacobi" not in str(exc)
+        assert jacobi == brute
+        outcomes.add(brute)
+    assert outcomes == {True, False}
