@@ -113,12 +113,12 @@ class OptimalityCertificate:
         }
 
 
-def check_search_class(g: LieAlgebra, u: Subspace,
-                       budget: int = radicals.DEFAULT_BUDGET) -> None:
+def check_search_class(g: LieAlgebra, u: Subspace, budget=None) -> None:
     """The optimizer's input class: a nonzero bracket-closed p-nil subspace
     supported on root coordinates of the standard torus.  The p-nil gate
-    is `radicals.check_p_nil`: exact at every size on gl, sl, sp and so,
-    and Undetermined on pgl when u is over the budget."""
+    is `radicals.check_p_nil`, exact on every family with no budget.
+    `budget` is unused: `perfbench/test_perfbench.py` still passes it, and
+    it stays until the benchmark drops it."""
     if u.dim == 0:
         raise ValueError("optimization needs a nonzero subalgebra")
     torus = set(g.frame.torus_indices)
@@ -128,7 +128,7 @@ def check_search_class(g: LieAlgebra, u: Subspace,
             "only covers subalgebras spanned inside the root coordinates")
     if not g.is_subalgebra(u):
         raise ValueError("input is not a subalgebra")
-    radicals.check_p_nil(g, u, budget)
+    radicals.check_p_nil(g, u)
 
 
 def check_certificate(g: LieAlgebra, u: Subspace,
@@ -153,17 +153,15 @@ def check_certificate(g: LieAlgebra, u: Subspace,
                            "vector on the ray of x")
 
 
-def optimize(g: LieAlgebra, u: Subspace,
-             budget: Optional[int] = None) -> OptimalityCertificate:
+def optimize(g: LieAlgebra, u: Subspace, budget=None) -> OptimalityCertificate:
     """The optimal cocharacter of u, the indivisible lambda maximizing
     alpha(lambda)^2 / ||lambda||^2: the ray of the point x of least norm
     in the convex hull of the support weights (Kempf, Ann. Math. 108,
     1978), unique by Kempf's theorem.  Raises ValueError when x = 0, as
     no cocharacter is admissible.  The certificate is checked on return.
-    The budget (None: `radicals.DEFAULT_BUDGET`) bounds the p-nil check
-    of the input, as it does the tower's."""
-    check_search_class(g, u, radicals.DEFAULT_BUDGET if budget is None
-                       else budget)
+    `budget` is unused: `perfbench/workloads.py` still passes it, and it
+    stays until the benchmark drops it."""
+    check_search_class(g, u)
     active, mu, x = min_norm_point(support_weights(g, u))
     if not any(x):
         raise ValueError("no admissible cocharacter: 0 lies in the convex "

@@ -30,14 +30,16 @@ Strategy notes:
   * in that split, the torus part of rad(h) is one linear solve: a torus
     vector lies in rad(h) exactly when it kills every root line whose
     spin ideal is not solvable;
-  * "every element of the subalgebra u is p-nilpotent" is the Engel flag
-    on the faithful families (gl, sl, sp, so): the iterated common kernel
-    of u's basis matrices reaches the whole space exactly when u consists
-    of nilpotent matrices (Engel's theorem holds in every characteristic),
-    and there the p-power is the matrix p-th power;
+  * a subalgebra u is p-nil exactly when u is nilpotent and every vector
+    of one basis is p-nilpotent, on every family: => is Engel's theorem,
+    since ad(x^[p]^m) = (ad x)^(p^m); <= holds because the p-envelope of
+    a nilpotent u is nilpotent, and in a nilpotent restricted algebra the
+    p-nilpotent elements form a p-ideal by Jacobson's formula
+    (Strade-Farnsteiner, Modular Lie Algebras and Their Representations,
+    1988, ch. 2);
   * enumeration with an explicit budget (one walk, `_enumerate_cone`, for
-    p- and ad_h-nilpotency) is the general fallback, and exceeding the
-    budget is an Undetermined outcome, never a guess.
+    the p- and ad_h-nilpotent cones of a radical) is the general fallback,
+    and exceeding the budget is an Undetermined outcome, never a guess.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .gfp import Subspace, kernel, rref, solve_linear  # noqa: F401
 from .liealg import Element, LieAlgebra, coordinate_split
 from .rootdata import is_closed, min_norm_point
 
-DEFAULT_BUDGET = 10 ** 7    # also the tower's and the Kempf input check's
+DEFAULT_BUDGET = 10 ** 7    # also the tower's
 
 
 class Undetermined(Exception):
@@ -196,24 +198,6 @@ def is_p_nilpotent(x: Element) -> bool:
     return _vec_p_nilpotent(x.algebra, x.coords)
 
 
-def _engel_flag_reaches_top(g: LieAlgebra, u: Subspace) -> bool:
-    """Whether the flag 0 = W_0 < W_1 < ... with W_{k+1} = {v : b v in W_k
-    for every basis matrix b of u} reaches the whole space V of the
-    realization.  When it does, every element of u is nilpotent; for a Lie
-    subalgebra u the converse is Engel's theorem."""
-    n, p = g.realization.n, g.p
-    mats = [g.matrix_of(b) for b in u.basis]
-    top = Subspace.full(n, p)
-    w = Subspace.zero(n, p)
-    while w.dim < n:
-        below = w
-        w = solve_linear(top, lambda v: [
-            c for m in mats for c in below.reduce_vector(m.matvec(v))])
-        if w.dim == below.dim:
-            return False
-    return True
-
-
 def _enumerate_cone(g: LieAlgebra, r: Subspace, test, budget: int) -> tuple:
     """(span, is_subspace) of the nonzero elements v of r with test(v), by
     the one exhaustive enumeration of p^dim(r) vectors, within the budget."""
@@ -243,30 +227,17 @@ def _ad_nilpotent_test(g: LieAlgebra, h: Subspace):
     return test
 
 
-def is_p_nil_subalgebra(g: LieAlgebra, u: Subspace,
-                        budget: int = DEFAULT_BUDGET) -> Optional[bool]:
-    """Whether every element of the subalgebra u is p-nilpotent.  Exact at
-    every size on the faithful families (the Engel flag); on pgl decided by
-    enumerating u, and None when p^dim(u) exceeds the budget."""
-    if _faithful(g):
-        return _engel_flag_reaches_top(g, u)
-    try:
-        cone, is_sub = _enumerate_cone(g, u, _p_nilpotent_test(g), budget)
-    except Undetermined:
-        return None
-    return is_sub and cone.dim == u.dim
+def is_p_nil_subalgebra(g: LieAlgebra, u: Subspace) -> bool:
+    """Whether every element of the subalgebra u is p-nilpotent: exactly
+    when u is nilpotent and every basis vector is p-nilpotent (module
+    notes).  Exact on every family and at every size, with no budget."""
+    return g.is_nilpotent(u) and all(
+        is_p_nilpotent(g.element(list(b))) for b in u.basis)
 
 
-def check_p_nil(g: LieAlgebra, u: Subspace, budget: int,
-                what: str = "input") -> None:
-    """The one p-nil gate: ValueError when the subalgebra u is not p-nil,
-    Undetermined when `is_p_nil_subalgebra` cannot decide it in the
-    budget."""
-    verdict = is_p_nil_subalgebra(g, u, budget)
-    if verdict is None:
-        raise Undetermined(f"p-nil test of {what} needs {g.p ** u.dim} "
-                           f"vectors, over budget {budget}")
-    if not verdict:
+def check_p_nil(g: LieAlgebra, u: Subspace, what: str = "input") -> None:
+    """The one p-nil gate: ValueError when the subalgebra u is not p-nil."""
+    if not is_p_nil_subalgebra(g, u):
         raise ValueError(f"{what} is not p-nil")
 
 
@@ -334,26 +305,17 @@ def _solvable_radical_view(view: View, budget: int) -> Subspace:
     return quot.preimage(r)
 
 
-def _distinct_torus_characters(g: LieAlgebra, roots) -> bool:
-    """Whether the root characters on the finite torus T(F_p) are pairwise
-    distinct and nontrivial: chi_a = chi_b iff a = b mod (p-1)."""
-    m = g.p - 1
-    items = [tuple(r) for r in roots] + [tuple([0] * g.frame.cochar_rank)]
-    reduced = [tuple(x % m for x in r) for r in items]
-    return len(set(reduced)) == len(items)
-
-
 def _structured_solvable_radical(g: LieAlgebra, h: Subspace) -> Optional[Subspace]:
-    """rad(h) for a coordinate-split h whose torus characters are pairwise
-    distinct: every ideal of h is then coordinate-split (finite-torus
-    Fourier projections), so the radical is the sum of the solvable
-    spin-ideals of the coordinate directions of h."""
+    """rad(h) for a coordinate-split h, at every p.  rad(h) is a
+    characteristic ideal, and it commutes with extension to the algebraic
+    closure (Galois descent); the algebraic torus normalises h, and its
+    root characters are pairwise distinct and nonzero.  So rad(h) is its
+    torus part plus root lines: the sum of the solvable spin-ideals of the
+    coordinate directions of h."""
     split = coordinate_split(g, h)
     if split is None:
         return None
     torus_part, lines = split
-    if not _distinct_torus_characters(g, [root for root, _ in lines]):
-        return None
     total = Subspace.zero(g.dim, g.p)
     wild = []           # root lines whose spin ideal is not solvable
     for _, idx in lines:
@@ -464,7 +426,7 @@ def p_radical(g: LieAlgebra, h: Subspace, budget: int = DEFAULT_BUDGET) -> dict:
     cone_flag = part["cone_is_subspace"]
     cand = g.largest_ideal_inside(h, part["span"])
     # inside a cone that is a subspace, cand is all p-nilpotent
-    while not (cone_flag or is_p_nil_subalgebra(g, cand, budget)):
+    while not (cone_flag or is_p_nil_subalgebra(g, cand)):
         span, _ = _enumerate_cone(g, cand, _p_nilpotent_test(g), budget)
         cand = g.largest_ideal_inside(h, span)
     p_closed = all(

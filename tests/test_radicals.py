@@ -431,19 +431,29 @@ def _flag_inputs(g, rng):
 
 @pytest.mark.parametrize("fam,n,p", [
     ("sl", 3, 3), ("sl", 3, 5), ("gl", 3, 5), ("sp", 4, 5), ("so", 5, 5),
-    ("sl", 4, 3)])
+    ("sl", 4, 3), ("pgl", 3, 3), ("pgl", 3, 5), ("pgl", 4, 3)])
 def test_engel_flag_matches_enumeration(fam, n, p):
+    # the p-nil rule (u nilpotent, with a p-nilpotent basis; Engel's
+    # theorem is its first half) against every vector of u, on every
+    # family, pgl with p | n included
     g = build(fam, n, p)
     rng = random.Random(f"flag:{fam}{n}@{p}")
-    verdicts = []
-    for u in _flag_inputs(g, rng):
+    inputs = _flag_inputs(g, rng)
+    if (fam, n, p) == ("pgl", 3, 3):
+        from morozov.fixtures import ex2_subalgebra
+        inputs.insert(0, ex2_subalgebra(g))
+    verdicts, nilpotent_not_p_nil = [], 0
+    for u in inputs:
         assert g.is_subalgebra(u)
-        # budget 1: the faithful families never fall back to enumeration
-        flag = is_p_nil_subalgebra(g, u, budget=1)
-        assert flag == _every_vector_p_nilpotent(g, u), u.basis
-        verdicts.append(flag)
+        rule = is_p_nil_subalgebra(g, u)
+        assert rule == _every_vector_p_nilpotent(g, u), u.basis
+        verdicts.append(rule)
+        nilpotent_not_p_nil += g.is_nilpotent(u) and not rule
     assert True in verdicts and False in verdicts
-    assert not flag     # the rotated sl2 came last
+    # neither half of the rule is vacuous: some nilpotent input is refused
+    # by its basis, and the rotated sl2, last, by its nilpotency
+    assert nilpotent_not_p_nil
+    assert not rule
 
 
 def test_root_supported_line_that_is_not_nil():
@@ -460,38 +470,48 @@ def test_root_supported_line_that_is_not_nil():
         check_search_class(g, u)
 
 
-def test_is_p_nil_subalgebra_on_pgl_keeps_the_budget():
-    g = build("pgl", 3, 5)
-    nil = standard_borel(g)["nilradical"]
-    assert is_p_nil_subalgebra(g, nil) is True
-    assert is_p_nil_subalgebra(g, nil, budget=10) is None
+def test_is_p_nil_subalgebra_decides_pgl_without_enumeration(monkeypatch):
+    # the rule needs no budget: the pgl4@5 Borel nilradical (5^6 vectors)
+    # is accepted and its Borel refused without walking either
+    def refuse(self):
+        raise AssertionError("enumerate_vectors called")
+
+    monkeypatch.setattr(Subspace, "enumerate_vectors", refuse)
+    g = build("pgl", 4, 5)
+    borel = standard_borel(g)
+    assert is_p_nil_subalgebra(g, borel["nilradical"]) is True
+    assert is_p_nil_subalgebra(g, borel["parabolic"]) is False
 
 
 @pytest.mark.parametrize("fam,n", [("sl", 3), ("sl", 4), ("sl", 5), ("gl", 3),
                                    ("sp", 4), ("so", 5), ("so", 7)])
 def test_linear_torus_part_matches_view_path(fam, n):
-    # p = 7 passes the distinct-torus-characters gate on all of them; where
-    # the view path cannot certify its answer within the scan budget, the
-    # known radical of a standard parabolic, u + z(l), is the reference
-    g = build(fam, n, 7)
-    compared = 0
-    for chosen in _subsets(g):
-        data = standard_parabolic(g, chosen)
-        levi = data["levi"]
-        centre = levi.intersect(g.centralizer(levi))
-        known = {"parabolic": data["nilradical"].sum(centre), "levi": centre,
-                 "nilradical": data["nilradical"]}
-        for role, h in known.items():
-            structured = _structured_solvable_radical(g, data[role])
-            assert structured == h, (chosen, role)
-            view = SubView(g, data[role])
-            try:
-                local = _solvable_radical_view(view, DEFAULT_BUDGET)
-            except Undetermined:
-                continue
-            assert view.lift_subspace(local) == structured, (chosen, role)
-            compared += 1
-    assert compared >= 2 * len(_subsets(g))
+    # the structured path takes every coordinate-split h at every p, the
+    # small ones included, where root characters coincide on the finite
+    # torus; where the view path cannot certify its answer within the scan
+    # budget, the known radical of a standard parabolic, u + z(l), is the
+    # reference
+    for p in (3, 5, 7):
+        g = build(fam, n, p)
+        compared = 0
+        for chosen in _subsets(g):
+            data = standard_parabolic(g, chosen)
+            levi = data["levi"]
+            centre = levi.intersect(g.centralizer(levi))
+            known = {"parabolic": data["nilradical"].sum(centre),
+                     "levi": centre, "nilradical": data["nilradical"]}
+            for role, h in known.items():
+                structured = _structured_solvable_radical(g, data[role])
+                assert structured == h, (p, chosen, role)
+                view = SubView(g, data[role])
+                try:
+                    local = _solvable_radical_view(view, DEFAULT_BUDGET)
+                except Undetermined:
+                    continue
+                assert view.lift_subspace(local) == structured, \
+                    (p, chosen, role)
+                compared += 1
+        assert compared >= 2 * len(_subsets(g)), p
 
 
 def _conjugated_sl4_parabolic():
@@ -741,13 +761,18 @@ def test_radical_through_a_kernel_radical_that_is_not_an_ideal():
 
 
 def test_abelian_ideal_scan_keeps_the_given_budget():
-    # kappa vanishes on sp4@3, so its radical is certified by the line
-    # scan of 3^10 vectors: over a budget of 10, within the default
-    g = build.__wrapped__("sp", 4, 3)           # fresh memo
+    # a GL_3 conjugate of the sl3@5 parabolic S = (0,) is not
+    # coordinate-split, and its radical is certified by a line scan of a
+    # 5-dimensional Killing kernel, 5^5 vectors: over a budget of 10,
+    # within the default
+    g = build.__wrapped__("sl", 3, 5)           # fresh memo
+    h = conjugate_subspace(g, _group_element(g, random.Random("abelian-scan")),
+                           standard_parabolic(g, (0,))["parabolic"])
+    assert h.dim == 6
     with pytest.raises(Undetermined, match="over budget 10$"):
-        solvable_radical(g, g.full_space(), budget=10)
-    assert radical_report(g, g.full_space(), budget=10).status == "undetermined"
-    assert solvable_radical(g, g.full_space()).dim == 0
+        solvable_radical(g, h, budget=10)
+    assert radical_report(g, h, budget=10).status == "undetermined"
+    assert solvable_radical(g, h).dim == 3
 
 
 @pytest.mark.parametrize("fam,n,p", [("sl", 3, 3), ("sl", 3, 5), ("sp", 4, 5)])

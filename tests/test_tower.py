@@ -217,47 +217,89 @@ def _conjugated_pgl3_root_sl2():
 
 
 def test_pgl_input_over_budget_is_not_accepted():
-    # a basis test proves nothing: over the budget the p-nil gate is
-    # undecided, and the tower says so instead of starting
-    from morozov.radicals import Undetermined, is_p_nil_subalgebra
+    # a basis test proves nothing: the p-nil gate refuses the conjugated
+    # root sl2 at any budget, and the tower does not start
+    from morozov.radicals import is_p_nil_subalgebra
     g, u = _conjugated_pgl3_root_sl2()
     assert all(u.contains_vector(g.p_power_vec(list(b))) for b in u.basis)
     assert is_p_nil_subalgebra(g, u) is False
-    with pytest.raises(ValueError, match="not p-nil"):
-        check_tower_input(g, u)
-    with pytest.raises(Undetermined, match="over budget 10"):
-        check_tower_input(g, u, budget=10)
-    tr = run_tower(g, u, budget=10)
-    assert tr.status == "budget-exceeded"
-    assert "over budget 10" in tr.detail
-    assert run_tower(g, u).status == "input-error"
+    for budget in (10, None):
+        with pytest.raises(ValueError, match="not p-nil"):
+            check_tower_input(g, u, budget=budget)
+    for tr in (run_tower(g, u, budget=10), run_tower(g, u)):
+        assert tr.status == "input-error"
+        assert tr.detail == "tower input is not p-nil"
+    # the pgl4@5 Borel nilradical, 5^6 vectors, is accepted at budget 10
+    g = build("pgl", 4, 5)
+    check_tower_input(g, standard_borel(g)["nilradical"], budget=10)
 
 
-def test_kempf_input_class_over_budget_is_undetermined():
-    from morozov.radicals import Undetermined
+def test_kempf_input_class_on_pgl_needs_no_budget():
+    # the optimizer's input check decides pgl inputs at any budget: the
+    # pgl4@5 Borel nilradical is accepted, the conjugated root sl2 refused
     g = build("pgl", 4, 5)
     nil = standard_borel(g)["nilradical"]
     check_search_class(g, nil)
-    with pytest.raises(Undetermined):
-        check_search_class(g, nil, budget=10)
+    check_search_class(g, nil, budget=10)
+    g, u = _conjugated_pgl3_root_sl2()
+    for budget in (10, None):
+        with pytest.raises(ValueError):
+            check_search_class(g, u, budget=budget)
+        with pytest.raises(ValueError):
+            optimize(g, u, budget)
 
 
-def test_verify_morozov_hands_its_budget_to_kempf(monkeypatch):
-    from morozov import kempf
+def test_verify_morozov_hands_its_budget_to_the_radicals(monkeypatch):
+    # the Kempf check needs no budget; the radicals, which may still
+    # enumerate, get the caller's
+    from morozov import radicals
     budgets = []
-    optimize = kempf.optimize
 
-    def recording(g, u, budget=None):
-        budgets.append(budget)
-        return optimize(g, u, budget)
+    def recording(name):
+        original = getattr(radicals, name)
 
-    monkeypatch.setattr(kempf, "optimize", recording)
+        def wrapper(g, h, budget=radicals.DEFAULT_BUDGET):
+            budgets.append((name, budget))
+            return original(g, h, budget)
+        monkeypatch.setattr(radicals, name, wrapper)
+
     g = build("pgl", 3, 5)
     trace = run_tower(g, standard_borel(g)["nilradical"])
-    assert verify_morozov(g, trace, budget=4321).checks["kempf"] == "pass"
-    # 5^3 vectors: the Kempf input check is over budget 10, as the tower's
-    # own p-nil gate would be
-    checks = verify_morozov(g, trace, budget=10).checks
-    assert checks["kempf"] == "undetermined"
-    assert checks["u_is_p_radical"] == "pass"
-    assert budgets == [4321, 10]
+    recording("pnil_part_of_radical")
+    recording("p_radical")
+    for budget in (4321, 10):
+        budgets.clear()
+        checks = verify_morozov(g, trace, budget=budget).checks
+        assert checks["kempf"] == "pass"
+        assert checks["u_is_p_radical"] == "pass"
+        assert set(budgets) == {("pnil_part_of_radical", budget),
+                                ("p_radical", budget)}
+
+
+def _towers_pass(g, chosen):
+    """The tower from the nilradical of the standard parabolic `chosen`
+    stabilises at it, and `verify_morozov` passes every check."""
+    nil = standard_parabolic(g, chosen)["nilradical"]
+    trace = run_tower(g, nil)
+    checks = verify_morozov(g, trace).checks
+    checks.pop("kempf_lambda")
+    assert checks.pop("parabolic_status") == "parabolic", chosen
+    assert set(checks.values()) == {"pass"}, (chosen, checks)
+    assert trace.u_limit == nil, chosen
+
+
+@pytest.mark.parametrize("n,p", [(6, 7), (8, 13)])
+def test_pgl_borel_tower_is_decided(n, p):
+    # the p-nil gate needs no walk over the p^dim(u) vectors of the
+    # nilradical (7^15 and 13^28 here)
+    g = build("pgl", n, p)
+    _towers_pass(g, ())
+
+
+def test_every_proper_standard_parabolic_of_sl5_at_3_is_decided():
+    # p = 3: root characters coincide on the finite torus, and the
+    # structured radical path still takes every coordinate-split h
+    g = build("sl", 5, 3)
+    rank = g.frame.rootdatum.rank
+    for mask in range((1 << rank) - 1):
+        _towers_pass(g, tuple(i for i in range(rank) if mask >> i & 1))
