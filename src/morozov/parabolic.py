@@ -16,11 +16,17 @@ is searched for: every such translate contains t, and when the root
 differentials on t are pairwise distinct and nonzero (sp at p >= 5, for
 one) a q containing t is t plus root lines, which the standard frame
 already decides.
-A "not-parabolic" verdict is certified by a battery of extension-stable
-isomorphism invariants that separates the input from every standard
-parabolic of matching dimension (conjugation over the algebraic closure
-preserves each of them).  Anything else is "undetermined" - never a false
-negative.  That includes sp and so parabolics out of standard position.
+A "not-parabolic" verdict on gl/sl/pgl at odd p is certified by the
+frame itself: there the flag of N is the one every parabolic stabilises
+(see flag_frame), so when neither q nor P^-1 q P passes the coordinate
+test, q is not parabolic, over the algebraic closure too, since N and its
+flag commute with extension of scalars.  On sp and so, and at p = 2, where
+a root can vanish on the torus (sl_2), it is certified by a battery of
+extension-stable isomorphism invariants that separates the input from
+every standard parabolic of matching dimension (conjugation over the
+algebraic closure preserves each of them).  Anything else is
+"undetermined" - never a false negative.  That includes sp and so
+parabolics out of standard position.
 """
 
 from __future__ import annotations
@@ -79,9 +85,13 @@ def flag_frame(g: LieAlgebra, q: Subspace) -> Optional[FieldMatrix]:
     of q, with q^perp taken under the trace form of gl_n (and q taken with
     the scalars for pgl).  For a parabolic q, q n q^perp is the nilradical,
     plus the scalars for sl_n with p | n; the bracket with q removes the
-    scalars, so for odd p N is the nilradical and the flag is the one q
-    stabilises.  None for other families, when N = 0, or when the images
-    stall above 0."""
+    scalars, and [q, u] = u because every root e_i - e_j is nonzero on the
+    torus at odd p, so N is the nilradical and the flag is the one q
+    stabilises: P^-1 q P lies in the standard parabolic of that flag type
+    and has its dimension, so it is that parabolic.  None for other
+    families, when N = 0, or when the images stall above 0.  So on
+    gl/sl/pgl at odd p a failure is a certificate: when this is None, or
+    P^-1 q P is not a standard parabolic, q is not parabolic."""
     if g.frame.family not in ("gl", "sl", "pgl") or q.dim == 0:
         return None
     n, p = g.realization.n, g.p
@@ -155,7 +165,7 @@ def detect_parabolic(g: LieAlgebra, q: Subspace) -> ParabolicVerdict:
                                 failure_reason=reason, details=extra)
 
     # a coordinate subset failing the parabolic-subset conditions falls
-    # through to the invariant battery for a certificate
+    # through to the frame certificate or the invariant battery
     partial = coordinate_verdict(q, {})
     if partial is not None and partial.status == "parabolic":
         return partial
@@ -170,6 +180,20 @@ def detect_parabolic(g: LieAlgebra, q: Subspace) -> ParabolicVerdict:
         if verdict is not None and verdict.status == "parabolic":
             verdict.torus_used = conjugate_subspace(g, frame, verdict.torus_used)
             return verdict
+    details = {}
+    if partial is not None:
+        details["coordinate_failure"] = partial.failure_reason
+    reason = details.get("coordinate_failure", "not-parabolic-subset")
+
+    # gl/sl/pgl at odd p: the frame finds every parabolic (see flag_frame),
+    # so its failure is the certificate
+    if g.frame.family in ("gl", "sl", "pgl") and g.p > 2:
+        details["criterion"] = ("type-A flag frame of N = [q, q n q^perp] "
+                                "gives no standard parabolic")
+        if frame is not None:
+            details["frame"] = frame.to_rows()
+        return ParabolicVerdict("not-parabolic", failure_reason=reason,
+                                details=details)
 
     # invariant battery against every standard parabolic of equal
     # dimension, in mask order; their invariants are memoised by dimension
@@ -182,15 +206,10 @@ def detect_parabolic(g: LieAlgebra, q: Subspace) -> ParabolicVerdict:
                         if par.dim == q.dim]
     inv = iso_invariants(g, q)
     matches = [chosen for chosen, pinv in g._memo[key] if pinv == inv]
-    details = {"invariants": repr(inv), "matching_standard_parabolics": matches}
-    if partial is not None:
-        details["coordinate_failure"] = partial.failure_reason
+    details.update(invariants=repr(inv), matching_standard_parabolics=matches)
     if not matches:
-        return ParabolicVerdict(
-            "not-parabolic",
-            failure_reason=(partial.failure_reason if partial is not None
-                            else "not-parabolic-subset"),
-            details=details)
+        return ParabolicVerdict("not-parabolic", failure_reason=reason,
+                                details=details)
     return ParabolicVerdict("undetermined",
                             failure_reason="no-torus-found", details=details)
 

@@ -72,7 +72,15 @@ def test_counterexample_ex1():
         assert contains_borel(sl3, q) is not None
         v = detect_parabolic(sl3, q)
         assert v.status == "not-parabolic"
-        assert v.details["matching_standard_parabolics"] == []
+        assert "flag frame" in v.details["criterion"]
+        # the invariant battery separates q from every standard parabolic
+        # of its dimension as well
+        same_dim = [par for par in (standard_parabolic(sl3, s)["parabolic"]
+                                    for s in _subsets(sl3))
+                    if par.dim == q.dim]
+        assert same_dim
+        assert iso_invariants(sl3, q) not in [iso_invariants(sl3, par)
+                                              for par in same_dim]
         # the literal quotient-algebra reading does not close under brackets
         assert not pgl3.is_subalgebra(ex1_pgl_pattern(pgl3, t))
 
@@ -279,3 +287,99 @@ def test_invariant_battery_reads_only_parabolics_of_equal_dimension(
                                                 "no-torus-found")
         assert v.details["matching_standard_parabolics"] == [()]
     assert calls == [6, 6, 6]
+
+
+# type A at odd p, p | n included (sl3@3, sl6@3, gl4@3, pgl3@3)
+@pytest.mark.parametrize("fam,n,p", [
+    ("sl", 3, 3), ("sl", 3, 5), ("sl", 4, 3), ("sl", 4, 5), ("sl", 4, 7),
+    ("sl", 5, 5), ("sl", 6, 3), ("gl", 3, 5), ("gl", 4, 3), ("pgl", 3, 3),
+    ("pgl", 3, 5), ("pgl", 4, 5)])
+def test_frame_certificate_agrees_with_the_invariant_battery(
+        fam, n, p, monkeypatch):
+    # inputs, each moved by a seeded root-group element: every proper
+    # standard Levi and nilradical; closures of two elements of the Borel;
+    # closures of the torus and seeded root lines that have the dimension
+    # of a standard parabolic but are not parabolic, which the battery
+    # must tell apart from those parabolics
+    g = build(fam, n, p)
+    rng = random.Random(f"certificate:{fam}{n}@{p}")
+    standard = {}
+    for chosen in _subsets(g):
+        par = standard_parabolic(g, chosen)["parabolic"]
+        standard.setdefault(par.dim, []).append(par)
+    inputs = []
+    for chosen in _subsets(g)[:-1]:
+        data = standard_parabolic(g, chosen)
+        for _ in range(2):
+            w = _root_group_element(g, rng)
+            inputs += [conjugate_subspace(g, w, data[role])
+                       for role in ("levi", "nilradical")]
+    proper = len(inputs)
+    borel = standard_borel(g)["parabolic"]
+    for _ in range(4):
+        gens = [g.element([sum(rng.randrange(p) * b[i] for b in borel.basis) % p
+                           for i in range(g.dim)]) for _ in range(2)]
+        inputs.append(conjugate_subspace(g, _root_group_element(g, rng),
+                                         g.subalgebra_closure(gens)))
+    torus = [g.element(list(b)) for b in torus_subspace(g).basis]
+    roots = g.frame.rootdatum.roots
+    coordinate = []
+    for _ in range(200):
+        lines = [g.basis_element(g.frame.root_index[tuple(r)])
+                 for r in rng.sample(roots, rng.randrange(1, len(roots) // 2))]
+        q = g.subalgebra_closure(torus + lines)
+        if (q.dim in standard and q not in coordinate
+                and detect_parabolic(g, q).status == "not-parabolic"):
+            coordinate.append(q)
+            inputs.append(conjugate_subspace(g, _root_group_element(g, rng), q))
+        if len(coordinate) == 2:
+            break
+
+    def no_battery(g, q):
+        raise AssertionError("type A at odd p reached the invariant battery")
+
+    monkeypatch.setattr(parabolic, "iso_invariants", no_battery)
+    verdicts = [detect_parabolic(g, q) for q in inputs]
+    monkeypatch.undo()
+    # the battery compares q only with standard parabolics of its dimension
+    invariants = {}
+    for q, v in zip(inputs, verdicts):
+        assert v.status in ("parabolic", "not-parabolic")
+        if v.status == "not-parabolic":
+            assert "flag frame" in v.details["criterion"]
+            if q.dim not in standard:
+                continue
+            if q.dim not in invariants:
+                invariants[q.dim] = [iso_invariants(g, par)
+                                     for par in standard[q.dim]]
+            assert iso_invariants(g, q) not in invariants[q.dim]
+    assert all(v.status == "not-parabolic" for v in verdicts[:proper])
+
+
+def _borel_conjugated_at_2(g):
+    """The standard Borel of a type-A algebra at p = 2, conjugated by the
+    unipotent matrix 1 + E_21."""
+    n = g.realization.n
+    entries = list(FieldMatrix.identity(n, 2).entries)
+    entries[n] = 1
+    b = standard_borel(g)["parabolic"]
+    q = conjugate_subspace(g, FieldMatrix(n, n, 2, entries), b)
+    assert q != b
+    return q
+
+
+def test_sl2_at_2_borel_out_of_standard_position_is_not_refuted():
+    # the root vanishes on the torus of sl2@2, so N = [q, q n q^perp] = 0
+    # for this Borel: a failed frame proves nothing at p = 2
+    g = build("sl", 2, 2)
+    v = detect_parabolic(g, _borel_conjugated_at_2(g))
+    assert (v.status, v.failure_reason) == ("undetermined", "no-torus-found")
+
+
+@pytest.mark.parametrize("fam,n", [("gl", 2), ("pgl", 2), ("sl", 3),
+                                   ("gl", 3)])
+def test_type_a_borels_at_2_out_of_standard_position_are_parabolic(fam, n):
+    g = build(fam, n, 2)
+    v = detect_parabolic(g, _borel_conjugated_at_2(g))
+    assert v.status == "parabolic"
+    assert v.details["frame_translate"] is True

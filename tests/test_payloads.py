@@ -59,6 +59,20 @@ def test_detect_payload_conjugated_sp4_at_7(role, digest):
     assert _sha1({"verdict": verdict.as_dict()}) == digest
 
 
+@pytest.mark.parametrize("chosen,role,digest", [
+    ((0,), "levi", "1cd67adee0277d27c495b02686a3d6a1c440a971"),
+    ((), "nilradical", "2d94f9ef78fbbefd78cd9f1bf4e80cfec7bdaa75"),
+])
+def test_detect_payload_conjugated_sl4_at_5(chosen, role, digest):
+    # not-parabolic by the type-A frame certificate; the Borel nilradical's
+    # verdict carries the frame
+    g = build("sl", 4, 5)
+    q = standard_parabolic(g, chosen)[role]
+    moved = conjugate_subspace(g, _root_group_word(g, random.Random(3)), q)
+    verdict = parabolic.detect_parabolic(g, moved)
+    assert _sha1({"verdict": verdict.as_dict()}) == digest
+
+
 def test_kempf_payload_sp6_at_7():
     g = build("sp", 6, 7)
     u = standard_parabolic(g, (0,))["nilradical"]
