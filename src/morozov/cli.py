@@ -93,7 +93,7 @@ def cmd_algebra_build(args) -> int:
 def cmd_tower_run(args) -> int:
     g = _algebra_from_args(args)
     u0 = _subspace_from_args(args, g)
-    trace = tower.run_tower(g, u0, max_steps=args.max_steps, budget=args.budget)
+    trace = tower.run_tower(g, u0, budget=args.budget)
     report = tower.verify_morozov(g, trace, budget=args.budget) \
         if trace.status == "stabilized" else None
     payload = {"trace": trace.as_dict(),
@@ -258,7 +258,6 @@ def make_parser() -> argparse.ArgumentParser:
     tw = groups.add_parser("tower").add_subparsers(dest="action", required=True)
     r = tw.add_parser("run")
     _add_common(r, subspace=True)
-    r.add_argument("--max-steps", type=int, default=None)
     r.add_argument("--budget", type=int, default=radicals.DEFAULT_BUDGET)
     r.set_defaults(fn=cmd_tower_run)
 

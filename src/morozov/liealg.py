@@ -34,18 +34,20 @@ class Realization:
 class TorusFrame:
     """Standard-torus bookkeeping for a built family: which basis indices
     span the diagonal Cartan, the root attached to every other index, and
-    the embedding of cocharacter vectors as diagonal exponent patterns."""
+    the weight of every row of the realization (`build`), which embeds
+    cocharacter vectors as diagonal exponent patterns."""
 
     def __init__(self, family: str, n: int, rootdatum: RootDatum,
                  torus_indices: Sequence[int], index_root: dict,
-                 cochar_rank: int, sum_zero: bool):
+                 position_weights: Sequence[tuple], sum_zero: bool):
         self.family = family
         self.n = n
         self.rootdatum = rootdatum
         self.torus_indices = tuple(torus_indices)
         self.index_root = dict(index_root)
         self.root_index = {r: i for i, r in index_root.items()}
-        self.cochar_rank = cochar_rank
+        self.position_weights = tuple(position_weights)
+        self.cochar_rank = len(self.position_weights[0])
         self.sum_zero = sum_zero
 
     def diag_exponents(self, lam: Sequence[int]) -> list:
@@ -55,15 +57,8 @@ class TorusFrame:
             raise ValueError("cocharacter length mismatch")
         if self.sum_zero and sum(lam) != 0:
             raise ValueError("sum-zero cocharacter required for this family")
-        if self.family in ("gl", "sl", "pgl"):
-            return lam
-        if self.family == "sp":
-            return lam + [-x for x in lam]
-        if self.family == "so":
-            k = self.cochar_rank
-            middle = [0] if self.n % 2 else []
-            return lam + middle + [-x for x in reversed(lam)]
-        raise ValueError(self.family)
+        return [sum(a * b for a, b in zip(lam, w))
+                for w in self.position_weights]
 
     def weight(self, lam: Sequence[int], basis_index: int) -> int:
         root = self.index_root.get(basis_index)
@@ -407,27 +402,34 @@ class LieAlgebra:
             w = new
         return w
 
-    # -- exponentials -----------------------------------------------------
+    # -- nilpotent lifts and exponentials --------------------------------
 
-    def _nilpotent_representative(self, x: "Element") -> FieldMatrix:
-        m = self.matrix_of(x.coords)
-        if not self.realization.mod_scalars:
-            if not m.is_nilpotent():
-                raise ValueError("element is not a nilpotent matrix")
-            return m
-        n = self.realization.n
-        for c in range(self.p):
-            shifted = m + FieldMatrix.identity(n, self.p).scale(c)
-            if shifted.is_nilpotent():
-                return shifted
-        raise ValueError("no nilpotent representative exists for this class")
+    def nilpotent_lift(self, coords: Sequence[int]) -> Optional[FieldMatrix]:
+        """The matrix M of x when it is nilpotent, else None; on pgl, the
+        one representative M - c, c in F_p, that is nilpotent.  So x is
+        p-nilpotent exactly when this is not None: x^[p]^m is the class of
+        M^(p^m), which is 0 exactly when M is nilpotent, and on pgl scalar
+        exactly when M has a single eigenvalue lambda.  That lambda lies in
+        F_p: for n = p^a n' with p not dividing n', the characteristic
+        polynomial (t^(p^a) - lambda^(p^a))^n' has the coefficient
+        -n' lambda^(p^a) in F_p, and Frobenius is injective.  Then, for
+        p^m >= n, M^(p^m) = lambda + (M - lambda)^(p^m) is lambda, read off
+        its first entry."""
+        m = self.matrix_of(coords)
+        if self.realization.mod_scalars:
+            n, q = self.realization.n, self.p
+            while q < n:
+                q *= self.p
+            m = m - FieldMatrix.identity(n, self.p).scale(m.pow(q).entries[0])
+        return m if m.is_nilpotent() else None
 
     def exp_trunc(self, x: "Element") -> FieldMatrix:
-        """Truncated exponential sum_{i<p} X^i / i! of a nilpotent
-        representative with nilpotency order < p."""
-        m = self._nilpotent_representative(x)
-        order = m.nilpotency_order()
-        if order is None or order > self.p - 1:
+        """Truncated exponential sum_{i<p} X^i / i! of the nilpotent lift X
+        of x, which must have nilpotency order < p."""
+        m = self.nilpotent_lift(x.coords)
+        if m is None:
+            raise ValueError("element has no nilpotent representative")
+        if m.nilpotency_order() > self.p - 1:
             raise ValueError("matrix nilpotency order must be < p")
         return exp_trunc_matrix(m, self.p)
 
@@ -588,12 +590,6 @@ def jacobson_defect_reference(x: Element, y: Element) -> Element:
 # Family constructions
 # ---------------------------------------------------------------------------
 
-def _unit_matrix(n: int, p: int, i: int, j: int, c: int = 1) -> FieldMatrix:
-    entries = [0] * (n * n)
-    entries[i * n + j] = c % p
-    return FieldMatrix(n, n, p, entries)
-
-
 def _roots_sorted(rd: RootDatum):
     def height(r):
         return sum(rd.simple_coefficients(list(r)))
@@ -601,149 +597,94 @@ def _roots_sorted(rd: RootDatum):
     return pos + [tuple(-x for x in r) for r in pos]
 
 
-def _build_gl_like(family: str, n: int, p: int) -> LieAlgebra:
-    rd = build_rootdatum("A", n - 1)
-    mats, labels, index_root = [], [], {}
-    if family == "gl":
-        torus_count = n
-        for i in range(n):
-            mats.append(_unit_matrix(n, p, i, i))
-            labels.append(f"t{i + 1}")
-    elif family == "pgl":
-        # classes of the first n-1 diagonal units stay independent mod
-        # scalars for every p, unlike the sl-style differences when p | n
-        torus_count = n - 1
-        for i in range(n - 1):
-            mats.append(_unit_matrix(n, p, i, i))
-            labels.append(f"t{i + 1}")
-    else:
-        torus_count = n - 1
-        for i in range(n - 1):
-            m = _unit_matrix(n, p, i, i) - _unit_matrix(n, p, i + 1, i + 1)
-            mats.append(m)
-            labels.append(f"h{i + 1}")
-    for root in _roots_sorted(rd):
-        i = root.index(1)
-        j = root.index(-1)
-        index_root[len(mats)] = root
-        mats.append(_unit_matrix(n, p, i, j))
-        labels.append(f"e{i + 1}{j + 1}" if i < j else f"f{j + 1}{i + 1}")
-    frame = TorusFrame(family, n, rd, range(torus_count), index_root,
-                       cochar_rank=n, sum_zero=family in ("sl", "pgl"))
-    real = Realization(n, tuple(mats), mod_scalars=(family == "pgl"))
-    return LieAlgebra(p, labels, real, frame=frame, family=f"{family}{n}")
-
-
-def _sp_root_matrix(n: int, p: int, root: tuple) -> FieldMatrix:
-    N = 2 * n
-    pos = [i for i, c in enumerate(root) if c]
-    if len(pos) == 1:
-        i = pos[0]
-        c = root[i]
-        if c == 2:
-            return _unit_matrix(N, p, i, n + i)
-        if c == -2:
-            return _unit_matrix(N, p, n + i, i)
-        raise ValueError(root)
-    i, j = pos
-    ci, cj = root[i], root[j]
-    if ci == 1 and cj == -1:
-        return _unit_matrix(N, p, i, j) - _unit_matrix(N, p, n + j, n + i)
-    if ci == -1 and cj == 1:
-        return _unit_matrix(N, p, j, i) - _unit_matrix(N, p, n + i, n + j)
-    if ci == 1 and cj == 1:
-        return _unit_matrix(N, p, i, n + j) + _unit_matrix(N, p, j, n + i)
-    if ci == -1 and cj == -1:
-        return _unit_matrix(N, p, n + j, i) + _unit_matrix(N, p, n + i, j)
-    raise ValueError(root)
-
-
-def _build_sp(n: int, p: int) -> LieAlgebra:
-    """sp_{2n} for the form J = [[0, I], [-I, 0]]."""
-    rd = build_rootdatum("C", n)
-    N = 2 * n
-    mats, labels, index_root = [], [], {}
-    for i in range(n):
-        mats.append(_unit_matrix(N, p, i, i) - _unit_matrix(N, p, n + i, n + i))
-        labels.append(f"t{i + 1}")
-    for root in _roots_sorted(rd):
-        index_root[len(mats)] = root
-        mats.append(_sp_root_matrix(n, p, root))
-        labels.append("x" + str(root).replace(" ", ""))
-    frame = TorusFrame("sp", n, rd, range(n), index_root,
-                       cochar_rank=n, sum_zero=False)
-    return LieAlgebra(p, labels, Realization(N, tuple(mats), False),
-                      frame=frame, family=f"sp{N}")
-
-
-def _build_so(m: int, p: int) -> LieAlgebra:
-    """so_m for the antidiagonal symmetric form (split form, p odd)."""
-    if p == 2:
-        raise ValueError("so is not supported at p = 2")
-    k = m // 2
-    rd = build_rootdatum("B", k) if m % 2 else build_rootdatum("D", k)
-    mirror = lambda i: m - 1 - i
-
-    def x(i, j):
-        return _unit_matrix(m, p, i, j) - _unit_matrix(m, p, mirror(j), mirror(i))
-
-    mats, labels, index_root = [], [], {}
-    for i in range(k):
-        mats.append(x(i, i))
-        labels.append(f"t{i + 1}")
-
-    # weight of position (i, j) under the standard torus
-    def posweight(i):
-        if i < k:
-            return [1 if t == i else 0 for t in range(k)]
-        if mirror(i) < k:
-            return [-1 if t == mirror(i) else 0 for t in range(k)]
-        return [0] * k
-
-    seen = set()
-    root_mat = {}
-    for i in range(m):
-        for j in range(m):
-            if i == j or j == mirror(i):
-                continue
-            key = frozenset(((i, j), (mirror(j), mirror(i))))
-            if key in seen:
-                continue
-            seen.add(key)
-            w = tuple(a - b for a, b in zip(posweight(i), posweight(j)))
-            root_mat[w] = x(i, j)
-    for root in _roots_sorted(rd):
-        if root not in root_mat:
-            raise AssertionError("so frame mismatch")
-        index_root[len(mats)] = root
-        mats.append(root_mat[root])
-        labels.append("x" + str(root).replace(" ", ""))
-    frame = TorusFrame("so", m, rd, range(k), index_root,
-                       cochar_rank=k, sum_zero=False)
-    return LieAlgebra(p, labels, Realization(m, tuple(mats), False),
-                      frame=frame, family=f"so{m}")
-
-
 @lru_cache(maxsize=None)
 def build(family: str, n: int, p: int) -> LieAlgebra:
     """Build gl_n, sl_n or pgl_n (2 <= n <= 8), sp_n (n = 2k, 4 <= n <= 10)
     or so_n (5 <= n <= 11).  The upper ends are the largest matrix sizes
     whose algebra fits the dimension cap gfp.MAX_DIM = 64 (gl_8 has
-    dimension 64, sp_10 55, so_11 55; sp_12 and so_12 exceed it)."""
+    dimension 64, sp_10 55, so_11 55; sp_12 and so_12 exceed it).
+
+    One rule builds every family.  sp_2k preserves J = [[0, I], [-I, 0]]
+    and so_n the antidiagonal symmetric form J (split, p odd).  Both are
+    monomial, J e_c = sign_c e_perm(c), so J^-1 E_ba J is
+    sign_perm(a) sign_perm(b) E_perm(b),perm(a) with no matrix product.
+    Under the standard torus, row a of an n x n matrix has the weight e_a,
+    or on sp and so e_a for a < k, -e_c for perm(a) = c < k, and 0 else;
+    position (a, b) has weight(a) - weight(b).  The root vector of a root
+    alpha is X_ab = E_ab - J^-1 E_ba J at the first row-major position
+    (a, b) of weight alpha, halved when it equals 2 E_ab, and plain E_ab on
+    type A.  The sp/so torus is X_aa for a < k; the type-A torus is the
+    diagonal units (pgl drops the last) or, on sl, their differences."""
     check_modulus(p)
     if family in ("gl", "sl", "pgl"):
         if n < 2 or n > 8:
             raise ValueError("gl/sl/pgl supported for 2 <= n <= 8")
-        return _build_gl_like(family, n, p)
-    if family == "sp":
+        rank, rd, perm, sign = n, build_rootdatum("A", n - 1), None, None
+    elif family == "sp":
         if n % 2 or n < 4 or n > 10:
             raise ValueError("sp takes the matrix size 2k, 4 <= 2k <= 10")
-        return _build_sp(n // 2, p)
-    if family == "so":
+        rank = n // 2
+        rd = build_rootdatum("C", rank)
+        perm = [(c + rank) % n for c in range(n)]
+        sign = [-1] * rank + [1] * rank
+    elif family == "so":
         if n < 5 or n > 11:
             raise ValueError("so supported for 5 <= n <= 11")
-        return _build_so(n, p)
-    raise ValueError(f"unknown family {family!r}")
+        if p == 2:
+            raise ValueError("so is not supported at p = 2")
+        rank = n // 2
+        rd = build_rootdatum("B" if n % 2 else "D", rank)
+        perm, sign = list(reversed(range(n))), [1] * n
+    else:
+        raise ValueError(f"unknown family {family!r}")
+
+    def root_vector(a, b):
+        entries = [0] * (n * n)
+        entries[a * n + b] = 1
+        if perm:
+            entries[perm[b] * n + perm[a]] -= sign[perm[a]] * sign[perm[b]]
+            if entries[a * n + b] == 2:
+                entries[a * n + b] = 1
+        return FieldMatrix(n, n, p, entries)
+
+    weights = []
+    for a in range(n):
+        w = [0] * rank
+        if a < rank:
+            w[a] = 1
+        elif perm[a] < rank:        # type A has rank n, so only sp and so
+            w[perm[a]] = -1
+        weights.append(tuple(w))
+    first = {}      # weight -> its first row-major position
+    for a, wa in enumerate(weights):
+        for b, wb in enumerate(weights):
+            first.setdefault(tuple(x - y for x, y in zip(wa, wb)), (a, b))
+
+    if perm:
+        torus = [(f"t{i + 1}", root_vector(i, i)) for i in range(rank)]
+    elif family == "sl":
+        torus = [(f"h{i + 1}", root_vector(i, i) - root_vector(i + 1, i + 1))
+                 for i in range(n - 1)]
+    else:
+        # classes of the first n-1 diagonal units stay independent mod
+        # scalars for every p, unlike the sl-style differences when p | n
+        torus = [(f"t{i + 1}", root_vector(i, i))
+                 for i in range(n if family == "gl" else n - 1)]
+    labels = [label for label, _ in torus]
+    mats = [m for _, m in torus]
+    index_root = {}
+    for root in _roots_sorted(rd):
+        a, b = first[root]
+        index_root[len(mats)] = root
+        mats.append(root_vector(a, b))
+        labels.append("x" + str(root).replace(" ", "") if perm
+                      else f"e{a + 1}{b + 1}" if a < b else f"f{b + 1}{a + 1}")
+    # the sp frame records the rank k, as the family stamp of its payload does
+    frame = TorusFrame(family, rank if family == "sp" else n, rd,
+                       range(len(torus)), index_root, weights,
+                       sum_zero=family in ("sl", "pgl"))
+    return LieAlgebra(p, labels, Realization(n, tuple(mats), family == "pgl"),
+                      frame=frame, family=f"{family}{n}")
 
 
 # ---------------------------------------------------------------------------

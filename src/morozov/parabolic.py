@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .gfp import FieldMatrix, Subspace, kernel, rref
+from .gfp import FieldMatrix, Subspace, rref, solve_linear
 from .liealg import (LieAlgebra, conjugate_subspace, coordinate_split,
                      standard_borel, standard_parabolic, weyl_matrices)
 from .radicals import SubView
@@ -99,10 +99,10 @@ def flag_frame(g: LieAlgebra, q: Subspace) -> Optional[FieldMatrix]:
     if g.realization.mod_scalars:
         mats.append(FieldMatrix.identity(n, p))
     span = Subspace.from_vectors([m.entries for m in mats], n * n, p)
-    # tr(xy) = sum x_ij y_ji: the condition on y is x transposed
-    perp = kernel(FieldMatrix.from_rows(
-        [FieldMatrix(n, n, p, x).transpose().entries for x in span.basis], p))
-    ideal = [FieldMatrix(n, n, p, y) for y in span.intersect(perp).basis]
+    # q n q^perp: tr(xy) = sum x_ij y_ji, so the condition on y is x transposed
+    forms = [FieldMatrix(n, n, p, x).transpose().entries for x in span.basis]
+    ideal = [FieldMatrix(n, n, p, y) for y in solve_linear(span, lambda y: [
+        sum(a * b for a, b in zip(f, y)) % p for f in forms]).basis]
     nil = [FieldMatrix(n, n, p, x) for x in Subspace.from_vectors(
         [(x @ y - y @ x).entries for x in mats for y in ideal], n * n, p).basis]
     if not nil:

@@ -30,13 +30,18 @@ Strategy notes:
   * in that split, the torus part of rad(h) is one linear solve: a torus
     vector lies in rad(h) exactly when it kills every root line whose
     spin ideal is not solvable;
-  * a subalgebra u is p-nil exactly when u is nilpotent and every vector
-    of one basis is p-nilpotent, on every family: => is Engel's theorem,
-    since ad(x^[p]^m) = (ad x)^(p^m); <= holds because the p-envelope of
-    a nilpotent u is nilpotent, and in a nilpotent restricted algebra the
-    p-nilpotent elements form a p-ideal by Jacobson's formula
-    (Strade-Farnsteiner, Modular Lie Algebras and Their Representations,
-    1988, ch. 2);
+  * an element is p-nilpotent exactly when it has a nilpotent lift
+    (`LieAlgebra.nilpotent_lift`: its matrix, shifted by a scalar on pgl);
+  * the p-nil gate takes a subalgebra u to be p-nil when u is nilpotent
+    and every vector of one basis is p-nilpotent.  => always holds, by
+    Engel's theorem, since ad(x^[p]^m) = (ad x)^(p^m).  <= is proved only
+    when u has nilpotency class < p: then Jacobson's commutators of length
+    p vanish on u, each b^[p] centralises u and the b^[p] commute, so the
+    p-map is p-semilinear on the span of the iterates (Strade-Farnsteiner,
+    Modular Lie Algebras and Their Representations, 1988, ch. 2).  Past
+    that class it can fail: ROADMAP item 10 gives a 3-dimensional
+    nilpotent subalgebra of sl3 at p = 2 whose three basis vectors are
+    p-nilpotent while 4 of its 7 nonzero elements are not;
   * enumeration with an explicit budget (one walk, `_enumerate_cone`, for
     the p- and ad_h-nilpotent cones of a radical) is the general fallback,
     and exceeding the budget is an Undetermined outcome, never a guess.
@@ -170,32 +175,11 @@ class QuotientView(View):
 # p-nilpotency
 # ---------------------------------------------------------------------------
 
-def _faithful(g: LieAlgebra) -> bool:
-    """Whether the p-power of g is the matrix p-th power of its
-    realization: gl, sl, sp and so, but not pgl (realized up to scalars)
-    and not a view (no realization)."""
-    return g.realization is not None and not g.realization.mod_scalars
-
-
-def _vec_p_nilpotent(alg: LieAlgebra, x) -> Optional[bool]:
-    """x^[p]^m = 0 for some m <= dim, by iterating alg.p_power_vec; None
-    when a p-power leaves the carrier of a view."""
-    cur = list(x)
-    for _ in range(alg.dim + 1):
-        if not any(cur):
-            return True
-        cur = alg.p_power_vec(cur)
-        if cur is None:
-            return None
-    return not any(cur)
-
-
 def is_p_nilpotent(x: Element) -> bool:
-    """x^[p]^m = 0 for some m <= dim.  On a faithful realization x^[p]^m
-    is the matrix power x^(p^m), so this is nilpotency of x's matrix."""
-    if _faithful(x.algebra):
-        return x.matrix().is_nilpotent()
-    return _vec_p_nilpotent(x.algebra, x.coords)
+    """x^[p]^m = 0 for some m: exactly when x has a nilpotent lift
+    (`LieAlgebra.nilpotent_lift`), on every family, pgl included.  x must
+    lie in a realized algebra, not in a view."""
+    return x.algebra.nilpotent_lift(x.coords) is not None
 
 
 def _enumerate_cone(g: LieAlgebra, r: Subspace, test, budget: int) -> tuple:
@@ -228,9 +212,9 @@ def _ad_nilpotent_test(g: LieAlgebra, h: Subspace):
 
 
 def is_p_nil_subalgebra(g: LieAlgebra, u: Subspace) -> bool:
-    """Whether every element of the subalgebra u is p-nilpotent: exactly
-    when u is nilpotent and every basis vector is p-nilpotent (module
-    notes).  Exact on every family and at every size, with no budget."""
+    """Whether every element of the subalgebra u is p-nilpotent, taken as:
+    u is nilpotent and every basis vector is p-nilpotent.  No budget; exact
+    when u has nilpotency class < p (module notes)."""
     return g.is_nilpotent(u) and all(
         is_p_nilpotent(g.element(list(b))) for b in u.basis)
 
@@ -421,14 +405,21 @@ def pnil_part_of_radical(g: LieAlgebra, h: Subspace,
 
 def p_radical(g: LieAlgebra, h: Subspace, budget: int = DEFAULT_BUDGET) -> dict:
     """Maximal p-nil ideal of h: refine the p-nilpotent cone of rad(h) by
-    the largest-ideal fixed point until every element is p-nilpotent."""
+    the largest-ideal fixed point until every element is p-nilpotent.
+    Undetermined when a round leaves the candidate unchanged: its
+    p-nilpotent elements span it, yet it is not p-nil (sl3 at p = 2, the
+    standard parabolic S = (0,))."""
     part = pnil_part_of_radical(g, h, budget)
     cone_flag = part["cone_is_subspace"]
     cand = g.largest_ideal_inside(h, part["span"])
     # inside a cone that is a subspace, cand is all p-nilpotent
     while not (cone_flag or is_p_nil_subalgebra(g, cand)):
         span, _ = _enumerate_cone(g, cand, _p_nilpotent_test(g), budget)
-        cand = g.largest_ideal_inside(h, span)
+        refined = g.largest_ideal_inside(h, span)
+        if refined == cand:
+            raise Undetermined("the p-nilpotent elements of the candidate "
+                               "span it, but it is not p-nil; rad_p undecided")
+        cand = refined
     p_closed = all(
         cand.contains_vector(g.p_power_vec(list(b))) for b in cand.basis)
     return {"rad_p": cand, "cone_is_subspace": cone_flag,

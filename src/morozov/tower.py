@@ -66,9 +66,10 @@ class TowerTrace:
 
 def check_tower_input(g: LieAlgebra, u: Subspace, budget=None) -> None:
     """Hypothesis check: u must be a restricted p-nil subalgebra.  The
-    p-nil gate is `radicals.check_p_nil`, exact on every family with no
-    budget.  `budget` is unused: `perfbench/test_perfbench.py` still
-    passes it, and it stays until the benchmark drops it."""
+    p-nil gate is `radicals.check_p_nil`, with no budget, exact when u has
+    nilpotency class < p.  `budget` is unused:
+    `perfbench/test_perfbench.py` still passes it, and it stays until the
+    benchmark drops it."""
     if not g.is_subalgebra(u):
         raise ValueError("tower input is not a subalgebra")
     for b in u.basis:
@@ -85,10 +86,9 @@ def tower_step(g: LieAlgebra, u: Subspace,
     return q, part["span"], part
 
 
-def run_tower(g: LieAlgebra, u0: Subspace, max_steps: Optional[int] = None,
+def run_tower(g: LieAlgebra, u0: Subspace,
               budget: int = radicals.DEFAULT_BUDGET) -> TowerTrace:
-    if max_steps is None:
-        max_steps = 2 * g.dim + 2
+    max_steps = 2 * g.dim + 2
     try:
         check_tower_input(g, u0)
     except ValueError as exc:

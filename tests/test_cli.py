@@ -1,0 +1,153 @@
+"""The command-line front end: every exit code a subcommand can give, 0
+(success), 1 (a check failed), 2 (undetermined) and 3 (input error), and
+byte-identical canonical JSON from two runs of the same command."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from morozov import fixtures
+from morozov.cli import (EXIT_CHECK_FAILED, EXIT_INPUT, EXIT_OK,
+                         EXIT_UNDETERMINED, main)
+from morozov.gfp import FieldMatrix
+from morozov.liealg import (build, conjugate_subspace, standard_borel,
+                            standard_parabolic)
+from morozov.serialize import canonical_json, subspace_to_dict
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _sl3_borel(role):
+    return standard_borel(build("sl", 3, 5))[role]
+
+
+def _sl3_conjugated(role):
+    # moved by 1 + E_31 out of standard position, where the radicals are
+    # enumerated
+    w = FieldMatrix.identity(3, 5) + FieldMatrix(
+        3, 3, 5, [int(i == 6) for i in range(9)])
+    return conjugate_subspace(build("sl", 3, 5), w, _sl3_borel(role))
+
+
+def _sl3_line(label):
+    g = build("sl", 3, 5)
+    return g.subspace([g.element_by_label(label).coords])
+
+
+def _sl3_not_closed():
+    g = build("sl", 3, 5)
+    return g.subspace([g.element_by_label(x).coords for x in ("e12", "f12")])
+
+
+def _sl2_at_2_borel_conjugated():
+    # the Borel of sl2@2 moved by [[1, 0], [1, 1]] stays undetermined
+    g = build("sl", 2, 2)
+    w = FieldMatrix.from_rows([[1, 0], [1, 1]], 2)
+    return conjugate_subspace(g, w, standard_borel(g)["parabolic"])
+
+
+SUBSPACES = {
+    "sl3-nil": lambda: _sl3_borel("nilradical"),
+    "sl3-borel": lambda: _sl3_borel("parabolic"),
+    "sl3-levi": lambda: standard_parabolic(build("sl", 3, 5), (0,))["levi"],
+    "sl3-nil-conj": lambda: _sl3_conjugated("nilradical"),
+    "sl3-borel-conj": lambda: _sl3_conjugated("parabolic"),
+    "sl3-h1": lambda: _sl3_line("h1"),
+    "sl3-not-closed": _sl3_not_closed,
+    "pgl3-ex2": lambda: fixtures.ex2_subalgebra(build("pgl", 3, 3)),
+    "sl2@2-borel-conj": _sl2_at_2_borel_conjugated,
+}
+
+FILTRATIONS = {
+    "hn-ok": {"factors": [[1, 2], [1, 0], [1, -2]], "zero_index": 1},
+    "hn-unordered": {"factors": [[1, 0], [1, 2], [1, -2]], "zero_index": 0},
+    "hn-malformed": {"factors": [[1, 0]]},
+}
+
+SL3 = ["--family", "sl", "--n", "3", "--p", "5"]
+
+# (argv, expected exit code); "@name" is replaced by the path of a file
+# holding SUBSPACES[name] or FILTRATIONS[name]
+CASES = [
+    (["algebra", "build", *SL3], EXIT_OK),
+    (["algebra", "build", "--family", "sl", "--n", "9", "--p", "5"], EXIT_INPUT),
+    (["tower", "run", *SL3, "--subspace", "@sl3-nil"], EXIT_OK),
+    # the ex2 limit is not parabolic, so verification fails
+    (["tower", "run", "--family", "pgl", "--n", "3", "--p", "3",
+      "--subspace", "@pgl3-ex2"], EXIT_CHECK_FAILED),
+    (["tower", "run", *SL3, "--subspace", "@sl3-nil-conj", "--budget", "10"],
+     EXIT_UNDETERMINED),
+    (["tower", "run", *SL3, "--subspace", "@sl3-h1"], EXIT_INPUT),
+    (["parabolic", "detect", *SL3, "--subspace", "@sl3-borel"], EXIT_OK),
+    (["parabolic", "detect", *SL3, "--subspace", "@sl3-levi"], EXIT_CHECK_FAILED),
+    (["parabolic", "detect", "--family", "sl", "--n", "2", "--p", "2",
+      "--subspace", "@sl2@2-borel-conj"], EXIT_UNDETERMINED),
+    (["parabolic", "detect", *SL3, "--subspace", "@sl3-not-closed"], EXIT_INPUT),
+    (["kempf", "optimize", *SL3, "--subspace", "@sl3-nil"], EXIT_OK),
+    (["kempf", "optimize", *SL3, "--subspace", "@sl3-h1"], EXIT_UNDETERMINED),
+    (["kempf", "optimize", "--family", "sl", "--n", "3", "--p", "7",
+      "--subspace", "@sl3-nil"], EXIT_INPUT),
+    (["radical", "compute", *SL3, "--subspace", "@sl3-borel"], EXIT_OK),
+    (["radical", "compute", *SL3, "--subspace", "@sl3-borel-conj",
+      "--budget", "10"], EXIT_UNDETERMINED),
+    (["radical", "compute", *SL3, "--subspace", "@sl3-not-closed"], EXIT_INPUT),
+    (["prime", "classify", "--type", "A", "--n", "2", "--p", "5"], EXIT_OK),
+    (["prime", "classify", "--type", "Z", "--p", "5"], EXIT_INPUT),
+    (["hn", "check", "--filtration", "@hn-ok"], EXIT_OK),
+    (["hn", "check", "--filtration", "@hn-unordered"], EXIT_CHECK_FAILED),
+    (["hn", "check", "--filtration", "@hn-malformed"], EXIT_INPUT),
+]
+
+
+def _materialise(argv, tmp_path):
+    out = []
+    for arg in argv:
+        if arg.startswith("@"):
+            name = arg[1:]
+            data = FILTRATIONS[name] if name in FILTRATIONS \
+                else subspace_to_dict(SUBSPACES[name]())
+            path = tmp_path / f"{name}.json"
+            path.write_text(canonical_json(data))
+            arg = str(path)
+        out.append(arg)
+    return out
+
+
+@pytest.mark.parametrize("argv,code", CASES,
+                         ids=[f"{a[0]}-{a[1]}-{c}" for a, c in CASES])
+def test_exit_code_and_byte_identical_json(argv, code, tmp_path, capsys):
+    argv = _materialise(argv, tmp_path)
+    runs = []
+    for _ in range(2):
+        assert main(argv) == code
+        runs.append(capsys.readouterr())
+    assert runs[0].out == runs[1].out
+    if runs[0].out:
+        assert runs[0].out == canonical_json(json.loads(runs[0].out))
+    else:
+        # input errors raised before any payload go to stderr alone
+        assert code == EXIT_INPUT
+        assert runs[0].err.startswith("input error:")
+
+
+def test_two_processes_give_byte_identical_json(tmp_path):
+    # a fresh interpreter each, with different hash seeds, so that no memo
+    # and no set or dict order is shared
+    argv = _materialise(["tower", "run", *SL3, "--subspace", "@sl3-nil"],
+                        tmp_path)
+    outs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [SRC, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-m", "morozov.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert done.returncode == EXIT_OK, done.stderr
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["verification"]["parabolic"] == "pass"

@@ -244,6 +244,18 @@ def test_p_radical_of_parabolic_is_nilradical():
         assert out["rad_p"] == data["nilradical"]
 
 
+def test_p_radical_stops_when_a_round_does_not_shrink():
+    # sl3 at p = 2, S = (0,): the p-nilpotent elements of the candidate
+    # span it, yet it is not p-nil, so another round would give it back
+    g = build("sl", 3, 2)
+    data = standard_parabolic(g, (0,))
+    with pytest.raises(Undetermined, match="rad_p undecided"):
+        p_radical(g, data["parabolic"])
+    trace = run_tower(g, data["nilradical"])
+    assert trace.status == "stabilized" and trace.q_limit == data["parabolic"]
+    assert verify_morozov(g, trace).checks["u_is_p_radical"] == "undetermined"
+
+
 def test_radical_chain_and_closures():
     for fam, n, p in (("sl", 3, 5), ("sp", 4, 3), ("sl", 4, 7), ("pgl", 3, 3)):
         g = build(fam, n, p)
@@ -287,15 +299,19 @@ def test_quotient_p_radical_idempotence():
         quot = QuotientView(view, view.restrict_subspace(ideal))
         # enumerate the radical of the quotient and check no nonzero
         # p-nil ideal survives
-        from morozov.radicals import _solvable_radical_view, _vec_p_nilpotent
+        from morozov.radicals import _solvable_radical_view
         rad_quot = _solvable_radical_view(quot, 10 ** 6)
         pnil = []
         for v in rad_quot.enumerate_vectors():
-            if any(v):
-                res = _vec_p_nilpotent(quot, v)
-                assert res is not None
-                if res:
-                    pnil.append(v)
+            # literal iteration of the quotient's p-map: x^[p]^m, m <= dim
+            cur = list(v)
+            for _ in range(quot.dim + 1):
+                if not any(cur):
+                    break
+                cur = quot.p_power_vec(cur)
+                assert cur is not None
+            if any(v) and not any(cur):
+                pnil.append(v)
         assert not pnil
 
 
@@ -368,11 +384,15 @@ def _random_vector(space, rng):
 
 @pytest.mark.parametrize("fam,n,p,samples", [
     ("sl", 2, 5, None), ("sl", 3, 3, None), ("gl", 2, 5, None),
-    ("sp", 4, 5, 2000), ("so", 5, 5, 2000), ("pgl", 3, 3, 2000)])
+    ("sp", 4, 5, 2000), ("so", 5, 5, 2000), ("pgl", 3, 3, 2000),
+    ("pgl", 2, 2, None), ("pgl", 4, 2, 2000), ("pgl", 6, 3, 400),
+    ("pgl", 4, 5, 2000)])
 def test_is_p_nilpotent_matches_literal_iteration(fam, n, p, samples):
     # every vector of the small algebras; on the others a seeded sample,
-    # a third each from g, the Borel and its nilradical, so that both
-    # answers occur
+    # in turn from g, the Borel and its nilradical, so that both answers
+    # occur; on pgl also from the nilradical conjugated by 1 + E_n1, whose
+    # elements have a nonzero last diagonal entry, so that their nilpotent
+    # lift is a shifted matrix even when p | n
     g = build(fam, n, p)
     if samples is None:
         vectors = list(g.full_space().enumerate_vectors())
@@ -380,7 +400,12 @@ def test_is_p_nilpotent_matches_literal_iteration(fam, n, p, samples):
         rng = random.Random(f"{fam}{n}@{p}")
         borel = standard_borel(g)
         spaces = [g.full_space(), borel["parabolic"], borel["nilradical"]]
-        vectors = [_random_vector(spaces[k % 3], rng) for k in range(samples)]
+        if fam == "pgl":
+            w = FieldMatrix.identity(n, p) + FieldMatrix(
+                n, n, p, [int(i == (n - 1) * n) for i in range(n * n)])
+            spaces.append(conjugate_subspace(g, w, borel["nilradical"]))
+        vectors = [_random_vector(spaces[k % len(spaces)], rng)
+                   for k in range(samples)]
     verdicts = set()
     for v in vectors:
         verdict = is_p_nilpotent(g.element(v))
