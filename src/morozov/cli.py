@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -67,13 +66,6 @@ def _emit(args, payload: dict, exit_code: int, text_lines=None) -> int:
     else:
         sys.stdout.write(canonical_json(payload))
     return exit_code
-
-
-def _seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("MOROZOV_SEED")
-    return int(env) if env else 0
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -216,7 +208,7 @@ def cmd_fixtures_paper(args) -> int:
 
 def cmd_suite_run(args) -> int:
     selected = args.criteria.split(",") if args.criteria else None
-    results = suite.run_suite(selected, seed=args.seed or 0)
+    results = suite.run_suite(selected, seed=args.seed)
     worst = EXIT_OK
     for res in results:
         print(res.line())
@@ -237,7 +229,7 @@ def _add_common(sub, algebra=True, subspace=False):
         sub.add_argument("--p", type=int)
     if subspace:
         sub.add_argument("--subspace", required=True, help="subspace JSON file")
-    sub.add_argument("--seed", type=int, default=None)
+    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--text", action="store_true",
                      help="human-readable output instead of canonical JSON")
 
@@ -284,7 +276,7 @@ def make_parser() -> argparse.ArgumentParser:
                     help="A/B/C/D (with --n) or E6/E7/E8/F4/G2")
     cl.add_argument("--n", type=int)
     cl.add_argument("--p", type=int, required=True)
-    cl.add_argument("--seed", type=int, default=None)
+    cl.add_argument("--seed", type=int, default=0)
     cl.add_argument("--text", action="store_true")
     cl.set_defaults(fn=cmd_prime_classify)
 
@@ -293,20 +285,20 @@ def make_parser() -> argparse.ArgumentParser:
     ch.add_argument("--filtration", required=True)
     ch.add_argument("--p", type=int)
     ch.add_argument("--dim-g", type=int)
-    ch.add_argument("--seed", type=int, default=None)
+    ch.add_argument("--seed", type=int, default=0)
     ch.add_argument("--text", action="store_true")
     ch.set_defaults(fn=cmd_hn_check)
 
     fx = groups.add_parser("fixtures").add_subparsers(dest="action", required=True)
     pp = fx.add_parser("paper")
     pp.add_argument("--out", required=True)
-    pp.add_argument("--seed", type=int, default=None)
+    pp.add_argument("--seed", type=int, default=0)
     pp.set_defaults(fn=cmd_fixtures_paper)
 
     su = groups.add_parser("suite").add_subparsers(dest="action", required=True)
     ru = su.add_parser("run")
     ru.add_argument("--criteria", help="comma-separated criterion ids")
-    ru.add_argument("--seed", type=int, default=None)
+    ru.add_argument("--seed", type=int, default=0)
     ru.set_defaults(fn=cmd_suite_run)
 
     return ap
@@ -315,7 +307,6 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = make_parser()
     args = ap.parse_args(argv)
-    args.seed = _seed(args)
     try:
         return args.fn(args)
     except InputError as exc:

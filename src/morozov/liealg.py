@@ -37,11 +37,10 @@ class TorusFrame:
     the weight of every row of the realization (`build`), which embeds
     cocharacter vectors as diagonal exponent patterns."""
 
-    def __init__(self, family: str, n: int, rootdatum: RootDatum,
+    def __init__(self, family: str, rootdatum: RootDatum,
                  torus_indices: Sequence[int], index_root: dict,
                  position_weights: Sequence[tuple], sum_zero: bool):
         self.family = family
-        self.n = n
         self.rootdatum = rootdatum
         self.torus_indices = tuple(torus_indices)
         self.index_root = dict(index_root)
@@ -679,9 +678,7 @@ def build(family: str, n: int, p: int) -> LieAlgebra:
         mats.append(root_vector(a, b))
         labels.append("x" + str(root).replace(" ", "") if perm
                       else f"e{a + 1}{b + 1}" if a < b else f"f{b + 1}{a + 1}")
-    # the sp frame records the rank k, as the family stamp of its payload does
-    frame = TorusFrame(family, rank if family == "sp" else n, rd,
-                       range(len(torus)), index_root, weights,
+    frame = TorusFrame(family, rd, range(len(torus)), index_root, weights,
                        sum_zero=family in ("sl", "pgl"))
     return LieAlgebra(p, labels, Realization(n, tuple(mats), family == "pgl"),
                       frame=frame, family=f"{family}{n}")
@@ -751,9 +748,9 @@ def weyl_matrices(g: LieAlgebra) -> list:
     (permutations for type A; signed block permutations for sp)."""
     p = g.p
     fam = g.frame.family
-    n = g.frame.n
     out = []
     if fam in ("gl", "sl", "pgl"):
+        n = g.realization.n
         for perm in permutations(range(n)):
             entries = [0] * (n * n)
             for i, pi in enumerate(perm):
@@ -762,6 +759,7 @@ def weyl_matrices(g: LieAlgebra) -> list:
         return out
     if fam == "sp":
         # signed permutations; flip i swaps e_i <-> f_i with a sign
+        n = g.frame.rootdatum.rank
         for perm in permutations(range(n)):
             for flips in range(1 << n):
                 entries = [0] * (2 * n) ** 2

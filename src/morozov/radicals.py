@@ -32,16 +32,19 @@ Strategy notes:
     spin ideal is not solvable;
   * an element is p-nilpotent exactly when it has a nilpotent lift
     (`LieAlgebra.nilpotent_lift`: its matrix, shifted by a scalar on pgl);
-  * the p-nil gate takes a subalgebra u to be p-nil when u is nilpotent
-    and every vector of one basis is p-nilpotent.  => always holds, by
-    Engel's theorem, since ad(x^[p]^m) = (ad x)^(p^m).  <= is proved only
-    when u has nilpotency class < p: then Jacobson's commutators of length
-    p vanish on u, each b^[p] centralises u and the b^[p] commute, so the
-    p-map is p-semilinear on the span of the iterates (Strade-Farnsteiner,
-    Modular Lie Algebras and Their Representations, 1988, ch. 2).  Past
-    that class it can fail: ROADMAP item 10 gives a 3-dimensional
-    nilpotent subalgebra of sl3 at p = 2 whose three basis vectors are
-    p-nilpotent while 4 of its 7 nonzero elements are not;
+  * the p-nil gate asks that u be nilpotent with a p-nilpotent basis.  This
+    is necessary, by Engel's theorem, and sufficient when u has nilpotency
+    class < p: then Jacobson's commutators of length p vanish on u, each
+    b^[p] centralises u and the b^[p] commute, so the p-map is p-semilinear
+    on the span of the iterates (Strade-Farnsteiner, Modular Lie Algebras
+    and Their Representations, 1988, ch. 2).  Past that class the Engel
+    flag of the basis lifts on the natural module decides, by Jacobson's
+    theorem on weakly closed sets of nilpotent operators, except on pgl
+    with p | n, where the lifts are not linear in x;
+  * the tower's next u and rad_p(h) start from the set C of p-nilpotent
+    elements of rad(h).  When C is not a subspace (seen only at p = 2) the
+    answer is Undetermined; else rad_p(h) is the largest h-ideal inside C,
+    since a p-nil ideal is nilpotent, so lies in rad(h) and in C;
   * enumeration with an explicit budget (one walk, `_enumerate_cone`, for
     the p- and ad_h-nilpotent cones of a radical) is the general fallback,
     and exceeding the budget is an Undetermined outcome, never a guess.
@@ -212,11 +215,27 @@ def _ad_nilpotent_test(g: LieAlgebra, h: Subspace):
 
 
 def is_p_nil_subalgebra(g: LieAlgebra, u: Subspace) -> bool:
-    """Whether every element of the subalgebra u is p-nilpotent, taken as:
-    u is nilpotent and every basis vector is p-nilpotent.  No budget; exact
-    when u has nilpotency class < p (module notes)."""
-    return g.is_nilpotent(u) and all(
-        is_p_nilpotent(g.element(list(b))) for b in u.basis)
+    """Whether every element of the subalgebra u is p-nilpotent, with no
+    budget: u is nilpotent with a p-nilpotent basis and, past nilpotency
+    class p - 1, the Engel flag W_0 = F^n, W_(k+1) = span{L w} of the basis
+    lifts L reaches 0 (module notes).  On pgl with p | n the lifts of ex2
+    have [X, Y] = 1, and the basis rule's answer stands unproved."""
+    series = g.lower_central_series(u)
+    if series[-1].dim or not all(
+            is_p_nilpotent(g.element(list(b))) for b in u.basis):
+        return False
+    n = g.realization.n
+    if len(series) <= g.p or (g.realization.mod_scalars and n % g.p == 0):
+        return True
+    lifts = [g.nilpotent_lift(list(b)) for b in u.basis]
+    flag = Subspace.full(n, g.p)
+    while flag.dim:
+        image = Subspace.from_vectors(
+            [m.matvec(list(w)) for m in lifts for w in flag.basis], n, g.p)
+        if image.dim == flag.dim:
+            return False
+        flag = image
+    return True
 
 
 def check_p_nil(g: LieAlgebra, u: Subspace, what: str = "input") -> None:
@@ -385,45 +404,35 @@ def _structured_adnil_cone(g: LieAlgebra, h: Subspace, r: Subspace) -> Optional[
 
 def pnil_part_of_radical(g: LieAlgebra, h: Subspace,
                          budget: int = DEFAULT_BUDGET) -> dict:
-    """The set of p-nilpotent elements of rad(h): span, subspace flag and
-    method; the tower consumes this directly."""
+    """The set of p-nilpotent elements of rad(h), with its method; the
+    tower consumes this directly.  Undetermined when that set is not a
+    subspace, since its span need not be p-nil."""
     key = ("pnilpart", h.basis)
     if key in g._memo:
         return g._memo[key]
     r = solvable_radical(g, h, budget)
     cone = _structured_pnil_cone(g, r)
-    if cone is not None:
-        out = {"span": cone, "cone_is_subspace": True, "method": "structured",
-               "radical": r}
-    else:
-        span, is_sub = _enumerate_cone(g, r, _p_nilpotent_test(g), budget)
-        out = {"span": span, "cone_is_subspace": is_sub, "method": "enumeration",
-               "radical": r}
+    method = "structured"
+    if cone is None:
+        method = "enumeration"
+        cone, is_subspace = _enumerate_cone(g, r, _p_nilpotent_test(g), budget)
+        if not is_subspace:
+            raise Undetermined("the p-nilpotent elements of rad(h) do not "
+                               "form a subspace")
+    out = {"span": cone, "method": method, "radical": r}
     g._memo[key] = out
     return out
 
 
 def p_radical(g: LieAlgebra, h: Subspace, budget: int = DEFAULT_BUDGET) -> dict:
-    """Maximal p-nil ideal of h: refine the p-nilpotent cone of rad(h) by
-    the largest-ideal fixed point until every element is p-nilpotent.
-    Undetermined when a round leaves the candidate unchanged: its
-    p-nilpotent elements span it, yet it is not p-nil (sl3 at p = 2, the
-    standard parabolic S = (0,))."""
+    """Maximal p-nil ideal of h: the largest h-ideal inside the set of
+    p-nilpotent elements of rad(h), which is a subspace or Undetermined
+    (`pnil_part_of_radical`; module notes)."""
     part = pnil_part_of_radical(g, h, budget)
-    cone_flag = part["cone_is_subspace"]
     cand = g.largest_ideal_inside(h, part["span"])
-    # inside a cone that is a subspace, cand is all p-nilpotent
-    while not (cone_flag or is_p_nil_subalgebra(g, cand)):
-        span, _ = _enumerate_cone(g, cand, _p_nilpotent_test(g), budget)
-        refined = g.largest_ideal_inside(h, span)
-        if refined == cand:
-            raise Undetermined("the p-nilpotent elements of the candidate "
-                               "span it, but it is not p-nil; rad_p undecided")
-        cand = refined
     p_closed = all(
         cand.contains_vector(g.p_power_vec(list(b))) for b in cand.basis)
-    return {"rad_p": cand, "cone_is_subspace": cone_flag,
-            "method": part["method"], "p_closed": p_closed,
+    return {"rad_p": cand, "method": part["method"], "p_closed": p_closed,
             "radical": part["radical"]}
 
 
@@ -447,7 +456,6 @@ class RadicalReport:
     rad: Optional[Subspace]
     nil: Optional[Subspace]
     rad_p: Optional[Subspace]
-    p_nilpotent_cone_is_subspace: Optional[bool]
     method_used: str
     p_closed: Optional[bool] = None
     status: str = "ok"
@@ -458,7 +466,6 @@ class RadicalReport:
             return None if s is None else [list(r) for r in s.basis]
         return {
             "rad": sub(self.rad), "nil": sub(self.nil), "rad_p": sub(self.rad_p),
-            "p_nilpotent_cone_is_subspace": self.p_nilpotent_cone_is_subspace,
             "method_used": self.method_used, "p_closed": self.p_closed,
             "status": self.status, "detail": self.detail,
         }
@@ -466,7 +473,7 @@ class RadicalReport:
 
 def radical_report(g: LieAlgebra, h: Subspace,
                    budget: int = DEFAULT_BUDGET) -> RadicalReport:
-    rad = nil = rad_p = cone_flag = p_closed = None
+    rad = nil = rad_p = p_closed = None
     method = "structured"
     status, detail = "ok", ""
     try:
@@ -475,11 +482,9 @@ def radical_report(g: LieAlgebra, h: Subspace,
         nil = nil_out["nil"]
         prad_out = p_radical(g, h, budget)
         rad_p = prad_out["rad_p"]
-        cone_flag = prad_out["cone_is_subspace"]
         p_closed = prad_out["p_closed"]
         method = prad_out["method"]
     except Undetermined as exc:
         status, detail = "undetermined", str(exc)
         method = "enumeration"
-    return RadicalReport(rad, nil, rad_p, cone_flag, method, p_closed,
-                         status, detail)
+    return RadicalReport(rad, nil, rad_p, method, p_closed, status, detail)

@@ -36,7 +36,9 @@ def algebra_to_dict(g: LieAlgebra) -> dict:
         },
     }
     if g.family is not None and g.frame is not None:
-        out["family"] = {"name": g.frame.family, "n": g.frame.n}
+        # the sp stamp records the rank k, the matrix size halved
+        name, size = g.frame.family, g.realization.n
+        out["family"] = {"name": name, "n": size // 2 if name == "sp" else size}
     return out
 
 
@@ -44,7 +46,7 @@ def algebra_from_dict(data: dict) -> LieAlgebra:
     p = data["p"]
     fam = data.get("family")
     if fam:
-        # the sp frame records the rank k while build takes the matrix size 2k
+        # the sp stamp records the rank k while build takes the matrix size 2k
         size = 2 * fam["n"] if fam["name"] == "sp" else fam["n"]
         g = build(fam["name"], size, p)
     else:

@@ -1,7 +1,8 @@
 """The acceptance battery: one callable per criterion, each returning a
 CheckResult with pass/fail/undetermined status and a detail payload.  The
-CLI `suite run` prints one line per criterion; the pytest acceptance module
-asserts on the same results.
+CLI `suite run` prints one line per criterion.  The brute-force oracles
+kept here (`literal_p_nilpotent`, `enumerate_subspaces`) also serve the
+tests.
 
 Budgets and tolerances are pinned here; every check is exact (tolerance
 zero) and deterministic for a fixed seed."""

@@ -1,11 +1,13 @@
 """The normaliser tower: starting from a p-nil subalgebra u, iterate
-q <- N_g(u), u <- p-nilpotent part of rad(q), track every step, and verify
-the expected limit properties (fixed point, parabolicity, p-radical
+q <- N_g(u), u <- the p-nilpotent elements of rad(q), track every step, and
+verify the expected limit properties (fixed point, parabolicity, p-radical
 identity, agreement with the optimal cocharacter's parabolic).
 
 Stabilization is detected by pair repetition with full-history cycle
 detection; the step count is capped, and every anomaly lands in the
-status field instead of an exception.
+status field instead of an exception.  A step whose p-nilpotent elements
+do not form a subspace, or that runs over its budget, ends the tower
+`budget-exceeded` with the reason in `detail`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ class TowerStep:
     u: Subspace
     q: Optional[Subspace]
     method: Optional[str] = None
-    cone_is_subspace: Optional[bool] = None
     radical_dim: Optional[int] = None
 
     def as_dict(self) -> dict:
@@ -35,7 +36,6 @@ class TowerStep:
             "q_dim": None if self.q is None else self.q.dim,
             "q": None if self.q is None else [list(r) for r in self.q.basis],
             "method": self.method,
-            "cone_is_subspace": self.cone_is_subspace,
             "radical_dim": self.radical_dim,
         }
 
@@ -66,8 +66,8 @@ class TowerTrace:
 
 def check_tower_input(g: LieAlgebra, u: Subspace, budget=None) -> None:
     """Hypothesis check: u must be a restricted p-nil subalgebra.  The
-    p-nil gate is `radicals.check_p_nil`, with no budget, exact when u has
-    nilpotency class < p.  `budget` is unused:
+    p-nil gate is `radicals.check_p_nil`, with no budget, exact except on
+    pgl with p | n past nilpotency class p - 1.  `budget` is unused:
     `perfbench/test_perfbench.py` still passes it, and it stays until the
     benchmark drops it."""
     if not g.is_subalgebra(u):
@@ -102,7 +102,6 @@ def run_tower(g: LieAlgebra, u0: Subspace,
         except radicals.Undetermined as exc:
             return TowerTrace(steps, "budget-exceeded", detail=str(exc))
         steps.append(TowerStep(i, u_next, q, part["method"],
-                               part["cone_is_subspace"],
                                part["radical"].dim))
         pair = (u_next.basis, q.basis)
         prev = steps[-2]

@@ -134,6 +134,25 @@ def test_exit_code_and_byte_identical_json(argv, code, tmp_path, capsys):
         assert runs[0].err.startswith("input error:")
 
 
+def test_tower_run_ends_undetermined_on_a_cone_that_is_not_a_subspace(
+        tmp_path, capsys):
+    # sl3 at p = 2, S = (0,): the p-nilpotent elements of rad(q) do not
+    # form a subspace, so the tower stops there instead of stepping to
+    # their span
+    g = build("sl", 3, 2)
+    path = tmp_path / "u.json"
+    path.write_text(canonical_json(subspace_to_dict(
+        standard_parabolic(g, (0,))["nilradical"])))
+    argv = ["tower", "run", "--family", "sl", "--n", "3", "--p", "2",
+            "--subspace", str(path)]
+    assert main(argv) == EXIT_UNDETERMINED
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["trace"]["status"] == "budget-exceeded"
+    assert "p-nilpotent elements of rad(h) do not form a subspace" in \
+        payload["trace"]["detail"]
+    assert payload["verification"] is None and payload["seed"] == 0
+
+
 def test_two_processes_give_byte_identical_json(tmp_path):
     # a fresh interpreter each, with different hash seeds, so that no memo
     # and no set or dict order is shared

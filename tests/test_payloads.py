@@ -116,12 +116,12 @@ def _tower_payload(alg, chosen):
 
 def test_tower_payload_sl4_at_5():
     assert _sha1(_tower_payload(("sl", 4, 5), (1,))) == \
-        "442969fa542b6eb85d81a2df0c9929dc35980084"
+        "de680513c55a8a05e3d3dd8750e5ce87124730e1"
 
 
 def test_tower_payload_so5_at_7():
     assert _sha1(_tower_payload(("so", 5, 7), (0,))) == \
-        "e2c9e31f70c59f4cb31e4464b169814a1ca4c2fb"
+        "9e3a940dbaaa20ca4661c6d0fa746f7f70f8f395"
 
 
 @pytest.mark.parametrize("role,digest", [

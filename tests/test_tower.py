@@ -303,3 +303,39 @@ def test_every_proper_standard_parabolic_of_sl5_at_3_is_decided():
     rank = g.frame.rootdatum.rank
     for mask in range((1 << rank) - 1):
         _towers_pass(g, tuple(i for i in range(rank) if mask >> i & 1))
+
+
+def _unipotent_word(g, rng):
+    """A seeded product of 1 + X over root matrices X with X^2 = 0: an
+    element of the group that normalises g at every p, p = 2 included."""
+    n, p = g.realization.n, g.p
+    w = FieldMatrix.identity(n, p)
+    roots = g.frame.rootdatum.roots
+    for _ in range(6):
+        m = g.matrix_of(g.unit(g.frame.root_index[tuple(rng.choice(roots))]))
+        if (m @ m).is_zero():
+            w = w @ (FieldMatrix.identity(n, p) + m)
+    return w
+
+
+@pytest.mark.parametrize("fam,n", [("sl", 3), ("gl", 3), ("pgl", 3), ("sp", 4)])
+def test_towers_at_2_stabilise_on_p_nil_limits_or_end_undetermined(fam, n):
+    # every proper standard nilradical and one seeded conjugate of each: a
+    # tower that stabilises does so on a u that is p-nil vector by vector;
+    # the others meet a set of p-nilpotent elements that is not a subspace
+    from morozov.liealg import conjugate_subspace
+    from morozov.suite import literal_p_nilpotent
+    g = build(fam, n, 2)
+    rng = random.Random(f"tower:{fam}{n}@2")
+    rank = g.frame.rootdatum.rank
+    for mask in range((1 << rank) - 1):
+        chosen = tuple(i for i in range(rank) if mask >> i & 1)
+        nil = standard_parabolic(g, chosen)["nilradical"]
+        for u0 in (nil, conjugate_subspace(g, _unipotent_word(g, rng), nil)):
+            trace = run_tower(g, u0)
+            if trace.status == "stabilized":
+                assert all(literal_p_nilpotent(g, v) for v in
+                           trace.u_limit.enumerate_vectors() if any(v)), chosen
+            else:
+                assert trace.status == "budget-exceeded", chosen
+                assert "do not form a subspace" in trace.detail, chosen
