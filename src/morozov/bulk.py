@@ -1,11 +1,11 @@
-"""numpy-vectorized helpers for bulk sweeps: batched bracket/ad evaluation
-for the structure-law checks, and the quadratic-cone line stream of the
-abelian-ideal scan, made a chunk at a time so that its length is bounded
-by the caller's budget and not by memory.
+"""numpy-vectorized helpers for suite criterion 1 only: batched bracket, ad
+and p-power evaluation for its sampled structure-law checks.  The engine
+never imports this module, so numpy loads only for `morozov suite run`.
 
-These mirror the exact scalar paths in liealg/radicals; the test suite
-cross-checks both on shared samples.  All arithmetic is int64 with explicit
-mod-p reductions (values stay far below overflow at p <= 13, dim <= 64).
+These mirror the exact scalar paths in liealg; criterion 1 cross-checks
+the Jacobson law on a shared slice of its samples.  All arithmetic is
+int64 with explicit mod-p reductions (values stay far below overflow at
+p <= 13, dim <= 64).
 """
 
 from __future__ import annotations
@@ -14,15 +14,10 @@ import numpy as np
 
 from .liealg import LieAlgebra
 
-# lines tested per batch by square_zero_lines
-_CHUNK = 8192
-
 
 def bracket_tensor(alg: LieAlgebra) -> np.ndarray:
-    """Dense structure tensor C[a, b, k] with [e_a, e_b] = sum_k C[a,b,k] e_k.
-
-    Reads only the structure table, so it takes a realized algebra and the
-    realization-free views of `radicals` (subalgebras, quotients) alike."""
+    """Dense structure tensor C[a, b, k] with [e_a, e_b] = sum_k C[a,b,k] e_k,
+    read off the structure table."""
     d = alg.dim
     c = np.zeros((d, d, d), dtype=np.int64)
     for (a, b), entries in alg.structure_constants().items():
@@ -116,31 +111,3 @@ def _as_matrix(g: LieAlgebra, arr: np.ndarray):
     from .gfp import FieldMatrix
     n = arr.shape[0]
     return FieldMatrix(n, n, g.p, [int(x) for x in arr.reshape(-1)])
-
-
-def square_zero_lines(c: np.ndarray, p: int, basis: np.ndarray):
-    """Yield every projective line [v] in the span of `basis` (rows,
-    ambient coordinates) with (ad v)^2 = 0, where ad is taken in the
-    algebra the tensor c describes, as one ambient coordinate vector per
-    line.  The representatives are the coefficient tuples whose first
-    nonzero entry is 1, by lead position and then in base-p order of the
-    trailing entries; they are made and tested a chunk at a time, so a
-    long scan costs time and not memory.
-
-    This is the necessary condition for v to lie in an abelian ideal, so
-    scanning these lines is a complete search for abelian ideals."""
-    k = basis.shape[0]
-    for lead in range(k):
-        m = k - lead - 1
-        places = p ** np.arange(m - 1, -1, -1, dtype=np.int64)
-        for start in range(0, p ** m, _CHUNK):
-            idx = np.arange(start, min(start + _CHUNK, p ** m), dtype=np.int64)
-            coeffs = np.zeros((idx.shape[0], k), dtype=np.int64)
-            coeffs[:, lead] = 1
-            coeffs[:, lead + 1:] = idx[:, None] // places % p
-            batch = (coeffs @ basis) % p
-            ads = ad_batch(c, p, batch)
-            sq = np.matmul(ads, ads) % p
-            mask = np.all(sq.reshape(sq.shape[0], -1) == 0, axis=1)
-            for row in batch[mask]:
-                yield [int(x) for x in row]

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import fixtures as fixtures_mod
-from . import hnslope, kempf, parabolic, radicals, rootdata, suite, tower
+from . import hnslope, kempf, parabolic, radicals, rootdata, tower
 from .liealg import build
 from .serialize import (algebra_from_dict, algebra_to_dict, canonical_json,
                         subspace_from_dict)
@@ -39,9 +39,21 @@ def _load_json(path: str) -> dict:
                          f"column {exc.colno}") from exc
 
 
+def _load_with(path: str, loader):
+    """loader(the JSON in path), where a file the loader cannot read is an
+    input error."""
+    data = _load_json(path)
+    try:
+        return loader(data)
+    except KeyError as exc:
+        raise InputError(f"{path}: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
 def _algebra_from_args(args) -> "LieAlgebra":
     if getattr(args, "algebra", None):
-        return algebra_from_dict(_load_json(args.algebra))
+        return _load_with(args.algebra, algebra_from_dict)
     if args.family and args.n and args.p:
         try:
             return build(args.family, args.n, args.p)
@@ -51,11 +63,7 @@ def _algebra_from_args(args) -> "LieAlgebra":
 
 
 def _subspace_from_args(args, g):
-    data = _load_json(args.subspace)
-    try:
-        return subspace_from_dict(data, g)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return _load_with(args.subspace, lambda data: subspace_from_dict(data, g))
 
 
 def _emit(args, payload: dict, exit_code: int, text_lines=None) -> int:
@@ -175,11 +183,8 @@ def cmd_prime_classify(args) -> int:
 
 
 def cmd_hn_check(args) -> int:
-    data = _load_json(args.filtration)
-    try:
-        f = hnslope.HNFiltration.make(data["factors"], data["zero_index"])
-    except (KeyError, ValueError) as exc:
-        raise InputError(str(exc)) from exc
+    f = _load_with(args.filtration, lambda data: hnslope.HNFiltration.make(
+        data["factors"], data["zero_index"]))
     hn_ok = hnslope.verify_hn(f)
     payload = {"filtration": f.as_dict(), "strictly_decreasing": hn_ok,
                "readings": hnslope.zero_index_readings(f)}
@@ -207,6 +212,7 @@ def cmd_fixtures_paper(args) -> int:
 
 
 def cmd_suite_run(args) -> int:
+    from . import suite     # numpy, for criterion 1, loads only here
     selected = args.criteria.split(",") if args.criteria else None
     results = suite.run_suite(selected, seed=args.seed)
     worst = EXIT_OK

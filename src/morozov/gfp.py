@@ -387,3 +387,19 @@ def solve_linear(space: Subspace, condition) -> Subspace:
                     v[i] = (v[i] + c * row[i]) % p
         vecs.append(v)
     return Subspace.from_vectors(vecs, n, p)
+
+
+def image_flag(start: Subspace, maps) -> list | None:
+    """The flag start > A start > A^2 start > ... > 0, where A W is the span
+    of f(w) over the linear maps f in `maps` (functions of one vector) and
+    w in W; None when a step stalls above 0, so that the maps do not act
+    nilpotently on start."""
+    flag = [start]
+    while flag[-1].dim:
+        image = Subspace.from_vectors(
+            [f(list(w)) for f in maps for w in flag[-1].basis],
+            start.ambient_dim, start.p)
+        if image.dim == flag[-1].dim:
+            return None
+        flag.append(image)
+    return flag

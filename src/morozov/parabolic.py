@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .gfp import FieldMatrix, Subspace, rref, solve_linear
+from .gfp import FieldMatrix, Subspace, image_flag, rref, solve_linear
 from .liealg import (LieAlgebra, conjugate_subspace, coordinate_split,
                      standard_borel, standard_parabolic, weyl_matrices)
 from .radicals import SubView
@@ -107,13 +107,9 @@ def flag_frame(g: LieAlgebra, q: Subspace) -> Optional[FieldMatrix]:
         [(x @ y - y @ x).entries for x in mats for y in ideal], n * n, p).basis]
     if not nil:
         return None
-    flag = [Subspace.full(n, p)]
-    while flag[-1].dim:
-        image = Subspace.from_vectors(
-            [x.matvec(v) for x in nil for v in flag[-1].basis], n, p)
-        if image.dim == flag[-1].dim:
-            return None
-        flag.append(image)
+    flag = image_flag(Subspace.full(n, p), [x.matvec for x in nil])
+    if flag is None:
+        return None
     cols = []
     adapted = Subspace.zero(n, p)
     for step in reversed(flag):

@@ -19,8 +19,10 @@ Strategy notes:
     ideal of h inside it is nonzero exactly when rad(h) is;
   * only when kappa_h vanishes identically is k scanned line by line:
     (ad v)^2 = 0 is necessary for v to lie in an abelian ideal, which
-    makes the scan complete.  The caller's budget bounds it, and every
-    memo key omits the budget, since a result that is returned is exact;
+    makes the scan complete.  It walks one vector per line on the view's
+    own bracket and drops a line at its first nonzero column [v, [v, b]].
+    The caller's budget bounds it, and every memo key omits the budget,
+    since a result that is returned is exact;
   * for torus-stable inputs the p-nilpotent and ad-nilpotent cones split
     along coordinates when the root support is closed and lies in a
     positive system, avoiding enumeration entirely ("structured" method);
@@ -53,11 +55,12 @@ Strategy notes:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
 # kernel and rref are unused here; the benchmark tracer's self-test checks
 # that rebinding reaches every module importing them by name
-from .gfp import Subspace, kernel, rref, solve_linear  # noqa: F401
+from .gfp import Subspace, image_flag, kernel, rref, solve_linear  # noqa: F401
 from .liealg import Element, LieAlgebra, coordinate_split
 from .rootdata import is_closed, min_norm_point
 
@@ -202,16 +205,9 @@ def _p_nilpotent_test(g: LieAlgebra):
 
 def _ad_nilpotent_test(g: LieAlgebra, h: Subspace):
     """v acts nilpotently on the subalgebra h containing it: the images
-    w <- [v, w] from w = h shrink to 0, and stall above 0 otherwise."""
-    def test(v):
-        w = h
-        while w.dim:
-            image = g.subspace([g.bracket_vec(v, list(b)) for b in w.basis])
-            if image.dim == w.dim:
-                return False
-            w = image
-        return True
-    return test
+    of h under ad v reach 0 (`image_flag`)."""
+    return lambda v: image_flag(
+        h, [lambda w: g.bracket_vec(v, w)]) is not None
 
 
 def is_p_nil_subalgebra(g: LieAlgebra, u: Subspace) -> bool:
@@ -228,14 +224,8 @@ def is_p_nil_subalgebra(g: LieAlgebra, u: Subspace) -> bool:
     if len(series) <= g.p or (g.realization.mod_scalars and n % g.p == 0):
         return True
     lifts = [g.nilpotent_lift(list(b)) for b in u.basis]
-    flag = Subspace.full(n, g.p)
-    while flag.dim:
-        image = Subspace.from_vectors(
-            [m.matvec(list(w)) for m in lifts for w in flag.basis], n, g.p)
-        if image.dim == flag.dim:
-            return False
-        flag = image
-    return True
+    return image_flag(Subspace.full(n, g.p),
+                      [m.matvec for m in lifts]) is not None
 
 
 def check_p_nil(g: LieAlgebra, u: Subspace, what: str = "input") -> None:
@@ -250,19 +240,32 @@ def check_p_nil(g: LieAlgebra, u: Subspace, what: str = "input") -> None:
 
 def _abelian_spin_scan(view: View, region: Subspace, budget: int):
     """Complete scan for abelian ideals meeting `region` (which must
-    contain every abelian ideal): spin all lines with (ad v)^2 = 0."""
+    contain every abelian ideal): the first abelian ideal of least
+    dimension among the spins of the lines of region with (ad v)^2 = 0,
+    or None.  One v per line, in this order: the coefficient tuples whose
+    first nonzero entry is 1, by lead position and then in base-p order of
+    the trailing entries.  A line is dropped at the first basis vector b
+    with [v, [v, b]] != 0."""
     if region.dim == 0:
         return None
     if view.p ** region.dim > budget:
         raise Undetermined(
             f"abelian-ideal scan needs {view.p ** region.dim} vectors, over budget {budget}")
-    import numpy as np
+    p, basis = view.p, region.basis
+    units = [view.unit(j) for j in range(view.dim)]
+    # multiples[i][c] = c * basis[i], so that a product of multiples runs
+    # through the trailing coefficients in base-p order
+    multiples = [[[c * x % p for x in row] for c in range(p)] for row in basis]
 
-    from .bulk import bracket_tensor, square_zero_lines
-    c = bracket_tensor(view)
-    basis = np.array([list(b) for b in region.basis], dtype=np.int64)
+    def lines():
+        for lead, first in enumerate(basis):
+            for tail in product(*multiples[lead + 1:]):
+                yield [sum(col) % p for col in zip(first, *tail)]
+
     best = None
-    for v in square_zero_lines(c, view.p, basis):
+    for v in lines():
+        if any(any(view.bracket_vec(v, view.bracket_vec(v, b))) for b in units):
+            continue
         spun = view.spin_submodule(v)
         if view.bracket_spaces(spun, spun).dim == 0:
             if best is None or spun.dim < best.dim:

@@ -16,7 +16,7 @@ from morozov.cli import (EXIT_CHECK_FAILED, EXIT_INPUT, EXIT_OK,
 from morozov.gfp import FieldMatrix
 from morozov.liealg import (build, conjugate_subspace, standard_borel,
                             standard_parabolic)
-from morozov.serialize import canonical_json, subspace_to_dict
+from morozov.serialize import algebra_to_dict, canonical_json, subspace_to_dict
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -132,6 +132,64 @@ def test_exit_code_and_byte_identical_json(argv, code, tmp_path, capsys):
         # input errors raised before any payload go to stderr alone
         assert code == EXIT_INPUT
         assert runs[0].err.startswith("input error:")
+
+
+def _sl2_algebra(edit):
+    def make():
+        data = algebra_to_dict(build("sl", 2, 5))
+        edit(data)
+        return data
+    return make
+
+
+def _edit_sc(data):
+    data["sc"][0][3] = (data["sc"][0][3] + 1) % 5
+
+
+def _not_closed(data):
+    # e12, e21 and e11 span no subalgebra: [e12, e21] = e11 - e22
+    del data["family"]
+    data["realization"]["mats"] = [[[0, 1], [0, 0]], [[0, 0], [1, 0]],
+                                   [[1, 0], [0, 0]]]
+
+
+SL2 = ["--family", "sl", "--n", "2", "--p", "5"]
+
+# input files that do not fit their schema: (argv up to the option that
+# takes the file, the file's content, a phrase of the error message)
+MALFORMED = {
+    "algebra-without-realization": (
+        ["algebra", "build", "--algebra"],
+        _sl2_algebra(lambda data: data.pop("realization")),
+        "missing field 'realization'"),
+    "algebra-with-edited-sc": (
+        ["algebra", "build", "--algebra"], _sl2_algebra(_edit_sc),
+        "algebra file inconsistent at field 'sc'"),
+    "algebra-not-bracket-closed": (
+        ["algebra", "build", "--algebra"], _sl2_algebra(_not_closed),
+        "matrix not in the span"),
+    "subspace-without-p": (
+        ["radical", "compute", *SL2, "--subspace"],
+        lambda: {"ambient_dim": 3, "basis": [[1, 0, 0]]},
+        "missing field 'p'"),
+    "subspace-as-list": (
+        ["tower", "run", *SL2, "--subspace"], lambda: [[1, 0, 0]], ""),
+    "filtration-as-list": (["hn", "check", "--filtration"], lambda: [1, 2], ""),
+    "filtration-with-a-bare-factor": (
+        ["hn", "check", "--filtration"],
+        lambda: {"factors": [[1, 2], 5], "zero_index": 0}, ""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_input_file_is_an_input_error(name, tmp_path, capsys):
+    argv, content, phrase = MALFORMED[name]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content()))
+    assert main([*argv, str(path)]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"input error: {path}: ") and phrase in err
 
 
 def test_tower_run_ends_undetermined_on_a_cone_that_is_not_a_subspace(

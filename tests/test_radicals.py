@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -744,51 +745,60 @@ def test_view_radical_of_conjugates_matches_structured(fam, n, p, monkeypatch):
     assert recursions
 
 
-def _brute_square_zero_lines(view, basis):
-    """Lines with (ad v)^2 = 0, one representative each: the coefficient
-    tuples with leading coefficient 1, by lead position and then in
-    base-p order, tested one at a time with the scalar ad matrix."""
-    import itertools
-    p, k = view.p, len(basis)
-    out = []
-    for lead in range(k):
-        for tail in itertools.product(range(p), repeat=k - lead - 1):
-            coeffs = [0] * lead + [1] + list(tail)
-            v = [sum(c * row[i] for c, row in zip(coeffs, basis)) % p
-                 for i in range(view.dim)]
-            ad = view.ad_matrix_vec(v)
-            if (ad @ ad).is_zero():
-                out.append(v)
+def _sl2_plus_module(g):
+    # sl2 = <h1, e12, f12> with its natural module V = <e13, e23> inside
+    # sl3: V is its only minimal abelian ideal, of dimension 2
+    return g.subspace([g.element_by_label(x).coords
+                       for x in ("h1", "e12", "f12", "e13", "e23")])
+
+
+def _scan_views():
+    """Small views, p^dim <= 5^4, with and without abelian ideals, in and
+    out of standard position."""
+    shift = FieldMatrix.identity(3, 3) + FieldMatrix(
+        3, 3, 3, [int(i == 6) for i in range(9)])
+    sl3 = build("sl", 3, 3)
+    spaces = [(build("sl", 2, p), None) for p in (2, 3, 5)]
+    spaces += [(build("sl", 2, 5), "parabolic"), (build("gl", 2, 5), None),
+               (build("pgl", 2, 3), None), (build("sl", 3, 2), "parabolic"),
+               (build("sl", 3, 5), "nilradical")]
+    out = [SubView(g, g.full_space() if role is None
+                   else standard_borel(g)[role]) for g, role in spaces]
+    out += [SubView(sl3, conjugate_subspace(
+                sl3, shift, standard_borel(sl3)["parabolic"])),
+            SubView(sl3, standard_parabolic(sl3, (0,))["levi"]),
+            SubView(sl3, _sl2_plus_module(sl3))]
+    assert all(view.p ** view.dim <= 5 ** 4 for view in out)
     return out
 
 
-@pytest.mark.parametrize("fam,n,p", [("sl", 3, 3), ("sl", 3, 5), ("sp", 4, 5),
-                                     ("so", 5, 5)])
-def test_square_zero_lines_match_brute_force(fam, n, p, monkeypatch):
-    import numpy as np
-
-    from morozov import bulk
-    from morozov.bulk import bracket_tensor, square_zero_lines
-    g = build(fam, n, p)
-    view = SubView(g, standard_borel(g)["parabolic"])
-    c = bracket_tensor(view)
-    rng = random.Random(f"square-zero:{fam}{n}@{p}")
-    spans = [view.full_space()] if p ** view.dim <= 5 ** 4 else []
-    for k in (1, 2, 3, 3, 4):
-        vecs = [[rng.randrange(p) for _ in range(view.dim)] for _ in range(k)]
-        spans.append(Subspace.from_vectors(vecs, view.dim, p))
-    found = 0
-    for span in spans:
-        basis = [list(b) for b in span.basis]
-        want = _brute_square_zero_lines(view, basis)
-        rows = np.array(basis, dtype=np.int64).reshape(len(basis), view.dim)
-        assert list(square_zero_lines(c, p, rows)) == want, basis
-        # chunks that split every lead block give the same stream
-        with monkeypatch.context() as m:
-            m.setattr(bulk, "_CHUNK", 3)
-            assert list(square_zero_lines(c, p, rows)) == want, basis
-        found += len(want)
-    assert found
+def test_abelian_spin_scan_finds_a_least_abelian_ideal():
+    # the oracle keeps every nonzero abelian ideal among all subspaces
+    from morozov.radicals import _abelian_spin_scan
+    from morozov.suite import enumerate_subspaces
+    views = _scan_views()
+    least = []
+    for view in views:
+        whole = view.full_space()
+        ideals = [s for s in enumerate_subspaces(view) if s.dim
+                  and view.bracket_spaces(s, s).dim == 0
+                  and s.contains(view.bracket_spaces(whole, s))]
+        found = _abelian_spin_scan(view, whole, DEFAULT_BUDGET)
+        if not ideals:
+            assert found is None, view
+            continue
+        assert found in ideals, view
+        assert found.dim == min(s.dim for s in ideals), view
+        least.append(found.dim)
+        # of those, the spin of the first line in scan order (lead 1, then
+        # the trailing coefficients in base-p order), as payloads record
+        lines = ([0] * lead + [1] + list(tail) for lead in range(view.dim)
+                 for tail in itertools.product(range(view.p),
+                                               repeat=view.dim - lead - 1))
+        assert found == next(s for s in map(view.spin_submodule, lines)
+                             if s in ideals and s.dim == found.dim), view
+    # views with none, and least abelian ideals of dimension 1 and 2
+    assert len(least) < len(views) and set(least) == {1, 2}
 
 
 def test_radical_compute_cli_keeps_the_given_budget(tmp_path, capsys):
