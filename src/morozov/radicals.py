@@ -238,34 +238,36 @@ def check_p_nil(g: LieAlgebra, u: Subspace, what: str = "input") -> None:
 # Abelian ideals and the solvable radical
 # ---------------------------------------------------------------------------
 
-def _abelian_spin_scan(view: View, region: Subspace, budget: int):
-    """Complete scan for abelian ideals meeting `region` (which must
-    contain every abelian ideal): the first abelian ideal of least
-    dimension among the spins of the lines of region with (ad v)^2 = 0,
-    or None.  One v per line, in this order: the coefficient tuples whose
-    first nonzero entry is 1, by lead position and then in base-p order of
-    the trailing entries.  A line is dropped at the first basis vector b
-    with [v, [v, b]] != 0."""
-    if region.dim == 0:
-        return None
-    if view.p ** region.dim > budget:
-        raise Undetermined(
-            f"abelian-ideal scan needs {view.p ** region.dim} vectors, over budget {budget}")
+def _square_zero_lines(view: View, region: Subspace):
+    """The lines of `region` with (ad v)^2 = 0, one v per line, in this
+    order: the coefficient tuples whose first nonzero entry is 1, by lead
+    position and then in base-p order of the trailing entries.  A line is
+    dropped at the first basis vector b with [v, [v, b]] != 0."""
     p, basis = view.p, region.basis
     units = [view.unit(j) for j in range(view.dim)]
     # multiples[i][c] = c * basis[i], so that a product of multiples runs
     # through the trailing coefficients in base-p order
     multiples = [[[c * x % p for x in row] for c in range(p)] for row in basis]
+    for lead, first in enumerate(basis):
+        for tail in product(*multiples[lead + 1:]):
+            v = [sum(col) % p for col in zip(first, *tail)]
+            if not any(any(view.bracket_vec(v, view.bracket_vec(v, b)))
+                       for b in units):
+                yield v
 
-    def lines():
-        for lead, first in enumerate(basis):
-            for tail in product(*multiples[lead + 1:]):
-                yield [sum(col) % p for col in zip(first, *tail)]
 
+def _abelian_spin_scan(view: View, region: Subspace, budget: int):
+    """Complete scan for abelian ideals meeting `region` (which must
+    contain every abelian ideal): the first abelian ideal of least
+    dimension among the spins of `_square_zero_lines(view, region)`, or
+    None."""
+    if region.dim == 0:
+        return None
+    if view.p ** region.dim > budget:
+        raise Undetermined(
+            f"abelian-ideal scan needs {view.p ** region.dim} vectors, over budget {budget}")
     best = None
-    for v in lines():
-        if any(any(view.bracket_vec(v, view.bracket_vec(v, b))) for b in units):
-            continue
+    for v in _square_zero_lines(view, region):
         spun = view.spin_submodule(v)
         if view.bracket_spaces(spun, spun).dim == 0:
             if best is None or spun.dim < best.dim:

@@ -801,6 +801,43 @@ def test_abelian_spin_scan_finds_a_least_abelian_ideal():
     assert len(least) < len(views) and set(least) == {1, 2}
 
 
+def _brute_square_zero_lines(view, basis):
+    """Lines with (ad v)^2 = 0, one representative each: the coefficient
+    tuples with leading coefficient 1, by lead position and then in
+    base-p order, tested one at a time with the scalar ad matrix."""
+    p, k = view.p, len(basis)
+    out = []
+    for lead in range(k):
+        for tail in itertools.product(range(p), repeat=k - lead - 1):
+            coeffs = [0] * lead + [1] + list(tail)
+            v = [sum(c * row[i] for c, row in zip(coeffs, basis)) % p
+                 for i in range(view.dim)]
+            ad = view.ad_matrix_vec(v)
+            if (ad @ ad).is_zero():
+                out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("fam,n,p", [("sl", 3, 3), ("sl", 3, 5), ("sp", 4, 5),
+                                     ("so", 5, 5)])
+def test_square_zero_lines_match_brute_force(fam, n, p):
+    from morozov.radicals import _square_zero_lines
+    g = build(fam, n, p)
+    view = SubView(g, standard_borel(g)["parabolic"])
+    rng = random.Random(f"square-zero:{fam}{n}@{p}")
+    spans = [view.full_space()] if p ** view.dim <= 5 ** 4 else []
+    for k in (1, 2, 3, 3, 4):
+        vecs = [[rng.randrange(p) for _ in range(view.dim)] for _ in range(k)]
+        spans.append(Subspace.from_vectors(vecs, view.dim, p))
+    found = 0
+    for span in spans:
+        basis = [list(b) for b in span.basis]
+        want = _brute_square_zero_lines(view, basis)
+        assert list(_square_zero_lines(view, span)) == want, basis
+        found += len(want)
+    assert found
+
+
 def test_radical_compute_cli_keeps_the_given_budget(tmp_path, capsys):
     # the abelian-ideal scan is bounded by the user's --budget
     from morozov.cli import EXIT_UNDETERMINED, main
