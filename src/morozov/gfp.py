@@ -403,3 +403,59 @@ def image_flag(start: Subspace, maps) -> list | None:
             return None
         flag.append(image)
     return flag
+
+
+def envelope_radical(mats: Sequence[FieldMatrix]):
+    """The residue map modulo J(A), for A the associative algebra generated
+    by 1 and the n x n matrices `mats` (at least one), when A/J(A) is
+    certified commutative; else None.  The map takes an n x n matrix to a
+    vector of GF(p)^(n^2), linearly, and vanishes on A exactly at J(A),
+    which then is the set of nilpotent elements of A.
+
+    A is spun from 1 in its own n^2 coordinates.  Its trace radical
+    I = {a in A : tr(ab) = 0 for all b in A}, one kernel, is an ideal
+    containing J(A), whose products with A are nilpotent; so I = J(A) when
+    I is nilpotent, which holds exactly when the images of GF(p)^n under I
+    reach 0.  If the generators also commute modulo I, A/J(A) is
+    commutative and semisimple, a product of fields, with no nonzero
+    nilpotents.  None when dim A passes MAX_DIM, when I is not nilpotent
+    (tr(1) = n puts 1 in I when p | n), or when two generators do not
+    commute modulo I."""
+    n, p = mats[0].rows, mats[0].p
+
+    def residue(v, echelon):
+        # echelon: (pivot, row) pairs, each row reduced against the earlier
+        for c, row in echelon:
+            f = v[c]
+            if f:
+                v = [(x - f * y) % p for x, y in zip(v, row)]
+        return v
+
+    words, echelon = [], []
+    queue = [FieldMatrix.identity(n, p)]
+    while queue:
+        w = queue.pop()
+        v = residue(list(w.entries), echelon)
+        lead = next((c for c, x in enumerate(v) if x), None)
+        if lead is None:
+            continue
+        if len(words) == MAX_DIM:
+            return None
+        inv = inv_mod(v[lead], p)
+        echelon.append((lead, [x * inv % p for x in v]))
+        words.append(w.entries)
+        queue.extend(m @ w for m in mats)
+    transposed = [FieldMatrix(n, n, p, w).transpose().entries for w in words]
+    trace_null = kernel(FieldMatrix(len(words), len(words), p, [
+        sum(x * y for x, y in zip(a, b)) for a in words for b in transposed]))
+    rows, pivots = _rref_rows(
+        [[sum(c * w[t] for c, w in zip(coeffs, words)) for t in range(n * n)]
+         for coeffs in trace_null.basis], n * n, p)
+    ideal = list(zip(pivots, rows))
+    if image_flag(Subspace.full(n, p), [FieldMatrix(n, n, p, row).matvec
+                                        for row in rows]) is None:
+        return None
+    if any(any(residue(list((a @ b - b @ a).entries), ideal))
+           for i, a in enumerate(mats) for b in mats[:i]):
+        return None
+    return lambda m: residue(list(m.entries), ideal)

@@ -35,7 +35,14 @@ class HNFiltration:
 
     @classmethod
     def make(cls, factors: Sequence, zero_index: int) -> "HNFiltration":
-        return cls(tuple((int(r), int(d)) for r, d in factors), int(zero_index))
+        for i, f in enumerate(factors):
+            if not (isinstance(f, (list, tuple)) and len(f) == 2
+                    and all(isinstance(x, int) for x in f)):
+                raise ValueError(f"field 'factors': factor {i} is not a "
+                                 f"(rank, degree) pair of integers")
+        if not isinstance(zero_index, int):
+            raise ValueError("field 'zero_index' is not an integer")
+        return cls(tuple(tuple(f) for f in factors), zero_index)
 
     def slopes(self) -> list:
         return [slope(r, d) for r, d in self.factors]

@@ -47,6 +47,17 @@ Strategy notes:
     elements of rad(h).  When C is not a subspace (seen only at p = 2) the
     answer is Undetermined; else rad_p(h) is the largest h-ideal inside C,
     since a p-nil ideal is nilpotent, so lies in rad(h) and in C;
+  * off the structured path, C is certified through A, the associative
+    algebra generated by 1 and the lifts of rad(h) ("envelope" method,
+    `gfp.envelope_radical`).  Its trace radical I = {a : tr(ab) = 0 for
+    all b in A} contains J(A), and equals it when I is nilpotent; if the
+    lifts also commute modulo I, A/J(A) is commutative and semisimple,
+    with no nonzero nilpotents, so C = {x : lift(x) in J(A)} exactly, one
+    linear solve with no budget.  The certificate declines on pgl with
+    p | n (no lift linear in x is the nilpotent one), when I is not
+    nilpotent (an idempotent of trace 0 in F_p, such as 1 when p | n),
+    when two lifts do not commute modulo I (sl2 at p = 2, whose envelope
+    is M_2), and when dim A passes MAX_DIM;
   * enumeration with an explicit budget (one walk, `_enumerate_cone`, for
     the p- and ad_h-nilpotent cones of a radical) is the general fallback,
     and exceeding the budget is an Undetermined outcome, never a guess.
@@ -60,7 +71,8 @@ from typing import Optional
 
 # kernel and rref are unused here; the benchmark tracer's self-test checks
 # that rebinding reaches every module importing them by name
-from .gfp import Subspace, image_flag, kernel, rref, solve_linear  # noqa: F401
+from .gfp import (FieldMatrix, Subspace, envelope_radical, image_flag,  # noqa: F401
+                  inv_mod, kernel, rref, solve_linear)
 from .liealg import Element, LieAlgebra, coordinate_split
 from .rootdata import is_closed, min_norm_point
 
@@ -403,21 +415,51 @@ def _structured_adnil_cone(g: LieAlgebra, h: Subspace, r: Subspace) -> Optional[
     return cone.sum(torus)
 
 
+def _envelope_pnil_cone(g: LieAlgebra, r: Subspace) -> Optional[Subspace]:
+    """The p-nilpotent elements of a nonzero r, when the associative
+    envelope of its lifts certifies them (`gfp.envelope_radical`): the x
+    in r whose lift lies in J(A).  The lift is the matrix M of x; on pgl
+    with p not dividing n it is the traceless representative
+    M - (tr M / n), linear in x.  There x is p-nilpotent exactly when some
+    M - lambda is nilpotent (`LieAlgebra.nilpotent_lift`), and that one
+    has trace 0, so lambda = tr M / n.  None on pgl with p | n, where
+    lambda is not linear in x."""
+    real = g.realization
+    if not r.dim or (real.mod_scalars and real.n % g.p == 0):
+        return None
+    lift = g.matrix_of
+    if real.mod_scalars:
+        mean = FieldMatrix.identity(real.n, g.p).scale(inv_mod(real.n, g.p))
+
+        def lift(x):
+            m = g.matrix_of(x)
+            return m - mean.scale(m.trace())
+    residue = envelope_radical([lift(list(b)) for b in r.basis])
+    return None if residue is None else \
+        solve_linear(r, lambda x: residue(lift(x)))
+
+
 # ---------------------------------------------------------------------------
 # Nilradical and p-radical
 # ---------------------------------------------------------------------------
 
 def pnil_part_of_radical(g: LieAlgebra, h: Subspace,
                          budget: int = DEFAULT_BUDGET) -> dict:
-    """The set of p-nilpotent elements of rad(h), with its method; the
-    tower consumes this directly.  Undetermined when that set is not a
-    subspace, since its span need not be p-nil."""
+    """The set of p-nilpotent elements of rad(h), with its method, the
+    first that applies: the root part of a coordinate-split radical
+    ("structured"), the elements whose lift lies in the Jacobson radical
+    of the associative envelope ("envelope"), or the budgeted walk over
+    rad(h) ("enumeration"); the tower consumes this directly.
+    Undetermined when the walk passes the budget or finds that set is not
+    a subspace, since its span need not be p-nil."""
     key = ("pnilpart", h.basis)
     if key in g._memo:
         return g._memo[key]
     r = solvable_radical(g, h, budget)
     cone = _structured_pnil_cone(g, r)
     method = "structured"
+    if cone is None:
+        cone, method = _envelope_pnil_cone(g, r), "envelope"
     if cone is None:
         method = "enumeration"
         cone, is_subspace = _enumerate_cone(g, r, _p_nilpotent_test(g), budget)

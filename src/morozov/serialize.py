@@ -69,6 +69,15 @@ def subspace_to_dict(s: Subspace) -> dict:
 def subspace_from_dict(data: dict, g: LieAlgebra = None) -> Subspace:
     p = data["p"]
     dim = data["ambient_dim"]
+    rows = data.get("basis", [])
+    for key, value in (("p", p), ("ambient_dim", dim)):
+        if not isinstance(value, int):
+            raise ValueError(f"field {key!r} is not an integer")
+    if not isinstance(rows, list):
+        raise ValueError("field 'basis' is not a list of rows")
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or not all(isinstance(x, int) for x in row):
+            raise ValueError(f"field 'basis': row {i} is not a list of integers")
     if g is not None and (p != g.p or dim != g.dim):
         raise ValueError("subspace does not match the algebra")
-    return Subspace.from_vectors(data.get("basis", []), dim, p)
+    return Subspace.from_vectors(rows, dim, p)

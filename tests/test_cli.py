@@ -25,12 +25,13 @@ def _sl3_borel(role):
     return standard_borel(build("sl", 3, 5))[role]
 
 
-def _sl3_conjugated(role):
-    # moved by 1 + E_31 out of standard position, where the radicals are
-    # enumerated
-    w = FieldMatrix.identity(3, 5) + FieldMatrix(
-        3, 3, 5, [int(i == 6) for i in range(9)])
-    return conjugate_subspace(build("sl", 3, 5), w, _sl3_borel(role))
+def _conjugated(role, family="sl", p=5):
+    # the standard Borel's part moved by 1 + E_31 out of standard position,
+    # off the structured radical path
+    g = build(family, 3, p)
+    w = FieldMatrix.identity(3, p) + FieldMatrix(
+        3, 3, p, [int(i == 6) for i in range(9)])
+    return conjugate_subspace(g, w, standard_borel(g)[role])
 
 
 def _sl3_line(label):
@@ -54,8 +55,8 @@ SUBSPACES = {
     "sl3-nil": lambda: _sl3_borel("nilradical"),
     "sl3-borel": lambda: _sl3_borel("parabolic"),
     "sl3-levi": lambda: standard_parabolic(build("sl", 3, 5), (0,))["levi"],
-    "sl3-nil-conj": lambda: _sl3_conjugated("nilradical"),
-    "sl3-borel-conj": lambda: _sl3_conjugated("parabolic"),
+    "sl3-borel-conj": lambda: _conjugated("parabolic"),
+    "pgl3@3-nil-conj": lambda: _conjugated("nilradical", "pgl", 3),
     "sl3-h1": lambda: _sl3_line("h1"),
     "sl3-not-closed": _sl3_not_closed,
     "pgl3-ex2": lambda: fixtures.ex2_subalgebra(build("pgl", 3, 3)),
@@ -79,8 +80,10 @@ CASES = [
     # the ex2 limit is not parabolic, so verification fails
     (["tower", "run", "--family", "pgl", "--n", "3", "--p", "3",
       "--subspace", "@pgl3-ex2"], EXIT_CHECK_FAILED),
-    (["tower", "run", *SL3, "--subspace", "@sl3-nil-conj", "--budget", "10"],
-     EXIT_UNDETERMINED),
+    # on pgl3@3 (p | n) the p-nilpotent cone of the conjugated Borel has no
+    # envelope certificate, and its 3^5 vectors pass the budget
+    (["tower", "run", "--family", "pgl", "--n", "3", "--p", "3", "--subspace",
+      "@pgl3@3-nil-conj", "--budget", "10"], EXIT_UNDETERMINED),
     (["tower", "run", *SL3, "--subspace", "@sl3-h1"], EXIT_INPUT),
     (["parabolic", "detect", *SL3, "--subspace", "@sl3-borel"], EXIT_OK),
     (["parabolic", "detect", *SL3, "--subspace", "@sl3-levi"], EXIT_CHECK_FAILED),
@@ -174,10 +177,19 @@ MALFORMED = {
         "missing field 'p'"),
     "subspace-as-list": (
         ["tower", "run", *SL2, "--subspace"], lambda: [[1, 0, 0]], ""),
+    "subspace-with-a-string-entry": (
+        ["tower", "run", *SL2, "--subspace"],
+        lambda: {"ambient_dim": 3, "p": 5, "basis": [[1, 0, 0], [0, "x", 0]]},
+        "field 'basis': row 1 is not a list of integers"),
     "filtration-as-list": (["hn", "check", "--filtration"], lambda: [1, 2], ""),
     "filtration-with-a-bare-factor": (
         ["hn", "check", "--filtration"],
-        lambda: {"factors": [[1, 2], 5], "zero_index": 0}, ""),
+        lambda: {"factors": [[1, 2], 5], "zero_index": 0},
+        "field 'factors': factor 1 is not a (rank, degree) pair"),
+    "filtration-with-a-string-degree": (
+        ["hn", "check", "--filtration"],
+        lambda: {"factors": [[1, "2"], [1, -2]], "zero_index": 0},
+        "field 'factors': factor 0 is not a (rank, degree) pair"),
 }
 
 

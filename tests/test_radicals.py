@@ -338,18 +338,16 @@ def test_structured_vs_enumeration_agree():
 
 def test_undetermined_budget():
     from morozov.radicals import Undetermined
-    g = build("sl", 4, 7)
-    b = standard_borel(g)["parabolic"]
-    view_rad = solvable_radical(g, b)
-    assert view_rad == b
+    g = build("sl", 3, 3)
+    u = standard_borel(g)["nilradical"]
     # force the enumeration path with a tiny budget on a non-split input:
-    # rotate the Borel off the coordinate frame so the structured split
-    # does not apply
+    # rotate the nilradical off the coordinate frame so the structured split
+    # does not apply; its envelope F + u has tr(1) = 3 = 0, so the trace
+    # radical contains 1 and the envelope certificate declines too
     from morozov.liealg import conjugate_subspace
-    w = FieldMatrix.from_rows(
-        [[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 1, 0, 1]], 7)
-    skew = conjugate_subspace(g, w, b)
-    assert skew != b
+    w = FieldMatrix.from_rows([[1, 0, 0], [1, 1, 0], [0, 1, 1]], 3)
+    skew = conjugate_subspace(g, w, u)
+    assert skew != u and solvable_radical(g, skew) == skew
     with pytest.raises(Undetermined):
         pnil_part_of_radical(g, skew, budget=10)
 
@@ -960,3 +958,99 @@ def test_nilradical_enumeration_builds_no_view(monkeypatch):
     assert out["nil"] == conjugate_subspace(g, w, data["nilradical"])
     with pytest.raises(Undetermined, match="exceeds budget 10"):
         nilradical(g, b, budget=10)
+
+
+def _envelope_inputs(g, rng):
+    """Seeded solvable radicals, each of p^dim at most 5^4: of the standard
+    parabolics, of their conjugates, of the conjugated nilradicals and of
+    the normalisers of the subalgebras generated by one of their elements.
+    A word that meets a root element of order >= p (sp and so at p <= 3)
+    leaves its parabolic in place."""
+    out = []
+    for chosen in _subsets(g):
+        data = standard_parabolic(g, chosen)
+        try:
+            w = _group_element(g, rng)
+        except ValueError:
+            w = FieldMatrix.identity(g.realization.n, g.p)
+        nil = conjugate_subspace(g, w, data["nilradical"])
+        hs = [data["parabolic"], conjugate_subspace(g, w, data["parabolic"]),
+              nil, g.normalizer(g.subalgebra_closure(
+                  [g.element(_random_vector(nil, rng))]))]
+        out += [r for r in (solvable_radical(g, h) for h in hs)
+                if g.p ** r.dim <= 5 ** 4]
+    return out
+
+
+@pytest.mark.parametrize("fam,n,p", [
+    (fam, n, p) for fam, n in (("gl", 2), ("sl", 2), ("pgl", 2), ("gl", 3),
+                               ("sl", 3), ("pgl", 3), ("sp", 4), ("so", 5))
+    for p in (2, 3, 5, 7) if (fam, p) != ("so", 2)])
+def test_envelope_cone_matches_enumeration(fam, n, p):
+    # where the associative envelope certifies the p-nilpotent cone it is
+    # the set the enumeration walks out, a subspace; it certifies some
+    # cone of every algebra with p not dividing n, and none of pgl with
+    # p | n
+    from morozov.radicals import (_envelope_pnil_cone, _enumerate_cone,
+                                  _p_nilpotent_test)
+    g = build(fam, n, p)
+    certified = 0
+    for r in _envelope_inputs(g, random.Random(f"envelope:{fam}{n}@{p}")):
+        cone = _envelope_pnil_cone(g, r)
+        if cone is not None:
+            certified += 1
+            assert _enumerate_cone(g, r, _p_nilpotent_test(g),
+                                   DEFAULT_BUDGET) == (cone, True), r.basis
+    if n % p:
+        assert certified
+    elif fam == "pgl":
+        assert not certified
+
+
+def test_envelope_certificate_declines():
+    from morozov.gfp import envelope_radical
+    from morozov.radicals import (_envelope_pnil_cone, _enumerate_cone,
+                                  _p_nilpotent_test)
+    # pgl3@3: no representative linear in x is the nilpotent one
+    g = build("pgl", 3, 3)
+    assert _envelope_pnil_cone(g, standard_borel(g)["parabolic"]) is None
+    # sl3@3, the scalars plus the conjugated Borel nilradical: the envelope
+    # is F + u and tr(1) = 3 = 0, so its trace radical holds 1 and is not
+    # nilpotent; the cone is u alone
+    g = build("sl", 3, 3)
+    w = FieldMatrix.from_rows([[1, 0, 0], [1, 1, 0], [0, 1, 1]], 3)
+    u = conjugate_subspace(g, w, standard_borel(g)["nilradical"])
+    one = g.coordinates_of_matrix(FieldMatrix.identity(3, 3))
+    r = solvable_radical(g, g.subspace([one, *u.basis]))
+    assert r.dim == 4 and _envelope_pnil_cone(g, r) is None
+    assert _enumerate_cone(g, r, _p_nilpotent_test(g), DEFAULT_BUDGET) == \
+        (u, True)
+    # sl2@2 is nilpotent and its envelope is all of M_2, whose trace form
+    # is nondegenerate, so I = 0, while [e, f] = h = 1: the quotient is not
+    # commutative, and the p-nilpotent elements are no subspace
+    g = build("sl", 2, 2)
+    r = solvable_radical(g, g.full_space())
+    assert r == g.full_space() and _envelope_pnil_cone(g, r) is None
+    assert not _enumerate_cone(g, r, _p_nilpotent_test(g), DEFAULT_BUDGET)[1]
+    # the 9 x 9 cycle E_12, E_23, ..., E_91 generates all of M_9, past the
+    # dimension cap
+    cycle = [FieldMatrix(9, 9, 5, [int(k == 9 * i + (i + 1) % 9)
+                                   for k in range(81)]) for i in range(9)]
+    assert envelope_radical(cycle) is None
+
+
+def test_envelope_radical_of_triangular_matrices():
+    # the upper triangular 3 x 3 matrices over GF(5), generated by E_11,
+    # E_22, E_12 and E_23: J(A) is the strictly upper triangular part
+    from morozov.gfp import envelope_radical
+
+    def unit(i, j):
+        return FieldMatrix(3, 3, 5, [int(k == 3 * i + j) for k in range(9)])
+    residue = envelope_radical([unit(0, 0), unit(1, 1), unit(0, 1),
+                                unit(1, 2)])
+    for i in range(3):
+        for j in range(3):
+            assert (not any(residue(unit(i, j)))) == (i < j)
+    # linear: E_11 + E_22 + E_33 - 1 has residue 0
+    total = unit(0, 0) + unit(1, 1) + unit(2, 2)
+    assert not any(residue(total - FieldMatrix.identity(3, 5)))
