@@ -10,6 +10,7 @@ is anchored to matrix arithmetic rather than hand-entered tables.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -177,6 +178,15 @@ class LieAlgebra:
         [b_i, b_j], for i < j with [b_i, b_j] != 0."""
         return {(i, j): entries for i, row in enumerate(self._rows)
                 for j, entries in row}
+
+    def basis_bracket(self, i: int, j: int) -> tuple:
+        """The nonzero coordinates ((k, c), ...) of [b_i, b_j], found by
+        bisection in row min(i, j), where (j,) sorts just before (j, ...)."""
+        if i > j:
+            return tuple((k, -c % self.p) for k, c in self.basis_bracket(j, i))
+        row = self._rows[i]
+        at = bisect_left(row, (j,))
+        return row[at][1] if at < len(row) and row[at][0] == j else ()
 
     def bracket_vec(self, x: Sequence[int], y: Sequence[int]) -> list:
         # row i pairs b_i with later b_j only, so it adds nothing when

@@ -29,9 +29,11 @@ Strategy notes:
     by Gordan's theorem the latter holds exactly when 0 is not in the
     convex hull of the support, that is when its point of least norm
     (`rootdata.min_norm_point`) is nonzero;
-  * in that split, the torus part of rad(h) is one linear solve: a torus
-    vector lies in rad(h) exactly when it kills every root line whose
-    spin ideal is not solvable;
+  * for a coordinate-split h, [e_a, e_b] lies in the weight space g_(a+b)
+    (a root line, the torus or 0) and [z, e_b] = b(z) e_b, so spin ideals
+    and their derived terms are root indices plus coroots [e_c, e_-c]; a
+    torus vector lies in rad(h) when it kills every root line whose spin
+    ideal is not solvable;
   * an element is p-nilpotent exactly when it has a nilpotent lift
     (`LieAlgebra.nilpotent_lift`: its matrix, shifted by a scalar on pgl);
   * the p-nil gate asks that u be nilpotent with a p-nilpotent basis.  This
@@ -80,7 +82,12 @@ DEFAULT_BUDGET = 10 ** 7    # also the tower's
 
 
 class Undetermined(Exception):
-    """Raised when a computation cannot be certified within its budget."""
+    """Raised when a computation cannot be certified within its budget;
+    `step` names the step that gave up: "scan", or a cone's method."""
+
+    def __init__(self, message: str, step: str):
+        super().__init__(message)
+        self.step = step
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +211,8 @@ def _enumerate_cone(g: LieAlgebra, r: Subspace, test, budget: int) -> tuple:
     """(span, is_subspace) of the nonzero elements v of r with test(v), by
     the one exhaustive enumeration of p^dim(r) vectors, within the budget."""
     if g.p ** r.dim > budget:
-        raise Undetermined(
-            f"enumeration of {g.p ** r.dim} elements exceeds budget {budget}")
+        raise Undetermined(f"enumeration of {g.p ** r.dim} elements "
+                           f"exceeds budget {budget}", "enumeration")
     members = [v for v in r.enumerate_vectors() if any(v) and test(v)]
     span = Subspace.from_vectors(members, g.dim, g.p)
     return span, len(members) + 1 == g.p ** span.dim
@@ -276,8 +283,8 @@ def _abelian_spin_scan(view: View, region: Subspace, budget: int):
     if region.dim == 0:
         return None
     if view.p ** region.dim > budget:
-        raise Undetermined(
-            f"abelian-ideal scan needs {view.p ** region.dim} vectors, over budget {budget}")
+        raise Undetermined(f"abelian-ideal scan needs {view.p ** region.dim} "
+                           f"vectors, over budget {budget}", "scan")
     best = None
     for v in _square_zero_lines(view, region):
         spun = view.spin_submodule(v)
@@ -325,33 +332,61 @@ def _solvable_radical_view(view: View, budget: int) -> Subspace:
     return quot.preimage(r)
 
 
+def _character(g: LieAlgebra, z, idx: int) -> int:
+    """b(z) in [z, e_b] = b(z) e_b, for e_b = b_idx and z as (index, x) pairs."""
+    return sum(x * c for t, x in z if x
+               for _, c in g.basis_bracket(t, idx)) % g.p
+
+
+def _split_bracket(g: LieAlgebra, a, b, coroots) -> tuple:
+    """[e_i, e_j] over root indices i in a, j in b, and [z, e_i] over the
+    coroots z, as (root indices, coroots: nonzero coordinates of [e_c, e_-c])."""
+    found = {g.basis_bracket(i, j) for i in a for j in b
+             if i < j or i not in b or j not in a} - {()}     # each pair once
+    lines = {e for e in found if e[0][0] in g.frame.index_root}
+    return {e[0][0] for e in lines} | {
+        i for i in a if any(_character(g, z, i) for z in coroots)}, found - lines
+
+
 def _structured_solvable_radical(g: LieAlgebra, h: Subspace) -> Optional[Subspace]:
-    """rad(h) for a coordinate-split h, at every p.  rad(h) is a
-    characteristic ideal, and it commutes with extension to the algebraic
-    closure (Galois descent); the algebraic torus normalises h, and its
-    root characters are pairwise distinct and nonzero.  So rad(h) is its
-    torus part plus root lines: the sum of the solvable spin-ideals of the
-    coordinate directions of h."""
+    """rad(h) for a coordinate-split h, at every p, with no budget.
+    rad(h) is a characteristic ideal, and it commutes with extension to the
+    algebraic closure (Galois descent); the algebraic torus normalises h,
+    and its root characters are pairwise distinct and nonzero.  So rad(h)
+    is its torus part plus root lines: the sum of the solvable spin-ideals
+    of the coordinate directions of h, which, like their derived terms, are
+    coordinate-split, as [e_a, e_b] lies in g_(a+b) (module notes)."""
     split = coordinate_split(g, h)
     if split is None:
         return None
     torus_part, lines = split
-    total = Subspace.zero(g.dim, g.p)
-    wild = []           # root lines whose spin ideal is not solvable
+    h_roots = {idx for _, idx in lines}
+    roots, coroots, wild = set(), set(), []     # wild: spin not solvable
     for _, idx in lines:
-        if total.contains_vector(g.unit(idx)):
+        if idx in roots:
             continue        # inside a solvable ideal already found
-        spin = g.spin_submodule(g.unit(idx), h)
-        if g.is_solvable(spin):
-            total = total.sum(spin)
-        else:
+        # the spin under h's root lines (h's torus part only rescales)
+        spin = fresh = ({idx}, set())
+        while any(fresh):
+            found = _split_bracket(g, h_roots, *fresh)
+            fresh = (found[0] - spin[0], found[1] - spin[1])
+            spin = (spin[0] | fresh[0], spin[1] | fresh[1])
+        # its derived series reaches a torus part, which is abelian, or
+        # stalls (one term late: a term's torus vectors need not be a basis)
+        term = spin
+        while term[0] and term != (
+                derived := _split_bracket(g, term[0], term[0], term[1])):
+            term = derived
+        if term[0]:
             wild.append(idx)
-    # torus directions: spin(z) = <z> + the spins of the root lines z does
-    # not kill, and the extra central line never affects solvability, so z
-    # lies in rad(h) exactly when it kills every wild root line
+        else:
+            roots, coroots = roots | spin[0], coroots | spin[1]
+    # spin(z) = <z> + the spins of the root lines z does not kill, and <z>
+    # leaves solvability alone: z is in rad(h) iff it kills each wild line
     torus = solve_linear(torus_part, lambda z: [
-        c for idx in wild for c in g.bracket_vec(z, g.unit(idx))])
-    return total.sum(torus)
+        _character(g, enumerate(z), idx) for idx in wild])
+    return g.subspace([g.unit(i) for i in roots] + list(torus.basis) + [
+        [dict(z).get(k, 0) for k in range(g.dim)] for z in coroots])
 
 
 def solvable_radical(g: LieAlgebra, h: Subspace,
@@ -360,20 +395,15 @@ def solvable_radical(g: LieAlgebra, h: Subspace,
     The budget bounds the abelian-ideal scan of the view path; a result
     that is returned is exact at any budget, so the memo key omits it."""
     key = ("rad", h.basis)
-    if key in g._memo:
-        return g._memo[key]
-    if not g.is_subalgebra(h):
-        raise ValueError("input is not a subalgebra")
-    if g.frame is not None:
-        structured = _structured_solvable_radical(g, h)
-        if structured is not None:
-            g._memo[key] = structured
-            return structured
-    view = SubView(g, h)
-    local = _solvable_radical_view(view, budget)
-    out = view.lift_subspace(local)
-    g._memo[key] = out
-    return out
+    if key not in g._memo:
+        if not g.is_subalgebra(h):
+            raise ValueError("input is not a subalgebra")
+        out = _structured_solvable_radical(g, h)
+        if out is None:
+            view = SubView(g, h)
+            out = view.lift_subspace(_solvable_radical_view(view, budget))
+        g._memo[key] = out
+    return g._memo[key]
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +441,7 @@ def _structured_adnil_cone(g: LieAlgebra, h: Subspace, r: Subspace) -> Optional[
     if cone is None or split_h is None:
         return None
     torus = solve_linear(coordinate_split(g, r)[0], lambda z: [
-        c for _, idx in split_h[1] for c in g.bracket_vec(z, g.unit(idx))])
+        _character(g, enumerate(z), idx) for _, idx in split_h[1]])
     return cone.sum(torus)
 
 
@@ -465,7 +495,7 @@ def pnil_part_of_radical(g: LieAlgebra, h: Subspace,
         cone, is_subspace = _enumerate_cone(g, r, _p_nilpotent_test(g), budget)
         if not is_subspace:
             raise Undetermined("the p-nilpotent elements of rad(h) do not "
-                               "form a subspace")
+                               "form a subspace", "enumeration")
     out = {"span": cone, "method": method, "radical": r}
     g._memo[key] = out
     return out
@@ -494,7 +524,7 @@ def nilradical(g: LieAlgebra, h: Subspace, budget: int = DEFAULT_BUDGET) -> dict
     cand = g.largest_ideal_inside(h, cone)
     if not g.is_nilpotent(cand):
         raise Undetermined("largest ideal inside the ad-nilpotent cone is "
-                           "not nilpotent; nilradical undecided")
+                           "not nilpotent; nilradical undecided", method)
     return {"nil": cand, "method": method, "radical": r}
 
 
@@ -532,6 +562,5 @@ def radical_report(g: LieAlgebra, h: Subspace,
         p_closed = prad_out["p_closed"]
         method = prad_out["method"]
     except Undetermined as exc:
-        status, detail = "undetermined", str(exc)
-        method = "enumeration"
+        status, detail, method = "undetermined", str(exc), exc.step
     return RadicalReport(rad, nil, rad_p, method, p_closed, status, detail)

@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from morozov.gfp import FieldMatrix, Subspace, rref
+from morozov.gfp import FieldMatrix, Subspace, rref, solve_linear
 from morozov.kempf import check_search_class
-from morozov.liealg import (build, conjugate_subspace, standard_borel,
-                            standard_parabolic)
+from morozov.liealg import (build, conjugate_subspace, coordinate_split,
+                            standard_borel, standard_parabolic)
 from morozov.radicals import (DEFAULT_BUDGET, QuotientView, SubView,
                               Undetermined, _certified_root_support,
                               _solvable_radical_view,
@@ -592,6 +592,60 @@ def test_linear_torus_part_matches_view_path(fam, n):
         assert compared >= 2 * len(_subsets(g)), p
 
 
+def _dense_structured_radical(g, h):
+    """The structured radical by dense spins and derived series: the sum of
+    the solvable spin-ideals of h's root lines, plus the torus vectors of h
+    that kill every other root line."""
+    torus_part, lines = coordinate_split(g, h)
+    total, wild = Subspace.zero(g.dim, g.p), []
+    for _, idx in lines:
+        if total.contains_vector(g.unit(idx)):
+            continue
+        spin = g.spin_submodule(g.unit(idx), h)
+        if g.is_solvable(spin):
+            total = total.sum(spin)
+        else:
+            wild.append(idx)
+    return total.sum(solve_linear(torus_part, lambda z: [
+        c for idx in wild for c in g.bracket_vec(z, g.unit(idx))]))
+
+
+def _split_closures(g, rng, count):
+    """Seeded coordinate-split subalgebras: closures of a few random root
+    lines and random torus units."""
+    roots = sorted(g.frame.index_root)
+    out = []
+    while len(out) < count:
+        gens = rng.sample(roots, rng.randrange(1, 5)) + [
+            t for t in g.frame.torus_indices if rng.random() < 0.3]
+        h = g.subalgebra_closure([g.basis_element(i) for i in gens])
+        if coordinate_split(g, h) is not None:
+            out.append(h)
+    return out
+
+
+@pytest.mark.parametrize("fam,n,p", [
+    (fam, n, p) for fam, n in (("gl", 3), ("sl", 3), ("sl", 4), ("sp", 4),
+                               ("sp", 6), ("so", 5), ("so", 7))
+    for p in (2, 3, 5, 7) if (fam, p) != ("so", 2)] + [
+    ("pgl", 3, 3), ("pgl", 4, 2)])
+def test_root_index_radical_matches_dense_spins(fam, n, p):
+    # the root-index closures against the dense spins and derived series
+    # they replace, on seeded coordinate-split subalgebras, pgl with p | n
+    # included; and against the view path where it decides within the
+    # budget
+    g = build(fam, n, p)
+    for h in _split_closures(g, random.Random(f"split:{fam}{n}@{p}"), 12):
+        structured = _structured_solvable_radical(g, h)
+        assert structured == _dense_structured_radical(g, h), h.basis
+        view = SubView(g, h)
+        try:
+            local = _solvable_radical_view(view, DEFAULT_BUDGET)
+        except Undetermined:
+            continue
+        assert view.lift_subspace(local) == structured, h.basis
+
+
 def _conjugated_sl4_parabolic():
     """The sl4@7 parabolic S = (0, 1) moved by a seeded GL_4 element: the
     view path's abelian-ideal scan is far over the budget here."""
@@ -604,9 +658,20 @@ def test_radical_report_returns_undetermined():
     g, h = _conjugated_sl4_parabolic()
     rep = radical_report(g, h)
     assert rep.status == "undetermined"
-    assert "abelian-ideal scan" in rep.detail
+    assert "abelian-ideal scan" in rep.detail and rep.method_used == "scan"
     assert rep.rad is None and rep.nil is None and rep.rad_p is None
     assert rep.as_dict()["rad"] is None
+
+
+def test_radical_report_names_the_enumeration_that_gave_up():
+    # the rotated sl3@3 Borel nilradical of test_undetermined_budget: its
+    # radical is itself, and the ad-nilpotent cone's walk passes budget 10
+    g = build("sl", 3, 3)
+    w = FieldMatrix.from_rows([[1, 0, 0], [1, 1, 0], [0, 1, 1]], 3)
+    skew = conjugate_subspace(g, w, standard_borel(g)["nilradical"])
+    rep = radical_report(g, skew, budget=10)
+    assert rep.status == "undetermined" and "exceeds budget 10" in rep.detail
+    assert rep.method_used == "enumeration" and rep.rad == skew
 
 
 def test_radical_compute_cli_exits_undetermined(tmp_path, capsys):
@@ -704,6 +769,22 @@ def test_borel_tower_of_sl8_at_13():
     assert checks.pop("parabolic_status") == "parabolic"
     assert set(checks.values()) == {"pass"}
     assert trace.u_limit == standard_borel(g)["nilradical"]
+
+
+@pytest.mark.parametrize("fam,n,chosen", [
+    ("sl", 8, (0, 1, 2, 4, 5, 6)), ("sp", 10, (0, 1, 2, 3)),
+    ("so", 11, (1, 2, 3, 4))])
+def test_maximal_parabolic_towers_at_13(fam, n, chosen):
+    # maximal parabolics of the largest algebras at p = 13: the tower
+    # stabilises on the nilradical and every check of verify_morozov passes
+    g = build(fam, n, 13)
+    nil = standard_parabolic(g, chosen)["nilradical"]
+    trace = run_tower(g, nil)
+    assert trace.status == "stabilized" and trace.u_limit == nil
+    checks = verify_morozov(g, trace).checks
+    checks.pop("kempf_lambda")
+    assert checks.pop("parabolic_status") == "parabolic"
+    assert set(checks.values()) == {"pass"}
 
 
 @pytest.mark.parametrize("fam,n,p", [
