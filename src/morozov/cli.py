@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import fixtures as fixtures_mod
-from . import hnslope, kempf, parabolic, radicals, rootdata, tower
+from . import hnslope, kempf, parabolic, radicals, rootdata, suite, tower
 from .liealg import build
 from .serialize import (algebra_from_dict, algebra_to_dict, canonical_json,
                         subspace_from_dict)
@@ -212,7 +212,6 @@ def cmd_fixtures_paper(args) -> int:
 
 
 def cmd_suite_run(args) -> int:
-    from . import suite     # numpy, for criterion 1, loads only here
     selected = args.criteria.split(",") if args.criteria else None
     results = suite.run_suite(selected, seed=args.seed)
     worst = EXIT_OK

@@ -148,15 +148,19 @@ class FieldMatrix:
     def pow(self, e: int) -> "FieldMatrix":
         if self.rows != self.cols:
             raise ValueError("power of a non-square matrix")
-        result = FieldMatrix.identity(self.rows, self.p)
-        base = self
-        while e > 0:
+        if e < 0:
+            raise ValueError("negative matrix power")
+        if e == 0:
+            return FieldMatrix.identity(self.rows, self.p)
+        # square and multiply, starting from the base: no product with the identity
+        result, base = None, self
+        while True:
             if e & 1:
-                result = result @ base
+                result = base if result is None else result @ base
             e >>= 1
-            if e:
-                base = base @ base
-        return result
+            if not e:
+                return result
+            base = base @ base
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.entries)

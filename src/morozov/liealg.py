@@ -540,35 +540,26 @@ class Element:
 def jacobson_defect(x: Element, y: Element) -> Element:
     """The correction W(x, y) in (x+y)^[p] = x^[p] + y^[p] - W(x, y).
 
-    Evaluated by expanding ad(t x + y)^(p-1)(x) as a polynomial in t and
-    combining the coefficient of t^(i-1) with weight -1/i."""
+    ad(t x + y)^(p-1)(x) is expanded as a polynomial in t, kept as its
+    list of coefficient vectors by degree: each of the p - 1 steps sends
+    the coefficient c of t^d to [y, c] at t^d and [x, c] at t^(d+1), on
+    the algebra's own `bracket_vec`.  W is the sum of the coefficients of
+    t^(i-1) weighted by -1/i, for i = 1, ..., p - 1."""
     alg = x.algebra
     x._check(y)
     p = alg.p
-    adx = alg.ad_matrix_vec(x.coords)
-    ady = alg.ad_matrix_vec(y.coords)
-    poly = {0: list(x.coords)}
+    poly = [x.coords]
     for _ in range(p - 1):
-        nxt: dict = {}
-        for deg, vec in poly.items():
-            up = adx.matvec(vec)
-            same = ady.matvec(vec)
-            if any(up):
-                tgt = nxt.setdefault(deg + 1, [0] * alg.dim)
-                for i, v in enumerate(up):
-                    tgt[i] = (tgt[i] + v) % p
-            if any(same):
-                tgt = nxt.setdefault(deg, [0] * alg.dim)
-                for i, v in enumerate(same):
-                    tgt[i] = (tgt[i] + v) % p
+        nxt = [alg.bracket_vec(y.coords, c) for c in poly] + [[0] * alg.dim]
+        for d, c in enumerate(poly):
+            if any(c):
+                up = alg.bracket_vec(x.coords, c)
+                nxt[d + 1] = [(a + b) % p for a, b in zip(nxt[d + 1], up)]
         poly = nxt
     out = [0] * alg.dim
-    for i in range(1, p):
-        vec = poly.get(i - 1)
-        if vec:
-            w = inv_mod(i, p)
-            for k, v in enumerate(vec):
-                out[k] = (out[k] - w * v) % p
+    for i, c in enumerate(poly[:p - 1], 1):
+        w = inv_mod(i, p)
+        out = [(o - w * v) % p for o, v in zip(out, c)]
     return alg.element(out)
 
 

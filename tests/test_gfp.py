@@ -185,6 +185,18 @@ def test_matrix_power_and_nilpotency():
     assert not t.is_nilpotent()
 
 
+@pytest.mark.parametrize("p", [5, 7])
+def test_matrix_power_is_the_repeated_product(p):
+    rng = random.Random(f"pow {p}")
+    m = FieldMatrix(4, 4, p, [rng.randrange(p) for _ in range(16)])
+    product = FieldMatrix.identity(4, p)
+    for e in range(9):
+        assert m.pow(e) == product
+        product = product @ m
+    with pytest.raises(ValueError):
+        m.pow(-1)
+
+
 def test_prime_guard():
     assert is_prime(13) and not is_prime(1) and not is_prime(9)
     with pytest.raises(ValueError):

@@ -1,20 +1,20 @@
 """Checks on the package as shipped: no unused module-level imports in
-the source, the packaged fixture file matches its generator, and numpy
-loads only for `morozov suite run`."""
+the source, the packaged fixture file matches its generator, no module
+imports numpy and `pyproject.toml` declares no runtime dependency, and
+`morozov suite run` checks the structure laws with numpy unimportable."""
 
 import ast
-import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 from morozov.fixtures import fixture_payload
-from morozov.gfp import FieldMatrix
-from morozov.liealg import build, conjugate_subspace, standard_parabolic
-from morozov.serialize import canonical_json, subspace_to_dict
+from morozov.serialize import canonical_json
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "morozov"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "morozov"
 
 # (module, name) pairs imported on purpose without a use
 UNUSED_ALLOWED = {
@@ -82,47 +82,37 @@ def _run_python(*args):
                           text=True, env=env, timeout=300)
 
 
-# runs the CLI commands of argv[1] (a JSON list of argument lists) in a
-# fresh interpreter, counting the calls that reach the abelian-ideal scan
-_ENGINE_COMMANDS = """
-import json, sys
-from morozov import cli, radicals
+def _imported_modules(path: Path) -> set:
+    """Top-level names of every module that the file imports, at any
+    depth, deferred imports included."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
 
-scans = []
-scan = radicals._abelian_spin_scan
-def counted(*args):
-    scans.append(args)
-    return scan(*args)
-radicals._abelian_spin_scan = counted
-codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
-assert codes == [0] * len(codes), codes
-assert scans, "no command reached the abelian-ideal scan"
-assert "numpy" not in sys.modules
+
+def test_package_imports_no_numpy_and_declares_no_dependency():
+    assert [path.stem for path in sorted(PACKAGE.glob("*.py"))
+            if "numpy" in _imported_modules(path)] == []
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    declared = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S)
+    assert declared is not None and declared.group(1).strip() == ""
+
+
+# any `import numpy` in the interpreter raises ImportError
+_WITHOUT_NUMPY = """
+import runpy, sys
+sys.modules["numpy"] = None
+sys.argv = ["morozov", *sys.argv[1:]]
+runpy.run_module("morozov.cli", run_name="__main__")
 """
 
 
-def test_engine_commands_do_not_load_numpy(tmp_path):
-    g = build("sl", 3, 5)
-    # the sl3@5 parabolic S = (0,) moved by 1 + E_31 out of standard
-    # position: its radical goes through a Killing kernel that is all of
-    # the 5-dimensional view, hence the line scan
-    w = FieldMatrix.identity(3, 5) + FieldMatrix(
-        3, 3, 5, [int(i == 6) for i in range(9)])
-    spaces = {"nil": standard_parabolic(g, (0,))["nilradical"],
-              "par": conjugate_subspace(
-                  g, w, standard_parabolic(g, (0,))["parabolic"])}
-    for name, space in spaces.items():
-        (tmp_path / f"{name}.json").write_text(
-            canonical_json(subspace_to_dict(space)))
-    sl3 = ["--family", "sl", "--n", "3", "--p", "5"]
-    argvs = [["tower", "run", *sl3, "--subspace", str(tmp_path / "nil.json")],
-             ["radical", "compute", *sl3,
-              "--subspace", str(tmp_path / "par.json")]]
-    done = _run_python("-c", _ENGINE_COMMANDS, json.dumps(argvs))
-    assert done.returncode == 0, done.stderr
-
-
 def test_suite_run_still_checks_the_structure_laws():
-    done = _run_python("-m", "morozov.cli", "suite", "run", "--criteria", "1")
+    done = _run_python("-c", _WITHOUT_NUMPY, "suite", "run", "--criteria", "1")
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("[PASS        ] 1 restricted-structure laws")
+    assert done.stdout.rstrip().endswith("18 algebra/prime pairs")
