@@ -24,6 +24,12 @@ from .liealg import LieAlgebra, build
 P = 3
 
 
+def _subspace_of(g: LieAlgebra, mats) -> Subspace:
+    """The span in g of 3 x 3 matrices given as lists of rows."""
+    return g.subspace([g.coordinates_of_matrix(FieldMatrix.from_rows(m, P))
+                       for m in mats])
+
+
 def ex2_generators(g: LieAlgebra) -> tuple:
     x = FieldMatrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]], P)
     y = FieldMatrix.from_rows([[0, 0, 0], [1, 0, 0], [0, 2, 0]], P)
@@ -36,37 +42,35 @@ def ex2_subalgebra(g: LieAlgebra) -> Subspace:
     return g.subalgebra_closure([x, y])
 
 
-def _pattern_matrices(t: int):
-    """Spanning matrices of (a b c / d e f=b / g h=-d i) in gl_3."""
-    def m(a, b, c, d, e, gg, i):
-        return FieldMatrix.from_rows(
-            [[a, b, c], [d, e, b], [gg, (-d) % P, i]], P)
-    units = []
-    for k in range(7):
-        args = [0] * 7
-        args[k] = 1
-        units.append(m(*args))
-    return units
+def _pattern(a, b, c, d, e, gg, i) -> list:
+    """The displayed normalizer shape (a b c / d e f=b / g h=-d i)."""
+    return [[a, b, c], [d, e, b], [gg, -d, i]]
+
+
+def _pattern_units(positions) -> list:
+    """The pattern with one of its seven parameters 1, the others 0."""
+    return [_pattern(*[int(j == k) for j in range(7)]) for k in positions]
 
 
 def ex2_printed_pattern(g: LieAlgebra) -> Subspace:
     """The displayed normalizer shape with free diagonal (no trace tie)."""
-    return g.subspace([g.coordinates_of_matrix(m) for m in _pattern_matrices(0)])
+    return _subspace_of(g, _pattern_units(range(7)))
 
 
 def ex2_corrected_pattern(g: LieAlgebra) -> Subspace:
     """The displayed shape intersected with the trace-zero diagonal
-    relation a + i = 2e (class-invariant at p = 3)."""
-    mats = []
-    # diagonal part restricted to a - 2e + i = 0: basis diag(1,2,0), scalars
-    mats.append(FieldMatrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 0]], P))
-    for k in (1, 2, 3, 5):   # b, c, d (with ties), g
-        args = [0] * 7
-        args[k] = 1
-        a, b, c, d, e, gg, i = args
-        mats.append(FieldMatrix.from_rows(
-            [[a, b, c], [d, e, b], [gg, (-d) % P, i]], P))
-    return g.subspace([g.coordinates_of_matrix(m) for m in mats])
+    relation a + i = 2e (class-invariant at p = 3): diag(1, 2, 0), which
+    with the scalars spans that relation, and the b, c, d and g units."""
+    return _subspace_of(g, [_pattern(1, 0, 0, 0, 2, 0, 0)]
+                        + _pattern_units((1, 2, 3, 5)))
+
+
+def _ex1_off_diagonal(t: int) -> list:
+    """The b, c and f units and the tied d unit of (a b c / d e f / 0 t*d g)."""
+    return [[[0, 1, 0], [0, 0, 0], [0, 0, 0]],
+            [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
+            [[0, 0, 0], [0, 0, 1], [0, 0, 0]],
+            [[0, 0, 0], [1, 0, 0], [0, t, 0]]]
 
 
 def ex1_sl3_subalgebra(g: LieAlgebra, t: int) -> Subspace:
@@ -74,32 +78,18 @@ def ex1_sl3_subalgebra(g: LieAlgebra, t: int) -> Subspace:
     sl_3 at p = 3 containing the standard Borel."""
     if t % P == 0:
         raise ValueError("t must be a unit")
-    cands = [
-        [[1, 0, 0], [0, 0, 0], [0, 0, 2]],
-        [[0, 0, 0], [0, 1, 0], [0, 0, 2]],
-        [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
-        [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
-        [[0, 0, 0], [0, 0, 1], [0, 0, 0]],
-        [[0, 0, 0], [1, 0, 0], [0, t % P, 0]],
-    ]
-    return g.subspace([g.coordinates_of_matrix(FieldMatrix.from_rows(m, P))
-                       for m in cands])
+    return _subspace_of(g, [[[1, 0, 0], [0, 0, 0], [0, 0, 2]],
+                            [[0, 0, 0], [0, 1, 0], [0, 0, 2]]]
+                        + _ex1_off_diagonal(t))
 
 
 def ex1_pgl_pattern(g: LieAlgebra, t: int) -> Subspace:
     """The literal quotient-algebra reading (free diagonal classes); not
     bracket-closed - kept as data to document the defect."""
-    cands = [
-        [[1, 0, 0], [0, 0, 0], [0, 0, 0]],
-        [[0, 0, 0], [0, 1, 0], [0, 0, 0]],
-        [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
-        [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
-        [[0, 0, 0], [0, 0, 1], [0, 0, 0]],
-        [[0, 0, 0], [1, 0, 0], [0, t % P, 0]],
-        [[0, 0, 0], [0, 0, 0], [0, 0, 1]],
-    ]
-    return g.subspace([g.coordinates_of_matrix(FieldMatrix.from_rows(m, P))
-                       for m in cands])
+    return _subspace_of(g, [[[1, 0, 0], [0, 0, 0], [0, 0, 0]],
+                            [[0, 0, 0], [0, 1, 0], [0, 0, 0]],
+                            [[0, 0, 0], [0, 0, 0], [0, 0, 1]]]
+                        + _ex1_off_diagonal(t))
 
 
 def fixture_payload() -> dict:
@@ -113,10 +103,8 @@ def fixture_payload() -> dict:
         "p": P,
         "ex2": {
             "algebra": {"family": "pgl", "n": 3, "p": P},
-            "X": [list(r) for r in
-                  FieldMatrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]], P).to_rows()],
-            "Y": [list(r) for r in
-                  FieldMatrix.from_rows([[0, 0, 0], [1, 0, 0], [0, 2, 0]], P).to_rows()],
+            "X": x.matrix().to_rows(),
+            "Y": y.matrix().to_rows(),
             "generated_subalgebra": [list(r) for r in u.basis],
             "printed_normalizer_pattern":
                 [list(r) for r in ex2_printed_pattern(pgl3).basis],

@@ -2,6 +2,11 @@
 reduced row echelon form, and `solve_linear`, the one solver for "the
 subspace on which a linear condition vanishes".
 
+Reducing a vector against echelon rows (`_eliminate`) and forming a
+combination sum c * row (`_combine`) live here once; `Subspace`, the
+coordinates of `LieAlgebra`, the envelope certificate and the views of
+`radicals` all go through them.
+
 Everything here is immutable after construction and all operations are
 pure.  Field elements are plain ints reduced into [0, p).
 """
@@ -234,6 +239,31 @@ def _rref_rows(rows: list, cols: int, p: int) -> tuple:
             for c in pivots], pivots
 
 
+def _eliminate(v: Sequence[int], rows: Sequence, pivots: Sequence[int],
+               p: int) -> tuple:
+    """(coefficients, residual) with v = sum c * row + residual, reducing v
+    against the rows in order; row i is 1 at pivots[i].  The residual is 0
+    at every pivot whenever each row is 0 at the pivots of the rows before
+    it: an RREF, or an echelon grown one reduced row at a time."""
+    v = [x % p for x in v]
+    coeffs = []
+    for c, row in zip(pivots, rows):
+        f = v[c]
+        coeffs.append(f)
+        if f:
+            v = [(x - f * y) % p for x, y in zip(v, row)]
+    return coeffs, v
+
+
+def _combine(coeffs: Sequence[int], rows: Iterable, width: int, p: int) -> list:
+    """sum c * row over the paired coefficients and rows of length width."""
+    out = [0] * width
+    for c, row in zip(coeffs, rows):
+        if c:
+            out = [x + c * y for x, y in zip(out, row)]
+    return [x % p for x in out]
+
+
 def rref(m: FieldMatrix) -> tuple:
     """Reduced row echelon form and rank.  RREF is the canonical form:
     equal row spaces give byte-equal results."""
@@ -260,9 +290,10 @@ def kernel(m: FieldMatrix) -> "Subspace":
 
 class Subspace:
     """Subspace of GF(p)^n held in canonical RREF; the basis tuple is the
-    equality certificate."""
+    equality certificate, and `pivots` holds the leading column of each
+    basis row."""
 
-    __slots__ = ("ambient_dim", "p", "basis")
+    __slots__ = ("ambient_dim", "p", "basis", "pivots")
 
     def __init__(self, ambient_dim: int, p: int, basis: Sequence[Sequence[int]]):
         check_modulus(p)
@@ -271,6 +302,9 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self.p = p
         self.basis = tuple(tuple(x % p for x in row) for row in basis)
+        # the first nonzero entry of a row occurs first at its pivot
+        self.pivots = tuple([row.index(next(filter(None, row)))
+                             for row in self.basis])
 
     @classmethod
     def from_vectors(cls, vectors: Iterable[Sequence[int]], ambient_dim: int, p: int) -> "Subspace":
@@ -315,16 +349,10 @@ class Subspace:
 
     def reduce_vector(self, v: Sequence[int]) -> list:
         """Residual of v after elimination against the canonical basis."""
-        v = [x % self.p for x in v]
-        for row in self.basis:
-            lead = next(j for j, x in enumerate(row) if x)
-            c = v[lead]
-            if c:
-                v = [(x - c * y) % self.p for x, y in zip(v, row)]
-        return v
+        return _eliminate(v, self.basis, self.pivots, self.p)[1]
 
     def contains_vector(self, v: Sequence[int]) -> bool:
-        return all(x == 0 for x in self.reduce_vector(v))
+        return not any(self.reduce_vector(v))
 
     def contains(self, other: "Subspace") -> bool:
         self._check(other)
@@ -332,29 +360,19 @@ class Subspace:
 
     def coordinates_of(self, v: Sequence[int]) -> list | None:
         """Coefficients of v in the canonical basis, or None if outside."""
-        v = [x % self.p for x in v]
-        coeffs = []
-        for row in self.basis:
-            lead = next(j for j, x in enumerate(row) if x)
-            c = v[lead]
-            coeffs.append(c)
-            if c:
-                v = [(x - c * y) % self.p for x, y in zip(v, row)]
-        if any(v):
-            return None
-        return coeffs
+        coeffs, residual = _eliminate(v, self.basis, self.pivots, self.p)
+        return None if any(residual) else coeffs
+
+    def combine(self, coeffs: Sequence[int]) -> list:
+        """The vector with these coefficients in the canonical basis."""
+        return _combine(coeffs, self.basis, self.ambient_dim, self.p)
 
     def enumerate_vectors(self):
         """Yield every vector of the subspace (p^dim of them)."""
-        p, n = self.p, self.ambient_dim
+        p = self.p
         coeffs = [0] * self.dim
         while True:
-            v = [0] * n
-            for c, row in zip(coeffs, self.basis):
-                if c:
-                    for i in range(n):
-                        v[i] = (v[i] + c * row[i]) % p
-            yield v
+            yield self.combine(coeffs)
             k = 0
             while k < self.dim and coeffs[k] == p - 1:
                 coeffs[k] = 0
@@ -381,16 +399,8 @@ def solve_linear(space: Subspace, condition) -> Subspace:
     if space.dim == space.ambient_dim:
         # the canonical basis of the whole space is the identity
         return ker
-    n, p = space.ambient_dim, space.p
-    vecs = []
-    for coeffs in ker.basis:
-        v = [0] * n
-        for c, row in zip(coeffs, space.basis):
-            if c:
-                for i in range(n):
-                    v[i] = (v[i] + c * row[i]) % p
-        vecs.append(v)
-    return Subspace.from_vectors(vecs, n, p)
+    return Subspace.from_vectors([space.combine(c) for c in ker.basis],
+                                 space.ambient_dim, space.p)
 
 
 def image_flag(start: Subspace, maps) -> list | None:
@@ -426,40 +436,34 @@ def envelope_radical(mats: Sequence[FieldMatrix]):
     (tr(1) = n puts 1 in I when p | n), or when two generators do not
     commute modulo I."""
     n, p = mats[0].rows, mats[0].p
-
-    def residue(v, echelon):
-        # echelon: (pivot, row) pairs, each row reduced against the earlier
-        for c, row in echelon:
-            f = v[c]
-            if f:
-                v = [(x - f * y) % p for x, y in zip(v, row)]
-        return v
-
-    words, echelon = [], []
+    words, rows, pivots = [], [], []    # rows: an echelon grown row by row
     queue = [FieldMatrix.identity(n, p)]
     while queue:
         w = queue.pop()
-        v = residue(list(w.entries), echelon)
+        v = _eliminate(w.entries, rows, pivots, p)[1]
         lead = next((c for c, x in enumerate(v) if x), None)
         if lead is None:
             continue
         if len(words) == MAX_DIM:
             return None
         inv = inv_mod(v[lead], p)
-        echelon.append((lead, [x * inv % p for x in v]))
+        rows.append([x * inv % p for x in v])
+        pivots.append(lead)
         words.append(w.entries)
         queue.extend(m @ w for m in mats)
     transposed = [FieldMatrix(n, n, p, w).transpose().entries for w in words]
     trace_null = kernel(FieldMatrix(len(words), len(words), p, [
         sum(x * y for x, y in zip(a, b)) for a in words for b in transposed]))
-    rows, pivots = _rref_rows(
-        [[sum(c * w[t] for c, w in zip(coeffs, words)) for t in range(n * n)]
-         for coeffs in trace_null.basis], n * n, p)
-    ideal = list(zip(pivots, rows))
+    rows, pivots = _rref_rows([_combine(c, words, n * n, p)
+                               for c in trace_null.basis], n * n, p)
     if image_flag(Subspace.full(n, p), [FieldMatrix(n, n, p, row).matvec
                                         for row in rows]) is None:
         return None
-    if any(any(residue(list((a @ b - b @ a).entries), ideal))
+
+    def residue(m):
+        return _eliminate(m.entries, rows, pivots, p)[1]
+
+    if any(any(residue(a @ b - b @ a))
            for i, a in enumerate(mats) for b in mats[:i]):
         return None
-    return lambda m: residue(list(m.entries), ideal)
+    return residue

@@ -17,8 +17,8 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Optional, Sequence
 
-from .gfp import (MAX_DIM, FieldMatrix, Subspace, _rref_rows, check_modulus,
-                  inv_mod, kernel, rref, solve_linear)
+from .gfp import (MAX_DIM, FieldMatrix, Subspace, _combine, _eliminate,
+                  _rref_rows, check_modulus, inv_mod, kernel, rref, solve_linear)
 from .rootdata import RootDatum, build_rootdatum, parabolic_roots
 
 # ---------------------------------------------------------------------------
@@ -105,10 +105,10 @@ class LieAlgebra:
     # -- coordinates ---------------------------------------------------
 
     def _vectorize(self, m: FieldMatrix) -> list:
-        n = self.realization.n
+        # on pgl, the representative with last diagonal entry 0
         if self.realization.mod_scalars:
-            c = m.entries[(n - 1) * n + (n - 1)]
-            return [(e - c) % self.p if i % (n + 1) == 0 else e % self.p
+            n, c = self.realization.n, m.entries[-1]
+            return [e - c if i % (n + 1) == 0 else e
                     for i, e in enumerate(m.entries)]
         return list(m.entries)
 
@@ -128,32 +128,16 @@ class LieAlgebra:
     def coordinates_of_matrix(self, m: FieldMatrix) -> list:
         """Coordinates of a realizing matrix in the basis; raises if the
         (canonicalized) matrix is outside the span."""
-        p = self.p
-        v = self._vectorize(m)
-        coeffs = [0] * self.dim
-        for r, c in enumerate(self._pivots):
-            f = v[c] % p
-            if f:
-                coeffs[r] = f
-                v = [(x - f * y) % p for x, y in zip(v, self._reduced_rows[r])]
-        if any(x % p for x in v):
+        coeffs, residual = _eliminate(self._vectorize(m), self._reduced_rows,
+                                      self._pivots, self.p)
+        if any(residual):
             raise ValueError("matrix not in the span of the basis")
-        out = [0] * self.dim
-        for r in range(self.dim):
-            if coeffs[r]:
-                for j in range(self.dim):
-                    out[j] = (out[j] + coeffs[r] * self._transform[r][j]) % p
-        return out
+        return _combine(coeffs, self._transform, self.dim, self.p)
 
     def matrix_of(self, coords: Sequence[int]) -> FieldMatrix:
         n = self.realization.n
-        p = self.p
-        acc = [0] * (n * n)
-        for c, m in zip(coords, self.realization.mats):
-            if c % p:
-                for i, e in enumerate(m.entries):
-                    acc[i] = (acc[i] + c * e) % p
-        return FieldMatrix(n, n, p, acc)
+        return FieldMatrix(n, n, self.p, _combine(
+            coords, (m.entries for m in self.realization.mats), n * n, self.p))
 
     # -- structure constants -------------------------------------------
 
@@ -320,8 +304,8 @@ class LieAlgebra:
     def orthogonal(self, s: Subspace) -> Subspace:
         """Orthogonal complement w.r.t. the Killing form."""
         g = self.killing_gram()
-        forms = [[sum(v[i] * g.entries[i * self.dim + j] for i in range(self.dim))
-                  for j in range(self.dim)] for v in s.basis]
+        rows = [g.row(i) for i in range(self.dim)]
+        forms = [_combine(v, rows, self.dim, self.p) for v in s.basis]
         return solve_linear(self.full_space(), lambda x: [
             sum(a * b for a, b in zip(f, x)) % self.p for f in forms])
 
@@ -556,11 +540,8 @@ def jacobson_defect(x: Element, y: Element) -> Element:
                 up = alg.bracket_vec(x.coords, c)
                 nxt[d + 1] = [(a + b) % p for a, b in zip(nxt[d + 1], up)]
         poly = nxt
-    out = [0] * alg.dim
-    for i, c in enumerate(poly[:p - 1], 1):
-        w = inv_mod(i, p)
-        out = [(o - w * v) % p for o, v in zip(out, c)]
-    return alg.element(out)
+    return alg.element(_combine([-inv_mod(i, p) for i in range(1, p)], poly,
+                                alg.dim, p))
 
 
 def jacobson_defect_reference(x: Element, y: Element) -> Element:

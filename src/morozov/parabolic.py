@@ -134,11 +134,11 @@ def contains_borel(g: LieAlgebra, q: Subspace):
 
 
 def detect_parabolic(g: LieAlgebra, q: Subspace) -> ParabolicVerdict:
+    if not g.is_subalgebra(q):
+        raise ValueError("input is not a subalgebra")
     if g.frame is None:
         return ParabolicVerdict("undetermined", failure_reason="no-torus-found",
                                 details={"note": "algebra has no torus frame"})
-    if not g.is_subalgebra(q):
-        raise ValueError("input is not a subalgebra")
     rd = g.frame.rootdatum
     allroots = set(rd.roots)
 

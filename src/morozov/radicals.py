@@ -26,9 +26,8 @@ Strategy notes:
   * for torus-stable inputs the p-nilpotent and ad-nilpotent cones split
     along coordinates when the root support is closed and lies in a
     positive system, avoiding enumeration entirely ("structured" method);
-    by Gordan's theorem the latter holds exactly when 0 is not in the
-    convex hull of the support, that is when its point of least norm
-    (`rootdata.min_norm_point`) is nonzero;
+    a closed support lies in one exactly when it holds no pair +-alpha
+    (Bourbaki, Lie VI, 1.7, Prop. 22);
   * for a coordinate-split h, [e_a, e_b] lies in the weight space g_(a+b)
     (a root line, the torus or 0) and [z, e_b] = b(z) e_b, so spin ideals
     and their derived terms are root indices plus coroots [e_c, e_-c]; a
@@ -43,8 +42,11 @@ Strategy notes:
     on the span of the iterates (Strade-Farnsteiner, Modular Lie Algebras
     and Their Representations, 1988, ch. 2).  Past that class the Engel
     flag of the basis lifts on the natural module decides, by Jacobson's
-    theorem on weakly closed sets of nilpotent operators, except on pgl
-    with p | n, where the lifts are not linear in x;
+    theorem on weakly closed sets of nilpotent operators.  On pgl with
+    p | n, where the lifts are not linear in x, the flag of ad_g of the
+    basis on g decides: the centre of pgl_n is 0, so ad is faithful, and
+    ad(x^[p]) = ad(x)^p, so x is p-nilpotent exactly when ad x is
+    nilpotent, and ad_g(u) is a Lie algebra of operators;
   * the tower's next u and rad_p(h) start from the set C of p-nilpotent
     elements of rad(h).  When C is not a subspace (seen only at p = 2) the
     answer is Undetermined; else rad_p(h) is the largest h-ideal inside C,
@@ -68,6 +70,7 @@ Strategy notes:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from typing import Optional
 
@@ -76,7 +79,7 @@ from typing import Optional
 from .gfp import (FieldMatrix, Subspace, envelope_radical, image_flag,  # noqa: F401
                   inv_mod, kernel, rref, solve_linear)
 from .liealg import Element, LieAlgebra, coordinate_split
-from .rootdata import is_closed, min_norm_point
+from .rootdata import is_closed
 
 DEFAULT_BUDGET = 10 ** 7    # also the tower's
 
@@ -150,12 +153,7 @@ class SubView(View):
         super().__init__(parent, sub.dim)
 
     def lift(self, x) -> list:
-        vec = [0] * self.sub.ambient_dim
-        for c, row in zip(x, self.sub.basis):
-            if c:
-                for i in range(self.sub.ambient_dim):
-                    vec[i] = (vec[i] + c * row[i]) % self.p
-        return vec
+        return self.sub.combine(x)
 
     def local(self, vec) -> Optional[list]:
         return self.sub.coordinates_of(vec)
@@ -176,9 +174,8 @@ class QuotientView(View):
     non-pivot positions of the ideal's canonical basis."""
 
     def __init__(self, parent: LieAlgebra, ideal: Subspace):
-        pivots = {next(j for j, x in enumerate(row) if x) for row in ideal.basis}
         self.ideal = ideal
-        self.sections = [j for j in range(parent.dim) if j not in pivots]
+        self.sections = [j for j in range(parent.dim) if j not in ideal.pivots]
         super().__init__(parent, len(self.sections))
 
     def lift(self, x) -> list:
@@ -232,16 +229,20 @@ def _ad_nilpotent_test(g: LieAlgebra, h: Subspace):
 def is_p_nil_subalgebra(g: LieAlgebra, u: Subspace) -> bool:
     """Whether every element of the subalgebra u is p-nilpotent, with no
     budget: u is nilpotent with a p-nilpotent basis and, past nilpotency
-    class p - 1, the Engel flag W_0 = F^n, W_(k+1) = span{L w} of the basis
-    lifts L reaches 0 (module notes).  On pgl with p | n the lifts of ex2
-    have [X, Y] = 1, and the basis rule's answer stands unproved."""
+    class p - 1, the Engel flag of u's basis reaches 0 (module notes): the
+    flag W_0 = F^n, W_(k+1) = span{L w} of the basis lifts L, or on pgl
+    with p | n, whose lifts are not linear in x (ex2 has [X, Y] = 1), the
+    flag of ad_g of the basis on g."""
     series = g.lower_central_series(u)
     if series[-1].dim or not all(
             is_p_nilpotent(g.element(list(b))) for b in u.basis):
         return False
-    n = g.realization.n
-    if len(series) <= g.p or (g.realization.mod_scalars and n % g.p == 0):
+    if len(series) <= g.p:
         return True
+    n = g.realization.n
+    if g.realization.mod_scalars and n % g.p == 0:
+        return image_flag(g.full_space(), [partial(g.bracket_vec, list(b))
+                                           for b in u.basis]) is not None
     lifts = [g.nilpotent_lift(list(b)) for b in u.basis]
     return image_flag(Subspace.full(n, g.p),
                       [m.matvec for m in lifts]) is not None
@@ -411,21 +412,19 @@ def solvable_radical(g: LieAlgebra, h: Subspace,
 # ---------------------------------------------------------------------------
 
 def _certified_root_support(g: LieAlgebra, roots) -> bool:
-    """Whether a set of roots is closed and lies in a positive system.  By
-    Gordan's theorem the second condition holds exactly when 0 is not in
-    the convex hull of the roots, that is when their point of least norm
-    is nonzero; a pair +-alpha puts 0 in the hull, and the empty set lies
-    in every positive system."""
+    """Whether a set of roots is closed and lies in a positive system.  A
+    closed set lies in a positive system exactly when it holds no pair
+    +-alpha (Bourbaki, Lie VI, 1.7, Prop. 22)."""
     return is_closed(g.frame.rootdatum, roots) and \
-        (not roots or any(min_norm_point(roots)[2]))
+        {tuple(-x for x in r) for r in roots}.isdisjoint(roots)
 
 
 def _structured_pnil_cone(g: LieAlgebra, r: Subspace) -> Optional[Subspace]:
     """The set of p-nilpotent elements of a torus-stable solvable r, when
     certifiable: the root part, provided the root support is closed and
-    its minimum-norm point is nonzero, so that it lies in a positive system
-    (then elements with nonzero torus component keep it under p-powers,
-    and the root part consists of nilpotent matrices)."""
+    it holds no pair +-alpha, so that it lies in a positive system (then
+    elements with nonzero torus component keep it under p-powers, and the
+    root part consists of nilpotent matrices)."""
     split = coordinate_split(g, r)
     if split is None or not _certified_root_support(g, [a for a, _ in split[1]]):
         return None

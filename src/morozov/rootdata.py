@@ -150,6 +150,7 @@ class RootDatum:
         return f"{self.type_label}{self.rank}"
 
     def coxeter_number(self) -> int:
+        """Height of the highest root plus one: sum(a_i) + 1."""
         return sum(self.highest_root_coeffs) + 1
 
     def simple_coefficients(self, root) -> list:
@@ -251,11 +252,6 @@ def build_rootdatum(type_label: str, n: int = 0) -> RootDatum:
     return RootDatum(type_label, n, tuple(tuple(s) for s in simples),
                      tuple(tuple(r) for r in roots),
                      tuple(t[1] for t in positives), a, tuple(b), coefficients)
-
-
-def coxeter_number(rd: RootDatum) -> int:
-    """Height of the highest root plus one: sum(a_i) + 1."""
-    return rd.coxeter_number()
 
 
 @dataclass(frozen=True)

@@ -204,6 +204,43 @@ def test_malformed_input_file_is_an_input_error(name, tmp_path, capsys):
     assert err.startswith(f"input error: {path}: ") and phrase in err
 
 
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf-8"])
+@pytest.mark.parametrize("argv", [["tower", "run", *SL2, "--subspace"],
+                                  ["algebra", "build", "--algebra"]],
+                         ids=["subspace", "algebra"])
+def test_unreadable_input_file_is_an_input_error(kind, argv, tmp_path, capsys):
+    # a directory, or a file that is not UTF-8, exits 3 and names the path
+    path = tmp_path / "input.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"p": 5, "basis": "\xff"}')
+    assert main([*argv, str(path)]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"input error: cannot read {path}: ")
+
+
+def test_parabolic_detect_on_an_algebra_without_a_frame(tmp_path, capsys):
+    # an algebra file without a family stamp has no torus frame; a subspace
+    # that is not closed under the bracket is an input error there too
+    algebra = tmp_path / "sl2.json"
+    algebra.write_text(canonical_json(_sl2_algebra(
+        lambda data: data.pop("family"))()))
+    argv = ["parabolic", "detect", "--algebra", str(algebra), "--subspace"]
+    for basis, code in (([[0, 1, 0], [0, 0, 1]], EXIT_INPUT),
+                        ([[1, 0, 0], [0, 1, 0]], EXIT_UNDETERMINED)):
+        path = tmp_path / "q.json"
+        path.write_text(canonical_json(
+            {"schema": 1, "ambient_dim": 3, "p": 5, "basis": basis}))
+        assert main([*argv, str(path)]) == code
+        out, err = capsys.readouterr()
+        if code == EXIT_INPUT:
+            assert out == "" and "not a subalgebra" in err
+        else:
+            assert json.loads(out)["verdict"]["failure_reason"] == \
+                "no-torus-found"
+
 def test_tower_run_ends_undetermined_on_a_cone_that_is_not_a_subspace(
         tmp_path, capsys):
     # sl3 at p = 2, S = (0,): the p-nilpotent elements of rad(q) do not

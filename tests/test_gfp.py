@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morozov.gfp import (MAX_DIM, FieldMatrix, Subspace, _rref_rows, is_prime,
-                         kernel, rref, solve_linear)
+from morozov.gfp import (MAX_DIM, FieldMatrix, Subspace, _combine, _eliminate,
+                         _rref_rows, is_prime, kernel, rref, solve_linear)
 
 
 def naive_row_reduce(rows, cols, p):
@@ -284,3 +284,105 @@ def test_augmented_row_reduction_matches_the_reference(p):
                     m.inverse()
             else:
                 assert m.inverse().to_rows() == [list(r[n:]) for r in inv_rows]
+
+
+def _grown_echelon(rng, p, count, cols):
+    """(rows, pivots) grown one row at a time, as the envelope certificate
+    grows its echelon: each new row is reduced against the rows before it
+    and scaled to 1 at its first nonzero column, while the earlier rows
+    are left unreduced against it."""
+    rows, pivots = [], []
+    for v in _messy_rows(rng, p, count, cols):
+        v = [x % p for x in v]
+        for c, row in zip(pivots, rows):
+            v = [(x - v[c] * y) % p for x, y in zip(v, row)]
+        lead = next((j for j, x in enumerate(v) if x), None)
+        if lead is not None:
+            inv = pow(v[lead], p - 2, p)
+            rows.append([x * inv % p for x in v])
+            pivots.append(lead)
+    return rows, pivots
+
+
+def _check_elimination(v, rows, pivots, p):
+    coeffs, residual = _eliminate(v, rows, pivots, p)
+    assert len(coeffs) == len(rows)
+    assert all(residual[c] == 0 for c in pivots)
+    total = [sum(c * row[j] for c, row in zip(coeffs, rows)) + residual[j]
+             for j in range(len(v))]
+    assert [x % p for x in total] == [x % p for x in v]
+    return coeffs, residual
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13])
+def test_eliminate_on_rref_rows(p):
+    rng = random.Random(f"rref:{p}")
+    for _ in range(40):
+        cols = rng.randrange(1, 9)
+        rows, pivots = _rref_rows(_messy_rows(rng, p, rng.randrange(6), cols),
+                                  cols, p)
+        space = Subspace.from_vectors(rows, cols, p)
+        for _ in range(5):
+            inside = [rng.randrange(-p, 2 * p) for _ in rows]
+            v = _combine(inside, rows, cols, p)
+            coeffs, residual = _check_elimination(v, rows, pivots, p)
+            # on an RREF the coefficients are the entries at the pivots
+            assert coeffs == [x % p for x in inside] and not any(residual)
+            w = [rng.randrange(-p, 2 * p) for _ in range(cols)]
+            _, residual = _check_elimination(w, rows, pivots, p)
+            assert (not any(residual)) == space.contains_vector(w)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13])
+def test_eliminate_on_a_grown_echelon(p):
+    rng = random.Random(f"grown:{p}")
+    unreduced = 0
+    for _ in range(40):
+        cols = rng.randrange(2, 9)
+        rows, pivots = _grown_echelon(rng, p, rng.randrange(1, 7), cols)
+        unreduced += any(row[c] for k, row in enumerate(rows)
+                         for c in pivots[k + 1:])
+        space = Subspace.from_vectors(rows, cols, p)
+        for _ in range(5):
+            v = _combine([rng.randrange(p) for _ in rows], rows, cols, p)
+            assert not any(_check_elimination(v, rows, pivots, p)[1])
+            w = [rng.randrange(-p, 2 * p) for _ in range(cols)]
+            _, residual = _check_elimination(w, rows, pivots, p)
+            assert (not any(residual)) == space.contains_vector(w)
+    # some row is nonzero at a later pivot, so that the echelon is not an RREF
+    assert unreduced
+
+
+def test_combine():
+    p = 5
+    rows = [(1, 0, 3), (0, 2, 4), (4, 4, 4)]
+    assert _combine([2, 0, 1], rows, 3, p) == [1, 4, 0]
+    assert _combine([-1, 5, 7], rows, 3, p) == [2, 3, 0]
+    assert _combine([], [], 4, p) == [0, 0, 0, 0]
+    assert _combine([3], [(1, 2)], 2, p) == [3, 1]
+    rng = random.Random(7)
+    for _ in range(50):
+        rows = [[rng.randrange(p) for _ in range(6)] for _ in range(4)]
+        coeffs = [rng.randrange(-2 * p, 2 * p) for _ in rows]
+        assert _combine(coeffs, rows, 6, p) == [
+            sum(c * row[j] for c, row in zip(coeffs, rows)) % p
+            for j in range(6)]
+    space = Subspace.from_vectors([[1, 2, 0], [0, 1, 1]], 3, 3)
+    assert space.basis == ((1, 0, 1), (0, 1, 1))
+    assert space.combine([1, 2]) == [1, 2, 0]
+    assert space.coordinates_of(space.combine([2, 1])) == [2, 1]
+
+
+def test_subspace_pivots():
+    s = Subspace(5, 3, [[0, 1, 2, 0, 0], [0, 0, 0, 1, 4]])
+    assert s.pivots == (1, 3)
+    assert s.basis == ((0, 1, 2, 0, 0), (0, 0, 0, 1, 1))
+    assert s.coordinates_of([0, 2, 1, 1, 1]) == [2, 1]
+    assert s.reduce_vector([1, 1, 2, 0, 0]) == [1, 0, 0, 0, 0]
+    assert Subspace.zero(4, 5).pivots == ()
+    assert Subspace.full(3, 5).pivots == (0, 1, 2)
+    rng = random.Random(11)
+    for _ in range(20):
+        rows = _messy_rows(rng, 5, 6, 7)
+        assert Subspace.from_vectors(rows, 7, 5).pivots == \
+            tuple(_rref_rows(rows, 7, 5)[1])

@@ -7,8 +7,8 @@ from morozov.fixtures import (ex1_pgl_pattern, ex1_sl3_subalgebra,
                               ex2_corrected_pattern, ex2_printed_pattern,
                               ex2_subalgebra)
 from morozov.gfp import FieldMatrix, rref
-from morozov.liealg import (build, conjugate_subspace, standard_borel,
-                            standard_parabolic, torus_subspace)
+from morozov.liealg import (LieAlgebra, build, conjugate_subspace,
+                            standard_borel, standard_parabolic, torus_subspace)
 from morozov.parabolic import (contains_borel, detect_parabolic,
                                iso_invariants, killing_detector)
 
@@ -367,6 +367,19 @@ def _borel_conjugated_at_2(g):
     assert q != b
     return q
 
+
+
+def test_detect_checks_the_subalgebra_before_the_frame():
+    # an algebra built from its realization alone has no torus frame; a
+    # subspace that is not closed under the bracket is still refused
+    g = build("sl", 3, 5)
+    bare = LieAlgebra(g.p, g.labels, g.realization)
+    assert bare.frame is None
+    with pytest.raises(ValueError, match="not a subalgebra"):
+        detect_parabolic(bare, bare.subspace(
+            [g.element_by_label(x).coords for x in ("e12", "f12")]))
+    v = detect_parabolic(bare, standard_borel(g)["parabolic"])
+    assert (v.status, v.failure_reason) == ("undetermined", "no-torus-found")
 
 def test_sl2_at_2_borel_out_of_standard_position_is_not_refuted():
     # the root vanishes on the torus of sl2@2, so N = [q, q n q^perp] = 0

@@ -1,11 +1,13 @@
 """Byte-identity of engine output: the SHA-1 of the canonical JSON of
-every built algebra and of a few payloads, pinned so that a change to the
-construction or to the calculus underneath (the bracket, ad, the linear
-algebra) that alters any matrix, structure constant, verdict, witness or
-basis shows here."""
+every built algebra, of a few payloads and of the payloads of every
+seed-0 benchmark case, pinned so that a change to the construction or to
+the calculus underneath (the bracket, ad, the linear algebra) that alters
+any matrix, structure constant, verdict, witness or basis shows here."""
 
 import hashlib
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
@@ -157,3 +159,33 @@ def test_kempf_payload_sp6_at_7():
     report = kempf.verify_obstruction(g, u, cert)
     assert _sha1({"certificate": cert.as_dict(), "obstruction": report}) == \
         "6c67c6c80395e7f5f3d9aa0d09f9150264c5e6b8"
+
+
+def _workloads():
+    """perfbench/workloads.py, loaded from its file without touching
+    sys.path."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# SHA-1 of the payload text of every seed-0 case of a benchmark workload,
+# each followed by a newline, in case order
+WORKLOAD_PINS = {
+    "tower-std": "7a88d6f350cb38d019c163527ac683ce9a0116df",
+    "tower-seeded": "92e578f613b1b4dff13ec7e38805cd8b713102be",
+    "detect-general": "71bc22a0c514fb0b766550cc96ae87600c73a2ca",
+    "kempf-opt": "4be5bd8979d1f1b81e3117300dfe8e0724cfb2bc",
+}
+
+
+@pytest.mark.parametrize("workload", list(WORKLOAD_PINS))
+def test_benchmark_payloads_at_seed_0(workload):
+    workloads = _workloads()
+    digest = hashlib.sha1()
+    for case in workloads.generate(workload, 0):
+        text, _ = workloads.run_case(workload, case, 0)
+        digest.update(text.encode() + b"\n")
+    assert digest.hexdigest() == WORKLOAD_PINS[workload]

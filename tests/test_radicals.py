@@ -499,7 +499,7 @@ def test_p_nil_gate_matches_enumeration_at_p_2_and_3(fam, n, p):
     # subalgebra closures of two or three seeded p-nilpotent elements of g,
     # the nilpotent ones, against every vector: past nilpotency class p - 1
     # a p-nilpotent basis proves nothing, and the Engel flag decides (on
-    # pgl with p | n the basis rule stands, checked here only by sampling)
+    # pgl with p | n, the flag of ad_g)
     g = build(fam, n, p)
     rng = random.Random(f"gate:{fam}{n}@{p}")
     kept = 0
@@ -533,6 +533,77 @@ def test_p_nil_gate_refuses_a_nilpotent_subalgebra_with_p_nilpotent_basis():
     g = build("pgl", 3, 3)
     assert is_p_nil_subalgebra(g, ex2_subalgebra(g)) is True
 
+
+
+def test_p_nil_gate_refuses_a_non_p_nil_subalgebra_of_pgl4_at_2():
+    # a conjugate of the sl3@2 subalgebra above in the top-left block of
+    # pgl4@2, where p | n: nilpotent of class 2 = p with a p-nilpotent
+    # canonical basis, while 4 of its 7 nonzero elements are not
+    # p-nilpotent.  The flag of ad_g of the basis refuses it; the basis rule
+    # alone accepted it
+    g = build("pgl", 4, 2)
+    u = g.subspace([[1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 1, 1, 0, 1, 0],
+                    [0, 0, 0, 1, 0, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0],
+                    [0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0]])
+    assert g.is_subalgebra(u) and len(g.lower_central_series(u)) == 3
+    assert all(is_p_nilpotent(g.element(list(b))) for b in u.basis)
+    assert sum(not literal_p_nilpotent(g, v)
+               for v in u.enumerate_vectors() if any(v)) == 4
+    assert is_p_nil_subalgebra(g, u) is False
+
+
+@pytest.mark.parametrize("n,p,tries", [(4, 2, 30), (6, 2, 30), (6, 3, 90),
+                                       (8, 2, 30)])
+def test_p_nil_gate_on_pgl_with_p_dividing_n(n, p, tries):
+    # subalgebra closures of two or three elements, each a seeded
+    # combination of two basis rows of the standard Borel nilradical or of
+    # one of three seeded conjugates of it, kept when nilpotent of class
+    # >= p: there the flag of ad_g of the basis decides, against every vector
+    g = build("pgl", n, p)
+    rng = random.Random(f"ad-flag:pgl{n}@{p}")
+    nil = standard_borel(g)["nilradical"]
+    spaces = [nil] + [conjugate_subspace(g, _group_element(g, rng), nil)
+                      for _ in range(3)]
+
+    def draw():
+        a, b = rng.sample(rng.choice(spaces).basis, 2)
+        s, t = rng.randrange(1, p), rng.randrange(1, p)
+        return g.element([s * x + t * y for x, y in zip(a, b)])
+    kept = 0
+    for k in range(tries):
+        u = g.subalgebra_closure([draw() for _ in range(2 + k % 2)])
+        series = g.lower_central_series(u)
+        if series[-1].dim or len(series) <= p or p ** u.dim > 2 ** 10:
+            continue
+        kept += 1
+        assert is_p_nil_subalgebra(g, u) == _every_vector_p_nilpotent(g, u), \
+            u.basis
+    assert kept >= 5
+
+
+def test_centre_of_pgl_is_zero_when_p_divides_n():
+    # ad is faithful on pgl_n, which the p-nil gate relies on when p | n
+    for n, p in ((2, 2), (4, 2), (6, 2), (8, 2), (3, 3), (6, 3), (5, 5),
+                 (7, 7)):
+        assert build("pgl", n, p).center().dim == 0
+
+
+@pytest.mark.parametrize("fam,n", [("sl", 3), ("sl", 4), ("sl", 5), ("so", 5),
+                                   ("so", 7), ("sp", 4), ("sp", 6), ("so", 8)])
+def test_root_support_certificate_matches_min_norm_point(fam, n):
+    # A2-A4, B2, B3, C2, C3 and D4: on the closure of every set of at most
+    # three roots, "no pair +-alpha" holds exactly when the point of least
+    # norm of the convex hull is nonzero (Gordan's theorem)
+    g = build(fam, n, 5)
+    rd = g.frame.rootdatum
+    closed = {tuple(_closure(rd, roots)) for k in range(4)
+              for roots in itertools.combinations(rd.roots, k)}
+    outcomes = set()
+    for roots in closed:
+        gordan = not roots or any(min_norm_point(list(roots))[2])
+        assert _certified_root_support(g, list(roots)) == gordan, roots
+        outcomes.add(gordan)
+    assert outcomes == {True, False}
 
 def test_root_supported_line_that_is_not_nil():
     # e12 + e23 + e31 is a permutation matrix with x^3 = 1: its line is
@@ -753,7 +824,7 @@ def test_positive_system_pinned_cases():
     levi = standard_parabolic(g, (0,))["levi"]
     part = pnil_part_of_radical(g, levi)
     assert part["method"] == "structured" and part["span"].dim == 0
-    # a pair +-alpha puts 0 in the hull
+    # a pair +-alpha
     assert not _certified_root_support(g, [(1, -1, 0), (-1, 1, 0)])
     # e1-e2, e2-e3, e3-e1: 0 is in the hull with no pair +-alpha
     triangle = [(1, -1, 0), (0, 1, -1), (-1, 0, 1)]

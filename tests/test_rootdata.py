@@ -2,7 +2,7 @@ import pytest
 
 from morozov.gfp import is_prime
 from morozov.rootdata import (EXCEPTIONAL, PRINTED_TABLE, build_rootdatum,
-                              classify_prime, coxeter_number, is_closed,
+                              classify_prime, is_closed,
                               parabolic_roots, table_rows)
 
 
@@ -30,15 +30,15 @@ def test_invalid_ranks():
     ("D", 3, 4), ("D", 4, 6),
 ])
 def test_coxeter_formula(label, n, h):
-    assert coxeter_number(build_rootdatum(label, n)) == h
+    assert build_rootdatum(label, n).coxeter_number() == h
 
 
 def test_coxeter_table_values():
-    assert coxeter_number(build_rootdatum("G2")) == 6
-    assert coxeter_number(build_rootdatum("E8")) == 30
-    assert coxeter_number(build_rootdatum("F4")) == 12
-    assert coxeter_number(build_rootdatum("E6")) == 12
-    assert coxeter_number(build_rootdatum("E7")) == 18
+    assert build_rootdatum("G2").coxeter_number() == 6
+    assert build_rootdatum("E8").coxeter_number() == 30
+    assert build_rootdatum("F4").coxeter_number() == 12
+    assert build_rootdatum("E6").coxeter_number() == 12
+    assert build_rootdatum("E7").coxeter_number() == 18
 
 
 def test_highest_root_coeffs_positive():
