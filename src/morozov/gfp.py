@@ -141,9 +141,14 @@ class FieldMatrix:
     def matvec(self, v: Sequence[int]) -> list:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        p = self.p
-        return [sum(self.entries[i * self.cols + j] * v[j] for j in range(self.cols)) % p
-                for i in range(self.rows)]
+        # sum v_j * column j, skipping the zero v_j as __matmul__ skips the
+        # zero entries of self
+        k = self.cols
+        out = [0] * self.rows
+        for j, x in enumerate(v):
+            if x:
+                out = [y + x * c for y, c in zip(out, self.entries[j::k])]
+        return [y % self.p for y in out]
 
     def transpose(self) -> "FieldMatrix":
         return FieldMatrix(self.cols, self.rows, self.p,

@@ -339,7 +339,10 @@ class LieAlgebra:
             span = grown
 
     def is_subalgebra(self, u: Subspace) -> bool:
-        return u.contains(self.bracket_spaces(u, u))
+        """Whether [a, b] lies in u for basis vectors a < b, to the first miss."""
+        basis = [list(b) for b in u.basis]
+        return all(u.contains_vector(self.bracket_vec(a, b))
+                   for i, a in enumerate(basis) for b in basis[i + 1:])
 
     def derived_series(self, u: Subspace) -> list:
         series = [u]
@@ -397,6 +400,20 @@ class LieAlgebra:
 
     # -- nilpotent lifts and exponentials --------------------------------
 
+    def linear_lift(self, coords: Sequence[int]) -> Optional[FieldMatrix]:
+        """The matrix of x, linear in x, that is nilpotent exactly when x is
+        p-nilpotent: the matrix M of x, or on pgl with p not dividing n
+        M - (tr M / n), as the nilpotent M - c of `nilpotent_lift` has
+        trace 0.  None on pgl with p | n, where c is not linear in x."""
+        real = self.realization
+        if not real.mod_scalars:
+            return self.matrix_of(coords)
+        if real.n % self.p == 0:
+            return None
+        m = self.matrix_of(coords)
+        return m - FieldMatrix.identity(real.n, self.p).scale(
+            m.trace() * inv_mod(real.n, self.p))
+
     def nilpotent_lift(self, coords: Sequence[int]) -> Optional[FieldMatrix]:
         """The matrix M of x when it is nilpotent, else None; on pgl, the
         one representative M - c, c in F_p, that is nilpotent.  So x is
@@ -405,12 +422,12 @@ class LieAlgebra:
         exactly when M has a single eigenvalue lambda.  That lambda lies in
         F_p: for n = p^a n' with p not dividing n', the characteristic
         polynomial (t^(p^a) - lambda^(p^a))^n' has the coefficient
-        -n' lambda^(p^a) in F_p, and Frobenius is injective.  Then, for
-        p^m >= n, M^(p^m) = lambda + (M - lambda)^(p^m) is lambda, read off
-        its first entry."""
-        m = self.matrix_of(coords)
-        if self.realization.mod_scalars:
-            n, q = self.realization.n, self.p
+        -n' lambda^(p^a) in F_p, and Frobenius is injective.  Where no lift
+        is linear (`linear_lift`), lambda is the first entry of
+        M^(p^m) = lambda + (M - lambda)^(p^m), for p^m >= n."""
+        m = self.linear_lift(coords)
+        if m is None:
+            m, n, q = self.matrix_of(coords), self.realization.n, self.p
             while q < n:
                 q *= self.p
             m = m - FieldMatrix.identity(n, self.p).scale(m.pow(q).entries[0])

@@ -35,16 +35,12 @@ Strategy notes:
     ideal is not solvable;
   * an element is p-nilpotent exactly when it has a nilpotent lift
     (`LieAlgebra.nilpotent_lift`: its matrix, shifted by a scalar on pgl);
-  * the p-nil gate asks that u be nilpotent with a p-nilpotent basis.  This
-    is necessary, by Engel's theorem, and sufficient when u has nilpotency
-    class < p: then Jacobson's commutators of length p vanish on u, each
-    b^[p] centralises u and the b^[p] commute, so the p-map is p-semilinear
-    on the span of the iterates (Strade-Farnsteiner, Modular Lie Algebras
-    and Their Representations, 1988, ch. 2).  Past that class the Engel
-    flag of the basis lifts on the natural module decides, by Jacobson's
+  * the p-nil gate is one Engel flag: u is p-nil exactly when the flag of
+    its basis lifts (`LieAlgebra.linear_lift`, which map u onto a Lie
+    algebra of matrices) on the natural module reaches 0, by Jacobson's
     theorem on weakly closed sets of nilpotent operators.  On pgl with
-    p | n, where the lifts are not linear in x, the flag of ad_g of the
-    basis on g decides: the centre of pgl_n is 0, so ad is faithful, and
+    p | n, where no lift is linear, the flag of ad_g of the basis on g
+    decides: the centre of pgl_n is 0, so ad is faithful, and
     ad(x^[p]) = ad(x)^p, so x is p-nilpotent exactly when ad x is
     nilpotent, and ad_g(u) is a Lie algebra of operators;
   * the tower's next u and rad_p(h) start from the set C of p-nilpotent
@@ -76,8 +72,8 @@ from typing import Optional
 
 # kernel and rref are unused here; the benchmark tracer's self-test checks
 # that rebinding reaches every module importing them by name
-from .gfp import (FieldMatrix, Subspace, envelope_radical, image_flag,  # noqa: F401
-                  inv_mod, kernel, rref, solve_linear)
+from .gfp import (Subspace, envelope_radical, image_flag,  # noqa: F401
+                  kernel, rref, solve_linear)
 from .liealg import Element, LieAlgebra, coordinate_split
 from .rootdata import is_closed
 
@@ -228,28 +224,23 @@ def _ad_nilpotent_test(g: LieAlgebra, h: Subspace):
 
 def is_p_nil_subalgebra(g: LieAlgebra, u: Subspace) -> bool:
     """Whether every element of the subalgebra u is p-nilpotent, with no
-    budget: u is nilpotent with a p-nilpotent basis and, past nilpotency
-    class p - 1, the Engel flag of u's basis reaches 0 (module notes): the
-    flag W_0 = F^n, W_(k+1) = span{L w} of the basis lifts L, or on pgl
-    with p | n, whose lifts are not linear in x (ex2 has [X, Y] = 1), the
-    flag of ad_g of the basis on g."""
-    series = g.lower_central_series(u)
-    if series[-1].dim or not all(
-            is_p_nilpotent(g.element(list(b))) for b in u.basis):
-        return False
-    if len(series) <= g.p:
-        return True
-    n = g.realization.n
-    if g.realization.mod_scalars and n % g.p == 0:
-        return image_flag(g.full_space(), [partial(g.bracket_vec, list(b))
-                                           for b in u.basis]) is not None
-    lifts = [g.nilpotent_lift(list(b)) for b in u.basis]
-    return image_flag(Subspace.full(n, g.p),
-                      [m.matvec for m in lifts]) is not None
+    budget: the Engel flag W_0 = F^n, W_(k+1) = span{L w} of u's basis
+    lifts L (`LieAlgebra.linear_lift`) reaches 0, or on pgl with p | n,
+    where no lift is linear in x (ex2 has [X, Y] = 1), the flag of ad_g of
+    the basis on g (module notes)."""
+    lifts = [g.linear_lift(list(b)) for b in u.basis]
+    if None in lifts:
+        start, maps = g.full_space(), [partial(g.bracket_vec, list(b))
+                                       for b in u.basis]
+    else:
+        start = Subspace.full(g.realization.n, g.p)
+        maps = [m.matvec for m in lifts]
+    return image_flag(start, maps) is not None
 
 
 def check_p_nil(g: LieAlgebra, u: Subspace, what: str = "input") -> None:
-    """The one p-nil gate: ValueError when the subalgebra u is not p-nil."""
+    """The one p-nil gate, one Engel flag (`is_p_nil_subalgebra`), exact on
+    every family: ValueError when the subalgebra u is not p-nil."""
     if not is_p_nil_subalgebra(g, u):
         raise ValueError(f"{what} is not p-nil")
 
@@ -419,27 +410,28 @@ def _certified_root_support(g: LieAlgebra, roots) -> bool:
         {tuple(-x for x in r) for r in roots}.isdisjoint(roots)
 
 
-def _structured_pnil_cone(g: LieAlgebra, r: Subspace) -> Optional[Subspace]:
-    """The set of p-nilpotent elements of a torus-stable solvable r, when
-    certifiable: the root part, provided the root support is closed and
-    it holds no pair +-alpha, so that it lies in a positive system (then
-    elements with nonzero torus component keep it under p-powers, and the
-    root part consists of nilpotent matrices)."""
-    split = coordinate_split(g, r)
-    if split is None or not _certified_root_support(g, [a for a, _ in split[1]]):
+def _structured_pnil_cone(g: LieAlgebra, split_r) -> Optional[Subspace]:
+    """The set of p-nilpotent elements of a torus-stable solvable r, from
+    its `coordinate_split`, when certifiable: the root part, provided the
+    root support is closed and holds no pair +-alpha, so that it lies in
+    a positive system (then elements with nonzero torus component keep it
+    under p-powers, and the root part consists of nilpotent matrices)."""
+    if split_r is None or not _certified_root_support(
+            g, [a for a, _ in split_r[1]]):
         return None
-    return g.subspace([g.unit(idx) for _, idx in split[1]])
+    return g.subspace([g.unit(idx) for _, idx in split_r[1]])
 
 
 def _structured_adnil_cone(g: LieAlgebra, h: Subspace, r: Subspace) -> Optional[Subspace]:
     """Elements of torus-stable solvable r acting nilpotently on the
     coordinate-split subalgebra h: the p-nilpotent cone of r (its root
     part) plus the torus part of r killing every root line of h."""
-    cone = _structured_pnil_cone(g, r)
+    split_r = coordinate_split(g, r)
+    cone = _structured_pnil_cone(g, split_r)
     split_h = coordinate_split(g, h)
     if cone is None or split_h is None:
         return None
-    torus = solve_linear(coordinate_split(g, r)[0], lambda z: [
+    torus = solve_linear(split_r[0], lambda z: [
         _character(g, enumerate(z), idx) for _, idx in split_h[1]])
     return cone.sum(torus)
 
@@ -447,25 +439,14 @@ def _structured_adnil_cone(g: LieAlgebra, h: Subspace, r: Subspace) -> Optional[
 def _envelope_pnil_cone(g: LieAlgebra, r: Subspace) -> Optional[Subspace]:
     """The p-nilpotent elements of a nonzero r, when the associative
     envelope of its lifts certifies them (`gfp.envelope_radical`): the x
-    in r whose lift lies in J(A).  The lift is the matrix M of x; on pgl
-    with p not dividing n it is the traceless representative
-    M - (tr M / n), linear in x.  There x is p-nilpotent exactly when some
-    M - lambda is nilpotent (`LieAlgebra.nilpotent_lift`), and that one
-    has trace 0, so lambda = tr M / n.  None on pgl with p | n, where
-    lambda is not linear in x."""
-    real = g.realization
-    if not r.dim or (real.mod_scalars and real.n % g.p == 0):
+    in r whose `LieAlgebra.linear_lift` lies in J(A).  None on pgl with
+    p | n, where no lift is linear in x."""
+    lifts = [g.linear_lift(list(b)) for b in r.basis]
+    if not lifts or None in lifts:
         return None
-    lift = g.matrix_of
-    if real.mod_scalars:
-        mean = FieldMatrix.identity(real.n, g.p).scale(inv_mod(real.n, g.p))
-
-        def lift(x):
-            m = g.matrix_of(x)
-            return m - mean.scale(m.trace())
-    residue = envelope_radical([lift(list(b)) for b in r.basis])
+    residue = envelope_radical(lifts)
     return None if residue is None else \
-        solve_linear(r, lambda x: residue(lift(x)))
+        solve_linear(r, lambda x: residue(g.linear_lift(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +466,7 @@ def pnil_part_of_radical(g: LieAlgebra, h: Subspace,
     if key in g._memo:
         return g._memo[key]
     r = solvable_radical(g, h, budget)
-    cone = _structured_pnil_cone(g, r)
+    cone = _structured_pnil_cone(g, coordinate_split(g, r))
     method = "structured"
     if cone is None:
         cone, method = _envelope_pnil_cone(g, r), "envelope"

@@ -381,14 +381,12 @@ def criterion_table_data(seed: int = 0) -> CheckResult:
 
 # -- criterion 9: radical brute-force oracles ---------------------------------
 
-def enumerate_subspaces(view, max_dim=None):
+def enumerate_subspaces(view):
     """All subspaces of the view's coordinate space in canonical RREF form."""
     from itertools import combinations, product
     d, p = view.dim, view.p
     yield Subspace.zero(d, p)
     for k in range(1, d + 1):
-        if max_dim is not None and k > max_dim:
-            break
         for pivots in combinations(range(d), k):
             free_positions = []
             for r, c in enumerate(pivots):
@@ -449,7 +447,7 @@ def _brute_radicals(g: LieAlgebra, h: Subspace) -> dict:
     return {k: view.lift_subspace(v) for k, v in best.items()}
 
 
-def _subalgebras_of(g: LieAlgebra, h: Subspace, max_count=None):
+def _subalgebras_of(g: LieAlgebra, h: Subspace):
     view = SubView(g, h)
     out = []
     for s in enumerate_subspaces(view):
@@ -463,8 +461,6 @@ def _subalgebras_of(g: LieAlgebra, h: Subspace, max_count=None):
                 break
         if closed:
             out.append(view.lift_subspace(s))
-            if max_count and len(out) >= max_count:
-                break
     return out
 
 

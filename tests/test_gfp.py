@@ -197,6 +197,33 @@ def test_matrix_power_is_the_repeated_product(p):
         m.pow(-1)
 
 
+@pytest.mark.parametrize("p", [2, 5, 13])
+def test_matvec_is_the_row_sum(p):
+    # matrices with zero rows, zero columns and scattered zero entries,
+    # square and not, against sum_j a_ij v_j; vectors with zero entries
+    # and entries outside [0, p)
+    rng = random.Random(f"matvec {p}")
+    for rows, cols in [(4, 4), (3, 5), (5, 2), (1, 6), (6, 1)]:
+        for _ in range(10):
+            zero_row, zero_col = rng.randrange(rows), rng.randrange(cols)
+            entries = [0 if i == zero_row or j == zero_col or rng.random() < 0.4
+                       else rng.randrange(p)
+                       for i in range(rows) for j in range(cols)]
+            m = FieldMatrix(rows, cols, p, entries)
+            v = [0 if rng.random() < 0.4 else rng.randrange(-2 * p, 2 * p)
+                 for _ in range(cols)]
+            out = m.matvec(v)
+            assert out == [sum(m.entries[i * cols + j] * v[j]
+                               for j in range(cols)) % p
+                           for i in range(rows)]
+            assert out[zero_row] == 0
+            assert m.matvec([0] * cols) == [0] * rows
+    assert FieldMatrix.zero(0, 3, p).matvec([1, 2, 3]) == []
+    assert FieldMatrix.zero(2, 0, p).matvec([]) == [0, 0]
+    with pytest.raises(ValueError):
+        FieldMatrix.identity(3, p).matvec([1, 2])
+
+
 def test_prime_guard():
     assert is_prime(13) and not is_prime(1) and not is_prime(9)
     with pytest.raises(ValueError):

@@ -461,9 +461,9 @@ def _flag_inputs(g, rng):
     ("sl", 3, 3), ("sl", 3, 5), ("gl", 3, 5), ("sp", 4, 5), ("so", 5, 5),
     ("sl", 4, 3), ("pgl", 3, 3), ("pgl", 3, 5), ("pgl", 4, 3)])
 def test_engel_flag_matches_enumeration(fam, n, p):
-    # the p-nil rule (u nilpotent, with a p-nilpotent basis; Engel's
-    # theorem is its first half) against every vector of u, on every
-    # family, pgl with p | n included
+    # the p-nil gate (the Engel flag of u's basis lifts, or of ad_g on pgl
+    # with p | n) against every vector of u, on every family, pgl with
+    # p | n included
     g = build(fam, n, p)
     rng = random.Random(f"flag:{fam}{n}@{p}")
     inputs = _flag_inputs(g, rng)
@@ -478,15 +478,22 @@ def test_engel_flag_matches_enumeration(fam, n, p):
         verdicts.append(rule)
         nilpotent_not_p_nil += g.is_nilpotent(u) and not rule
     assert True in verdicts and False in verdicts
-    # neither half of the rule is vacuous: some nilpotent input is refused
-    # by its basis, and the rotated sl2, last, by its nilpotency
+    # the verdicts are not read off nilpotency: some nilpotent input is
+    # refused, and so is the rotated sl2, last, whose basis is nilpotent
     assert nilpotent_not_p_nil
     assert not rule
 
 
-def _random_p_nilpotent(g, rng):
+def _random_p_nilpotent(g, rng, support=None):
+    """A seeded nonzero p-nilpotent element of g, on `support` seeded
+    coordinates when given."""
     while True:
-        v = [rng.randrange(g.p) for _ in range(g.dim)]
+        if support is None:
+            v = [rng.randrange(g.p) for _ in range(g.dim)]
+        else:
+            v = [0] * g.dim
+            for i in rng.sample(range(g.dim), support):
+                v[i] = rng.randrange(g.p)
         if any(v) and is_p_nilpotent(g.element(v)):
             return g.element(v)
 
@@ -494,18 +501,21 @@ def _random_p_nilpotent(g, rng):
 @pytest.mark.parametrize("fam,n,p", [
     ("gl", 3, 2), ("sl", 3, 2), ("pgl", 3, 2), ("gl", 4, 2), ("sp", 4, 2),
     ("pgl", 2, 2), ("pgl", 4, 2), ("sl", 3, 3), ("gl", 3, 3), ("pgl", 3, 3),
-    ("sp", 4, 3)])
+    ("sp", 4, 3), ("so", 5, 3), ("pgl", 4, 3), ("sl", 3, 5)])
 def test_p_nil_gate_matches_enumeration_at_p_2_and_3(fam, n, p):
     # subalgebra closures of two or three seeded p-nilpotent elements of g,
-    # the nilpotent ones, against every vector: past nilpotency class p - 1
-    # a p-nilpotent basis proves nothing, and the Engel flag decides (on
-    # pgl with p | n, the flag of ad_g)
+    # the nilpotent ones, against every vector: a p-nilpotent basis proves
+    # nothing, and the Engel flag decides (on pgl with p | n, the flag of
+    # ad_g).  The last 100 closures are of elements on two or three
+    # coordinates, whose closures are small: on pgl4@3 and sl3@5 no closure
+    # of the first 300 is both nilpotent and within the cap
     g = build(fam, n, p)
     rng = random.Random(f"gate:{fam}{n}@{p}")
     kept = 0
-    for k in range(300):
-        u = g.subalgebra_closure(
-            [_random_p_nilpotent(g, rng) for _ in range(2 + k % 2)])
+    for k in range(400):
+        support = None if k < 300 else 2 + k % 2
+        u = g.subalgebra_closure([_random_p_nilpotent(g, rng, support)
+                                  for _ in range(2 + k % 2)])
         if not g.is_nilpotent(u) or p ** u.dim > 2 ** 10:
             continue
         kept += 1
@@ -1083,7 +1093,8 @@ def test_structured_cones_match_enumeration(fam, n, p):
             h = standard_parabolic(g, chosen)[role]
             r = solvable_radical(g, h)
             for cone, test in (
-                    (_structured_pnil_cone(g, r), _p_nilpotent_test(g)),
+                    (_structured_pnil_cone(g, coordinate_split(g, r)),
+                     _p_nilpotent_test(g)),
                     (_structured_adnil_cone(g, h, r),
                      _ad_nilpotent_test(g, h))):
                 assert cone is not None
