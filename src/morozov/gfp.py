@@ -181,10 +181,13 @@ class FieldMatrix:
         return sum(self.entries[i * self.cols + i] for i in range(self.rows)) % self.p
 
     def is_nilpotent(self) -> bool:
+        # self^(2^k) for 2^k >= rows, stopping at a power of nonzero trace
         m = self
         for _ in range(self.rows.bit_length()):
             if m.is_zero():
                 return True
+            if m.trace():
+                return False
             m = m @ m
         return m.is_zero()
 
@@ -198,15 +201,6 @@ class FieldMatrix:
         if len(pivots) != n:
             raise ValueError("singular matrix")
         return FieldMatrix.from_rows([row[n:] for row in reduced], self.p)
-
-    def nilpotency_order(self) -> int | None:
-        """Least m with self^m = 0, or None if not nilpotent."""
-        m = FieldMatrix.identity(self.rows, self.p)
-        for k in range(self.rows + 1):
-            if m.is_zero():
-                return k
-            m = m @ self
-        return None if not m.is_zero() else self.rows + 1
 
     def __repr__(self):
         return f"FieldMatrix({self.to_rows()} mod {self.p})"

@@ -400,34 +400,33 @@ class LieAlgebra:
 
     # -- nilpotent lifts and exponentials --------------------------------
 
-    def linear_lift(self, coords: Sequence[int]) -> Optional[FieldMatrix]:
+    def linear_lift(self, coords: Sequence[int]) -> FieldMatrix:
         """The matrix of x, linear in x, that is nilpotent exactly when x is
-        p-nilpotent: the matrix M of x, or on pgl with p not dividing n
+        p-nilpotent: the matrix M of x; on pgl with p not dividing n,
         M - (tr M / n), as the nilpotent M - c of `nilpotent_lift` has
-        trace 0.  None on pgl with p | n, where c is not linear in x."""
+        trace 0; on pgl with p | n, where c is not linear in x, ad x, as
+        the centre of pgl_n is 0 and ad(x^[p]) = ad(x)^p."""
         real = self.realization
         if not real.mod_scalars:
             return self.matrix_of(coords)
         if real.n % self.p == 0:
-            return None
+            return self.ad_matrix_vec(coords)
         m = self.matrix_of(coords)
         return m - FieldMatrix.identity(real.n, self.p).scale(
             m.trace() * inv_mod(real.n, self.p))
 
     def nilpotent_lift(self, coords: Sequence[int]) -> Optional[FieldMatrix]:
         """The matrix M of x when it is nilpotent, else None; on pgl, the
-        one representative M - c, c in F_p, that is nilpotent.  So x is
-        p-nilpotent exactly when this is not None: x^[p]^m is the class of
-        M^(p^m), which is 0 exactly when M is nilpotent, and on pgl scalar
-        exactly when M has a single eigenvalue lambda.  That lambda lies in
-        F_p: for n = p^a n' with p not dividing n', the characteristic
+        one representative M - c, c in F_p, that is nilpotent.  It exists
+        exactly when M has a single eigenvalue lambda, which lies in F_p:
+        for n = p^a n' with p not dividing n', the characteristic
         polynomial (t^(p^a) - lambda^(p^a))^n' has the coefficient
-        -n' lambda^(p^a) in F_p, and Frobenius is injective.  Where no lift
-        is linear (`linear_lift`), lambda is the first entry of
-        M^(p^m) = lambda + (M - lambda)^(p^m), for p^m >= n."""
-        m = self.linear_lift(coords)
-        if m is None:
-            m, n, q = self.matrix_of(coords), self.realization.n, self.p
+        -n' lambda^(p^a) in F_p, and Frobenius is injective.  Then lambda is
+        the first entry of M^(p^m) = lambda + (M - lambda)^(p^m), for
+        p^m >= n."""
+        m, n = self.matrix_of(coords), self.realization.n
+        if self.realization.mod_scalars:
+            q = self.p
             while q < n:
                 q *= self.p
             m = m - FieldMatrix.identity(n, self.p).scale(m.pow(q).entries[0])
@@ -439,7 +438,7 @@ class LieAlgebra:
         m = self.nilpotent_lift(x.coords)
         if m is None:
             raise ValueError("element has no nilpotent representative")
-        if m.nilpotency_order() > self.p - 1:
+        if not m.pow(self.p - 1).is_zero():
             raise ValueError("matrix nilpotency order must be < p")
         return exp_trunc_matrix(m, self.p)
 

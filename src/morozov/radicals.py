@@ -33,47 +33,46 @@ Strategy notes:
     and their derived terms are root indices plus coroots [e_c, e_-c]; a
     torus vector lies in rad(h) when it kills every root line whose spin
     ideal is not solvable;
-  * an element is p-nilpotent exactly when it has a nilpotent lift
-    (`LieAlgebra.nilpotent_lift`: its matrix, shifted by a scalar on pgl);
+  * an element x is p-nilpotent exactly when `LieAlgebra.linear_lift`
+    of x, a matrix linear in x, is nilpotent: the matrix of x, shifted by
+    tr/n on pgl with p not dividing n; on pgl with p | n, ad x, as the
+    centre of pgl_n is 0 and ad(x^[p]) = ad(x)^p;
   * the p-nil gate is one Engel flag: u is p-nil exactly when the flag of
-    its basis lifts (`LieAlgebra.linear_lift`, which map u onto a Lie
-    algebra of matrices) on the natural module reaches 0, by Jacobson's
-    theorem on weakly closed sets of nilpotent operators.  On pgl with
-    p | n, where no lift is linear, the flag of ad_g of the basis on g
-    decides: the centre of pgl_n is 0, so ad is faithful, and
-    ad(x^[p]) = ad(x)^p, so x is p-nilpotent exactly when ad x is
-    nilpotent, and ad_g(u) is a Lie algebra of operators;
+    its basis lifts, which map u onto a Lie algebra of matrices, reaches
+    0, by Jacobson's theorem on weakly closed sets of nilpotent operators;
   * the tower's next u and rad_p(h) start from the set C of p-nilpotent
     elements of rad(h).  When C is not a subspace (seen only at p = 2) the
     answer is Undetermined; else rad_p(h) is the largest h-ideal inside C,
-    since a p-nil ideal is nilpotent, so lies in rad(h) and in C;
-  * off the structured path, C is certified through A, the associative
-    algebra generated by 1 and the lifts of rad(h) ("envelope" method,
+    since a p-nil ideal is nilpotent, so lies in rad(h) and in C.  nil(h)
+    is the largest h-ideal inside the elements of rad(h) acting
+    nilpotently on h;
+  * off the structured path both sets are the nilpotent cone of a lift
+    linear in x (`_nilpotent_cone`): `linear_lift` for C, ad_h for
+    nil(h).  It is certified through A, the associative algebra generated
+    by 1 and the lifts of rad(h) ("envelope" method,
     `gfp.envelope_radical`).  Its trace radical I = {a : tr(ab) = 0 for
     all b in A} contains J(A), and equals it when I is nilpotent; if the
     lifts also commute modulo I, A/J(A) is commutative and semisimple,
-    with no nonzero nilpotents, so C = {x : lift(x) in J(A)} exactly, one
-    linear solve with no budget.  The certificate declines on pgl with
-    p | n (no lift linear in x is the nilpotent one), when I is not
-    nilpotent (an idempotent of trace 0 in F_p, such as 1 when p | n),
-    when two lifts do not commute modulo I (sl2 at p = 2, whose envelope
-    is M_2), and when dim A passes MAX_DIM;
-  * enumeration with an explicit budget (one walk, `_enumerate_cone`, for
-    the p- and ad_h-nilpotent cones of a radical) is the general fallback,
-    and exceeding the budget is an Undetermined outcome, never a guess.
+    with no nonzero nilpotents, so the cone is {x : lift(x) in J(A)}
+    exactly, one linear solve with no budget.  The certificate declines
+    when I is not nilpotent (an idempotent of trace 0 in F_p, such as 1
+    when p | n), when two lifts do not commute modulo I (sl2 at p = 2,
+    whose envelope is M_2), and when dim A passes MAX_DIM;
+  * there, one walk over the p^dim vectors of rad(h) with an explicit
+    budget is the fallback, and exceeding the budget is an Undetermined
+    outcome, never a guess.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import product
 from typing import Optional
 
 # kernel and rref are unused here; the benchmark tracer's self-test checks
 # that rebinding reaches every module importing them by name
-from .gfp import (Subspace, envelope_radical, image_flag,  # noqa: F401
-                  kernel, rref, solve_linear)
+from .gfp import (FieldMatrix, Subspace, envelope_radical,  # noqa: F401
+                  image_flag, kernel, rref, solve_linear)
 from .liealg import Element, LieAlgebra, coordinate_split
 from .rootdata import is_closed
 
@@ -194,48 +193,20 @@ class QuotientView(View):
 # ---------------------------------------------------------------------------
 
 def is_p_nilpotent(x: Element) -> bool:
-    """x^[p]^m = 0 for some m: exactly when x has a nilpotent lift
-    (`LieAlgebra.nilpotent_lift`), on every family, pgl included.  x must
-    lie in a realized algebra, not in a view."""
-    return x.algebra.nilpotent_lift(x.coords) is not None
-
-
-def _enumerate_cone(g: LieAlgebra, r: Subspace, test, budget: int) -> tuple:
-    """(span, is_subspace) of the nonzero elements v of r with test(v), by
-    the one exhaustive enumeration of p^dim(r) vectors, within the budget."""
-    if g.p ** r.dim > budget:
-        raise Undetermined(f"enumeration of {g.p ** r.dim} elements "
-                           f"exceeds budget {budget}", "enumeration")
-    members = [v for v in r.enumerate_vectors() if any(v) and test(v)]
-    span = Subspace.from_vectors(members, g.dim, g.p)
-    return span, len(members) + 1 == g.p ** span.dim
-
-
-def _p_nilpotent_test(g: LieAlgebra):
-    return lambda v: is_p_nilpotent(g.element(v))
-
-
-def _ad_nilpotent_test(g: LieAlgebra, h: Subspace):
-    """v acts nilpotently on the subalgebra h containing it: the images
-    of h under ad v reach 0 (`image_flag`)."""
-    return lambda v: image_flag(
-        h, [lambda w: g.bracket_vec(v, w)]) is not None
+    """x^[p]^m = 0 for some m: exactly when the matrix
+    `LieAlgebra.linear_lift` of x is nilpotent, on every family, pgl
+    included.  x must lie in a realized algebra, not in a view."""
+    return x.algebra.linear_lift(x.coords).is_nilpotent()
 
 
 def is_p_nil_subalgebra(g: LieAlgebra, u: Subspace) -> bool:
     """Whether every element of the subalgebra u is p-nilpotent, with no
-    budget: the Engel flag W_0 = F^n, W_(k+1) = span{L w} of u's basis
-    lifts L (`LieAlgebra.linear_lift`) reaches 0, or on pgl with p | n,
-    where no lift is linear in x (ex2 has [X, Y] = 1), the flag of ad_g of
-    the basis on g (module notes)."""
+    budget: the Engel flag W_0 = F^m, W_(k+1) = span{L w} of u's basis
+    lifts L (`LieAlgebra.linear_lift`, m x m matrices) reaches 0 (module
+    notes)."""
     lifts = [g.linear_lift(list(b)) for b in u.basis]
-    if None in lifts:
-        start, maps = g.full_space(), [partial(g.bracket_vec, list(b))
-                                       for b in u.basis]
-    else:
-        start = Subspace.full(g.realization.n, g.p)
-        maps = [m.matvec for m in lifts]
-    return image_flag(start, maps) is not None
+    return not lifts or image_flag(Subspace.full(lifts[0].rows, g.p),
+                                   [m.matvec for m in lifts]) is not None
 
 
 def check_p_nil(g: LieAlgebra, u: Subspace, what: str = "input") -> None:
@@ -436,17 +407,33 @@ def _structured_adnil_cone(g: LieAlgebra, h: Subspace, r: Subspace) -> Optional[
     return cone.sum(torus)
 
 
-def _envelope_pnil_cone(g: LieAlgebra, r: Subspace) -> Optional[Subspace]:
-    """The p-nilpotent elements of a nonzero r, when the associative
-    envelope of its lifts certifies them (`gfp.envelope_radical`): the x
-    in r whose `LieAlgebra.linear_lift` lies in J(A).  None on pgl with
-    p | n, where no lift is linear in x."""
-    lifts = [g.linear_lift(list(b)) for b in r.basis]
-    if not lifts or None in lifts:
-        return None
-    residue = envelope_radical(lifts)
-    return None if residue is None else \
-        solve_linear(r, lambda x: residue(g.linear_lift(x)))
+def _nilpotent_cone(r: Subspace, lift, budget: int) -> tuple:
+    """(span, method, is_subspace) of the x in r whose matrix lift(x),
+    linear in x, is nilpotent: the x whose lift lies in J(A), when the
+    associative envelope A of the lifts of r's basis certifies them
+    (`gfp.envelope_radical`, "envelope"), else by the one walk over the
+    p^dim(r) vectors of r, within the budget ("enumeration")."""
+    lifts = [lift(list(b)) for b in r.basis]
+    residue = envelope_radical(lifts) if lifts else None
+    if residue is not None:
+        return solve_linear(r, lambda x: residue(lift(x))), "envelope", True
+    if r.p ** r.dim > budget:
+        raise Undetermined(f"enumeration of {r.p ** r.dim} elements "
+                           f"exceeds budget {budget}", "enumeration")
+    members = [v for v in r.enumerate_vectors()
+               if any(v) and lift(v).is_nilpotent()]
+    span = Subspace.from_vectors(members, r.ambient_dim, r.p)
+    return span, "enumeration", len(members) + 1 == r.p ** span.dim
+
+
+def _ad_lift(g: LieAlgebra, h: Subspace):
+    """x -> ad x on the subalgebra h, for x in h, as a matrix in the
+    coordinates of h's canonical basis."""
+    def lift(x):
+        cols = [h.coordinates_of(g.bracket_vec(x, list(b))) for b in h.basis]
+        return FieldMatrix(h.dim, h.dim, g.p, [c for row in zip(*cols)
+                                               for c in row])
+    return lift
 
 
 # ---------------------------------------------------------------------------
@@ -455,27 +442,23 @@ def _envelope_pnil_cone(g: LieAlgebra, r: Subspace) -> Optional[Subspace]:
 
 def pnil_part_of_radical(g: LieAlgebra, h: Subspace,
                          budget: int = DEFAULT_BUDGET) -> dict:
-    """The set of p-nilpotent elements of rad(h), with its method, the
-    first that applies: the root part of a coordinate-split radical
-    ("structured"), the elements whose lift lies in the Jacobson radical
-    of the associative envelope ("envelope"), or the budgeted walk over
-    rad(h) ("enumeration"); the tower consumes this directly.
-    Undetermined when the walk passes the budget or finds that set is not
-    a subspace, since its span need not be p-nil."""
+    """The set of p-nilpotent elements of rad(h), with its method: the
+    root part of a coordinate-split radical ("structured"), else the cone
+    of `LieAlgebra.linear_lift` on rad(h) (`_nilpotent_cone`: "envelope"
+    or "enumeration"); the tower consumes this directly.  Undetermined
+    when the walk passes the budget or finds that set is not a subspace,
+    since its span need not be p-nil."""
     key = ("pnilpart", h.basis)
     if key in g._memo:
         return g._memo[key]
     r = solvable_radical(g, h, budget)
     cone = _structured_pnil_cone(g, coordinate_split(g, r))
-    method = "structured"
+    method, is_subspace = "structured", True
     if cone is None:
-        cone, method = _envelope_pnil_cone(g, r), "envelope"
-    if cone is None:
-        method = "enumeration"
-        cone, is_subspace = _enumerate_cone(g, r, _p_nilpotent_test(g), budget)
-        if not is_subspace:
-            raise Undetermined("the p-nilpotent elements of rad(h) do not "
-                               "form a subspace", "enumeration")
+        cone, method, is_subspace = _nilpotent_cone(r, g.linear_lift, budget)
+    if not is_subspace:
+        raise Undetermined("the p-nilpotent elements of rad(h) do not "
+                           "form a subspace", "enumeration")
     out = {"span": cone, "method": method, "radical": r}
     g._memo[key] = out
     return out
@@ -494,13 +477,16 @@ def p_radical(g: LieAlgebra, h: Subspace, budget: int = DEFAULT_BUDGET) -> dict:
 
 
 def nilradical(g: LieAlgebra, h: Subspace, budget: int = DEFAULT_BUDGET) -> dict:
-    """Maximal nilpotent ideal of h."""
+    """Maximal nilpotent ideal of h: the largest h-ideal inside the span
+    of the elements of rad(h) acting nilpotently on h, Undetermined unless
+    it is nilpotent.  Those elements are read off a coordinate-split
+    radical ("structured"), else they are the cone of ad_h on rad(h)
+    (`_ad_lift`, `_nilpotent_cone`: "envelope" or "enumeration")."""
     r = solvable_radical(g, h, budget)
     cone = _structured_adnil_cone(g, h, r)
     method = "structured"
     if cone is None:
-        method = "enumeration"
-        cone, _ = _enumerate_cone(g, r, _ad_nilpotent_test(g, h), budget)
+        cone, method, _ = _nilpotent_cone(r, _ad_lift(g, h), budget)
     cand = g.largest_ideal_inside(h, cone)
     if not g.is_nilpotent(cand):
         raise Undetermined("largest ideal inside the ad-nilpotent cone is "

@@ -403,11 +403,12 @@ def enumerate_subspaces(view):
 
 
 def literal_p_nilpotent(g: LieAlgebra, v) -> bool:
-    """x^[p]^m = 0 for some m <= dim, by iterating g.p_power_vec: the
+    """x^[p]^m = 0 for some m, by iterating g.p_power_vec until it reaches
+    0 or repeats a nonzero vector, which it then cycles through: the
     definition, kept apart from the fast tests of `radicals`."""
-    for _ in range(g.dim + 1):
-        if not any(v):
-            return True
+    seen = set()
+    while any(v) and tuple(v) not in seen:
+        seen.add(tuple(v))
         v = g.p_power_vec(v)
     return not any(v)
 
@@ -425,15 +426,8 @@ def _brute_radicals(g: LieAlgebra, h: Subspace) -> dict:
     for s in enumerate_subspaces(view):
         if s.dim == 0:
             continue
-        is_ideal = True
-        for i in range(view.dim):
-            for b in s.basis:
-                if not s.contains_vector(view.bracket_vec(view.unit(i), list(b))):
-                    is_ideal = False
-                    break
-            if not is_ideal:
-                break
-        if not is_ideal:
+        if not all(s.contains_vector(view.bracket_vec(view.unit(i), list(b)))
+                   for i in range(view.dim) for b in s.basis):
             continue
         if view.is_solvable(s) and s.dim > best["rad"].dim:
             best["rad"] = s
@@ -449,19 +443,9 @@ def _brute_radicals(g: LieAlgebra, h: Subspace) -> dict:
 
 def _subalgebras_of(g: LieAlgebra, h: Subspace):
     view = SubView(g, h)
-    out = []
-    for s in enumerate_subspaces(view):
-        closed = True
-        for a in s.basis:
-            for b in s.basis:
-                if not s.contains_vector(view.bracket_vec(list(a), list(b))):
-                    closed = False
-                    break
-            if not closed:
-                break
-        if closed:
-            out.append(view.lift_subspace(s))
-    return out
+    return [view.lift_subspace(s) for s in enumerate_subspaces(view)
+            if all(s.contains_vector(view.bracket_vec(list(a), list(b)))
+                   for a in s.basis for b in s.basis)]
 
 
 def criterion_radical_oracles(seed: int = 0) -> CheckResult:

@@ -57,6 +57,9 @@ SUBSPACES = {
     "sl3-levi": lambda: standard_parabolic(build("sl", 3, 5), (0,))["levi"],
     "sl3-borel-conj": lambda: _conjugated("parabolic"),
     "pgl3@3-nil-conj": lambda: _conjugated("nilradical", "pgl", 3),
+    "gl3@3-borel-conj": lambda: _conjugated("parabolic", "gl", 3),
+    "sl3@2-nil-S0": lambda: standard_parabolic(
+        build("sl", 3, 2), (0,))["nilradical"],
     "sl3-h1": lambda: _sl3_line("h1"),
     "sl3-not-closed": _sl3_not_closed,
     "pgl3-ex2": lambda: fixtures.ex2_subalgebra(build("pgl", 3, 3)),
@@ -80,10 +83,11 @@ CASES = [
     # the ex2 limit is not parabolic, so verification fails
     (["tower", "run", "--family", "pgl", "--n", "3", "--p", "3",
       "--subspace", "@pgl3-ex2"], EXIT_CHECK_FAILED),
-    # on pgl3@3 (p | n) the p-nilpotent cone of the conjugated Borel has no
-    # envelope certificate, and its 3^5 vectors pass the budget
-    (["tower", "run", "--family", "pgl", "--n", "3", "--p", "3", "--subspace",
-      "@pgl3@3-nil-conj", "--budget", "10"], EXIT_UNDETERMINED),
+    # the sl3@2 parabolic S = (0,) is solvable and its envelope holds M_2,
+    # so its p-nilpotent cone has no envelope certificate (the lifts do not
+    # commute modulo the trace radical), and its 2^6 vectors pass the budget
+    (["tower", "run", "--family", "sl", "--n", "3", "--p", "2", "--subspace",
+      "@sl3@2-nil-S0", "--budget", "10"], EXIT_UNDETERMINED),
     (["tower", "run", *SL3, "--subspace", "@sl3-h1"], EXIT_INPUT),
     (["parabolic", "detect", *SL3, "--subspace", "@sl3-borel"], EXIT_OK),
     (["parabolic", "detect", *SL3, "--subspace", "@sl3-levi"], EXIT_CHECK_FAILED),
@@ -95,8 +99,10 @@ CASES = [
     (["kempf", "optimize", "--family", "sl", "--n", "3", "--p", "7",
       "--subspace", "@sl3-nil"], EXIT_INPUT),
     (["radical", "compute", *SL3, "--subspace", "@sl3-borel"], EXIT_OK),
-    (["radical", "compute", *SL3, "--subspace", "@sl3-borel-conj",
-      "--budget", "10"], EXIT_UNDETERMINED),
+    # the ad envelope of the conjugated gl3@3 Borel declines, as its zero
+    # weight has multiplicity 3 = p, and its 3^6 vectors pass the budget
+    (["radical", "compute", "--family", "gl", "--n", "3", "--p", "3",
+      "--subspace", "@gl3@3-borel-conj", "--budget", "10"], EXIT_UNDETERMINED),
     (["radical", "compute", *SL3, "--subspace", "@sl3-not-closed"], EXIT_INPUT),
     (["prime", "classify", "--type", "A", "--n", "2", "--p", "5"], EXIT_OK),
     (["prime", "classify", "--type", "Z", "--p", "5"], EXIT_INPUT),
@@ -104,6 +110,19 @@ CASES = [
     (["hn", "check", "--filtration", "@hn-unordered"], EXIT_CHECK_FAILED),
     (["hn", "check", "--filtration", "@hn-malformed"], EXIT_INPUT),
 ]
+
+
+# decided within a budget of 10 by the envelope certificates of the
+# p-nilpotent and ad-nilpotent cones, where the walk needs 3^5 and 5^5
+# vectors: on pgl3@3 (p | n) through ad, and on a conjugated sl3@5 Borel
+ENVELOPE_CASES = {
+    "tower-run-pgl3@3-envelope": (
+        ["tower", "run", "--family", "pgl", "--n", "3", "--p", "3",
+         "--subspace", "@pgl3@3-nil-conj", "--budget", "10"], EXIT_OK),
+    "radical-compute-sl3-envelope": (
+        ["radical", "compute", *SL3, "--subspace", "@sl3-borel-conj",
+         "--budget", "10"], EXIT_OK),
+}
 
 
 def _materialise(argv, tmp_path):
@@ -120,8 +139,9 @@ def _materialise(argv, tmp_path):
     return out
 
 
-@pytest.mark.parametrize("argv,code", CASES,
-                         ids=[f"{a[0]}-{a[1]}-{c}" for a, c in CASES])
+@pytest.mark.parametrize("argv,code", CASES + list(ENVELOPE_CASES.values()),
+                         ids=[f"{a[0]}-{a[1]}-{c}" for a, c in CASES]
+                         + list(ENVELOPE_CASES))
 def test_exit_code_and_byte_identical_json(argv, code, tmp_path, capsys):
     argv = _materialise(argv, tmp_path)
     runs = []

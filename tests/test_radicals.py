@@ -9,8 +9,8 @@ from morozov.kempf import check_search_class
 from morozov.liealg import (build, conjugate_subspace, coordinate_split,
                             standard_borel, standard_parabolic)
 from morozov.radicals import (DEFAULT_BUDGET, QuotientView, SubView,
-                              Undetermined, _certified_root_support,
-                              _solvable_radical_view,
+                              Undetermined, _ad_lift, _certified_root_support,
+                              _nilpotent_cone, _solvable_radical_view,
                               _structured_solvable_radical, is_p_nil_subalgebra,
                               is_p_nilpotent, nilradical, p_radical,
                               pnil_part_of_radical, radical_report,
@@ -1061,32 +1061,45 @@ def test_abelian_ideal_scan_keeps_the_given_budget():
     assert solvable_radical(g, h).dim == 3
 
 
+def _oracle_cone(r, test):
+    """(span, is_subspace) of the nonzero v in r with test(v), by walking
+    all of r: the reference the nilpotent cones are checked against."""
+    members = [v for v in r.enumerate_vectors() if any(v) and test(v)]
+    span = Subspace.from_vectors(members, r.ambient_dim, r.p)
+    return span, len(members) + 1 == r.p ** span.dim
+
+
+def _view_adnil(g, h):
+    """v acts nilpotently on h: its ad matrix in h's own view, built from
+    the view's structure table."""
+    view = SubView(g, h)
+    return lambda v: view.ad_matrix_vec(h.coordinates_of(v)).is_nilpotent()
+
+
 @pytest.mark.parametrize("fam,n,p", [("sl", 3, 3), ("sl", 3, 5), ("sp", 4, 5)])
 def test_ad_nilpotent_test_matches_the_view_ad_matrix(fam, n, p):
-    # ad_h-nilpotency by the images [v, w] from w = h, in ambient
-    # coordinates, against the nilpotency of v's ad matrix in h's view
-    from morozov.radicals import _ad_nilpotent_test
+    # the ad lift of v on h, from the ambient bracket, is v's ad matrix in
+    # h's view
     g = build(fam, n, p)
     rng = random.Random(f"adnil:{fam}{n}@{p}")
     verdicts = set()
     for _, h, _, _ in _view_inputs(g):
         view = SubView(g, h)
-        test = _ad_nilpotent_test(g, h)
+        lift = _ad_lift(g, h)
         for _ in range(40):
             v = _random_vector(h, rng)
-            ok = view.ad_matrix_vec(h.coordinates_of(v)).is_nilpotent()
-            assert test(v) == ok, (h.basis, v)
-            verdicts.add(ok)
+            ad = view.ad_matrix_vec(h.coordinates_of(v))
+            assert lift(v) == ad, (h.basis, v)
+            verdicts.add(ad.is_nilpotent())
     assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("fam,n,p", [("sl", 3, 5), ("sp", 4, 5), ("so", 5, 5)])
 def test_structured_cones_match_enumeration(fam, n, p):
-    # both structured cones are the sets the one enumeration walks out,
-    # on every standard parabolic and Levi
-    from morozov.radicals import (_ad_nilpotent_test, _enumerate_cone,
-                                  _p_nilpotent_test, _structured_adnil_cone,
-                                  _structured_pnil_cone)
+    # both structured cones are the sets a walk with the literal p-power
+    # iteration and the view's ad matrix picks out, on every standard
+    # parabolic and Levi
+    from morozov.radicals import _structured_adnil_cone, _structured_pnil_cone
     g = build(fam, n, p)
     for chosen in _subsets(g):
         for role in ("parabolic", "levi"):
@@ -1094,22 +1107,28 @@ def test_structured_cones_match_enumeration(fam, n, p):
             r = solvable_radical(g, h)
             for cone, test in (
                     (_structured_pnil_cone(g, coordinate_split(g, r)),
-                     _p_nilpotent_test(g)),
-                    (_structured_adnil_cone(g, h, r),
-                     _ad_nilpotent_test(g, h))):
+                     lambda v: literal_p_nilpotent(g, v)),
+                    (_structured_adnil_cone(g, h, r), _view_adnil(g, h))):
                 assert cone is not None
-                assert _enumerate_cone(g, r, test, DEFAULT_BUDGET) == \
-                    (cone, True), (chosen, role)
+                assert _oracle_cone(r, test) == (cone, True), (chosen, role)
+
+
+def _conjugated_borel(g):
+    """The standard Borel moved by 1 + E_31 out of standard position."""
+    n, p = g.realization.n, g.p
+    w = FieldMatrix.identity(n, p) + FieldMatrix(
+        n, n, p, [int(i == n * (n - 1)) for i in range(n * n)])
+    return w, conjugate_subspace(g, w, standard_borel(g)["parabolic"])
 
 
 def test_nilradical_enumeration_builds_no_view(monkeypatch):
-    # a conjugated sl3@5 Borel: rad(b) = b is enumerated for its
-    # ad-nilpotent elements in ambient coordinates
+    # the gl3@3 Borel conjugated by 1 + E_31: the zero weight of ad_b has
+    # multiplicity 3 = p, so the ad envelope declines, and rad(b) = b is
+    # walked for its ad-nilpotent elements in ambient coordinates; nil(b)
+    # is the conjugated nilradical plus the scalars
     from morozov import radicals
-    g = build("sl", 3, 5)
-    data = standard_borel(g)
-    w = _root_group_word(g, random.Random("nil-no-view"))
-    b = conjugate_subspace(g, w, data["parabolic"])
+    g = build("gl", 3, 3)
+    w, b = _conjugated_borel(g)
     assert solvable_radical(g, b) == b          # memoised before the patch
 
     def refuse(*args):
@@ -1118,9 +1137,23 @@ def test_nilradical_enumeration_builds_no_view(monkeypatch):
     monkeypatch.setattr(radicals, "SubView", refuse)
     out = nilradical(g, b)
     assert out["method"] == "enumeration"
-    assert out["nil"] == conjugate_subspace(g, w, data["nilradical"])
+    assert out["nil"] == conjugate_subspace(
+        g, w, standard_borel(g)["nilradical"]).sum(g.center())
     with pytest.raises(Undetermined, match="exceeds budget 10"):
         nilradical(g, b, budget=10)
+
+
+@pytest.mark.parametrize("fam,p", [("sl", 5), ("pgl", 3)])
+def test_nilradical_by_the_ad_envelope_matches_brute_force(fam, p):
+    # the conjugated Borels of sl3@5 and pgl3@3 (p | n): the envelope of
+    # ad_b certifies the ad-nilpotent cone with no walk, and nil(b) is the
+    # largest nilpotent ideal the exhaustive subspace scan finds
+    from morozov.suite import _brute_radicals
+    g = build(fam, 3, p)
+    _, b = _conjugated_borel(g)
+    out = nilradical(g, b, budget=1)
+    assert out["method"] == "envelope"
+    assert out["nil"] == _brute_radicals(g, b)["nil"]
 
 
 def _envelope_inputs(g, rng):
@@ -1150,33 +1183,28 @@ def _envelope_inputs(g, rng):
                                ("sl", 3), ("pgl", 3), ("sp", 4), ("so", 5))
     for p in (2, 3, 5, 7) if (fam, p) != ("so", 2)])
 def test_envelope_cone_matches_enumeration(fam, n, p):
-    # where the associative envelope certifies the p-nilpotent cone it is
-    # the set the enumeration walks out, a subspace; it certifies some
-    # cone of every algebra with p not dividing n, and none of pgl with
-    # p | n
-    from morozov.radicals import (_envelope_pnil_cone, _enumerate_cone,
-                                  _p_nilpotent_test)
+    # where the associative envelope of the linear lifts certifies the
+    # p-nilpotent cone (a budget of 0 forbids the walk) it is the set the
+    # literal p-power iteration picks out, a subspace; it certifies some
+    # cone of every algebra with p not dividing n, and of pgl with p | n
+    # through ad
     g = build(fam, n, p)
     certified = 0
     for r in _envelope_inputs(g, random.Random(f"envelope:{fam}{n}@{p}")):
-        cone = _envelope_pnil_cone(g, r)
-        if cone is not None:
-            certified += 1
-            assert _enumerate_cone(g, r, _p_nilpotent_test(g),
-                                   DEFAULT_BUDGET) == (cone, True), r.basis
-    if n % p:
+        try:
+            cone, method, is_subspace = _nilpotent_cone(r, g.linear_lift, 0)
+        except Undetermined:
+            continue
+        certified += 1
+        assert method == "envelope" and is_subspace
+        assert _oracle_cone(r, lambda v: literal_p_nilpotent(g, v)) == \
+            (cone, True), r.basis
+    if n % p or fam == "pgl":
         assert certified
-    elif fam == "pgl":
-        assert not certified
 
 
 def test_envelope_certificate_declines():
     from morozov.gfp import envelope_radical
-    from morozov.radicals import (_envelope_pnil_cone, _enumerate_cone,
-                                  _p_nilpotent_test)
-    # pgl3@3: no representative linear in x is the nilpotent one
-    g = build("pgl", 3, 3)
-    assert _envelope_pnil_cone(g, standard_borel(g)["parabolic"]) is None
     # sl3@3, the scalars plus the conjugated Borel nilradical: the envelope
     # is F + u and tr(1) = 3 = 0, so its trace radical holds 1 and is not
     # nilpotent; the cone is u alone
@@ -1185,21 +1213,27 @@ def test_envelope_certificate_declines():
     u = conjugate_subspace(g, w, standard_borel(g)["nilradical"])
     one = g.coordinates_of_matrix(FieldMatrix.identity(3, 3))
     r = solvable_radical(g, g.subspace([one, *u.basis]))
-    assert r.dim == 4 and _envelope_pnil_cone(g, r) is None
-    assert _enumerate_cone(g, r, _p_nilpotent_test(g), DEFAULT_BUDGET) == \
-        (u, True)
+    assert r.dim == 4
+    assert _nilpotent_cone(r, g.linear_lift, DEFAULT_BUDGET) == \
+        (u, "enumeration", True)
     # sl2@2 is nilpotent and its envelope is all of M_2, whose trace form
     # is nondegenerate, so I = 0, while [e, f] = h = 1: the quotient is not
     # commutative, and the p-nilpotent elements are no subspace
     g = build("sl", 2, 2)
     r = solvable_radical(g, g.full_space())
-    assert r == g.full_space() and _envelope_pnil_cone(g, r) is None
-    assert not _enumerate_cone(g, r, _p_nilpotent_test(g), DEFAULT_BUDGET)[1]
+    assert r == g.full_space()
+    assert _nilpotent_cone(r, g.linear_lift, DEFAULT_BUDGET)[1:] == \
+        ("enumeration", False)
     # the 9 x 9 cycle E_12, E_23, ..., E_91 generates all of M_9, past the
     # dimension cap
     cycle = [FieldMatrix(9, 9, 5, [int(k == 9 * i + (i + 1) % 9)
                                    for k in range(81)]) for i in range(9)]
     assert envelope_radical(cycle) is None
+    # pgl3@3 (p | n): the envelope of ad certifies the standard Borel's cone
+    g = build("pgl", 3, 3)
+    data = standard_borel(g)
+    assert _nilpotent_cone(data["parabolic"], g.linear_lift, 0) == \
+        (data["nilradical"], "envelope", True)
 
 
 def test_envelope_radical_of_triangular_matrices():
