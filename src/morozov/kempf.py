@@ -5,8 +5,8 @@ signs.
 
 The optimum lies on the ray of the point of least norm in the convex hull
 of the roots on the support, found by Wolfe's algorithm in exact rational
-arithmetic (`rootdata.min_norm_point`, which `radicals` shares) and
-returned with a certificate checked without any search.
+arithmetic (`rootdata.min_norm_point`) and returned with a certificate
+checked without any search.
 """
 
 from __future__ import annotations

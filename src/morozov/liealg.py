@@ -73,9 +73,10 @@ class LieAlgebra:
 
     The subalgebra calculus (series, centres, centralisers, normalisers,
     Killing forms, largest ideals) needs only `p`, `dim` and the structure
-    table, so it also serves the realization-free views of `radicals`,
-    which fill the same table from their parent's bracket and override
-    only `p_power_vec`.
+    table, so it also serves the one realization-free view of `radicals`,
+    `SubView`: a sub-quotient that fills the same table from its parent's
+    bracket, overrides only `p_power_vec`, and carries the one peel loop
+    of the solvable radical.
 
     The table is stored by rows (`_set_structure`): a bracket skips every
     row i with x_i = y_i = 0, so its cost follows the support of its
@@ -86,6 +87,9 @@ class LieAlgebra:
     def __init__(self, p: int, labels: Sequence[str], realization: Realization,
                  frame: Optional[TorusFrame] = None, family: Optional[str] = None):
         check_modulus(p)
+        if len(labels) != len(realization.mats):
+            raise ValueError(f"{len(labels)} labels for "
+                             f"{len(realization.mats)} realization matrices")
         if len(labels) > MAX_DIM:
             raise ValueError(f"dimension {len(labels)} exceeds the supported "
                              f"bound {MAX_DIM}")

@@ -3,20 +3,22 @@
 The public operations take an ambient realized algebra and a subspace h and
 return subspaces in ambient coordinates.  Most of them also compute there:
 largest h-ideals, spins under ad(h), the series of a subspace and the
-ad_h-nilpotency of an element need only the ambient bracket.  Views,
-subalgebras and quotients in their own coordinates, are built only where
-h's own structure matters: the general solvable-radical path (h's centre
-and Killing form, the recursion into a proper Killing kernel, and the
-peeling of solvable ideals across quotients).
-A view is a `LieAlgebra` without a realization whose structure table is
-filled once from its parent's bracket, so the one subalgebra calculus of
-`liealg` runs on it unchanged.
+ad_h-nilpotency of an element need only the ambient bracket.  One view,
+`SubView`, the sub-quotient sub/ideal in its own coordinates, is built
+only where h's own structure matters: the general solvable-radical path.
+There one peel loop (`_view_radical`) grows a solvable ideal S of h by the
+preimage of a solvable ideal of h/S, found from the centre and Killing
+form of h/S's view, until h/S is solvable or has none.  A view is a
+`LieAlgebra` without a realization whose structure table is filled once
+from its parent's bracket, so the one subalgebra calculus of `liealg`
+runs on it unchanged.
 
 Strategy notes:
   * every abelian ideal of h lies in k = ker(kappa_h), and the last
     nonzero derived term of rad(h) is one, so k = 0 certifies rad(h) = 0;
-    for a proper k, rad(k) is computed in k's own view and the largest
-    ideal of h inside it is nonzero exactly when rad(h) is;
+    for a proper k, rad(k) comes from the same peel loop on k inside h's
+    view, and the largest ideal of h inside it is nonzero exactly when
+    rad(h) is;
   * only when kappa_h vanishes identically is k scanned line by line:
     (ad v)^2 = 0 is necessary for v to lie in an abelian ideal, which
     makes the scan complete.  It walks one vector per line on the view's
@@ -89,22 +91,29 @@ class Undetermined(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Views: subalgebras and quotients as structure-constant algebras
+# The view: a sub-quotient as a structure-constant algebra
 # ---------------------------------------------------------------------------
 
-class View(LieAlgebra):
-    """A Lie algebra in local coordinates, carried by a parent algebra
-    instead of a realization; local vectors are plain int lists.  A
-    subclass gives only its coordinate maps: `lift` to the parent and
-    `local` back, None when a parent vector leaves the carrier.  The
-    structure table is filled once from the parent's bracket."""
+class SubView(LieAlgebra):
+    """The sub-quotient sub/ideal of a parent algebra, for a bracket-closed
+    subspace sub and an ideal of it (default 0), carried by the parent
+    instead of a realization.  Its coordinates are those of the canonical
+    basis of sub reduced modulo the ideal; local vectors are plain int
+    lists.  The structure table is filled once from the parent's bracket,
+    and a subspace that is not closed raises ValueError."""
 
     realization = frame = family = None
 
-    def __init__(self, parent: LieAlgebra, dim: int):
+    def __init__(self, parent: LieAlgebra, sub: Subspace,
+                 ideal: Optional[Subspace] = None):
         self.parent = parent
         self.p = parent.p
-        self.dim = dim
+        self.ideal = ideal if ideal is not None and ideal.dim else None
+        if self.ideal is not None:
+            sub = Subspace.from_vectors(map(ideal.reduce_vector, sub.basis),
+                                        sub.ambient_dim, self.p)
+        self.sub = sub
+        self.dim = sub.dim
         self._memo = {}
 
         def bracket_of(i, j):
@@ -116,46 +125,25 @@ class View(LieAlgebra):
         self._set_structure(bracket_of)
 
     def lift(self, x) -> list:
-        raise NotImplementedError
-
-    def local(self, vec) -> Optional[list]:
-        raise NotImplementedError
-
-    def p_power_vec(self, x):
-        """Local p-power, or None when it leaves the carrier."""
-        up = self.parent.p_power_vec(self.lift(x))
-        return None if up is None else self.local(up)
-
-
-class AmbientView(View):
-    """The parent algebra itself, as a view."""
-
-    def __init__(self, g: LieAlgebra):
-        super().__init__(g, g.dim)
-
-    def lift(self, x) -> list:
-        return list(x)
-
-    local = lift
-
-
-class SubView(View):
-    """A bracket-closed subspace of a parent algebra, in its own
-    coordinates; a subspace that is not closed raises ValueError."""
-
-    def __init__(self, parent: LieAlgebra, sub: Subspace):
-        self.sub = sub
-        super().__init__(parent, sub.dim)
-
-    def lift(self, x) -> list:
         return self.sub.combine(x)
 
     def local(self, vec) -> Optional[list]:
+        """Local coordinates of a parent vector, None off sub + ideal."""
+        if self.ideal is not None:
+            vec = self.ideal.reduce_vector(vec)
         return self.sub.coordinates_of(vec)
 
+    def p_power_vec(self, x):
+        """Local p-power, or None when it leaves sub + ideal."""
+        up = self.parent.p_power_vec(self.lift(x))
+        return None if up is None else self.local(up)
+
     def lift_subspace(self, s: Subspace) -> Subspace:
-        return Subspace.from_vectors([self.lift(list(b)) for b in s.basis],
-                                     self.sub.ambient_dim, self.p)
+        """The preimage of s in the parent: its lifts plus the ideal."""
+        vecs = [self.lift(list(b)) for b in s.basis]
+        if self.ideal is not None:
+            vecs += self.ideal.basis
+        return Subspace.from_vectors(vecs, self.sub.ambient_dim, self.p)
 
     def restrict_subspace(self, s: Subspace) -> Subspace:
         coords = [self.local(list(b)) for b in s.basis]
@@ -164,28 +152,10 @@ class SubView(View):
         return Subspace.from_vectors(coords, self.dim, self.p)
 
 
-class QuotientView(View):
-    """Quotient of a parent algebra by an ideal, coordinatized by the
-    non-pivot positions of the ideal's canonical basis."""
-
-    def __init__(self, parent: LieAlgebra, ideal: Subspace):
-        self.ideal = ideal
-        self.sections = [j for j in range(parent.dim) if j not in ideal.pivots]
-        super().__init__(parent, len(self.sections))
-
-    def lift(self, x) -> list:
-        vec = [0] * self.parent.dim
-        for c, j in zip(x, self.sections):
-            vec[j] = c % self.p
-        return vec
-
-    def local(self, vec) -> list:
-        red = self.ideal.reduce_vector(vec)
-        return [red[j] for j in self.sections]
-
-    def preimage(self, s: Subspace) -> Subspace:
-        vecs = [self.lift(list(b)) for b in s.basis] + [list(b) for b in self.ideal.basis]
-        return Subspace.from_vectors(vecs, self.parent.dim, self.p)
+# g as a view of itself; it stays only because perfbench/test_perfbench.py
+# calls it
+def AmbientView(g: LieAlgebra) -> SubView:
+    return SubView(g, g.full_space())
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +190,7 @@ def check_p_nil(g: LieAlgebra, u: Subspace, what: str = "input") -> None:
 # Abelian ideals and the solvable radical
 # ---------------------------------------------------------------------------
 
-def _square_zero_lines(view: View, region: Subspace):
+def _square_zero_lines(view: SubView, region: Subspace):
     """The lines of `region` with (ad v)^2 = 0, one v per line, in this
     order: the coefficient tuples whose first nonzero entry is 1, by lead
     position and then in base-p order of the trailing entries.  A line is
@@ -238,7 +208,7 @@ def _square_zero_lines(view: View, region: Subspace):
                 yield v
 
 
-def _abelian_spin_scan(view: View, region: Subspace, budget: int):
+def _abelian_spin_scan(view: SubView, region: Subspace, budget: int):
     """Complete scan for abelian ideals meeting `region` (which must
     contain every abelian ideal): the first abelian ideal of least
     dimension among the spins of `_square_zero_lines(view, region)`, or
@@ -259,7 +229,7 @@ def _abelian_spin_scan(view: View, region: Subspace, budget: int):
     return best
 
 
-def _find_solvable_ideal(view: View, budget: int):
+def _find_solvable_ideal(view: SubView, budget: int):
     """A nonzero solvable ideal of the view, or None certified to mean the
     solvable radical is zero.
 
@@ -278,21 +248,24 @@ def _find_solvable_ideal(view: View, budget: int):
         return None
     if k.dim == view.dim:
         return _abelian_spin_scan(view, k, budget)
-    sub = SubView(view, k)
-    rad_k = sub.lift_subspace(_solvable_radical_view(sub, budget))
-    ideal = view.largest_ideal_inside(view.full_space(), rad_k)
+    ideal = view.largest_ideal_inside(view.full_space(),
+                                      _view_radical(view, k, budget))
     return ideal if ideal.dim else None
 
 
-def _solvable_radical_view(view: View, budget: int) -> Subspace:
-    if view.is_solvable(view.full_space()):
-        return view.full_space()
-    s = _find_solvable_ideal(view, budget)
-    if s is None:
-        return Subspace.zero(view.dim, view.p)
-    quot = QuotientView(view, s)
-    r = _solvable_radical_view(quot, budget)
-    return quot.preimage(r)
+def _view_radical(parent: LieAlgebra, h: Subspace, budget: int) -> Subspace:
+    """rad(h) in the parent's coordinates, peeling solvable ideals: S grows
+    by the preimage of a solvable ideal of h/S, read in h/S's own view,
+    until h/S is solvable (rad(h) = h) or has none (rad(h) = S)."""
+    s = Subspace.zero(parent.dim, parent.p)
+    while True:
+        view = SubView(parent, h, s)
+        if view.is_solvable(view.full_space()):
+            return h
+        found = _find_solvable_ideal(view, budget)
+        if found is None:
+            return s
+        s = view.lift_subspace(found)
 
 
 def _character(g: LieAlgebra, z, idx: int) -> int:
@@ -363,8 +336,7 @@ def solvable_radical(g: LieAlgebra, h: Subspace,
             raise ValueError("input is not a subalgebra")
         out = _structured_solvable_radical(g, h)
         if out is None:
-            view = SubView(g, h)
-            out = view.lift_subspace(_solvable_radical_view(view, budget))
+            out = _view_radical(g, h, budget)
         g._memo[key] = out
     return g._memo[key]
 

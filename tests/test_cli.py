@@ -176,6 +176,12 @@ def _not_closed(data):
                                    [[1, 0], [0, 0]]]
 
 
+def _drop_a_label(data):
+    # with no family stamp the matrices are read as given
+    del data["family"]
+    data["labels"].pop()
+
+
 SL2 = ["--family", "sl", "--n", "2", "--p", "5"]
 
 # input files that do not fit their schema: (argv up to the option that
@@ -191,6 +197,8 @@ MALFORMED = {
     "algebra-not-bracket-closed": (
         ["algebra", "build", "--algebra"], _sl2_algebra(_not_closed),
         "matrix not in the span"),
+    "algebra-with-more-matrices-than-labels": (
+        ["radical", "compute", "--algebra"], _sl2_algebra(_drop_a_label), "2 labels for 3 realization matrices"),
     "subspace-without-p": (
         ["radical", "compute", *SL2, "--subspace"],
         lambda: {"ambient_dim": 3, "basis": [[1, 0, 0]]},

@@ -8,10 +8,10 @@ from morozov.gfp import FieldMatrix, Subspace, rref, solve_linear
 from morozov.kempf import check_search_class
 from morozov.liealg import (build, conjugate_subspace, coordinate_split,
                             standard_borel, standard_parabolic)
-from morozov.radicals import (DEFAULT_BUDGET, QuotientView, SubView,
-                              Undetermined, _ad_lift, _certified_root_support,
-                              _nilpotent_cone, _solvable_radical_view,
-                              _structured_solvable_radical, is_p_nil_subalgebra,
+from morozov.radicals import (DEFAULT_BUDGET, SubView, Undetermined,
+                              _ad_lift, _certified_root_support,
+                              _nilpotent_cone, _structured_solvable_radical,
+                              _view_radical, is_p_nil_subalgebra,
                               is_p_nilpotent, nilradical, p_radical,
                               pnil_part_of_radical, radical_report,
                               solvable_radical)
@@ -125,31 +125,37 @@ def _view_inputs(g):
 @pytest.mark.parametrize("fam,n,p", [("sl", 4, 5), ("sp", 4, 7)])
 def test_view_tables_match_the_parent_round_trip(fam, n, p):
     # the structure table a view fills once agrees with the operation in
-    # the ambient algebra, local(g op lift), on subalgebras and quotients
+    # the ambient algebra, local(g op lift), on subalgebras and quotients;
+    # the quotient built in one step is the one built in two, through the
+    # coordinate change x -> quot.local(sub.lift(two_step.lift(x)))
     g = build(fam, n, p)
     rng = random.Random(f"tables:{fam}{n}@{p}")
     for name, h, ideal, _ in _view_inputs(g):
         sub = SubView(g, h)
-        quot = QuotientView(sub, sub.restrict_subspace(ideal))
-        assert quot.dim == h.dim - ideal.dim > 0, name
+        quot = SubView(g, h, ideal)
+        two_step = SubView(sub, sub.full_space(), sub.restrict_subspace(ideal))
+        assert quot.dim == two_step.dim == h.dim - ideal.dim > 0, name
+        assert sub.lift_subspace(Subspace.zero(sub.dim, p)).dim == 0, name
+        assert quot.lift_subspace(Subspace.zero(quot.dim, p)) == ideal, name
+        assert quot.lift_subspace(quot.full_space()) == h, name
 
-        def ambient(view, x):
-            return sub.lift(quot.lift(x)) if view is quot else sub.lift(x)
+        def change(x):
+            return quot.local(sub.lift(two_step.lift(x)))
 
-        def local(view, vec):
-            loc = sub.local(vec)
-            if view is sub or loc is None:
-                return loc
-            return quot.local(loc)
-
-        for view in (sub, quot):
+        for view in (sub, quot, two_step):
             for _ in range(40):
                 x = [rng.randrange(p) for _ in range(view.dim)]
                 y = [rng.randrange(p) for _ in range(view.dim)]
-                assert view.bracket_vec(x, y) == local(view, g.bracket_vec(
-                    ambient(view, x), ambient(view, y))), name
-                assert view.p_power_vec(x) == local(
-                    view, g.p_power_vec(ambient(view, x))), name
+                if view is two_step:
+                    assert change(view.bracket_vec(x, y)) == quot.bracket_vec(
+                        change(x), change(y)), name
+                    assert change(view.p_power_vec(x)) == quot.p_power_vec(
+                        change(x)), name
+                else:
+                    assert view.bracket_vec(x, y) == view.local(g.bracket_vec(
+                        view.lift(x), view.lift(y))), name
+                    assert view.p_power_vec(x) == view.local(
+                        g.p_power_vec(view.lift(x))), name
 
 
 @pytest.mark.parametrize("fam,n,p", [("sl", 4, 5), ("sp", 4, 7)])
@@ -300,12 +306,10 @@ def test_quotient_p_radical_idempotence():
         h = standard_parabolic(g, chosen)["parabolic"]
         out = p_radical(g, h)
         ideal = out["rad_p"]
-        view = SubView(g, h)
-        quot = QuotientView(view, view.restrict_subspace(ideal))
+        quot = SubView(g, h, ideal)
         # enumerate the radical of the quotient and check no nonzero
         # p-nil ideal survives
-        from morozov.radicals import _solvable_radical_view
-        rad_quot = _solvable_radical_view(quot, 10 ** 6)
+        rad_quot = _view_radical(quot, quot.full_space(), 10 ** 6)
         pnil = []
         for v in rad_quot.enumerate_vectors():
             # literal iteration of the quotient's p-map: x^[p]^m, m <= dim
@@ -662,13 +666,11 @@ def test_linear_torus_part_matches_view_path(fam, n):
             for role, h in known.items():
                 structured = _structured_solvable_radical(g, data[role])
                 assert structured == h, (p, chosen, role)
-                view = SubView(g, data[role])
                 try:
-                    local = _solvable_radical_view(view, DEFAULT_BUDGET)
+                    found = _view_radical(g, data[role], DEFAULT_BUDGET)
                 except Undetermined:
                     continue
-                assert view.lift_subspace(local) == structured, \
-                    (p, chosen, role)
+                assert found == structured, (p, chosen, role)
                 compared += 1
         assert compared >= 2 * len(_subsets(g)), p
 
@@ -719,12 +721,11 @@ def test_root_index_radical_matches_dense_spins(fam, n, p):
     for h in _split_closures(g, random.Random(f"split:{fam}{n}@{p}"), 12):
         structured = _structured_solvable_radical(g, h)
         assert structured == _dense_structured_radical(g, h), h.basis
-        view = SubView(g, h)
         try:
-            local = _solvable_radical_view(view, DEFAULT_BUDGET)
+            found = _view_radical(g, h, DEFAULT_BUDGET)
         except Undetermined:
             continue
-        assert view.lift_subspace(local) == structured, h.basis
+        assert found == structured, h.basis
 
 
 def _conjugated_sl4_parabolic():
@@ -880,10 +881,10 @@ def test_view_radical_of_conjugates_matches_structured(fam, n, p, monkeypatch):
     recursions = []
 
     class CountingSubView(SubView):
-        def __init__(self, parent, sub):
-            if isinstance(parent, radicals.View):
+        def __init__(self, parent, sub, ideal=None):
+            if isinstance(parent, SubView) and sub.dim < parent.dim:
                 recursions.append(sub.dim)
-            super().__init__(parent, sub)
+            super().__init__(parent, sub, ideal)
 
     monkeypatch.setattr(radicals, "SubView", CountingSubView)
     g = build(fam, n, p)
@@ -898,10 +899,9 @@ def test_view_radical_of_conjugates_matches_structured(fam, n, p, monkeypatch):
             structured = _structured_solvable_radical(g, data[role])
             assert structured in (None, rad), (chosen, role)
             w = _root_group_word(g, rng)
-            view = SubView(g, conjugate_subspace(g, w, data[role]))
-            local = _solvable_radical_view(view, DEFAULT_BUDGET)
-            assert view.lift_subspace(local) == conjugate_subspace(g, w, rad), \
-                (chosen, role)
+            found = _view_radical(g, conjugate_subspace(g, w, data[role]),
+                                  DEFAULT_BUDGET)
+            assert found == conjugate_subspace(g, w, rad), (chosen, role)
     assert recursions
 
 

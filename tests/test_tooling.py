@@ -1,14 +1,18 @@
 """Checks on the package as shipped: no unused module-level imports in
-the source, the packaged fixture file matches its generator, no module
+the source, every name kept only for the benchmark is still read by it,
+the packaged fixture file matches its generator, no module
 imports numpy and `pyproject.toml` declares no runtime dependency, and
 `morozov suite run` checks the structure laws with numpy unimportable."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from morozov.fixtures import fixture_payload
 from morozov.serialize import canonical_json
@@ -22,6 +26,15 @@ UNUSED_ALLOWED = {
     # gfp.kernel and gfp.rref reaches every module importing them by name
     ("radicals", "kernel"): "perfbench/test_perfbench.py needs it",
     ("radicals", "rref"): "perfbench/test_perfbench.py needs it",
+}
+
+# names kept in the source only because the frozen benchmark reads them:
+# (module, name) -> the file under perfbench/ that reads it
+BENCHMARK_SHIMS = {
+    ("radicals", "AmbientView"): "test_perfbench.py",
+    ("radicals", "is_p_nilpotent"): "layertrace.py",
+    ("kempf", "OptimalityCertificate.enumerated_count"): "layertrace.py",
+    ("kempf", "OptimalityCertificate.admissible_count"): "layertrace.py",
 }
 
 
@@ -68,6 +81,18 @@ def test_no_unused_module_level_imports():
     assert sorted(set(found) - set(UNUSED_ALLOWED)) == []
     # an allowance that is no longer needed goes too
     assert set(UNUSED_ALLOWED) <= set(found)
+
+
+@pytest.mark.parametrize("module,name", sorted(BENCHMARK_SHIMS))
+def test_benchmark_shim_is_defined_and_still_read(module, name):
+    obj = importlib.import_module(f"morozov.{module}")
+    for part in name.split("."):
+        assert hasattr(obj, part), f"{module}.{name} is gone from src/"
+        obj = getattr(obj, part)
+    reader = BENCHMARK_SHIMS[module, name]
+    # a shim the benchmark no longer reads goes, with its entry here
+    assert name.split(".")[-1] in (ROOT / "perfbench" / reader).read_text(), \
+        f"perfbench/{reader} no longer reads {name}: delete the shim"
 
 
 def test_packaged_fixture_file_matches_its_generator():
