@@ -56,7 +56,7 @@ def _load_with(path: str, loader):
 def _algebra_from_args(args) -> "LieAlgebra":
     if getattr(args, "algebra", None):
         return _load_with(args.algebra, algebra_from_dict)
-    if args.family and args.n and args.p:
+    if None not in (args.family, args.n, args.p):
         try:
             return build(args.family, args.n, args.p)
         except ValueError as exc:

@@ -591,13 +591,6 @@ def jacobson_defect_reference(x: Element, y: Element) -> Element:
 # Family constructions
 # ---------------------------------------------------------------------------
 
-def _roots_sorted(rd: RootDatum):
-    def height(r):
-        return sum(rd.simple_coefficients(list(r)))
-    pos = sorted(rd.positive_roots, key=lambda r: (height(r), r))
-    return pos + [tuple(-x for x in r) for r in pos]
-
-
 @lru_cache(maxsize=None)
 def build(family: str, n: int, p: int) -> LieAlgebra:
     """Build gl_n, sl_n or pgl_n (2 <= n <= 8), sp_n (n = 2k, 4 <= n <= 10)
@@ -615,7 +608,9 @@ def build(family: str, n: int, p: int) -> LieAlgebra:
     alpha is X_ab = E_ab - J^-1 E_ba J at the first row-major position
     (a, b) of weight alpha, halved when it equals 2 E_ab, and plain E_ab on
     type A.  The sp/so torus is X_aa for a < k; the type-A torus is the
-    diagonal units (pgl drops the last) or, on sl, their differences."""
+    diagonal units (pgl drops the last) or, on sl, their differences.  The
+    root vectors follow rd.positive_roots (by height), then their
+    negatives."""
     check_modulus(p)
     if family in ("gl", "sl", "pgl"):
         if n < 2 or n > 8:
@@ -674,7 +669,8 @@ def build(family: str, n: int, p: int) -> LieAlgebra:
     labels = [label for label, _ in torus]
     mats = [m for _, m in torus]
     index_root = {}
-    for root in _roots_sorted(rd):
+    negatives = tuple(tuple(-x for x in r) for r in rd.positive_roots)
+    for root in rd.positive_roots + negatives:
         a, b = first[root]
         index_root[len(mats)] = root
         mats.append(root_vector(a, b))

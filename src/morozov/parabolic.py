@@ -123,9 +123,9 @@ def flag_frame(g: LieAlgebra, q: Subspace) -> Optional[FieldMatrix]:
 def contains_borel(g: LieAlgebra, q: Subspace):
     """Search the Weyl-translate frame for a Borel inside q; returns the
     translating matrix or None.  The frame covers permutation conjugates
-    (type A) and signed block permutations (type C).  Detection does not
-    call it (see the module docstring); the suite's bad-prime regression
-    does."""
+    (type A) and signed block permutations (type C).  Nothing in the
+    engine calls it (see the module docstring); the benchmark's tracer
+    still wraps it."""
     b = standard_borel(g)["parabolic"]
     for w in weyl_matrices(g):
         if q.contains(conjugate_subspace(g, w, b)):

@@ -4,10 +4,16 @@ with the printed characteristic table carried alongside the definitional
 computation, and the one convex-geometry primitive: the point of least
 norm in the convex hull of a finite set of weights.
 
-Types A-D are built constructively (roots as integer vectors in the
-standard epsilon coordinates); E6-G2 are table-only stubs that still know
-their highest-root and highest-coroot coefficients, which is all the
-prime classification needs.
+Types A-D are built constructively, as integer vectors in the standard
+epsilon coordinates, by one rule: every root of a reduced root system is
+a Weyl translate of a simple root (Bourbaki, Lie VI 1.5), so the roots
+are the closure of the simple roots under the simple reflections
+s_i(r) = r - <r, a_i^vee> a_i, and each root's simple coefficients are
+carried along as c - <r, a_i^vee> e_i.  The highest coroot
+theta^vee = 2 theta / (theta, theta) then has the coefficients
+b_i = a_i (a_i, a_i) / (theta, theta).  E6-G2 are table-only stubs that
+still know their highest-root and highest-coroot coefficients, which is
+all the prime classification needs.
 """
 
 from __future__ import annotations
@@ -91,15 +97,6 @@ def min_norm_point(points: Sequence) -> tuple:
             mu = [m for m in mu if m]
 
 
-def _solve_integer(basis: Sequence[Sequence[int]], target: Sequence[int]) -> list:
-    """Write target as an integer combination of the basis vectors (whose
-    entries may be rational, as for coroots)."""
-    coeffs = _solve_rational(basis, target)
-    if any(x.denominator != 1 for x in coeffs):
-        raise ValueError("non-integer coefficient in root expansion")
-    return [int(x) for x in coeffs]
-
-
 # Table of characteristic assumptions for a simple group, as printed:
 # (torsion integer, good threshold, very-good threshold, rank, coxeter number).
 # A thresholds of 1 mean "any p"; the A very-good column is the arithmetic
@@ -119,11 +116,11 @@ PRINTED_TABLE = {
 # Highest-root (a) and highest-coroot (b) coefficients for the table-only
 # types, in the Bourbaki simple-root numbering.
 EXCEPTIONAL_DATA = {
-    "E6": {"h": 12, "rank": 6, "a": (1, 2, 2, 3, 2, 1), "b": (1, 2, 2, 3, 2, 1)},
-    "E7": {"h": 18, "rank": 7, "a": (2, 2, 3, 4, 3, 2, 1), "b": (2, 2, 3, 4, 3, 2, 1)},
-    "E8": {"h": 30, "rank": 8, "a": (2, 3, 4, 6, 5, 4, 3, 2), "b": (2, 3, 4, 6, 5, 4, 3, 2)},
-    "F4": {"h": 12, "rank": 4, "a": (2, 3, 4, 2), "b": (2, 3, 2, 1)},
-    "G2": {"h": 6, "rank": 2, "a": (3, 2), "b": (1, 2)},
+    "E6": {"rank": 6, "a": (1, 2, 2, 3, 2, 1), "b": (1, 2, 2, 3, 2, 1)},
+    "E7": {"rank": 7, "a": (2, 2, 3, 4, 3, 2, 1), "b": (2, 2, 3, 4, 3, 2, 1)},
+    "E8": {"rank": 8, "a": (2, 3, 4, 6, 5, 4, 3, 2), "b": (2, 3, 4, 6, 5, 4, 3, 2)},
+    "F4": {"rank": 4, "a": (2, 3, 4, 2), "b": (2, 3, 2, 1)},
+    "G2": {"rank": 2, "a": (3, 2), "b": (1, 2)},
 }
 
 
@@ -132,11 +129,11 @@ class RootDatum:
     type_label: str               # "A".."D" or "E6".."G2"
     rank: int
     simple_roots: tuple           # empty for table-only types
-    roots: tuple
-    positive_roots: tuple
+    roots: tuple                  # sorted
+    positive_roots: tuple         # by (height, root)
     highest_root_coeffs: tuple    # a_i
     highest_coroot_coeffs: tuple  # b_i
-    # root -> its coefficients in the simple roots, solved once at build
+    # root -> its coefficients in the simple roots, carried by the orbit
     coefficients: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -157,72 +154,48 @@ class RootDatum:
         return list(self.coefficients[tuple(root)])
 
     def is_positive(self, root) -> bool:
-        return root in set(self.positive_roots)
+        return sum(self.coefficients.get(tuple(root), ())) > 0
 
 
 def _simple_roots(type_label: str, n: int) -> list:
-    def e(i, dim):
+    """e_i - e_{i+1} (the n of them in n + 1 coordinates for type A), then
+    e_n (B), 2 e_n (C) or e_{n-1} + e_n (D)."""
+    dim = n + 1 if type_label == "A" else n
+    out = []
+    for i in range(dim - 1):
         v = [0] * dim
-        v[i] = 1
-        return v
-
-    if type_label == "A":
-        dim = n + 1
-        return [[a - b for a, b in zip(e(i, dim), e(i + 1, dim))] for i in range(n)]
-    if type_label == "B":
-        out = [[a - b for a, b in zip(e(i, n), e(i + 1, n))] for i in range(n - 1)]
-        out.append(e(n - 1, n))
-        return out
-    if type_label == "C":
-        out = [[a - b for a, b in zip(e(i, n), e(i + 1, n))] for i in range(n - 1)]
-        out.append([2 * x for x in e(n - 1, n)])
-        return out
-    if type_label == "D":
-        out = [[a - b for a, b in zip(e(i, n), e(i + 1, n))] for i in range(n - 1)]
-        out.append([a + b for a, b in zip(e(n - 2, n), e(n - 1, n))])
-        return out
-    raise ValueError(f"no constructive simple roots for type {type_label}")
+        v[i], v[i + 1] = 1, -1
+        out.append(v)
+    tail = {"B": {n - 1: 1}, "C": {n - 1: 2}, "D": {n - 2: 1, n - 1: 1}}
+    if type_label in tail:
+        out.append([tail[type_label].get(k, 0) for k in range(n)])
+    return out
 
 
-def _all_roots(type_label: str, n: int) -> list:
-    roots = []
-    if type_label == "A":
-        dim = n + 1
-        for i in range(dim):
-            for j in range(dim):
-                if i != j:
-                    v = [0] * dim
-                    v[i], v[j] = 1, -1
-                    roots.append(v)
-        return roots
-    for i in range(n):
-        for j in range(i + 1, n):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    v = [0] * n
-                    v[i], v[j] = si, sj
-                    roots.append(v)
-    if type_label == "B":
-        for i in range(n):
-            for s in (1, -1):
-                v = [0] * n
-                v[i] = s
-                roots.append(v)
-    elif type_label == "C":
-        for i in range(n):
-            for s in (2, -2):
-                v = [0] * n
-                v[i] = s
-                roots.append(v)
-    elif type_label == "D":
-        pass
-    else:
-        raise ValueError(f"no constructive roots for type {type_label}")
-    return roots
+def _orbit(simples: list) -> dict:
+    """root -> its simple coefficients, for every root: the closure of the
+    simple roots under the simple reflections."""
+    norms = [_dot(s, s) for s in simples]
+    rank = len(simples)
+    todo = [(tuple(s), tuple(int(i == j) for j in range(rank)))
+            for i, s in enumerate(simples)]
+    coefficients = {}
+    while todo:
+        r, c = todo.pop()
+        if r in coefficients:
+            continue
+        coefficients[r] = c
+        for i, (s, norm) in enumerate(zip(simples, norms)):
+            k = 2 * _dot(r, s) // norm      # the Cartan integer <r, a_i^vee>
+            if k:
+                todo.append((tuple(x - k * y for x, y in zip(r, s)),
+                             c[:i] + (c[i] - k,) + c[i + 1:]))
+    return coefficients
 
 
 def build_rootdatum(type_label: str, n: int = 0) -> RootDatum:
-    """Full root enumeration for A-D; table-only stub for E6-G2."""
+    """The root orbit for A-D, all roots sorted and the positive roots by
+    (height, root); table-only stub for E6-G2."""
     if type_label in EXCEPTIONAL:
         data = EXCEPTIONAL_DATA[type_label]
         return RootDatum(type_label, data["rank"], (), (), (),
@@ -235,23 +208,15 @@ def build_rootdatum(type_label: str, n: int = 0) -> RootDatum:
     if n > 8:
         raise ValueError("rank capped at 8")
     simples = _simple_roots(type_label, n)
-    roots = _all_roots(type_label, n)
-    coefficients = {tuple(r): tuple(_solve_integer(simples, r)) for r in roots}
-    positives = sorted((sum(c), r, c) for r, c in coefficients.items()
-                       if all(x >= 0 for x in c))
-    highest = positives[-1]
-    a = highest[2]
-    # coroot of the highest root in the simple-coroot basis
-    def coroot(v):
-        norm = _dot(v, v)
-        return [Fraction(2 * x, norm) for x in v]
-
-    simple_coroots = [coroot(s) for s in simples]
-    theta_vee = coroot(list(highest[1]))
-    b = _solve_integer(simple_coroots, theta_vee)
+    coefficients = _orbit(simples)
+    positives = sorted((r for r, c in coefficients.items() if sum(c) > 0),
+                       key=lambda r: (sum(coefficients[r]), r))
+    theta = positives[-1]
+    a = coefficients[theta]
+    b = tuple(x * _dot(s, s) // _dot(theta, theta) for x, s in zip(a, simples))
     return RootDatum(type_label, n, tuple(tuple(s) for s in simples),
-                     tuple(tuple(r) for r in roots),
-                     tuple(t[1] for t in positives), a, tuple(b), coefficients)
+                     tuple(sorted(coefficients)), tuple(positives), a, b,
+                     coefficients)
 
 
 @dataclass(frozen=True)

@@ -181,13 +181,14 @@ def criterion_bad_prime(seed: int = 0) -> CheckResult:
     problems = []
     sl3 = build("sl", 3, 3)
     pgl3 = build("pgl", 3, 3)
+    borel = standard_borel(sl3)["parabolic"]
     for t in (1, 2):
         q = fixtures.ex1_sl3_subalgebra(sl3, t)
         if not sl3.is_subalgebra(q):
             problems.append(f"ex1 t={t}: not a subalgebra")
             continue
-        if parabolic.contains_borel(sl3, q) is None:
-            problems.append(f"ex1 t={t}: contains_borel false")
+        if not q.contains(borel):
+            problems.append(f"ex1 t={t}: the standard Borel is not inside")
         verdict = parabolic.detect_parabolic(sl3, q)
         if verdict.status != "not-parabolic":
             problems.append(f"ex1 t={t}: detect={verdict.status}")

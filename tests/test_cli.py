@@ -249,6 +249,19 @@ def test_unreadable_input_file_is_an_input_error(kind, argv, tmp_path, capsys):
     assert out == "" and err.startswith(f"input error: cannot read {path}: ")
 
 
+@pytest.mark.parametrize("n,p,message", [
+    ("0", "5", "gl/sl/pgl supported for 2 <= n <= 8"),
+    ("3", "0", "modulus 0 is not prime"),
+], ids=["n=0", "p=0"])
+def test_a_zero_size_or_modulus_is_given_not_missing(n, p, message, capsys):
+    # 0 is a value the builder rejects with its own message, not a
+    # missing --n or --p
+    argv = ["algebra", "build", "--family", "sl", "--n", n, "--p", p]
+    assert main(argv) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"input error: {message}\n"
+
+
 def test_parabolic_detect_on_an_algebra_without_a_frame(tmp_path, capsys):
     # an algebra file without a family stamp has no torus frame; a subspace
     # that is not closed under the bracket is an input error there too

@@ -1,8 +1,12 @@
+import itertools
+from fractions import Fraction
+
 import pytest
 
 from morozov.gfp import is_prime
-from morozov.rootdata import (EXCEPTIONAL, PRINTED_TABLE, build_rootdatum,
-                              classify_prime, is_closed,
+from morozov.liealg import build
+from morozov.rootdata import (EXCEPTIONAL, PRINTED_TABLE, _solve_rational,
+                              build_rootdatum, classify_prime, is_closed,
                               parabolic_roots, table_rows)
 
 
@@ -168,3 +172,49 @@ def test_printed_table_carried():
     # definitional: only 2 is bad for D; the printed row says "> 3"
     assert pc.is_good
     assert pc.table_row["good_gt"] == 3
+
+
+# every family and size `build` accepts
+BUILT = ([(fam, n) for fam in ("gl", "sl", "pgl") for n in range(2, 9)]
+         + [("sp", n) for n in range(4, 11, 2)]
+         + [("so", n) for n in range(5, 12)])
+
+
+def _roots_from_the_natural_module(weights, family):
+    """The nonzero weights of the adjoint module, read from the weights w
+    of the realization's rows: V (x) V* (w_a - w_b) on gl, sl and pgl,
+    S^2 V (w_a + w_b, a <= b) on sp and Lambda^2 V (a < b) on so."""
+    if family in ("gl", "sl", "pgl"):
+        pairs = itertools.product(weights, [tuple(-x for x in w) for w in weights])
+    elif family == "sp":
+        pairs = itertools.combinations_with_replacement(weights, 2)
+    else:
+        pairs = itertools.combinations(weights, 2)
+    return {r for r in (tuple(x + y for x, y in zip(u, v)) for u, v in pairs)
+            if any(r)}
+
+
+@pytest.mark.parametrize("family,n", BUILT, ids=[f"{f}{n}" for f, n in BUILT])
+def test_root_data_match_an_oracle_without_the_orbit(family, n):
+    g = build(family, n, 5)
+    rd = g.frame.rootdatum
+    assert set(rd.roots) == _roots_from_the_natural_module(
+        g.frame.position_weights, family)
+    assert len(rd.roots) == len(set(rd.roots))
+    for root in rd.roots:
+        coeffs = rd.simple_coefficients(root)
+        assert tuple(sum(c * s[k] for c, s in zip(coeffs, rd.simple_roots))
+                     for k in range(len(root))) == root
+        assert rd.is_positive(root) == all(c >= 0 for c in coeffs) \
+            == (root in rd.positive_roots)
+    # the highest coroot 2 theta / (theta, theta) in the simple coroots
+    def coroot(v):
+        return [Fraction(2 * x, sum(y * y for y in v)) for x in v]
+    theta = rd.positive_roots[-1]
+    assert list(rd.highest_coroot_coeffs) == _solve_rational(
+        [coroot(s) for s in rd.simple_roots], coroot(theta))
+    # the roots sorted, the positive roots by (height, root)
+    assert list(rd.roots) == sorted(rd.roots)
+    assert list(rd.positive_roots) == sorted(
+        (r for r in rd.roots if rd.is_positive(r)),
+        key=lambda r: (sum(rd.simple_coefficients(r)), r))

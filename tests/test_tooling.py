@@ -35,6 +35,8 @@ BENCHMARK_SHIMS = {
     ("radicals", "is_p_nilpotent"): "layertrace.py",
     ("kempf", "OptimalityCertificate.enumerated_count"): "layertrace.py",
     ("kempf", "OptimalityCertificate.admissible_count"): "layertrace.py",
+    ("parabolic", "contains_borel"): "layertrace.py",
+    ("liealg", "weyl_matrices"): "layertrace.py",
 }
 
 
