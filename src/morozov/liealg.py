@@ -34,14 +34,18 @@ class Realization:
 
 class TorusFrame:
     """Standard-torus bookkeeping for a built family: which basis indices
-    span the diagonal Cartan, the root attached to every other index, and
-    the weight of every row of the realization (`build`), which embeds
-    cocharacter vectors as diagonal exponent patterns."""
+    span the diagonal Cartan, the root attached to every other index, the
+    weight of every row of the realization (`build`), which embeds
+    cocharacter vectors as diagonal exponent patterns, and on sp and so the
+    form J the realization preserves, as (perm, sign) with
+    J e_c = sign_c e_perm(c)."""
 
     def __init__(self, family: str, rootdatum: RootDatum,
                  torus_indices: Sequence[int], index_root: dict,
-                 position_weights: Sequence[tuple], sum_zero: bool):
+                 position_weights: Sequence[tuple], sum_zero: bool,
+                 form: Optional[tuple] = None):
         self.family = family
+        self.form = form
         self.rootdatum = rootdatum
         self.torus_indices = tuple(torus_indices)
         self.index_root = dict(index_root)
@@ -100,6 +104,9 @@ class LieAlgebra:
         self.frame = frame
         self.family = family
         self._memo: dict = {}
+        # each realization matrix as its nonzero (index, entry) pairs
+        self._sparse = tuple(tuple((k, x) for k, x in enumerate(m.entries) if x)
+                             for m in realization.mats)
         self._build_coordinatizer()
         mats = realization.mats
         self._set_structure(lambda i, j: self.coordinates_of_matrix(
@@ -140,8 +147,12 @@ class LieAlgebra:
 
     def matrix_of(self, coords: Sequence[int]) -> FieldMatrix:
         n = self.realization.n
-        return FieldMatrix(n, n, self.p, _combine(
-            coords, (m.entries for m in self.realization.mats), n * n, self.p))
+        out = [0] * (n * n)
+        for c, pairs in zip(coords, self._sparse):
+            if c:
+                for k, x in pairs:
+                    out[k] += c * x
+        return FieldMatrix(n, n, self.p, out)
 
     # -- structure constants -------------------------------------------
 
@@ -677,7 +688,8 @@ def build(family: str, n: int, p: int) -> LieAlgebra:
         labels.append("x" + str(root).replace(" ", "") if perm
                       else f"e{a + 1}{b + 1}" if a < b else f"f{b + 1}{a + 1}")
     frame = TorusFrame(family, rd, range(len(torus)), index_root, weights,
-                       sum_zero=family in ("sl", "pgl"))
+                       sum_zero=family in ("sl", "pgl"),
+                       form=(tuple(perm), tuple(sign)) if perm else None)
     return LieAlgebra(p, labels, Realization(n, tuple(mats), family == "pgl"),
                       frame=frame, family=f"{family}{n}")
 

@@ -3,38 +3,41 @@
 A "parabolic" verdict always carries a witness (torus, root subset) with
 the subalgebra rebuilt exactly as torus + root spaces over a closed subset
 Phi' with Phi' u -Phi' = Phi.  A subalgebra in standard position is read
-off the standard frame.  Otherwise detection looks for a conjugating frame:
-a realization matrix P such that P^-1 q P is a coordinate subspace passing
-the same test.  For gl/sl/pgl, P is adapted to the q-stable flag of the
-natural module cut out by the ideal N = [q, q n q^perp] (trace form); this
-finds every type-A parabolic at odd p.  A frame verdict reports the root
-subset of P^-1 q P (a standard parabolic), the split torus P t P^-1 inside
-q as torus_used, and P as a list of rows with "frame_translate": True in
-details.  Re-conjugating q by P gives the standard parabolic exactly, so
-the verdict is exact however P was found.  No Weyl translate of the Borel
-is searched for: every such translate contains t, and when the root
-differentials on t are pairwise distinct and nonzero (sp at p >= 5, for
-one) a q containing t is t plus root lines, which the standard frame
-already decides.
-A "not-parabolic" verdict on gl/sl/pgl at odd p is certified by the
-frame itself: there the flag of N is the one every parabolic stabilises
-(see flag_frame), so when neither q nor P^-1 q P passes the coordinate
-test, q is not parabolic, over the algebraic closure too, since N and its
-flag commute with extension of scalars.  On sp and so, and at p = 2, where
-a root can vanish on the torus (sl_2), it is certified by a battery of
-extension-stable isomorphism invariants that separates the input from
-every standard parabolic of matching dimension (conjugation over the
-algebraic closure preserves each of them).  Anything else is
-"undetermined" - never a false negative.  That includes sp and so
-parabolics out of standard position.
+off the standard frame.  Otherwise detection builds a conjugating frame
+from the ideal N = [q, q n q^perp] (trace form): a realization matrix P,
+normalising g, such that P^-1 q P stabilises a standard flag
+(`flag_frame`).  On gl/sl/pgl the columns of P run through the q-stable
+flag V > NV > N^2 V > ... > 0 of the natural module; on sp and so they
+are a Witt basis adapted to that flag closed under orthogonal complements,
+so P^T J P = cJ for the realization's form J.  A frame verdict reports the
+root subset of P^-1 q P (a standard parabolic), the split torus P t P^-1
+inside q as torus_used, and P as a list of rows with "frame_translate":
+True in details.  Re-conjugating q by P gives the standard parabolic
+exactly, so the verdict is exact however P was found.  No Weyl translate
+of the Borel is searched for: every such translate contains t, and when
+the root differentials on t are pairwise distinct and nonzero (sp at
+p >= 5, for one) a q containing t is t plus root lines, which the
+standard frame already decides.
+A "not-parabolic" verdict at odd p is certified by the frame itself: there
+the flag of N is the one every parabolic stabilises (see flag_frame), so
+when neither q nor P^-1 q P passes the coordinate test, q is not
+parabolic, over the algebraic closure too, since N, its flag and their
+orthogonal complements commute with extension of scalars.  At p = 2, where
+a root can vanish on the torus (sl_2) and no frame is complete, it is
+certified by a battery of extension-stable isomorphism invariants that
+separates the input from every standard parabolic of matching dimension
+(conjugation over the algebraic closure preserves each of them).  Anything
+else is "undetermined" - never a false negative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Optional
 
-from .gfp import FieldMatrix, Subspace, image_flag, rref, solve_linear
+from .gfp import (FieldMatrix, Subspace, _combine, image_flag, inv_mod, rref,
+                  solve_linear)
 from .liealg import (LieAlgebra, conjugate_subspace, coordinate_split,
                      standard_borel, standard_parabolic, weyl_matrices)
 from .radicals import SubView
@@ -78,46 +81,148 @@ def iso_invariants(g: LieAlgebra, q: Subspace) -> tuple:
     )
 
 
-def flag_frame(g: LieAlgebra, q: Subspace) -> Optional[FieldMatrix]:
-    """Type-A conjugating frame: a matrix P whose columns run through a
-    q-stable flag V > NV > N^2 V > ... > 0, deepest step first, so that
-    P^-1 q P stabilises the standard flag.  N = [q, q n q^perp] is an ideal
-    of q, with q^perp taken under the trace form of gl_n (and q taken with
-    the scalars for pgl).  For a parabolic q, q n q^perp is the nilradical,
-    plus the scalars for sl_n with p | n; the bracket with q removes the
-    scalars, and [q, u] = u because every root e_i - e_j is nonzero on the
-    torus at odd p, so N is the nilradical and the flag is the one q
-    stabilises: P^-1 q P lies in the standard parabolic of that flag type
-    and has its dimension, so it is that parabolic.  None for other
-    families, when N = 0, or when the images stall above 0.  So on
-    gl/sl/pgl at odd p a failure is a certificate: when this is None, or
-    P^-1 q P is not a standard parabolic, q is not parabolic."""
-    if g.frame.family not in ("gl", "sl", "pgl") or q.dim == 0:
-        return None
+def _trace_gram(g: LieAlgebra) -> list:
+    """Rows of tr(L_i L_j) over g's basis, L the linear lift; memoised."""
+    if "trace-gram" not in g._memo:
+        n, p = g.realization.n, g.p
+        lifts = [g.linear_lift(g.unit(i)).entries for i in range(g.dim)]
+        # tr(xy) = sum x_ab y_ba: pair each entry of x with y's transposed index
+        swapped = [[((k % n) * n + k // n, x) for k, x in enumerate(m) if x]
+                   for m in lifts]
+        g._memo["trace-gram"] = [[sum(x * y[k] for k, x in s) % p for y in lifts]
+                                 for s in swapped]
+    return g._memo["trace-gram"]
+
+
+def _nil_maps(g: LieAlgebra, q: Subspace) -> list:
+    """The matrices of N = [q, q n q^perp] on the natural module, as maps;
+    q^perp is taken under the trace form.  I = q n q^perp and N = [q, I] are
+    computed in g's coordinates from the trace Gram of the linear lifts (on
+    pgl with p not dividing n the trace-0 lift, the one representative of a
+    class in [gl, gl]).  On pgl with p | n a class fixes no matrix, so there
+    q is taken with the scalars and N by commutators of representatives."""
     n, p = g.realization.n, g.p
-    mats = [g.matrix_of(list(v)) for v in q.basis]
-    if g.realization.mod_scalars:
+    if g.realization.mod_scalars and n % p == 0:
+        mats = [g.matrix_of(list(v)) for v in q.basis]
         mats.append(FieldMatrix.identity(n, p))
-    span = Subspace.from_vectors([m.entries for m in mats], n * n, p)
-    # q n q^perp: tr(xy) = sum x_ij y_ji, so the condition on y is x transposed
-    forms = [FieldMatrix(n, n, p, x).transpose().entries for x in span.basis]
-    ideal = [FieldMatrix(n, n, p, y) for y in solve_linear(span, lambda y: [
-        sum(a * b for a, b in zip(f, y)) % p for f in forms]).basis]
-    nil = [FieldMatrix(n, n, p, x) for x in Subspace.from_vectors(
-        [(x @ y - y @ x).entries for x in mats for y in ideal], n * n, p).basis]
-    if not nil:
-        return None
-    flag = image_flag(Subspace.full(n, p), [x.matvec for x in nil])
-    if flag is None:
-        return None
+        span = Subspace.from_vectors([m.entries for m in mats], n * n, p)
+        # tr(xy) = sum x_ij y_ji, so the condition on y is x transposed
+        forms = [FieldMatrix(n, n, p, x).transpose().entries for x in span.basis]
+        ideal = [FieldMatrix(n, n, p, y) for y in solve_linear(span, lambda y: [
+            sum(a * b for a, b in zip(f, y)) % p for f in forms]).basis]
+        return [FieldMatrix(n, n, p, x).matvec for x in Subspace.from_vectors(
+            [(x @ y - y @ x).entries for x in mats for y in ideal], n * n, p).basis]
+    forms = FieldMatrix(q.dim, g.dim, p, [x for v in q.basis for x in _combine(
+        v, _trace_gram(g), g.dim, p)])
+    ideal = solve_linear(q, forms.matvec)
+    return [g.linear_lift(list(v)).matvec
+            for v in g.bracket_spaces(q, ideal).basis]
+
+
+def _adapted(steps, n: int, p: int) -> list:
+    """A basis running through the increasing subspaces `steps`, each
+    step's new vectors taken from its canonical basis."""
     cols = []
     adapted = Subspace.zero(n, p)
-    for step in reversed(flag):
+    for step in steps:
         for v in step.basis:
             if not adapted.contains_vector(v):
                 cols.append(v)
                 adapted = adapted.sum(Subspace.from_vectors([v], n, p))
-    return FieldMatrix(n, n, p, [cols[j][i] for i in range(n) for j in range(n)])
+    return cols
+
+
+def _witt_frame(g: LieAlgebra, flag: list) -> Optional[list]:
+    """The columns of a matrix P with P^T J P = cJ that form a Witt basis
+    adapted to `flag` closed under orthogonal complements; None when that
+    closure is not a chain.  In flag order (the realization's columns
+    e_1..e_k, f_k..f_1 on sp, the antidiagonal order on so) position t
+    pairs with n-1-t.  The low positions take a basis of the isotropic
+    steps, deepest first, each made orthogonal to the partners found so far
+    by adding earlier ones, then isotropic vectors of the nondegenerate
+    rest; each gets a partner b in the rest with (a, b) = 1, made isotropic
+    by subtracting (b, b) / 2 times a.  On so_(2m+1) an anisotropic z stays
+    in the middle, and the partners are scaled by c = (z, z).  Any Witt
+    basis of the rest will do, as a standard parabolic contains all of sp
+    or so of its middle block: this is also the plane step of so_2m, whose
+    N-flag stops at V_(m-1) when q stabilises both isotropic lines of
+    V_(m-1)^perp / V_(m-1).  On so_2m, P is made proper (inner over the
+    algebraic closure, so P^-1 q P has q's own type and not its image under
+    the outer automorphism) by swapping positions m-1 and m when its
+    Lagrangian meets the standard one in a dimension other than m mod 2."""
+    n, p = g.realization.n, g.p
+    perm, sign = g.frame.form
+
+    def pair(x, y):
+        return sum(x[perm[c]] * s * y[c] for c, s in enumerate(sign)) % p
+
+    def perp(vecs, space):
+        return solve_linear(space, lambda y: [pair(x, y) for x in vecs])
+
+    rest = Subspace.full(n, p)
+    chain = sorted(set(flag) | {perp(s.basis, rest) for s in flag},
+                   key=lambda s: s.dim)
+    if not all(b.contains(a) for a, b in zip(chain, chain[1:])):
+        return None
+    # a step of at most half dimension lies in its complement, which is in
+    # the chain with at least its dimension: it is isotropic
+    todo = _adapted([s for s in chain if 2 * s.dim <= n], n, p)
+    low, high = [], []
+    while rest.dim > 1:
+        if len(low) < len(todo):
+            v = todo[len(low)]
+            a = _combine([1] + [-pair(v, b) for b in high], [v] + low, n, p)
+        else:
+            # the rest stays split (Witt cancellation); a hyperbolic plane
+            # has two isotropic lines, and a form in three variables over
+            # F_p has a zero (Chevalley-Warning)
+            a = next(v for v in (_combine(c, rest.basis[:3], n, p) for c in
+                                 product(range(p), repeat=min(rest.dim, 3)))
+                     if any(v) and not pair(v, v))
+        u = next(u for u in rest.basis if pair(a, u))
+        t = inv_mod(pair(a, u), p)
+        b = _combine([t, -t * t * pair(u, u) * inv_mod(2, p)], [u, a], n, p)
+        low.append(a)
+        high.append(b)
+        rest = perp([a, b], rest)
+    c = pair(rest.basis[0], rest.basis[0]) if rest.dim else 1
+    cols = low + list(rest.basis) + [[c * x % p for x in v]
+                                    for v in reversed(high)]
+    m = n // 2
+    if g.frame.family == "so" and n % 2 == 0 and Subspace.from_vectors(
+            [v[m:] for v in cols[:m]], m, p).dim % 2:
+        cols[m - 1], cols[m] = cols[m], cols[m - 1]
+    # J pairs column j with perm[j], an involution: a column of the upper
+    # half of the flag order sits at position n-1-perm[j]
+    return [cols[j if 2 * j < n else n - 1 - perm[j]] for j in range(n)]
+
+
+def flag_frame(g: LieAlgebra, q: Subspace) -> Optional[FieldMatrix]:
+    """A conjugating frame: a matrix P, normalising g, such that P^-1 q P
+    stabilises a standard flag, read off N = [q, q n q^perp] (`_nil_maps`).
+    For a parabolic q, q n q^perp is the nilradical, plus the scalars for
+    sl_n with p | n; the bracket with q removes the scalars, and [q, u] = u
+    at odd p because every root is nonzero on the torus, so N is the
+    nilradical and V > NV > N^2 V > ... > 0 is the flag q stabilises
+    (Borel-Tits).  On gl/sl/pgl the columns of P run through that flag,
+    deepest step first.  On sp and so the flag is self-dual, and P is a
+    Witt basis adapted to it (`_witt_frame`), which exists over F_p by
+    Witt's theorem, the form being split.  Either way P^-1 q P lies in the
+    standard parabolic of that flag type and has its dimension, so it is
+    that parabolic.  None when N = 0, when the images stall above 0, when
+    the flag closed under complements is not a chain, and on sp at p = 2.
+    So at odd p a failure is a certificate: when this is None, or P^-1 q P
+    is not a standard parabolic, q is not parabolic."""
+    if q.dim == 0 or (g.frame.form is not None and g.p == 2):
+        return None
+    n, p = g.realization.n, g.p
+    maps = _nil_maps(g, q)
+    flag = image_flag(Subspace.full(n, p), maps) if maps else None
+    if flag is None:
+        return None
+    cols = (_adapted(reversed(flag), n, p) if g.frame.form is None
+            else _witt_frame(g, flag))
+    return None if cols is None else FieldMatrix.from_rows(cols, p).transpose()
 
 
 def contains_borel(g: LieAlgebra, q: Subspace):
@@ -134,6 +239,10 @@ def contains_borel(g: LieAlgebra, q: Subspace):
 
 
 def detect_parabolic(g: LieAlgebra, q: Subspace) -> ParabolicVerdict:
+    """The verdict on a subalgebra q: "parabolic" from the standard frame or
+    the flag frame, with the witness; "not-parabolic" at odd p when both
+    fail, and at p = 2 when the invariant battery separates q from every
+    standard parabolic; else "undetermined" (see the module docstring)."""
     if not g.is_subalgebra(q):
         raise ValueError("input is not a subalgebra")
     if g.frame is None:
@@ -166,8 +275,7 @@ def detect_parabolic(g: LieAlgebra, q: Subspace) -> ParabolicVerdict:
     if partial is not None and partial.status == "parabolic":
         return partial
 
-    # conjugating frame: the type-A flag finds every type-A parabolic at
-    # odd p
+    # conjugating frame: the flag of N finds every parabolic at odd p
     frame = flag_frame(g, q)
     if frame is not None:
         verdict = coordinate_verdict(
@@ -181,18 +289,21 @@ def detect_parabolic(g: LieAlgebra, q: Subspace) -> ParabolicVerdict:
         details["coordinate_failure"] = partial.failure_reason
     reason = details.get("coordinate_failure", "not-parabolic-subset")
 
-    # gl/sl/pgl at odd p: the frame finds every parabolic (see flag_frame),
-    # so its failure is the certificate
-    if g.frame.family in ("gl", "sl", "pgl") and g.p > 2:
-        details["criterion"] = ("type-A flag frame of N = [q, q n q^perp] "
+    # at odd p the frame finds every parabolic (see flag_frame), so its
+    # failure is the certificate
+    if g.p > 2:
+        kind = "type-A" if g.frame.form is None else "Witt"
+        details["criterion"] = (f"{kind} flag frame of N = [q, q n q^perp] "
                                 "gives no standard parabolic")
         if frame is not None:
             details["frame"] = frame.to_rows()
         return ParabolicVerdict("not-parabolic", failure_reason=reason,
                                 details=details)
 
-    # invariant battery against every standard parabolic of equal
-    # dimension, in mask order; their invariants are memoised by dimension
+    # p = 2, where a root can vanish on the torus (sl_2) and no frame is
+    # complete: the invariant battery against every standard parabolic of
+    # equal dimension, in mask order; their invariants are memoised by
+    # dimension
     key = ("std-parab-inv", q.dim)
     if key not in g._memo:
         subsets = [tuple(i for i in range(rd.rank) if mask >> i & 1)

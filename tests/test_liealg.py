@@ -382,6 +382,23 @@ def test_bracket_and_ad_match_the_matrix_commutator(fam, n, p):
         assert g.ad_matrix_vec(x).entries == tuple(expected)
 
 
+@pytest.mark.parametrize("fam,n,p", [
+    ("gl", 3, 5), ("sl", 4, 3), ("pgl", 3, 3), ("pgl", 4, 5), ("sp", 6, 5),
+    ("so", 5, 7), ("so", 6, 3)])
+def test_matrix_of_matches_the_dense_combination(fam, n, p):
+    # matrix_of adds c_i times the nonzero entries of each realization
+    # matrix M_i; the dense sum of c_i M_i is the reference
+    g = build(fam, n, p)
+    rng = random.Random(f"matrix_of:{fam}{n}@{p}")
+    vecs = _test_vectors(g, rng) + [[rng.randrange(p) for _ in range(g.dim)]
+                                    for _ in range(20)]
+    for v in vecs:
+        dense = FieldMatrix.zero(n, n, p)
+        for c, m in zip(v, g.realization.mats):
+            dense = dense + m.scale(c)
+        assert g.matrix_of(v) == dense
+
+
 @pytest.mark.parametrize("fam,n,p", [("sl", 3, 5), ("sp", 4, 5), ("so", 5, 7)])
 def test_view_bracket_and_ad_match_the_parent(fam, n, p):
     from morozov.radicals import SubView

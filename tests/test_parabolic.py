@@ -237,34 +237,83 @@ def test_so_standard_levi_not_parabolic():
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_sp4_conjugates_decided_without_weyl_frames(p, monkeypatch):
-    # the verdicts the Borel-containment search over Weyl frames gave;
-    # detection no longer makes that search
+    # every conjugated parabolic comes back parabolic, with no walk over the
+    # Weyl group and no invariant battery: through the Witt frame, or in the
+    # standard frame when the conjugate contains t
     def no_weyl_walk(g):
         raise AssertionError("detection walked the Weyl group")
 
+    def no_battery(g, q):
+        raise AssertionError("detection reached the invariant battery")
+
     monkeypatch.setattr(liealg, "weyl_matrices", no_weyl_walk)
     monkeypatch.setattr(parabolic, "weyl_matrices", no_weyl_walk)
+    monkeypatch.setattr(parabolic, "iso_invariants", no_battery)
     g = build("sp", 4, p)
+    t = torus_subspace(g)
     rng = random.Random(10 * p)
-    full = _subsets(g)[-1]
+    frames = 0
     for _ in range(2):
-        for chosen in _subsets(g):
+        for chosen in _subsets(g)[:-1]:
             data = standard_parabolic(g, chosen)
             w = _root_group_element(g, rng)
-            for role, expected in (
-                    ("parabolic", ("undetermined", "no-torus-found")),
-                    ("levi", ("not-parabolic", "not-parabolic-subset"))):
-                if chosen == full:
-                    expected = ("parabolic", None)
-                v = detect_parabolic(g, conjugate_subspace(g, w, data[role]))
-                assert (v.status, v.failure_reason) == expected
+            levi = detect_parabolic(g, conjugate_subspace(g, w, data["levi"]))
+            assert (levi.status, levi.failure_reason) == ("not-parabolic",
+                                                          "not-parabolic-subset")
+            q = conjugate_subspace(g, w, data["parabolic"])
+            v = detect_parabolic(g, q)
+            assert v.status == "parabolic"
+            if q.contains(t):
+                continue    # decided in the standard frame
+            frames += 1
+            assert set(v.root_subset) == set(data["roots"])
+            frame = FieldMatrix.from_rows(v.details["frame"], p)
+            assert conjugate_subspace(g, frame, data["parabolic"]) == q
+            assert v.torus_used == conjugate_subspace(g, frame, t)
+            assert q.contains(v.torus_used)
+    assert frames
+
+
+@pytest.mark.parametrize("fam,n,p", [("sp", 4, 5), ("sp", 6, 5), ("so", 5, 5),
+                                     ("so", 7, 7), ("so", 8, 5)])
+def test_conjugated_sp_so_parabolics_come_back_with_a_witt_frame(fam, n, p):
+    # P^T J P = cJ for the realization's form J, and P^-1 q P is q's own
+    # standard parabolic: on so8 the two maximal parabolics of the
+    # Lagrangians, S = (0, 1, 2) and (0, 1, 3), keep their root subsets
+    g = build(fam, n, p)
+    t = torus_subspace(g)
+    perm, sign = g.frame.form
+    form = FieldMatrix(n, n, p, [sign[c] if perm[c] == r else 0
+                                 for r in range(n) for c in range(n)])
+    rng = random.Random(f"witt:{fam}{n}@{p}")
+    frames = 0
+    for chosen in _subsets(g)[:-1]:
+        data = standard_parabolic(g, chosen)
+        for _ in range(2):
+            w = _root_group_element(g, rng)
+            levi = conjugate_subspace(g, w, data["levi"])
+            assert detect_parabolic(g, levi).status == "not-parabolic"
+            q = conjugate_subspace(g, w, data["parabolic"])
+            v = detect_parabolic(g, q)
+            assert v.status == "parabolic"
+            if q.contains(t):
+                continue    # decided in the standard frame
+            frames += 1
+            assert set(v.root_subset) == set(data["roots"])
+            frame = FieldMatrix.from_rows(v.details["frame"], p)
+            assert any(frame.transpose() @ form @ frame == form.scale(c)
+                       for c in range(1, p))
+            assert conjugate_subspace(g, frame, data["parabolic"]) == q
+            assert v.torus_used == conjugate_subspace(g, frame, t)
+    assert frames
 
 
 def test_invariant_battery_reads_only_parabolics_of_equal_dimension(
         monkeypatch):
-    # conjugated sp4@5 Borels go to the invariant battery; the Borel is the
-    # only standard parabolic of their dimension, and its invariants are
-    # computed once and then read from the memo
+    # at p = 2 no frame is complete: conjugated sp4@2 Borels go to the
+    # invariant battery; the Borel is the only standard parabolic of their
+    # dimension, and its invariants are computed once and then read from
+    # the memo
     calls = []
     invariants = parabolic.iso_invariants
 
@@ -273,12 +322,18 @@ def test_invariant_battery_reads_only_parabolics_of_equal_dimension(
         return invariants(g, q)
 
     monkeypatch.setattr(parabolic, "iso_invariants", counting)
-    g = build.__wrapped__("sp", 4, 5)           # fresh memo
+    g = build.__wrapped__("sp", 4, 2)           # fresh memo
     b = standard_borel(g)["parabolic"]
     rng = random.Random("battery")
+    one = FieldMatrix.identity(4, 2)
     conjugates = []
     while len(conjugates) < 2:
-        q = conjugate_subspace(g, _root_group_element(g, rng), b)
+        # 1 + x for root vectors x, which square to 0: elements of Sp4(F_2)
+        w = one
+        for _ in range(6):
+            root = rng.choice(g.frame.rootdatum.roots)
+            w = w @ (one + g.matrix_of(g.unit(g.frame.root_index[root])))
+        q = conjugate_subspace(g, w, b)
         if not q.contains(torus_subspace(g)):   # out of standard position
             conjugates.append(q)
     for q in conjugates:
@@ -289,11 +344,13 @@ def test_invariant_battery_reads_only_parabolics_of_equal_dimension(
     assert calls == [6, 6, 6]
 
 
-# type A at odd p, p | n included (sl3@3, sl6@3, gl4@3, pgl3@3)
+# every family at odd p; type A with p | n included (sl3@3, sl6@3, gl4@3,
+# pgl3@3)
 @pytest.mark.parametrize("fam,n,p", [
     ("sl", 3, 3), ("sl", 3, 5), ("sl", 4, 3), ("sl", 4, 5), ("sl", 4, 7),
     ("sl", 5, 5), ("sl", 6, 3), ("gl", 3, 5), ("gl", 4, 3), ("pgl", 3, 3),
-    ("pgl", 3, 5), ("pgl", 4, 5)])
+    ("pgl", 3, 5), ("pgl", 4, 5), ("sp", 4, 3), ("sp", 4, 5), ("sp", 4, 7),
+    ("sp", 6, 5), ("so", 5, 5), ("so", 7, 7), ("so", 6, 5), ("so", 8, 5)])
 def test_frame_certificate_agrees_with_the_invariant_battery(
         fam, n, p, monkeypatch):
     # inputs, each moved by a seeded root-group element: every proper
@@ -336,7 +393,7 @@ def test_frame_certificate_agrees_with_the_invariant_battery(
             break
 
     def no_battery(g, q):
-        raise AssertionError("type A at odd p reached the invariant battery")
+        raise AssertionError("detection at odd p reached the invariant battery")
 
     monkeypatch.setattr(parabolic, "iso_invariants", no_battery)
     verdicts = [detect_parabolic(g, q) for q in inputs]
@@ -354,6 +411,18 @@ def test_frame_certificate_agrees_with_the_invariant_battery(
                                      for par in standard[q.dim]]
             assert iso_invariants(g, q) not in invariants[q.dim]
     assert all(v.status == "not-parabolic" for v in verdicts[:proper])
+
+
+def test_witt_frame_declines_a_flag_that_is_not_self_dual():
+    # q = <t1, x_e1> in so5: N = q n q^perp is the root line, whose image
+    # <e1, z> holds the anisotropic middle vector z; the N-flag closed under
+    # orthogonal complements is no chain, so there is no Witt frame
+    g = build("so", 5, 5)
+    q = g.subspace([g.element_by_label(x).coords for x in ("t1", "x(1,0)")])
+    assert parabolic.flag_frame(g, q) is None
+    v = detect_parabolic(g, q)
+    assert v.status == "not-parabolic"
+    assert "Witt flag frame" in v.details["criterion"]
 
 
 def _borel_conjugated_at_2(g):

@@ -127,8 +127,8 @@ def test_tower_payload_so5_at_7():
 
 
 @pytest.mark.parametrize("role,digest", [
-    ("parabolic", "c39f4b72502c97e6ac3026e504e6717b57eddbae"),   # undetermined
-    ("levi", "5975dca696b8f704b8f715ea7b5d97d0d72b532c"),        # not-parabolic
+    ("parabolic", "142ba98119815bc8ee02f4e3de7d2894beac3f57"),   # Witt frame
+    ("levi", "f0ad9d28ff6041c8888e7944b5b8b56b9bdcb332"),        # not-parabolic
 ])
 def test_detect_payload_conjugated_sp4_at_7(role, digest):
     g = build("sp", 4, 7)
@@ -175,8 +175,8 @@ def _workloads():
 # each followed by a newline, in case order
 WORKLOAD_PINS = {
     "tower-std": "7a88d6f350cb38d019c163527ac683ce9a0116df",
-    "tower-seeded": "92e578f613b1b4dff13ec7e38805cd8b713102be",
-    "detect-general": "71bc22a0c514fb0b766550cc96ae87600c73a2ca",
+    "tower-seeded": "09351511cd7b22e8fd668a16246f947282350aae",
+    "detect-general": "e6902a76b12c4e7504c9322aab2a705d45c3fabe",
     "kempf-opt": "4be5bd8979d1f1b81e3117300dfe8e0724cfb2bc",
 }
 
