@@ -448,13 +448,15 @@ class LieAlgebra:
         return m if m.is_nilpotent() else None
 
     def exp_trunc(self, x: "Element") -> FieldMatrix:
-        """Truncated exponential sum_{i<p} X^i / i! of the nilpotent lift X
-        of x, which must have nilpotency order < p."""
+        """Truncated exponential E(X) = sum_{i<p} X^i / i! of the nilpotent
+        lift X of x, which must have X^p = 0.  Then E(X) E(-X) = 1, as the
+        terms of degree 0 < k < p cancel and X^k = 0 for k >= p; and on sp
+        and so, where X^T J = -J X, E(X)^T J E(X) = J E(-X) E(X) = J."""
         m = self.nilpotent_lift(x.coords)
         if m is None:
             raise ValueError("element has no nilpotent representative")
-        if not m.pow(self.p - 1).is_zero():
-            raise ValueError("matrix nilpotency order must be < p")
+        if not m.pow(self.p).is_zero():
+            raise ValueError("matrix nilpotency order must be at most p")
         return exp_trunc_matrix(m, self.p)
 
     def ad_exp_compat(self, x: "Element") -> bool:
@@ -787,10 +789,12 @@ def weyl_matrices(g: LieAlgebra) -> list:
     raise ValueError(f"no Weyl frame for family {fam}")
 
 
-def conjugate_subspace(g: LieAlgebra, w: FieldMatrix, s: Subspace) -> Subspace:
+def conjugate_subspace(g: LieAlgebra, w: FieldMatrix, s: Subspace,
+                       winv: Optional[FieldMatrix] = None) -> Subspace:
     """Image of a subspace under conjugation by an invertible realization
-    matrix (must normalize the algebra, e.g. a Weyl representative)."""
-    winv = w.inverse()
+    matrix (must normalize the algebra, e.g. a Weyl representative); winv,
+    when the caller has it, is w's inverse."""
+    winv = w.inverse() if winv is None else winv
     vecs = []
     for v in s.basis:
         m = g.matrix_of(list(v))

@@ -278,11 +278,13 @@ def detect_parabolic(g: LieAlgebra, q: Subspace) -> ParabolicVerdict:
     # conjugating frame: the flag of N finds every parabolic at odd p
     frame = flag_frame(g, q)
     if frame is not None:
+        inverse = frame.inverse()
         verdict = coordinate_verdict(
-            conjugate_subspace(g, frame.inverse(), q),
+            conjugate_subspace(g, inverse, q, frame),
             {"frame_translate": True, "frame": frame.to_rows()})
         if verdict is not None and verdict.status == "parabolic":
-            verdict.torus_used = conjugate_subspace(g, frame, verdict.torus_used)
+            verdict.torus_used = conjugate_subspace(
+                g, frame, verdict.torus_used, inverse)
             return verdict
     details = {}
     if partial is not None:

@@ -25,11 +25,6 @@ Strategy notes:
     own bracket and drops a line at its first nonzero column [v, [v, b]].
     The caller's budget bounds it, and every memo key omits the budget,
     since a result that is returned is exact;
-  * for torus-stable inputs the p-nilpotent and ad-nilpotent cones split
-    along coordinates when the root support is closed and lies in a
-    positive system, avoiding enumeration entirely ("structured" method);
-    a closed support lies in one exactly when it holds no pair +-alpha
-    (Bourbaki, Lie VI, 1.7, Prop. 22);
   * for a coordinate-split h, [e_a, e_b] lies in the weight space g_(a+b)
     (a root line, the torus or 0) and [z, e_b] = b(z) e_b, so spin ideals
     and their derived terms are root indices plus coroots [e_c, e_-c]; a
@@ -48,21 +43,22 @@ Strategy notes:
     since a p-nil ideal is nilpotent, so lies in rad(h) and in C.  nil(h)
     is the largest h-ideal inside the elements of rad(h) acting
     nilpotently on h;
-  * off the structured path both sets are the nilpotent cone of a lift
-    linear in x (`_nilpotent_cone`): `linear_lift` for C, ad_h for
-    nil(h).  It is certified through A, the associative algebra generated
-    by 1 and the lifts of rad(h) ("envelope" method,
-    `gfp.envelope_radical`).  Its trace radical I = {a : tr(ab) = 0 for
+  * both sets are the nilpotent cone of a lift linear in x
+    (`_nilpotent_cone`): `linear_lift` for C, ad_h for nil(h), from the
+    first of three certificates that holds.  "structured": a
+    coordinate-split rad(h) whose roots lie in a positive system gives its
+    root part plus the torus elements with lift 0.  "envelope": through
+    A, the associative algebra generated by 1 and the lifts of rad(h)
+    (`gfp.envelope_radical`).  Its trace radical I = {a : tr(ab) = 0 for
     all b in A} contains J(A), and equals it when I is nilpotent; if the
     lifts also commute modulo I, A/J(A) is commutative and semisimple,
     with no nonzero nilpotents, so the cone is {x : lift(x) in J(A)}
-    exactly, one linear solve with no budget.  The certificate declines
-    when I is not nilpotent (an idempotent of trace 0 in F_p, such as 1
-    when p | n), when two lifts do not commute modulo I (sl2 at p = 2,
-    whose envelope is M_2), and when dim A passes MAX_DIM;
-  * there, one walk over the p^dim vectors of rad(h) with an explicit
-    budget is the fallback, and exceeding the budget is an Undetermined
-    outcome, never a guess.
+    exactly, one linear solve with no budget.  It declines when I is not
+    nilpotent (an idempotent of trace 0 in F_p, such as 1 when p | n),
+    when two lifts do not commute modulo I (sl2 at p = 2, whose envelope
+    is M_2), and when dim A passes MAX_DIM.  "enumeration": one walk over
+    the p^dim vectors of rad(h) within an explicit budget; exceeding the
+    budget is an Undetermined outcome, never a guess.
 """
 
 from __future__ import annotations
@@ -342,7 +338,7 @@ def solvable_radical(g: LieAlgebra, h: Subspace,
 
 
 # ---------------------------------------------------------------------------
-# Structured (torus-stable) cone extraction
+# Nilpotent cones
 # ---------------------------------------------------------------------------
 
 def _certified_root_support(g: LieAlgebra, roots) -> bool:
@@ -353,38 +349,35 @@ def _certified_root_support(g: LieAlgebra, roots) -> bool:
         {tuple(-x for x in r) for r in roots}.isdisjoint(roots)
 
 
-def _structured_pnil_cone(g: LieAlgebra, split_r) -> Optional[Subspace]:
-    """The set of p-nilpotent elements of a torus-stable solvable r, from
-    its `coordinate_split`, when certifiable: the root part, provided the
-    root support is closed and holds no pair +-alpha, so that it lies in
-    a positive system (then elements with nonzero torus component keep it
-    under p-powers, and the root part consists of nilpotent matrices)."""
-    if split_r is None or not _certified_root_support(
-            g, [a for a, _ in split_r[1]]):
-        return None
-    return g.subspace([g.unit(idx) for _, idx in split_r[1]])
-
-
-def _structured_adnil_cone(g: LieAlgebra, h: Subspace, r: Subspace) -> Optional[Subspace]:
-    """Elements of torus-stable solvable r acting nilpotently on the
-    coordinate-split subalgebra h: the p-nilpotent cone of r (its root
-    part) plus the torus part of r killing every root line of h."""
-    split_r = coordinate_split(g, r)
-    cone = _structured_pnil_cone(g, split_r)
-    split_h = coordinate_split(g, h)
-    if cone is None or split_h is None:
-        return None
-    torus = solve_linear(split_r[0], lambda z: [
-        _character(g, enumerate(z), idx) for _, idx in split_h[1]])
-    return cone.sum(torus)
-
-
-def _nilpotent_cone(r: Subspace, lift, budget: int) -> tuple:
+def _nilpotent_cone(g: LieAlgebra, r: Subspace, lift, budget: int) -> tuple:
     """(span, method, is_subspace) of the x in r whose matrix lift(x),
-    linear in x, is nilpotent: the x whose lift lies in J(A), when the
-    associative envelope A of the lifts of r's basis certifies them
-    (`gfp.envelope_radical`, "envelope"), else by the one walk over the
-    p^dim(r) vectors of r, within the budget ("enumeration")."""
+    linear in x, is nilpotent, from the first certificate that holds.
+
+    "structured": r is coordinate-split with a certified root support
+    (`_certified_root_support`); the cone is r's root part plus the z in
+    its torus part with lift(z) = 0, one linear solve.  Write x = z + n,
+    z in the torus part and n in the root part.  lift(z) is semisimple,
+    the diagonal torus action on a z-stable space.  r's roots lie in a
+    positive system, so a cocharacter is positive on each; lift(n) raises
+    its weight and lift(z) keeps it.  On the graded pieces of the weight
+    filtration of the lift's space lift(x) thus acts as lift(z): it is
+    nilpotent exactly when the semisimple lift(z) is, that is, when
+    lift(z) = 0.
+    "envelope": the x whose lift lies in J(A), when the associative
+    envelope A of the lifts of r's basis certifies them
+    (`gfp.envelope_radical`).
+    "enumeration": the one walk over the p^dim(r) vectors of r, within the
+    budget."""
+    split = coordinate_split(g, r)
+    if split is not None and _certified_root_support(
+            g, [a for a, _ in split[1]]):
+        torus = solve_linear(split[0], lambda z: lift(z).entries)
+        # the two parts sit on disjoint coordinates: in pivot order, their
+        # rows are the canonical basis of the sum (`coordinate_split`)
+        rows = sorted([(idx, g.unit(idx)) for _, idx in split[1]]
+                      + list(zip(torus.pivots, torus.basis)))
+        return Subspace(r.ambient_dim, r.p, [row for _, row in rows]), \
+            "structured", True
     lifts = [lift(list(b)) for b in r.basis]
     residue = envelope_radical(lifts) if lifts else None
     if residue is not None:
@@ -415,19 +408,16 @@ def _ad_lift(g: LieAlgebra, h: Subspace):
 def pnil_part_of_radical(g: LieAlgebra, h: Subspace,
                          budget: int = DEFAULT_BUDGET) -> dict:
     """The set of p-nilpotent elements of rad(h), with its method: the
-    root part of a coordinate-split radical ("structured"), else the cone
-    of `LieAlgebra.linear_lift` on rad(h) (`_nilpotent_cone`: "envelope"
-    or "enumeration"); the tower consumes this directly.  Undetermined
-    when the walk passes the budget or finds that set is not a subspace,
-    since its span need not be p-nil."""
+    cone of `LieAlgebra.linear_lift` on rad(h) (`_nilpotent_cone`); by
+    the structured step it is the root part of a split radical, as no
+    nonzero torus element has lift 0.  The tower consumes this directly.
+    Undetermined when the walk passes the budget or finds that set is not
+    a subspace, since its span need not be p-nil."""
     key = ("pnilpart", h.basis)
     if key in g._memo:
         return g._memo[key]
     r = solvable_radical(g, h, budget)
-    cone = _structured_pnil_cone(g, coordinate_split(g, r))
-    method, is_subspace = "structured", True
-    if cone is None:
-        cone, method, is_subspace = _nilpotent_cone(r, g.linear_lift, budget)
+    cone, method, is_subspace = _nilpotent_cone(g, r, g.linear_lift, budget)
     if not is_subspace:
         raise Undetermined("the p-nilpotent elements of rad(h) do not "
                            "form a subspace", "enumeration")
@@ -451,14 +441,12 @@ def p_radical(g: LieAlgebra, h: Subspace, budget: int = DEFAULT_BUDGET) -> dict:
 def nilradical(g: LieAlgebra, h: Subspace, budget: int = DEFAULT_BUDGET) -> dict:
     """Maximal nilpotent ideal of h: the largest h-ideal inside the span
     of the elements of rad(h) acting nilpotently on h, Undetermined unless
-    it is nilpotent.  Those elements are read off a coordinate-split
-    radical ("structured"), else they are the cone of ad_h on rad(h)
-    (`_ad_lift`, `_nilpotent_cone`: "envelope" or "enumeration")."""
+    it is nilpotent.  Those elements are the cone of ad_h on rad(h)
+    (`_ad_lift`, `_nilpotent_cone`); by the structured step, which needs
+    rad(h) split but not h, they are its root part plus its torus
+    elements central in h."""
     r = solvable_radical(g, h, budget)
-    cone = _structured_adnil_cone(g, h, r)
-    method = "structured"
-    if cone is None:
-        cone, method, _ = _nilpotent_cone(r, _ad_lift(g, h), budget)
+    cone, method, _ = _nilpotent_cone(g, r, _ad_lift(g, h), budget)
     cand = g.largest_ideal_inside(h, cone)
     if not g.is_nilpotent(cand):
         raise Undetermined("largest ideal inside the ad-nilpotent cone is "

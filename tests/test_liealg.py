@@ -160,6 +160,31 @@ def test_exp_rejections():
     # e + f is semisimple, not nilpotent
     with pytest.raises(ValueError):
         g3.exp_trunc(e + f)
+    # the regular nilpotent of sl4@3 has x^3 != 0: its truncated
+    # exponential is no group element
+    g = build("sl", 4, 3)
+    x = (g.element_by_label("e12") + g.element_by_label("e23")
+         + g.element_by_label("e34"))
+    assert not g.matrix_of(x.coords).pow(3).is_zero()
+    with pytest.raises(ValueError):
+        g.exp_trunc(x)
+
+
+def test_exp_trunc_of_a_short_root_element_of_so5_at_3():
+    # the short-root elements of so5@3 have x^2 != 0 and x^3 = 0: sum_{i<3}
+    # x^i / i! is inverted by exp(-x) and preserves the form, P^T J P = J
+    g = build("so", 5, 3)
+    perm, sign = g.frame.form
+    form = FieldMatrix(5, 5, 3, [sign[c] if perm[c] == r else 0
+                                 for r in range(5) for c in range(5)])
+    short = [x for x in (g.basis_element(g.frame.root_index[r])
+                         for r in g.frame.rootdatum.roots)
+             if not g.matrix_of(x.coords).pow(2).is_zero()]
+    assert len(short) == 4
+    for x in short:
+        e = g.exp_trunc(x)
+        assert e @ g.exp_trunc(-x) == FieldMatrix.identity(5, 3)
+        assert e.transpose() @ form @ e == form
 
 
 def test_ad_exp_compat_examples():

@@ -274,8 +274,9 @@ def test_sp4_conjugates_decided_without_weyl_frames(p, monkeypatch):
     assert frames
 
 
-@pytest.mark.parametrize("fam,n,p", [("sp", 4, 5), ("sp", 6, 5), ("so", 5, 5),
-                                     ("so", 7, 7), ("so", 8, 5)])
+@pytest.mark.parametrize("fam,n,p", [
+    ("sp", 4, 3), ("sp", 4, 5), ("sp", 6, 3), ("sp", 6, 5), ("so", 5, 3),
+    ("so", 5, 5), ("so", 7, 3), ("so", 7, 7), ("so", 8, 5)])
 def test_conjugated_sp_so_parabolics_come_back_with_a_witt_frame(fam, n, p):
     # P^T J P = cJ for the realization's form J, and P^-1 q P is q's own
     # standard parabolic: on so8 the two maximal parabolics of the
@@ -306,6 +307,28 @@ def test_conjugated_sp_so_parabolics_come_back_with_a_witt_frame(fam, n, p):
             assert conjugate_subspace(g, frame, data["parabolic"]) == q
             assert v.torus_used == conjugate_subspace(g, frame, t)
     assert frames
+
+
+@pytest.mark.parametrize("fam,n,p", [("sl", 4, 5), ("pgl", 3, 3), ("sp", 4, 3),
+                                     ("so", 5, 3), ("so", 8, 5)])
+def test_frame_verdicts_match_the_call_that_inverts_the_frame_itself(
+        fam, n, p, monkeypatch):
+    # detect_parabolic hands conjugate_subspace the frame's inverse it has
+    # computed once; every verdict, frame and torus_used is the one of the
+    # three-argument call, which inverts the matrix itself
+    g = build(fam, n, p)
+    rng = random.Random(f"inverse:{fam}{n}@{p}")
+    qs = []
+    for chosen in _subsets(g)[:-1]:
+        data = standard_parabolic(g, chosen)
+        w = _root_group_element(g, rng)
+        qs += [conjugate_subspace(g, w, data[role])
+               for role in ("parabolic", "levi")]
+    given = [detect_parabolic(g, q) for q in qs]
+    assert any(v.details.get("frame_translate") for v in given)
+    monkeypatch.setattr(parabolic, "conjugate_subspace",
+                        lambda g, w, s, winv=None: conjugate_subspace(g, w, s))
+    assert [detect_parabolic(g, q) for q in qs] == given
 
 
 def test_invariant_battery_reads_only_parabolics_of_equal_dimension(
@@ -350,7 +373,8 @@ def test_invariant_battery_reads_only_parabolics_of_equal_dimension(
     ("sl", 3, 3), ("sl", 3, 5), ("sl", 4, 3), ("sl", 4, 5), ("sl", 4, 7),
     ("sl", 5, 5), ("sl", 6, 3), ("gl", 3, 5), ("gl", 4, 3), ("pgl", 3, 3),
     ("pgl", 3, 5), ("pgl", 4, 5), ("sp", 4, 3), ("sp", 4, 5), ("sp", 4, 7),
-    ("sp", 6, 5), ("so", 5, 5), ("so", 7, 7), ("so", 6, 5), ("so", 8, 5)])
+    ("sp", 6, 5), ("so", 5, 3), ("so", 5, 5), ("so", 7, 3), ("so", 7, 7),
+    ("so", 6, 3), ("so", 6, 5), ("so", 8, 5)])
 def test_frame_certificate_agrees_with_the_invariant_battery(
         fam, n, p, monkeypatch):
     # inputs, each moved by a seeded root-group element: every proper

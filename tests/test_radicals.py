@@ -1096,20 +1096,20 @@ def test_ad_nilpotent_test_matches_the_view_ad_matrix(fam, n, p):
 
 @pytest.mark.parametrize("fam,n,p", [("sl", 3, 5), ("sp", 4, 5), ("so", 5, 5)])
 def test_structured_cones_match_enumeration(fam, n, p):
-    # both structured cones are the sets a walk with the literal p-power
-    # iteration and the view's ad matrix picks out, on every standard
-    # parabolic and Levi
-    from morozov.radicals import _structured_adnil_cone, _structured_pnil_cone
+    # on every standard parabolic and Levi the structured step of the cone
+    # routine (a budget of 0 forbids the walk) gives, for the linear lift
+    # and for ad_h, the sets a walk with the literal p-power iteration and
+    # the view's ad matrix picks out
     g = build(fam, n, p)
     for chosen in _subsets(g):
         for role in ("parabolic", "levi"):
             h = standard_parabolic(g, chosen)[role]
             r = solvable_radical(g, h)
-            for cone, test in (
-                    (_structured_pnil_cone(g, coordinate_split(g, r)),
-                     lambda v: literal_p_nilpotent(g, v)),
-                    (_structured_adnil_cone(g, h, r), _view_adnil(g, h))):
-                assert cone is not None
+            for lift, test in (
+                    (g.linear_lift, lambda v: literal_p_nilpotent(g, v)),
+                    (_ad_lift(g, h), _view_adnil(g, h))):
+                cone, method, _ = _nilpotent_cone(g, r, lift, 0)
+                assert method == "structured"
                 assert _oracle_cone(r, test) == (cone, True), (chosen, role)
 
 
@@ -1156,19 +1156,55 @@ def test_nilradical_by_the_ad_envelope_matches_brute_force(fam, p):
     assert out["nil"] == _brute_radicals(g, b)["nil"]
 
 
+def _levi_over_the_last_term(g, chosen, rng):
+    """[l, l] of a standard parabolic, moved by exp(t x_a) over the roots a
+    of its nilradical u off the last nonzero term I of u's lower central
+    series, each t != 0 from rng, plus I: a subalgebra that is not
+    coordinate-split, whose radical is I."""
+    data = standard_parabolic(g, chosen)
+    u = data["nilradical"]
+    ideal = [s for s in g.lower_central_series(u) if s.dim][-1]
+    w = FieldMatrix.identity(g.realization.n, g.p)
+    for root in g.frame.rootdatum.roots:
+        v = [0] * g.dim
+        v[g.frame.root_index[root]] = rng.randrange(1, g.p)
+        if u.contains_vector(v) and not ideal.contains_vector(v):
+            w = w @ g.exp_trunc(g.element(v))
+    return conjugate_subspace(
+        g, w, g.bracket_spaces(data["levi"], data["levi"])).sum(ideal)
+
+
+@pytest.mark.parametrize("fam,chosen,seeds", [("sl", (0,), 3), ("sp", (1,), 5)])
+def test_nilradical_of_a_split_radical_is_structured(fam, chosen, seeds):
+    # h is not coordinate-split but rad(h) is: the cone of ad_h on rad(h)
+    # is read off the split radical with no walk, and nil(h) is the largest
+    # nilpotent ideal the exhaustive subspace scan finds
+    from morozov.suite import _brute_radicals
+    g = build(fam, 4, 5)
+    for seed in range(seeds):
+        h = _levi_over_the_last_term(
+            g, chosen, random.Random(f"split-radical:{fam}:{seed}"))
+        assert coordinate_split(g, h) is None
+        assert coordinate_split(g, solvable_radical(g, h)) is not None
+        out = nilradical(g, h, budget=0)
+        assert out["method"] == "structured"
+        assert out["nil"] == _brute_radicals(g, h)["nil"], seed
+
+
 def _envelope_inputs(g, rng):
     """Seeded solvable radicals, each of p^dim at most 5^4: of the standard
     parabolics, of their conjugates, of the conjugated nilradicals and of
-    the normalisers of the subalgebras generated by one of their elements.
-    A word that meets a root element of order >= p (sp and so at p <= 3)
-    leaves its parabolic in place."""
+    the normalisers of the subalgebras generated by one of their elements;
+    on the type-A families also the Borel and its nilradical moved by
+    1 + E_n1, which are not coordinate-split whatever the seeded words
+    draw."""
     out = []
+    if g.family.rstrip("0123456789") in ("gl", "sl", "pgl"):
+        w, b = _conjugated_borel(g)
+        out += [b, conjugate_subspace(g, w, standard_borel(g)["nilradical"])]
     for chosen in _subsets(g):
         data = standard_parabolic(g, chosen)
-        try:
-            w = _group_element(g, rng)
-        except ValueError:
-            w = FieldMatrix.identity(g.realization.n, g.p)
+        w = _group_element(g, rng)
         nil = conjugate_subspace(g, w, data["nilradical"])
         hs = [data["parabolic"], conjugate_subspace(g, w, data["parabolic"]),
               nil, g.normalizer(g.subalgebra_closure(
@@ -1183,24 +1219,27 @@ def _envelope_inputs(g, rng):
                                ("sl", 3), ("pgl", 3), ("sp", 4), ("so", 5))
     for p in (2, 3, 5, 7) if (fam, p) != ("so", 2)])
 def test_envelope_cone_matches_enumeration(fam, n, p):
-    # where the associative envelope of the linear lifts certifies the
-    # p-nilpotent cone (a budget of 0 forbids the walk) it is the set the
-    # literal p-power iteration picks out, a subspace; it certifies some
-    # cone of every algebra with p not dividing n, and of pgl with p | n
-    # through ad
+    # where the structured step or the associative envelope of the linear
+    # lifts certifies the p-nilpotent cone (a budget of 0 forbids the walk)
+    # it is the set the literal p-power iteration picks out, a subspace; a
+    # radical that is not coordinate-split is certified by the envelope
+    # alone, and the envelope certifies some such cone of every algebra
+    # with p not dividing n, and of pgl with p | n
     g = build(fam, n, p)
-    certified = 0
+    by_envelope = 0
     for r in _envelope_inputs(g, random.Random(f"envelope:{fam}{n}@{p}")):
         try:
-            cone, method, is_subspace = _nilpotent_cone(r, g.linear_lift, 0)
+            cone, method, is_subspace = _nilpotent_cone(g, r, g.linear_lift, 0)
         except Undetermined:
             continue
-        certified += 1
-        assert method == "envelope" and is_subspace
+        split = coordinate_split(g, r) is not None
+        assert method == ("structured" if split else "envelope")
+        by_envelope += method == "envelope"
+        assert is_subspace
         assert _oracle_cone(r, lambda v: literal_p_nilpotent(g, v)) == \
             (cone, True), r.basis
     if n % p or fam == "pgl":
-        assert certified
+        assert by_envelope
 
 
 def test_envelope_certificate_declines():
@@ -1214,7 +1253,7 @@ def test_envelope_certificate_declines():
     one = g.coordinates_of_matrix(FieldMatrix.identity(3, 3))
     r = solvable_radical(g, g.subspace([one, *u.basis]))
     assert r.dim == 4
-    assert _nilpotent_cone(r, g.linear_lift, DEFAULT_BUDGET) == \
+    assert _nilpotent_cone(g, r, g.linear_lift, DEFAULT_BUDGET) == \
         (u, "enumeration", True)
     # sl2@2 is nilpotent and its envelope is all of M_2, whose trace form
     # is nondegenerate, so I = 0, while [e, f] = h = 1: the quotient is not
@@ -1222,18 +1261,19 @@ def test_envelope_certificate_declines():
     g = build("sl", 2, 2)
     r = solvable_radical(g, g.full_space())
     assert r == g.full_space()
-    assert _nilpotent_cone(r, g.linear_lift, DEFAULT_BUDGET)[1:] == \
+    assert _nilpotent_cone(g, r, g.linear_lift, DEFAULT_BUDGET)[1:] == \
         ("enumeration", False)
     # the 9 x 9 cycle E_12, E_23, ..., E_91 generates all of M_9, past the
     # dimension cap
     cycle = [FieldMatrix(9, 9, 5, [int(k == 9 * i + (i + 1) % 9)
                                    for k in range(81)]) for i in range(9)]
     assert envelope_radical(cycle) is None
-    # pgl3@3 (p | n): the envelope of ad certifies the standard Borel's cone
+    # pgl3@3 (p | n): the envelope of ad certifies the cone of the Borel
+    # moved by 1 + E_31, which is not coordinate-split
     g = build("pgl", 3, 3)
-    data = standard_borel(g)
-    assert _nilpotent_cone(data["parabolic"], g.linear_lift, 0) == \
-        (data["nilradical"], "envelope", True)
+    w, b = _conjugated_borel(g)
+    assert _nilpotent_cone(g, b, g.linear_lift, 0) == (conjugate_subspace(
+        g, w, standard_borel(g)["nilradical"]), "envelope", True)
 
 
 def test_envelope_radical_of_triangular_matrices():
