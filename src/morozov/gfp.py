@@ -2,17 +2,21 @@
 reduced row echelon form, and `solve_linear`, the one solver for "the
 subspace on which a linear condition vanishes".
 
-Reducing a vector against echelon rows (`_eliminate`) and forming a
-combination sum c * row (`_combine`) live here once; `Subspace`, the
-coordinates of `LieAlgebra`, the envelope certificate and the views of
-`radicals` all go through them.
+Each piece lives here once.  `Echelon`, a span grown row by row in RREF,
+is the one home of span growth: `rref`, `kernel`, `Subspace`, the
+envelope's word basis, the flag frame's adapted basis and the worklists of
+`LieAlgebra.spin_submodule` and `subalgebra_closure`.  `trace_gram` is the
+one home of the trace form tr(XY): the Killing form, the envelope's trace
+radical and q n q^perp of the flag frame.  `_eliminate` (reduce a vector
+against echelon rows) and `_combine` (sum c * row) serve the rest.
 
-Everything here is immutable after construction and all operations are
-pure.  Field elements are plain ints reduced into [0, p).
+All but a growing `Echelon` is immutable after construction, and every
+operation is pure.  Field elements are plain ints reduced into [0, p).
 """
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterable, Sequence
 
 MAX_PRIME = 13
@@ -206,36 +210,59 @@ class FieldMatrix:
         return f"FieldMatrix({self.to_rows()} mod {self.p})"
 
 
+class Echelon:
+    """A span grown row by row in reduced echelon form, with pivots in the
+    first `cols` columns; `kept` maps each pivot column to its normalised
+    row as {column: entry}."""
+
+    def __init__(self, cols: int, p: int):
+        self.cols, self.p, self.kept = cols, p, {}
+
+    def extend(self, rows: Iterable[Sequence[int]]) -> int:
+        """Keep each row reduced against the kept rows, normalised and
+        cleared from them at its pivot, unless it is 0 in the first `cols`
+        columns; returns how many rows were kept."""
+        p, cols, kept = self.p, self.cols, self.kept
+        before = len(kept)
+        for row in rows:
+            v = [x % p for x in row]
+            for c, r in kept.items():
+                f = v[c]
+                if f:
+                    for j, y in r.items():
+                        v[j] = (v[j] - f * y) % p
+            for lead in range(cols):
+                if v[lead]:
+                    break
+            else:
+                continue
+            inv = inv_mod(v[lead], p)
+            new = {j: x * inv % p for j, x in enumerate(v) if x}
+            for r in kept.values():
+                f = r.get(lead)
+                if f:
+                    for j, y in new.items():
+                        r[j] = (r.get(j, 0) - f * y) % p
+            kept[lead] = new
+        return len(kept) - before
+
+    def add(self, row: Sequence[int]) -> bool:
+        """Whether the row enlarged the span, which now contains it."""
+        return self.extend((row,)) == 1
+
+    def rows(self, width: int) -> list:
+        """The kept rows in pivot order, as tuples of length `width`."""
+        kept = self.kept
+        return [tuple(kept[c].get(j, 0) for j in range(width))
+                for c in sorted(kept)]
+
+
 def _rref_rows(rows: list, cols: int, p: int) -> tuple:
     """Reduced row echelon form with pivots in the first `cols` columns;
-    returns (the pivot rows in pivot order, their pivot columns).  Each
-    row is reduced once against the pivot rows kept so far and dropped
-    when nothing is left in the first `cols` columns."""
-    kept = {}           # pivot column -> normalised row as {column: entry}
-    for row in rows:
-        v = [x % p for x in row]
-        for c, r in kept.items():
-            f = v[c]
-            if f:
-                for j, y in r.items():
-                    v[j] = (v[j] - f * y) % p
-        for lead in range(cols):
-            if v[lead]:
-                break
-        else:
-            continue
-        inv = inv_mod(v[lead], p)
-        new = {j: x * inv % p for j, x in enumerate(v) if x}
-        for r in kept.values():
-            f = r.get(lead)
-            if f:
-                for j, y in new.items():
-                    r[j] = (r.get(j, 0) - f * y) % p
-        kept[lead] = new
-    pivots = sorted(kept)
-    width = len(rows[0]) if rows else 0
-    return [tuple(kept[c].get(j, 0) for j in range(width))
-            for c in pivots], pivots
+    returns (the pivot rows in pivot order, their pivot columns)."""
+    span = Echelon(cols, p)
+    span.extend(rows)
+    return span.rows(len(rows[0]) if rows else 0), sorted(span.kept)
 
 
 def _eliminate(v: Sequence[int], rows: Sequence, pivots: Sequence[int],
@@ -368,17 +395,9 @@ class Subspace:
 
     def enumerate_vectors(self):
         """Yield every vector of the subspace (p^dim of them)."""
-        p = self.p
-        coeffs = [0] * self.dim
-        while True:
-            yield self.combine(coeffs)
-            k = 0
-            while k < self.dim and coeffs[k] == p - 1:
-                coeffs[k] = 0
-                k += 1
-            if k == self.dim:
-                return
-            coeffs[k] += 1
+        # the first coefficient runs fastest
+        for coeffs in product(range(self.p), repeat=self.dim):
+            yield self.combine(coeffs[::-1])
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of GF({self.p})^{self.ambient_dim})"
@@ -418,6 +437,16 @@ def image_flag(start: Subspace, maps) -> list | None:
     return flag
 
 
+def trace_gram(mats: Sequence[FieldMatrix], p: int) -> FieldMatrix:
+    """The Gram matrix tr(M_i M_j) of square matrices of one size over
+    GF(p).  As tr(xy) = sum x_ab y_ba, each nonzero entry of x is paired
+    with the entry of y at the transposed index."""
+    swapped = [[((k % m.rows) * m.rows + k // m.rows, x)
+                for k, x in enumerate(m.entries) if x] for m in mats]
+    return FieldMatrix(len(mats), len(mats), p, [
+        sum(x * m.entries[k] for k, x in s) for s in swapped for m in mats])
+
+
 def envelope_radical(mats: Sequence[FieldMatrix]):
     """The residue map modulo J(A), for A the associative algebra generated
     by 1 and the n x n matrices `mats` (at least one), when A/J(A) is
@@ -425,36 +454,29 @@ def envelope_radical(mats: Sequence[FieldMatrix]):
     vector of GF(p)^(n^2), linearly, and vanishes on A exactly at J(A),
     which then is the set of nilpotent elements of A.
 
-    A is spun from 1 in its own n^2 coordinates.  Its trace radical
-    I = {a in A : tr(ab) = 0 for all b in A}, one kernel, is an ideal
-    containing J(A), whose products with A are nilpotent; so I = J(A) when
-    I is nilpotent, which holds exactly when the images of GF(p)^n under I
-    reach 0.  If the generators also commute modulo I, A/J(A) is
-    commutative and semisimple, a product of fields, with no nonzero
-    nilpotents.  None when dim A passes MAX_DIM, when I is not nilpotent
-    (tr(1) = n puts 1 in I when p | n), or when two generators do not
-    commute modulo I."""
+    A is spun from 1: a word that enlarges the `Echelon` of the words so far
+    joins the basis, and its products with the generators are queued.  Its
+    trace radical I = {a in A : tr(ab) = 0 for all b in A}, the kernel of
+    the basis' `trace_gram`, is an ideal containing J(A), whose products
+    with A are nilpotent; so I = J(A) when I is nilpotent, which holds
+    exactly when the images of GF(p)^n under I reach 0.  If the generators
+    also commute modulo I, A/J(A) is commutative and semisimple, a product
+    of fields, with no nonzero nilpotents.  None when dim A passes MAX_DIM,
+    when I is not nilpotent (tr(1) = n puts 1 in I when p | n), or when two
+    generators do not commute modulo I."""
     n, p = mats[0].rows, mats[0].p
-    words, rows, pivots = [], [], []    # rows: an echelon grown row by row
+    words, span = [], Echelon(n * n, p)
     queue = [FieldMatrix.identity(n, p)]
     while queue:
         w = queue.pop()
-        v = _eliminate(w.entries, rows, pivots, p)[1]
-        lead = next((c for c, x in enumerate(v) if x), None)
-        if lead is None:
-            continue
-        if len(words) == MAX_DIM:
-            return None
-        inv = inv_mod(v[lead], p)
-        rows.append([x * inv % p for x in v])
-        pivots.append(lead)
-        words.append(w.entries)
-        queue.extend(m @ w for m in mats)
-    transposed = [FieldMatrix(n, n, p, w).transpose().entries for w in words]
-    trace_null = kernel(FieldMatrix(len(words), len(words), p, [
-        sum(x * y for x, y in zip(a, b)) for a in words for b in transposed]))
-    rows, pivots = _rref_rows([_combine(c, words, n * n, p)
-                               for c in trace_null.basis], n * n, p)
+        if span.add(w.entries):
+            if len(words) == MAX_DIM:
+                return None
+            words.append(w)
+            queue.extend(m @ w for m in mats)
+    entries = [w.entries for w in words]
+    rows, pivots = _rref_rows([_combine(c, entries, n * n, p) for c in
+                               kernel(trace_gram(words, p)).basis], n * n, p)
     if image_flag(Subspace.full(n, p), [FieldMatrix(n, n, p, row).matvec
                                         for row in rows]) is None:
         return None

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .serialize import is_json_int
+
 
 def slope(rank: int, degree: int) -> Fraction:
     if rank <= 0:
@@ -37,10 +39,10 @@ class HNFiltration:
     def make(cls, factors: Sequence, zero_index: int) -> "HNFiltration":
         for i, f in enumerate(factors):
             if not (isinstance(f, (list, tuple)) and len(f) == 2
-                    and all(isinstance(x, int) for x in f)):
+                    and all(map(is_json_int, f))):
                 raise ValueError(f"field 'factors': factor {i} is not a "
                                  f"(rank, degree) pair of integers")
-        if not isinstance(zero_index, int):
+        if not is_json_int(zero_index):
             raise ValueError("field 'zero_index' is not an integer")
         return cls(tuple(tuple(f) for f in factors), zero_index)
 

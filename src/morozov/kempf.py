@@ -49,10 +49,7 @@ def weights(g: LieAlgebra, lam: Cocharacter) -> list:
 
 
 def support_indices(u: Subspace) -> set:
-    out = set()
-    for row in u.basis:
-        out.update(i for i, c in enumerate(row) if c)
-    return out
+    return {i for row in u.basis for i, c in enumerate(row) if c}
 
 
 @dataclass(frozen=True)
@@ -178,22 +175,12 @@ def parabolic_from_cochar(g: LieAlgebra, lam: Cocharacter) -> dict:
     """Weight-sign decomposition: p = (weights >= 0), u = (> 0),
     c = (= 0); p = c + u."""
     w = weights(g, lam)
-    pvecs, uvecs, cvecs = [], [], []
-    for i in range(g.dim):
-        v = [0] * g.dim
-        v[i] = 1
-        if w[i] > 0:
-            uvecs.append(v)
-            pvecs.append(v)
-        elif w[i] == 0:
-            cvecs.append(v)
-            pvecs.append(v)
-    return {
-        "p": g.subspace(pvecs),
-        "u": g.subspace(uvecs),
-        "c": g.subspace(cvecs),
-        "weights": w,
-    }
+
+    def span(keep):
+        return g.subspace([g.unit(i) for i in range(g.dim) if keep(w[i])])
+
+    return {"p": span(lambda x: x >= 0), "u": span(lambda x: x > 0),
+            "c": span(lambda x: x == 0), "weights": w}
 
 
 def verify_obstruction(g: LieAlgebra, u: Subspace,

@@ -17,8 +17,9 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Optional, Sequence
 
-from .gfp import (MAX_DIM, FieldMatrix, Subspace, _combine, _eliminate,
-                  _rref_rows, check_modulus, inv_mod, kernel, rref, solve_linear)
+from .gfp import (MAX_DIM, Echelon, FieldMatrix, Subspace, _combine,
+                  _eliminate, _rref_rows, check_modulus, inv_mod, kernel, rref,
+                  solve_linear, trace_gram)
 from .rootdata import RootDatum, build_rootdatum, parabolic_roots
 
 # ---------------------------------------------------------------------------
@@ -296,19 +297,13 @@ class LieAlgebra:
 
     def killing_gram(self) -> FieldMatrix:
         if "gram" not in self._memo:
-            # tr(xy) = sum x_ij y_ji: the entrywise product with y transposed
             ads = [self.ad_matrix_vec(self.unit(i)) for i in range(self.dim)]
-            rows = [x.entries for x in ads]
-            cols = [y.transpose().entries for y in ads]
-            entries = [sum(a * b for a, b in zip(x, y))
-                       for x in rows for y in cols]
-            self._memo["gram"] = FieldMatrix(self.dim, self.dim, self.p, entries)
+            self._memo["gram"] = trace_gram(ads, self.p)
         return self._memo["gram"]
 
     def killing_form(self, x: "Element", y: "Element") -> int:
-        g = self.killing_gram().entries
-        return sum(a * g[i * self.dim + j] * b for i, a in enumerate(x.coords)
-                   for j, b in enumerate(y.coords)) % self.p
+        return sum(a * b for a, b in zip(
+            x.coords, self.killing_gram().matvec(y.coords))) % self.p
 
     def killing_nondegenerate(self) -> bool:
         return rref(self.killing_gram())[1] == self.dim
@@ -318,11 +313,9 @@ class LieAlgebra:
 
     def orthogonal(self, s: Subspace) -> Subspace:
         """Orthogonal complement w.r.t. the Killing form."""
-        g = self.killing_gram()
-        rows = [g.row(i) for i in range(self.dim)]
-        forms = [_combine(v, rows, self.dim, self.p) for v in s.basis]
-        return solve_linear(self.full_space(), lambda x: [
-            sum(a * b for a, b in zip(f, x)) % self.p for f in forms])
+        forms = FieldMatrix(s.dim, self.dim, self.p, [
+            x for v in s.basis for x in v]) @ self.killing_gram()
+        return solve_linear(self.full_space(), forms.matvec)
 
     # -- the subalgebra calculus -------------------------------------------
 
@@ -346,12 +339,16 @@ class LieAlgebra:
         return Subspace.from_vectors(vecs, self.dim, self.p)
 
     def subalgebra_closure(self, gens: Sequence["Element"]) -> Subspace:
-        span = Subspace.from_vectors([g.coords for g in gens], self.dim, self.p)
-        while True:
-            grown = span.sum(self.bracket_spaces(span, span))
-            if grown.dim == span.dim:
-                return span
-            span = grown
+        """The subalgebra generated by gens; a vector that enlarges the span
+        is bracketed once with each one found before it."""
+        span, basis = Echelon(self.dim, self.p), []
+        todo = [list(g.coords) for g in gens]
+        while todo:
+            w = todo.pop()
+            if span.add(w):
+                todo.extend(self.bracket_vec(b, w) for b in basis)
+                basis.append(w)
+        return Subspace(self.dim, self.p, span.rows(self.dim))
 
     def is_subalgebra(self, u: Subspace) -> bool:
         """Whether [a, b] lies in u for basis vectors a < b, to the first miss."""
@@ -360,17 +357,17 @@ class LieAlgebra:
                    for i, a in enumerate(basis) for b in basis[i + 1:])
 
     def derived_series(self, u: Subspace) -> list:
-        series = [u]
-        while series[-1].dim:
-            series.append(self.bracket_spaces(series[-1], series[-1]))
-            if series[-1].dim == series[-2].dim:
-                break
-        return series
+        return self._series(u, lambda t: self.bracket_spaces(t, t))
 
     def lower_central_series(self, u: Subspace) -> list:
+        return self._series(u, lambda t: self.bracket_spaces(u, t))
+
+    @staticmethod
+    def _series(u: Subspace, step) -> list:
+        """u, step(u), ... to 0 or to the first term that does not shrink."""
         series = [u]
         while series[-1].dim:
-            series.append(self.bracket_spaces(u, series[-1]))
+            series.append(step(series[-1]))
             if series[-1].dim == series[-2].dim:
                 break
         return series
@@ -384,19 +381,16 @@ class LieAlgebra:
     def spin_submodule(self, v, h: Optional[Subspace] = None) -> Subspace:
         """Smallest subspace containing v and stable under ad(x) for every
         x in h (default: the whole algebra): the h-ideal closure of the
-        line through v."""
+        line through v.  A vector that enlarges the span is bracketed once
+        with each basis vector of h (or each unit)."""
         gens = ([self.unit(i) for i in range(self.dim)] if h is None
                 else [list(x) for x in h.basis])
-        span = Subspace.from_vectors([v], self.dim, self.p)
-        while True:
-            vecs = list(span.basis)
-            for x in gens:
-                for b in span.basis:
-                    vecs.append(self.bracket_vec(x, list(b)))
-            grown = Subspace.from_vectors(vecs, self.dim, self.p)
-            if grown.dim == span.dim:
-                return span
-            span = grown
+        span, todo = Echelon(self.dim, self.p), [list(v)]
+        while todo:
+            w = todo.pop()
+            if span.add(w):
+                todo.extend(self.bracket_vec(x, w) for x in gens)
+        return Subspace(self.dim, self.p, span.rows(self.dim))
 
     def largest_ideal_inside(self, h: Subspace, v: Subspace) -> Subspace:
         """Largest h-ideal contained in v (v must sit inside h): the fixed
@@ -464,12 +458,10 @@ class LieAlgebra:
         of ad(x) as operators on the algebra."""
         e = self.exp_trunc(x)
         eneg = self.exp_trunc(self.element([(-c) % self.p for c in x.coords]))
-        cols = []
-        for i in range(self.dim):
-            conj = e @ self.realization.mats[i] @ eneg
-            cols.append(self.coordinates_of_matrix(conj))
-        flat = [cols[j][i] for i in range(self.dim) for j in range(self.dim)]
-        conj_op = FieldMatrix(self.dim, self.dim, self.p, flat)
+        # column i holds the coordinates of e b_i e^-1
+        conj_op = FieldMatrix.from_rows([self.coordinates_of_matrix(e @ m @ eneg)
+                                         for m in self.realization.mats],
+                                        self.p).transpose()
         ad_op = exp_trunc_matrix(self.ad_matrix_vec(x.coords), self.p)
         return conj_op == ad_op
 
@@ -774,9 +766,8 @@ def weyl_matrices(g: LieAlgebra) -> list:
         n = g.frame.rootdatum.rank
         for perm in permutations(range(n)):
             for flips in range(1 << n):
-                entries = [0] * (2 * n) ** 2
                 N = 2 * n
-                ok = True
+                entries = [0] * N * N
                 for i, pi in enumerate(perm):
                     if flips >> i & 1:
                         entries[(n + pi) * N + i] = 1
@@ -795,8 +786,5 @@ def conjugate_subspace(g: LieAlgebra, w: FieldMatrix, s: Subspace,
     matrix (must normalize the algebra, e.g. a Weyl representative); winv,
     when the caller has it, is w's inverse."""
     winv = w.inverse() if winv is None else winv
-    vecs = []
-    for v in s.basis:
-        m = g.matrix_of(list(v))
-        vecs.append(g.coordinates_of_matrix(w @ m @ winv))
-    return g.subspace(vecs)
+    return g.subspace([g.coordinates_of_matrix(w @ g.matrix_of(list(v)) @ winv)
+                       for v in s.basis])

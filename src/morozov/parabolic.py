@@ -36,12 +36,12 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional
 
-from .gfp import (FieldMatrix, Subspace, _combine, image_flag, inv_mod, rref,
-                  solve_linear)
+from .gfp import (Echelon, FieldMatrix, Subspace, _combine, image_flag,
+                  inv_mod, kernel, rref, solve_linear, trace_gram)
 from .liealg import (LieAlgebra, conjugate_subspace, coordinate_split,
                      standard_borel, standard_parabolic, weyl_matrices)
 from .radicals import SubView
-from .rootdata import is_closed
+from .rootdata import is_closed, simple_subsets
 
 
 @dataclass
@@ -81,55 +81,36 @@ def iso_invariants(g: LieAlgebra, q: Subspace) -> tuple:
     )
 
 
-def _trace_gram(g: LieAlgebra) -> list:
-    """Rows of tr(L_i L_j) over g's basis, L the linear lift; memoised."""
-    if "trace-gram" not in g._memo:
-        n, p = g.realization.n, g.p
-        lifts = [g.linear_lift(g.unit(i)).entries for i in range(g.dim)]
-        # tr(xy) = sum x_ab y_ba: pair each entry of x with y's transposed index
-        swapped = [[((k % n) * n + k // n, x) for k, x in enumerate(m) if x]
-                   for m in lifts]
-        g._memo["trace-gram"] = [[sum(x * y[k] for k, x in s) % p for y in lifts]
-                                 for s in swapped]
-    return g._memo["trace-gram"]
-
-
 def _nil_maps(g: LieAlgebra, q: Subspace) -> list:
     """The matrices of N = [q, q n q^perp] on the natural module, as maps;
-    q^perp is taken under the trace form.  I = q n q^perp and N = [q, I] are
-    computed in g's coordinates from the trace Gram of the linear lifts (on
-    pgl with p not dividing n the trace-0 lift, the one representative of a
-    class in [gl, gl]).  On pgl with p | n a class fixes no matrix, so there
-    q is taken with the scalars and N by commutators of representatives."""
+    q^perp is taken under the trace form.  I = q n q^perp is the kernel of
+    the `trace_gram` of the linear lifts of q's basis (on pgl with p not
+    dividing n the trace-0 lift, the one representative of a class in
+    [gl, gl]), and N the lifts of [q, I].  On pgl with p | n a class fixes
+    no matrix: there the Gram is of q's representatives plus the scalars,
+    and N is spanned by their commutators with I."""
     n, p = g.realization.n, g.p
     if g.realization.mod_scalars and n % p == 0:
-        mats = [g.matrix_of(list(v)) for v in q.basis]
-        mats.append(FieldMatrix.identity(n, p))
-        span = Subspace.from_vectors([m.entries for m in mats], n * n, p)
-        # tr(xy) = sum x_ij y_ji, so the condition on y is x transposed
-        forms = [FieldMatrix(n, n, p, x).transpose().entries for x in span.basis]
-        ideal = [FieldMatrix(n, n, p, y) for y in solve_linear(span, lambda y: [
-            sum(a * b for a, b in zip(f, y)) % p for f in forms]).basis]
-        return [FieldMatrix(n, n, p, x).matvec for x in Subspace.from_vectors(
-            [(x @ y - y @ x).entries for x in mats for y in ideal], n * n, p).basis]
-    forms = FieldMatrix(q.dim, g.dim, p, [x for v in q.basis for x in _combine(
-        v, _trace_gram(g), g.dim, p)])
-    ideal = solve_linear(q, forms.matvec)
+        mats = [g.matrix_of(list(v)) for v in q.basis] + [
+            FieldMatrix.identity(n, p)]
+        entries = [m.entries for m in mats]
+        ideal = [FieldMatrix(n, n, p, _combine(c, entries, n * n, p))
+                 for c in kernel(trace_gram(mats, p)).basis]
+        vecs = [(x @ y - y @ x).entries for x in mats for y in ideal]
+        return [FieldMatrix(n, n, p, x).matvec
+                for x in Subspace.from_vectors(vecs, n * n, p).basis]
+    ideal = [q.combine(c) for c in kernel(trace_gram(
+        [g.linear_lift(list(v)) for v in q.basis], p)).basis]
+    vecs = [g.bracket_vec(list(x), y) for x in q.basis for y in ideal]
     return [g.linear_lift(list(v)).matvec
-            for v in g.bracket_spaces(q, ideal).basis]
+            for v in Subspace.from_vectors(vecs, g.dim, p).basis]
 
 
 def _adapted(steps, n: int, p: int) -> list:
     """A basis running through the increasing subspaces `steps`, each
     step's new vectors taken from its canonical basis."""
-    cols = []
-    adapted = Subspace.zero(n, p)
-    for step in steps:
-        for v in step.basis:
-            if not adapted.contains_vector(v):
-                cols.append(v)
-                adapted = adapted.sum(Subspace.from_vectors([v], n, p))
-    return cols
+    span = Echelon(n, p)
+    return [v for step in steps for v in step.basis if span.add(v)]
 
 
 def _witt_frame(g: LieAlgebra, flag: list) -> Optional[list]:
@@ -308,9 +289,8 @@ def detect_parabolic(g: LieAlgebra, q: Subspace) -> ParabolicVerdict:
     # dimension
     key = ("std-parab-inv", q.dim)
     if key not in g._memo:
-        subsets = [tuple(i for i in range(rd.rank) if mask >> i & 1)
-                   for mask in range(1 << rd.rank)]
-        pars = [(s, standard_parabolic(g, s)["parabolic"]) for s in subsets]
+        pars = [(s, standard_parabolic(g, s)["parabolic"])
+                for s in simple_subsets(rd.rank)]
         g._memo[key] = [(s, iso_invariants(g, par)) for s, par in pars
                         if par.dim == q.dim]
     inv = iso_invariants(g, q)
@@ -331,16 +311,14 @@ def killing_detector(g: LieAlgebra, p_cand: Subspace) -> dict:
         raise ValueError("ambient Killing form is degenerate")
     perp = g.orthogonal(p_cand)
     out: dict = {"perp_dim": perp.dim}
-    out["perp_is_subalgebra"] = g.is_subalgebra(perp)
-    if not out["perp_is_subalgebra"]:
-        out["status"] = "precondition-failed"
-        out["reason"] = "orthogonal is not a subalgebra"
-        return out
-    out["perp_is_nilpotent"] = g.is_nilpotent(perp)
-    if not out["perp_is_nilpotent"]:
-        out["status"] = "precondition-failed"
-        out["reason"] = "orthogonal is not nilpotent"
-        return out
+    for key, test, what in (
+            ("perp_is_subalgebra", g.is_subalgebra, "a subalgebra"),
+            ("perp_is_nilpotent", g.is_nilpotent, "nilpotent")):
+        out[key] = test(perp)
+        if not out[key]:
+            out.update(status="precondition-failed",
+                       reason=f"orthogonal is not {what}")
+            return out
     verdict = detect_parabolic(g, p_cand)
     out["detect_status"] = verdict.status
     out["normalizer_check"] = (g.normalizer(perp) == p_cand)

@@ -317,6 +317,12 @@ def parabolic_roots(rd: RootDatum, chosen) -> tuple:
     return tuple(sorted(subset))
 
 
+def simple_subsets(rank: int) -> list:
+    """Every set of simple-root indices as a sorted tuple, in bit-mask order."""
+    return [tuple(i for i in range(rank) if mask >> i & 1)
+            for mask in range(1 << rank)]
+
+
 def table_rows():
     """All printed table rows with their generic definitional data, for
     the data suite.  Classical rows use representative ranks."""

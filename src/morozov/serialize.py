@@ -16,6 +16,19 @@ from .liealg import LieAlgebra, Realization, build
 SCHEMA_VERSION = 1
 
 
+def is_json_int(x) -> bool:
+    """An integer of a JSON file: an int that is not a bool (true/false)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_int_rows(rows, field: str) -> None:
+    if not isinstance(rows, list):
+        raise ValueError(f"field {field!r} is not a list of rows")
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or not all(map(is_json_int, row)):
+            raise ValueError(f"field {field!r}: row {i} is not a list of integers")
+
+
 def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -44,6 +57,8 @@ def algebra_to_dict(g: LieAlgebra) -> dict:
 
 def algebra_from_dict(data: dict) -> LieAlgebra:
     p = data["p"]
+    if not is_json_int(p):
+        raise ValueError("field 'p' is not an integer")
     fam = data.get("family")
     if fam:
         # the sp stamp records the rank k while build takes the matrix size 2k
@@ -51,12 +66,21 @@ def algebra_from_dict(data: dict) -> LieAlgebra:
         g = build(fam["name"], size, p)
     else:
         real = data["realization"]
+        n = real["n"]
+        if not is_json_int(n):
+            raise ValueError("field 'realization.n' is not an integer")
+        if not isinstance(real["mod_scalars"], bool):
+            raise ValueError("field 'realization.mod_scalars' is not true or false")
+        for i, rows in enumerate(real["mats"]):
+            _check_int_rows(rows, f"realization.mats[{i}]")
+            if [len(row) for row in rows] != [n] * n:
+                raise ValueError(f"field 'realization.mats[{i}]' is not {n} x {n}")
         mats = tuple(FieldMatrix.from_rows(rows, p) for rows in real["mats"])
         g = LieAlgebra(p, data["labels"],
                        Realization(real["n"], mats, real["mod_scalars"]))
     check = algebra_to_dict(g)
     for key in ("p", "dim", "labels", "sc", "realization"):
-        if check[key] != data[key]:
+        if canonical_json(check[key]) != canonical_json(data[key]):  # true is not 1
             raise ValueError(f"algebra file inconsistent at field {key!r}")
     return g
 
@@ -71,13 +95,9 @@ def subspace_from_dict(data: dict, g: LieAlgebra = None) -> Subspace:
     dim = data["ambient_dim"]
     rows = data.get("basis", [])
     for key, value in (("p", p), ("ambient_dim", dim)):
-        if not isinstance(value, int):
+        if not is_json_int(value):
             raise ValueError(f"field {key!r} is not an integer")
-    if not isinstance(rows, list):
-        raise ValueError("field 'basis' is not a list of rows")
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or not all(isinstance(x, int) for x in row):
-            raise ValueError(f"field 'basis': row {i} is not a list of integers")
+    _check_int_rows(rows, "basis")
     if g is not None and (p != g.p or dim != g.dim):
         raise ValueError("subspace does not match the algebra")
     return Subspace.from_vectors(rows, dim, p)

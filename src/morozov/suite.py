@@ -113,9 +113,7 @@ def _tower_sweep() -> list:
     for fam, n, ps in TOWER_CASES:
         for p in ps:
             g = build(fam, n, p)
-            rank = g.frame.rootdatum.rank
-            for mask in range(1 << rank):
-                chosen = tuple(i for i in range(rank) if mask >> i & 1)
+            for chosen in rootdata.simple_subsets(g.frame.rootdatum.rank):
                 data = standard_parabolic(g, chosen)
                 trace = tower.run_tower(g, data["nilradical"])
                 report = tower.verify_morozov(g, trace)
@@ -236,9 +234,7 @@ def criterion_killing(seed: int = 0) -> CheckResult:
         nil = radicals.nilradical(g, b)["nil"]
         if nil != g.orthogonal(b):
             problems.append(f"{tag}: nil(b) != b_perp")
-        rank = g.frame.rootdatum.rank
-        for mask in range(1 << rank):
-            chosen = tuple(i for i in range(rank) if mask >> i & 1)
+        for chosen in rootdata.simple_subsets(g.frame.rootdatum.rank):
             par = standard_parabolic(g, chosen)["parabolic"]
             rep = parabolic.killing_detector(g, par)
             if rep.get("status") != "ok":

@@ -176,6 +176,26 @@ def _not_closed(data):
                                    [[1, 0], [0, 0]]]
 
 
+def _string_mod_scalars(data):
+    del data["family"]
+    data["realization"]["mod_scalars"] = "no"
+
+
+def _a_3x3_matrix(data):
+    del data["family"]
+    data["realization"]["mats"][1] = [[0, 0, 0], [1, 0, 0], [0, 0, 0]]
+
+
+def _a_stamped_boolean_entry(data):
+    # the entry 1 of h written as true: equal in Python, not in JSON
+    data["realization"]["mats"][0][0][0] = True
+
+
+def _a_boolean_entry(data):
+    del data["family"]
+    _a_stamped_boolean_entry(data)
+
+
 def _drop_a_label(data):
     # with no family stamp the matrices are read as given
     del data["family"]
@@ -209,7 +229,40 @@ MALFORMED = {
         ["tower", "run", *SL2, "--subspace"],
         lambda: {"ambient_dim": 3, "p": 5, "basis": [[1, 0, 0], [0, "x", 0]]},
         "field 'basis': row 1 is not a list of integers"),
+    "algebra-with-a-string-mod-scalars": (
+        ["algebra", "build", "--algebra"], _sl2_algebra(_string_mod_scalars),
+        "field 'realization.mod_scalars' is not true or false"),
+    "algebra-with-a-matrix-of-the-wrong-size": (
+        ["algebra", "build", "--algebra"], _sl2_algebra(_a_3x3_matrix),
+        "field 'realization.mats[1]' is not 2 x 2"),
+    "algebra-with-a-boolean-entry": (
+        ["algebra", "build", "--algebra"], _sl2_algebra(_a_boolean_entry),
+        "field 'realization.mats[0]': row 0 is not a list of integers"),
+    "algebra-stamped-with-a-boolean-entry": (
+        ["algebra", "build", "--algebra"],
+        _sl2_algebra(_a_stamped_boolean_entry),
+        "algebra file inconsistent at field 'realization'"),
+    "algebra-with-a-boolean-p": (
+        ["algebra", "build", "--algebra"],
+        _sl2_algebra(lambda data: data.update(p=True)),
+        "field 'p' is not an integer"),
+    "subspace-with-a-boolean-entry": (
+        ["tower", "run", *SL2, "--subspace"],
+        lambda: {"ambient_dim": 3, "p": 5, "basis": [[True, 1, 0]]},
+        "field 'basis': row 0 is not a list of integers"),
+    "subspace-with-a-boolean-dimension": (
+        ["tower", "run", *SL2, "--subspace"],
+        lambda: {"ambient_dim": True, "p": 5, "basis": []},
+        "field 'ambient_dim' is not an integer"),
     "filtration-as-list": (["hn", "check", "--filtration"], lambda: [1, 2], ""),
+    "filtration-with-a-boolean-rank": (
+        ["hn", "check", "--filtration"],
+        lambda: {"factors": [[True, 1], [1, -1]], "zero_index": 0},
+        "field 'factors': factor 0 is not a (rank, degree) pair"),
+    "filtration-with-a-boolean-zero-index": (
+        ["hn", "check", "--filtration"],
+        lambda: {"factors": [[1, 1], [1, -1]], "zero_index": False},
+        "field 'zero_index' is not an integer"),
     "filtration-with-a-bare-factor": (
         ["hn", "check", "--filtration"],
         lambda: {"factors": [[1, 2], 5], "zero_index": 0},

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morozov.gfp import (MAX_DIM, FieldMatrix, Subspace, _combine, _eliminate,
-                         _rref_rows, is_prime, kernel, rref, solve_linear)
+from morozov.gfp import (MAX_DIM, Echelon, FieldMatrix, Subspace, _combine,
+                         _eliminate, _rref_rows, is_prime, kernel, rref,
+                         solve_linear, trace_gram)
 
 
 def naive_row_reduce(rows, cols, p):
@@ -415,3 +416,45 @@ def test_subspace_pivots():
         rows = _messy_rows(rng, 5, 6, 7)
         assert Subspace.from_vectors(rows, 7, 5).pivots == \
             tuple(_rref_rows(rows, 7, 5)[1])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_trace_gram_is_the_trace_of_the_products(n, p):
+    # sparse matrices with zero rows and columns, and a zero matrix
+    rng = random.Random(100 * n + p)
+    mats = [FieldMatrix.zero(n, n, p)]
+    for _ in range(6):
+        dead_rows = set(rng.sample(range(n), rng.randrange(n)))
+        dead_cols = set(rng.sample(range(n), rng.randrange(n)))
+        mats.append(FieldMatrix(n, n, p, [
+            0 if i in dead_rows or j in dead_cols or rng.random() < 0.3
+            else rng.randrange(-p, 2 * p) for i in range(n) for j in range(n)]))
+    gram = trace_gram(mats, p)
+    assert (gram.rows, gram.cols) == (len(mats), len(mats))
+    assert list(gram.entries) == [(a @ b).trace() for a in mats for b in mats]
+    assert trace_gram([], p) == FieldMatrix.zero(0, 0, p)
+
+
+def _rank(rows, cols, p):
+    return naive_row_reduce(rows, cols, p)[1] if rows else 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13])
+def test_echelon_add_is_false_exactly_on_dependent_rows(p):
+    rng = random.Random(20 * p)
+    for _ in range(30):
+        cols = rng.randrange(1, 9)
+        rows = _messy_rows(rng, p, rng.randrange(1, 12), cols)
+        span = Echelon(cols, p)
+        for k, row in enumerate(rows):
+            grows = _rank(rows[:k + 1], cols, p) > _rank(rows[:k], cols, p)
+            assert span.add(row) is grows
+            assert tuple(span.rows(cols)) == \
+                Subspace.from_vectors(rows[:k + 1], cols, p).basis
+        # extend counts the rows it keeps, and a row of the span adds nothing
+        again = Echelon(cols, p)
+        assert again.extend(rows) == _rank(rows, cols, p)
+        assert again.rows(cols) == span.rows(cols)
+        assert not span.add(_combine([rng.randrange(p) for _ in rows], rows,
+                                     cols, p))

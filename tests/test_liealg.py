@@ -265,6 +265,57 @@ def test_centralizer_and_center():
     assert sl3.center().dim == 1  # scalars lie in sl_3 when p | n
 
 
+def _spin_by_rounds(g, v, h=None):
+    """The round loop the worklist replaced: bracket the whole span with
+    every generator until a round adds nothing."""
+    gens = ([g.unit(i) for i in range(g.dim)] if h is None
+            else [list(x) for x in h.basis])
+    span = Subspace.from_vectors([v], g.dim, g.p)
+    while True:
+        grown = Subspace.from_vectors(
+            list(span.basis) + [g.bracket_vec(x, list(b)) for x in gens
+                                for b in span.basis], g.dim, g.p)
+        if grown.dim == span.dim:
+            return span
+        span = grown
+
+
+def _closure_by_rounds(g, gens):
+    """The round loop the worklist replaced: add [span, span] until a round
+    adds nothing."""
+    span = Subspace.from_vectors([x.coords for x in gens], g.dim, g.p)
+    while True:
+        grown = span.sum(g.bracket_spaces(span, span))
+        if grown.dim == span.dim:
+            return span
+        span = grown
+
+
+@pytest.mark.parametrize("alg", [("sl", 3, 5), ("sp", 4, 3), ("so", 5, 5),
+                                 ("pgl", 3, 3)],
+                         ids=lambda alg: "{}{}@{}".format(*alg))
+def test_worklists_match_the_round_loops(alg):
+    g = build(*alg)
+    rng = random.Random(str(alg))
+
+    def draw(support):
+        return [rng.randrange(g.p) if i in support else 0
+                for i in range(g.dim)]
+
+    for _ in range(12):
+        support = rng.sample(range(g.dim), rng.choice([1, 2, 3, g.dim]))
+        gens = [g.element(draw(rng.sample(range(g.dim), rng.choice([1, 2]))))
+                for _ in range(rng.randrange(1, 4))]
+        assert g.subalgebra_closure(gens) == _closure_by_rounds(g, gens)
+        h = _closure_by_rounds(g, [g.element(draw(rng.sample(
+            range(g.dim), 2)))])
+        for space in (None, h, standard_borel(g)["parabolic"]):
+            v = draw(support)
+            assert g.spin_submodule(v, space) == _spin_by_rounds(g, v, space)
+    assert g.subalgebra_closure([]) == g.subspace([])
+    assert g.spin_submodule([0] * g.dim) == g.subspace([])
+
+
 def test_closure_examples():
     g = build("sl", 2, 5)
     e, f = g.element_by_label("e12"), g.element_by_label("f12")

@@ -1,8 +1,9 @@
 """Byte-identity of engine output: the SHA-1 of the canonical JSON of
 every built algebra, of a few payloads and of the payloads of every
-seed-0 benchmark case, pinned so that a change to the construction or to
-the calculus underneath (the bracket, ad, the linear algebra) that alters
-any matrix, structure constant, verdict, witness or basis shows here."""
+benchmark case at seeds 0, 1 and 2, pinned so that a change to the
+construction or to the calculus underneath (the bracket, ad, the linear
+algebra) that alters any matrix, structure constant, verdict, witness or
+basis shows here."""
 
 import hashlib
 import importlib.util
@@ -171,21 +172,30 @@ def _workloads():
     return module
 
 
-# SHA-1 of the payload text of every seed-0 case of a benchmark workload,
-# each followed by a newline, in case order
+# SHA-1 of the payload text of every case of a benchmark workload at a
+# seed, each followed by a newline, in case order
 WORKLOAD_PINS = {
-    "tower-std": "7a88d6f350cb38d019c163527ac683ce9a0116df",
-    "tower-seeded": "09351511cd7b22e8fd668a16246f947282350aae",
-    "detect-general": "e6902a76b12c4e7504c9322aab2a705d45c3fabe",
-    "kempf-opt": "4be5bd8979d1f1b81e3117300dfe8e0724cfb2bc",
+    ("tower-std", 0): "7a88d6f350cb38d019c163527ac683ce9a0116df",
+    ("tower-std", 1): "c36dd60788af4f163263b151852c2004158bce97",
+    ("tower-std", 2): "26705ee1ed1fdd47439109468aac030aab1534a7",
+    ("tower-seeded", 0): "09351511cd7b22e8fd668a16246f947282350aae",
+    ("tower-seeded", 1): "ac88ffa9f59aae158e36d7f8bda856ce8054960e",
+    ("tower-seeded", 2): "e643c1c729f26cf0729ef5395d7f9b94417a1868",
+    ("detect-general", 0): "e6902a76b12c4e7504c9322aab2a705d45c3fabe",
+    ("detect-general", 1): "fd03df73e1a66f108a58567911591ae36273969e",
+    ("detect-general", 2): "647b580764aabecff5b86b58237ee7ba4a04b3f8",
+    ("kempf-opt", 0): "4be5bd8979d1f1b81e3117300dfe8e0724cfb2bc",
+    ("kempf-opt", 1): "813effa7fdd2e3eb3afc6bb49da5d26b9622282c",
+    ("kempf-opt", 2): "7637cbe6c5372323d8d8a314e38001739ed1f13d",
 }
 
 
-@pytest.mark.parametrize("workload", list(WORKLOAD_PINS))
-def test_benchmark_payloads_at_seed_0(workload):
+@pytest.mark.parametrize("workload,seed", list(WORKLOAD_PINS),
+                         ids=[f"{w}@{seed}" for w, seed in WORKLOAD_PINS])
+def test_benchmark_payloads(workload, seed):
     workloads = _workloads()
     digest = hashlib.sha1()
-    for case in workloads.generate(workload, 0):
-        text, _ = workloads.run_case(workload, case, 0)
+    for case in workloads.generate(workload, seed):
+        text, _ = workloads.run_case(workload, case, seed)
         digest.update(text.encode() + b"\n")
-    assert digest.hexdigest() == WORKLOAD_PINS[workload]
+    assert digest.hexdigest() == WORKLOAD_PINS[workload, seed]
