@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import fixtures as fixtures_mod
@@ -39,6 +40,15 @@ def _load_json(path: str) -> dict:
                          f"column {exc.colno}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+@contextmanager
+def _writing(path):
+    """An output path that cannot be written is an input error."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _load_with(path: str, loader):
@@ -85,7 +95,8 @@ def cmd_algebra_build(args) -> int:
     payload = algebra_to_dict(g)
     out = canonical_json({"schema": 1, "seed": args.seed, **payload})
     if args.out:
-        Path(args.out).write_text(out)
+        with _writing(args.out):
+            Path(args.out).write_text(out)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(out)
@@ -205,10 +216,10 @@ def cmd_hn_check(args) -> int:
 
 def cmd_fixtures_paper(args) -> int:
     payload = fixtures_mod.fixture_payload()
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / "bad_prime_fixtures.json"
-    path.write_text(canonical_json(payload))
+    path = Path(args.out) / "bad_prime_fixtures.json"
+    with _writing(path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(canonical_json(payload))
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -3,12 +3,12 @@ reduced row echelon form, and `solve_linear`, the one solver for "the
 subspace on which a linear condition vanishes".
 
 Each piece lives here once.  `Echelon`, a span grown row by row in RREF,
-is the one home of span growth: `rref`, `kernel`, `Subspace`, the
-envelope's word basis, the flag frame's adapted basis and the worklists of
-`LieAlgebra.spin_submodule` and `subalgebra_closure`.  `trace_gram` is the
-one home of the trace form tr(XY): the Killing form, the envelope's trace
-radical and q n q^perp of the flag frame.  `_eliminate` (reduce a vector
-against echelon rows) and `_combine` (sum c * row) serve the rest.
+is the one home of span growth and of reduction against a span: `rref`,
+`kernel`, `Subspace`, `LieAlgebra`'s coordinates, the envelope, the flag
+frame's adapted basis and the worklists of `LieAlgebra.spin_submodule`
+and `subalgebra_closure`.  `trace_gram` is the one home of the trace form
+tr(XY): the Killing form, the envelope's trace radical and q n q^perp of
+the flag frame.  `_combine` (sum c * row) serves the rest.
 
 All but a growing `Echelon` is immutable after construction, and every
 operation is pure.  Field elements are plain ints reduced into [0, p).
@@ -16,7 +16,7 @@ operation is pure.  Field elements are plain ints reduced into [0, p).
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations_with_replacement, product
 from typing import Iterable, Sequence
 
 MAX_PRIME = 13
@@ -222,33 +222,42 @@ class Echelon:
         """Keep each row reduced against the kept rows, normalised and
         cleared from them at its pivot, unless it is 0 in the first `cols`
         columns; returns how many rows were kept."""
-        p, cols, kept = self.p, self.cols, self.kept
-        before = len(kept)
-        for row in rows:
-            v = [x % p for x in row]
-            for c, r in kept.items():
-                f = v[c]
-                if f:
-                    for j, y in r.items():
-                        v[j] = (v[j] - f * y) % p
-            for lead in range(cols):
-                if v[lead]:
-                    break
-            else:
-                continue
-            inv = inv_mod(v[lead], p)
-            new = {j: x * inv % p for j, x in enumerate(v) if x}
-            for r in kept.values():
-                f = r.get(lead)
-                if f:
-                    for j, y in new.items():
-                        r[j] = (r.get(j, 0) - f * y) % p
-            kept[lead] = new
-        return len(kept) - before
+        return sum(self._keep(self.reduce(row)) for row in rows)
+
+    def reduce(self, row: Sequence[int]) -> list:
+        """The row minus its combination of the kept rows, 0 at every
+        pivot: each kept row is 0 at the other pivots."""
+        p = self.p
+        v = [x % p for x in row]
+        for c, r in self.kept.items():
+            f = v[c]
+            if f:
+                for j, y in r.items():
+                    v[j] = (v[j] - f * y) % p
+        return v
+
+    def _keep(self, v: list) -> bool:
+        """Keep v, already reduced, unless it is 0 in the first `cols`
+        columns; returns whether it was kept."""
+        p, kept = self.p, self.kept
+        for lead in range(self.cols):
+            if v[lead]:
+                break
+        else:
+            return False
+        inv = inv_mod(v[lead], p)
+        new = {j: x * inv % p for j, x in enumerate(v) if x}
+        for r in kept.values():
+            f = r.get(lead)
+            if f:
+                for j, y in new.items():
+                    r[j] = (r.get(j, 0) - f * y) % p
+        kept[lead] = new
+        return True
 
     def add(self, row: Sequence[int]) -> bool:
         """Whether the row enlarged the span, which now contains it."""
-        return self.extend((row,)) == 1
+        return self._keep(self.reduce(row))
 
     def rows(self, width: int) -> list:
         """The kept rows in pivot order, as tuples of length `width`."""
@@ -263,22 +272,6 @@ def _rref_rows(rows: list, cols: int, p: int) -> tuple:
     span = Echelon(cols, p)
     span.extend(rows)
     return span.rows(len(rows[0]) if rows else 0), sorted(span.kept)
-
-
-def _eliminate(v: Sequence[int], rows: Sequence, pivots: Sequence[int],
-               p: int) -> tuple:
-    """(coefficients, residual) with v = sum c * row + residual, reducing v
-    against the rows in order; row i is 1 at pivots[i].  The residual is 0
-    at every pivot whenever each row is 0 at the pivots of the rows before
-    it: an RREF, or an echelon grown one reduced row at a time."""
-    v = [x % p for x in v]
-    coeffs = []
-    for c, row in zip(pivots, rows):
-        f = v[c]
-        coeffs.append(f)
-        if f:
-            v = [(x - f * y) % p for x, y in zip(v, row)]
-    return coeffs, v
 
 
 def _combine(coeffs: Sequence[int], rows: Iterable, width: int, p: int) -> list:
@@ -300,26 +293,25 @@ def rref(m: FieldMatrix) -> tuple:
 
 
 def kernel(m: FieldMatrix) -> "Subspace":
-    """Right kernel {v : m v = 0} as a canonical subspace of GF(p)^cols."""
-    reduced, pivots = _rref_rows(m.to_rows(), m.cols, m.p)
-    p = m.p
-    free = [c for c in range(m.cols) if c not in pivots]
-    basis = []
-    for c in free:
-        v = [0] * m.cols
-        v[c] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-reduced[r][c]) % p
-        basis.append(v)
-    return Subspace.from_vectors(basis, m.cols, p)
+    """Right kernel {v : m v = 0} as a canonical subspace of GF(p)^cols.
+    Column j of m, then e_j, is reduced against the `Echelon` of the
+    columns kept so far; one that reduces to 0 in its first m.rows entries
+    leaves its tail, a kernel vector with 1 at j and 0 past it."""
+    p, rows, cols = m.p, m.rows, m.cols
+    span, basis, zeros = Echelon(rows, p), [], (0,) * cols
+    for j in range(cols):
+        v = span.reduce(m.entries[j::cols] + zeros[:j] + (1,) + zeros[j + 1:])
+        if not span._keep(v):
+            basis.append(v[rows:])
+    return Subspace.from_vectors(basis, cols, p)
 
 
 class Subspace:
-    """Subspace of GF(p)^n held in canonical RREF; the basis tuple is the
-    equality certificate, and `pivots` holds the leading column of each
-    basis row."""
+    """Subspace of GF(p)^n held in canonical RREF, as an `Echelon` built
+    once and never extended; the basis tuple is the equality certificate,
+    and `pivots` holds the leading column of each basis row."""
 
-    __slots__ = ("ambient_dim", "p", "basis", "pivots")
+    __slots__ = ("ambient_dim", "p", "basis", "pivots", "_span")
 
     def __init__(self, ambient_dim: int, p: int, basis: Sequence[Sequence[int]]):
         check_modulus(p)
@@ -327,10 +319,10 @@ class Subspace:
             raise ValueError("ambient dimension out of supported range")
         self.ambient_dim = ambient_dim
         self.p = p
-        self.basis = tuple(tuple(x % p for x in row) for row in basis)
-        # the first nonzero entry of a row occurs first at its pivot
-        self.pivots = tuple([row.index(next(filter(None, row)))
-                             for row in self.basis])
+        self._span = Echelon(ambient_dim, p)
+        self._span.extend(basis)
+        self.basis = tuple(self._span.rows(ambient_dim))
+        self.pivots = tuple(sorted(self._span.kept))
 
     @classmethod
     def from_vectors(cls, vectors: Iterable[Sequence[int]], ambient_dim: int, p: int) -> "Subspace":
@@ -338,7 +330,7 @@ class Subspace:
         for v in vecs:
             if len(v) != ambient_dim:
                 raise ValueError("vector length mismatch")
-        return cls(ambient_dim, p, _rref_rows(vecs, ambient_dim, p)[0])
+        return cls(ambient_dim, p, vecs)
 
     @classmethod
     def zero(cls, ambient_dim: int, p: int) -> "Subspace":
@@ -375,7 +367,7 @@ class Subspace:
 
     def reduce_vector(self, v: Sequence[int]) -> list:
         """Residual of v after elimination against the canonical basis."""
-        return _eliminate(v, self.basis, self.pivots, self.p)[1]
+        return self._span.reduce(v)
 
     def contains_vector(self, v: Sequence[int]) -> bool:
         return not any(self.reduce_vector(v))
@@ -385,9 +377,10 @@ class Subspace:
         return all(self.contains_vector(row) for row in other.basis)
 
     def coordinates_of(self, v: Sequence[int]) -> list | None:
-        """Coefficients of v in the canonical basis, or None if outside."""
-        coeffs, residual = _eliminate(v, self.basis, self.pivots, self.p)
-        return None if any(residual) else coeffs
+        """Coefficients of v in the canonical basis, its entries at the
+        pivots, or None if outside."""
+        inside = not any(self._span.reduce(v))
+        return [v[c] % self.p for c in self.pivots] if inside else None
 
     def combine(self, coeffs: Sequence[int]) -> list:
         """The vector with these coefficients in the canonical basis."""
@@ -443,8 +436,14 @@ def trace_gram(mats: Sequence[FieldMatrix], p: int) -> FieldMatrix:
     with the entry of y at the transposed index."""
     swapped = [[((k % m.rows) * m.rows + k // m.rows, x)
                 for k, x in enumerate(m.entries) if x] for m in mats]
-    return FieldMatrix(len(mats), len(mats), p, [
-        sum(x * m.entries[k] for k, x in s) for s in swapped for m in mats])
+    d = len(mats)
+    gram = [0] * (d * d)
+    # tr(xy) = tr(yx): the entries with i <= j, mirrored
+    for i, j in combinations_with_replacement(range(d), 2):
+        y = mats[j].entries
+        gram[i * d + j] = gram[j * d + i] = sum(
+            x * y[k] for k, x in swapped[i])
+    return FieldMatrix(d, d, p, gram)
 
 
 def envelope_radical(mats: Sequence[FieldMatrix]):
@@ -475,14 +474,15 @@ def envelope_radical(mats: Sequence[FieldMatrix]):
             words.append(w)
             queue.extend(m @ w for m in mats)
     entries = [w.entries for w in words]
-    rows, pivots = _rref_rows([_combine(c, entries, n * n, p) for c in
-                               kernel(trace_gram(words, p)).basis], n * n, p)
-    if image_flag(Subspace.full(n, p), [FieldMatrix(n, n, p, row).matvec
-                                        for row in rows]) is None:
+    radical = Echelon(n * n, p)
+    radical.extend(_combine(c, entries, n * n, p)
+                   for c in kernel(trace_gram(words, p)).basis)
+    maps = [FieldMatrix(n, n, p, row).matvec for row in radical.rows(n * n)]
+    if image_flag(Subspace.full(n, p), maps) is None:
         return None
 
     def residue(m):
-        return _eliminate(m.entries, rows, pivots, p)[1]
+        return radical.reduce(m.entries)
 
     if any(any(residue(a @ b - b @ a))
            for i, a in enumerate(mats) for b in mats[:i]):

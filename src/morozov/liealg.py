@@ -18,8 +18,8 @@ from itertools import permutations
 from typing import Optional, Sequence
 
 from .gfp import (MAX_DIM, Echelon, FieldMatrix, Subspace, _combine,
-                  _eliminate, _rref_rows, check_modulus, inv_mod, kernel, rref,
-                  solve_linear, trace_gram)
+                  check_modulus, inv_mod, kernel, rref, solve_linear,
+                  trace_gram)
 from .rootdata import RootDatum, build_rootdatum, parabolic_roots
 
 # ---------------------------------------------------------------------------
@@ -125,26 +125,24 @@ class LieAlgebra:
         return list(m.entries)
 
     def _build_coordinatizer(self):
-        # row-reduce the basis matrix once, remembering the operations via
-        # an augmented identity block
+        # one echelon of the rows [vec(M_i) | e_i]: each kept row carries
+        # the combination of the basis matrices it stands for
         n2 = self.realization.n ** 2
-        aug = [self._vectorize(m) + self.unit(i)
-               for i, m in enumerate(self.realization.mats)]
-        reduced, pivots = _rref_rows(aug, n2, self.p)
-        if len(pivots) != self.dim:
+        self._coordinatizer = Echelon(n2, self.p)
+        if self._coordinatizer.extend(
+                self._vectorize(m) + self.unit(i)
+                for i, m in enumerate(self.realization.mats)) != self.dim:
             raise ValueError("realization matrices are linearly dependent")
-        self._pivots = pivots
-        self._reduced_rows = [row[:n2] for row in reduced]
-        self._transform = [row[n2:] for row in reduced]
 
     def coordinates_of_matrix(self, m: FieldMatrix) -> list:
         """Coordinates of a realizing matrix in the basis; raises if the
-        (canonicalized) matrix is outside the span."""
-        coeffs, residual = _eliminate(self._vectorize(m), self._reduced_rows,
-                                      self._pivots, self.p)
-        if any(residual):
+        (canonicalized) matrix is outside the span.  [vec(M) | 0] reduces
+        to [0 | -x] exactly when M = sum x_i M_i."""
+        n2 = self.realization.n ** 2
+        v = self._coordinatizer.reduce(self._vectorize(m) + [0] * self.dim)
+        if any(v[:n2]):
             raise ValueError("matrix not in the span of the basis")
-        return _combine(coeffs, self._transform, self.dim, self.p)
+        return [-x % self.p for x in v[n2:]]
 
     def matrix_of(self, coords: Sequence[int]) -> FieldMatrix:
         n = self.realization.n

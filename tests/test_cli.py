@@ -302,6 +302,45 @@ def test_unreadable_input_file_is_an_input_error(kind, argv, tmp_path, capsys):
     assert out == "" and err.startswith(f"input error: cannot read {path}: ")
 
 
+def _a_file(path):
+    path.write_text("")
+    return path
+
+
+def _a_directory(path):
+    path.mkdir(parents=True)
+    return path
+
+
+# name -> (argv before the path, the --out path made under tmp_path)
+BUILD_OUT = ["algebra", "build", *SL3, "--out"]
+FIXTURES_OUT = ["fixtures", "paper", "--out"]
+UNWRITABLE = {
+    "algebra-in-a-missing-directory": (
+        BUILD_OUT, lambda tmp: tmp / "no" / "g.json"),
+    "algebra-onto-a-directory": (
+        BUILD_OUT, lambda tmp: _a_directory(tmp / "g.json")),
+    "fixtures-onto-a-file": (
+        FIXTURES_OUT, lambda tmp: _a_file(tmp / "out")),
+    "fixtures-under-a-file": (
+        FIXTURES_OUT, lambda tmp: _a_file(tmp / "f") / "out"),
+    "fixtures-onto-a-directory": (
+        FIXTURES_OUT, lambda tmp: _a_directory(
+            tmp / "out" / "bad_prime_fixtures.json").parent),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNWRITABLE))
+def test_unwritable_output_is_an_input_error(name, tmp_path, capsys):
+    # exit 3 with one line naming the path, as for an unreadable input
+    argv, make = UNWRITABLE[name]
+    out = make(tmp_path)
+    assert main([*argv, str(out)]) == EXIT_INPUT
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.count("\n") == 1
+    assert err.startswith(f"input error: cannot write {out}")
+
+
 @pytest.mark.parametrize("n,p,message", [
     ("0", "5", "gl/sl/pgl supported for 2 <= n <= 8"),
     ("3", "0", "modulus 0 is not prime"),

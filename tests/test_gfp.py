@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morozov.gfp import (MAX_DIM, Echelon, FieldMatrix, Subspace, _combine,
-                         _eliminate, _rref_rows, is_prime, kernel, rref,
-                         solve_linear, trace_gram)
+                         _rref_rows, is_prime, kernel, rref, solve_linear,
+                         trace_gram)
 
 
 def naive_row_reduce(rows, cols, p):
@@ -261,6 +261,18 @@ def _reference_rref(rows, cols, p):
                         for row in pivot_rows]
 
 
+def _reference_kernel(rows, cols, p):
+    """The canonical kernel basis read off the reference echelon form: one
+    vector per free column c, 1 at c and -row[c] at each pivot."""
+    expected, pivots = _reference_rref(rows, cols, p)
+    free = [c for c in range(cols) if c not in pivots]
+    null = [[1 if j == c else 0 for j in range(cols)] for c in free]
+    for v, c in zip(null, free):
+        for row, pc in zip(expected, pivots):
+            v[pc] = -row[c]
+    return tuple(_reference_rref(null, cols, p)[0])
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 13])
 def test_row_reduction_matches_the_reference(p):
     rng = random.Random(p)
@@ -277,13 +289,7 @@ def test_row_reduction_matches_the_reference(p):
         assert r.rows == m.rows and rank == len(pivots)
         assert r.entries == tuple(x for row in expected for x in row) \
             + (0,) * ((m.rows - rank) * cols)
-        # the kernel read off the reference echelon form
-        free = [c for c in range(cols) if c not in pivots]
-        null = [[1 if j == c else 0 for j in range(cols)] for c in free]
-        for v, c in zip(null, free):
-            for row, pc in zip(expected, pivots):
-                v[pc] = -row[c]
-        assert kernel(m).basis == tuple(_reference_rref(null, cols, p)[0])
+        assert kernel(m).basis == _reference_kernel(rows, cols, p)
 
 
 @pytest.mark.parametrize("p", [3, 5, 13])
@@ -316,71 +322,78 @@ def test_augmented_row_reduction_matches_the_reference(p):
                 assert m.inverse().to_rows() == [list(r[n:]) for r in inv_rows]
 
 
-def _grown_echelon(rng, p, count, cols):
-    """(rows, pivots) grown one row at a time, as the envelope certificate
-    grows its echelon: each new row is reduced against the rows before it
-    and scaled to 1 at its first nonzero column, while the earlier rows
-    are left unreduced against it."""
-    rows, pivots = [], []
-    for v in _messy_rows(rng, p, count, cols):
-        v = [x % p for x in v]
-        for c, row in zip(pivots, rows):
-            v = [(x - v[c] * y) % p for x, y in zip(v, row)]
-        lead = next((j for j, x in enumerate(v) if x), None)
-        if lead is not None:
-            inv = pow(v[lead], p - 2, p)
-            rows.append([x * inv % p for x in v])
-            pivots.append(lead)
-    return rows, pivots
-
-
-def _check_elimination(v, rows, pivots, p):
-    coeffs, residual = _eliminate(v, rows, pivots, p)
-    assert len(coeffs) == len(rows)
-    assert all(residual[c] == 0 for c in pivots)
-    total = [sum(c * row[j] for c, row in zip(coeffs, rows)) + residual[j]
-             for j in range(len(v))]
-    assert [x % p for x in total] == [x % p for x in v]
-    return coeffs, residual
-
-
 @pytest.mark.parametrize("p", [2, 3, 5, 13])
-def test_eliminate_on_rref_rows(p):
-    rng = random.Random(f"rref:{p}")
+def test_reduce_against_an_rref(p):
+    rng = random.Random(f"reduce:{p}")
     for _ in range(40):
         cols = rng.randrange(1, 9)
-        rows, pivots = _rref_rows(_messy_rows(rng, p, rng.randrange(6), cols),
-                                  cols, p)
+        rows, pivots = _reference_rref(
+            _messy_rows(rng, p, rng.randrange(6), cols), cols, p)
+        span = Echelon(cols, p)
+        span.extend(rows)
         space = Subspace.from_vectors(rows, cols, p)
         for _ in range(5):
-            inside = [rng.randrange(-p, 2 * p) for _ in rows]
-            v = _combine(inside, rows, cols, p)
-            coeffs, residual = _check_elimination(v, rows, pivots, p)
-            # on an RREF the coefficients are the entries at the pivots
-            assert coeffs == [x % p for x in inside] and not any(residual)
-            w = [rng.randrange(-p, 2 * p) for _ in range(cols)]
-            _, residual = _check_elimination(w, rows, pivots, p)
-            assert (not any(residual)) == space.contains_vector(w)
+            w = [rng.randrange(-2 * p, 3 * p) for _ in range(cols)]
+            residual = span.reduce(w)
+            assert residual == space.reduce_vector(w)
+            assert all(x in range(p) for x in residual)
+            assert all(residual[c] == 0 for c in pivots)
+            # w - residual lies in the span: on an RREF it is the
+            # combination of the rows by w's entries at the pivots
+            part = [(x - y) % p for x, y in zip(w, residual)]
+            assert _rank(rows + [part], cols, p) == len(rows)
+            assert part == _combine([w[c] for c in pivots], rows, cols, p)
+            assert (not any(residual)) == space.contains_vector(w) \
+                == (_rank(rows + [w], cols, p) == len(rows))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 13])
-def test_eliminate_on_a_grown_echelon(p):
-    rng = random.Random(f"grown:{p}")
-    unreduced = 0
+def test_coordinates_are_the_entries_at_the_pivots(p):
+    rng = random.Random(f"coordinates:{p}")
     for _ in range(40):
-        cols = rng.randrange(2, 9)
-        rows, pivots = _grown_echelon(rng, p, rng.randrange(1, 7), cols)
-        unreduced += any(row[c] for k, row in enumerate(rows)
-                         for c in pivots[k + 1:])
-        space = Subspace.from_vectors(rows, cols, p)
+        cols = rng.randrange(1, 9)
+        space = Subspace.from_vectors(
+            _messy_rows(rng, p, rng.randrange(6), cols), cols, p)
+        rows = [list(row) for row in space.basis]
         for _ in range(5):
-            v = _combine([rng.randrange(p) for _ in rows], rows, cols, p)
-            assert not any(_check_elimination(v, rows, pivots, p)[1])
-            w = [rng.randrange(-p, 2 * p) for _ in range(cols)]
-            _, residual = _check_elimination(w, rows, pivots, p)
-            assert (not any(residual)) == space.contains_vector(w)
-    # some row is nonzero at a later pivot, so that the echelon is not an RREF
-    assert unreduced
+            inside = [rng.randrange(-p, 2 * p) for _ in rows]
+            v = [x + p * rng.randrange(-2, 3)
+                 for x in _combine(inside, rows, cols, p)]
+            assert space.coordinates_of(v) == [x % p for x in inside] \
+                == [v[c] % p for c in space.pivots]
+            w = [rng.randrange(-2 * p, 3 * p) for _ in range(cols)]
+            outside = _rank(rows + [w], cols, p) > space.dim
+            assert (space.coordinates_of(w) is None) == outside
+
+
+def _tall_sparse_matrix(rng, p, rows, cols):
+    """A rows x cols matrix, mostly 0, whose nonzero rows repeat a few
+    random rows up to a factor, as a stacked constraint system does."""
+    base = [[rng.randrange(p) if rng.random() < 0.4 else 0
+             for _ in range(cols)] for _ in range(3)]
+    entries = []
+    for _ in range(rows):
+        if rng.random() < 0.8:
+            entries.extend([0] * cols)
+        else:
+            f = rng.randrange(1, p)
+            entries.extend(f * x for x in rng.choice(base))
+    return FieldMatrix(rows, cols, p, entries)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13])
+def test_kernel_of_tall_sparse_matrices_matches_the_reference(p):
+    rng = random.Random(f"kernel:{p}")
+    shapes = [(0, 0), (0, 4), (5, 0), (0, 1), (1, 1)]
+    shapes += [(rng.randrange(20, 200), rng.randrange(1, 10))
+               for _ in range(20)]
+    for rows, cols in shapes:
+        m = _tall_sparse_matrix(rng, p, rows, cols)
+        ker = kernel(m)
+        assert (ker.ambient_dim, ker.p) == (cols, p)
+        assert ker.basis == _reference_kernel(m.to_rows(), cols, p)
+        assert ker.dim == cols - _rank(m.to_rows(), cols, p)
+        assert all(not any(m.matvec(list(v))) for v in ker.basis)
 
 
 def test_combine():

@@ -459,6 +459,41 @@ def test_bracket_and_ad_match_the_matrix_commutator(fam, n, p):
 
 
 @pytest.mark.parametrize("fam,n,p", [
+    (fam, n, p) for fam, n in [("gl", 3), ("sl", 3), ("pgl", 3), ("sp", 4),
+                               ("so", 5), ("so", 6)]
+    for p in (2, 3, 5) if fam != "so" or p > 2])    # so at odd p only
+def test_coordinates_of_matrix_round_trip(fam, n, p):
+    g = build(fam, n, p)
+    rng = random.Random(f"coordinates_of_matrix:{fam}{n}@{p}")
+    for _ in range(30):
+        x = [rng.randrange(-p, 2 * p) for _ in range(g.dim)]
+        m = g.matrix_of(x)
+        assert g.coordinates_of_matrix(m) == [c % p for c in x]
+        if fam == "pgl":
+            # a representative modulo scalars
+            scalar = FieldMatrix.identity(n, p).scale(rng.randrange(p))
+            assert g.coordinates_of_matrix(m + scalar) == [c % p for c in x]
+    # each unit matrix E_ab, taken modulo scalars on pgl, is outside the
+    # span exactly when it raises the rank of the realization matrices
+    vecs = [list(m.entries) for m in g.realization.mats]
+    outside = 0
+    for k in range(n * n):
+        e = FieldMatrix(n, n, p, [int(i == k) for i in range(n * n)])
+        canon = e - FieldMatrix.identity(n, p).scale(e.entries[-1]) \
+            if fam == "pgl" else e
+        if rref(FieldMatrix.from_rows(vecs + [list(canon.entries)], p))[1] \
+                > g.dim:
+            outside += 1
+            with pytest.raises(ValueError, match="not in the span"):
+                g.coordinates_of_matrix(e)
+        else:
+            coords = g.coordinates_of_matrix(e)
+            assert g.matrix_of(coords) == canon
+    # gl and pgl take every matrix; the other families are proper subspaces
+    assert (outside > 0) == (fam not in ("gl", "pgl"))
+
+
+@pytest.mark.parametrize("fam,n,p", [
     ("gl", 3, 5), ("sl", 4, 3), ("pgl", 3, 3), ("pgl", 4, 5), ("sp", 6, 5),
     ("so", 5, 7), ("so", 6, 3)])
 def test_matrix_of_matches_the_dense_combination(fam, n, p):

@@ -1,6 +1,7 @@
 """Checks on the package as shipped: no unused module-level imports in
 the source, every name kept only for the benchmark is still read by it,
-the packaged fixture file matches its generator, no module
+no module outside `gfp` takes a private `gfp` name but `_combine`, the
+packaged fixture file matches its generator, no module
 imports numpy and `pyproject.toml` declares no runtime dependency, and
 `morozov suite run` checks the structure laws with numpy unimportable."""
 
@@ -95,6 +96,29 @@ def test_benchmark_shim_is_defined_and_still_read(module, name):
     # a shim the benchmark no longer reads goes, with its entry here
     assert name.split(".")[-1] in (ROOT / "perfbench" / reader).read_text(), \
         f"perfbench/{reader} no longer reads {name}: delete the shim"
+
+
+def _private_gfp_names(path: Path) -> set:
+    """The names starting with `_` that the file takes from `gfp`, by
+    import or as an attribute of the module."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module in ("gfp",
+                                                               "morozov.gfp"):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) and \
+                isinstance(node.value, ast.Name) and node.value.id == "gfp":
+            names.add(node.attr)
+    return {name for name in names if name.startswith("_")}
+
+
+def test_reduction_stays_inside_gfp():
+    # every reduction against a span is `Echelon.reduce`; outside gfp the
+    # one private name in use is `_combine` (sum c * row)
+    found = [(path.stem, name) for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "gfp.py"
+             for name in sorted(_private_gfp_names(path))]
+    assert [entry for entry in found if entry[1] != "_combine"] == []
 
 
 def test_packaged_fixture_file_matches_its_generator():
