@@ -7,8 +7,10 @@ is the one home of span growth and of reduction against a span: `rref`,
 `kernel`, `Subspace`, `LieAlgebra`'s coordinates, the envelope, the flag
 frame's adapted basis and the worklists of `LieAlgebra.spin_submodule`
 and `subalgebra_closure`.  `trace_gram` is the one home of the trace form
-tr(XY): the Killing form, the envelope's trace radical and q n q^perp of
-the flag frame.  `_combine` (sum c * row) serves the rest.
+tr(XY): the Killing form, the first step of `jacobson_radical` and
+q n q^perp of the flag frame.  `jacobson_radical` is the one J(A), for the
+envelope certificate and the flag frame at p = 2 and on pgl with p | n.
+`_combine` (sum c * row) serves the rest.
 
 All but a growing `Echelon` is immutable after construction, and every
 operation is pure.  Field elements are plain ints reduced into [0, p).
@@ -402,11 +404,12 @@ def solve_linear(space: Subspace, condition) -> Subspace:
     if space.dim == 0:
         return space
     cols = [condition(list(b)) for b in space.basis]
-    height = len(cols[0])
-    if height == 0:
+    if not cols[0]:
         return space
-    ker = kernel(FieldMatrix(height, space.dim, space.p,
-                             [col[t] for t in range(height) for col in cols]))
+    # a condition row that is 0 in every column constrains nothing
+    rows = [row for row in zip(*cols) if any(row)]
+    ker = kernel(FieldMatrix(len(rows), space.dim, space.p,
+                             [x for row in rows for x in row]))
     if space.dim == space.ambient_dim:
         # the canonical basis of the whole space is the identity
         return ker
@@ -446,23 +449,29 @@ def trace_gram(mats: Sequence[FieldMatrix], p: int) -> FieldMatrix:
     return FieldMatrix(d, d, p, gram)
 
 
-def envelope_radical(mats: Sequence[FieldMatrix]):
-    """The residue map modulo J(A), for A the associative algebra generated
-    by 1 and the n x n matrices `mats` (at least one), when A/J(A) is
-    certified commutative; else None.  The map takes an n x n matrix to a
-    vector of GF(p)^(n^2), linearly, and vanishes on A exactly at J(A),
-    which then is the set of nilpotent elements of A.
+def _trace_digit(m: FieldMatrix, i: int) -> int:
+    """g_i(m) = (tr(M^(p^i)) mod p^(i+1)) / p^i, M = m lifted to [0, p)."""
+    p, mod = m.p, m.p ** (i + 1)
+    power = [list(m.row(r)) for r in range(m.rows)]
+    for _ in range(i):      # M^(p^(k+1)) = (M^(p^k))^p, mod p^(i+1)
+        cols = list(zip(*power))
+        for _ in range(p - 1):
+            power = [[sum(x * y for x, y in zip(row, col)) % mod
+                      for col in cols] for row in power]
+    return sum(power[r][r] for r in range(m.rows)) % mod // p ** i
 
-    A is spun from 1: a word that enlarges the `Echelon` of the words so far
-    joins the basis, and its products with the generators are queued.  Its
-    trace radical I = {a in A : tr(ab) = 0 for all b in A}, the kernel of
-    the basis' `trace_gram`, is an ideal containing J(A), whose products
-    with A are nilpotent; so I = J(A) when I is nilpotent, which holds
-    exactly when the images of GF(p)^n under I reach 0.  If the generators
-    also commute modulo I, A/J(A) is commutative and semisimple, a product
-    of fields, with no nonzero nilpotents.  None when dim A passes MAX_DIM,
-    when I is not nilpotent (tr(1) = n puts 1 in I when p | n), or when two
-    generators do not commute modulo I."""
+
+def jacobson_radical(mats: Sequence[FieldMatrix]) -> Echelon | None:
+    """J(A) for the associative algebra A generated by 1 and the n x n
+    matrices `mats` (at least one), as an `Echelon` of entry vectors; None
+    when dim A passes MAX_DIM.  A is spun from 1: a word that enlarges the
+    `Echelon` of the words so far joins the basis, and its products with
+    the generators are queued.  As in Cohen-Ivanyos-Wales (J. Pure Appl.
+    Algebra 117/118, 1997), I_0 is the kernel of the words' `trace_gram`,
+    and I_i = {a in I_(i-1) : g_i(ab) = 0 for every word b}, g_i of
+    `_trace_digit` being linear on I_(i-1): ideals containing J(A), with
+    I_l = J(A) for p^l <= n.  A nilpotent ideal lies in J(A), so the first
+    I_i whose images of GF(p)^n reach 0 is J(A)."""
     n, p = mats[0].rows, mats[0].p
     words, span = [], Echelon(n * n, p)
     queue = [FieldMatrix.identity(n, p)]
@@ -473,18 +482,29 @@ def envelope_radical(mats: Sequence[FieldMatrix]):
                 return None
             words.append(w)
             queue.extend(m @ w for m in mats)
-    entries = [w.entries for w in words]
-    radical = Echelon(n * n, p)
-    radical.extend(_combine(c, entries, n * n, p)
-                   for c in kernel(trace_gram(words, p)).basis)
-    maps = [FieldMatrix(n, n, p, row).matvec for row in radical.rows(n * n)]
-    if image_flag(Subspace.full(n, p), maps) is None:
-        return None
+    gram, ideal, i = trace_gram(words, p), words, 0
+    while True:
+        entries = [a.entries for a in ideal]
+        ideal = [FieldMatrix(n, n, p, _combine(c, entries, n * n, p))
+                 for c in kernel(gram).basis]
+        if image_flag(Subspace.full(n, p),
+                      [a.matvec for a in ideal]) is not None:
+            radical = Echelon(n * n, p)
+            radical.extend(a.entries for a in ideal)
+            return radical
+        i += 1
+        gram = FieldMatrix(len(words), len(ideal), p, [
+            _trace_digit(a @ b, i) for b in words for a in ideal])
 
-    def residue(m):
-        return radical.reduce(m.entries)
 
-    if any(any(residue(a @ b - b @ a))
-           for i, a in enumerate(mats) for b in mats[:i]):
+def envelope_radical(mats: Sequence[FieldMatrix]):
+    """The residue map modulo J(A) (`jacobson_radical`), a linear map from
+    n x n matrices to GF(p)^(n^2) that vanishes on A exactly at J(A), when
+    the generators `mats` commute modulo J(A); else None, as also when
+    dim A passes MAX_DIM.  Then A/J(A) is commutative and semisimple, a
+    product of fields, so J(A) is the set of nilpotent elements of A."""
+    radical = jacobson_radical(mats)
+    if radical is None or any(any(radical.reduce((a @ b - b @ a).entries))
+                              for i, a in enumerate(mats) for b in mats[:i]):
         return None
-    return residue
+    return lambda m: radical.reduce(m.entries)

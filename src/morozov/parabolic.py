@@ -3,31 +3,25 @@
 A "parabolic" verdict always carries a witness (torus, root subset) with
 the subalgebra rebuilt exactly as torus + root spaces over a closed subset
 Phi' with Phi' u -Phi' = Phi.  A subalgebra in standard position is read
-off the standard frame.  Otherwise detection builds a conjugating frame
-from the ideal N = [q, q n q^perp] (trace form): a realization matrix P,
-normalising g, such that P^-1 q P stabilises a standard flag
-(`flag_frame`).  On gl/sl/pgl the columns of P run through the q-stable
-flag V > NV > N^2 V > ... > 0 of the natural module; on sp and so they
-are a Witt basis adapted to that flag closed under orthogonal complements,
-so P^T J P = cJ for the realization's form J.  A frame verdict reports the
+off the standard frame.  Otherwise `flag_frame` reads the flag
+V > NV > N^2 V > ... > 0 of the natural module that every parabolic q
+stabilises, for N = [q, q n q^perp] (trace form) at odd p and the
+Jacobson radical of q's associative envelope at p = 2 and on pgl with
+p | n.  It builds a realization matrix P, normalising g, such that
+P^-1 q P stabilises a standard flag: on gl/sl/pgl its columns run through
+the flag, on sp and so they are a Witt basis adapted to it, so
+P^T J P = cJ for the realization's form J.  A frame verdict reports the
 root subset of P^-1 q P (a standard parabolic), the split torus P t P^-1
 inside q as torus_used, and P as a list of rows with "frame_translate":
-True in details.  Re-conjugating q by P gives the standard parabolic
-exactly, so the verdict is exact however P was found.  No Weyl translate
-of the Borel is searched for: every such translate contains t, and when
-the root differentials on t are pairwise distinct and nonzero (sp at
-p >= 5, for one) a q containing t is t plus root lines, which the
-standard frame already decides.
-A "not-parabolic" verdict at odd p is certified by the frame itself: there
-the flag of N is the one every parabolic stabilises (see flag_frame), so
-when neither q nor P^-1 q P passes the coordinate test, q is not
+True in details; re-conjugating q by P gives the standard parabolic
+exactly.  A "not-parabolic" verdict is certified by the frame itself, at
+every p: when neither q nor P^-1 q P passes the coordinate test, q is not
 parabolic, over the algebraic closure too, since N, its flag and their
-orthogonal complements commute with extension of scalars.  At p = 2, where
-a root can vanish on the torus (sl_2) and no frame is complete, it is
-certified by a battery of extension-stable isomorphism invariants that
-separates the input from every standard parabolic of matching dimension
-(conjugation over the algebraic closure preserves each of them).  Anything
-else is "undetermined" - never a false negative.
+orthogonal complements commute with extension of scalars.  "undetermined"
+is left for an algebra with no torus frame and for an envelope past the
+MAX_DIM word cap (sp10 at p = 2): never a false negative.  The invariant
+battery `iso_invariants` and `contains_borel` are off the detection path;
+the benchmark's tracer still wraps them.
 """
 
 from __future__ import annotations
@@ -36,12 +30,13 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional
 
-from .gfp import (Echelon, FieldMatrix, Subspace, _combine, image_flag,
-                  inv_mod, kernel, rref, solve_linear, trace_gram)
+from .gfp import (MAX_DIM, Echelon, FieldMatrix, Subspace, _combine,
+                  image_flag, inv_mod, jacobson_radical, kernel, rref,
+                  solve_linear, trace_gram)
 from .liealg import (LieAlgebra, conjugate_subspace, coordinate_split,
-                     standard_borel, standard_parabolic, weyl_matrices)
-from .radicals import SubView
-from .rootdata import is_closed, simple_subsets
+                     standard_borel, weyl_matrices)
+from .radicals import SubView, Undetermined
+from .rootdata import is_closed
 
 
 @dataclass
@@ -70,40 +65,27 @@ def iso_invariants(g: LieAlgebra, q: Subspace) -> tuple:
     view = SubView(g, q)
     derived = tuple(s.dim for s in view.derived_series(view.full_space()))
     lcs = tuple(s.dim for s in view.lower_central_series(view.full_space()))
-    return (
-        q.dim,
-        derived,
-        lcs,
-        view.center().dim,
-        rref(view.killing_gram())[1],
-        g.normalizer(q).dim,
-        g.centralizer(q).dim,
-    )
+    return (q.dim, derived, lcs, view.center().dim,
+            rref(view.killing_gram())[1], g.normalizer(q).dim,
+            g.centralizer(q).dim)
 
 
 def _nil_maps(g: LieAlgebra, q: Subspace) -> list:
-    """The matrices of N = [q, q n q^perp] on the natural module, as maps;
-    q^perp is taken under the trace form.  I = q n q^perp is the kernel of
-    the `trace_gram` of the linear lifts of q's basis (on pgl with p not
-    dividing n the trace-0 lift, the one representative of a class in
-    [gl, gl]), and N the lifts of [q, I].  On pgl with p | n a class fixes
-    no matrix: there the Gram is of q's representatives plus the scalars,
-    and N is spanned by their commutators with I."""
-    n, p = g.realization.n, g.p
-    if g.realization.mod_scalars and n % p == 0:
-        mats = [g.matrix_of(list(v)) for v in q.basis] + [
-            FieldMatrix.identity(n, p)]
-        entries = [m.entries for m in mats]
-        ideal = [FieldMatrix(n, n, p, _combine(c, entries, n * n, p))
-                 for c in kernel(trace_gram(mats, p)).basis]
-        vecs = [(x @ y - y @ x).entries for x in mats for y in ideal]
-        return [FieldMatrix(n, n, p, x).matvec
-                for x in Subspace.from_vectors(vecs, n * n, p).basis]
+    """The matrices of N = [q, q n q^perp] on the natural module, as maps:
+    I = q n q^perp, under the trace form, is the kernel of the `trace_gram`
+    of the linear lifts of q's basis (on pgl the trace-0 lift, in
+    [gl, gl]), and N the lifts of [q, I]."""
     ideal = [q.combine(c) for c in kernel(trace_gram(
-        [g.linear_lift(list(v)) for v in q.basis], p)).basis]
+        [g.linear_lift(list(v)) for v in q.basis], g.p)).basis]
     vecs = [g.bracket_vec(list(x), y) for x in q.basis for y in ideal]
     return [g.linear_lift(list(v)).matvec
-            for v in Subspace.from_vectors(vecs, g.dim, p).basis]
+            for v in Subspace.from_vectors(vecs, g.dim, g.p).basis]
+
+
+def _by_jacobson(g: LieAlgebra) -> bool:
+    """At p = 2 and on pgl with p | n the frame reads J(A(q))."""
+    real = g.realization
+    return g.p == 2 or (real.mod_scalars and real.n % g.p == 0)
 
 
 def _adapted(steps, n: int, p: int) -> list:
@@ -122,7 +104,8 @@ def _witt_frame(g: LieAlgebra, flag: list) -> Optional[list]:
     steps, deepest first, each made orthogonal to the partners found so far
     by adding earlier ones, then isotropic vectors of the nondegenerate
     rest; each gets a partner b in the rest with (a, b) = 1, made isotropic
-    by subtracting (b, b) / 2 times a.  On so_(2m+1) an anisotropic z stays
+    by subtracting (b, b) / 2 times a, a term dropped at p = 2, where the
+    form of sp is alternating.  On so_(2m+1) an anisotropic z stays
     in the middle, and the partners are scaled by c = (z, z).  Any Witt
     basis of the rest will do, as a standard parabolic contains all of sp
     or so of its middle block: this is also the plane step of so_2m, whose
@@ -162,7 +145,8 @@ def _witt_frame(g: LieAlgebra, flag: list) -> Optional[list]:
                      if any(v) and not pair(v, v))
         u = next(u for u in rest.basis if pair(a, u))
         t = inv_mod(pair(a, u), p)
-        b = _combine([t, -t * t * pair(u, u) * inv_mod(2, p)], [u, a], n, p)
+        half = 0 if p == 2 else pair(u, u) * inv_mod(2, p)
+        b = _combine([t, -t * t * half], [u, a], n, p)
         low.append(a)
         high.append(b)
         rest = perp([a, b], rest)
@@ -180,24 +164,39 @@ def _witt_frame(g: LieAlgebra, flag: list) -> Optional[list]:
 
 def flag_frame(g: LieAlgebra, q: Subspace) -> Optional[FieldMatrix]:
     """A conjugating frame: a matrix P, normalising g, such that P^-1 q P
-    stabilises a standard flag, read off N = [q, q n q^perp] (`_nil_maps`).
-    For a parabolic q, q n q^perp is the nilradical, plus the scalars for
-    sl_n with p | n; the bracket with q removes the scalars, and [q, u] = u
-    at odd p because every root is nonzero on the torus, so N is the
-    nilradical and V > NV > N^2 V > ... > 0 is the flag q stabilises
-    (Borel-Tits).  On gl/sl/pgl the columns of P run through that flag,
-    deepest step first.  On sp and so the flag is self-dual, and P is a
-    Witt basis adapted to it (`_witt_frame`), which exists over F_p by
-    Witt's theorem, the form being split.  Either way P^-1 q P lies in the
-    standard parabolic of that flag type and has its dimension, so it is
-    that parabolic.  None when N = 0, when the images stall above 0, when
-    the flag closed under complements is not a chain, and on sp at p = 2.
-    So at odd p a failure is a certificate: when this is None, or P^-1 q P
-    is not a standard parabolic, q is not parabolic."""
-    if q.dim == 0 or (g.frame.form is not None and g.p == 2):
+    stabilises a standard flag, V > NV > N^2 V > ... > 0 for an ideal N of
+    q's matrices; for a parabolic q, the flag q stabilises (Borel-Tits).
+    At odd p, off pgl with p | n, N = [q, q n q^perp] (`_nil_maps`), the
+    nilradical: the bracket with q removes the scalars of q n q^perp (sl_n
+    with p | n), and every root is nonzero on the torus.  At p = 2 (N = 0
+    for a Borel of sl_2) and on pgl with p | n, N = J(A(q)), A(q)
+    generated by 1 and the `matrix_of` of q's basis
+    (`gfp.jacobson_radical`).  J commutes with extension of scalars and
+    with conjugation, so it suffices that J(A(q)) = U, the strictly
+    block-triangular matrices of the flag, for a standard q: A(q) lies
+    between U and the block-triangular matrices, and A(q)/U maps onto the
+    full matrix algebra of each block, a subdirect product of simple
+    algebras, so semisimple.  On gl/sl/pgl the columns of P run through
+    the flag, deepest step first; on sp and so P is a Witt basis adapted
+    to it (`_witt_frame`), which exists over F_p by Witt's theorem, the
+    form being split.  P^-1 q P lies in the standard parabolic of that
+    flag type and has its dimension, so it is that parabolic.  A failure
+    thus certifies that q is not parabolic: None (N = 0, the images stall
+    above 0, or the flag closed under complements is no chain), or a
+    P^-1 q P that is not standard.  Undetermined when A(q) passes MAX_DIM
+    words."""
+    if q.dim == 0:
         return None
     n, p = g.realization.n, g.p
-    maps = _nil_maps(g, q)
+    if _by_jacobson(g):
+        radical = jacobson_radical([g.matrix_of(list(v)) for v in q.basis])
+        if radical is None:
+            raise Undetermined("the associative envelope of q passes "
+                               f"{MAX_DIM} words", "envelope")
+        maps = [FieldMatrix(n, n, p, row).matvec
+                for row in radical.rows(n * n)]
+    else:
+        maps = _nil_maps(g, q)
     flag = image_flag(Subspace.full(n, p), maps) if maps else None
     if flag is None:
         return None
@@ -207,11 +206,9 @@ def flag_frame(g: LieAlgebra, q: Subspace) -> Optional[FieldMatrix]:
 
 
 def contains_borel(g: LieAlgebra, q: Subspace):
-    """Search the Weyl-translate frame for a Borel inside q; returns the
-    translating matrix or None.  The frame covers permutation conjugates
-    (type A) and signed block permutations (type C).  Nothing in the
-    engine calls it (see the module docstring); the benchmark's tracer
-    still wraps it."""
+    """A Weyl-group matrix (`weyl_matrices`, types A and C) moving the
+    standard Borel into q, or None.  Off the detection path; the
+    benchmark's tracer still wraps it."""
     b = standard_borel(g)["parabolic"]
     for w in weyl_matrices(g):
         if q.contains(conjugate_subspace(g, w, b)):
@@ -221,9 +218,10 @@ def contains_borel(g: LieAlgebra, q: Subspace):
 
 def detect_parabolic(g: LieAlgebra, q: Subspace) -> ParabolicVerdict:
     """The verdict on a subalgebra q: "parabolic" from the standard frame or
-    the flag frame, with the witness; "not-parabolic" at odd p when both
-    fail, and at p = 2 when the invariant battery separates q from every
-    standard parabolic; else "undetermined" (see the module docstring)."""
+    the flag frame, with the witness; "not-parabolic" when both fail, at
+    every p; "undetermined" with no torus frame, or with failure_reason
+    "envelope-cap" when the frame's envelope passes MAX_DIM words (see the
+    module docstring)."""
     if not g.is_subalgebra(q):
         raise ValueError("input is not a subalgebra")
     if g.frame is None:
@@ -251,13 +249,17 @@ def detect_parabolic(g: LieAlgebra, q: Subspace) -> ParabolicVerdict:
                                 failure_reason=reason, details=extra)
 
     # a coordinate subset failing the parabolic-subset conditions falls
-    # through to the frame certificate or the invariant battery
+    # through to the frame certificate
     partial = coordinate_verdict(q, {})
     if partial is not None and partial.status == "parabolic":
         return partial
 
-    # conjugating frame: the flag of N finds every parabolic at odd p
-    frame = flag_frame(g, q)
+    # conjugating frame: the flag of N finds every parabolic
+    try:
+        frame = flag_frame(g, q)
+    except Undetermined as exc:
+        return ParabolicVerdict("undetermined", details={"note": str(exc)},
+                                failure_reason="envelope-cap")
     if frame is not None:
         inverse = frame.inverse()
         verdict = coordinate_verdict(
@@ -267,40 +269,20 @@ def detect_parabolic(g: LieAlgebra, q: Subspace) -> ParabolicVerdict:
             verdict.torus_used = conjugate_subspace(
                 g, frame, verdict.torus_used, inverse)
             return verdict
+
+    # the frame finds every parabolic (see flag_frame), so its failure is
+    # the certificate
     details = {}
     if partial is not None:
         details["coordinate_failure"] = partial.failure_reason
-    reason = details.get("coordinate_failure", "not-parabolic-subset")
-
-    # at odd p the frame finds every parabolic (see flag_frame), so its
-    # failure is the certificate
-    if g.p > 2:
-        kind = "type-A" if g.frame.form is None else "Witt"
-        details["criterion"] = (f"{kind} flag frame of N = [q, q n q^perp] "
-                                "gives no standard parabolic")
-        if frame is not None:
-            details["frame"] = frame.to_rows()
-        return ParabolicVerdict("not-parabolic", failure_reason=reason,
-                                details=details)
-
-    # p = 2, where a root can vanish on the torus (sl_2) and no frame is
-    # complete: the invariant battery against every standard parabolic of
-    # equal dimension, in mask order; their invariants are memoised by
-    # dimension
-    key = ("std-parab-inv", q.dim)
-    if key not in g._memo:
-        pars = [(s, standard_parabolic(g, s)["parabolic"])
-                for s in simple_subsets(rd.rank)]
-        g._memo[key] = [(s, iso_invariants(g, par)) for s, par in pars
-                        if par.dim == q.dim]
-    inv = iso_invariants(g, q)
-    matches = [chosen for chosen, pinv in g._memo[key] if pinv == inv]
-    details.update(invariants=repr(inv), matching_standard_parabolics=matches)
-    if not matches:
-        return ParabolicVerdict("not-parabolic", failure_reason=reason,
-                                details=details)
-    return ParabolicVerdict("undetermined",
-                            failure_reason="no-torus-found", details=details)
+    kind = "type-A" if g.frame.form is None else "Witt"
+    nil = "J(A(q))" if _by_jacobson(g) else "N = [q, q n q^perp]"
+    details["criterion"] = (f"{kind} flag frame of {nil} gives no "
+                            "standard parabolic")
+    if frame is not None:
+        details["frame"] = frame.to_rows()
+    return ParabolicVerdict("not-parabolic", details=details, failure_reason=(
+        details.get("coordinate_failure", "not-parabolic-subset")))
 
 
 def killing_detector(g: LieAlgebra, p_cand: Subspace) -> dict:

@@ -48,15 +48,13 @@ Strategy notes:
     first of three certificates that holds.  "structured": a
     coordinate-split rad(h) whose roots lie in a positive system gives its
     root part plus the torus elements with lift 0.  "envelope": through
-    A, the associative algebra generated by 1 and the lifts of rad(h)
-    (`gfp.envelope_radical`).  Its trace radical I = {a : tr(ab) = 0 for
-    all b in A} contains J(A), and equals it when I is nilpotent; if the
-    lifts also commute modulo I, A/J(A) is commutative and semisimple,
-    with no nonzero nilpotents, so the cone is {x : lift(x) in J(A)}
-    exactly, one linear solve with no budget.  It declines when I is not
-    nilpotent (an idempotent of trace 0 in F_p, such as 1 when p | n),
-    when two lifts do not commute modulo I (sl2 at p = 2, whose envelope
-    is M_2), and when dim A passes MAX_DIM.  "enumeration": one walk over
+    the Jacobson radical J(A) of A, the associative algebra generated by 1
+    and the lifts of rad(h) (`gfp.envelope_radical`).  If the lifts
+    commute modulo J(A), A/J(A) is commutative and semisimple, with no
+    nonzero nilpotents, so the cone is {x : lift(x) in J(A)} exactly, one
+    linear solve with no budget.  It declines only when two lifts do not
+    commute modulo J(A) (sl2 at p = 2, whose envelope is M_2), and when
+    dim A passes MAX_DIM.  "enumeration": one walk over
     the p^dim vectors of rad(h) within an explicit budget; exceeding the
     budget is an Undetermined outcome, never a guess.
 """

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from typing import Sequence
 
 from .gfp import is_prime
@@ -292,13 +293,10 @@ def is_closed(rd: RootDatum, subset) -> bool:
     if not rd.constructive:
         raise ValueError("closedness needs an enumerated root system")
     sub = set(tuple(r) for r in subset)
-    allroots = set(rd.roots)
-    for x in sub:
-        for y in sub:
-            s = tuple(a + b for a, b in zip(x, y))
-            if s in allroots and s not in sub:
-                return False
-    return True
+    missing = set(rd.roots) - sub
+    # alpha + beta = beta + alpha: each unordered pair once
+    return not any(tuple(a + b for a, b in zip(x, y)) in missing
+                   for x, y in combinations_with_replacement(sub, 2))
 
 
 def parabolic_roots(rd: RootDatum, chosen) -> tuple:

@@ -45,10 +45,25 @@ def _sl3_not_closed():
 
 
 def _sl2_at_2_borel_conjugated():
-    # the Borel of sl2@2 moved by [[1, 0], [1, 1]] stays undetermined
+    # the Borel of sl2@2 moved by [[1, 0], [1, 1]]: N = [q, q n q^perp] = 0,
+    # and the flag of J(A(q)) gives the frame [[1, 1], [1, 0]]
     g = build("sl", 2, 2)
     w = FieldMatrix.from_rows([[1, 0], [1, 1]], 2)
     return conjugate_subspace(g, w, standard_borel(g)["parabolic"])
+
+
+def _sp10_at_2_siegel_conjugated():
+    # the sp10@2 parabolic S = (0, 1, 2, 3), Levi gl5, moved out of
+    # standard position by 1 + x for two root vectors x, elements of
+    # Sp10(F_2): its associative envelope, the block-triangular algebra of
+    # a Lagrangian, has 75 > MAX_DIM words
+    g = build("sp", 10, 2)
+    w = FieldMatrix.identity(10, 2)
+    for root in ((-2, 0, 0, 0, 0), (0, -1, -1, 0, 0)):
+        w = w @ (FieldMatrix.identity(10, 2)
+                 + g.matrix_of(g.unit(g.frame.root_index[root])))
+    return conjugate_subspace(g, w, standard_parabolic(
+        g, (0, 1, 2, 3))["parabolic"])
 
 
 SUBSPACES = {
@@ -64,6 +79,9 @@ SUBSPACES = {
     "sl3-not-closed": _sl3_not_closed,
     "pgl3-ex2": lambda: fixtures.ex2_subalgebra(build("pgl", 3, 3)),
     "sl2@2-borel-conj": _sl2_at_2_borel_conjugated,
+    "sp10@2-siegel-conj": _sp10_at_2_siegel_conjugated,
+    "sl3@2-par-S0": lambda: standard_parabolic(
+        build("sl", 3, 2), (0,))["parabolic"],
 }
 
 FILTRATIONS = {
@@ -85,24 +103,26 @@ CASES = [
       "--subspace", "@pgl3-ex2"], EXIT_CHECK_FAILED),
     # the sl3@2 parabolic S = (0,) is solvable and its envelope holds M_2,
     # so its p-nilpotent cone has no envelope certificate (the lifts do not
-    # commute modulo the trace radical), and its 2^6 vectors pass the budget
+    # commute modulo J), and its 2^6 vectors pass the budget
     (["tower", "run", "--family", "sl", "--n", "3", "--p", "2", "--subspace",
       "@sl3@2-nil-S0", "--budget", "10"], EXIT_UNDETERMINED),
     (["tower", "run", *SL3, "--subspace", "@sl3-h1"], EXIT_INPUT),
     (["parabolic", "detect", *SL3, "--subspace", "@sl3-borel"], EXIT_OK),
     (["parabolic", "detect", *SL3, "--subspace", "@sl3-levi"], EXIT_CHECK_FAILED),
-    (["parabolic", "detect", "--family", "sl", "--n", "2", "--p", "2",
-      "--subspace", "@sl2@2-borel-conj"], EXIT_UNDETERMINED),
+    # past the envelope's word cap the frame is not read: undetermined
+    (["parabolic", "detect", "--family", "sp", "--n", "10", "--p", "2",
+      "--subspace", "@sp10@2-siegel-conj"], EXIT_UNDETERMINED),
     (["parabolic", "detect", *SL3, "--subspace", "@sl3-not-closed"], EXIT_INPUT),
     (["kempf", "optimize", *SL3, "--subspace", "@sl3-nil"], EXIT_OK),
     (["kempf", "optimize", *SL3, "--subspace", "@sl3-h1"], EXIT_UNDETERMINED),
     (["kempf", "optimize", "--family", "sl", "--n", "3", "--p", "7",
       "--subspace", "@sl3-nil"], EXIT_INPUT),
     (["radical", "compute", *SL3, "--subspace", "@sl3-borel"], EXIT_OK),
-    # the ad envelope of the conjugated gl3@3 Borel declines, as its zero
-    # weight has multiplicity 3 = p, and its 3^6 vectors pass the budget
-    (["radical", "compute", "--family", "gl", "--n", "3", "--p", "3",
-      "--subspace", "@gl3@3-borel-conj", "--budget", "10"], EXIT_UNDETERMINED),
+    # the sl3@2 parabolic S = (0,) is its own radical (its Levi gl2 is
+    # solvable at p = 2); the lifts of its M_2 block do not commute modulo
+    # J, so no envelope certifies a cone, and its 2^6 vectors pass the budget
+    (["radical", "compute", "--family", "sl", "--n", "3", "--p", "2",
+      "--subspace", "@sl3@2-par-S0", "--budget", "10"], EXIT_UNDETERMINED),
     (["radical", "compute", *SL3, "--subspace", "@sl3-not-closed"], EXIT_INPUT),
     (["prime", "classify", "--type", "A", "--n", "2", "--p", "5"], EXIT_OK),
     (["prime", "classify", "--type", "Z", "--p", "5"], EXIT_INPUT),
@@ -112,9 +132,12 @@ CASES = [
 ]
 
 
-# decided within a budget of 10 by the envelope certificates of the
-# p-nilpotent and ad-nilpotent cones, where the walk needs 3^5 and 5^5
-# vectors: on pgl3@3 (p | n) through ad, and on a conjugated sl3@5 Borel
+# decided by the Jacobson radical of an associative envelope: within a
+# budget of 10 by the envelope certificates of the p-nilpotent and
+# ad-nilpotent cones, where the walk needs 3^5, 5^5 and 3^6 vectors (on
+# pgl3@3, p | n, through ad; on a conjugated sl3@5 Borel; on the gl3@3
+# Borel moved by 1 + E_31, whose ad envelope holds an idempotent of trace
+# 3 = 0); and by the flag frame of J on the conjugated sl2@2 Borel
 ENVELOPE_CASES = {
     "tower-run-pgl3@3-envelope": (
         ["tower", "run", "--family", "pgl", "--n", "3", "--p", "3",
@@ -122,6 +145,12 @@ ENVELOPE_CASES = {
     "radical-compute-sl3-envelope": (
         ["radical", "compute", *SL3, "--subspace", "@sl3-borel-conj",
          "--budget", "10"], EXIT_OK),
+    "radical-compute-gl3@3-envelope": (
+        ["radical", "compute", "--family", "gl", "--n", "3", "--p", "3",
+         "--subspace", "@gl3@3-borel-conj", "--budget", "10"], EXIT_OK),
+    "parabolic-detect-sl2@2-jacobson-frame": (
+        ["parabolic", "detect", "--family", "sl", "--n", "2", "--p", "2",
+         "--subspace", "@sl2@2-borel-conj"], EXIT_OK),
 }
 
 

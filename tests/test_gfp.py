@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morozov.gfp import (MAX_DIM, Echelon, FieldMatrix, Subspace, _combine,
-                         _rref_rows, is_prime, kernel, rref, solve_linear,
-                         trace_gram)
+                         _rref_rows, is_prime, jacobson_radical, kernel, rref,
+                         solve_linear, trace_gram)
 
 
 def naive_row_reduce(rows, cols, p):
@@ -471,3 +471,101 @@ def test_echelon_add_is_false_exactly_on_dependent_rows(p):
         assert again.rows(cols) == span.rows(cols)
         assert not span.add(_combine([rng.randrange(p) for _ in rows], rows,
                                      cols, p))
+
+
+def _envelope(mats):
+    """The associative algebra generated by 1 and the matrices, as a
+    subspace of entry vectors: products of the generators with the basis
+    so far, until the span stops growing."""
+    n, p = mats[0].rows, mats[0].p
+    span = Subspace.from_vectors([FieldMatrix.identity(n, p).entries], n * n, p)
+    while True:
+        grown = span.sum(Subspace.from_vectors(
+            [(m @ FieldMatrix(n, n, p, b)).entries
+             for m in mats for b in span.basis], n * n, p))
+        if grown == span:
+            return span
+        span = grown
+
+
+def _brute_jacobson(mats):
+    """J(A) = {a in A : ab is nilpotent for every b in A}, over all of A,
+    and the trace radical {a in A : tr(ab) = 0 for every b in A}."""
+    n, p = mats[0].rows, mats[0].p
+    elements = [FieldMatrix(n, n, p, v)
+                for v in _envelope(mats).enumerate_vectors()]
+    radical = [a.entries for a in elements
+               if all((a @ b).is_nilpotent() for b in elements)]
+    traced = [a.entries for a in elements
+              if not any((a @ b).trace() for b in elements)]
+    return (Subspace.from_vectors(radical, n * n, p),
+            Subspace.from_vectors(traced, n * n, p))
+
+
+def _jacobson_subspace(mats):
+    n, p = mats[0].rows, mats[0].p
+    return Subspace.from_vectors(jacobson_radical(mats).rows(n * n), n * n, p)
+
+
+@pytest.mark.parametrize("p,bound", [(2, 6), (3, 4), (5, 3)])
+def test_jacobson_radical_matches_brute_force(p, bound):
+    # seeded envelopes of one or two sparse n x n matrices with dim A at
+    # most `bound`; n runs to 5 so that at p = 5 too some A holds an
+    # idempotent of trace 0 (such as 1 when p | n), where the trace radical
+    # is larger than J and the steps past I_0 decide
+    rng = random.Random(f"jacobson:{p}")
+    cases = steps = 0
+    while cases < 30:
+        n = rng.choice([2, 3, 4, 5])
+        mats = []
+        for _ in range(rng.choice([1, 2])):
+            entries = [0] * (n * n)
+            for _ in range(rng.randrange(1, 4)):
+                entries[rng.randrange(n * n)] = rng.randrange(1, p)
+            mats.append(FieldMatrix(n, n, p, entries))
+        if _envelope(mats).dim > bound:
+            continue
+        cases += 1
+        radical, traced = _brute_jacobson(mats)
+        assert _jacobson_subspace(mats) == radical, [m.to_rows() for m in mats]
+        steps += traced != radical
+    assert steps
+
+
+def _unit(n, p, i, j):
+    return FieldMatrix(n, n, p, [int(k == n * i + j) for k in range(n * n)])
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_jacobson_radical_of_named_envelopes(p):
+    # M_2, generated by E_12 and E_21, is simple: J = 0
+    assert _jacobson_subspace([_unit(2, p, 0, 1), _unit(2, p, 1, 0)]).dim == 0
+    # the upper triangular 3 x 3 matrices: J is the strictly upper part
+    radical = _jacobson_subspace([_unit(3, p, 0, 0), _unit(3, p, 1, 1),
+                                  _unit(3, p, 0, 1), _unit(3, p, 1, 2)])
+    assert radical == Subspace.from_vectors(
+        [_unit(3, p, i, j).entries for i, j in ((0, 1), (0, 2), (1, 2))],
+        9, p)
+
+
+def test_jacobson_radical_past_the_trace_radical():
+    # span(1, e) of sl2@2: tr(1) = 2 = 0 and tr(e) = 0 put 1 in the trace
+    # radical; g_1(1) = tr(1)/2 = 1 drops it, and J = span(e)
+    e = _unit(2, 2, 0, 1)
+    assert _brute_jacobson([e])[1].dim == 2
+    assert _jacobson_subspace([e]) == Subspace.from_vectors([e.entries], 4, 2)
+    # sl3@3: the scalars plus a conjugated Borel nilradical u, whose
+    # envelope F + u has tr(1) = 3 = 0; J = u
+    w = FieldMatrix.from_rows([[1, 0, 0], [1, 1, 0], [0, 1, 1]], 3)
+    winv = w.inverse()
+    u = [w @ _unit(3, 3, i, j) @ winv for i, j in ((0, 1), (0, 2), (1, 2))]
+    one = FieldMatrix.identity(3, 3)
+    assert _brute_jacobson([one, *u])[1].dim == 4
+    assert _jacobson_subspace([one, *u]) == Subspace.from_vectors(
+        [m.entries for m in u], 9, 3)
+
+
+def test_jacobson_radical_declines_past_max_dim():
+    # the 9 x 9 cycle E_12, E_23, ..., E_91 generates all of M_9, 81 words
+    cycle = [_unit(9, 5, i, (i + 1) % 9) for i in range(9)]
+    assert jacobson_radical(cycle) is None

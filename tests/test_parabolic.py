@@ -6,9 +6,11 @@ from morozov import liealg, parabolic
 from morozov.fixtures import (ex1_pgl_pattern, ex1_sl3_subalgebra,
                               ex2_corrected_pattern, ex2_printed_pattern,
                               ex2_subalgebra)
-from morozov.gfp import FieldMatrix, rref
+from morozov.gfp import (FieldMatrix, Subspace, image_flag, jacobson_radical,
+                         rref)
 from morozov.liealg import (LieAlgebra, build, conjugate_subspace,
-                            standard_borel, standard_parabolic, torus_subspace)
+                            coordinate_split, standard_borel,
+                            standard_parabolic, torus_subspace)
 from morozov.parabolic import (contains_borel, detect_parabolic,
                                iso_invariants, killing_detector)
 
@@ -331,42 +333,6 @@ def test_frame_verdicts_match_the_call_that_inverts_the_frame_itself(
     assert [detect_parabolic(g, q) for q in qs] == given
 
 
-def test_invariant_battery_reads_only_parabolics_of_equal_dimension(
-        monkeypatch):
-    # at p = 2 no frame is complete: conjugated sp4@2 Borels go to the
-    # invariant battery; the Borel is the only standard parabolic of their
-    # dimension, and its invariants are computed once and then read from
-    # the memo
-    calls = []
-    invariants = parabolic.iso_invariants
-
-    def counting(g, q):
-        calls.append(q.dim)
-        return invariants(g, q)
-
-    monkeypatch.setattr(parabolic, "iso_invariants", counting)
-    g = build.__wrapped__("sp", 4, 2)           # fresh memo
-    b = standard_borel(g)["parabolic"]
-    rng = random.Random("battery")
-    one = FieldMatrix.identity(4, 2)
-    conjugates = []
-    while len(conjugates) < 2:
-        # 1 + x for root vectors x, which square to 0: elements of Sp4(F_2)
-        w = one
-        for _ in range(6):
-            root = rng.choice(g.frame.rootdatum.roots)
-            w = w @ (one + g.matrix_of(g.unit(g.frame.root_index[root])))
-        q = conjugate_subspace(g, w, b)
-        if not q.contains(torus_subspace(g)):   # out of standard position
-            conjugates.append(q)
-    for q in conjugates:
-        v = detect_parabolic(g, q)
-        assert (v.status, v.failure_reason) == ("undetermined",
-                                                "no-torus-found")
-        assert v.details["matching_standard_parabolics"] == [()]
-    assert calls == [6, 6, 6]
-
-
 # every family at odd p; type A with p | n included (sl3@3, sl6@3, gl4@3,
 # pgl3@3)
 @pytest.mark.parametrize("fam,n,p", [
@@ -476,10 +442,12 @@ def test_detect_checks_the_subalgebra_before_the_frame():
 
 def test_sl2_at_2_borel_out_of_standard_position_is_not_refuted():
     # the root vanishes on the torus of sl2@2, so N = [q, q n q^perp] = 0
-    # for this Borel: a failed frame proves nothing at p = 2
+    # for this Borel; A(q) = span(1, e') for its root vector e', whose trace
+    # radical holds 1 (tr(1) = 2 = 0) and J(A(q)) = span(e'): the J-flag
+    # gives the frame
     g = build("sl", 2, 2)
     v = detect_parabolic(g, _borel_conjugated_at_2(g))
-    assert (v.status, v.failure_reason) == ("undetermined", "no-torus-found")
+    assert (v.status, v.details["frame"]) == ("parabolic", [[1, 1], [1, 0]])
 
 
 @pytest.mark.parametrize("fam,n", [("gl", 2), ("pgl", 2), ("sl", 3),
@@ -489,3 +457,126 @@ def test_type_a_borels_at_2_out_of_standard_position_are_parabolic(fam, n):
     v = detect_parabolic(g, _borel_conjugated_at_2(g))
     assert v.status == "parabolic"
     assert v.details["frame_translate"] is True
+
+
+def _jacobson_flag(g, q):
+    """The flag V > JV > J^2 V > ... > 0 of J(A(q)), A(q) generated by 1
+    and the matrices of q's basis."""
+    n, p = g.realization.n, g.p
+    radical = jacobson_radical([g.matrix_of(list(v)) for v in q.basis])
+    return image_flag(Subspace.full(n, p), [
+        FieldMatrix(n, n, p, row).matvec for row in radical.rows(n * n)])
+
+
+def _stable_coordinate_subspaces(g, q):
+    """Every span of realization basis vectors that q stabilises, largest
+    first: for a standard parabolic, the standard flag."""
+    n, p = g.realization.n, g.p
+    mats = [g.matrix_of(list(v)) for v in q.basis]
+    stable = [s for s in range(1 << n) if not any(
+        m.entries[r * n + c] for m in mats for c in range(n) if s >> c & 1
+        for r in range(n) if not s >> r & 1)]
+    return [Subspace.from_vectors([[int(i == k) for i in range(n)]
+                                   for k in range(n) if s >> k & 1], n, p)
+            for s in sorted(stable, key=lambda s: -bin(s).count("1"))]
+
+
+@pytest.mark.parametrize("fam,n,p", [
+    (fam, n, 2) for fam in ("gl", "sl", "pgl") for n in range(2, 7)]
+    + [("sp", 4, 2), ("sp", 6, 2), ("sp", 8, 2), ("pgl", 3, 3),
+       ("pgl", 6, 3), ("pgl", 5, 5)])
+def test_jacobson_flag_of_a_standard_parabolic_is_its_standard_flag(
+        fam, n, p):
+    # the completeness of the frame at p = 2 and on pgl with p | n: for
+    # every standard parabolic the flag of J(A(q)) is the chain of the
+    # coordinate subspaces q stabilises, the full flag of the Borel
+    g = build(fam, n, p)
+    for chosen in _subsets(g):
+        q = standard_parabolic(g, chosen)["parabolic"]
+        assert _jacobson_flag(g, q) == _stable_coordinate_subspaces(g, q), \
+            chosen
+    borel = standard_borel(g)["parabolic"]
+    assert [s.dim for s in _jacobson_flag(g, borel)] == list(range(n, -1, -1))
+
+
+def _movers(g, rng, count):
+    """Seeded elements of the group that normalise g: on the type-A
+    families 1 + E_n1, which moves every proper standard parabolic, then
+    invertible matrices; on sp root-group words."""
+    if g.frame.form is not None:
+        return [_root_group_element(g, rng) for _ in range(count)]
+    n = g.realization.n
+    lower = FieldMatrix(n, n, g.p, [int(k == n * (n - 1)) for k in range(n * n)])
+    return [FieldMatrix.identity(n, g.p) + lower] + [
+        _invertible(n, g.p, rng) for _ in range(count - 1)]
+
+
+@pytest.mark.parametrize("fam,n", [
+    (fam, n) for fam in ("gl", "sl", "pgl") for n in (2, 3, 4)]
+    + [("sp", 4), ("sp", 6)])
+def test_conjugated_parabolics_and_levis_at_2_are_decided(fam, n,
+                                                          monkeypatch):
+    # seeded conjugates of every standard parabolic read "parabolic", out of
+    # standard position with the standard root subset and a frame P with
+    # P std P^-1 = q (P^T J P = J on sp), and of every proper standard Levi
+    # "not-parabolic"; never from the invariant battery.  On sl2@2 the torus
+    # is the scalars, in every conjugate
+    def no_battery(g, q):
+        raise AssertionError("detection reached the invariant battery")
+
+    monkeypatch.setattr(parabolic, "iso_invariants", no_battery)
+    g = build(fam, n, 2)
+    t = torus_subspace(g)
+    form = None
+    if g.frame.form is not None:
+        perm, _ = g.frame.form
+        form = FieldMatrix(n, n, 2, [int(perm[c] == r) for r in range(n)
+                                     for c in range(n)])
+    rng = random.Random(f"jacobson-frame:{fam}{n}")
+    full = _subsets(g)[-1]
+    frames = 0
+    for chosen in _subsets(g):
+        data = standard_parabolic(g, chosen)
+        for w in _movers(g, rng, 4):
+            if chosen != full:
+                levi = detect_parabolic(
+                    g, conjugate_subspace(g, w, data["levi"]))
+                assert levi.status == "not-parabolic", chosen
+                assert "J(A(q))" in levi.details["criterion"]
+            q = conjugate_subspace(g, w, data["parabolic"])
+            v = detect_parabolic(g, q)
+            assert v.status == "parabolic", chosen
+            if "frame" not in v.details:
+                continue    # decided in the standard frame
+            frames += 1
+            assert set(v.root_subset) == set(data["roots"])
+            frame = FieldMatrix.from_rows(v.details["frame"], 2)
+            assert conjugate_subspace(g, frame, data["parabolic"]) == q
+            assert v.torus_used == conjugate_subspace(g, frame, t)
+            if form is not None:
+                assert frame.transpose() @ form @ frame == form
+    assert frames
+
+
+def test_sp10_at_2_past_the_envelope_cap_is_undetermined():
+    # A(q) of the Siegel parabolic S = (0, 1, 2, 3) of sp10@2, the
+    # block-triangular algebra of a Lagrangian, has 75 words, past MAX_DIM:
+    # out of standard position no frame is read, and the verdict is
+    # undetermined, never a certificate
+    g = build("sp", 10, 2)
+    data = standard_parabolic(g, (0, 1, 2, 3))
+    rng = random.Random("cap")
+    moved = 0
+    for _ in range(3):
+        w = _root_group_element(g, rng)
+        q = conjugate_subspace(g, w, data["parabolic"])
+        if coordinate_split(g, q) is not None:
+            continue
+        moved += 1
+        assert jacobson_radical([g.matrix_of(list(v))
+                                 for v in q.basis]) is None
+        v = detect_parabolic(g, q)
+        assert (v.status, v.failure_reason) == ("undetermined",
+                                                "envelope-cap")
+        assert "64 words" in v.details["note"]
+    assert moved

@@ -340,19 +340,26 @@ def test_structured_vs_enumeration_agree():
         assert len(members) + 1 == g.p ** span.dim  # cone is a subspace
 
 
+def _conjugated_sl3_at_2_parabolic():
+    """The sl3@2 parabolic S = (0,) moved by 1 + E_31: not
+    coordinate-split, and its own radical, as its Levi gl2 is solvable at
+    p = 2.  The lifts of its M_2 block do not commute modulo J of their
+    envelope, so no envelope certifies its cones."""
+    g = build("sl", 3, 2)
+    w = FieldMatrix.from_rows([[1, 0, 0], [0, 1, 0], [1, 0, 1]], 2)
+    return g, conjugate_subspace(
+        g, w, standard_parabolic(g, (0,))["parabolic"])
+
+
 def test_undetermined_budget():
     from morozov.radicals import Undetermined
-    g = build("sl", 3, 3)
-    u = standard_borel(g)["nilradical"]
-    # force the enumeration path with a tiny budget on a non-split input:
-    # rotate the nilradical off the coordinate frame so the structured split
-    # does not apply; its envelope F + u has tr(1) = 3 = 0, so the trace
-    # radical contains 1 and the envelope certificate declines too
-    from morozov.liealg import conjugate_subspace
-    w = FieldMatrix.from_rows([[1, 0, 0], [1, 1, 0], [0, 1, 1]], 3)
-    skew = conjugate_subspace(g, w, u)
-    assert skew != u and solvable_radical(g, skew) == skew
-    with pytest.raises(Undetermined):
+    # force the enumeration path with a tiny budget on a non-split input,
+    # where the structured split does not apply and the envelope
+    # certificate declines (`_conjugated_sl3_at_2_parabolic`)
+    g, skew = _conjugated_sl3_at_2_parabolic()
+    assert coordinate_split(g, skew) is None
+    assert solvable_radical(g, skew) == skew
+    with pytest.raises(Undetermined, match="exceeds budget 10"):
         pnil_part_of_radical(g, skew, budget=10)
 
 
@@ -746,11 +753,9 @@ def test_radical_report_returns_undetermined():
 
 
 def test_radical_report_names_the_enumeration_that_gave_up():
-    # the rotated sl3@3 Borel nilradical of test_undetermined_budget: its
+    # the conjugated sl3@2 parabolic of test_undetermined_budget: its
     # radical is itself, and the ad-nilpotent cone's walk passes budget 10
-    g = build("sl", 3, 3)
-    w = FieldMatrix.from_rows([[1, 0, 0], [1, 1, 0], [0, 1, 1]], 3)
-    skew = conjugate_subspace(g, w, standard_borel(g)["nilradical"])
+    g, skew = _conjugated_sl3_at_2_parabolic()
     rep = radical_report(g, skew, budget=10)
     assert rep.status == "undetermined" and "exceeds budget 10" in rep.detail
     assert rep.method_used == "enumeration" and rep.rad == skew
@@ -1122,14 +1127,22 @@ def _conjugated_borel(g):
 
 
 def test_nilradical_enumeration_builds_no_view(monkeypatch):
-    # the gl3@3 Borel conjugated by 1 + E_31: the zero weight of ad_b has
-    # multiplicity 3 = p, so the ad envelope declines, and rad(b) = b is
-    # walked for its ad-nilpotent elements in ambient coordinates; nil(b)
-    # is the conjugated nilradical plus the scalars
+    # the subalgebra b of gl3@2 generated by the 3-cycle e1 -> e2 -> e3 -> e1
+    # and E_21 + E_23: b is solvable, its own radical, and the ad lifts of
+    # b do not commute modulo J of their envelope, so the ad envelope
+    # declines, and b is walked for its ad-nilpotent elements in ambient
+    # coordinates; nil(b) is the largest nilpotent ideal the exhaustive
+    # subspace scan finds
     from morozov import radicals
-    g = build("gl", 3, 3)
-    w, b = _conjugated_borel(g)
+    from morozov.suite import _brute_radicals
+    g = build("gl", 3, 2)
+    b = g.subalgebra_closure([g.element(g.coordinates_of_matrix(
+        FieldMatrix.from_rows(rows, 2))) for rows in (
+            [[0, 0, 1], [1, 0, 0], [0, 1, 0]], [[0, 0, 0], [1, 0, 1], [0, 0, 0]])])
     assert solvable_radical(g, b) == b          # memoised before the patch
+    with pytest.raises(Undetermined, match="exceeds budget 0"):
+        _nilpotent_cone(g, b, _ad_lift(g, b), 0)
+    nil = _brute_radicals(g, b)["nil"]
 
     def refuse(*args):
         raise AssertionError("a view was built")
@@ -1137,8 +1150,7 @@ def test_nilradical_enumeration_builds_no_view(monkeypatch):
     monkeypatch.setattr(radicals, "SubView", refuse)
     out = nilradical(g, b)
     assert out["method"] == "enumeration"
-    assert out["nil"] == conjugate_subspace(
-        g, w, standard_borel(g)["nilradical"]).sum(g.center())
+    assert out["nil"] == nil and nil.dim == 2
     with pytest.raises(Undetermined, match="exceeds budget 10"):
         nilradical(g, b, budget=10)
 
@@ -1222,9 +1234,9 @@ def test_envelope_cone_matches_enumeration(fam, n, p):
     # where the structured step or the associative envelope of the linear
     # lifts certifies the p-nilpotent cone (a budget of 0 forbids the walk)
     # it is the set the literal p-power iteration picks out, a subspace; a
-    # radical that is not coordinate-split is certified by the envelope
-    # alone, and the envelope certifies some such cone of every algebra
-    # with p not dividing n, and of pgl with p | n
+    # radical that is not coordinate-split, or split with a root support
+    # in no positive system, is certified by the envelope alone, and the
+    # envelope certifies some such cone of every algebra
     g = build(fam, n, p)
     by_envelope = 0
     for r in _envelope_inputs(g, random.Random(f"envelope:{fam}{n}@{p}")):
@@ -1232,32 +1244,33 @@ def test_envelope_cone_matches_enumeration(fam, n, p):
             cone, method, is_subspace = _nilpotent_cone(g, r, g.linear_lift, 0)
         except Undetermined:
             continue
-        split = coordinate_split(g, r) is not None
-        assert method == ("structured" if split else "envelope")
+        split = coordinate_split(g, r)
+        structured = split is not None and _certified_root_support(
+            g, [a for a, _ in split[1]])
+        assert method == ("structured" if structured else "envelope")
         by_envelope += method == "envelope"
         assert is_subspace
         assert _oracle_cone(r, lambda v: literal_p_nilpotent(g, v)) == \
             (cone, True), r.basis
-    if n % p or fam == "pgl":
-        assert by_envelope
+    assert by_envelope
 
 
 def test_envelope_certificate_declines():
     from morozov.gfp import envelope_radical
     # sl3@3, the scalars plus the conjugated Borel nilradical: the envelope
-    # is F + u and tr(1) = 3 = 0, so its trace radical holds 1 and is not
-    # nilpotent; the cone is u alone
+    # is F + u and tr(1) = 3 = 0, so its trace radical I_0 holds 1; the
+    # step g_1(1) = tr(1)/3 = 1 drops it, J = u, and the envelope certifies
+    # the cone u alone with no walk
     g = build("sl", 3, 3)
     w = FieldMatrix.from_rows([[1, 0, 0], [1, 1, 0], [0, 1, 1]], 3)
     u = conjugate_subspace(g, w, standard_borel(g)["nilradical"])
     one = g.coordinates_of_matrix(FieldMatrix.identity(3, 3))
     r = solvable_radical(g, g.subspace([one, *u.basis]))
     assert r.dim == 4
-    assert _nilpotent_cone(g, r, g.linear_lift, DEFAULT_BUDGET) == \
-        (u, "enumeration", True)
-    # sl2@2 is nilpotent and its envelope is all of M_2, whose trace form
-    # is nondegenerate, so I = 0, while [e, f] = h = 1: the quotient is not
-    # commutative, and the p-nilpotent elements are no subspace
+    assert _nilpotent_cone(g, r, g.linear_lift, 0) == (u, "envelope", True)
+    # sl2@2 is nilpotent and its envelope is all of M_2, which is simple,
+    # so J = 0, while [e, f] = h = 1: the quotient is not commutative, and
+    # the p-nilpotent elements are no subspace
     g = build("sl", 2, 2)
     r = solvable_radical(g, g.full_space())
     assert r == g.full_space()

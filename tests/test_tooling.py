@@ -1,6 +1,7 @@
 """Checks on the package as shipped: no unused module-level imports in
-the source, every name kept only for the benchmark is still read by it,
-no module outside `gfp` takes a private `gfp` name but `_combine`, the
+the source, every name kept only for the benchmark is still read by it
+and by no engine code but another such name, no module outside `gfp`
+takes a private `gfp` name but `_combine`, the
 packaged fixture file matches its generator, no module
 imports numpy and `pyproject.toml` declares no runtime dependency, and
 `morozov suite run` checks the structure laws with numpy unimportable."""
@@ -37,6 +38,7 @@ BENCHMARK_SHIMS = {
     ("kempf", "OptimalityCertificate.enumerated_count"): "layertrace.py",
     ("kempf", "OptimalityCertificate.admissible_count"): "layertrace.py",
     ("parabolic", "contains_borel"): "layertrace.py",
+    ("parabolic", "iso_invariants"): "layertrace.py",
     ("liealg", "weyl_matrices"): "layertrace.py",
 }
 
@@ -96,6 +98,31 @@ def test_benchmark_shim_is_defined_and_still_read(module, name):
     # a shim the benchmark no longer reads goes, with its entry here
     assert name.split(".")[-1] in (ROOT / "perfbench" / reader).read_text(), \
         f"perfbench/{reader} no longer reads {name}: delete the shim"
+
+
+def _readers_in_src(name: str) -> list:
+    """(module, top-level definition) around every read of `name` in the
+    source, as a bare name or an attribute; None for module level."""
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            readers += [(path.stem, getattr(top, "name", None))
+                        for node in ast.walk(top)
+                        if isinstance(getattr(node, "ctx", None), ast.Load)
+                        and name in (getattr(node, "id", None),
+                                     getattr(node, "attr", None))]
+    return readers
+
+
+def test_no_shim_has_a_caller_in_src_but_another_shim():
+    # a shim read by the engine is no shim: the invariant battery and the
+    # Weyl-group walk are off the detection path, and weyl_matrices is read
+    # only by contains_borel
+    shims = {(module, name.split(".")[0]) for module, name in BENCHMARK_SHIMS}
+    for module, name in sorted(BENCHMARK_SHIMS):
+        readers = _readers_in_src(name.split(".")[-1])
+        assert [r for r in readers if r not in shims] == [], (module, name)
+    assert _readers_in_src("weyl_matrices") == [("parabolic", "contains_borel")]
 
 
 def _private_gfp_names(path: Path) -> set:
