@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 = computation succeeded / all checks passed, 1 = a
-verification failed, 2 = undetermined (budget), 3 = input error.  Output
+verification failed, 2 = undetermined, 3 = input error, a malformed
+command line included.  `tower run --budget` is the only budget: it
+bounds the tower's walk over the p-nilpotent elements of rad(q).  Output
 is canonical JSON (default) or text; identical inputs and seed give
 byte-identical JSON."""
 
@@ -164,7 +166,7 @@ def cmd_radical_compute(args) -> int:
     h = _subspace_from_args(args, g) if args.subspace else g.full_space()
     if not g.is_subalgebra(h):
         raise InputError("input subspace is not a subalgebra")
-    rep = radicals.radical_report(g, h, budget=args.budget)
+    rep = radicals.radical_report(g, h)
     payload = {"report": rep.as_dict()}
     code = EXIT_UNDETERMINED if rep.status == "undetermined" else EXIT_OK
     text = [f"rad dim {None if rep.rad is None else rep.rad.dim}",
@@ -252,8 +254,17 @@ def _add_common(sub, algebra=True, subspace=False):
                      help="human-readable output instead of canonical JSON")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is an input error, not argparse's exit 2,
+    which here means undetermined; subcommand parsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="morozov",
         description="exact normaliser-tower engine for restricted Lie "
                     "algebras over prime fields")
@@ -285,7 +296,6 @@ def make_parser() -> argparse.ArgumentParser:
     c = ra.add_parser("compute")
     _add_common(c)
     c.add_argument("--subspace")
-    c.add_argument("--budget", type=int, default=radicals.DEFAULT_BUDGET)
     c.set_defaults(fn=cmd_radical_compute)
 
     pr = groups.add_parser("prime").add_subparsers(dest="action", required=True)

@@ -8,9 +8,10 @@ is the one home of span growth and of reduction against a span: `rref`,
 frame's adapted basis and the worklists of `LieAlgebra.spin_submodule`
 and `subalgebra_closure`.  `trace_gram` is the one home of the trace form
 tr(XY): the Killing form, the first step of `jacobson_radical` and
-q n q^perp of the flag frame.  `jacobson_radical` is the one J(A), for the
-envelope certificate and the flag frame at p = 2 and on pgl with p | n.
-`_combine` (sum c * row) serves the rest.
+q n q^perp of the flag frame.  `jacobson_radical` is the one J(A), for
+every radical ideal of `radicals` and the flag frame at p = 2 and on pgl
+with p | n; its word basis is capped by MAX_ENVELOPE entries, not by
+MAX_DIM words.  `_combine` (sum c * row) serves the rest.
 
 All but a growing `Echelon` is immutable after construction, and every
 operation is pure.  Field elements are plain ints reduced into [0, p).
@@ -24,6 +25,7 @@ from typing import Iterable, Sequence
 MAX_PRIME = 13
 MAX_DIM = 64          # semantic cap: ambient dimensions of subspaces/algebras
 _MAX_SCRATCH = 4096   # stacked constraint systems may be much taller
+MAX_ENVELOPE = 2 ** 16  # words x n^2 of an envelope's word basis: all of M_16
 
 
 def is_prime(n: int) -> bool:
@@ -294,18 +296,23 @@ def rref(m: FieldMatrix) -> tuple:
     return FieldMatrix(m.rows, m.cols, m.p, flat), len(pivots)
 
 
-def kernel(m: FieldMatrix) -> "Subspace":
-    """Right kernel {v : m v = 0} as a canonical subspace of GF(p)^cols.
-    Column j of m, then e_j, is reduced against the `Echelon` of the
-    columns kept so far; one that reduces to 0 in its first m.rows entries
-    leaves its tail, a kernel vector with 1 at j and 0 past it."""
+def _kernel_rows(m: FieldMatrix) -> list:
+    """A basis of the right kernel {v : m v = 0}, of any length.  Column j
+    of m, then e_j, is reduced against the `Echelon` of the columns kept
+    so far; one that reduces to 0 in its first m.rows entries leaves its
+    tail, a kernel vector with 1 at j and 0 past it."""
     p, rows, cols = m.p, m.rows, m.cols
     span, basis, zeros = Echelon(rows, p), [], (0,) * cols
     for j in range(cols):
         v = span.reduce(m.entries[j::cols] + zeros[:j] + (1,) + zeros[j + 1:])
         if not span._keep(v):
             basis.append(v[rows:])
-    return Subspace.from_vectors(basis, cols, p)
+    return basis
+
+
+def kernel(m: FieldMatrix) -> "Subspace":
+    """Right kernel {v : m v = 0} as a canonical subspace of GF(p)^cols."""
+    return Subspace.from_vectors(_kernel_rows(m), m.cols, m.p)
 
 
 class Subspace:
@@ -464,21 +471,22 @@ def _trace_digit(m: FieldMatrix, i: int) -> int:
 def jacobson_radical(mats: Sequence[FieldMatrix]) -> Echelon | None:
     """J(A) for the associative algebra A generated by 1 and the n x n
     matrices `mats` (at least one), as an `Echelon` of entry vectors; None
-    when dim A passes MAX_DIM.  A is spun from 1: a word that enlarges the
-    `Echelon` of the words so far joins the basis, and its products with
-    the generators are queued.  As in Cohen-Ivanyos-Wales (J. Pure Appl.
-    Algebra 117/118, 1997), I_0 is the kernel of the words' `trace_gram`,
-    and I_i = {a in I_(i-1) : g_i(ab) = 0 for every word b}, g_i of
-    `_trace_digit` being linear on I_(i-1): ideals containing J(A), with
-    I_l = J(A) for p^l <= n.  A nilpotent ideal lies in J(A), so the first
-    I_i whose images of GF(p)^n reach 0 is J(A)."""
+    when the word basis passes MAX_ENVELOPE entries, words x n^2.  A is
+    spun from 1: a word that enlarges the `Echelon` of the words so far
+    joins the basis, and its products with the generators are queued.  As
+    in Cohen-Ivanyos-Wales (J. Pure Appl. Algebra 117/118, 1997), I_0 is
+    the kernel of the words' `trace_gram`, and I_i = {a in I_(i-1) :
+    g_i(ab) = 0 for every word b}, g_i of `_trace_digit` being linear on
+    I_(i-1): ideals containing J(A), with I_l = J(A) for p^l <= n.  A
+    nilpotent ideal lies in J(A), so the first I_i whose images of GF(p)^n
+    reach 0 is J(A)."""
     n, p = mats[0].rows, mats[0].p
     words, span = [], Echelon(n * n, p)
     queue = [FieldMatrix.identity(n, p)]
     while queue:
         w = queue.pop()
         if span.add(w.entries):
-            if len(words) == MAX_DIM:
+            if (len(words) + 1) * n * n > MAX_ENVELOPE:
                 return None
             words.append(w)
             queue.extend(m @ w for m in mats)
@@ -486,7 +494,7 @@ def jacobson_radical(mats: Sequence[FieldMatrix]) -> Echelon | None:
     while True:
         entries = [a.entries for a in ideal]
         ideal = [FieldMatrix(n, n, p, _combine(c, entries, n * n, p))
-                 for c in kernel(gram).basis]
+                 for c in _kernel_rows(gram)]
         if image_flag(Subspace.full(n, p),
                       [a.matvec for a in ideal]) is not None:
             radical = Echelon(n * n, p)
@@ -495,16 +503,3 @@ def jacobson_radical(mats: Sequence[FieldMatrix]) -> Echelon | None:
         i += 1
         gram = FieldMatrix(len(words), len(ideal), p, [
             _trace_digit(a @ b, i) for b in words for a in ideal])
-
-
-def envelope_radical(mats: Sequence[FieldMatrix]):
-    """The residue map modulo J(A) (`jacobson_radical`), a linear map from
-    n x n matrices to GF(p)^(n^2) that vanishes on A exactly at J(A), when
-    the generators `mats` commute modulo J(A); else None, as also when
-    dim A passes MAX_DIM.  Then A/J(A) is commutative and semisimple, a
-    product of fields, so J(A) is the set of nilpotent elements of A."""
-    radical = jacobson_radical(mats)
-    if radical is None or any(any(radical.reduce((a @ b - b @ a).entries))
-                              for i, a in enumerate(mats) for b in mats[:i]):
-        return None
-    return lambda m: radical.reduce(m.entries)

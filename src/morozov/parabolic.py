@@ -18,10 +18,11 @@ exactly.  A "not-parabolic" verdict is certified by the frame itself, at
 every p: when neither q nor P^-1 q P passes the coordinate test, q is not
 parabolic, over the algebraic closure too, since N, its flag and their
 orthogonal complements commute with extension of scalars.  "undetermined"
-is left for an algebra with no torus frame and for an envelope past the
-MAX_DIM word cap (sp10 at p = 2): never a false negative.  The invariant
-battery `iso_invariants` and `contains_borel` are off the detection path;
-the benchmark's tracer still wraps them.
+is left for an algebra with no torus frame: never a false negative.  The
+envelope of the frame is never capped, as every realization read through
+J has n <= 10 and `gfp.jacobson_radical` caps only past all of M_16.  The
+invariant battery `iso_invariants` and `contains_borel` are off the
+detection path; the benchmark's tracer still wraps them.
 """
 
 from __future__ import annotations
@@ -30,12 +31,12 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional
 
-from .gfp import (MAX_DIM, Echelon, FieldMatrix, Subspace, _combine,
-                  image_flag, inv_mod, jacobson_radical, kernel, rref,
-                  solve_linear, trace_gram)
+from .gfp import (Echelon, FieldMatrix, Subspace, _combine, image_flag,
+                  inv_mod, jacobson_radical, kernel, rref, solve_linear,
+                  trace_gram)
 from .liealg import (LieAlgebra, conjugate_subspace, coordinate_split,
                      standard_borel, weyl_matrices)
-from .radicals import SubView, Undetermined
+from .radicals import SubView
 from .rootdata import is_closed
 
 
@@ -183,16 +184,13 @@ def flag_frame(g: LieAlgebra, q: Subspace) -> Optional[FieldMatrix]:
     flag type and has its dimension, so it is that parabolic.  A failure
     thus certifies that q is not parabolic: None (N = 0, the images stall
     above 0, or the flag closed under complements is no chain), or a
-    P^-1 q P that is not standard.  Undetermined when A(q) passes MAX_DIM
-    words."""
+    P^-1 q P that is not standard.  A(q) is n x n with n <= 10, far
+    inside the envelope's word cap."""
     if q.dim == 0:
         return None
     n, p = g.realization.n, g.p
     if _by_jacobson(g):
         radical = jacobson_radical([g.matrix_of(list(v)) for v in q.basis])
-        if radical is None:
-            raise Undetermined("the associative envelope of q passes "
-                               f"{MAX_DIM} words", "envelope")
         maps = [FieldMatrix(n, n, p, row).matvec
                 for row in radical.rows(n * n)]
     else:
@@ -219,9 +217,8 @@ def contains_borel(g: LieAlgebra, q: Subspace):
 def detect_parabolic(g: LieAlgebra, q: Subspace) -> ParabolicVerdict:
     """The verdict on a subalgebra q: "parabolic" from the standard frame or
     the flag frame, with the witness; "not-parabolic" when both fail, at
-    every p; "undetermined" with no torus frame, or with failure_reason
-    "envelope-cap" when the frame's envelope passes MAX_DIM words (see the
-    module docstring)."""
+    every p; "undetermined" with no torus frame (see the module
+    docstring)."""
     if not g.is_subalgebra(q):
         raise ValueError("input is not a subalgebra")
     if g.frame is None:
@@ -255,11 +252,7 @@ def detect_parabolic(g: LieAlgebra, q: Subspace) -> ParabolicVerdict:
         return partial
 
     # conjugating frame: the flag of N finds every parabolic
-    try:
-        frame = flag_frame(g, q)
-    except Undetermined as exc:
-        return ParabolicVerdict("undetermined", details={"note": str(exc)},
-                                failure_reason="envelope-cap")
+    frame = flag_frame(g, q)
     if frame is not None:
         inverse = frame.inverse()
         verdict = coordinate_verdict(

@@ -19,12 +19,19 @@ Strategy notes:
     for a proper k, rad(k) comes from the same peel loop on k inside h's
     view, and the largest ideal of h inside it is nonzero exactly when
     rad(h) is;
-  * only when kappa_h vanishes identically is k scanned line by line:
-    (ad v)^2 = 0 is necessary for v to lie in an abelian ideal, which
-    makes the scan complete.  It walks one vector per line on the view's
-    own bracket and drops a line at its first nonzero column [v, [v, b]].
-    The caller's budget bounds it, and every memo key omits the budget,
-    since a result that is returned is exact;
+  * every radical ideal is read off the Jacobson radical J(A) of an
+    associative envelope (`gfp.jacobson_radical`), exactly at every p.
+    Let A be generated by 1 and the matrices lift(x), x in a Lie algebra L
+    acting on a module V by lift.  An ideal I of L acting nilpotently
+    kills every composition factor W of V, as W^I is nonzero (Jacobson's
+    theorem on weakly closed sets of nilpotent operators) and L-stable; so
+    lift(I) lies in J(A), and every x with lift(x) in J(A) acts
+    nilpotently.  Where kappa_h vanishes identically, the nilradical
+    {x : ad x in J(A_ad)} of h's view is therefore an ideal, nonzero
+    exactly when rad(h) is.  nil(h) and rad_p(h) are the largest h-ideals
+    inside P = {x in rad(h) : lift(x) in J(A)}, A generated by 1 and the
+    lifts of rad(h): ad_h for nil(h), `LieAlgebra.linear_lift` for rad_p(h)
+    (both radicals are ideals of rad(h) acting nilpotently);
   * for a coordinate-split h, [e_a, e_b] lies in the weight space g_(a+b)
     (a root line, the torus or 0) and [z, e_b] = b(z) e_b, so spin ideals
     and their derived terms are root indices plus coroots [e_c, e_-c]; a
@@ -37,47 +44,40 @@ Strategy notes:
   * the p-nil gate is one Engel flag: u is p-nil exactly when the flag of
     its basis lifts, which map u onto a Lie algebra of matrices, reaches
     0, by Jacobson's theorem on weakly closed sets of nilpotent operators;
-  * the tower's next u and rad_p(h) start from the set C of p-nilpotent
-    elements of rad(h).  When C is not a subspace (seen only at p = 2) the
-    answer is Undetermined; else rad_p(h) is the largest h-ideal inside C,
-    since a p-nil ideal is nilpotent, so lies in rad(h) and in C.  nil(h)
-    is the largest h-ideal inside the elements of rad(h) acting
-    nilpotently on h;
-  * both sets are the nilpotent cone of a lift linear in x
-    (`_nilpotent_cone`): `linear_lift` for C, ad_h for nil(h), from the
-    first of three certificates that holds.  "structured": a
-    coordinate-split rad(h) whose roots lie in a positive system gives its
-    root part plus the torus elements with lift 0.  "envelope": through
-    the Jacobson radical J(A) of A, the associative algebra generated by 1
-    and the lifts of rad(h) (`gfp.envelope_radical`).  If the lifts
-    commute modulo J(A), A/J(A) is commutative and semisimple, with no
-    nonzero nilpotents, so the cone is {x : lift(x) in J(A)} exactly, one
-    linear solve with no budget.  It declines only when two lifts do not
-    commute modulo J(A) (sl2 at p = 2, whose envelope is M_2), and when
-    dim A passes MAX_DIM.  "enumeration": one walk over
-    the p^dim vectors of rad(h) within an explicit budget; exceeding the
-    budget is an Undetermined outcome, never a guess.
+  * P comes from the first of two certificates (`_nilpotent_cone`).
+    "structured": a coordinate-split rad(h) whose roots lie in a positive
+    system gives its root part plus the torus elements with lift 0.
+    "envelope": one linear solve against J(A), which declines
+    (Undetermined) only when A's word basis passes gfp.MAX_ENVELOPE
+    entries;
+  * the tower's next u is the set C of p-nilpotent elements of rad(h)
+    (`pnil_part_of_radical`), which contains P and can be a larger
+    subspace at p = 2.  C = P from the structured step, or when the lifts
+    commute modulo J(A): then A/J(A) is commutative and semisimple, with
+    no nonzero nilpotents.  Else one walk over the p^dim vectors of rad(h)
+    within the tower's budget decides C, or leaves it undecided when the
+    budget is passed or C is no subspace: never a guess.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional
 
 # kernel and rref are unused here; the benchmark tracer's self-test checks
 # that rebinding reaches every module importing them by name
-from .gfp import (FieldMatrix, Subspace, envelope_radical,  # noqa: F401
-                  image_flag, kernel, rref, solve_linear)
+from .gfp import (MAX_ENVELOPE, FieldMatrix, Subspace,  # noqa: F401
+                  image_flag, jacobson_radical, kernel, rref, solve_linear)
 from .liealg import Element, LieAlgebra, coordinate_split
 from .rootdata import is_closed
 
-DEFAULT_BUDGET = 10 ** 7    # also the tower's
+DEFAULT_BUDGET = 10 ** 7    # the tower's walk
 
 
 class Undetermined(Exception):
-    """Raised when a computation cannot be certified within its budget;
-    `step` names the step that gave up: "scan", or a cone's method."""
+    """Raised when a computation cannot be certified; `step` names the
+    step that gave up: "envelope" (a word basis past gfp.MAX_ENVELOPE) or
+    "enumeration" (the tower's walk)."""
 
     def __init__(self, message: str, step: str):
         super().__init__(message)
@@ -181,49 +181,10 @@ def check_p_nil(g: LieAlgebra, u: Subspace, what: str = "input") -> None:
 
 
 # ---------------------------------------------------------------------------
-# Abelian ideals and the solvable radical
+# The solvable radical
 # ---------------------------------------------------------------------------
 
-def _square_zero_lines(view: SubView, region: Subspace):
-    """The lines of `region` with (ad v)^2 = 0, one v per line, in this
-    order: the coefficient tuples whose first nonzero entry is 1, by lead
-    position and then in base-p order of the trailing entries.  A line is
-    dropped at the first basis vector b with [v, [v, b]] != 0."""
-    p, basis = view.p, region.basis
-    units = [view.unit(j) for j in range(view.dim)]
-    # multiples[i][c] = c * basis[i], so that a product of multiples runs
-    # through the trailing coefficients in base-p order
-    multiples = [[[c * x % p for x in row] for c in range(p)] for row in basis]
-    for lead, first in enumerate(basis):
-        for tail in product(*multiples[lead + 1:]):
-            v = [sum(col) % p for col in zip(first, *tail)]
-            if not any(any(view.bracket_vec(v, view.bracket_vec(v, b)))
-                       for b in units):
-                yield v
-
-
-def _abelian_spin_scan(view: SubView, region: Subspace, budget: int):
-    """Complete scan for abelian ideals meeting `region` (which must
-    contain every abelian ideal): the first abelian ideal of least
-    dimension among the spins of `_square_zero_lines(view, region)`, or
-    None."""
-    if region.dim == 0:
-        return None
-    if view.p ** region.dim > budget:
-        raise Undetermined(f"abelian-ideal scan needs {view.p ** region.dim} "
-                           f"vectors, over budget {budget}", "scan")
-    best = None
-    for v in _square_zero_lines(view, region):
-        spun = view.spin_submodule(v)
-        if view.bracket_spaces(spun, spun).dim == 0:
-            if best is None or spun.dim < best.dim:
-                best = spun
-                if best.dim == 1:
-                    break
-    return best
-
-
-def _find_solvable_ideal(view: SubView, budget: int):
+def _find_solvable_ideal(view: SubView):
     """A nonzero solvable ideal of the view, or None certified to mean the
     solvable radical is zero.
 
@@ -231,9 +192,9 @@ def _find_solvable_ideal(view: SubView, budget: int):
     (ad x ad y)^2 = 0), and the last nonzero derived term of rad(view) is
     one.  So k = 0 certifies rad(view) = 0; for a proper k, the largest
     ideal of the view inside rad(k) is solvable and contains that term,
-    hence nonzero exactly when rad(view) is.  Only when the Killing form
-    vanishes identically is k left to the complete line scan, within the
-    budget."""
+    hence nonzero exactly when rad(view) is.  When the Killing form
+    vanishes identically, the nilradical {x : ad x in J(A_ad)} is an ideal
+    holding that term (module notes)."""
     z = view.center()
     if z.dim:
         return z
@@ -241,13 +202,14 @@ def _find_solvable_ideal(view: SubView, budget: int):
     if k.dim == 0:
         return None
     if k.dim == view.dim:
-        return _abelian_spin_scan(view, k, budget)
-    ideal = view.largest_ideal_inside(view.full_space(),
-                                      _view_radical(view, k, budget))
+        ideal = _nilpotent_cone(view, k, view.ad_matrix_vec)[0]
+    else:
+        ideal = view.largest_ideal_inside(view.full_space(),
+                                          _view_radical(view, k))
     return ideal if ideal.dim else None
 
 
-def _view_radical(parent: LieAlgebra, h: Subspace, budget: int) -> Subspace:
+def _view_radical(parent: LieAlgebra, h: Subspace) -> Subspace:
     """rad(h) in the parent's coordinates, peeling solvable ideals: S grows
     by the preimage of a solvable ideal of h/S, read in h/S's own view,
     until h/S is solvable (rad(h) = h) or has none (rad(h) = S)."""
@@ -256,7 +218,7 @@ def _view_radical(parent: LieAlgebra, h: Subspace, budget: int) -> Subspace:
         view = SubView(parent, h, s)
         if view.is_solvable(view.full_space()):
             return h
-        found = _find_solvable_ideal(view, budget)
+        found = _find_solvable_ideal(view)
         if found is None:
             return s
         s = view.lift_subspace(found)
@@ -319,18 +281,16 @@ def _structured_solvable_radical(g: LieAlgebra, h: Subspace) -> Optional[Subspac
         [dict(z).get(k, 0) for k in range(g.dim)] for z in coroots])
 
 
-def solvable_radical(g: LieAlgebra, h: Subspace,
-                     budget: int = DEFAULT_BUDGET) -> Subspace:
-    """Maximal solvable ideal of the subalgebra h, in ambient coordinates.
-    The budget bounds the abelian-ideal scan of the view path; a result
-    that is returned is exact at any budget, so the memo key omits it."""
+def solvable_radical(g: LieAlgebra, h: Subspace) -> Subspace:
+    """Maximal solvable ideal of the subalgebra h, in ambient coordinates:
+    the structured path for a coordinate-split h, else the peel loop."""
     key = ("rad", h.basis)
     if key not in g._memo:
         if not g.is_subalgebra(h):
             raise ValueError("input is not a subalgebra")
         out = _structured_solvable_radical(g, h)
         if out is None:
-            out = _view_radical(g, h, budget)
+            out = _view_radical(g, h)
         g._memo[key] = out
     return g._memo[key]
 
@@ -347,25 +307,25 @@ def _certified_root_support(g: LieAlgebra, roots) -> bool:
         {tuple(-x for x in r) for r in roots}.isdisjoint(roots)
 
 
-def _nilpotent_cone(g: LieAlgebra, r: Subspace, lift, budget: int) -> tuple:
-    """(span, method, is_subspace) of the x in r whose matrix lift(x),
-    linear in x, is nilpotent, from the first certificate that holds.
+def _nilpotent_cone(g: LieAlgebra, r: Subspace, lift) -> tuple:
+    """(P, method, J) for P = {x in r : lift(x) in J(A)}, A generated by 1
+    and the lifts of r's basis, lift(x) a matrix linear in x, from the
+    first certificate that holds; J is the `Echelon` of J(A), or None from
+    the structured step.
 
     "structured": r is coordinate-split with a certified root support
-    (`_certified_root_support`); the cone is r's root part plus the z in
-    its torus part with lift(z) = 0, one linear solve.  Write x = z + n,
-    z in the torus part and n in the root part.  lift(z) is semisimple,
-    the diagonal torus action on a z-stable space.  r's roots lie in a
-    positive system, so a cocharacter is positive on each; lift(n) raises
-    its weight and lift(z) keeps it.  On the graded pieces of the weight
-    filtration of the lift's space lift(x) thus acts as lift(z): it is
-    nilpotent exactly when the semisimple lift(z) is, that is, when
-    lift(z) = 0.
-    "envelope": the x whose lift lies in J(A), when the associative
-    envelope A of the lifts of r's basis certifies them
-    (`gfp.envelope_radical`).
-    "enumeration": the one walk over the p^dim(r) vectors of r, within the
-    budget."""
+    (`_certified_root_support`); P is r's root part plus the z in its torus
+    part with lift(z) = 0, one linear solve, and it is every x in r with a
+    nilpotent lift.  Write x = z + n, z in the torus part and n in the root
+    part.  lift(z) is semisimple, the diagonal torus action on a z-stable
+    space.  r's roots lie in a positive system, so a cocharacter is
+    positive on each; lift(n) raises its weight and lift(z) keeps it.  On
+    the graded pieces of the weight filtration of the lift's space lift(x)
+    thus acts as lift(z): it is nilpotent exactly when the semisimple
+    lift(z) is, that is, when lift(z) = 0; and the lifts that raise the
+    filtration form a nilpotent ideal of A, inside J(A).
+    "envelope": `gfp.jacobson_radical` of the lifts, and one linear solve;
+    Undetermined when A's word basis passes MAX_ENVELOPE entries."""
     split = coordinate_split(g, r)
     if split is not None and _certified_root_support(
             g, [a for a, _ in split[1]]):
@@ -375,18 +335,13 @@ def _nilpotent_cone(g: LieAlgebra, r: Subspace, lift, budget: int) -> tuple:
         rows = sorted([(idx, g.unit(idx)) for _, idx in split[1]]
                       + list(zip(torus.pivots, torus.basis)))
         return Subspace(r.ambient_dim, r.p, [row for _, row in rows]), \
-            "structured", True
-    lifts = [lift(list(b)) for b in r.basis]
-    residue = envelope_radical(lifts) if lifts else None
-    if residue is not None:
-        return solve_linear(r, lambda x: residue(lift(x))), "envelope", True
-    if r.p ** r.dim > budget:
-        raise Undetermined(f"enumeration of {r.p ** r.dim} elements "
-                           f"exceeds budget {budget}", "enumeration")
-    members = [v for v in r.enumerate_vectors()
-               if any(v) and lift(v).is_nilpotent()]
-    span = Subspace.from_vectors(members, r.ambient_dim, r.p)
-    return span, "enumeration", len(members) + 1 == r.p ** span.dim
+            "structured", None
+    radical = jacobson_radical([lift(list(b)) for b in r.basis])
+    if radical is None:
+        raise Undetermined(f"the associative envelope of {r.dim} lifts "
+                           f"passes {MAX_ENVELOPE} word entries", "envelope")
+    return solve_linear(r, lambda x: radical.reduce(lift(x).entries)), \
+        "envelope", radical
 
 
 def _ad_lift(g: LieAlgebra, h: Subspace):
@@ -405,51 +360,61 @@ def _ad_lift(g: LieAlgebra, h: Subspace):
 
 def pnil_part_of_radical(g: LieAlgebra, h: Subspace,
                          budget: int = DEFAULT_BUDGET) -> dict:
-    """The set of p-nilpotent elements of rad(h), with its method: the
-    cone of `LieAlgebra.linear_lift` on rad(h) (`_nilpotent_cone`); by
-    the structured step it is the root part of a split radical, as no
-    nonzero torus element has lift 0.  The tower consumes this directly.
-    Undetermined when the walk passes the budget or finds that set is not
-    a subspace, since its span need not be p-nil."""
+    """The tower's next u: "span", the set C of p-nilpotent elements of
+    rad(h), and its method; "cone", P of the linear lift on rad(h)
+    (`_nilpotent_cone`), which `p_radical` reads; and "radical", rad(h).
+    C = P from the structured step, where it is the root part of a split
+    radical, as no nonzero torus element has lift 0, or when the lifts
+    commute modulo J(A).  Else C comes from a walk over rad(h) within the
+    budget, and "span" is None, with the reason in "detail", when the
+    walk passes the budget or finds that C is not a subspace, since its
+    span need not be p-nil.  The certified part is memoised, the walk not."""
     key = ("pnilpart", h.basis)
-    if key in g._memo:
-        return g._memo[key]
-    r = solvable_radical(g, h, budget)
-    cone, method, is_subspace = _nilpotent_cone(g, r, g.linear_lift, budget)
-    if not is_subspace:
-        raise Undetermined("the p-nilpotent elements of rad(h) do not "
-                           "form a subspace", "enumeration")
-    out = {"span": cone, "method": method, "radical": r}
-    g._memo[key] = out
-    return out
+    if key not in g._memo:
+        r = solvable_radical(g, h)
+        cone, method, radical = _nilpotent_cone(g, r, g.linear_lift)
+        lifts = [] if radical is None else [g.linear_lift(list(b))
+                                            for b in r.basis]
+        commute = not any(any(radical.reduce((a @ b - b @ a).entries))
+                          for i, a in enumerate(lifts) for b in lifts[:i])
+        g._memo[key] = {"span": cone if commute else None, "cone": cone,
+                        "method": method, "radical": r}
+    part = g._memo[key]
+    if part["span"] is not None:
+        return part
+    r = part["radical"]
+    if r.p ** r.dim > budget:
+        return dict(part, detail=f"enumeration of {r.p ** r.dim} elements "
+                                 f"exceeds budget {budget}")
+    members = [v for v in r.enumerate_vectors()
+               if any(v) and g.linear_lift(v).is_nilpotent()]
+    span = Subspace.from_vectors(members, r.ambient_dim, r.p)
+    if len(members) + 1 != r.p ** span.dim:
+        return dict(part, method="enumeration", detail="the p-nilpotent "
+                    "elements of rad(h) do not form a subspace")
+    return dict(part, span=span, method="enumeration")
 
 
-def p_radical(g: LieAlgebra, h: Subspace, budget: int = DEFAULT_BUDGET) -> dict:
-    """Maximal p-nil ideal of h: the largest h-ideal inside the set of
-    p-nilpotent elements of rad(h), which is a subspace or Undetermined
-    (`pnil_part_of_radical`; module notes)."""
-    part = pnil_part_of_radical(g, h, budget)
-    cand = g.largest_ideal_inside(h, part["span"])
+def p_radical(g: LieAlgebra, h: Subspace) -> dict:
+    """Maximal p-nil ideal of h: the largest h-ideal inside the cone P of
+    `pnil_part_of_radical`, read with no walk (budget 0; module notes)."""
+    part = pnil_part_of_radical(g, h, 0)
+    cand = g.largest_ideal_inside(h, part["cone"])
     p_closed = all(
         cand.contains_vector(g.p_power_vec(list(b))) for b in cand.basis)
     return {"rad_p": cand, "method": part["method"], "p_closed": p_closed,
             "radical": part["radical"]}
 
 
-def nilradical(g: LieAlgebra, h: Subspace, budget: int = DEFAULT_BUDGET) -> dict:
-    """Maximal nilpotent ideal of h: the largest h-ideal inside the span
-    of the elements of rad(h) acting nilpotently on h, Undetermined unless
-    it is nilpotent.  Those elements are the cone of ad_h on rad(h)
-    (`_ad_lift`, `_nilpotent_cone`); by the structured step, which needs
-    rad(h) split but not h, they are its root part plus its torus
-    elements central in h."""
-    r = solvable_radical(g, h, budget)
-    cone, method, _ = _nilpotent_cone(g, r, _ad_lift(g, h), budget)
-    cand = g.largest_ideal_inside(h, cone)
-    if not g.is_nilpotent(cand):
-        raise Undetermined("largest ideal inside the ad-nilpotent cone is "
-                           "not nilpotent; nilradical undecided", method)
-    return {"nil": cand, "method": method, "radical": r}
+def nilradical(g: LieAlgebra, h: Subspace) -> dict:
+    """Maximal nilpotent ideal of h: the largest h-ideal inside the cone P
+    of ad_h on rad(h) (`_ad_lift`, `_nilpotent_cone`; module notes); by the
+    structured step, which needs rad(h) split but not h, P is its root
+    part plus its torus elements central in h."""
+    r = solvable_radical(g, h)
+    cone, method, _ = _nilpotent_cone(g, r, _ad_lift(g, h))
+    return {"nil": g.largest_ideal_inside(h, cone), "method": method,
+            "radical": r}
 
 
 @dataclass
@@ -472,16 +437,14 @@ class RadicalReport:
         }
 
 
-def radical_report(g: LieAlgebra, h: Subspace,
-                   budget: int = DEFAULT_BUDGET) -> RadicalReport:
+def radical_report(g: LieAlgebra, h: Subspace) -> RadicalReport:
     rad = nil = rad_p = p_closed = None
     method = "structured"
     status, detail = "ok", ""
     try:
-        rad = solvable_radical(g, h, budget)
-        nil_out = nilradical(g, h, budget)
-        nil = nil_out["nil"]
-        prad_out = p_radical(g, h, budget)
+        rad = solvable_radical(g, h)
+        nil = nilradical(g, h)["nil"]
+        prad_out = p_radical(g, h)
         rad_p = prad_out["rad_p"]
         p_closed = prad_out["p_closed"]
         method = prad_out["method"]

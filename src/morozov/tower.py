@@ -5,9 +5,13 @@ identity, agreement with the optimal cocharacter's parabolic).
 
 Stabilization is detected by pair repetition with full-history cycle
 detection; the step count is capped, and every anomaly lands in the
-status field instead of an exception.  A step whose p-nilpotent elements
-do not form a subspace, or that runs over its budget, ends the tower
-`budget-exceeded` with the reason in `detail`.
+status field instead of an exception.  The budget (`morozov tower run
+--budget`, the only command that takes one) bounds the one walk left in
+the engine: the p-nilpotent elements of rad(q) when no certificate gives
+them (`radicals.pnil_part_of_radical`).  A step whose p-nilpotent
+elements do not form a subspace, whose walk runs over the budget, or
+whose envelope passes its word cap ends the tower `budget-exceeded` with
+the reason in `detail`.  u = rad_p(q) is checked with no walk.
 """
 
 from __future__ import annotations
@@ -80,9 +84,12 @@ def check_tower_input(g: LieAlgebra, u: Subspace, budget=None) -> None:
 
 def tower_step(g: LieAlgebra, u: Subspace,
                budget: int = radicals.DEFAULT_BUDGET) -> tuple:
-    """One iteration: (q, u_next, info)."""
+    """One iteration: (q, u_next, info); Undetermined when u_next is not
+    decided within the budget."""
     q = g.normalizer(u)
     part = radicals.pnil_part_of_radical(g, q, budget)
+    if part["span"] is None:
+        raise radicals.Undetermined(part["detail"], "enumeration")
     return q, part["span"], part
 
 
@@ -134,8 +141,9 @@ def verify_morozov(g: LieAlgebra, trace: TowerTrace,
     rep.checks["stabilized"] = "pass"
     u, q = trace.u_limit, trace.q_limit
 
-    part = radicals.pnil_part_of_radical(g, g.normalizer(u), budget)
-    rep.checks["fixed_point"] = "pass" if part["span"] == u else "fail"
+    span = radicals.pnil_part_of_radical(g, g.normalizer(u), budget)["span"]
+    rep.checks["fixed_point"] = "undetermined" if span is None else (
+        "pass" if span == u else "fail")
 
     verdict = parabolic.detect_parabolic(g, q)
     rep.checks["parabolic"] = {"parabolic": "pass",
@@ -144,7 +152,7 @@ def verify_morozov(g: LieAlgebra, trace: TowerTrace,
     rep.checks["parabolic_status"] = verdict.status
 
     try:
-        prad = radicals.p_radical(g, q, budget)
+        prad = radicals.p_radical(g, q)
         rep.checks["u_is_p_radical"] = "pass" if prad["rad_p"] == u else "fail"
     except radicals.Undetermined:
         rep.checks["u_is_p_radical"] = "undetermined"

@@ -44,6 +44,15 @@ def _sl3_not_closed():
     return g.subspace([g.element_by_label(x).coords for x in ("e12", "f12")])
 
 
+def _pgl8_at_2_borel_conjugated():
+    # the pgl8@2 Borel moved by 1 + E_81: the ad envelope of its radical
+    # ideals passes the cap on words x n^2
+    g = build("pgl", 8, 2)
+    w = FieldMatrix.identity(8, 2) + FieldMatrix(
+        8, 8, 2, [int(i == 56) for i in range(64)])
+    return conjugate_subspace(g, w, standard_borel(g)["parabolic"])
+
+
 def _sl2_at_2_borel_conjugated():
     # the Borel of sl2@2 moved by [[1, 0], [1, 1]]: N = [q, q n q^perp] = 0,
     # and the flag of J(A(q)) gives the frame [[1, 1], [1, 0]]
@@ -56,7 +65,7 @@ def _sp10_at_2_siegel_conjugated():
     # the sp10@2 parabolic S = (0, 1, 2, 3), Levi gl5, moved out of
     # standard position by 1 + x for two root vectors x, elements of
     # Sp10(F_2): its associative envelope, the block-triangular algebra of
-    # a Lagrangian, has 75 > MAX_DIM words
+    # a Lagrangian, has 75 words, 75 x 10^2 entries, inside the cap
     g = build("sp", 10, 2)
     w = FieldMatrix.identity(10, 2)
     for root in ((-2, 0, 0, 0, 0), (0, -1, -1, 0, 0)):
@@ -82,7 +91,13 @@ SUBSPACES = {
     "sp10@2-siegel-conj": _sp10_at_2_siegel_conjugated,
     "sl3@2-par-S0": lambda: standard_parabolic(
         build("sl", 3, 2), (0,))["parabolic"],
+    "pgl8@2-borel-conj": _pgl8_at_2_borel_conjugated,
+    "sl2-borel": lambda: build("sl", 2, 5).subspace([[1, 0, 0], [0, 1, 0]]),
 }
+
+# algebra files: sl2@5 without its family stamp, which has no torus frame
+ALGEBRAS = {"sl2-unstamped": lambda: _sl2_algebra(
+    lambda data: data.pop("family"))()}
 
 FILTRATIONS = {
     "hn-ok": {"factors": [[1, 2], [1, 0], [1, -2]], "zero_index": 1},
@@ -109,20 +124,18 @@ CASES = [
     (["tower", "run", *SL3, "--subspace", "@sl3-h1"], EXIT_INPUT),
     (["parabolic", "detect", *SL3, "--subspace", "@sl3-borel"], EXIT_OK),
     (["parabolic", "detect", *SL3, "--subspace", "@sl3-levi"], EXIT_CHECK_FAILED),
-    # past the envelope's word cap the frame is not read: undetermined
-    (["parabolic", "detect", "--family", "sp", "--n", "10", "--p", "2",
-      "--subspace", "@sp10@2-siegel-conj"], EXIT_UNDETERMINED),
+    # an algebra with no torus frame: undetermined
+    (["parabolic", "detect", "--algebra", "@sl2-unstamped", "--subspace",
+      "@sl2-borel"], EXIT_UNDETERMINED),
     (["parabolic", "detect", *SL3, "--subspace", "@sl3-not-closed"], EXIT_INPUT),
     (["kempf", "optimize", *SL3, "--subspace", "@sl3-nil"], EXIT_OK),
     (["kempf", "optimize", *SL3, "--subspace", "@sl3-h1"], EXIT_UNDETERMINED),
     (["kempf", "optimize", "--family", "sl", "--n", "3", "--p", "7",
       "--subspace", "@sl3-nil"], EXIT_INPUT),
     (["radical", "compute", *SL3, "--subspace", "@sl3-borel"], EXIT_OK),
-    # the sl3@2 parabolic S = (0,) is its own radical (its Levi gl2 is
-    # solvable at p = 2); the lifts of its M_2 block do not commute modulo
-    # J, so no envelope certifies a cone, and its 2^6 vectors pass the budget
-    (["radical", "compute", "--family", "sl", "--n", "3", "--p", "2",
-      "--subspace", "@sl3@2-par-S0", "--budget", "10"], EXIT_UNDETERMINED),
+    # the ad envelope of the radical ideals passes the word cap
+    (["radical", "compute", "--family", "pgl", "--n", "8", "--p", "2",
+      "--subspace", "@pgl8@2-borel-conj"], EXIT_UNDETERMINED),
     (["radical", "compute", *SL3, "--subspace", "@sl3-not-closed"], EXIT_INPUT),
     (["prime", "classify", "--type", "A", "--n", "2", "--p", "5"], EXIT_OK),
     (["prime", "classify", "--type", "Z", "--p", "5"], EXIT_INPUT),
@@ -132,25 +145,34 @@ CASES = [
 ]
 
 
-# decided by the Jacobson radical of an associative envelope: within a
-# budget of 10 by the envelope certificates of the p-nilpotent and
-# ad-nilpotent cones, where the walk needs 3^5, 5^5 and 3^6 vectors (on
-# pgl3@3, p | n, through ad; on a conjugated sl3@5 Borel; on the gl3@3
-# Borel moved by 1 + E_31, whose ad envelope holds an idempotent of trace
-# 3 = 0); and by the flag frame of J on the conjugated sl2@2 Borel
+# decided by the Jacobson radical of an associative envelope: the tower
+# within a budget of 10 by the envelope certificate of the p-nilpotent
+# cone, where the walk needs 3^5 vectors (on pgl3@3, p | n, through ad);
+# radical compute by the p-nilpotent and ad-nilpotent cones with no walk
+# (on a conjugated sl3@5 Borel; on the gl3@3 Borel moved by 1 + E_31,
+# whose ad envelope holds an idempotent of trace 3 = 0; on the sl3@2
+# parabolic S = (0,), its own radical, whose lifts do not commute modulo
+# J); and by the flag frame of J on the conjugated sl2@2 Borel and the
+# conjugated sp10@2 Siegel parabolic
 ENVELOPE_CASES = {
     "tower-run-pgl3@3-envelope": (
         ["tower", "run", "--family", "pgl", "--n", "3", "--p", "3",
          "--subspace", "@pgl3@3-nil-conj", "--budget", "10"], EXIT_OK),
     "radical-compute-sl3-envelope": (
-        ["radical", "compute", *SL3, "--subspace", "@sl3-borel-conj",
-         "--budget", "10"], EXIT_OK),
+        ["radical", "compute", *SL3, "--subspace", "@sl3-borel-conj"],
+        EXIT_OK),
     "radical-compute-gl3@3-envelope": (
         ["radical", "compute", "--family", "gl", "--n", "3", "--p", "3",
-         "--subspace", "@gl3@3-borel-conj", "--budget", "10"], EXIT_OK),
+         "--subspace", "@gl3@3-borel-conj"], EXIT_OK),
+    "radical-compute-sl3@2-envelope": (
+        ["radical", "compute", "--family", "sl", "--n", "3", "--p", "2",
+         "--subspace", "@sl3@2-par-S0"], EXIT_OK),
     "parabolic-detect-sl2@2-jacobson-frame": (
         ["parabolic", "detect", "--family", "sl", "--n", "2", "--p", "2",
          "--subspace", "@sl2@2-borel-conj"], EXIT_OK),
+    "parabolic-detect-sp10@2-jacobson-frame": (
+        ["parabolic", "detect", "--family", "sp", "--n", "10", "--p", "2",
+         "--subspace", "@sp10@2-siegel-conj"], EXIT_OK),
 }
 
 
@@ -160,6 +182,7 @@ def _materialise(argv, tmp_path):
         if arg.startswith("@"):
             name = arg[1:]
             data = FILTRATIONS[name] if name in FILTRATIONS \
+                else ALGEBRAS[name]() if name in ALGEBRAS \
                 else subspace_to_dict(SUBSPACES[name]())
             path = tmp_path / f"{name}.json"
             path.write_text(canonical_json(data))
@@ -381,6 +404,23 @@ def test_a_zero_size_or_modulus_is_given_not_missing(n, p, message, capsys):
     assert main(argv) == EXIT_INPUT
     out, err = capsys.readouterr()
     assert out == "" and err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["radical", "compute", *SL3, "--bogus", "1"],
+    ["radical", "compute", *SL3, "--budget", "10"],
+    ["tower", "run", *SL3, "--subspace", "u.json", "--budget", "ten"],
+    ["radical", "expand", *SL3],
+], ids=["unknown-option", "radical-compute-budget", "budget-not-an-integer",
+        "unknown-action"])
+def test_a_malformed_command_line_is_an_input_error(argv, capsys):
+    # exit 3, as for any input error, not argparse's 2, which here means
+    # undetermined; radical compute takes no budget
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == "" and "error:" in err
 
 
 def test_parabolic_detect_on_an_algebra_without_a_frame(tmp_path, capsys):

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morozov.gfp import (MAX_DIM, Echelon, FieldMatrix, Subspace, _combine,
-                         _rref_rows, is_prime, jacobson_radical, kernel, rref,
-                         solve_linear, trace_gram)
+from morozov.gfp import (MAX_DIM, MAX_ENVELOPE, Echelon, FieldMatrix,
+                         Subspace, _combine, _rref_rows, is_prime,
+                         jacobson_radical, kernel, rref, solve_linear,
+                         trace_gram)
 
 
 def naive_row_reduce(rows, cols, p):
@@ -536,16 +537,20 @@ def _unit(n, p, i, j):
     return FieldMatrix(n, n, p, [int(k == n * i + j) for k in range(n * n)])
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
 def test_jacobson_radical_of_named_envelopes(p):
     # M_2, generated by E_12 and E_21, is simple: J = 0
     assert _jacobson_subspace([_unit(2, p, 0, 1), _unit(2, p, 1, 0)]).dim == 0
-    # the upper triangular 3 x 3 matrices: J is the strictly upper part
-    radical = _jacobson_subspace([_unit(3, p, 0, 0), _unit(3, p, 1, 1),
-                                  _unit(3, p, 0, 1), _unit(3, p, 1, 2)])
-    assert radical == Subspace.from_vectors(
+    # the upper triangular 3 x 3 matrices, generated by E_11, E_22, E_12
+    # and E_23: J is the strictly upper part, and E_11 + E_22 + E_33 - 1
+    # reduces to 0 against it
+    radical = jacobson_radical([_unit(3, p, 0, 0), _unit(3, p, 1, 1),
+                                _unit(3, p, 0, 1), _unit(3, p, 1, 2)])
+    assert Subspace.from_vectors(radical.rows(9), 9, p) == Subspace.from_vectors(
         [_unit(3, p, i, j).entries for i, j in ((0, 1), (0, 2), (1, 2))],
         9, p)
+    total = _unit(3, p, 0, 0) + _unit(3, p, 1, 1) + _unit(3, p, 2, 2)
+    assert not any(radical.reduce((total - FieldMatrix.identity(3, p)).entries))
 
 
 def test_jacobson_radical_past_the_trace_radical():
@@ -566,6 +571,18 @@ def test_jacobson_radical_past_the_trace_radical():
 
 
 def test_jacobson_radical_declines_past_max_dim():
-    # the 9 x 9 cycle E_12, E_23, ..., E_91 generates all of M_9, 81 words
+    # the cap is on words x n^2, not on MAX_DIM words: the 9 x 9 cycle
+    # E_12, E_23, ..., E_91 generates all of M_9, 81 words, which is simple
     cycle = [_unit(9, 5, i, (i + 1) % 9) for i in range(9)]
-    assert jacobson_radical(cycle) is None
+    assert jacobson_radical(cycle).kept == {}
+    # 63 x 63 envelopes (the ad envelopes of pgl8) hold 2^16 // 63^2 = 16
+    # words: a nilpotent Jordan block N of size 16 spans 1, N, ..., N^15
+    # and J is all but 1; one of size 17 passes the cap
+    assert MAX_ENVELOPE // 63 ** 2 == 16
+    for size, fits in ((16, True), (17, False)):
+        block = FieldMatrix(63, 63, 2, [int(k % 64 == 1 and k // 63 < size - 1)
+                                        for k in range(63 * 63)])
+        radical = jacobson_radical([block])
+        assert (radical is not None) == fits
+        if fits:
+            assert len(radical.kept) == size - 1

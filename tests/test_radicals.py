@@ -8,7 +8,7 @@ from morozov.gfp import FieldMatrix, Subspace, rref, solve_linear
 from morozov.kempf import check_search_class
 from morozov.liealg import (build, conjugate_subspace, coordinate_split,
                             standard_borel, standard_parabolic)
-from morozov.radicals import (DEFAULT_BUDGET, SubView, Undetermined,
+from morozov.radicals import (SubView, Undetermined,
                               _ad_lift, _certified_root_support,
                               _nilpotent_cone, _structured_solvable_radical,
                               _view_radical, is_p_nil_subalgebra,
@@ -253,18 +253,20 @@ def test_p_radical_of_parabolic_is_nilradical():
 
 def test_p_radical_is_undetermined_when_the_cone_is_not_a_subspace():
     # sl3 at p = 2, S = (0,): rad(q) = q, since sl2 is nilpotent there, and
-    # the p-nilpotent elements of q do not form a subspace, so neither the
-    # tower's next u nor rad_p(q) is decided
+    # the p-nilpotent elements of q do not form a subspace, so the tower's
+    # next u is not decided; rad_p(q), the largest ideal inside the x whose
+    # lift lies in J(A), is the nilradical
     g = build("sl", 3, 2)
     data = standard_parabolic(g, (0,))
-    for compute in (pnil_part_of_radical, p_radical):
-        with pytest.raises(Undetermined, match="do not form a subspace"):
-            compute(g, data["parabolic"])
+    part = pnil_part_of_radical(g, data["parabolic"])
+    assert part["span"] is None
+    assert "do not form a subspace" in part["detail"]
+    assert p_radical(g, data["parabolic"])["rad_p"] == data["nilradical"]
     trace = run_tower(g, data["nilradical"])
     assert trace.status == "budget-exceeded" and trace.u_limit is None
     assert "do not form a subspace" in trace.detail
     rep = radical_report(g, data["parabolic"])
-    assert rep.status == "undetermined" and rep.rad_p is None
+    assert rep.status == "ok" and rep.rad_p == data["nilradical"]
 
 
 def test_radical_chain_and_closures():
@@ -309,7 +311,7 @@ def test_quotient_p_radical_idempotence():
         quot = SubView(g, h, ideal)
         # enumerate the radical of the quotient and check no nonzero
         # p-nil ideal survives
-        rad_quot = _view_radical(quot, quot.full_space(), 10 ** 6)
+        rad_quot = _view_radical(quot, quot.full_space())
         pnil = []
         for v in rad_quot.enumerate_vectors():
             # literal iteration of the quotient's p-map: x^[p]^m, m <= dim
@@ -344,23 +346,73 @@ def _conjugated_sl3_at_2_parabolic():
     """The sl3@2 parabolic S = (0,) moved by 1 + E_31: not
     coordinate-split, and its own radical, as its Levi gl2 is solvable at
     p = 2.  The lifts of its M_2 block do not commute modulo J of their
-    envelope, so no envelope certifies its cones."""
+    envelope, so only a walk decides its set of p-nilpotent elements."""
     g = build("sl", 3, 2)
     w = FieldMatrix.from_rows([[1, 0, 0], [0, 1, 0], [1, 0, 1]], 2)
     return g, conjugate_subspace(
         g, w, standard_parabolic(g, (0,))["parabolic"])
 
 
+def _gl3_at_2_cycle_algebra():
+    """The subalgebra of gl3@2 generated by the 3-cycle e1 -> e2 -> e3 -> e1
+    and E_21 + E_23: solvable, its own radical, and the ad lifts of it do
+    not commute modulo J of their envelope."""
+    g = build("gl", 3, 2)
+    return g, g.subalgebra_closure([g.element(g.coordinates_of_matrix(
+        FieldMatrix.from_rows(rows, 2))) for rows in (
+            [[0, 0, 1], [1, 0, 0], [0, 1, 0]], [[0, 0, 0], [1, 0, 1], [0, 0, 0]])])
+
+
+def _p2_inputs():
+    """22 subalgebras at p = 2: the proper standard parabolics and their
+    Levis of gl3, sl3 and pgl3, moved by a unipotent lower-triangular
+    element; the sl3@2 parabolic S = (0,) in standard position and moved by
+    1 + E_31; sl2@2; and `_gl3_at_2_cycle_algebra`."""
+    w = FieldMatrix.from_rows([[1, 0, 0], [1, 1, 0], [1, 1, 1]], 2)
+    out = []
+    for fam in ("gl", "sl", "pgl"):
+        g = build(fam, 3, 2)
+        for chosen in ((), (0,), (1,)):
+            data = standard_parabolic(g, chosen)
+            out += [(g, conjugate_subspace(g, w, data[role]))
+                    for role in ("parabolic", "levi")]
+    g = build("sl", 3, 2)
+    sl2 = build("sl", 2, 2)
+    return out + [(g, standard_parabolic(g, (0,))["parabolic"]),
+                  _conjugated_sl3_at_2_parabolic(), (sl2, sl2.full_space()),
+                  _gl3_at_2_cycle_algebra()]
+
+
+def test_radicals_at_2_match_brute_force(monkeypatch):
+    # rad, nil and rad_p of radical_report, with no walk, against the
+    # exhaustive ideal scan, where the p-nilpotent and ad-nilpotent
+    # elements need not form subspaces
+    from morozov.suite import _brute_radicals
+    inputs = _p2_inputs()
+    assert len(inputs) == 22
+    brute = [_brute_radicals(g, h) for g, h in inputs]
+
+    def refuse(self):
+        raise AssertionError("enumerate_vectors called")
+
+    monkeypatch.setattr(Subspace, "enumerate_vectors", refuse)
+    for (g, h), want in zip(inputs, brute):
+        rep = radical_report(g, h)
+        assert rep.status == "ok", h.basis
+        assert (rep.rad, rep.nil, rep.rad_p) == (
+            want["rad"], want["nil"], want["rad_p"]), (g.family, h.basis)
+
+
 def test_undetermined_budget():
-    from morozov.radicals import Undetermined
-    # force the enumeration path with a tiny budget on a non-split input,
-    # where the structured split does not apply and the envelope
-    # certificate declines (`_conjugated_sl3_at_2_parabolic`)
+    # the tower's walk with a tiny budget on a non-split input, where the
+    # structured split does not apply and the lifts do not commute modulo
+    # J (`_conjugated_sl3_at_2_parabolic`): its set of p-nilpotent elements
+    # is left undecided, never guessed
     g, skew = _conjugated_sl3_at_2_parabolic()
     assert coordinate_split(g, skew) is None
     assert solvable_radical(g, skew) == skew
-    with pytest.raises(Undetermined, match="exceeds budget 10"):
-        pnil_part_of_radical(g, skew, budget=10)
+    part = pnil_part_of_radical(g, skew, budget=10)
+    assert part["span"] is None and "exceeds budget 10" in part["detail"]
 
 
 def _subsets(g):
@@ -658,9 +710,9 @@ def test_is_p_nil_subalgebra_decides_pgl_without_enumeration(monkeypatch):
 def test_linear_torus_part_matches_view_path(fam, n):
     # the structured path takes every coordinate-split h at every p, the
     # small ones included, where root characters coincide on the finite
-    # torus; where the view path cannot certify its answer within the scan
-    # budget, the known radical of a standard parabolic, u + z(l), is the
-    # reference
+    # torus; where the view path cannot certify its answer (an envelope
+    # past its word cap), the known radical of a standard parabolic,
+    # u + z(l), is the reference
     for p in (3, 5, 7):
         g = build(fam, n, p)
         compared = 0
@@ -674,12 +726,12 @@ def test_linear_torus_part_matches_view_path(fam, n):
                 structured = _structured_solvable_radical(g, data[role])
                 assert structured == h, (p, chosen, role)
                 try:
-                    found = _view_radical(g, data[role], DEFAULT_BUDGET)
+                    found = _view_radical(g, data[role])
                 except Undetermined:
                     continue
                 assert found == structured, (p, chosen, role)
                 compared += 1
-        assert compared >= 2 * len(_subsets(g)), p
+        assert compared >= 3 * len(_subsets(g)) - 2, p
 
 
 def _dense_structured_radical(g, h):
@@ -722,58 +774,96 @@ def _split_closures(g, rng, count):
 def test_root_index_radical_matches_dense_spins(fam, n, p):
     # the root-index closures against the dense spins and derived series
     # they replace, on seeded coordinate-split subalgebras, pgl with p | n
-    # included; and against the view path where it decides within the
-    # budget
+    # included; and against the view path where its envelopes fit
     g = build(fam, n, p)
     for h in _split_closures(g, random.Random(f"split:{fam}{n}@{p}"), 12):
         structured = _structured_solvable_radical(g, h)
         assert structured == _dense_structured_radical(g, h), h.basis
         try:
-            found = _view_radical(g, h, DEFAULT_BUDGET)
+            found = _view_radical(g, h)
         except Undetermined:
             continue
         assert found == structured, h.basis
 
 
 def _conjugated_sl4_parabolic():
-    """The sl4@7 parabolic S = (0, 1) moved by a seeded GL_4 element: the
-    view path's abelian-ideal scan is far over the budget here."""
+    """The sl4@7 parabolic S = (0, 1) moved by a seeded GL_4 element w:
+    (g, w, the standard parabolic's data, its conjugate).  Its 12-dim view
+    has an 11-dim Killing kernel whose own Killing form vanishes."""
     g = build("sl", 4, 7)
     w = _group_element(g, random.Random("undetermined:0"))
-    return g, conjugate_subspace(g, w, standard_parabolic(g, (0, 1))["parabolic"])
+    data = standard_parabolic(g, (0, 1))
+    return g, w, data, conjugate_subspace(g, w, data["parabolic"])
+
+
+def test_radicals_of_the_conjugated_sl4_parabolic(monkeypatch):
+    # the view path reads the nilradical of the kappa = 0 view off J(A_ad),
+    # with no walk: rad, nil and rad_p are the conjugates of u + z(l), u
+    # and u
+    def refuse(self):
+        raise AssertionError("enumerate_vectors called")
+
+    monkeypatch.setattr(Subspace, "enumerate_vectors", refuse)
+    g, w, data, h = _conjugated_sl4_parabolic()
+    levi = data["levi"]
+    centre = levi.intersect(g.centralizer(levi))
+    u = conjugate_subspace(g, w, data["nilradical"])
+    rep = radical_report(g, h)
+    assert rep.status == "ok" and rep.method_used == "envelope"
+    assert rep.rad == conjugate_subspace(g, w, data["nilradical"].sum(centre))
+    assert rep.nil == rep.rad_p == u
+
+
+def _conjugated_pgl8_at_2_borel():
+    """The pgl8@2 Borel moved by 1 + E_81: its own radical, and every
+    envelope of its radical ideals passes the word cap (the ad envelope on
+    the Borel after 2^16 // 35^2 = 53 words, the 63 x 63 ad envelope of
+    the linear lift after 16)."""
+    return _conjugated_borel(build("pgl", 8, 2))[1]
 
 
 def test_radical_report_returns_undetermined():
-    g, h = _conjugated_sl4_parabolic()
+    g, h = build("pgl", 8, 2), _conjugated_pgl8_at_2_borel()
     rep = radical_report(g, h)
     assert rep.status == "undetermined"
-    assert "abelian-ideal scan" in rep.detail and rep.method_used == "scan"
-    assert rep.rad is None and rep.nil is None and rep.rad_p is None
-    assert rep.as_dict()["rad"] is None
+    assert "passes 65536 word entries" in rep.detail
+    assert rep.rad == h and rep.nil is None and rep.rad_p is None
+    assert rep.as_dict()["nil"] is None
+    # rad_p alone: the 63 x 63 ad envelope of the linear lift (p | n)
+    assert g.linear_lift(list(h.basis[0])).rows == 63
+    with pytest.raises(Undetermined, match="passes 65536 word entries"):
+        p_radical(g, h)
 
 
 def test_radical_report_names_the_enumeration_that_gave_up():
-    # the conjugated sl3@2 parabolic of test_undetermined_budget: its
-    # radical is itself, and the ad-nilpotent cone's walk passes budget 10
+    # no enumeration is left in the radical ideals: the conjugated sl3@2
+    # parabolic, its own radical, whose ad-nilpotent elements are no
+    # subspace, is decided by the envelopes and equals the brute force;
+    # what gives up is an envelope past its cap, and the report names it
+    from morozov.suite import _brute_radicals
     g, skew = _conjugated_sl3_at_2_parabolic()
-    rep = radical_report(g, skew, budget=10)
-    assert rep.status == "undetermined" and "exceeds budget 10" in rep.detail
-    assert rep.method_used == "enumeration" and rep.rad == skew
+    rep = radical_report(g, skew)
+    assert rep.status == "ok" and rep.method_used == "envelope"
+    brute = _brute_radicals(g, skew)
+    assert (rep.rad, rep.nil, rep.rad_p) == (
+        skew, brute["nil"], brute["rad_p"])
+    rep = radical_report(build("pgl", 8, 2), _conjugated_pgl8_at_2_borel())
+    assert rep.method_used == "envelope"
 
 
 def test_radical_compute_cli_exits_undetermined(tmp_path, capsys):
     from morozov.cli import EXIT_UNDETERMINED, main
     from morozov.serialize import canonical_json, subspace_to_dict
-    g, h = _conjugated_sl4_parabolic()
     path = tmp_path / "h.json"
-    path.write_text(canonical_json(subspace_to_dict(h)))
-    args = ["radical", "compute", "--family", "sl", "--n", "4", "--p", "7",
+    path.write_text(canonical_json(subspace_to_dict(
+        _conjugated_pgl8_at_2_borel())))
+    args = ["radical", "compute", "--family", "pgl", "--n", "8", "--p", "2",
             "--subspace", str(path)]
     assert main(args) == EXIT_UNDETERMINED
     report = json.loads(capsys.readouterr().out)["report"]
-    assert report["status"] == "undetermined" and report["rad"] is None
+    assert report["status"] == "undetermined" and report["nil"] is None
     assert main(args + ["--text"]) == EXIT_UNDETERMINED
-    assert "rad dim None" in capsys.readouterr().out
+    assert "nil dim None" in capsys.readouterr().out
 
 
 def _weyl_orbit_of_positive_roots(rd):
@@ -904,8 +994,7 @@ def test_view_radical_of_conjugates_matches_structured(fam, n, p, monkeypatch):
             structured = _structured_solvable_radical(g, data[role])
             assert structured in (None, rad), (chosen, role)
             w = _root_group_word(g, rng)
-            found = _view_radical(g, conjugate_subspace(g, w, data[role]),
-                                  DEFAULT_BUDGET)
+            found = _view_radical(g, conjugate_subspace(g, w, data[role]))
             assert found == conjugate_subspace(g, w, rad), (chosen, role)
     assert recursions
 
@@ -937,85 +1026,27 @@ def _scan_views():
     return out
 
 
-def test_abelian_spin_scan_finds_a_least_abelian_ideal():
-    # the oracle keeps every nonzero abelian ideal among all subspaces
-    from morozov.radicals import _abelian_spin_scan
+def test_view_nilradical_is_the_largest_nilpotent_ideal():
+    # the oracle keeps every nonzero nilpotent ideal among all subspaces:
+    # {x : ad x in J(A_ad)}, the ideal the peel loop takes where kappa
+    # vanishes, is the largest, and it is 0 exactly where no abelian ideal
+    # exists
     from morozov.suite import enumerate_subspaces
     views = _scan_views()
-    least = []
+    sizes = set()
     for view in views:
         whole = view.full_space()
         ideals = [s for s in enumerate_subspaces(view) if s.dim
-                  and view.bracket_spaces(s, s).dim == 0
                   and s.contains(view.bracket_spaces(whole, s))]
-        found = _abelian_spin_scan(view, whole, DEFAULT_BUDGET)
-        if not ideals:
-            assert found is None, view
-            continue
-        assert found in ideals, view
-        assert found.dim == min(s.dim for s in ideals), view
-        least.append(found.dim)
-        # of those, the spin of the first line in scan order (lead 1, then
-        # the trailing coefficients in base-p order), as payloads record
-        lines = ([0] * lead + [1] + list(tail) for lead in range(view.dim)
-                 for tail in itertools.product(range(view.p),
-                                               repeat=view.dim - lead - 1))
-        assert found == next(s for s in map(view.spin_submodule, lines)
-                             if s in ideals and s.dim == found.dim), view
-    # views with none, and least abelian ideals of dimension 1 and 2
-    assert len(least) < len(views) and set(least) == {1, 2}
-
-
-def _brute_square_zero_lines(view, basis):
-    """Lines with (ad v)^2 = 0, one representative each: the coefficient
-    tuples with leading coefficient 1, by lead position and then in
-    base-p order, tested one at a time with the scalar ad matrix."""
-    p, k = view.p, len(basis)
-    out = []
-    for lead in range(k):
-        for tail in itertools.product(range(p), repeat=k - lead - 1):
-            coeffs = [0] * lead + [1] + list(tail)
-            v = [sum(c * row[i] for c, row in zip(coeffs, basis)) % p
-                 for i in range(view.dim)]
-            ad = view.ad_matrix_vec(v)
-            if (ad @ ad).is_zero():
-                out.append(v)
-    return out
-
-
-@pytest.mark.parametrize("fam,n,p", [("sl", 3, 3), ("sl", 3, 5), ("sp", 4, 5),
-                                     ("so", 5, 5)])
-def test_square_zero_lines_match_brute_force(fam, n, p):
-    from morozov.radicals import _square_zero_lines
-    g = build(fam, n, p)
-    view = SubView(g, standard_borel(g)["parabolic"])
-    rng = random.Random(f"square-zero:{fam}{n}@{p}")
-    spans = [view.full_space()] if p ** view.dim <= 5 ** 4 else []
-    for k in (1, 2, 3, 3, 4):
-        vecs = [[rng.randrange(p) for _ in range(view.dim)] for _ in range(k)]
-        spans.append(Subspace.from_vectors(vecs, view.dim, p))
-    found = 0
-    for span in spans:
-        basis = [list(b) for b in span.basis]
-        want = _brute_square_zero_lines(view, basis)
-        assert list(_square_zero_lines(view, span)) == want, basis
-        found += len(want)
-    assert found
-
-
-def test_radical_compute_cli_keeps_the_given_budget(tmp_path, capsys):
-    # the abelian-ideal scan is bounded by the user's --budget
-    from morozov.cli import EXIT_UNDETERMINED, main
-    from morozov.serialize import canonical_json, subspace_to_dict
-    g, h = _conjugated_sl4_parabolic()
-    path = tmp_path / "h.json"
-    path.write_text(canonical_json(subspace_to_dict(h)))
-    assert main(["radical", "compute", "--family", "sl", "--n", "4",
-                 "--p", "7", "--subspace", str(path),
-                 "--budget", "10"]) == EXIT_UNDETERMINED
-    report = json.loads(capsys.readouterr().out)["report"]
-    assert report["status"] == "undetermined"
-    assert "over budget 10" in report["detail"]
+        nilpotent = [s for s in ideals if view.is_nilpotent(s)]
+        abelian = [s for s in ideals if view.bracket_spaces(s, s).dim == 0]
+        nil = _nilpotent_cone(view, whole, view.ad_matrix_vec)[0]
+        assert nil == max(nilpotent, key=lambda s: s.dim,
+                          default=Subspace.zero(view.dim, view.p)), view
+        assert (nil.dim == 0) == (not abelian), view
+        sizes.add(nil.dim)
+    # views with none, and nilradicals of several sizes
+    assert 0 in sizes and len(sizes) >= 3
 
 
 def test_radical_through_a_kernel_radical_that_is_not_an_ideal():
@@ -1049,21 +1080,6 @@ def test_radical_through_a_kernel_radical_that_is_not_an_ideal():
     assert view.killing_kernel().dim == 12
     centre = g.subspace([g.coordinates_of_matrix(kron(one, f)) for f in mult])
     assert solvable_radical(g, h) == centre
-
-
-def test_abelian_ideal_scan_keeps_the_given_budget():
-    # a GL_3 conjugate of the sl3@5 parabolic S = (0,) is not
-    # coordinate-split, and its radical is certified by a line scan of a
-    # 5-dimensional Killing kernel, 5^5 vectors: over a budget of 10,
-    # within the default
-    g = build.__wrapped__("sl", 3, 5)           # fresh memo
-    h = conjugate_subspace(g, _group_element(g, random.Random("abelian-scan")),
-                           standard_parabolic(g, (0,))["parabolic"])
-    assert h.dim == 6
-    with pytest.raises(Undetermined, match="over budget 10$"):
-        solvable_radical(g, h, budget=10)
-    assert radical_report(g, h, budget=10).status == "undetermined"
-    assert solvable_radical(g, h).dim == 3
 
 
 def _oracle_cone(r, test):
@@ -1102,9 +1118,8 @@ def test_ad_nilpotent_test_matches_the_view_ad_matrix(fam, n, p):
 @pytest.mark.parametrize("fam,n,p", [("sl", 3, 5), ("sp", 4, 5), ("so", 5, 5)])
 def test_structured_cones_match_enumeration(fam, n, p):
     # on every standard parabolic and Levi the structured step of the cone
-    # routine (a budget of 0 forbids the walk) gives, for the linear lift
-    # and for ad_h, the sets a walk with the literal p-power iteration and
-    # the view's ad matrix picks out
+    # routine gives, for the linear lift and for ad_h, the sets a walk with
+    # the literal p-power iteration and the view's ad matrix picks out
     g = build(fam, n, p)
     for chosen in _subsets(g):
         for role in ("parabolic", "levi"):
@@ -1113,7 +1128,7 @@ def test_structured_cones_match_enumeration(fam, n, p):
             for lift, test in (
                     (g.linear_lift, lambda v: literal_p_nilpotent(g, v)),
                     (_ad_lift(g, h), _view_adnil(g, h))):
-                cone, method, _ = _nilpotent_cone(g, r, lift, 0)
+                cone, method, _ = _nilpotent_cone(g, r, lift)
                 assert method == "structured"
                 assert _oracle_cone(r, test) == (cone, True), (chosen, role)
 
@@ -1129,41 +1144,35 @@ def _conjugated_borel(g):
 def test_nilradical_enumeration_builds_no_view(monkeypatch):
     # the subalgebra b of gl3@2 generated by the 3-cycle e1 -> e2 -> e3 -> e1
     # and E_21 + E_23: b is solvable, its own radical, and the ad lifts of
-    # b do not commute modulo J of their envelope, so the ad envelope
-    # declines, and b is walked for its ad-nilpotent elements in ambient
-    # coordinates; nil(b) is the largest nilpotent ideal the exhaustive
-    # subspace scan finds
+    # b do not commute modulo J of their envelope, so its ad-nilpotent
+    # elements need not be a subspace; nil(b), the largest ideal inside the
+    # x with ad x in J, is read with no view and no walk, and it is the
+    # largest nilpotent ideal the exhaustive subspace scan finds
     from morozov import radicals
     from morozov.suite import _brute_radicals
-    g = build("gl", 3, 2)
-    b = g.subalgebra_closure([g.element(g.coordinates_of_matrix(
-        FieldMatrix.from_rows(rows, 2))) for rows in (
-            [[0, 0, 1], [1, 0, 0], [0, 1, 0]], [[0, 0, 0], [1, 0, 1], [0, 0, 0]])])
+    g, b = _gl3_at_2_cycle_algebra()
     assert solvable_radical(g, b) == b          # memoised before the patch
-    with pytest.raises(Undetermined, match="exceeds budget 0"):
-        _nilpotent_cone(g, b, _ad_lift(g, b), 0)
     nil = _brute_radicals(g, b)["nil"]
 
     def refuse(*args):
-        raise AssertionError("a view was built")
+        raise AssertionError("a view was built or a walk run")
 
     monkeypatch.setattr(radicals, "SubView", refuse)
+    monkeypatch.setattr(Subspace, "enumerate_vectors", refuse)
     out = nilradical(g, b)
-    assert out["method"] == "enumeration"
+    assert out["method"] == "envelope"
     assert out["nil"] == nil and nil.dim == 2
-    with pytest.raises(Undetermined, match="exceeds budget 10"):
-        nilradical(g, b, budget=10)
 
 
 @pytest.mark.parametrize("fam,p", [("sl", 5), ("pgl", 3)])
 def test_nilradical_by_the_ad_envelope_matches_brute_force(fam, p):
     # the conjugated Borels of sl3@5 and pgl3@3 (p | n): the envelope of
-    # ad_b certifies the ad-nilpotent cone with no walk, and nil(b) is the
+    # ad_b gives the ad-nilpotent cone with no walk, and nil(b) is the
     # largest nilpotent ideal the exhaustive subspace scan finds
     from morozov.suite import _brute_radicals
     g = build(fam, 3, p)
     _, b = _conjugated_borel(g)
-    out = nilradical(g, b, budget=1)
+    out = nilradical(g, b)
     assert out["method"] == "envelope"
     assert out["nil"] == _brute_radicals(g, b)["nil"]
 
@@ -1198,7 +1207,7 @@ def test_nilradical_of_a_split_radical_is_structured(fam, chosen, seeds):
             g, chosen, random.Random(f"split-radical:{fam}:{seed}"))
         assert coordinate_split(g, h) is None
         assert coordinate_split(g, solvable_radical(g, h)) is not None
-        out = nilradical(g, h, budget=0)
+        out = nilradical(g, h)
         assert out["method"] == "structured"
         assert out["nil"] == _brute_radicals(g, h)["nil"], seed
 
@@ -1231,32 +1240,31 @@ def _envelope_inputs(g, rng):
                                ("sl", 3), ("pgl", 3), ("sp", 4), ("so", 5))
     for p in (2, 3, 5, 7) if (fam, p) != ("so", 2)])
 def test_envelope_cone_matches_enumeration(fam, n, p):
-    # where the structured step or the associative envelope of the linear
-    # lifts certifies the p-nilpotent cone (a budget of 0 forbids the walk)
-    # it is the set the literal p-power iteration picks out, a subspace; a
-    # radical that is not coordinate-split, or split with a root support
-    # in no positive system, is certified by the envelope alone, and the
-    # envelope certifies some such cone of every algebra
+    # the cone P of the linear lift holds only p-nilpotent elements; where
+    # the structured step or the commuting lifts certify the set C of all
+    # of them (no walk, budget 0) it is P, the set the literal p-power
+    # iteration picks out, a subspace; a radical that is not
+    # coordinate-split, or split with a root support in no positive
+    # system, is certified by the envelope alone, and the envelope
+    # certifies some such set of every algebra
     g = build(fam, n, p)
     by_envelope = 0
     for r in _envelope_inputs(g, random.Random(f"envelope:{fam}{n}@{p}")):
-        try:
-            cone, method, is_subspace = _nilpotent_cone(g, r, g.linear_lift, 0)
-        except Undetermined:
+        part = pnil_part_of_radical(g, r, 0)
+        oracle = _oracle_cone(r, lambda v: literal_p_nilpotent(g, v))
+        assert oracle[0].contains(part["cone"]), r.basis
+        if part["span"] is None:
             continue
         split = coordinate_split(g, r)
         structured = split is not None and _certified_root_support(
             g, [a for a, _ in split[1]])
-        assert method == ("structured" if structured else "envelope")
-        by_envelope += method == "envelope"
-        assert is_subspace
-        assert _oracle_cone(r, lambda v: literal_p_nilpotent(g, v)) == \
-            (cone, True), r.basis
+        assert part["method"] == ("structured" if structured else "envelope")
+        by_envelope += part["method"] == "envelope"
+        assert oracle == (part["span"], True), r.basis
     assert by_envelope
 
 
 def test_envelope_certificate_declines():
-    from morozov.gfp import envelope_radical
     # sl3@3, the scalars plus the conjugated Borel nilradical: the envelope
     # is F + u and tr(1) = 3 = 0, so its trace radical I_0 holds 1; the
     # step g_1(1) = tr(1)/3 = 1 drops it, J = u, and the envelope certifies
@@ -1267,40 +1275,23 @@ def test_envelope_certificate_declines():
     one = g.coordinates_of_matrix(FieldMatrix.identity(3, 3))
     r = solvable_radical(g, g.subspace([one, *u.basis]))
     assert r.dim == 4
-    assert _nilpotent_cone(g, r, g.linear_lift, 0) == (u, "envelope", True)
+    assert _nilpotent_cone(g, r, g.linear_lift)[:2] == (u, "envelope")
+    assert pnil_part_of_radical(g, r, 0)["span"] == u
     # sl2@2 is nilpotent and its envelope is all of M_2, which is simple,
-    # so J = 0, while [e, f] = h = 1: the quotient is not commutative, and
-    # the p-nilpotent elements are no subspace
+    # so J = 0, while [e, f] = h = 1: the quotient is not commutative, the
+    # certificate declines C, and the walk finds that the p-nilpotent
+    # elements are no subspace; rad_p(sl2) = P = 0
     g = build("sl", 2, 2)
     r = solvable_radical(g, g.full_space())
     assert r == g.full_space()
-    assert _nilpotent_cone(g, r, g.linear_lift, DEFAULT_BUDGET)[1:] == \
-        ("enumeration", False)
-    # the 9 x 9 cycle E_12, E_23, ..., E_91 generates all of M_9, past the
-    # dimension cap
-    cycle = [FieldMatrix(9, 9, 5, [int(k == 9 * i + (i + 1) % 9)
-                                   for k in range(81)]) for i in range(9)]
-    assert envelope_radical(cycle) is None
+    assert pnil_part_of_radical(g, r, 0)["span"] is None
+    part = pnil_part_of_radical(g, r)
+    assert (part["span"], part["method"]) == (None, "enumeration")
+    assert "do not form a subspace" in part["detail"]
+    assert part["cone"].dim == 0 and p_radical(g, r)["rad_p"].dim == 0
     # pgl3@3 (p | n): the envelope of ad certifies the cone of the Borel
     # moved by 1 + E_31, which is not coordinate-split
     g = build("pgl", 3, 3)
     w, b = _conjugated_borel(g)
-    assert _nilpotent_cone(g, b, g.linear_lift, 0) == (conjugate_subspace(
-        g, w, standard_borel(g)["nilradical"]), "envelope", True)
-
-
-def test_envelope_radical_of_triangular_matrices():
-    # the upper triangular 3 x 3 matrices over GF(5), generated by E_11,
-    # E_22, E_12 and E_23: J(A) is the strictly upper triangular part
-    from morozov.gfp import envelope_radical
-
-    def unit(i, j):
-        return FieldMatrix(3, 3, 5, [int(k == 3 * i + j) for k in range(9)])
-    residue = envelope_radical([unit(0, 0), unit(1, 1), unit(0, 1),
-                                unit(1, 2)])
-    for i in range(3):
-        for j in range(3):
-            assert (not any(residue(unit(i, j)))) == (i < j)
-    # linear: E_11 + E_22 + E_33 - 1 has residue 0
-    total = unit(0, 0) + unit(1, 1) + unit(2, 2)
-    assert not any(residue(total - FieldMatrix.identity(3, 5)))
+    assert pnil_part_of_radical(g, b, 0)["span"] == conjugate_subspace(
+        g, w, standard_borel(g)["nilradical"])

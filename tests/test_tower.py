@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -250,17 +252,18 @@ def test_kempf_input_class_on_pgl_needs_no_budget():
 
 
 def test_verify_morozov_hands_its_budget_to_the_radicals(monkeypatch):
-    # the Kempf check needs no budget; the radicals, which may still
-    # enumerate, get the caller's
+    # the Kempf check needs no budget; the walk of the p-nilpotent elements
+    # of rad(q), the one enumeration left, gets the caller's, and rad_p(q)
+    # reads the cone with no walk (budget 0)
     from morozov import radicals
     budgets = []
 
     def recording(name):
         original = getattr(radicals, name)
 
-        def wrapper(g, h, budget=radicals.DEFAULT_BUDGET):
-            budgets.append((name, budget))
-            return original(g, h, budget)
+        def wrapper(g, h, *budget):
+            budgets.append((name, *budget))
+            return original(g, h, *budget)
         monkeypatch.setattr(radicals, name, wrapper)
 
     g = build("pgl", 3, 5)
@@ -273,7 +276,7 @@ def test_verify_morozov_hands_its_budget_to_the_radicals(monkeypatch):
         assert checks["kempf"] == "pass"
         assert checks["u_is_p_radical"] == "pass"
         assert set(budgets) == {("pnil_part_of_radical", budget),
-                                ("p_radical", budget)}
+                                ("p_radical",), ("pnil_part_of_radical", 0)}
 
 
 def _towers_pass(g, chosen):
@@ -339,3 +342,30 @@ def test_towers_at_2_stabilise_on_p_nil_limits_or_end_undetermined(fam, n):
             else:
                 assert trace.status == "budget-exceeded", chosen
                 assert "do not form a subspace" in trace.detail, chosen
+
+
+def _root_group_word(g, rng):
+    """`root_group_word` of the benchmark's workloads, loaded from its file
+    without touching sys.path."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.root_group_word(g, rng)
+
+
+def test_conjugated_sp6_tower_past_a_killing_form_that_vanishes():
+    # a root-group conjugate of the sp6@7 nilradical S = (1, 2): the
+    # normaliser's radical needs the peel loop, through a 14-dim view
+    # whose Killing form vanishes and whose ad envelope has more than 128
+    # words; its nilradical, read off J, decides it, and the tower
+    # stabilises on the conjugate with every check of verify_morozov
+    from morozov.liealg import conjugate_subspace
+    g = build("sp", 6, 7)
+    w = _root_group_word(g, random.Random("sweep:sp6@7:(1, 2)"))
+    u = conjugate_subspace(g, w, standard_parabolic(g, (1, 2))["nilradical"])
+    trace = run_tower(g, u, budget=10 ** 5)
+    assert trace.status == "stabilized" and trace.u_limit == u
+    checks = verify_morozov(g, trace, budget=10 ** 5).checks
+    assert (checks["fixed_point"], checks["parabolic"],
+            checks["u_is_p_radical"]) == ("pass", "pass", "pass")
