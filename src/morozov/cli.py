@@ -1,11 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 = computation succeeded / all checks passed, 1 = a
-verification failed, 2 = undetermined, 3 = input error, a malformed
-command line included.  `tower run --budget` is the only budget: it
-bounds the tower's walk over the p-nilpotent elements of rad(q).  Output
-is canonical JSON (default) or text; identical inputs and seed give
-byte-identical JSON."""
+verification failed, 2 = undetermined, 3 = input error or malformed
+command line.  Only `tower run` takes a `--budget`, for its walk.
+Output is canonical JSON (default) or text; identical inputs and seed
+give byte-identical JSON."""
 
 from __future__ import annotations
 
@@ -255,8 +254,7 @@ def _add_common(sub, algebra=True, subspace=False):
 
 
 class _Parser(argparse.ArgumentParser):
-    """A malformed command line is an input error, not argparse's exit 2,
-    which here means undetermined; subcommand parsers inherit the class."""
+    """Exit 3 on a malformed command line: argparse's 2 means undetermined."""
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -10,8 +10,8 @@ and `subalgebra_closure`.  `trace_gram` is the one home of the trace form
 tr(XY): the Killing form, the first step of `jacobson_radical` and
 q n q^perp of the flag frame.  `jacobson_radical` is the one J(A), for
 every radical ideal of `radicals` and the flag frame at p = 2 and on pgl
-with p | n; its word basis is capped by MAX_ENVELOPE entries, not by
-MAX_DIM words.  `_combine` (sum c * row) serves the rest.
+with p | n; its word basis holds MAX_DIM words, or more while it stays
+within MAX_ENVELOPE entries.  `_combine` (sum c * row) serves the rest.
 
 All but a growing `Echelon` is immutable after construction, and every
 operation is pure.  Field elements are plain ints reduced into [0, p).
@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 MAX_PRIME = 13
 MAX_DIM = 64          # semantic cap: ambient dimensions of subspaces/algebras
 _MAX_SCRATCH = 4096   # stacked constraint systems may be much taller
-MAX_ENVELOPE = 2 ** 16  # words x n^2 of an envelope's word basis: all of M_16
+MAX_ENVELOPE = 2 ** 16  # words x n^2 past MAX_DIM words: all of M_16 fits
 
 
 def is_prime(n: int) -> bool:
@@ -471,22 +471,22 @@ def _trace_digit(m: FieldMatrix, i: int) -> int:
 def jacobson_radical(mats: Sequence[FieldMatrix]) -> Echelon | None:
     """J(A) for the associative algebra A generated by 1 and the n x n
     matrices `mats` (at least one), as an `Echelon` of entry vectors; None
-    when the word basis passes MAX_ENVELOPE entries, words x n^2.  A is
-    spun from 1: a word that enlarges the `Echelon` of the words so far
-    joins the basis, and its products with the generators are queued.  As
-    in Cohen-Ivanyos-Wales (J. Pure Appl. Algebra 117/118, 1997), I_0 is
-    the kernel of the words' `trace_gram`, and I_i = {a in I_(i-1) :
-    g_i(ab) = 0 for every word b}, g_i of `_trace_digit` being linear on
-    I_(i-1): ideals containing J(A), with I_l = J(A) for p^l <= n.  A
-    nilpotent ideal lies in J(A), so the first I_i whose images of GF(p)^n
-    reach 0 is J(A)."""
+    when the word basis passes both MAX_DIM words and MAX_ENVELOPE
+    entries, words x n^2.  A is spun from 1: a word that enlarges the
+    `Echelon` of the words so far joins the basis, and its products with
+    the generators are queued.  As in Cohen-Ivanyos-Wales (J. Pure Appl.
+    Algebra 117/118, 1997), I_0 is the kernel of the words' `trace_gram`,
+    and I_i = {a in I_(i-1) : g_i(ab) = 0 for every word b}, g_i of
+    `_trace_digit` being linear on I_(i-1): ideals containing J(A), with
+    I_l = J(A) for p^l <= n.  A nilpotent ideal lies in J(A), so the first
+    I_i whose images of GF(p)^n reach 0 is J(A)."""
     n, p = mats[0].rows, mats[0].p
     words, span = [], Echelon(n * n, p)
     queue = [FieldMatrix.identity(n, p)]
     while queue:
         w = queue.pop()
         if span.add(w.entries):
-            if (len(words) + 1) * n * n > MAX_ENVELOPE:
+            if len(words) == max(MAX_DIM, MAX_ENVELOPE // (n * n)):
                 return None
             words.append(w)
             queue.extend(m @ w for m in mats)

@@ -31,7 +31,10 @@ Strategy notes:
     exactly when rad(h) is.  nil(h) and rad_p(h) are the largest h-ideals
     inside P = {x in rad(h) : lift(x) in J(A)}, A generated by 1 and the
     lifts of rad(h): ad_h for nil(h), `LieAlgebra.linear_lift` for rad_p(h)
-    (both radicals are ideals of rad(h) acting nilpotently);
+    (both radicals are ideals of rad(h) acting nilpotently).  The largest
+    h-ideal inside the set C of x with lift(x) nilpotent, when C is a
+    subspace, is the same radical: its lifts form a Lie algebra of
+    nilpotent matrices, which acts nilpotently;
   * for a coordinate-split h, [e_a, e_b] lies in the weight space g_(a+b)
     (a root line, the torus or 0) and [z, e_b] = b(z) e_b, so spin ideals
     and their derived terms are root indices plus coroots [e_c, e_-c]; a
@@ -47,16 +50,16 @@ Strategy notes:
   * P comes from the first of two certificates (`_nilpotent_cone`).
     "structured": a coordinate-split rad(h) whose roots lie in a positive
     system gives its root part plus the torus elements with lift 0.
-    "envelope": one linear solve against J(A), which declines
-    (Undetermined) only when A's word basis passes gfp.MAX_ENVELOPE
-    entries;
-  * the tower's next u is the set C of p-nilpotent elements of rad(h)
-    (`pnil_part_of_radical`), which contains P and can be a larger
-    subspace at p = 2.  C = P from the structured step, or when the lifts
-    commute modulo J(A): then A/J(A) is commutative and semisimple, with
-    no nonzero nilpotents.  Else one walk over the p^dim vectors of rad(h)
-    within the tower's budget decides C, or leaves it undecided when the
-    budget is passed or C is no subspace: never a guess.
+    "envelope": all of rad(h) when its lifts act nilpotently together,
+    else one linear solve against J(A).  Past gfp's cap on A's word
+    basis, "enumeration": one walk over the p^dim vectors of rad(h)
+    within a budget decides C (`_walk`), or leaves it undecided when the
+    budget is passed or C is no subspace: never a guess;
+  * the tower's next u is C for the linear lift (`pnil_part_of_radical`),
+    which contains P and can be a larger subspace at p = 2.  C = P from
+    the structured step, or when the lifts commute modulo J(A): then
+    A/J(A) is commutative and semisimple, with no nonzero nilpotents.
+    Else the walk decides C within the tower's budget.
 """
 
 from __future__ import annotations
@@ -66,18 +69,17 @@ from typing import Optional
 
 # kernel and rref are unused here; the benchmark tracer's self-test checks
 # that rebinding reaches every module importing them by name
-from .gfp import (MAX_ENVELOPE, FieldMatrix, Subspace,  # noqa: F401
-                  image_flag, jacobson_radical, kernel, rref, solve_linear)
+from .gfp import (FieldMatrix, Subspace, image_flag,  # noqa: F401
+                  jacobson_radical, kernel, rref, solve_linear)
 from .liealg import Element, LieAlgebra, coordinate_split
 from .rootdata import is_closed
 
-DEFAULT_BUDGET = 10 ** 7    # the tower's walk
+DEFAULT_BUDGET = 10 ** 7    # the walk
 
 
 class Undetermined(Exception):
     """Raised when a computation cannot be certified; `step` names the
-    step that gave up: "envelope" (a word basis past gfp.MAX_ENVELOPE) or
-    "enumeration" (the tower's walk)."""
+    step that gave up, "enumeration" (`_walk`)."""
 
     def __init__(self, message: str, step: str):
         super().__init__(message)
@@ -168,8 +170,13 @@ def is_p_nil_subalgebra(g: LieAlgebra, u: Subspace) -> bool:
     budget: the Engel flag W_0 = F^m, W_(k+1) = span{L w} of u's basis
     lifts L (`LieAlgebra.linear_lift`, m x m matrices) reaches 0 (module
     notes)."""
-    lifts = [g.linear_lift(list(b)) for b in u.basis]
-    return not lifts or image_flag(Subspace.full(lifts[0].rows, g.p),
+    return _act_nilpotently([g.linear_lift(list(b)) for b in u.basis], g.p)
+
+
+def _act_nilpotently(lifts, p: int) -> bool:
+    """Whether the matrices `lifts` generate a nilpotent associative
+    algebra: their Engel flag W_0 = F^m, W_(k+1) = span{L w} reaches 0."""
+    return not lifts or image_flag(Subspace.full(lifts[0].rows, p),
                                    [m.matvec for m in lifts]) is not None
 
 
@@ -202,10 +209,11 @@ def _find_solvable_ideal(view: SubView):
     if k.dim == 0:
         return None
     if k.dim == view.dim:
-        ideal = _nilpotent_cone(view, k, view.ad_matrix_vec)[0]
+        inside = _nilpotent_cone(view, k, view.ad_matrix_vec,
+                                 "ad-nilpotent elements of a view")[0]
     else:
-        ideal = view.largest_ideal_inside(view.full_space(),
-                                          _view_radical(view, k))
+        inside = _view_radical(view, k)
+    ideal = view.largest_ideal_inside(view.full_space(), inside)
     return ideal if ideal.dim else None
 
 
@@ -307,11 +315,15 @@ def _certified_root_support(g: LieAlgebra, roots) -> bool:
         {tuple(-x for x in r) for r in roots}.isdisjoint(roots)
 
 
-def _nilpotent_cone(g: LieAlgebra, r: Subspace, lift) -> tuple:
+def _nilpotent_cone(g: LieAlgebra, r: Subspace, lift,
+                    what: Optional[str] = None) -> tuple:
     """(P, method, J) for P = {x in r : lift(x) in J(A)}, A generated by 1
     and the lifts of r's basis, lift(x) a matrix linear in x, from the
-    first certificate that holds; J is the `Echelon` of J(A), or None from
-    the structured step.
+    first certificate that holds; J is the `Echelon` of J(A), or None.
+    Past gfp's cap on A's word basis P is None, or, for a caller naming
+    the set in `what`, the set C of x in r with a nilpotent lift, from the
+    walk within DEFAULT_BUDGET: the largest h-ideal inside either P or C
+    is the same radical (module notes).
 
     "structured": r is coordinate-split with a certified root support
     (`_certified_root_support`); P is r's root part plus the z in its torus
@@ -324,8 +336,9 @@ def _nilpotent_cone(g: LieAlgebra, r: Subspace, lift) -> tuple:
     thus acts as lift(z): it is nilpotent exactly when the semisimple
     lift(z) is, that is, when lift(z) = 0; and the lifts that raise the
     filtration form a nilpotent ideal of A, inside J(A).
-    "envelope": `gfp.jacobson_radical` of the lifts, and one linear solve;
-    Undetermined when A's word basis passes MAX_ENVELOPE entries."""
+    "envelope": P = r when the lifts generate a nilpotent algebra N (none
+    for r = 0), as then A = F + N and J(A) = N; else `gfp.jacobson_radical`
+    of the lifts, and one linear solve."""
     split = coordinate_split(g, r)
     if split is not None and _certified_root_support(
             g, [a for a, _ in split[1]]):
@@ -336,12 +349,32 @@ def _nilpotent_cone(g: LieAlgebra, r: Subspace, lift) -> tuple:
                       + list(zip(torus.pivots, torus.basis)))
         return Subspace(r.ambient_dim, r.p, [row for _, row in rows]), \
             "structured", None
-    radical = jacobson_radical([lift(list(b)) for b in r.basis])
+    lifts = [lift(list(b)) for b in r.basis]
+    if _act_nilpotently(lifts, r.p):
+        return r, "envelope", None
+    radical = jacobson_radical(lifts)
     if radical is None:
-        raise Undetermined(f"the associative envelope of {r.dim} lifts "
-                           f"passes {MAX_ENVELOPE} word entries", "envelope")
+        return None if what is None else _walk(
+            r, lift, DEFAULT_BUDGET, what), "enumeration", None
     return solve_linear(r, lambda x: radical.reduce(lift(x).entries)), \
         "envelope", radical
+
+
+def _walk(r: Subspace, lift, budget: int, what: str) -> Subspace:
+    """The set of x in r with lift(x) nilpotent, named `what`, by the one
+    walk over the p^dim(r) vectors of r; Undetermined when it passes the
+    budget, or when the set is not a subspace, since its span need not act
+    nilpotently."""
+    if r.p ** r.dim > budget:
+        raise Undetermined(f"enumeration of {r.p ** r.dim} elements "
+                           f"exceeds budget {budget}", "enumeration")
+    members = [v for v in r.enumerate_vectors()
+               if any(v) and lift(v).is_nilpotent()]
+    span = Subspace.from_vectors(members, r.ambient_dim, r.p)
+    if len(members) + 1 != r.p ** span.dim:
+        raise Undetermined(f"the {what} do not form a subspace",
+                           "enumeration")
+    return span
 
 
 def _ad_lift(g: LieAlgebra, h: Subspace):
@@ -358,61 +391,64 @@ def _ad_lift(g: LieAlgebra, h: Subspace):
 # Nilradical and p-radical
 # ---------------------------------------------------------------------------
 
+def _p_cone(g: LieAlgebra, r: Subspace) -> tuple:
+    """`_nilpotent_cone` of `LieAlgebra.linear_lift` on r, memoised: each h
+    spins one envelope."""
+    key = ("pcone", r.basis)
+    if key not in g._memo:
+        g._memo[key] = _nilpotent_cone(g, r, g.linear_lift)
+    return g._memo[key]
+
+
 def pnil_part_of_radical(g: LieAlgebra, h: Subspace,
                          budget: int = DEFAULT_BUDGET) -> dict:
     """The tower's next u: "span", the set C of p-nilpotent elements of
-    rad(h), and its method; "cone", P of the linear lift on rad(h)
-    (`_nilpotent_cone`), which `p_radical` reads; and "radical", rad(h).
-    C = P from the structured step, where it is the root part of a split
-    radical, as no nonzero torus element has lift 0, or when the lifts
-    commute modulo J(A).  Else C comes from a walk over rad(h) within the
-    budget, and "span" is None, with the reason in "detail", when the
-    walk passes the budget or finds that C is not a subspace, since its
-    span need not be p-nil.  The certified part is memoised, the walk not."""
+    rad(h), with its method, and "radical", rad(h).  C is P of `_p_cone`
+    from the structured step, the root part of a split radical, as no
+    nonzero torus element has lift 0, or from the envelope when the lifts
+    commute modulo J(A); else the walk within the budget decides C or
+    raises Undetermined (`_walk`).  Memoised once decided: it is exact."""
     key = ("pnilpart", h.basis)
     if key not in g._memo:
         r = solvable_radical(g, h)
-        cone, method, radical = _nilpotent_cone(g, r, g.linear_lift)
+        cone, method, radical = _p_cone(g, r)
         lifts = [] if radical is None else [g.linear_lift(list(b))
                                             for b in r.basis]
-        commute = not any(any(radical.reduce((a @ b - b @ a).entries))
-                          for i, a in enumerate(lifts) for b in lifts[:i])
-        g._memo[key] = {"span": cone if commute else None, "cone": cone,
-                        "method": method, "radical": r}
-    part = g._memo[key]
-    if part["span"] is not None:
-        return part
-    r = part["radical"]
-    if r.p ** r.dim > budget:
-        return dict(part, detail=f"enumeration of {r.p ** r.dim} elements "
-                                 f"exceeds budget {budget}")
-    members = [v for v in r.enumerate_vectors()
-               if any(v) and g.linear_lift(v).is_nilpotent()]
-    span = Subspace.from_vectors(members, r.ambient_dim, r.p)
-    if len(members) + 1 != r.p ** span.dim:
-        return dict(part, method="enumeration", detail="the p-nilpotent "
-                    "elements of rad(h) do not form a subspace")
-    return dict(part, span=span, method="enumeration")
+        if cone is None or any(any(radical.reduce((a @ b - b @ a).entries))
+                               for i, a in enumerate(lifts)
+                               for b in lifts[:i]):
+            cone, method = _walk(r, g.linear_lift, budget, "p-nilpotent "
+                                 "elements of rad(h)"), "enumeration"
+        g._memo[key] = {"span": cone, "method": method, "radical": r}
+    return g._memo[key]
 
 
 def p_radical(g: LieAlgebra, h: Subspace) -> dict:
-    """Maximal p-nil ideal of h: the largest h-ideal inside the cone P of
-    `pnil_part_of_radical`, read with no walk (budget 0; module notes)."""
-    part = pnil_part_of_radical(g, h, 0)
-    cand = g.largest_ideal_inside(h, part["cone"])
+    """Maximal p-nil ideal of h: the largest h-ideal inside C of
+    `pnil_part_of_radical` where it needs no walk (budget 0), else inside
+    P of `_p_cone`, or C walked past P's cap (module notes)."""
+    r = solvable_radical(g, h)
+    try:
+        part = pnil_part_of_radical(g, h, 0)
+    except Undetermined:
+        cone, method, _ = _p_cone(g, r)
+        part = pnil_part_of_radical(g, h) if cone is None else \
+            {"span": cone, "method": method}
+    cand = g.largest_ideal_inside(h, part["span"])
     p_closed = all(
         cand.contains_vector(g.p_power_vec(list(b))) for b in cand.basis)
     return {"rad_p": cand, "method": part["method"], "p_closed": p_closed,
-            "radical": part["radical"]}
+            "radical": r}
 
 
 def nilradical(g: LieAlgebra, h: Subspace) -> dict:
-    """Maximal nilpotent ideal of h: the largest h-ideal inside the cone P
-    of ad_h on rad(h) (`_ad_lift`, `_nilpotent_cone`; module notes); by the
+    """Maximal nilpotent ideal of h: the largest h-ideal inside the cone of
+    ad_h on rad(h) (`_ad_lift`, `_nilpotent_cone`; module notes); by the
     structured step, which needs rad(h) split but not h, P is its root
     part plus its torus elements central in h."""
     r = solvable_radical(g, h)
-    cone, method, _ = _nilpotent_cone(g, r, _ad_lift(g, h))
+    cone, method, _ = _nilpotent_cone(g, r, _ad_lift(g, h),
+                                      "ad-nilpotent elements of rad(h)")
     return {"nil": g.largest_ideal_inside(h, cone), "method": method,
             "radical": r}
 

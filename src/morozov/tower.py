@@ -5,13 +5,11 @@ identity, agreement with the optimal cocharacter's parabolic).
 
 Stabilization is detected by pair repetition with full-history cycle
 detection; the step count is capped, and every anomaly lands in the
-status field instead of an exception.  The budget (`morozov tower run
---budget`, the only command that takes one) bounds the one walk left in
-the engine: the p-nilpotent elements of rad(q) when no certificate gives
-them (`radicals.pnil_part_of_radical`).  A step whose p-nilpotent
-elements do not form a subspace, whose walk runs over the budget, or
-whose envelope passes its word cap ends the tower `budget-exceeded` with
-the reason in `detail`.  u = rad_p(q) is checked with no walk.
+status field instead of an exception.  `morozov tower run --budget`
+bounds the walk that decides the p-nilpotent elements of rad(q)
+(`radicals.pnil_part_of_radical`); a step where they do not form a
+subspace, or whose walk runs over the budget, ends the tower
+`budget-exceeded` with the reason in `detail`.
 """
 
 from __future__ import annotations
@@ -84,12 +82,9 @@ def check_tower_input(g: LieAlgebra, u: Subspace, budget=None) -> None:
 
 def tower_step(g: LieAlgebra, u: Subspace,
                budget: int = radicals.DEFAULT_BUDGET) -> tuple:
-    """One iteration: (q, u_next, info); Undetermined when u_next is not
-    decided within the budget."""
+    """One iteration: (q, u_next, info)."""
     q = g.normalizer(u)
     part = radicals.pnil_part_of_radical(g, q, budget)
-    if part["span"] is None:
-        raise radicals.Undetermined(part["detail"], "enumeration")
     return q, part["span"], part
 
 
@@ -141,9 +136,8 @@ def verify_morozov(g: LieAlgebra, trace: TowerTrace,
     rep.checks["stabilized"] = "pass"
     u, q = trace.u_limit, trace.q_limit
 
-    span = radicals.pnil_part_of_radical(g, g.normalizer(u), budget)["span"]
-    rep.checks["fixed_point"] = "undetermined" if span is None else (
-        "pass" if span == u else "fail")
+    part = radicals.pnil_part_of_radical(g, g.normalizer(u), budget)
+    rep.checks["fixed_point"] = "pass" if part["span"] == u else "fail"
 
     verdict = parabolic.detect_parabolic(g, q)
     rep.checks["parabolic"] = {"parabolic": "pass",

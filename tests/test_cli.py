@@ -45,8 +45,8 @@ def _sl3_not_closed():
 
 
 def _pgl8_at_2_borel_conjugated():
-    # the pgl8@2 Borel moved by 1 + E_81: the ad envelope of its radical
-    # ideals passes the cap on words x n^2
+    # the pgl8@2 Borel moved by 1 + E_81: the ad envelopes of its radical
+    # ideals pass the word cap, and the walks that replace them the budget
     g = build("pgl", 8, 2)
     w = FieldMatrix.identity(8, 2) + FieldMatrix(
         8, 8, 2, [int(i == 56) for i in range(64)])
@@ -133,7 +133,8 @@ CASES = [
     (["kempf", "optimize", "--family", "sl", "--n", "3", "--p", "7",
       "--subspace", "@sl3-nil"], EXIT_INPUT),
     (["radical", "compute", *SL3, "--subspace", "@sl3-borel"], EXIT_OK),
-    # the ad envelope of the radical ideals passes the word cap
+    # the ad envelopes of the radical ideals pass the word cap, and the
+    # walks over the 2^35 vectors of the radical the budget
     (["radical", "compute", "--family", "pgl", "--n", "8", "--p", "2",
       "--subspace", "@pgl8@2-borel-conj"], EXIT_UNDETERMINED),
     (["radical", "compute", *SL3, "--subspace", "@sl3-not-closed"], EXIT_INPUT),
@@ -442,6 +443,18 @@ def test_parabolic_detect_on_an_algebra_without_a_frame(tmp_path, capsys):
         else:
             assert json.loads(out)["verdict"]["failure_reason"] == \
                 "no-torus-found"
+
+def test_radical_compute_on_an_algebra_without_a_frame(tmp_path, capsys):
+    # sl2@5 without its family stamp, no subspace: h = sl2 is simple, and
+    # with no frame nor structured step the radical ideals come from the
+    # envelope of no lifts at all
+    algebra = tmp_path / "sl2.json"
+    algebra.write_text(canonical_json(ALGEBRAS["sl2-unstamped"]()))
+    assert main(["radical", "compute", "--algebra", str(algebra)]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["status"] == "ok"
+    assert report["rad"] == report["nil"] == report["rad_p"] == []
+
 
 def test_tower_run_ends_undetermined_on_a_cone_that_is_not_a_subspace(
         tmp_path, capsys):

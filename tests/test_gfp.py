@@ -571,18 +571,21 @@ def test_jacobson_radical_past_the_trace_radical():
 
 
 def test_jacobson_radical_declines_past_max_dim():
-    # the cap is on words x n^2, not on MAX_DIM words: the 9 x 9 cycle
+    # past MAX_DIM words the cap is on words x n^2: the 9 x 9 cycle
     # E_12, E_23, ..., E_91 generates all of M_9, 81 words, which is simple
     cycle = [_unit(9, 5, i, (i + 1) % 9) for i in range(9)]
     assert jacobson_radical(cycle).kept == {}
-    # 63 x 63 envelopes (the ad envelopes of pgl8) hold 2^16 // 63^2 = 16
-    # words: a nilpotent Jordan block N of size 16 spans 1, N, ..., N^15
-    # and J is all but 1; one of size 17 passes the cap
-    assert MAX_ENVELOPE // 63 ** 2 == 16
-    for size, fits in ((16, True), (17, False)):
-        block = FieldMatrix(63, 63, 2, [int(k % 64 == 1 and k // 63 < size - 1)
-                                        for k in range(63 * 63)])
-        radical = jacobson_radical([block])
+    # 63 x 63 envelopes (the ad envelopes of pgl8) keep MAX_DIM words, as
+    # 2^16 // 63^2 = 16 is fewer: the cycle on the first k coordinates
+    # generates F(1 - e) + M_k, e the identity of the corner M_k, with
+    # k^2 + 1 words and J = 0; 50 words fit for k = 7, 65 pass for k = 8
+    assert MAX_ENVELOPE // 63 ** 2 < MAX_DIM
+    for k, fits in ((7, True), (8, False)):
+        corner = [FieldMatrix(63, 63, 2, [int(r == i and c == (i + 1) % k)
+                                          for r in range(63)
+                                          for c in range(63)])
+                  for i in range(k)]
+        radical = jacobson_radical(corner)
         assert (radical is not None) == fits
         if fits:
-            assert len(radical.kept) == size - 1
+            assert radical.kept == {}

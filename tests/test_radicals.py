@@ -258,9 +258,8 @@ def test_p_radical_is_undetermined_when_the_cone_is_not_a_subspace():
     # lift lies in J(A), is the nilradical
     g = build("sl", 3, 2)
     data = standard_parabolic(g, (0,))
-    part = pnil_part_of_radical(g, data["parabolic"])
-    assert part["span"] is None
-    assert "do not form a subspace" in part["detail"]
+    with pytest.raises(Undetermined, match="do not form a subspace"):
+        pnil_part_of_radical(g, data["parabolic"])
     assert p_radical(g, data["parabolic"])["rad_p"] == data["nilradical"]
     trace = run_tower(g, data["nilradical"])
     assert trace.status == "budget-exceeded" and trace.u_limit is None
@@ -411,8 +410,8 @@ def test_undetermined_budget():
     g, skew = _conjugated_sl3_at_2_parabolic()
     assert coordinate_split(g, skew) is None
     assert solvable_radical(g, skew) == skew
-    part = pnil_part_of_radical(g, skew, budget=10)
-    assert part["span"] is None and "exceeds budget 10" in part["detail"]
+    with pytest.raises(Undetermined, match="exceeds budget 10"):
+        pnil_part_of_radical(g, skew, budget=10)
 
 
 def _subsets(g):
@@ -815,10 +814,11 @@ def test_radicals_of_the_conjugated_sl4_parabolic(monkeypatch):
 
 
 def _conjugated_pgl8_at_2_borel():
-    """The pgl8@2 Borel moved by 1 + E_81: its own radical, and every
-    envelope of its radical ideals passes the word cap (the ad envelope on
-    the Borel after 2^16 // 35^2 = 53 words, the 63 x 63 ad envelope of
-    the linear lift after 16)."""
+    """The pgl8@2 Borel moved by 1 + E_81: its own radical, of dimension
+    35, and every envelope of its radical ideals passes the word cap of
+    MAX_DIM words (the ad envelope on the Borel and the 63 x 63 ad
+    envelope of the linear lift), so each falls back on a walk over 2^35
+    vectors, past the budget."""
     return _conjugated_borel(build("pgl", 8, 2))[1]
 
 
@@ -826,20 +826,39 @@ def test_radical_report_returns_undetermined():
     g, h = build("pgl", 8, 2), _conjugated_pgl8_at_2_borel()
     rep = radical_report(g, h)
     assert rep.status == "undetermined"
-    assert "passes 65536 word entries" in rep.detail
+    assert f"enumeration of {2 ** 35} elements exceeds budget" in rep.detail
     assert rep.rad == h and rep.nil is None and rep.rad_p is None
     assert rep.as_dict()["nil"] is None
     # rad_p alone: the 63 x 63 ad envelope of the linear lift (p | n)
     assert g.linear_lift(list(h.basis[0])).rows == 63
-    with pytest.raises(Undetermined, match="passes 65536 word entries"):
+    with pytest.raises(Undetermined, match=f"{2 ** 35} elements exceeds"):
         p_radical(g, h)
 
 
+def test_radicals_of_a_conjugated_pgl6_at_2_nilradical(monkeypatch):
+    # the pgl6@2 Borel nilradical moved by 1 + E_61: its lifts, the 35 x 35
+    # ad matrices of the linear lift (p | n) and the ad matrices on u, act
+    # nilpotently, so the envelope certifies rad = nil = rad_p = u with no
+    # walk over its 2^15 vectors
+    def refuse(self):
+        raise AssertionError("enumerate_vectors called")
+
+    g = build("pgl", 6, 2)
+    w, _ = _conjugated_borel(g)
+    u = conjugate_subspace(g, w, standard_borel(g)["nilradical"])
+    assert u.dim == 15 and coordinate_split(g, u) is None
+    monkeypatch.setattr(Subspace, "enumerate_vectors", refuse)
+    rep = radical_report(g, u)
+    assert rep.status == "ok" and rep.method_used == "envelope"
+    assert rep.rad == rep.nil == rep.rad_p == u and rep.p_closed
+
+
 def test_radical_report_names_the_enumeration_that_gave_up():
-    # no enumeration is left in the radical ideals: the conjugated sl3@2
-    # parabolic, its own radical, whose ad-nilpotent elements are no
-    # subspace, is decided by the envelopes and equals the brute force;
-    # what gives up is an envelope past its cap, and the report names it
+    # the radical ideals walk only past an envelope's word cap: the
+    # conjugated sl3@2 parabolic, its own radical, whose ad-nilpotent
+    # elements are no subspace, is decided by the envelopes and equals the
+    # brute force; what gives up is the walk past the cap, and the report
+    # names it
     from morozov.suite import _brute_radicals
     g, skew = _conjugated_sl3_at_2_parabolic()
     rep = radical_report(g, skew)
@@ -848,7 +867,7 @@ def test_radical_report_names_the_enumeration_that_gave_up():
     assert (rep.rad, rep.nil, rep.rad_p) == (
         skew, brute["nil"], brute["rad_p"])
     rep = radical_report(build("pgl", 8, 2), _conjugated_pgl8_at_2_borel())
-    assert rep.method_used == "envelope"
+    assert rep.method_used == "enumeration"
 
 
 def test_radical_compute_cli_exits_undetermined(tmp_path, capsys):
@@ -1242,18 +1261,20 @@ def _envelope_inputs(g, rng):
 def test_envelope_cone_matches_enumeration(fam, n, p):
     # the cone P of the linear lift holds only p-nilpotent elements; where
     # the structured step or the commuting lifts certify the set C of all
-    # of them (no walk, budget 0) it is P, the set the literal p-power
-    # iteration picks out, a subspace; a radical that is not
+    # of them (a budget of 0 forbids the walk) it is P, the set the literal
+    # p-power iteration picks out, a subspace; a radical that is not
     # coordinate-split, or split with a root support in no positive
     # system, is certified by the envelope alone, and the envelope
     # certifies some such set of every algebra
     g = build(fam, n, p)
     by_envelope = 0
     for r in _envelope_inputs(g, random.Random(f"envelope:{fam}{n}@{p}")):
-        part = pnil_part_of_radical(g, r, 0)
+        cone, method, _ = _nilpotent_cone(g, r, g.linear_lift)
         oracle = _oracle_cone(r, lambda v: literal_p_nilpotent(g, v))
-        assert oracle[0].contains(part["cone"]), r.basis
-        if part["span"] is None:
+        assert oracle[0].contains(cone), r.basis
+        try:
+            part = pnil_part_of_radical(g, r, 0)
+        except Undetermined:
             continue
         split = coordinate_split(g, r)
         structured = split is not None and _certified_root_support(
@@ -1284,11 +1305,12 @@ def test_envelope_certificate_declines():
     g = build("sl", 2, 2)
     r = solvable_radical(g, g.full_space())
     assert r == g.full_space()
-    assert pnil_part_of_radical(g, r, 0)["span"] is None
-    part = pnil_part_of_radical(g, r)
-    assert (part["span"], part["method"]) == (None, "enumeration")
-    assert "do not form a subspace" in part["detail"]
-    assert part["cone"].dim == 0 and p_radical(g, r)["rad_p"].dim == 0
+    with pytest.raises(Undetermined, match="exceeds budget 0"):
+        pnil_part_of_radical(g, r, 0)
+    with pytest.raises(Undetermined, match="do not form a subspace"):
+        pnil_part_of_radical(g, r)
+    assert _nilpotent_cone(g, r, g.linear_lift)[0].dim == 0
+    assert p_radical(g, r)["rad_p"].dim == 0
     # pgl3@3 (p | n): the envelope of ad certifies the cone of the Borel
     # moved by 1 + E_31, which is not coordinate-split
     g = build("pgl", 3, 3)

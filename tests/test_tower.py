@@ -253,8 +253,8 @@ def test_kempf_input_class_on_pgl_needs_no_budget():
 
 def test_verify_morozov_hands_its_budget_to_the_radicals(monkeypatch):
     # the Kempf check needs no budget; the walk of the p-nilpotent elements
-    # of rad(q), the one enumeration left, gets the caller's, and rad_p(q)
-    # reads the cone with no walk (budget 0)
+    # of rad(q) gets the caller's, and rad_p(q), which takes none, reads
+    # them where no walk is needed (budget 0)
     from morozov import radicals
     budgets = []
 
