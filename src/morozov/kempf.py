@@ -113,9 +113,10 @@ class OptimalityCertificate:
 def check_search_class(g: LieAlgebra, u: Subspace, budget=None) -> None:
     """The optimizer's input class: a nonzero bracket-closed p-nil subspace
     supported on root coordinates of the standard torus.  The p-nil gate
-    is `radicals.check_p_nil`: one Engel flag, exact on every family with
-    no budget.  `budget` is unused: `perfbench/test_perfbench.py` still
-    passes it, and it stays until the benchmark drops it."""
+    is `radicals.check_p_nil`: a certified root support, else one Engel
+    flag, exact on every family with no budget; on a split u both checks
+    run on root indices.  `budget` is unused: `perfbench/test_perfbench.py`
+    still passes it, and it stays until the benchmark drops it."""
     if u.dim == 0:
         raise ValueError("optimization needs a nonzero subalgebra")
     torus = set(g.frame.torus_indices)

@@ -6,6 +6,15 @@ normalisers/centralisers and the subalgebra calculus.
 The p-power map always goes through the realization (matrix p-th powers,
 taken modulo scalars for the central quotient family), so its correctness
 is anchored to matrix arithmetic rather than hand-entered tables.
+
+On root indices: the algebraic torus T acts on g by automorphisms, fixing
+the torus part and scaling each root line by its root, and the roots are
+pairwise distinct and nonzero characters of T at every p.  So T fixes a
+coordinate-split subspace (torus part plus root lines, `coordinate_split`),
+and every subspace the bracket defines from split ones (the normaliser,
+the largest h-ideal inside v, rad(h)) is T-stable, hence split as well.
+Each is read off `basis_bracket`: [e_a, e_b] lies in g_(a+b), a root
+line, the torus or 0, and [z, e_b] = b(z) e_b (`split_bracket`).
 """
 
 from __future__ import annotations
@@ -109,9 +118,7 @@ class LieAlgebra:
         self._sparse = tuple(tuple((k, x) for k, x in enumerate(m.entries) if x)
                              for m in realization.mats)
         self._build_coordinatizer()
-        mats = realization.mats
-        self._set_structure(lambda i, j: self.coordinates_of_matrix(
-            mats[i] @ mats[j] - mats[j] @ mats[i]))
+        self._set_structure(self._commutator)
         self._verify_structure()
 
     # -- coordinates ---------------------------------------------------
@@ -143,6 +150,18 @@ class LieAlgebra:
         if any(v[:n2]):
             raise ValueError("matrix not in the span of the basis")
         return [-x % self.p for x in v[n2:]]
+
+    def _commutator(self, i: int, j: int) -> list:
+        # coordinates of M_i M_j - M_j M_i over the nonzero entries of both:
+        # entry (r, m) times entry (m, c) adds to (r, c)
+        n, out = self.realization.n, [0] * self.realization.n ** 2
+        for a, b, sign in ((i, j, 1), (j, i, -1)):
+            for k, x in self._sparse[a]:
+                for t, y in self._sparse[b]:
+                    if t // n == k % n:
+                        out[k - k % n + t % n] += sign * x * y
+        return self.coordinates_of_matrix(FieldMatrix(n, n, self.p, out)) \
+            if any(out) else [0] * self.dim
 
     def matrix_of(self, coords: Sequence[int]) -> FieldMatrix:
         n = self.realization.n
@@ -185,6 +204,27 @@ class LieAlgebra:
         row = self._rows[i]
         at = bisect_left(row, (j,))
         return row[at][1] if at < len(row) and row[at][0] == j else ()
+
+    def character(self, z, idx: int) -> int:
+        """b(z) in [z, e_b] = b(z) e_b, e_b = b_idx, z as (index, x) pairs."""
+        return sum(x * c for t, x in z if x
+                   for _, c in self.basis_bracket(t, idx)) % self.p
+
+    def split_bracket(self, a, b, coroots) -> tuple:
+        """[e_i, e_j] over root indices i in a, j in b, and [z, e_i] over the
+        coroots z, as (root indices, coroots: nonzero coordinates of
+        [e_c, e_-c])."""
+        found = {self.basis_bracket(i, j) for i in a for j in b
+                 if i < j or i not in b or j not in a} - {()}     # each pair once
+        lines = {e for e in found if e[0][0] in self.frame.index_root}
+        return {e[0][0] for e in lines} | {
+            i for i in a if any(self.character(z, i) for z in coroots)}, found - lines
+
+    def _split_holds(self, found, lines, torus: Subspace) -> bool:
+        """Whether `split_bracket`'s (root indices, coroots) lie in the split
+        subspace of the root lines `lines` plus the torus part `torus`."""
+        return found[0] <= lines and all(torus.contains_vector(
+            [dict(z).get(k, 0) for k in range(self.dim)]) for z in found[1])
 
     def bracket_vec(self, x: Sequence[int], y: Sequence[int]) -> list:
         # row i pairs b_i with later b_j only, so it adds nothing when
@@ -318,11 +358,22 @@ class LieAlgebra:
     # -- the subalgebra calculus -------------------------------------------
 
     def normalizer(self, u: Subspace) -> Subspace:
+        """N_g(u), memoised, by one `solve_linear` over g.  For a
+        coordinate-split u it is the torus plus the root lines e_a with
+        [e_a, u] in u (module notes): the condition is x_a = 0 for every
+        other root index a, read off `split_bracket`."""
         key = ("norm", u.basis)
         if key not in self._memo:
-            self._memo[key] = solve_linear(self.full_space(), lambda x: [
+            split = coordinate_split(self, u)
+            if split is not None:
+                lines = {i for _, i in split[1]}
+                zs = [tuple(enumerate(z)) for z in split[0].basis]
+                out = [a for a in self.frame.index_root if not self._split_holds(
+                    self.split_bracket({a}, lines, zs), lines, split[0])]
+            self._memo[key] = solve_linear(self.full_space(), (lambda x: [
                 c for b in u.basis
                 for c in u.reduce_vector(self.bracket_vec(x, list(b)))])
+                if split is None else lambda x: [x[a] for a in out])
         return self._memo[key]
 
     def centralizer(self, u: Subspace) -> Subspace:
@@ -349,7 +400,14 @@ class LieAlgebra:
         return Subspace(self.dim, self.p, span.rows(self.dim))
 
     def is_subalgebra(self, u: Subspace) -> bool:
-        """Whether [a, b] lies in u for basis vectors a < b, to the first miss."""
+        """Whether [a, b] lies in u for basis vectors a < b, to the first
+        miss.  For a coordinate-split u only pairs of root lines count, as
+        the torus part brackets each line into itself (module notes)."""
+        split = coordinate_split(self, u)
+        if split is not None:
+            lines = {i for _, i in split[1]}
+            return self._split_holds(self.split_bracket(lines, lines, ()),
+                                     lines, split[0])
         basis = [list(b) for b in u.basis]
         return all(u.contains_vector(self.bracket_vec(a, b))
                    for i, a in enumerate(basis) for b in basis[i + 1:])
@@ -392,9 +450,20 @@ class LieAlgebra:
 
     def largest_ideal_inside(self, h: Subspace, v: Subspace) -> Subspace:
         """Largest h-ideal contained in v (v must sit inside h): the fixed
-        point of W <- {x in W : [h, x] subset of W}."""
+        point of W <- {x in W : [h, x] subset of W}.  For a coordinate-split
+        h and a v of root lines, W is root lines too (module notes): a line
+        leaves when some root line of h brackets it out of W."""
         if not h.contains(v):
             raise ValueError("v must be contained in h")
+        hsplit, vsplit = coordinate_split(self, h), coordinate_split(self, v)
+        if hsplit is not None and vsplit is not None and not vsplit[0].dim:
+            h_lines = {i for _, i in hsplit[1]}
+            reach = {b: self.split_bracket(h_lines, {b}, ()) for _, b in vsplit[1]}
+            w, kept = None, set(reach)
+            while kept != w:
+                w, kept = kept, {b for b in kept
+                                 if not reach[b][1] and reach[b][0] <= kept}
+            return self.subspace([self.unit(b) for b in w])
         w = v
         while w.dim:
             new = solve_linear(w, lambda x: [

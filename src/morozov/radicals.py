@@ -35,18 +35,18 @@ Strategy notes:
     h-ideal inside the set C of x with lift(x) nilpotent, when C is a
     subspace, is the same radical: its lifts form a Lie algebra of
     nilpotent matrices, which acts nilpotently;
-  * for a coordinate-split h, [e_a, e_b] lies in the weight space g_(a+b)
-    (a root line, the torus or 0) and [z, e_b] = b(z) e_b, so spin ideals
-    and their derived terms are root indices plus coroots [e_c, e_-c]; a
-    torus vector lies in rad(h) when it kills every root line whose spin
-    ideal is not solvable;
+  * for a coordinate-split h, spin ideals and their derived terms are
+    root indices plus coroots [e_c, e_-c] (`liealg` notes); a torus
+    vector lies in rad(h) when it kills every root line whose spin ideal
+    is not solvable;
   * an element x is p-nilpotent exactly when `LieAlgebra.linear_lift`
     of x, a matrix linear in x, is nilpotent: the matrix of x, shifted by
     tr/n on pgl with p not dividing n; on pgl with p | n, ad x, as the
     centre of pgl_n is 0 and ad(x^[p]) = ad(x)^p;
-  * the p-nil gate is one Engel flag: u is p-nil exactly when the flag of
-    its basis lifts, which map u onto a Lie algebra of matrices, reaches
-    0, by Jacobson's theorem on weakly closed sets of nilpotent operators;
+  * the p-nil gate: a split u of root lines in a positive system is p-nil
+    by the structured step's weight filtration; else u is p-nil exactly
+    when the Engel flag of its basis lifts, which map u onto a Lie algebra
+    of matrices, reaches 0, by Jacobson's theorem on weakly closed sets;
   * P comes from the first of two certificates (`_nilpotent_cone`).
     "structured": a coordinate-split rad(h) whose roots lie in a positive
     system gives its root part plus the torus elements with lift 0.
@@ -167,9 +167,15 @@ def is_p_nilpotent(x: Element) -> bool:
 
 def is_p_nil_subalgebra(g: LieAlgebra, u: Subspace) -> bool:
     """Whether every element of the subalgebra u is p-nilpotent, with no
-    budget: the Engel flag W_0 = F^m, W_(k+1) = span{L w} of u's basis
-    lifts L (`LieAlgebra.linear_lift`, m x m matrices) reaches 0 (module
-    notes)."""
+    budget.  A coordinate-split u of root lines with a certified root
+    support is p-nil by the weight filtration of `_nilpotent_cone`'s
+    structured step; else u is p-nil when the Engel flag W_0 = F^m,
+    W_(k+1) = span{L w} of its basis lifts L (`LieAlgebra.linear_lift`,
+    m x m matrices) reaches 0 (module notes)."""
+    split = coordinate_split(g, u)
+    if split is not None and not split[0].dim and _certified_root_support(
+            g, [a for a, _ in split[1]]):
+        return True
     return _act_nilpotently([g.linear_lift(list(b)) for b in u.basis], g.p)
 
 
@@ -181,8 +187,9 @@ def _act_nilpotently(lifts, p: int) -> bool:
 
 
 def check_p_nil(g: LieAlgebra, u: Subspace, what: str = "input") -> None:
-    """The one p-nil gate, one Engel flag (`is_p_nil_subalgebra`), exact on
-    every family: ValueError when the subalgebra u is not p-nil."""
+    """The one p-nil gate (`is_p_nil_subalgebra`: a certified root support,
+    else one Engel flag), exact on every family: ValueError when the
+    subalgebra u is not p-nil."""
     if not is_p_nil_subalgebra(g, u):
         raise ValueError(f"{what} is not p-nil")
 
@@ -232,59 +239,46 @@ def _view_radical(parent: LieAlgebra, h: Subspace) -> Subspace:
         s = view.lift_subspace(found)
 
 
-def _character(g: LieAlgebra, z, idx: int) -> int:
-    """b(z) in [z, e_b] = b(z) e_b, for e_b = b_idx and z as (index, x) pairs."""
-    return sum(x * c for t, x in z if x
-               for _, c in g.basis_bracket(t, idx)) % g.p
-
-
-def _split_bracket(g: LieAlgebra, a, b, coroots) -> tuple:
-    """[e_i, e_j] over root indices i in a, j in b, and [z, e_i] over the
-    coroots z, as (root indices, coroots: nonzero coordinates of [e_c, e_-c])."""
-    found = {g.basis_bracket(i, j) for i in a for j in b
-             if i < j or i not in b or j not in a} - {()}     # each pair once
-    lines = {e for e in found if e[0][0] in g.frame.index_root}
-    return {e[0][0] for e in lines} | {
-        i for i in a if any(_character(g, z, i) for z in coroots)}, found - lines
-
-
 def _structured_solvable_radical(g: LieAlgebra, h: Subspace) -> Optional[Subspace]:
     """rad(h) for a coordinate-split h, at every p, with no budget.
     rad(h) is a characteristic ideal, and it commutes with extension to the
-    algebraic closure (Galois descent); the algebraic torus normalises h,
-    and its root characters are pairwise distinct and nonzero.  So rad(h)
-    is its torus part plus root lines: the sum of the solvable spin-ideals
-    of the coordinate directions of h, which, like their derived terms, are
-    coordinate-split, as [e_a, e_b] lies in g_(a+b) (module notes)."""
+    algebraic closure (Galois descent), so it is T-stable and split
+    (`liealg` notes): the sum of the solvable spin-ideals of the coordinate
+    directions of h, which, like their derived terms, are split.  The
+    derived series is decided once per distinct spin."""
     split = coordinate_split(g, h)
     if split is None:
         return None
     torus_part, lines = split
     h_roots = {idx for _, idx in lines}
     roots, coroots, wild = set(), set(), []     # wild: spin not solvable
+    solvable = {}       # spin -> whether it is solvable
     for _, idx in lines:
         if idx in roots:
             continue        # inside a solvable ideal already found
         # the spin under h's root lines (h's torus part only rescales)
         spin = fresh = ({idx}, set())
         while any(fresh):
-            found = _split_bracket(g, h_roots, *fresh)
+            found = g.split_bracket(h_roots, *fresh)
             fresh = (found[0] - spin[0], found[1] - spin[1])
             spin = (spin[0] | fresh[0], spin[1] | fresh[1])
-        # its derived series reaches a torus part, which is abelian, or
-        # stalls (one term late: a term's torus vectors need not be a basis)
-        term = spin
-        while term[0] and term != (
-                derived := _split_bracket(g, term[0], term[0], term[1])):
-            term = derived
-        if term[0]:
-            wild.append(idx)
-        else:
+        key = (frozenset(spin[0]), frozenset(spin[1]))
+        if key not in solvable:
+            # the derived series reaches an abelian torus part, or stalls
+            # (one term late: a term's torus vectors need not be a basis)
+            term = spin
+            while term[0] and term != (
+                    derived := g.split_bracket(term[0], term[0], term[1])):
+                term = derived
+            solvable[key] = not term[0]
+        if solvable[key]:
             roots, coroots = roots | spin[0], coroots | spin[1]
+        else:
+            wild.append(idx)
     # spin(z) = <z> + the spins of the root lines z does not kill, and <z>
     # leaves solvability alone: z is in rad(h) iff it kills each wild line
     torus = solve_linear(torus_part, lambda z: [
-        _character(g, enumerate(z), idx) for idx in wild])
+        g.character(enumerate(z), idx) for idx in wild])
     return g.subspace([g.unit(i) for i in roots] + list(torus.basis) + [
         [dict(z).get(k, 0) for k in range(g.dim)] for z in coroots])
 

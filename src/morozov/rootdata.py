@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Sequence
 
@@ -289,10 +290,14 @@ def classify_prime(rd: RootDatum, p: int) -> PrimeClass:
 
 def is_closed(rd: RootDatum, subset) -> bool:
     """True iff alpha, beta in the subset and alpha+beta a root imply
-    alpha+beta is in the subset."""
+    alpha+beta is in the subset; memoised per support."""
     if not rd.constructive:
         raise ValueError("closedness needs an enumerated root system")
-    sub = set(tuple(r) for r in subset)
+    return _is_closed(rd, frozenset(tuple(r) for r in subset))
+
+
+@lru_cache(maxsize=1 << 14)
+def _is_closed(rd: RootDatum, sub: frozenset) -> bool:
     missing = set(rd.roots) - sub
     # alpha + beta = beta + alpha: each unordered pair once
     return not any(tuple(a + b for a, b in zip(x, y)) in missing

@@ -68,8 +68,9 @@ class TowerTrace:
 
 def check_tower_input(g: LieAlgebra, u: Subspace, budget=None) -> None:
     """Hypothesis check: u must be a restricted p-nil subalgebra.  The
-    p-nil gate is `radicals.check_p_nil`: one Engel flag, exact on every
-    family with no budget.  `budget` is unused:
+    p-nil gate is `radicals.check_p_nil`: a certified root support, else
+    one Engel flag, exact on every family with no budget; on a split u
+    both checks run on root indices.  `budget` is unused:
     `perfbench/test_perfbench.py` still passes it, and it stays until the
     benchmark drops it."""
     if not g.is_subalgebra(u):

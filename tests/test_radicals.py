@@ -8,7 +8,7 @@ from morozov.gfp import FieldMatrix, Subspace, rref, solve_linear
 from morozov.kempf import check_search_class
 from morozov.liealg import (build, conjugate_subspace, coordinate_split,
                             standard_borel, standard_parabolic)
-from morozov.radicals import (SubView, Undetermined,
+from morozov.radicals import (SubView, Undetermined, _act_nilpotently,
                               _ad_lift, _certified_root_support,
                               _nilpotent_cone, _structured_solvable_radical,
                               _view_radical, is_p_nil_subalgebra,
@@ -757,7 +757,7 @@ def _split_closures(g, rng, count):
     roots = sorted(g.frame.index_root)
     out = []
     while len(out) < count:
-        gens = rng.sample(roots, rng.randrange(1, 5)) + [
+        gens = rng.sample(roots, rng.randrange(1, min(5, len(roots) + 1))) + [
             t for t in g.frame.torus_indices if rng.random() < 0.3]
         h = g.subalgebra_closure([g.basis_element(i) for i in gens])
         if coordinate_split(g, h) is not None:
@@ -783,6 +783,93 @@ def test_root_index_radical_matches_dense_spins(fam, n, p):
         except Undetermined:
             continue
         assert found == structured, h.basis
+
+
+def _dense_normalizer(g, u):
+    return solve_linear(g.full_space(), lambda x: [
+        c for b in u.basis for c in u.reduce_vector(g.bracket_vec(x, list(b)))])
+
+
+def _dense_is_subalgebra(g, u):
+    return all(u.contains_vector(g.bracket_vec(list(a), list(b)))
+               for a, b in itertools.combinations(u.basis, 2))
+
+
+def _dense_largest_ideal(g, h, v):
+    w = v
+    while w.dim:
+        new = solve_linear(w, lambda x: [
+            c for b in h.basis
+            for c in w.reduce_vector(g.bracket_vec(list(b), x))])
+        if new == w:
+            break
+        w = new
+    return w
+
+
+def _some_lines(g, rng, h):
+    """A seeded subspace of the root lines of the split subspace h."""
+    return g.subspace([g.unit(idx) for _, idx in coordinate_split(g, h)[1]
+                       if rng.random() < 0.6])
+
+
+def _check_root_index_calculus(g, rng, chosen_sets, closures):
+    """The root-index normaliser, subalgebra test, largest ideal and p-nil
+    gate against their dense formulas: on the standard parabolics, Levis
+    and nilradicals of chosen_sets, on seeded split closures, and on seeded
+    split subspaces that are mostly not subalgebras."""
+    subalgebras, pairs = [], []
+    for chosen in chosen_sets:
+        data = standard_parabolic(g, chosen)
+        subalgebras += [data["parabolic"], data["levi"], data["nilradical"]]
+        pairs += [(data["parabolic"], data["nilradical"]),
+                  (data["parabolic"], _some_lines(g, rng, data["parabolic"])),
+                  (data["levi"], _some_lines(g, rng, data["levi"]))]
+    for h in _split_closures(g, rng, closures):
+        subalgebras.append(h)
+        pairs += [(h, _some_lines(g, rng, h)),
+                  (g.full_space(), _some_lines(g, rng, h))]
+    roots = sorted(g.frame.index_root)
+    loose = [g.subspace([g.unit(i) for i in rng.sample(roots, rng.randrange(
+        1, min(5, len(roots) + 1)))] + [
+            g.unit(t) for t in g.frame.torus_indices if rng.random() < 0.3])
+        for _ in range(closures)]
+    verdicts = set()
+    for u in subalgebras + loose:
+        assert coordinate_split(g, u) is not None
+        assert g.normalizer(u) == _dense_normalizer(g, u), u.basis
+        assert g.is_subalgebra(u) == _dense_is_subalgebra(g, u), u.basis
+    for u in subalgebras:
+        nil = is_p_nil_subalgebra(g, u)
+        assert nil == _act_nilpotently(
+            [g.linear_lift(list(b)) for b in u.basis], g.p), u.basis
+        verdicts.add(nil)
+    for h, v in pairs:
+        assert g.largest_ideal_inside(h, v) == _dense_largest_ideal(g, h, v), \
+            (h.basis, v.basis)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("fam,n,p", [
+    (fam, n, p) for fam, n in (("gl", 2), ("gl", 3), ("gl", 4), ("sl", 2),
+                               ("sl", 3), ("sl", 4), ("pgl", 2), ("pgl", 3),
+                               ("pgl", 4), ("sp", 4), ("sp", 6), ("so", 5),
+                               ("so", 7))
+    for p in (2, 3, 5, 7) if (fam, p) != ("so", 2)])
+def test_root_index_calculus_matches_the_dense_formulas(fam, n, p):
+    # pgl3@3 and pgl4@2 (p | n) and sp at p = 2 included
+    g = build(fam, n, p)
+    _check_root_index_calculus(g, random.Random(f"root-index:{fam}{n}@{p}"),
+                               _subsets(g), 12)
+
+
+@pytest.mark.parametrize("fam,n", [("sl", 8), ("sp", 10), ("so", 11)])
+def test_root_index_calculus_on_maximal_parabolics_at_13(fam, n):
+    g = build(fam, n, 13)
+    rank = g.frame.rootdatum.rank
+    _check_root_index_calculus(
+        g, random.Random(f"root-index:{fam}{n}@13"),
+        [tuple(i for i in range(rank) if i != k) for k in range(rank)], 0)
 
 
 def _conjugated_sl4_parabolic():
