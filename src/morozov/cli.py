@@ -2,7 +2,8 @@
 
 Exit codes: 0 = computation succeeded / all checks passed, 1 = a
 verification failed, 2 = undetermined, 3 = input error or malformed
-command line.  Only `tower run` takes a `--budget`, for its walk.
+command line.  No command takes a budget: the one walk left, in
+`radicals`, runs within `radicals.DEFAULT_BUDGET`.
 Output is canonical JSON (default) or text; identical inputs and seed
 give byte-identical JSON."""
 
@@ -107,8 +108,8 @@ def cmd_algebra_build(args) -> int:
 def cmd_tower_run(args) -> int:
     g = _algebra_from_args(args)
     u0 = _subspace_from_args(args, g)
-    trace = tower.run_tower(g, u0, budget=args.budget)
-    report = tower.verify_morozov(g, trace, budget=args.budget) \
+    trace = tower.run_tower(g, u0)
+    report = tower.verify_morozov(g, trace) \
         if trace.status == "stabilized" else None
     payload = {"trace": trace.as_dict(),
                "verification": None if report is None else report.as_dict()}
@@ -277,7 +278,6 @@ def make_parser() -> argparse.ArgumentParser:
     tw = groups.add_parser("tower").add_subparsers(dest="action", required=True)
     r = tw.add_parser("run")
     _add_common(r, subspace=True)
-    r.add_argument("--budget", type=int, default=radicals.DEFAULT_BUDGET)
     r.set_defaults(fn=cmd_tower_run)
 
     ke = groups.add_parser("kempf").add_subparsers(dest="action", required=True)

@@ -117,6 +117,8 @@ def check_search_class(g: LieAlgebra, u: Subspace, budget=None) -> None:
     flag, exact on every family with no budget; on a split u both checks
     run on root indices.  `budget` is unused: `perfbench/test_perfbench.py`
     still passes it, and it stays until the benchmark drops it."""
+    if g.frame is None:
+        raise ValueError("algebra has no torus frame")
     if u.dim == 0:
         raise ValueError("optimization needs a nonzero subalgebra")
     torus = set(g.frame.torus_indices)

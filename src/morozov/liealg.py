@@ -665,10 +665,10 @@ def jacobson_defect_reference(x: Element, y: Element) -> Element:
 
 @lru_cache(maxsize=None)
 def build(family: str, n: int, p: int) -> LieAlgebra:
-    """Build gl_n, sl_n or pgl_n (2 <= n <= 8), sp_n (n = 2k, 4 <= n <= 10)
-    or so_n (5 <= n <= 11).  The upper ends are the largest matrix sizes
-    whose algebra fits the dimension cap gfp.MAX_DIM = 64 (gl_8 has
-    dimension 64, sp_10 55, so_11 55; sp_12 and so_12 exceed it).
+    """Build gl_n, sl_n or pgl_n (n >= 2), sp_n (n = 2k >= 4) or so_n
+    (n >= 5, p odd) whose dimension fits the cap gfp.MAX_DIM = 64: n^2 on
+    gl, n^2 - 1 on sl and pgl, k(2k + 1) on sp, n(n - 1)/2 on so.  So n
+    runs up to 8 on type A, 10 on sp and 11 on so.
 
     One rule builds every family.  sp_2k preserves J = [[0, I], [-I, 0]]
     and so_n the antidiagonal symmetric form J (split, p odd).  Both are
@@ -684,27 +684,32 @@ def build(family: str, n: int, p: int) -> LieAlgebra:
     root vectors follow rd.positive_roots (by height), then their
     negatives."""
     check_modulus(p)
+    dims = {"gl": n * n, "sl": n * n - 1, "pgl": n * n - 1,
+            "sp": n * (n + 1) // 2, "so": n * (n - 1) // 2}
+    if family not in dims:
+        raise ValueError(f"unknown family {family!r}")
+    if dims[family] > MAX_DIM:
+        raise ValueError(f"{family}_{n} has dimension {dims[family]}, "
+                         f"above the cap {MAX_DIM}")
     if family in ("gl", "sl", "pgl"):
-        if n < 2 or n > 8:
-            raise ValueError("gl/sl/pgl supported for 2 <= n <= 8")
+        if n < 2:
+            raise ValueError("gl/sl/pgl take n >= 2")
         rank, rd, perm, sign = n, build_rootdatum("A", n - 1), None, None
     elif family == "sp":
-        if n % 2 or n < 4 or n > 10:
-            raise ValueError("sp takes the matrix size 2k, 4 <= 2k <= 10")
+        if n % 2 or n < 4:
+            raise ValueError("sp takes the matrix size 2k >= 4")
         rank = n // 2
         rd = build_rootdatum("C", rank)
         perm = [(c + rank) % n for c in range(n)]
         sign = [-1] * rank + [1] * rank
-    elif family == "so":
-        if n < 5 or n > 11:
-            raise ValueError("so supported for 5 <= n <= 11")
+    else:
+        if n < 5:
+            raise ValueError("so takes n >= 5")
         if p == 2:
             raise ValueError("so is not supported at p = 2")
         rank = n // 2
         rd = build_rootdatum("B" if n % 2 else "D", rank)
         perm, sign = list(reversed(range(n))), [1] * n
-    else:
-        raise ValueError(f"unknown family {family!r}")
 
     def root_vector(a, b):
         entries = [0] * (n * n)

@@ -51,15 +51,18 @@ Strategy notes:
     "structured": a coordinate-split rad(h) whose roots lie in a positive
     system gives its root part plus the torus elements with lift 0.
     "envelope": all of rad(h) when its lifts act nilpotently together,
-    else one linear solve against J(A).  Past gfp's cap on A's word
-    basis, "enumeration": one walk over the p^dim vectors of rad(h)
-    within a budget decides C (`_walk`), or leaves it undecided when the
-    budget is passed or C is no subspace: never a guess;
-  * the tower's next u is C for the linear lift (`pnil_part_of_radical`),
-    which contains P and can be a larger subspace at p = 2.  C = P from
-    the structured step, or when the lifts commute modulo J(A): then
-    A/J(A) is commutative and semisimple, with no nonzero nilpotents.
-    Else the walk decides C within the tower's budget.
+    else one linear solve against J(A).  Past gfp's cap on A's word basis,
+    "enumeration": the one walk (`_walk`) over the p^dim vectors of rad(h),
+    within the one budget DEFAULT_BUDGET, gives C in place of P, or leaves
+    it undecided when the budget is passed or C is no subspace: never a
+    guess.  The walk is the only step that raises `Undetermined`;
+  * the tower's next u is C for the linear lift (`next_u`), which contains
+    P and can be a larger subspace at p = 2.  `pnil_part_of_radical`
+    names C where a certificate decides it: C = P from the structured
+    step, when the lifts act nilpotently, or when they commute modulo
+    J(A), as then A/J(A) is commutative and semisimple, with no nonzero
+    nilpotents; past the cap P is C itself.  Else `next_u` walks C.
+    rad_p(h) never needs that walk: it is the largest h-ideal inside P.
 """
 
 from __future__ import annotations
@@ -75,15 +78,12 @@ from .liealg import Element, LieAlgebra, coordinate_split
 from .rootdata import is_closed
 
 DEFAULT_BUDGET = 10 ** 7    # the walk
+_PNIL = "p-nilpotent elements of rad(h)"
 
 
 class Undetermined(Exception):
-    """Raised when a computation cannot be certified; `step` names the
-    step that gave up, "enumeration" (`_walk`)."""
-
-    def __init__(self, message: str, step: str):
-        super().__init__(message)
-        self.step = step
+    """Raised by the walk (`_walk`), the one step that can give up: past
+    DEFAULT_BUDGET, or on a set that is not a subspace."""
 
 
 # ---------------------------------------------------------------------------
@@ -309,15 +309,13 @@ def _certified_root_support(g: LieAlgebra, roots) -> bool:
         {tuple(-x for x in r) for r in roots}.isdisjoint(roots)
 
 
-def _nilpotent_cone(g: LieAlgebra, r: Subspace, lift,
-                    what: Optional[str] = None) -> tuple:
+def _nilpotent_cone(g: LieAlgebra, r: Subspace, lift, what: str) -> tuple:
     """(P, method, J) for P = {x in r : lift(x) in J(A)}, A generated by 1
     and the lifts of r's basis, lift(x) a matrix linear in x, from the
     first certificate that holds; J is the `Echelon` of J(A), or None.
-    Past gfp's cap on A's word basis P is None, or, for a caller naming
-    the set in `what`, the set C of x in r with a nilpotent lift, from the
-    walk within DEFAULT_BUDGET: the largest h-ideal inside either P or C
-    is the same radical (module notes).
+    Past gfp's cap on A's word basis P is the set C of x in r with a
+    nilpotent lift, named `what`, from the walk (`_walk`): the largest
+    h-ideal inside either P or C is the same radical (module notes).
 
     "structured": r is coordinate-split with a certified root support
     (`_certified_root_support`); P is r's root part plus the z in its torus
@@ -348,26 +346,24 @@ def _nilpotent_cone(g: LieAlgebra, r: Subspace, lift,
         return r, "envelope", None
     radical = jacobson_radical(lifts)
     if radical is None:
-        return None if what is None else _walk(
-            r, lift, DEFAULT_BUDGET, what), "enumeration", None
+        return _walk(r, lift, what), "enumeration", None
     return solve_linear(r, lambda x: radical.reduce(lift(x).entries)), \
         "envelope", radical
 
 
-def _walk(r: Subspace, lift, budget: int, what: str) -> Subspace:
+def _walk(r: Subspace, lift, what: str) -> Subspace:
     """The set of x in r with lift(x) nilpotent, named `what`, by the one
-    walk over the p^dim(r) vectors of r; Undetermined when it passes the
-    budget, or when the set is not a subspace, since its span need not act
-    nilpotently."""
-    if r.p ** r.dim > budget:
+    walk over the p^dim(r) vectors of r; Undetermined when it passes
+    DEFAULT_BUDGET, or when the set is not a subspace, since its span need
+    not act nilpotently."""
+    if r.p ** r.dim > DEFAULT_BUDGET:
         raise Undetermined(f"enumeration of {r.p ** r.dim} elements "
-                           f"exceeds budget {budget}", "enumeration")
+                           f"exceeds budget {DEFAULT_BUDGET}")
     members = [v for v in r.enumerate_vectors()
                if any(v) and lift(v).is_nilpotent()]
     span = Subspace.from_vectors(members, r.ambient_dim, r.p)
     if len(members) + 1 != r.p ** span.dim:
-        raise Undetermined(f"the {what} do not form a subspace",
-                           "enumeration")
+        raise Undetermined(f"the {what} do not form a subspace")
     return span
 
 
@@ -385,54 +381,50 @@ def _ad_lift(g: LieAlgebra, h: Subspace):
 # Nilradical and p-radical
 # ---------------------------------------------------------------------------
 
-def _p_cone(g: LieAlgebra, r: Subspace) -> tuple:
-    """`_nilpotent_cone` of `LieAlgebra.linear_lift` on r, memoised: each h
-    spins one envelope."""
-    key = ("pcone", r.basis)
-    if key not in g._memo:
-        g._memo[key] = _nilpotent_cone(g, r, g.linear_lift)
-    return g._memo[key]
-
-
-def pnil_part_of_radical(g: LieAlgebra, h: Subspace,
-                         budget: int = DEFAULT_BUDGET) -> dict:
-    """The tower's next u: "span", the set C of p-nilpotent elements of
-    rad(h), with its method, and "radical", rad(h).  C is P of `_p_cone`
-    from the structured step, the root part of a split radical, as no
-    nonzero torus element has lift 0, or from the envelope when the lifts
-    commute modulo J(A); else the walk within the budget decides C or
-    raises Undetermined (`_walk`).  Memoised once decided: it is exact."""
+def pnil_part_of_radical(g: LieAlgebra, h: Subspace) -> dict:
+    """The p-nilpotent cone of h, memoised: "cone", P of `_nilpotent_cone`
+    for `LieAlgebra.linear_lift` on "radical", rad(h), with its "method";
+    and "span", the set C of p-nilpotent elements of rad(h) where a
+    certificate decides it, else None.  C = P from the structured step, the
+    root part of a split radical, as no nonzero torus element has lift 0;
+    when the lifts act nilpotently or commute modulo J(A); and past the
+    cap, where P is C walked.  It never walks where the envelope fits."""
     key = ("pnilpart", h.basis)
     if key not in g._memo:
         r = solvable_radical(g, h)
-        cone, method, radical = _p_cone(g, r)
+        cone, method, radical = _nilpotent_cone(g, r, g.linear_lift, _PNIL)
         lifts = [] if radical is None else [g.linear_lift(list(b))
                                             for b in r.basis]
-        if cone is None or any(any(radical.reduce((a @ b - b @ a).entries))
-                               for i, a in enumerate(lifts)
-                               for b in lifts[:i]):
-            cone, method = _walk(r, g.linear_lift, budget, "p-nilpotent "
-                                 "elements of rad(h)"), "enumeration"
-        g._memo[key] = {"span": cone, "method": method, "radical": r}
+        commute = not any(any(radical.reduce((a @ b - b @ a).entries))
+                          for i, a in enumerate(lifts) for b in lifts[:i])
+        g._memo[key] = {"cone": cone, "span": cone if commute else None,
+                        "method": method, "radical": r}
+    return g._memo[key]
+
+
+def next_u(g: LieAlgebra, q: Subspace) -> dict:
+    """The tower's next u from q: `pnil_part_of_radical` where its "span"
+    C is decided, else C walked within DEFAULT_BUDGET (`_walk`), with
+    method "enumeration".  Memoised once decided: it is exact."""
+    part = pnil_part_of_radical(g, q)
+    if part["span"] is not None:
+        return part
+    key = ("nextu", q.basis)
+    if key not in g._memo:
+        g._memo[key] = {**part, "method": "enumeration", "span": _walk(
+            part["radical"], g.linear_lift, _PNIL)}
     return g._memo[key]
 
 
 def p_radical(g: LieAlgebra, h: Subspace) -> dict:
-    """Maximal p-nil ideal of h: the largest h-ideal inside C of
-    `pnil_part_of_radical` where it needs no walk (budget 0), else inside
-    P of `_p_cone`, or C walked past P's cap (module notes)."""
-    r = solvable_radical(g, h)
-    try:
-        part = pnil_part_of_radical(g, h, 0)
-    except Undetermined:
-        cone, method, _ = _p_cone(g, r)
-        part = pnil_part_of_radical(g, h) if cone is None else \
-            {"span": cone, "method": method}
-    cand = g.largest_ideal_inside(h, part["span"])
+    """Maximal p-nil ideal of h: the largest h-ideal inside the cone P of
+    `pnil_part_of_radical` (module notes)."""
+    part = pnil_part_of_radical(g, h)
+    cand = g.largest_ideal_inside(h, part["cone"])
     p_closed = all(
         cand.contains_vector(g.p_power_vec(list(b))) for b in cand.basis)
     return {"rad_p": cand, "method": part["method"], "p_closed": p_closed,
-            "radical": r}
+            "radical": part["radical"]}
 
 
 def nilradical(g: LieAlgebra, h: Subspace) -> dict:
@@ -479,5 +471,5 @@ def radical_report(g: LieAlgebra, h: Subspace) -> RadicalReport:
         p_closed = prad_out["p_closed"]
         method = prad_out["method"]
     except Undetermined as exc:
-        status, detail, method = "undetermined", str(exc), exc.step
+        status, detail, method = "undetermined", str(exc), "enumeration"
     return RadicalReport(rad, nil, rad_p, method, p_closed, status, detail)

@@ -5,11 +5,11 @@ identity, agreement with the optimal cocharacter's parabolic).
 
 Stabilization is detected by pair repetition with full-history cycle
 detection; the step count is capped, and every anomaly lands in the
-status field instead of an exception.  `morozov tower run --budget`
-bounds the walk that decides the p-nilpotent elements of rad(q)
-(`radicals.pnil_part_of_radical`); a step where they do not form a
-subspace, or whose walk runs over the budget, ends the tower
-`budget-exceeded` with the reason in `detail`.
+status field instead of an exception.  The next u is
+`radicals.next_u`: the p-nilpotent elements of rad(q) from a certificate,
+or walked within `radicals.DEFAULT_BUDGET`; a step where they do not form
+a subspace, or whose walk runs over that budget, ends the tower
+`budget-exceeded` with the reason in `detail`.  No step takes a budget.
 """
 
 from __future__ import annotations
@@ -81,16 +81,14 @@ def check_tower_input(g: LieAlgebra, u: Subspace, budget=None) -> None:
     radicals.check_p_nil(g, u, "tower input")
 
 
-def tower_step(g: LieAlgebra, u: Subspace,
-               budget: int = radicals.DEFAULT_BUDGET) -> tuple:
+def tower_step(g: LieAlgebra, u: Subspace) -> tuple:
     """One iteration: (q, u_next, info)."""
     q = g.normalizer(u)
-    part = radicals.pnil_part_of_radical(g, q, budget)
+    part = radicals.next_u(g, q)
     return q, part["span"], part
 
 
-def run_tower(g: LieAlgebra, u0: Subspace,
-              budget: int = radicals.DEFAULT_BUDGET) -> TowerTrace:
+def run_tower(g: LieAlgebra, u0: Subspace) -> TowerTrace:
     max_steps = 2 * g.dim + 2
     try:
         check_tower_input(g, u0)
@@ -101,7 +99,7 @@ def run_tower(g: LieAlgebra, u0: Subspace,
     u = u0
     for i in range(1, max_steps + 1):
         try:
-            q, u_next, part = tower_step(g, u, budget)
+            q, u_next, part = tower_step(g, u)
         except radicals.Undetermined as exc:
             return TowerTrace(steps, "budget-exceeded", detail=str(exc))
         steps.append(TowerStep(i, u_next, q, part["method"],
@@ -126,8 +124,7 @@ class VerificationReport:
         return dict(self.checks)
 
 
-def verify_morozov(g: LieAlgebra, trace: TowerTrace,
-                   budget: int = radicals.DEFAULT_BUDGET) -> VerificationReport:
+def verify_morozov(g: LieAlgebra, trace: TowerTrace) -> VerificationReport:
     """At the tower's limit: (a) the fixed-point condition, (b) parabolicity
     of q, (c) u = rad_p(q), (d) q = p(lambda) for the optimal cocharacter."""
     rep = VerificationReport()
@@ -137,8 +134,8 @@ def verify_morozov(g: LieAlgebra, trace: TowerTrace,
     rep.checks["stabilized"] = "pass"
     u, q = trace.u_limit, trace.q_limit
 
-    part = radicals.pnil_part_of_radical(g, g.normalizer(u), budget)
-    rep.checks["fixed_point"] = "pass" if part["span"] == u else "fail"
+    u_next = radicals.next_u(g, g.normalizer(u))["span"]
+    rep.checks["fixed_point"] = "pass" if u_next == u else "fail"
 
     verdict = parabolic.detect_parabolic(g, q)
     rep.checks["parabolic"] = {"parabolic": "pass",

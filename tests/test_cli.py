@@ -13,7 +13,7 @@ import pytest
 from morozov import fixtures
 from morozov.cli import (EXIT_CHECK_FAILED, EXIT_INPUT, EXIT_OK,
                          EXIT_UNDETERMINED, main)
-from morozov.gfp import FieldMatrix
+from morozov.gfp import FieldMatrix, Subspace
 from morozov.liealg import (build, conjugate_subspace, standard_borel,
                             standard_parabolic)
 from morozov.serialize import algebra_to_dict, canonical_json, subspace_to_dict
@@ -118,9 +118,9 @@ CASES = [
       "--subspace", "@pgl3-ex2"], EXIT_CHECK_FAILED),
     # the sl3@2 parabolic S = (0,) is solvable and its envelope holds M_2,
     # so its p-nilpotent cone has no envelope certificate (the lifts do not
-    # commute modulo J), and its 2^6 vectors pass the budget
+    # commute modulo J), and the walk over its 2^6 vectors finds no subspace
     (["tower", "run", "--family", "sl", "--n", "3", "--p", "2", "--subspace",
-      "@sl3@2-nil-S0", "--budget", "10"], EXIT_UNDETERMINED),
+      "@sl3@2-nil-S0"], EXIT_UNDETERMINED),
     (["tower", "run", *SL3, "--subspace", "@sl3-h1"], EXIT_INPUT),
     (["parabolic", "detect", *SL3, "--subspace", "@sl3-borel"], EXIT_OK),
     (["parabolic", "detect", *SL3, "--subspace", "@sl3-levi"], EXIT_CHECK_FAILED),
@@ -146,9 +146,9 @@ CASES = [
 ]
 
 
-# decided by the Jacobson radical of an associative envelope: the tower
-# within a budget of 10 by the envelope certificate of the p-nilpotent
-# cone, where the walk needs 3^5 vectors (on pgl3@3, p | n, through ad);
+# decided with no walk by the Jacobson radical of an associative envelope:
+# the tower by the envelope certificate of the p-nilpotent cone, where the
+# walk needs 3^5 vectors (on pgl3@3, p | n, through ad);
 # radical compute by the p-nilpotent and ad-nilpotent cones with no walk
 # (on a conjugated sl3@5 Borel; on the gl3@3 Borel moved by 1 + E_31,
 # whose ad envelope holds an idempotent of trace 3 = 0; on the sl3@2
@@ -158,7 +158,7 @@ CASES = [
 ENVELOPE_CASES = {
     "tower-run-pgl3@3-envelope": (
         ["tower", "run", "--family", "pgl", "--n", "3", "--p", "3",
-         "--subspace", "@pgl3@3-nil-conj", "--budget", "10"], EXIT_OK),
+         "--subspace", "@pgl3@3-nil-conj"], EXIT_OK),
     "radical-compute-sl3-envelope": (
         ["radical", "compute", *SL3, "--subspace", "@sl3-borel-conj"],
         EXIT_OK),
@@ -175,6 +175,10 @@ ENVELOPE_CASES = {
         ["parabolic", "detect", "--family", "sp", "--n", "10", "--p", "2",
          "--subspace", "@sp10@2-siegel-conj"], EXIT_OK),
 }
+
+
+def _refuse(self):
+    raise AssertionError("enumerate_vectors called")
 
 
 def _materialise(argv, tmp_path):
@@ -195,8 +199,12 @@ def _materialise(argv, tmp_path):
 @pytest.mark.parametrize("argv,code", CASES + list(ENVELOPE_CASES.values()),
                          ids=[f"{a[0]}-{a[1]}-{c}" for a, c in CASES]
                          + list(ENVELOPE_CASES))
-def test_exit_code_and_byte_identical_json(argv, code, tmp_path, capsys):
+def test_exit_code_and_byte_identical_json(argv, code, tmp_path, capsys,
+                                           monkeypatch):
+    walk_free = (argv, code) in ENVELOPE_CASES.values()
     argv = _materialise(argv, tmp_path)
+    if walk_free:
+        monkeypatch.setattr(Subspace, "enumerate_vectors", _refuse)
     runs = []
     for _ in range(2):
         assert main(argv) == code
@@ -395,7 +403,7 @@ def test_unwritable_output_is_an_input_error(name, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("n,p,message", [
-    ("0", "5", "gl/sl/pgl supported for 2 <= n <= 8"),
+    ("0", "5", "gl/sl/pgl take n >= 2"),
     ("3", "0", "modulus 0 is not prime"),
 ], ids=["n=0", "p=0"])
 def test_a_zero_size_or_modulus_is_given_not_missing(n, p, message, capsys):
@@ -454,6 +462,29 @@ def test_radical_compute_on_an_algebra_without_a_frame(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)["report"]
     assert report["status"] == "ok"
     assert report["rad"] == report["nil"] == report["rad_p"] == []
+
+
+def test_kempf_and_tower_on_an_algebra_without_a_frame(tmp_path, capsys):
+    # sl2@5 without its family stamp and its Borel nilradical <e12>: the
+    # optimizer's input check needs the torus frame, so kempf optimize
+    # reads inadmissible and the tower's verification skips Kempf, both
+    # with the reason, and neither ends in a traceback
+    algebra = tmp_path / "sl2.json"
+    algebra.write_text(canonical_json(ALGEBRAS["sl2-unstamped"]()))
+    path = tmp_path / "u.json"
+    path.write_text(canonical_json(
+        {"schema": 1, "ambient_dim": 3, "p": 5, "basis": [[0, 1, 0]]}))
+    argv = ["--algebra", str(algebra), "--subspace", str(path)]
+    reason = "algebra has no torus frame"
+    assert main(["kempf", "optimize", *argv]) == EXIT_UNDETERMINED
+    out = json.loads(capsys.readouterr().out)
+    assert (out["status"], out["reason"]) == ("inadmissible", reason)
+    assert main(["tower", "run", *argv]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert out["trace"]["status"] == "stabilized"
+    checks = out["verification"]
+    assert (checks["kempf"], checks["kempf_reason"]) == ("skipped", reason)
+    assert checks["parabolic_status"] == "undetermined"
 
 
 def test_tower_run_ends_undetermined_on_a_cone_that_is_not_a_subspace(

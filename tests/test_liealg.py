@@ -38,6 +38,32 @@ def test_dimension_cap():
         algebra_from_dict(data)
 
 
+def test_build_accepts_what_fits_the_dimension_cap():
+    # one up-front cap on the family's dimension, n^2 on gl, n^2 - 1 on sl
+    # and pgl, k(2k + 1) on sp_2k and n(n - 1)/2 on so, against gfp.MAX_DIM
+    # = 64; below it the lower bounds and the parity of sp refuse
+    accepted, capped = set(), set()
+    for fam in ("gl", "sl", "pgl", "sp", "so"):
+        for n in range(2, 14):
+            try:
+                build(fam, n, 3)
+                accepted.add((fam, n))
+            except ValueError as exc:
+                if "above the cap 64" in str(exc):
+                    capped.add((fam, n))
+    assert accepted == {(fam, n) for fam in ("gl", "sl", "pgl")
+                        for n in range(2, 9)} | {
+        ("sp", n) for n in (4, 6, 8, 10)} | {("so", n) for n in range(5, 12)}
+    assert capped == {(fam, n) for fam in ("gl", "sl", "pgl", "so")
+                      for n in range(9 if fam != "so" else 12, 14)} | {
+        ("sp", n) for n in (11, 12, 13)}
+    with pytest.raises(ValueError, match="^so_12 has dimension 66, above "
+                       "the cap 64$"):
+        build("so", 12, 3)
+    with pytest.raises(ValueError, match="so is not supported at p = 2"):
+        build("so", 5, 2)
+
+
 def test_sl2_relations():
     g = build("sl", 2, 5)
     e, f, h = (g.element_by_label(x) for x in ("e12", "f12", "h1"))

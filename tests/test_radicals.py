@@ -8,13 +8,13 @@ from morozov.gfp import FieldMatrix, Subspace, rref, solve_linear
 from morozov.kempf import check_search_class
 from morozov.liealg import (build, conjugate_subspace, coordinate_split,
                             standard_borel, standard_parabolic)
-from morozov.radicals import (SubView, Undetermined, _act_nilpotently,
-                              _ad_lift, _certified_root_support,
-                              _nilpotent_cone, _structured_solvable_radical,
-                              _view_radical, is_p_nil_subalgebra,
-                              is_p_nilpotent, nilradical, p_radical,
-                              pnil_part_of_radical, radical_report,
-                              solvable_radical)
+from morozov.radicals import (DEFAULT_BUDGET, SubView, Undetermined,
+                              _act_nilpotently, _ad_lift,
+                              _certified_root_support, _nilpotent_cone,
+                              _structured_solvable_radical, _view_radical,
+                              is_p_nil_subalgebra, is_p_nilpotent, next_u,
+                              nilradical, p_radical, pnil_part_of_radical,
+                              radical_report, solvable_radical)
 from morozov.rootdata import is_closed, min_norm_point
 from morozov.suite import literal_p_nilpotent
 from morozov.tower import check_tower_input, run_tower, verify_morozov
@@ -253,19 +253,52 @@ def test_p_radical_of_parabolic_is_nilradical():
 
 def test_p_radical_is_undetermined_when_the_cone_is_not_a_subspace():
     # sl3 at p = 2, S = (0,): rad(q) = q, since sl2 is nilpotent there, and
-    # the p-nilpotent elements of q do not form a subspace, so the tower's
-    # next u is not decided; rad_p(q), the largest ideal inside the x whose
-    # lift lies in J(A), is the nilradical
+    # the p-nilpotent elements of q do not form a subspace: no certificate
+    # decides them, and the tower's walk leaves its next u undecided;
+    # rad_p(q), the largest ideal inside the x whose lift lies in J(A), is
+    # the nilradical
     g = build("sl", 3, 2)
     data = standard_parabolic(g, (0,))
+    assert pnil_part_of_radical(g, data["parabolic"])["span"] is None
     with pytest.raises(Undetermined, match="do not form a subspace"):
-        pnil_part_of_radical(g, data["parabolic"])
+        next_u(g, data["parabolic"])
     assert p_radical(g, data["parabolic"])["rad_p"] == data["nilradical"]
     trace = run_tower(g, data["nilradical"])
     assert trace.status == "budget-exceeded" and trace.u_limit is None
     assert "do not form a subspace" in trace.detail
     rep = radical_report(g, data["parabolic"])
     assert rep.status == "ok" and rep.rad_p == data["nilradical"]
+
+
+def test_tower_walk_finds_a_cone_larger_than_p(monkeypatch):
+    # gl2@2, h = <E11, E22, E12 + E21>: h is solvable, [h, h] being the
+    # line of E12 + E21, so h = rad(h); its envelope is M_2, J = 0 and
+    # P = 0; the lifts do not commute, so no certificate decides C, and
+    # the tower's walk finds C = the line of [[1, 1], [1, 1]], strictly
+    # larger than P; each walk runs once
+    g = build.__wrapped__("gl", 2, 2)           # fresh memo
+    swap = g.element_by_label("e12") + g.element_by_label("f12")
+    h = g.subspace([g.element_by_label("t1").coords,
+                    g.element_by_label("t2").coords, swap.coords])
+    members = [v for v in h.enumerate_vectors()
+               if any(v) and literal_p_nilpotent(g, v)]
+    oracle = Subspace.from_vectors(members, g.dim, g.p)
+    ones = g.coordinates_of_matrix(FieldMatrix.from_rows([[1, 1], [1, 1]], 2))
+    assert oracle == g.subspace([ones]) and len(members) == 1
+    walked = []
+
+    def counting(self):
+        walked.append(self.dim)
+        return original(self)
+
+    original = Subspace.enumerate_vectors
+    monkeypatch.setattr(Subspace, "enumerate_vectors", counting)
+    part = pnil_part_of_radical(g, h)
+    assert part["radical"] == h and part["span"] is None
+    assert part["cone"].dim == 0 and walked == []
+    assert next_u(g, h)["span"] == oracle and walked == [3]
+    assert next_u(g, h)["method"] == "enumeration"
+    assert p_radical(g, h)["rad_p"].dim == 0 and walked == [3]
 
 
 def test_radical_chain_and_closures():
@@ -403,15 +436,14 @@ def test_radicals_at_2_match_brute_force(monkeypatch):
 
 
 def test_undetermined_budget():
-    # the tower's walk with a tiny budget on a non-split input, where the
-    # structured split does not apply and the lifts do not commute modulo
-    # J (`_conjugated_sl3_at_2_parabolic`): its set of p-nilpotent elements
-    # is left undecided, never guessed
-    g, skew = _conjugated_sl3_at_2_parabolic()
-    assert coordinate_split(g, skew) is None
-    assert solvable_radical(g, skew) == skew
-    with pytest.raises(Undetermined, match="exceeds budget 10"):
-        pnil_part_of_radical(g, skew, budget=10)
+    # the walk's one budget: on the conjugated pgl8@2 Borel, whose
+    # envelopes pass the word cap, the tower's next u is a walk over 2^35
+    # vectors, past DEFAULT_BUDGET, so it is left undecided, never guessed
+    g, b = build("pgl", 8, 2), _conjugated_pgl8_at_2_borel()
+    assert coordinate_split(g, b) is None
+    with pytest.raises(Undetermined, match=f"enumeration of {2 ** 35} "
+                       f"elements exceeds budget {DEFAULT_BUDGET}"):
+        next_u(g, b)
 
 
 def _subsets(g):
@@ -1146,7 +1178,8 @@ def test_view_nilradical_is_the_largest_nilpotent_ideal():
                   and s.contains(view.bracket_spaces(whole, s))]
         nilpotent = [s for s in ideals if view.is_nilpotent(s)]
         abelian = [s for s in ideals if view.bracket_spaces(s, s).dim == 0]
-        nil = _nilpotent_cone(view, whole, view.ad_matrix_vec)[0]
+        nil = _nilpotent_cone(view, whole, view.ad_matrix_vec,
+                              "ad-nilpotent elements")[0]
         assert nil == max(nilpotent, key=lambda s: s.dim,
                           default=Subspace.zero(view.dim, view.p)), view
         assert (nil.dim == 0) == (not abelian), view
@@ -1234,7 +1267,7 @@ def test_structured_cones_match_enumeration(fam, n, p):
             for lift, test in (
                     (g.linear_lift, lambda v: literal_p_nilpotent(g, v)),
                     (_ad_lift(g, h), _view_adnil(g, h))):
-                cone, method, _ = _nilpotent_cone(g, r, lift)
+                cone, method, _ = _nilpotent_cone(g, r, lift, "cone")
                 assert method == "structured"
                 assert _oracle_cone(r, test) == (cone, True), (chosen, role)
 
@@ -1348,20 +1381,20 @@ def _envelope_inputs(g, rng):
 def test_envelope_cone_matches_enumeration(fam, n, p):
     # the cone P of the linear lift holds only p-nilpotent elements; where
     # the structured step or the commuting lifts certify the set C of all
-    # of them (a budget of 0 forbids the walk) it is P, the set the literal
-    # p-power iteration picks out, a subspace; a radical that is not
+    # of them, with no walk, it is P, the set the literal p-power
+    # iteration picks out, a subspace; a radical that is not
     # coordinate-split, or split with a root support in no positive
     # system, is certified by the envelope alone, and the envelope
     # certifies some such set of every algebra
     g = build(fam, n, p)
     by_envelope = 0
     for r in _envelope_inputs(g, random.Random(f"envelope:{fam}{n}@{p}")):
-        cone, method, _ = _nilpotent_cone(g, r, g.linear_lift)
+        cone, method, _ = _nilpotent_cone(g, r, g.linear_lift, "cone")
         oracle = _oracle_cone(r, lambda v: literal_p_nilpotent(g, v))
         assert oracle[0].contains(cone), r.basis
-        try:
-            part = pnil_part_of_radical(g, r, 0)
-        except Undetermined:
+        part = pnil_part_of_radical(g, r)
+        assert (part["cone"], part["method"]) == (cone, method)
+        if part["span"] is None:
             continue
         split = coordinate_split(g, r)
         structured = split is not None and _certified_root_support(
@@ -1383,8 +1416,9 @@ def test_envelope_certificate_declines():
     one = g.coordinates_of_matrix(FieldMatrix.identity(3, 3))
     r = solvable_radical(g, g.subspace([one, *u.basis]))
     assert r.dim == 4
-    assert _nilpotent_cone(g, r, g.linear_lift)[:2] == (u, "envelope")
-    assert pnil_part_of_radical(g, r, 0)["span"] == u
+    assert _nilpotent_cone(g, r, g.linear_lift, "cone")[:2] == (
+        u, "envelope")
+    assert pnil_part_of_radical(g, r)["span"] == u
     # sl2@2 is nilpotent and its envelope is all of M_2, which is simple,
     # so J = 0, while [e, f] = h = 1: the quotient is not commutative, the
     # certificate declines C, and the walk finds that the p-nilpotent
@@ -1392,15 +1426,14 @@ def test_envelope_certificate_declines():
     g = build("sl", 2, 2)
     r = solvable_radical(g, g.full_space())
     assert r == g.full_space()
-    with pytest.raises(Undetermined, match="exceeds budget 0"):
-        pnil_part_of_radical(g, r, 0)
+    part = pnil_part_of_radical(g, r)
+    assert part["span"] is None and part["cone"].dim == 0
     with pytest.raises(Undetermined, match="do not form a subspace"):
-        pnil_part_of_radical(g, r)
-    assert _nilpotent_cone(g, r, g.linear_lift)[0].dim == 0
+        next_u(g, r)
     assert p_radical(g, r)["rad_p"].dim == 0
     # pgl3@3 (p | n): the envelope of ad certifies the cone of the Borel
     # moved by 1 + E_31, which is not coordinate-split
     g = build("pgl", 3, 3)
     w, b = _conjugated_borel(g)
-    assert pnil_part_of_radical(g, b, 0)["span"] == conjugate_subspace(
+    assert pnil_part_of_radical(g, b)["span"] == conjugate_subspace(
         g, w, standard_borel(g)["nilradical"])

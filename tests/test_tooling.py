@@ -1,6 +1,8 @@
 """Checks on the package as shipped: no unused module-level imports in
 the source, every name kept only for the benchmark is still read by it
-and by no engine code but another such name, no module outside `gfp`
+and by no engine code but another such name, no function takes a budget
+but the benchmark's shims and no command a `--budget`, no module outside
+`gfp`
 takes a private `gfp` name but `_combine`, the
 packaged fixture file matches its generator, no module
 imports numpy and `pyproject.toml` declares no runtime dependency, and
@@ -40,6 +42,15 @@ BENCHMARK_SHIMS = {
     ("parabolic", "contains_borel"): "layertrace.py",
     ("parabolic", "iso_invariants"): "layertrace.py",
     ("liealg", "weyl_matrices"): "layertrace.py",
+}
+
+# functions that keep an unused `budget` parameter only because the frozen
+# benchmark passes one: (module, function) -> the file under perfbench/
+# that passes it
+BUDGET_SHIMS = {
+    ("tower", "check_tower_input"): "test_perfbench.py",
+    ("kempf", "check_search_class"): "test_perfbench.py",
+    ("kempf", "optimize"): "workloads.py",
 }
 
 
@@ -123,6 +134,35 @@ def test_no_shim_has_a_caller_in_src_but_another_shim():
         readers = _readers_in_src(name.split(".")[-1])
         assert [r for r in readers if r not in shims] == [], (module, name)
     assert _readers_in_src("weyl_matrices") == [("parabolic", "contains_borel")]
+
+
+def test_no_function_takes_a_budget_but_the_shims(tmp_path, capsys):
+    # the one walk runs within radicals.DEFAULT_BUDGET: no function takes
+    # a budget but the shims the benchmark still passes one, and tower run
+    # refuses a --budget as a malformed command line (exit 3)
+    from morozov.cli import EXIT_INPUT, main
+    takers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                names = [a.arg for a in args.posonlyargs + args.args
+                         + args.kwonlyargs + [args.vararg, args.kwarg] if a]
+                if "budget" in names:
+                    takers.add((path.stem, node.name))
+    assert takers == set(BUDGET_SHIMS)
+    for (module, name), reader in BUDGET_SHIMS.items():
+        # a shim the benchmark no longer calls loses its budget
+        assert f"{module}.{name}(" in (ROOT / "perfbench" / reader).read_text()
+    u = tmp_path / "u.json"            # the line of e13 in sl3@5
+    u.write_text('{"ambient_dim": 8, "basis": [[0, 0, 0, 0, 1, 0, 0, 0]], '
+                 '"p": 5, "schema": 1}')
+    with pytest.raises(SystemExit) as exc:
+        main(["tower", "run", "--family", "sl", "--n", "3", "--p", "5",
+              "--subspace", str(u), "--budget", "10"])
+    assert exc.value.code == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --budget 10" in err
 
 
 def _private_gfp_names(path: Path) -> set:

@@ -1,5 +1,4 @@
 import importlib.util
-import json
 import random
 from pathlib import Path
 
@@ -92,29 +91,6 @@ def test_verify_morozov_sl3():
     assert rep.checks["parabolic"] == "pass"
     assert rep.checks["u_is_p_radical"] == "pass"
     assert rep.checks["kempf"] == "pass"
-
-
-def test_tower_run_cli_verifies_within_the_given_budget(tmp_path, capsys,
-                                                      monkeypatch):
-    from morozov import tower
-    from morozov.cli import EXIT_OK, main
-    from morozov.serialize import canonical_json, subspace_to_dict
-    budgets = []
-    verify = tower.verify_morozov
-
-    def recording(g, trace, **kwargs):
-        budgets.append(kwargs.get("budget"))
-        return verify(g, trace, **kwargs)
-
-    monkeypatch.setattr(tower, "verify_morozov", recording)
-    g = build("sl", 3, 5)
-    path = tmp_path / "u.json"
-    path.write_text(canonical_json(subspace_to_dict(line(g, "e13"))))
-    assert main(["tower", "run", "--family", "sl", "--n", "3", "--p", "5",
-                 "--subspace", str(path), "--budget", "4321"]) == EXIT_OK
-    assert budgets == [4321]
-    checks = json.loads(capsys.readouterr().out)["verification"]
-    assert checks["u_is_p_radical"] == "pass"
 
 
 def test_verify_morozov_sp4_small_p():
@@ -228,9 +204,9 @@ def test_pgl_input_over_budget_is_not_accepted():
     for budget in (10, None):
         with pytest.raises(ValueError, match="not p-nil"):
             check_tower_input(g, u, budget=budget)
-    for tr in (run_tower(g, u, budget=10), run_tower(g, u)):
-        assert tr.status == "input-error"
-        assert tr.detail == "tower input is not p-nil"
+    tr = run_tower(g, u)
+    assert tr.status == "input-error"
+    assert tr.detail == "tower input is not p-nil"
     # the pgl4@5 Borel nilradical, 5^6 vectors, is accepted at budget 10
     g = build("pgl", 4, 5)
     check_tower_input(g, standard_borel(g)["nilradical"], budget=10)
@@ -249,34 +225,6 @@ def test_kempf_input_class_on_pgl_needs_no_budget():
             check_search_class(g, u, budget=budget)
         with pytest.raises(ValueError):
             optimize(g, u, budget)
-
-
-def test_verify_morozov_hands_its_budget_to_the_radicals(monkeypatch):
-    # the Kempf check needs no budget; the walk of the p-nilpotent elements
-    # of rad(q) gets the caller's, and rad_p(q), which takes none, reads
-    # them where no walk is needed (budget 0)
-    from morozov import radicals
-    budgets = []
-
-    def recording(name):
-        original = getattr(radicals, name)
-
-        def wrapper(g, h, *budget):
-            budgets.append((name, *budget))
-            return original(g, h, *budget)
-        monkeypatch.setattr(radicals, name, wrapper)
-
-    g = build("pgl", 3, 5)
-    trace = run_tower(g, standard_borel(g)["nilradical"])
-    recording("pnil_part_of_radical")
-    recording("p_radical")
-    for budget in (4321, 10):
-        budgets.clear()
-        checks = verify_morozov(g, trace, budget=budget).checks
-        assert checks["kempf"] == "pass"
-        assert checks["u_is_p_radical"] == "pass"
-        assert set(budgets) == {("pnil_part_of_radical", budget),
-                                ("p_radical",), ("pnil_part_of_radical", 0)}
 
 
 def _towers_pass(g, chosen):
@@ -364,8 +312,8 @@ def test_conjugated_sp6_tower_past_a_killing_form_that_vanishes():
     g = build("sp", 6, 7)
     w = _root_group_word(g, random.Random("sweep:sp6@7:(1, 2)"))
     u = conjugate_subspace(g, w, standard_parabolic(g, (1, 2))["nilradical"])
-    trace = run_tower(g, u, budget=10 ** 5)
+    trace = run_tower(g, u)
     assert trace.status == "stabilized" and trace.u_limit == u
-    checks = verify_morozov(g, trace, budget=10 ** 5).checks
+    checks = verify_morozov(g, trace).checks
     assert (checks["fixed_point"], checks["parabolic"],
             checks["u_is_p_radical"]) == ("pass", "pass", "pass")
