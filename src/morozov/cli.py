@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 = computation succeeded / all checks passed, 1 = a
-verification failed, 2 = undetermined, 3 = input error or malformed
+verification failed, 2 = undetermined (for `tower run`: budget-exceeded, or
+a check reads undetermined and none fails), 3 = input error or malformed
 command line.  No command takes a budget: the one walk left, in
 `radicals`, runs within `radicals.DEFAULT_BUDGET`.
 Output is canonical JSON (default) or text; identical inputs and seed
@@ -123,11 +124,12 @@ def cmd_tower_run(args) -> int:
             text.append(f"  check {k}: {v}")
     if trace.status == "input-error":
         return _emit(args, payload, EXIT_INPUT, text)
-    if trace.status in ("budget-exceeded", "max-steps", "cycle-detected"):
+    if trace.status == "budget-exceeded":
         return _emit(args, payload, EXIT_UNDETERMINED, text)
-    bad = report is not None and any(
-        v == "fail" for v in report.checks.values())
-    return _emit(args, payload, EXIT_CHECK_FAILED if bad else EXIT_OK, text)
+    readings = report.checks.values()
+    code = EXIT_CHECK_FAILED if "fail" in readings else \
+        EXIT_UNDETERMINED if "undetermined" in readings else EXIT_OK
+    return _emit(args, payload, code, text)
 
 
 def cmd_kempf_optimize(args) -> int:

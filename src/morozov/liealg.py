@@ -19,7 +19,6 @@ line, the torus or 0, and [z, e_b] = b(z) e_b (`split_bracket`).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -178,8 +177,9 @@ class LieAlgebra:
         """Fill the structure table from bracket_of(i, j), the coordinates
         of [b_i, b_j] for i < j.  The table is grouped by first index: row
         i holds (j, ((k, c), ...)) for each j > i with [b_i, b_j] != 0,
-        listing the nonzero coordinates c of b_k."""
-        rows = []
+        listing the nonzero coordinates c of b_k; _ad[i][m] holds the
+        entries of [b_i, b_m] in both orders, for `basis_bracket`."""
+        rows, ad = [], [{} for _ in range(self.dim)]
         for i in range(self.dim):
             row = []
             for j in range(i + 1, self.dim):
@@ -187,8 +187,10 @@ class LieAlgebra:
                                 if c)
                 if entries:
                     row.append((j, entries))
+                    ad[i][j] = entries
+                    ad[j][i] = tuple((k, -c % self.p) for k, c in entries)
             rows.append(tuple(row))
-        self._rows = tuple(rows)
+        self._rows, self._ad = tuple(rows), ad
 
     def structure_constants(self) -> dict:
         """Map (i, j) -> ((k, c), ...), the nonzero coordinates c of b_k in
@@ -197,13 +199,8 @@ class LieAlgebra:
                 for j, entries in row}
 
     def basis_bracket(self, i: int, j: int) -> tuple:
-        """The nonzero coordinates ((k, c), ...) of [b_i, b_j], found by
-        bisection in row min(i, j), where (j,) sorts just before (j, ...)."""
-        if i > j:
-            return tuple((k, -c % self.p) for k, c in self.basis_bracket(j, i))
-        row = self._rows[i]
-        at = bisect_left(row, (j,))
-        return row[at][1] if at < len(row) and row[at][0] == j else ()
+        """The nonzero coordinates ((k, c), ...) of [b_i, b_j]."""
+        return self._ad[i].get(j, ())
 
     def character(self, z, idx: int) -> int:
         """b(z) in [z, e_b] = b(z) e_b, e_b = b_idx, z as (index, x) pairs."""
@@ -261,16 +258,11 @@ class LieAlgebra:
 
     def _verify_structure(self):
         """Check the Jacobi identity on every basis triple and ad(b_i^[p])
-        = ad(b_i)^p on every b_i, off the rows.  The Jacobiator is
+        = ad(b_i)^p on every b_i, off the rows and `_ad`.  The Jacobiator is
         alternating, as the bracket is; on {a, b, e} it is the sum of the
         terms [b_e, [b_a, b_b]], so the sum of c [b_e, b_m] over the nonzero
         [b_a, b_b] = sum c b_m and [b_e, b_m] gives it exactly."""
-        p, d = self.p, self.dim
-        ad = [{} for _ in range(d)]     # ad[i][m]: the entries of [b_i, b_m]
-        for i, row in enumerate(self._rows):
-            for j, entries in row:
-                ad[i][j] = entries
-                ad[j][i] = tuple((k, -c) for k, c in entries)
+        p, d, ad = self.p, self.dim, self._ad
 
         def combine(terms):
             # nonzero coordinates of sum x (c b_k, ...) over (x, ((k, c), ...))

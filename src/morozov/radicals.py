@@ -53,16 +53,16 @@ Strategy notes:
     "envelope": all of rad(h) when its lifts act nilpotently together,
     else one linear solve against J(A).  Past gfp's cap on A's word basis,
     "enumeration": the one walk (`_walk`) over the p^dim vectors of rad(h),
-    within the one budget DEFAULT_BUDGET, gives C in place of P, or leaves
-    it undecided when the budget is passed or C is no subspace: never a
-    guess.  The walk is the only step that raises `Undetermined`;
-  * the tower's next u is C for the linear lift (`next_u`), which contains
-    P and can be a larger subspace at p = 2.  `pnil_part_of_radical`
-    names C where a certificate decides it: C = P from the structured
-    step, when the lifts act nilpotently, or when they commute modulo
-    J(A), as then A/J(A) is commutative and semisimple, with no nonzero
-    nilpotents; past the cap P is C itself.  Else `next_u` walks C.
-    rad_p(h) never needs that walk: it is the largest h-ideal inside P.
+    within DEFAULT_BUDGET, gives C in place of P, or leaves it undecided
+    when the budget is passed or C is no subspace: never a guess;
+  * the tower's next u (`next_u`) is C for the linear lift, a p-nil
+    subalgebra, or undetermined; C contains P and can be larger at p = 2.
+    `pnil_part_of_radical` names C where a certificate decides it: C = P
+    from the structured step, when the lifts act nilpotently, or when they
+    commute modulo J(A), as then A/J(A) is commutative and semisimple, with
+    no nonzero nilpotents; past the cap P is C itself.  Else `next_u` walks
+    C, undetermined when it is no subalgebra (`tower` notes).  rad_p(h)
+    never needs that walk: it is the largest h-ideal inside P.
 """
 
 from __future__ import annotations
@@ -82,8 +82,8 @@ _PNIL = "p-nilpotent elements of rad(h)"
 
 
 class Undetermined(Exception):
-    """Raised by the walk (`_walk`), the one step that can give up: past
-    DEFAULT_BUDGET, or on a set that is not a subspace."""
+    """Raised where a walk gives up: past DEFAULT_BUDGET, or on a set that
+    is no subspace (`_walk`) or, for the tower's next u, no subalgebra."""
 
 
 # ---------------------------------------------------------------------------
@@ -403,17 +403,21 @@ def pnil_part_of_radical(g: LieAlgebra, h: Subspace) -> dict:
 
 
 def next_u(g: LieAlgebra, q: Subspace) -> dict:
-    """The tower's next u from q: `pnil_part_of_radical` where its "span"
-    C is decided, else C walked within DEFAULT_BUDGET (`_walk`), with
-    method "enumeration".  Memoised once decided: it is exact."""
+    """The tower's next u from q, a p-nil subalgebra: `pnil_part_of_radical`
+    where its "span" C is decided, else C walked within DEFAULT_BUDGET
+    (`_walk`), with method "enumeration".  A certified C is a subalgebra
+    (`tower` notes); a walked one that is not raises Undetermined.
+    Memoised once walked: it is exact."""
     part = pnil_part_of_radical(g, q)
-    if part["span"] is not None:
-        return part
-    key = ("nextu", q.basis)
-    if key not in g._memo:
-        g._memo[key] = {**part, "method": "enumeration", "span": _walk(
-            part["radical"], g.linear_lift, _PNIL)}
-    return g._memo[key]
+    if part["span"] is None:
+        key = ("nextu", q.basis)
+        if key not in g._memo:
+            g._memo[key] = {**part, "method": "enumeration", "span": _walk(
+                part["radical"], g.linear_lift, _PNIL)}
+        part = g._memo[key]
+    if part["method"] == "enumeration" and not g.is_subalgebra(part["span"]):
+        raise Undetermined(f"the {_PNIL} do not form a subalgebra")
+    return part
 
 
 def p_radical(g: LieAlgebra, h: Subspace) -> dict:

@@ -3,13 +3,20 @@ q <- N_g(u), u <- the p-nilpotent elements of rad(q), track every step, and
 verify the expected limit properties (fixed point, parabolicity, p-radical
 identity, agreement with the optimal cocharacter's parabolic).
 
-Stabilization is detected by pair repetition with full-history cycle
-detection; the step count is capped, and every anomaly lands in the
-status field instead of an exception.  The next u is
-`radicals.next_u`: the p-nilpotent elements of rad(q) from a certificate,
-or walked within `radicals.DEFAULT_BUDGET`; a step where they do not form
-a subspace, or whose walk runs over that budget, ends the tower
-`budget-exceeded` with the reason in `detail`.  No step takes a budget.
+The u's form an increasing chain.  u_(i-1), a p-nil subalgebra, is a
+nilpotent ideal of q_i = N(u_(i-1)), so it lies in rad(q_i) and in the set
+C_i of its p-nilpotent elements; the next u, `radicals.next_u`, is C_i or
+undetermined.  A certified span is C: the structured cone is every x with
+a nilpotent lift, the span is rad(q) when the lifts act nilpotently, and
+P = C when they commute modulo J.  It is a subalgebra: P = lift^-1(J(A))
+meet r is one, as the lift is a Lie homomorphism on every family (on pgl
+with p not dividing n, lift([x, y]) = [M_x, M_y]) and J is closed under
+commutators; the structured root part is one, as its support is closed and
+lies in a positive system.  A walked C is checked.  So dim u never
+decreases and is at most dim g, and once u repeats the stop rule (u and q
+repeat) fires within one more step.  A step whose u does not contain the
+last is an engine bug (RuntimeError); one whose C is undecided ends the
+tower `budget-exceeded`, the reason in `detail`.  No step takes a budget.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ class TowerStep:
 @dataclass
 class TowerTrace:
     steps: list
-    status: str                      # stabilized | budget-exceeded | cycle-detected | max-steps | input-error
+    status: str                      # stabilized | budget-exceeded | input-error
     stabilized_at: Optional[int] = None
     detail: str = ""
 
@@ -89,31 +96,24 @@ def tower_step(g: LieAlgebra, u: Subspace) -> tuple:
 
 
 def run_tower(g: LieAlgebra, u0: Subspace) -> TowerTrace:
-    max_steps = 2 * g.dim + 2
+    """The tower from u0 until u and q repeat: an increasing chain of p-nil
+    subalgebras (module notes), checked at every step."""
     try:
         check_tower_input(g, u0)
     except ValueError as exc:
         return TowerTrace([TowerStep(0, u0, None)], "input-error", detail=str(exc))
     steps = [TowerStep(0, u0, None)]
-    history = {}
-    u = u0
-    for i in range(1, max_steps + 1):
+    while True:
+        prev, i = steps[-1], len(steps)
         try:
-            q, u_next, part = tower_step(g, u)
+            q, u, part = tower_step(g, prev.u)
         except radicals.Undetermined as exc:
             return TowerTrace(steps, "budget-exceeded", detail=str(exc))
-        steps.append(TowerStep(i, u_next, q, part["method"],
-                               part["radical"].dim))
-        pair = (u_next.basis, q.basis)
-        prev = steps[-2]
-        if prev.q is not None and prev.u == u_next and prev.q == q:
+        if not u.contains(prev.u):
+            raise RuntimeError(f"tower: u_{i} does not contain u_{i - 1}")
+        steps.append(TowerStep(i, u, q, part["method"], part["radical"].dim))
+        if prev.q is not None and prev.u == u and prev.q == q:
             return TowerTrace(steps, "stabilized", stabilized_at=i)
-        if pair in history:
-            return TowerTrace(steps, "cycle-detected",
-                              detail=f"pair repeats step {history[pair]}")
-        history[pair] = i
-        u = u_next
-    return TowerTrace(steps, "max-steps", detail=f"no stabilization in {max_steps} steps")
 
 
 @dataclass

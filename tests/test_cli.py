@@ -468,7 +468,8 @@ def test_kempf_and_tower_on_an_algebra_without_a_frame(tmp_path, capsys):
     # sl2@5 without its family stamp and its Borel nilradical <e12>: the
     # optimizer's input check needs the torus frame, so kempf optimize
     # reads inadmissible and the tower's verification skips Kempf, both
-    # with the reason, and neither ends in a traceback
+    # with the reason, and neither ends in a traceback; parabolicity reads
+    # undetermined without the frame, so tower run exits 2
     algebra = tmp_path / "sl2.json"
     algebra.write_text(canonical_json(ALGEBRAS["sl2-unstamped"]()))
     path = tmp_path / "u.json"
@@ -479,7 +480,7 @@ def test_kempf_and_tower_on_an_algebra_without_a_frame(tmp_path, capsys):
     assert main(["kempf", "optimize", *argv]) == EXIT_UNDETERMINED
     out = json.loads(capsys.readouterr().out)
     assert (out["status"], out["reason"]) == ("inadmissible", reason)
-    assert main(["tower", "run", *argv]) == EXIT_OK
+    assert main(["tower", "run", *argv]) == EXIT_UNDETERMINED
     out = json.loads(capsys.readouterr().out)
     assert out["trace"]["status"] == "stabilized"
     checks = out["verification"]

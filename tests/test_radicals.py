@@ -301,6 +301,29 @@ def test_tower_walk_finds_a_cone_larger_than_p(monkeypatch):
     assert p_radical(g, h)["rad_p"].dim == 0 and walked == [3]
 
 
+def test_walked_cone_that_is_no_subalgebra_is_no_next_u():
+    # sl3@3, h = <h1, h2, e23 + f13, e12, e13 + f12, f23 + f12>: rad(h) =
+    # <h1 + 2h2, e23 + 2e12 + f13, e13 + 2f23>, P = 0, and the walk finds
+    # C = <h1 + 2h2 + e23 + 2e12 + f13, e13 + 2f23>, a subspace; but the
+    # bracket of its two basis vectors, 2h1 + h2, lies outside it, so C is
+    # no p-nil subalgebra and the tower's next u is undetermined
+    g = build.__wrapped__("sl", 3, 3)           # fresh memo
+    e = g.element_by_label
+    h = g.subspace([e("h1").coords, e("h2").coords,
+                    (e("e23") + e("f13")).coords, e("e12").coords,
+                    (e("e13") + e("f12")).coords, (e("f23") + e("f12")).coords])
+    assert g.is_subalgebra(h)
+    part = pnil_part_of_radical(g, h)
+    assert part["cone"].dim == 0 and part["span"] is None
+    members = [v for v in part["radical"].enumerate_vectors()
+               if any(v) and literal_p_nilpotent(g, v)]
+    walked = Subspace.from_vectors(members, g.dim, g.p)
+    assert len(members) + 1 == 3 ** walked.dim == 9
+    assert not g.is_subalgebra(walked)
+    with pytest.raises(Undetermined, match="do not form a subalgebra"):
+        next_u(g, h)
+
+
 def test_radical_chain_and_closures():
     for fam, n, p in (("sl", 3, 5), ("sp", 4, 3), ("sl", 4, 7), ("pgl", 3, 3)):
         g = build(fam, n, p)

@@ -1,5 +1,6 @@
 import importlib.util
 import random
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -292,14 +293,20 @@ def test_towers_at_2_stabilise_on_p_nil_limits_or_end_undetermined(fam, n):
                 assert "do not form a subspace" in trace.detail, chosen
 
 
-def _root_group_word(g, rng):
-    """`root_group_word` of the benchmark's workloads, loaded from its file
-    without touching sys.path."""
+@lru_cache(maxsize=None)
+def _workloads():
+    """perfbench/workloads.py, loaded from its file without touching
+    sys.path."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.root_group_word(g, rng)
+    return module
+
+
+def _root_group_word(g, rng):
+    """`root_group_word` of the benchmark's workloads."""
+    return _workloads().root_group_word(g, rng)
 
 
 def test_conjugated_sp6_tower_past_a_killing_form_that_vanishes():
@@ -317,3 +324,61 @@ def test_conjugated_sp6_tower_past_a_killing_form_that_vanishes():
     checks = verify_morozov(g, trace).checks
     assert (checks["fixed_point"], checks["parabolic"],
             checks["u_is_p_radical"]) == ("pass", "pass", "pass")
+
+
+def _p_nil_closures(g, count, rng):
+    """`count` seeded p-nil restricted subalgebras of g: the closure under
+    the bracket and the p-power map of one or two sparse random elements of
+    the Borel nilradical, every other one moved by a root-group word."""
+    from morozov.liealg import conjugate_subspace
+    nil = standard_borel(g)["nilradical"]
+    out = []
+    for k in range(count):
+        gens = [nil.combine([rng.randrange(g.p) if rng.random() < 0.4 else 0
+                             for _ in range(nil.dim)])
+                for _ in range(rng.randint(1, 2))]
+        u = g.subspace([])
+        while not u.contains(g.subspace(gens)):
+            u = g.subalgebra_closure([g.element(v) for v in gens])
+            gens = [list(b) for b in u.basis] + [g.p_power_vec(list(b))
+                                                 for b in u.basis]
+        if k % 2:
+            u = conjugate_subspace(g, _root_group_word(g, rng), u)
+        out.append(u)
+    return out
+
+
+def _tower_inputs():
+    """(algebra, u0) for the seeded p-nil closures of rank-2 and sl4 algebras
+    at p = 2, 3, 5 and for every tower case of the benchmark at seeds
+    0-2."""
+    from morozov.serialize import subspace_from_dict
+    for p in (2, 3, 5):
+        for fam, n in (("sl", 3), ("gl", 3), ("pgl", 3), ("sl", 4), ("sp", 4),
+                       ("so", 5)):
+            if (fam, p) != ("so", 2):       # so is not built at p = 2
+                g = build(fam, n, p)
+                rng = random.Random(f"chain:{fam}{n}@{p}")
+                for u in _p_nil_closures(g, 24, rng):
+                    yield g, u
+    workloads = _workloads()
+    for workload in ("tower-std", "tower-seeded"):
+        for seed in range(3):
+            for case in workloads.generate(workload, seed):
+                g = build(*case["alg"])
+                yield g, subspace_from_dict(case["input"], g)
+
+
+def test_tower_is_an_increasing_chain_of_subalgebras():
+    # u_(i-1) is a nilpotent ideal of N(u_(i-1)), so it lies in the next u,
+    # which is a subalgebra; dim u is bounded by dim g, so every tower ends
+    # within dim g + 2 steps
+    ended = set()
+    for g, u0 in _tower_inputs():
+        trace = run_tower(g, u0)
+        ended.add(trace.status)
+        assert trace.status in ("stabilized", "budget-exceeded"), trace.detail
+        assert len(trace.steps) - 1 <= g.dim + 2
+        for prev, step in zip(trace.steps, trace.steps[1:]):
+            assert step.u.contains(prev.u) and g.is_subalgebra(step.u)
+    assert ended == {"stabilized", "budget-exceeded"}
