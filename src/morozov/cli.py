@@ -119,13 +119,11 @@ def cmd_tower_run(args) -> int:
         text.append(f"  step {s.index}: dim u = {s.u.dim}"
                     + ("" if s.q is None else f", dim q = {s.q.dim}")
                     + ("" if s.method is None else f" [{s.method}]"))
-    if report is not None:
-        for k, v in report.checks.items():
-            text.append(f"  check {k}: {v}")
-    if trace.status == "input-error":
-        return _emit(args, payload, EXIT_INPUT, text)
-    if trace.status == "budget-exceeded":
-        return _emit(args, payload, EXIT_UNDETERMINED, text)
+    if report is None:
+        return _emit(args, payload, EXIT_INPUT if trace.status == "input-error"
+                     else EXIT_UNDETERMINED, text)
+    for k, v in report.checks.items():
+        text.append(f"  check {k}: {v}")
     readings = report.checks.values()
     code = EXIT_CHECK_FAILED if "fail" in readings else \
         EXIT_UNDETERMINED if "undetermined" in readings else EXIT_OK

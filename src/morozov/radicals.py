@@ -407,17 +407,19 @@ def next_u(g: LieAlgebra, q: Subspace) -> dict:
     where its "span" C is decided, else C walked within DEFAULT_BUDGET
     (`_walk`), with method "enumeration".  A certified C is a subalgebra
     (`tower` notes); a walked one that is not raises Undetermined.
-    Memoised once walked: it is exact."""
+    Memoised once walked and checked: it is exact."""
     part = pnil_part_of_radical(g, q)
-    if part["span"] is None:
-        key = ("nextu", q.basis)
-        if key not in g._memo:
-            g._memo[key] = {**part, "method": "enumeration", "span": _walk(
-                part["radical"], g.linear_lift, _PNIL)}
-        part = g._memo[key]
-    if part["method"] == "enumeration" and not g.is_subalgebra(part["span"]):
-        raise Undetermined(f"the {_PNIL} do not form a subalgebra")
-    return part
+    span = part["span"]
+    if span is not None and part["method"] != "enumeration":
+        return part
+    key = ("nextu", q.basis)
+    if key not in g._memo:
+        if span is None:
+            span = _walk(part["radical"], g.linear_lift, _PNIL)
+        if not g.is_subalgebra(span):
+            raise Undetermined(f"the {_PNIL} do not form a subalgebra")
+        g._memo[key] = {**part, "method": "enumeration", "span": span}
+    return g._memo[key]
 
 
 def p_radical(g: LieAlgebra, h: Subspace) -> dict:

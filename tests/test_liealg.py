@@ -563,17 +563,23 @@ def test_view_bracket_and_ad_match_the_parent(fam, n, p):
         assert view.ad_matrix_vec(a).entries == tuple(expected)
 
 
+def _with_table(g, table):
+    """A copy of g whose [b_i, b_j], i < j, has the coordinates {k: c} of
+    table[i, j] (0 where absent), filled by `_set_structure` as in every
+    build, so that every view of the table holds the same brackets."""
+    h = copy.copy(g)
+    h._set_structure(lambda i, j: [table.get((i, j), {}).get(k, 0)
+                                   for k in range(g.dim)])
+    return h
+
+
 def _single_entry_corruptions(g):
-    """The rows of g with one stored coefficient c of one [b_i, b_j]
+    """The tables of g with one stored coefficient c of one [b_i, b_j]
     replaced by c + 1 (the entry goes when c + 1 = p), one per entry."""
-    rows = g._rows
-    for i, row in enumerate(rows):
-        for t, (j, entries) in enumerate(row):
-            for s, (k, c) in enumerate(entries):
-                bad = entries[:s] + ((k, (c + 1) % g.p),) + entries[s + 1:]
-                bad = tuple(e for e in bad if e[1])
-                yield rows[:i] + (row[:t] + ((j, bad),) + row[t + 1:],) \
-                    + rows[i + 1:]
+    table = {ij: dict(e) for ij, e in g.structure_constants().items()}
+    for ij, entries in table.items():
+        for k, c in entries.items():
+            yield {**table, ij: {**entries, k: (c + 1) % g.p}}
 
 
 @pytest.mark.parametrize("fam,n,p,count", [("sl", 4, 7, 64), ("sp", 6, 7, 105),
@@ -583,11 +589,9 @@ def test_structure_check_rejects_every_single_entry_corruption(fam, n, p,
     g = build(fam, n, p)
     g._verify_structure()
     seen = 0
-    for rows in _single_entry_corruptions(g):
-        h = copy.copy(g)
-        h._rows = rows
+    for table in _single_entry_corruptions(g):
         with pytest.raises(AssertionError):
-            h._verify_structure()
+            _with_table(g, table)._verify_structure()
         seen += 1
     assert seen == count
 
@@ -632,18 +636,12 @@ def test_structure_check_agrees_with_brute_force_jacobi(fam, n, p):
     units = [g.unit(i) for i in range(g.dim)]
     outcomes = set()
     for _ in range(40):
-        table = {(i, j): dict(e) for i, row in enumerate(g._rows)
-                 for j, e in row}
+        table = {ij: dict(e) for ij, e in g.structure_constants().items()}
         for _ in range(rng.choice([1, 1, 2, 3])):
             i, j = sorted(rng.sample(range(g.dim), 2))
             entries = table.setdefault((i, j), {})
             entries[rng.randrange(g.dim)] = rng.randrange(p)
-        h = copy.copy(g)
-        h._rows = tuple(tuple(
-            (j, tuple((k, c) for k, c in sorted(table[i, j].items()) if c))
-            for j in range(i + 1, g.dim)
-            if any(table.get((i, j), {}).values()))
-            for i in range(g.dim))
+        h = _with_table(g, table)
         brute = all(not any(
             (x + y + z) % p for x, y, z in zip(
                 h.bracket_vec(units[i], h.bracket_vec(units[j], units[k])),
