@@ -4,9 +4,9 @@ optimal cocharacter and the parabolic decomposition p = c + u by weight
 signs.
 
 The optimum lies on the ray of the point of least norm in the convex hull
-of the roots on the support, found by Wolfe's algorithm in exact rational
+of the roots on the support, found by Wolfe's algorithm in exact integer
 arithmetic (`rootdata.min_norm_point`) and returned with a certificate
-checked without any search.
+checked without any search, on one common denominator.
 """
 
 from __future__ import annotations
@@ -80,10 +80,10 @@ def support_weights(g: LieAlgebra, u: Subspace) -> list:
     return sorted({g.frame.index_root[i] for i in support_indices(u)})
 
 
-def _ray_cocharacter(x: Sequence) -> Cocharacter:
-    """The indivisible lattice vector on the ray of a rational vector."""
-    den = lcm(*(c.denominator for c in x))
-    return Cocharacter(tuple(int(c * den) for c in x)).indivisible()
+def _common_point(active: Sequence, mu: Sequence) -> tuple:
+    """(d, d x): x = sum mu_i w_i, d the lcm of mu's denominators."""
+    d = lcm(*(m.denominator for m in mu))
+    return d, _combine(active, [m.numerator * (d // m.denominator) for m in mu])
 
 
 @dataclass
@@ -92,7 +92,7 @@ class OptimalityCertificate:
     alpha: int
     ratio_sq: Fraction          # alpha^2 / ||lam||^2
     active: tuple               # support weights spanning the optimum
-    mu: tuple                   # their barycentric weights (Fractions)
+    mu: tuple                   # weights, integer walk's A / d as Fractions
 
     # No search is made.  `perfbench/layertrace.py` still reads these two
     # counts of the lattice-ball search this optimizer replaced; they stay
@@ -136,19 +136,19 @@ def check_certificate(g: LieAlgebra, u: Subspace,
     """Kempf's optimality, checked without any search: mu > 0 sums to 1
     over support weights, so x = sum mu_w w lies in their convex hull;
     <x, w> >= <x, x> for every support weight w, so x is its point of
-    least norm; lambda is the indivisible vector on the ray of x.  A
-    failure is a bug in the optimizer."""
+    least norm; lambda is the indivisible vector on the ray of x; all on
+    d x, d the lcm of mu's denominators.  A failure is an optimizer bug."""
     support = support_weights(g, u)
     mu = cert.mu
     if not (mu and all(m > 0 for m in mu) and sum(mu) == 1
             and len(cert.active) == len(mu) and set(cert.active) <= set(support)):
         raise RuntimeError("Kempf certificate: mu is not a convex combination "
                            "of support weights")
-    x = _combine(cert.active, mu)
-    if not any(x) or any(_dot(x, w) < _dot(x, x) for w in support):
+    d, dx = _common_point(cert.active, mu)
+    if not any(dx) or any(_dot(dx, w) * d < _dot(dx, dx) for w in support):
         raise RuntimeError("Kempf certificate: x is not the point of least "
                            "norm in the hull of the support weights")
-    if cert.lam != _ray_cocharacter(x):
+    if cert.lam != Cocharacter(tuple(dx)).indivisible():
         raise RuntimeError("Kempf certificate: lambda is not the indivisible "
                            "vector on the ray of x")
 
@@ -166,7 +166,7 @@ def optimize(g: LieAlgebra, u: Subspace, budget=None) -> OptimalityCertificate:
     if not any(x):
         raise ValueError("no admissible cocharacter: 0 lies in the convex "
                          "hull of the support weights")
-    lam = _ray_cocharacter(x)
+    lam = Cocharacter(tuple(_common_point(active, mu)[1])).indivisible()
     a = alpha(g, lam, u).value
     cert = OptimalityCertificate(lam, a, Fraction(a * a, lam.norm_sq),
                                  tuple(active), tuple(mu))

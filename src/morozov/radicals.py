@@ -382,23 +382,30 @@ def _ad_lift(g: LieAlgebra, h: Subspace):
 # ---------------------------------------------------------------------------
 
 def pnil_part_of_radical(g: LieAlgebra, h: Subspace) -> dict:
-    """The p-nilpotent cone of h, memoised: "cone", P of `_nilpotent_cone`
-    for `LieAlgebra.linear_lift` on "radical", rad(h), with its "method";
-    and "span", the set C of p-nilpotent elements of rad(h) where a
-    certificate decides it, else None.  C = P from the structured step, the
-    root part of a split radical, as no nonzero torus element has lift 0;
-    when the lifts act nilpotently or commute modulo J(A); and past the
-    cap, where P is C walked.  It never walks where the envelope fits."""
+    """The p-nilpotent cone of h, memoised, an Undetermined too (exact
+    under the one walk budget): "cone", P of `_nilpotent_cone` for
+    `LieAlgebra.linear_lift` on "radical", rad(h), with its "method"; and
+    "span", the set C of p-nilpotent elements of rad(h) where a certificate
+    decides it, else None.  C = P from the structured step, the root part
+    of a split radical, as no nonzero torus element has lift 0; when the
+    lifts act nilpotently or commute modulo J(A); and past the cap, where
+    P is C walked.  It never walks where the envelope fits."""
     key = ("pnilpart", h.basis)
     if key not in g._memo:
-        r = solvable_radical(g, h)
-        cone, method, radical = _nilpotent_cone(g, r, g.linear_lift, _PNIL)
+        try:
+            r = solvable_radical(g, h)
+            cone, method, radical = _nilpotent_cone(g, r, g.linear_lift, _PNIL)
+        except Undetermined as exc:
+            g._memo[key] = str(exc)     # its reason, not its frames
+            raise
         lifts = [] if radical is None else [g.linear_lift(list(b))
                                             for b in r.basis]
         commute = not any(any(radical.reduce((a @ b - b @ a).entries))
                           for i, a in enumerate(lifts) for b in lifts[:i])
         g._memo[key] = {"cone": cone, "span": cone if commute else None,
                         "method": method, "radical": r}
+    if isinstance(g._memo[key], str):
+        raise Undetermined(g._memo[key])
     return g._memo[key]
 
 

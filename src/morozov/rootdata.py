@@ -34,45 +34,36 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def _solve_rational(basis: Sequence[Sequence], target: Sequence) -> list:
-    """Write target as a rational combination of the basis vectors (free
-    coefficients set to 0), as Fractions."""
-    cols = len(basis)
-    rows = len(target)
-    aug = [[Fraction(basis[j][i]) for j in range(cols)] + [Fraction(target[i])]
-           for i in range(rows)]
-    r = 0
-    piv_cols = []
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        aug[r] = [x / aug[r][c] for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-    coeffs = [Fraction(0)] * cols
-    for i, c in enumerate(piv_cols):
-        coeffs[c] = aug[i][cols]
-    for i in range(r, rows):
-        if aug[i][cols] != 0:
-            raise ValueError("target not in the span")
-    return coeffs
-
-
 def _combine(points: Sequence, mu: Sequence) -> list:
     return [sum(m * s[k] for m, s in zip(mu, points))
             for k in range(len(points[0]))]
 
 
+def _affine_minimizer(active: Sequence) -> tuple:
+    """(A, d), d > 0, a = A / d solving G a + m 1 = 0, 1.a = 1: the point
+    of least norm in the affine hull of affinely independent points, by
+    fraction-free Gauss-Jordan (Bareiss), exact division by the last pivot."""
+    k, last = len(active), 1
+    rows = [[_dot(s, t) for t in active] + [1, 0] for s in active]
+    rows.append([1] * k + [0, 1])
+    for c in range(k + 1):
+        piv = next(i for i in range(c, k + 1) if rows[i][c])
+        rows[c], rows[piv] = rows[piv], rows[c]
+        top = rows[c]
+        rows = [row if i == c else [(top[c] * x - row[c] * y) // last
+                                    for x, y in zip(row, top)]
+                for i, row in enumerate(rows)]
+        last = top[c]
+    sign = 1 if last > 0 else -1
+    return [sign * row[-1] for row in rows[:k]], sign * last
+
+
 def min_norm_point(points: Sequence) -> tuple:
-    """Wolfe's algorithm (Math. Prog. 11, 1976) in exact arithmetic: the
-    point x of least norm in the convex hull of the points, as (active
-    points, barycentric weights mu > 0, x) with x = sum mu_i s_i.
+    """Wolfe's algorithm (Math. Prog. 11, 1976) in exact integer
+    arithmetic: the point x of least norm in the convex hull of the
+    points, as (active points, barycentric weights mu > 0, x) with
+    x = sum mu_i s_i, in Fractions made on return.  The walk holds a as
+    integers over d (`_affine_minimizer`), x as d x and mu over e.
 
     Kempf's optimal cocharacter lies on the ray of x.  By Gordan's theorem
     a finite set of roots lies in a positive system (some functional is
@@ -80,21 +71,23 @@ def min_norm_point(points: Sequence) -> tuple:
     pts = sorted(set(points))
     active = [min(pts, key=lambda w: (_dot(w, w), w))]
     while True:
-        # a: the point of least norm in the affine hull of the active
-        # points (affinely independent): G a + m 1 = 0, 1.a = 1
-        k = len(active)
-        cols = [[_dot(s, t) for s in active] + [1] for t in active]
-        a = _solve_rational(cols + [[1] * k + [0]], [0] * k + [1])[:k]
+        a, d = _affine_minimizer(active)
         if all(c > 0 for c in a):
-            x = _combine(active, a)
-            nearest = min(pts, key=lambda w: (_dot(x, w), w))
-            if _dot(x, nearest) >= _dot(x, x):
-                return active, a, x
-            active, mu = active + [nearest], a + [0]
+            dx = _combine(active, a)
+            nearest = min(pts, key=lambda w: (_dot(dx, w), w))
+            if _dot(dx, nearest) * d >= _dot(dx, dx):
+                return (active, [Fraction(c, d) for c in a],
+                        [Fraction(c, d) for c in dx])
+            active, mu, e = active + [nearest], a + [0], d
         else:
-            # walk from mu towards a until a weight reaches 0; drop those
-            theta = min([1] + [m / (m - c) for m, c in zip(mu, a) if c < 0])
-            mu = [(1 - theta) * m + theta * c for m, c in zip(mu, a)]
+            # walk from mu towards a until a weight reaches 0; drop those:
+            # theta = t / u, the least of 1 and m / (m - c) over c < 0
+            t, u = 1, 1
+            for m, c in zip(mu, a):
+                if c < 0 and m * d * u < t * (m * d - c * e):
+                    t, u = m * d, m * d - c * e
+            mu = [(u - t) * d * m + t * e * c for m, c in zip(mu, a)]
+            e *= u * d
             active = [s for s, m in zip(active, mu) if m]
             mu = [m for m in mu if m]
 

@@ -11,7 +11,7 @@ from morozov.kempf import (AlphaResult, Cocharacter, OptimalityCertificate,
                            parabolic_from_cochar, support_weights,
                            verify_obstruction, weights)
 from morozov.liealg import build, standard_borel, standard_parabolic
-from morozov.rootdata import min_norm_point
+from morozov.rootdata import min_norm_point, simple_subsets
 
 
 def line(g, label):
@@ -205,6 +205,33 @@ def test_tampered_certificate_fails():
     for bad in tampered:
         with pytest.raises(RuntimeError, match="Kempf certificate"):
             check_certificate(g, u, bad)
+
+
+@pytest.mark.parametrize("family,n", [("sp", 10), ("so", 11)])
+def test_certificate_check_on_the_reach(family, n):
+    # every proper standard nilradical at p = 13: its certificate passes,
+    # lambda doubled fails, and so do uniform weights on the active set
+    # wherever they move x off the point of least norm
+    g = build(family, n, 13)
+    moved = 0
+    for chosen in simple_subsets(g.frame.rootdatum.rank)[:-1]:
+        u = standard_parabolic(g, chosen)["nilradical"]
+        cert = optimize(g, u)
+        check_certificate(g, u, cert)
+        with pytest.raises(RuntimeError, match="Kempf certificate"):
+            check_certificate(g, u, replace(cert, lam=cert.lam.scale(2)))
+        k = len(cert.active)
+        uniform = tuple(Fraction(1, k) for _ in cert.active)
+        if _point(cert.active, uniform) != _point(cert.active, cert.mu):
+            moved += 1
+            with pytest.raises(RuntimeError, match="Kempf certificate"):
+                check_certificate(g, u, replace(cert, mu=uniform))
+    assert moved > 0
+
+
+def _point(active, mu):
+    return [sum(m * w[i] for m, w in zip(mu, active))
+            for i in range(len(active[0]))]
 
 
 def test_min_norm_point_drops_a_vertex():

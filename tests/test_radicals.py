@@ -469,6 +469,28 @@ def test_undetermined_budget():
         next_u(g, b)
 
 
+def test_undetermined_cone_is_memoised(monkeypatch):
+    # with one walk budget the undecided cone is exact for h, so a second
+    # p_radical on the conjugated pgl8@2 Borel computes no cone again
+    from morozov import radicals
+    g, b = build("pgl", 8, 2), _conjugated_pgl8_at_2_borel()
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _nilpotent_cone(*args)
+
+    monkeypatch.setattr(radicals, "_nilpotent_cone", counted)
+    monkeypatch.setattr(g, "_memo", {})     # build() is cached
+    counts = []
+    for _ in range(2):
+        with pytest.raises(Undetermined, match=f"enumeration of {2 ** 35} "
+                           f"elements exceeds budget {DEFAULT_BUDGET}"):
+            p_radical(g, b)
+        counts.append(len(calls))
+    assert counts[0] > 0 and counts[1] == counts[0]
+
+
 def _subsets(g):
     rank = g.frame.rootdatum.rank
     return [tuple(i for i in range(rank) if mask >> i & 1)

@@ -1,13 +1,73 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from morozov.gfp import is_prime
-from morozov.liealg import build
-from morozov.rootdata import (EXCEPTIONAL, PRINTED_TABLE, _solve_rational,
-                              build_rootdatum, classify_prime, is_closed,
-                              parabolic_roots, table_rows)
+from morozov.kempf import support_weights
+from morozov.liealg import build, standard_parabolic
+from morozov.rootdata import (EXCEPTIONAL, PRINTED_TABLE, build_rootdatum,
+                              classify_prime, is_closed, min_norm_point,
+                              parabolic_roots, simple_subsets, table_rows)
+
+
+def _solve_rational(basis, target):
+    """Write target as a rational combination of the basis vectors (free
+    coefficients set to 0), as Fractions, by Gauss-Jordan elimination."""
+    cols = len(basis)
+    rows = len(target)
+    aug = [[Fraction(basis[j][i]) for j in range(cols)] + [Fraction(target[i])]
+           for i in range(rows)]
+    r = 0
+    piv_cols = []
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if aug[i][c] != 0), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        aug[r] = [x / aug[r][c] for x in aug[r]]
+        for i in range(rows):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        piv_cols.append(c)
+        r += 1
+    coeffs = [Fraction(0)] * cols
+    for i, c in enumerate(piv_cols):
+        coeffs[c] = aug[i][cols]
+    for i in range(r, rows):
+        if aug[i][cols] != 0:
+            raise ValueError("target not in the span")
+    return coeffs
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _fraction_walk(points):
+    """Wolfe's algorithm with every quantity a Fraction: the oracle for
+    `min_norm_point`, with the same steps, pivot order, tie-break and drop
+    rule."""
+    pts = sorted(set(points))
+    active = [min(pts, key=lambda w: (_dot(w, w), w))]
+    while True:
+        k = len(active)
+        cols = [[_dot(s, t) for s in active] + [1] for t in active]
+        a = _solve_rational(cols + [[1] * k + [0]], [0] * k + [1])[:k]
+        if all(c > 0 for c in a):
+            x = [sum(m * s[i] for m, s in zip(a, active))
+                 for i in range(len(active[0]))]
+            nearest = min(pts, key=lambda w: (_dot(x, w), w))
+            if _dot(x, nearest) >= _dot(x, x):
+                return active, a, x
+            active, mu = active + [nearest], a + [0]
+        else:
+            theta = min([1] + [m / (m - c) for m, c in zip(mu, a) if c < 0])
+            mu = [(1 - theta) * m + theta * c for m, c in zip(mu, a)]
+            active = [s for s, m in zip(active, mu) if m]
+            mu = [m for m in mu if m]
 
 
 @pytest.mark.parametrize("label,n,count", [
@@ -218,3 +278,47 @@ def test_root_data_match_an_oracle_without_the_orbit(family, n):
     assert list(rd.positive_roots) == sorted(
         (r for r in rd.roots if rd.is_positive(r)),
         key=lambda r: (sum(rd.simple_coefficients(r)), r))
+
+
+def _random_point_sets():
+    """Seeded point sets of dimension 1-6: plain, with a repeated point,
+    with a point on the line through two others, and with p and -p, so
+    that 0 lies in the hull."""
+    rng = random.Random("min-norm-point")
+    out = []
+    for i in range(600):
+        dim = 1 + i % 6
+        pts = [tuple(rng.randint(-4, 4) for _ in range(dim))
+               for _ in range(rng.randint(1, 8))]
+        p, q = rng.choice(pts), rng.choice(pts)
+        kind = i // 6 % 4
+        if kind == 1:
+            pts.append(p)
+        elif kind == 2:
+            pts.append(tuple(2 * b - a for a, b in zip(p, q)))
+        elif kind == 3:
+            pts.append(tuple(-a for a in p))
+        out.append(pts)
+    return out
+
+
+def test_min_norm_point_matches_the_fraction_walk_on_random_sets():
+    sets = _random_point_sets()
+    zero = 0
+    for pts in sets:
+        got = min_norm_point(pts)
+        assert got == _fraction_walk(pts), pts
+        assert all(type(c) is Fraction for c in got[1] + got[2])
+        zero += not any(got[2])
+    # both outcomes are well represented: 0 in the hull, and not
+    assert 100 < zero < len(sets) - 100
+
+
+@pytest.mark.parametrize("family,n", [("sl", 8), ("sp", 10), ("so", 11)])
+def test_min_norm_point_matches_the_fraction_walk_on_the_reach(family, n):
+    # the support weights of every proper standard nilradical at p = 13
+    g = build(family, n, 13)
+    subsets = simple_subsets(g.frame.rootdatum.rank)[:-1]
+    for chosen in subsets:
+        weights = support_weights(g, standard_parabolic(g, chosen)["nilradical"])
+        assert min_norm_point(weights) == _fraction_walk(weights), chosen
