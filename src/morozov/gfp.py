@@ -6,12 +6,16 @@ Each piece lives here once.  `Echelon`, a span grown row by row in RREF,
 is the one home of span growth and of reduction against a span: `rref`,
 `kernel`, `Subspace`, `LieAlgebra`'s coordinates, the envelope, the flag
 frame's adapted basis and the worklists of `LieAlgebra.spin_submodule`
-and `subalgebra_closure`.  `trace_gram` is the one home of the trace form
-tr(XY): the Killing form, the first step of `jacobson_radical` and
-q n q^perp of the flag frame.  `jacobson_radical` is the one J(A), for
-every radical ideal of `radicals` and the flag frame at p = 2 and on pgl
-with p | n; its word basis holds MAX_DIM words, or more while it stays
-within MAX_ENVELOPE entries.  `_combine` (sum c * row) serves the rest.
+and `subalgebra_closure`.  A `Subspace` eliminates only rows that are not
+canonical RREF already: canonical rows, checked against the definition in
+one pass, become its basis as they are, and its `Echelon` is filled from
+them on first use, with no arithmetic.  `trace_gram` is the one home of
+the trace form tr(XY): the Killing form, the first step of
+`jacobson_radical` and q n q^perp of the flag frame.  `jacobson_radical`
+is the one J(A), for every radical ideal of `radicals` and the flag frame
+at p = 2 and on pgl with p | n; its word basis holds MAX_DIM words, or
+more while it stays within MAX_ENVELOPE entries.  `_combine` (sum c *
+row) serves the rest.
 
 All but a growing `Echelon` is immutable after construction, and every
 operation is pure.  Field elements are plain ints reduced into [0, p).
@@ -315,31 +319,63 @@ def kernel(m: FieldMatrix) -> "Subspace":
     return Subspace.from_vectors(_kernel_rows(m), m.cols, m.p)
 
 
+def _canonical_pivots(rows: list, p: int) -> tuple | None:
+    """The pivot columns of rows that already are canonical RREF over
+    GF(p), as the definition reads: int entries in [0, p), a leading 1 at a
+    strictly increasing pivot, and 0 at every other row's pivot; None for
+    any other rows.  As the entries are not negative, a pivot column whose
+    sum is 1 is 0 in every other row."""
+    pivots, residues = [], set(range(p))
+    for row in rows:
+        if 1 not in row or not {*row} <= residues or {*map(type, row)} != {int}:
+            return None
+        lead = row.index(1)
+        if (pivots and lead <= pivots[-1]) or any(row[:lead]):
+            return None
+        pivots.append(lead)
+    columns = tuple(zip(*rows))
+    return tuple(pivots) if all(sum(columns[c]) == 1 for c in pivots) else None
+
+
 class Subspace:
-    """Subspace of GF(p)^n held in canonical RREF, as an `Echelon` built
-    once and never extended; the basis tuple is the equality certificate,
-    and `pivots` holds the leading column of each basis row."""
+    """Subspace of GF(p)^n held in canonical RREF; the basis tuple is the
+    equality certificate, and `pivots` holds the leading column of each
+    basis row.  Rows that already are canonical (`_canonical_pivots`)
+    become the basis as they are; any others go through an `Echelon`.
+    The `Echelon` behind `reduce_vector`, `contains_vector` and
+    `coordinates_of` is never extended: for adopted rows it is filled
+    from them on first use, with no arithmetic."""
 
     __slots__ = ("ambient_dim", "p", "basis", "pivots", "_span")
 
-    def __init__(self, ambient_dim: int, p: int, basis: Sequence[Sequence[int]]):
+    def __init__(self, ambient_dim: int, p: int, basis: Iterable[Sequence[int]]):
         check_modulus(p)
         if ambient_dim > MAX_DIM:
             raise ValueError("ambient dimension out of supported range")
+        rows = [tuple(v) for v in basis]
+        if any(len(v) != ambient_dim for v in rows):
+            raise ValueError("vector length mismatch")
         self.ambient_dim = ambient_dim
         self.p = p
-        self._span = Echelon(ambient_dim, p)
-        self._span.extend(basis)
-        self.basis = tuple(self._span.rows(ambient_dim))
-        self.pivots = tuple(sorted(self._span.kept))
+        self._span = None
+        pivots = _canonical_pivots(rows, p)
+        if pivots is None:
+            self._span = Echelon(ambient_dim, p)
+            self._span.extend(rows)
+            rows, pivots = self._span.rows(ambient_dim), sorted(self._span.kept)
+        self.basis = tuple(rows)
+        self.pivots = tuple(pivots)
+
+    def _echelon(self) -> Echelon:
+        if self._span is None:
+            self._span = Echelon(self.ambient_dim, self.p)
+            self._span.kept = {c: {j: x for j, x in enumerate(row) if x}
+                               for c, row in zip(self.pivots, self.basis)}
+        return self._span
 
     @classmethod
     def from_vectors(cls, vectors: Iterable[Sequence[int]], ambient_dim: int, p: int) -> "Subspace":
-        vecs = [list(v) for v in vectors]
-        for v in vecs:
-            if len(v) != ambient_dim:
-                raise ValueError("vector length mismatch")
-        return cls(ambient_dim, p, vecs)
+        return cls(ambient_dim, p, vectors)
 
     @classmethod
     def zero(cls, ambient_dim: int, p: int) -> "Subspace":
@@ -376,7 +412,7 @@ class Subspace:
 
     def reduce_vector(self, v: Sequence[int]) -> list:
         """Residual of v after elimination against the canonical basis."""
-        return self._span.reduce(v)
+        return self._echelon().reduce(v)
 
     def contains_vector(self, v: Sequence[int]) -> bool:
         return not any(self.reduce_vector(v))
@@ -388,7 +424,7 @@ class Subspace:
     def coordinates_of(self, v: Sequence[int]) -> list | None:
         """Coefficients of v in the canonical basis, its entries at the
         pivots, or None if outside."""
-        inside = not any(self._span.reduce(v))
+        inside = not any(self._echelon().reduce(v))
         return [v[c] % self.p for c in self.pivots] if inside else None
 
     def combine(self, coeffs: Sequence[int]) -> list:

@@ -13,15 +13,18 @@ pairwise distinct and nonzero characters of T at every p.  So T fixes a
 coordinate-split subspace (torus part plus root lines, `coordinate_split`),
 and every subspace the bracket defines from split ones (the normaliser,
 the largest h-ideal inside v, rad(h)) is T-stable, hence split as well.
-Each is read off `basis_bracket`: [e_a, e_b] lies in g_(a+b), a root
-line, the torus or 0, and [z, e_b] = b(z) e_b (`split_bracket`).
+Each is read off a table of root-index pairs, filled once per algebra
+from the structure table on first use (`_root_table`): [e_a, e_b] lies in
+g_(a+b), a root line (its root index), the torus (its coroot entries) or
+0, and [z, e_b] = b(z) e_b, with b's character held on the torus
+coordinates (`split_bracket`, `character`).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
 from typing import Optional, Sequence
 
@@ -202,20 +205,51 @@ class LieAlgebra:
         """The nonzero coordinates ((k, c), ...) of [b_i, b_j]."""
         return self._ad[i].get(j, ())
 
+    @cached_property
+    def _root_table(self) -> tuple:
+        """(sums, coroots, characters), read off `_ad` once, on first use:
+        sums[i][j] is the root index of the line holding [e_i, e_j] and
+        coroots[i][j] the nonzero coordinates of [e_i, e_j] in the torus,
+        over root indices i, j; characters[i][t] is b_i(h_t),
+        [h_t, e_i] = b_i(h_t) e_i, over the torus indices t."""
+        roots, sums, coroots, characters = self.frame.index_root, {}, {}, {}
+        for i in roots:
+            sums[i], coroots[i] = {}, {}
+            for j, entries in self._ad[i].items():
+                if j in roots:
+                    if entries[0][0] in roots:
+                        sums[i][j] = entries[0][0]
+                    else:
+                        coroots[i][j] = entries
+            characters[i] = {t: sum(c for _, c in self._ad[t][i])
+                             for t in self.frame.torus_indices if i in self._ad[t]}
+        return sums, coroots, characters
+
     def character(self, z, idx: int) -> int:
-        """b(z) in [z, e_b] = b(z) e_b, e_b = b_idx, z as (index, x) pairs."""
-        return sum(x * c for t, x in z if x
-                   for _, c in self.basis_bracket(t, idx)) % self.p
+        """b(z) in [z, e_b] = b(z) e_b, e_b = b_idx a root line, z as
+        (torus index, x) pairs."""
+        char = self._root_table[2][idx]
+        return sum(x * char.get(t, 0) for t, x in z if x) % self.p
 
     def split_bracket(self, a, b, coroots) -> tuple:
-        """[e_i, e_j] over root indices i in a, j in b, and [z, e_i] over the
-        coroots z, as (root indices, coroots: nonzero coordinates of
-        [e_c, e_-c])."""
-        found = {self.basis_bracket(i, j) for i in a for j in b
-                 if i < j or i not in b or j not in a} - {()}     # each pair once
-        lines = {e for e in found if e[0][0] in self.frame.index_root}
-        return {e[0][0] for e in lines} | {
-            i for i in a if any(self.character(z, i) for z in coroots)}, found - lines
+        """[e_i, e_j] over the root indices i in the set a, j in the set b,
+        and [z, e_i] over the coroots z, as (root indices, coroots: nonzero
+        coordinates of [e_c, e_-c]), from the table of root-index pairs
+        (`_root_table`).  A pair in both orders counts once, as (i, j) with
+        i < j.  [e_i, e_j] and [e_j, e_i] span one line, so the lines are
+        read off the smaller of a and b."""
+        sums, tori, _ = self._root_table
+        lines, found = set(), set()
+        small, large = (a, b) if len(a) <= len(b) else (b, a)
+        for i in small:
+            row = sums[i]
+            lines.update(row[j] for j in row.keys() & large)
+        for i in a:
+            for j, entries in tori[i].items():
+                if j in b and (i < j or i not in b or j not in a):
+                    found.add(entries)
+        lines |= {i for i in a if any(self.character(z, i) for z in coroots)}
+        return lines, found
 
     def _split_holds(self, found, lines, torus: Subspace) -> bool:
         """Whether `split_bracket`'s (root indices, coroots) lie in the split
@@ -321,6 +355,10 @@ class LieAlgebra:
         return Subspace.from_vectors(vectors, self.dim, self.p)
 
     def full_space(self) -> Subspace:
+        return self._full_space
+
+    @cached_property
+    def _full_space(self) -> Subspace:
         return Subspace.full(self.dim, self.p)
 
     # -- killing form ------------------------------------------------------
@@ -359,7 +397,8 @@ class LieAlgebra:
             split = coordinate_split(self, u)
             if split is not None:
                 lines = {i for _, i in split[1]}
-                zs = [tuple(enumerate(z)) for z in split[0].basis]
+                zs = [tuple((t, x) for t, x in enumerate(z) if x)
+                      for z in split[0].basis]
                 out = [a for a in self.frame.index_root if not self._split_holds(
                     self.split_bracket({a}, lines, zs), lines, split[0])]
             self._memo[key] = solve_linear(self.full_space(), (lambda x: [

@@ -432,6 +432,123 @@ def test_subspace_pivots():
             tuple(_rref_rows(rows, 7, 5)[1])
 
 
+def test_subspace_rejects_rows_of_the_wrong_length():
+    for rows in ([[1, 0, 0, 4]], [[0, 0]], [[1, 0, 0], [0, 1]]):
+        with pytest.raises(ValueError, match="vector length mismatch"):
+            Subspace(3, 5, rows)
+        with pytest.raises(ValueError, match="vector length mismatch"):
+            Subspace.from_vectors(rows, 3, 5)
+
+
+def _eliminated(rows, cols, p):
+    """(basis, pivots) by elimination in one `Echelon`, whatever the rows:
+    the oracle for the rows a `Subspace` adopts."""
+    span = Echelon(cols, p)
+    span.extend(rows)
+    return tuple(span.rows(cols)), tuple(sorted(span.kept))
+
+
+def _seeded_rref(rng, p, cols):
+    """Random canonical RREF rows: a leading 1 at each chosen pivot, 0 at
+    the other pivots and before the lead, any residue elsewhere."""
+    pivots = sorted(rng.sample(range(cols), rng.randrange(cols + 1)))
+    rows = []
+    for c in pivots:
+        row = [0] * cols
+        row[c] = 1
+        for j in range(c + 1, cols):
+            if j not in pivots and rng.randrange(3):
+                row[j] = rng.randrange(p)
+        rows.append(row)
+    return rows
+
+
+def _perturbed(rng, p, rows):
+    """Copies of nonempty canonical rows that are not canonical, as (name,
+    rows): each breaks one clause of the RREF definition."""
+    r = rng.randrange(len(rows))
+    lead = rows[r].index(1)
+    out = [("zero row", rows[:r] + [[0] * len(rows[0])] + rows[r:]),
+           ("repeated row", rows[:r + 1] + rows[r:]),
+           ("True entry", [[True if (i, j) == (r, lead) else x
+                            for j, x in enumerate(row)]
+                           for i, row in enumerate(rows)])]
+    # the same residue out of [0, p): p for a 0, -1 for a p - 1
+    for name, shift, value in (("entry p", p, 0), ("entry -1", -p, p - 1)):
+        j = rng.choice([j for j, x in enumerate(rows[r]) if x == value]
+                       or range(len(rows[r])))
+        out.append((name, [[x + shift if (i, k) == (r, j) else x
+                            for k, x in enumerate(row)]
+                           for i, row in enumerate(rows)]))
+    if p > 2:
+        c = rng.randrange(2, p)
+        out.append(("scaled row", [[c * x % p for x in row] if i == r
+                                   else row for i, row in enumerate(rows)]))
+    if len(rows) > 1:
+        i, j = sorted(rng.sample(range(len(rows)), 2))
+        out.append(("rows swapped", rows[:i] + [rows[j]] + rows[i + 1:j]
+                    + [rows[i]] + rows[j + 1:]))
+        # row i carries a nonzero entry at row j's pivot
+        pivot = rows[j].index(1)
+        out.append(("pivot column", [
+            [rng.randrange(1, p) if (k, m) == (i, pivot) else x
+             for m, x in enumerate(row)] for k, row in enumerate(rows)]))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_subspace_adopts_canonical_rows_and_eliminates_the_rest(p, monkeypatch):
+    kept = []
+    keep = Echelon._keep
+    monkeypatch.setattr(Echelon, "_keep",
+                        lambda self, v: kept.append(1) or keep(self, v))
+    rng = random.Random(f"adopt:{p}")
+    for _ in range(60):
+        cols = rng.randrange(1, 12)
+        rows = _seeded_rref(rng, p, cols)
+        oracle = _eliminated(rows, cols, p)
+        kept.clear()
+        space = Subspace(cols, p, rows)
+        for _ in range(4):
+            w = [rng.randrange(p) for _ in range(cols)]
+            space.reduce_vector(w), space.contains_vector(w)
+            space.coordinates_of(w)
+        assert not kept
+        assert (space.basis, space.pivots) == oracle \
+            == (tuple(map(tuple, rows)), tuple(r.index(1) for r in rows))
+        if not rows:
+            continue
+        for name, bad in _perturbed(rng, p, rows):
+            kept.clear()
+            space = Subspace(cols, p, bad)
+            assert kept, name
+            assert (space.basis, space.pivots) == _eliminated(bad, cols, p), \
+                name
+            assert all(type(x) is int for row in space.basis for x in row), \
+                name
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_an_adopted_basis_reduces_as_the_eager_echelon(p):
+    rng = random.Random(f"lazy:{p}")
+    for _ in range(40):
+        cols = rng.randrange(1, 12)
+        rows = _seeded_rref(rng, p, cols)
+        space = Subspace(cols, p, rows)
+        eager = Echelon(cols, p)
+        eager.extend(rows)
+        for _ in range(6):
+            w = [rng.randrange(-2 * p, 3 * p) for _ in range(cols)]
+            if rng.randrange(2):
+                w = [x + p * rng.randrange(-1, 2) for x in _combine(
+                    [rng.randrange(p) for _ in rows], rows, cols, p)]
+            residual = eager.reduce(w)
+            assert space.reduce_vector(w) == residual
+            assert space.contains_vector(w) == (not any(residual))
+            assert space.coordinates_of(w) == (
+                None if any(residual) else [w[c] % p for c in space.pivots])
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("n", range(1, 7))
 def test_trace_gram_is_the_trace_of_the_products(n, p):

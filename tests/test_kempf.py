@@ -337,3 +337,26 @@ def test_optimize_keeps_the_given_budget():
     nil = standard_borel(g)["nilradical"]
     assert optimize(g, nil, 10).lam == optimize(g, nil).lam
     assert optimize(g, nil, None).lam == optimize(g, nil).lam
+
+
+def test_coordinate_split_inputs_make_no_elimination_past_the_kernels(
+        monkeypatch):
+    # the nilradicals of the benchmark's kempf-opt sweep on sp6@7 and
+    # so7@7: their subspaces are canonical unit rows, adopted as they are,
+    # so every row kept in an Echelon is one of the normaliser kernels'
+    # (12 kernels of 21 columns); eliminating each basis again would keep
+    # 984
+    from morozov import gfp
+    kept = []
+    keep = gfp.Echelon._keep
+    monkeypatch.setattr(gfp.Echelon, "_keep",
+                        lambda self, v: kept.append(1) or keep(self, v))
+    total = 0
+    for fam, n in (("sp", 6), ("so", 7)):
+        g = build.__wrapped__(fam, n, 7)        # no memo from other tests
+        for chosen in [(), (0,), (1,), (0, 1), (2,), (0, 2)]:
+            u = standard_parabolic(g, chosen)["nilradical"]
+            kept.clear()
+            verify_obstruction(g, u, optimize(g, u))
+            total += len(kept)
+    assert total <= 252

@@ -435,6 +435,57 @@ def test_coordinate_split_matches_its_definition(fam, n, p):
     assert 0 < splits < 60
 
 
+def _character_reference(g, z, idx):
+    """b(z) read through `basis_bracket`, one lookup per entry of z."""
+    return sum(x * c for t, x in z if x
+               for _, c in g.basis_bracket(t, idx)) % g.p
+
+
+def _split_bracket_reference(g, a, b, coroots):
+    """`split_bracket` read through `basis_bracket`, one lookup per pair."""
+    found = {g.basis_bracket(i, j) for i in a for j in b
+             if i < j or i not in b or j not in a} - {()}     # each pair once
+    lines = {e for e in found if e[0][0] in g.frame.index_root}
+    return {e[0][0] for e in lines} | {
+        i for i in a if any(_character_reference(g, z, i) for z in coroots)
+    }, found - lines
+
+
+@pytest.mark.parametrize("fam,n,p", [
+    (fam, n, p) for p in (2, 3, 5, 7)
+    for fam, n in (("gl", 2), ("gl", 3), ("sl", 2), ("sl", 3), ("pgl", 2),
+                   ("pgl", 3), ("sp", 4), ("so", 5)) if (fam, p) != ("so", 2)
+] + [("pgl", 4, 2), ("sp", 6, 2), ("sl", 8, 13), ("sp", 10, 13),
+     ("so", 11, 13)])
+def test_split_bracket_matches_the_pairwise_lookups(fam, n, p):
+    # root-index sets as the callers pass them, with coroot sets as the
+    # radical spins them and torus vectors with zero entries
+    g = build(fam, n, p)
+    rng = random.Random(f"split:{fam}{n}@{p}")
+    roots, torus = sorted(g.frame.index_root), g.frame.torus_indices
+    every_coroot = sorted({e for i in roots for j in roots
+                           if (e := g.basis_bracket(i, j))
+                           and e[0][0] not in g.frame.index_root})
+    assert every_coroot or (fam, n, p) == ("pgl", 2, 2)
+    for trial in range(40):
+        a = set(rng.sample(roots, rng.choice(
+            [0, 1, rng.randrange(len(roots) + 1)])))
+        b = a if trial % 4 == 0 else set(rng.sample(
+            roots, rng.choice([1, rng.randrange(len(roots) + 1)])))
+        if trial % 2:
+            zs = set(rng.sample(every_coroot, min(len(every_coroot),
+                                                  rng.randrange(4))))
+        else:
+            zs = [tuple(enumerate(
+                rng.randrange(p) if i in torus and rng.randrange(2) else 0
+                for i in range(g.dim))) for _ in range(rng.randrange(4))]
+        assert g.split_bracket(a, b, zs) == _split_bracket_reference(g, a, b, zs)
+        assert g.split_bracket(b, a, ()) == _split_bracket_reference(g, b, a, ())
+        for z in zs:
+            for idx in rng.sample(roots, min(len(roots), 8)):
+                assert g.character(z, idx) == _character_reference(g, z, idx)
+
+
 def test_json_roundtrip_bit_exact():
     for fam, n, p in (("sl", 3, 5), ("pgl", 3, 3), ("sp", 4, 7)):
         g = build(fam, n, p)
