@@ -54,15 +54,9 @@ Strategy notes:
     else one linear solve against J(A).  Past gfp's cap on A's word basis,
     "enumeration": the one walk (`_walk`) over the p^dim vectors of rad(h),
     within DEFAULT_BUDGET, gives C in place of P, or leaves it undecided
-    when the budget is passed or C is no subspace: never a guess;
-  * the tower's next u (`next_u`) is C for the linear lift, a p-nil
-    subalgebra, or undetermined; C contains P and can be larger at p = 2.
-    `pnil_part_of_radical` names C where a certificate decides it: C = P
-    from the structured step, when the lifts act nilpotently, or when they
-    commute modulo J(A), as then A/J(A) is commutative and semisimple, with
-    no nonzero nilpotents; past the cap P is C itself.  Else `next_u` walks
-    C, undetermined when it is no subalgebra (`tower` notes).  rad_p(h)
-    never needs that walk: it is the largest h-ideal inside P.
+    when the budget is passed or C is no subspace: never a guess.  Only a
+    radical ideal whose envelope passes that cap walks: the tower steps by
+    rad_p (`tower` notes), which is certified wherever the envelope fits.
 """
 
 from __future__ import annotations
@@ -78,12 +72,11 @@ from .liealg import Element, LieAlgebra, coordinate_split
 from .rootdata import is_closed
 
 DEFAULT_BUDGET = 10 ** 7    # the walk
-_PNIL = "p-nilpotent elements of rad(h)"
 
 
 class Undetermined(Exception):
-    """Raised where a walk gives up: past DEFAULT_BUDGET, or on a set that
-    is no subspace (`_walk`) or, for the tower's next u, no subalgebra."""
+    """Raised where the walk gives up: past DEFAULT_BUDGET, or on a set
+    that is no subspace (`_walk`)."""
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +272,18 @@ def _structured_solvable_radical(g: LieAlgebra, h: Subspace) -> Optional[Subspac
     # leaves solvability alone: z is in rad(h) iff it kills each wild line
     torus = solve_linear(torus_part, lambda z: [
         g.character(enumerate(z), idx) for idx in wild])
-    return g.subspace([g.unit(i) for i in roots] + list(torus.basis) + [
-        [dict(z).get(k, 0) for k in range(g.dim)] for z in coroots])
+    return _split_sum(g, roots, g.subspace(list(torus.basis) + [
+        [dict(z).get(k, 0) for k in range(g.dim)] for z in coroots]))
+
+
+def _split_sum(g: LieAlgebra, roots, torus: Subspace) -> Subspace:
+    """The sum of the root lines with indices `roots` and a subspace of the
+    torus coordinates.  The two sit on disjoint coordinates, so in pivot
+    order their rows are the canonical basis of the sum
+    (`coordinate_split`), adopted with no elimination."""
+    rows = sorted([(idx, g.unit(idx)) for idx in roots]
+                  + list(zip(torus.pivots, torus.basis)))
+    return Subspace(g.dim, g.p, [row for _, row in rows])
 
 
 def solvable_radical(g: LieAlgebra, h: Subspace) -> Subspace:
@@ -310,12 +313,12 @@ def _certified_root_support(g: LieAlgebra, roots) -> bool:
 
 
 def _nilpotent_cone(g: LieAlgebra, r: Subspace, lift, what: str) -> tuple:
-    """(P, method, J) for P = {x in r : lift(x) in J(A)}, A generated by 1
+    """(P, method) for P = {x in r : lift(x) in J(A)}, A generated by 1
     and the lifts of r's basis, lift(x) a matrix linear in x, from the
-    first certificate that holds; J is the `Echelon` of J(A), or None.
-    Past gfp's cap on A's word basis P is the set C of x in r with a
-    nilpotent lift, named `what`, from the walk (`_walk`): the largest
-    h-ideal inside either P or C is the same radical (module notes).
+    first certificate that holds.  Past gfp's cap on A's word basis P is
+    the set C of x in r with a nilpotent lift, named `what`, from the walk
+    (`_walk`): the largest h-ideal inside either P or C is the same radical
+    (module notes).
 
     "structured": r is coordinate-split with a certified root support
     (`_certified_root_support`); P is r's root part plus the z in its torus
@@ -335,20 +338,15 @@ def _nilpotent_cone(g: LieAlgebra, r: Subspace, lift, what: str) -> tuple:
     if split is not None and _certified_root_support(
             g, [a for a, _ in split[1]]):
         torus = solve_linear(split[0], lambda z: lift(z).entries)
-        # the two parts sit on disjoint coordinates: in pivot order, their
-        # rows are the canonical basis of the sum (`coordinate_split`)
-        rows = sorted([(idx, g.unit(idx)) for _, idx in split[1]]
-                      + list(zip(torus.pivots, torus.basis)))
-        return Subspace(r.ambient_dim, r.p, [row for _, row in rows]), \
-            "structured", None
+        return _split_sum(g, [idx for _, idx in split[1]], torus), "structured"
     lifts = [lift(list(b)) for b in r.basis]
     if _act_nilpotently(lifts, r.p):
-        return r, "envelope", None
+        return r, "envelope"
     radical = jacobson_radical(lifts)
     if radical is None:
-        return _walk(r, lift, what), "enumeration", None
+        return _walk(r, lift, what), "enumeration"
     return solve_linear(r, lambda x: radical.reduce(lift(x).entries)), \
-        "envelope", radical
+        "envelope"
 
 
 def _walk(r: Subspace, lift, what: str) -> Subspace:
@@ -384,60 +382,37 @@ def _ad_lift(g: LieAlgebra, h: Subspace):
 def pnil_part_of_radical(g: LieAlgebra, h: Subspace) -> dict:
     """The p-nilpotent cone of h, memoised, an Undetermined too (exact
     under the one walk budget): "cone", P of `_nilpotent_cone` for
-    `LieAlgebra.linear_lift` on "radical", rad(h), with its "method"; and
-    "span", the set C of p-nilpotent elements of rad(h) where a certificate
-    decides it, else None.  C = P from the structured step, the root part
-    of a split radical, as no nonzero torus element has lift 0; when the
-    lifts act nilpotently or commute modulo J(A); and past the cap, where
-    P is C walked.  It never walks where the envelope fits."""
+    `LieAlgebra.linear_lift` on "radical", rad(h), with its "method".  It
+    never walks where the envelope fits."""
     key = ("pnilpart", h.basis)
     if key not in g._memo:
         try:
             r = solvable_radical(g, h)
-            cone, method, radical = _nilpotent_cone(g, r, g.linear_lift, _PNIL)
+            cone, method = _nilpotent_cone(
+                g, r, g.linear_lift, "p-nilpotent elements of rad(h)")
         except Undetermined as exc:
             g._memo[key] = str(exc)     # its reason, not its frames
             raise
-        lifts = [] if radical is None else [g.linear_lift(list(b))
-                                            for b in r.basis]
-        commute = not any(any(radical.reduce((a @ b - b @ a).entries))
-                          for i, a in enumerate(lifts) for b in lifts[:i])
-        g._memo[key] = {"cone": cone, "span": cone if commute else None,
-                        "method": method, "radical": r}
+        g._memo[key] = {"cone": cone, "method": method, "radical": r}
     if isinstance(g._memo[key], str):
         raise Undetermined(g._memo[key])
     return g._memo[key]
 
 
-def next_u(g: LieAlgebra, q: Subspace) -> dict:
-    """The tower's next u from q, a p-nil subalgebra: `pnil_part_of_radical`
-    where its "span" C is decided, else C walked within DEFAULT_BUDGET
-    (`_walk`), with method "enumeration".  A certified C is a subalgebra
-    (`tower` notes); a walked one that is not raises Undetermined.
-    Memoised once walked and checked: it is exact."""
-    part = pnil_part_of_radical(g, q)
-    span = part["span"]
-    if span is not None and part["method"] != "enumeration":
-        return part
-    key = ("nextu", q.basis)
-    if key not in g._memo:
-        if span is None:
-            span = _walk(part["radical"], g.linear_lift, _PNIL)
-        if not g.is_subalgebra(span):
-            raise Undetermined(f"the {_PNIL} do not form a subalgebra")
-        g._memo[key] = {**part, "method": "enumeration", "span": span}
-    return g._memo[key]
-
-
 def p_radical(g: LieAlgebra, h: Subspace) -> dict:
     """Maximal p-nil ideal of h: the largest h-ideal inside the cone P of
-    `pnil_part_of_radical` (module notes)."""
+    `pnil_part_of_radical` (module notes).  Memoised after that call, which
+    runs every time, so `perfbench/layertrace.py`, counting the cone's
+    paths there, sees each use."""
     part = pnil_part_of_radical(g, h)
-    cand = g.largest_ideal_inside(h, part["cone"])
-    p_closed = all(
-        cand.contains_vector(g.p_power_vec(list(b))) for b in cand.basis)
-    return {"rad_p": cand, "method": part["method"], "p_closed": p_closed,
-            "radical": part["radical"]}
+    key = ("radp", h.basis)
+    if key not in g._memo:
+        cand = g.largest_ideal_inside(h, part["cone"])
+        p_closed = all(
+            cand.contains_vector(g.p_power_vec(list(b))) for b in cand.basis)
+        g._memo[key] = {"rad_p": cand, "method": part["method"],
+                        "p_closed": p_closed, "radical": part["radical"]}
+    return g._memo[key]
 
 
 def nilradical(g: LieAlgebra, h: Subspace) -> dict:
@@ -446,8 +421,8 @@ def nilradical(g: LieAlgebra, h: Subspace) -> dict:
     structured step, which needs rad(h) split but not h, P is its root
     part plus its torus elements central in h."""
     r = solvable_radical(g, h)
-    cone, method, _ = _nilpotent_cone(g, r, _ad_lift(g, h),
-                                      "ad-nilpotent elements of rad(h)")
+    cone, method = _nilpotent_cone(g, r, _ad_lift(g, h),
+                                   "ad-nilpotent elements of rad(h)")
     return {"nil": g.largest_ideal_inside(h, cone), "method": method,
             "radical": r}
 

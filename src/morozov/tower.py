@@ -1,22 +1,16 @@
 """The normaliser tower: starting from a p-nil subalgebra u, iterate
-q <- N_g(u), u <- the p-nilpotent elements of rad(q), track every step, and
-verify the expected limit properties (fixed point, parabolicity, p-radical
-identity, agreement with the optimal cocharacter's parabolic).
+q <- N_g(u), u <- rad_p(q), track every step, and verify the expected
+limit properties (fixed point, parabolicity, p-radical identity, agreement
+with the optimal cocharacter's parabolic).
 
-The u's form an increasing chain.  u_(i-1), a p-nil subalgebra, is a
-nilpotent ideal of q_i = N(u_(i-1)), so it lies in rad(q_i) and in the set
-C_i of its p-nilpotent elements; the next u, `radicals.next_u`, is C_i or
-undetermined.  A certified span is C: the structured cone is every x with
-a nilpotent lift, the span is rad(q) when the lifts act nilpotently, and
-P = C when they commute modulo J.  It is a subalgebra: P = lift^-1(J(A))
-meet r is one, as the lift is a Lie homomorphism on every family (on pgl
-with p not dividing n, lift([x, y]) = [M_x, M_y]) and J is closed under
-commutators; the structured root part is one, as its support is closed and
-lies in a positive system.  A walked C is checked.  So dim u never
-decreases and is at most dim g, and once u repeats the stop rule (u and q
-repeat) fires within one more step.  A step whose u does not contain the
-last is an engine bug (RuntimeError); one whose C is undecided ends the
-tower `budget-exceeded`, the reason in `detail`.  No step takes a budget.
+The u's form an increasing chain: u_(i-1) is a p-nil ideal of
+q_i = N(u_(i-1)), so it lies in rad_p(q_i) = u_i.  The fixed points are
+exactly the u with u = rad_p(N_g(u)), and rad_p is certified wherever the
+envelope fits (`radicals` notes).  So dim u never decreases and is at most
+dim g, and once u repeats the stop rule (u and q repeat) fires within one
+more step.  A step whose u does not contain the last is an engine bug
+(RuntimeError); one whose rad_p is undecided ends the tower
+`budget-exceeded`, the reason in `detail`.  No step takes a budget.
 """
 
 from __future__ import annotations
@@ -89,10 +83,11 @@ def check_tower_input(g: LieAlgebra, u: Subspace, budget=None) -> None:
 
 
 def tower_step(g: LieAlgebra, u: Subspace) -> tuple:
-    """One iteration: (q, u_next, info)."""
+    """One iteration: (q, u_next, info), info the `radicals.p_radical` of
+    q."""
     q = g.normalizer(u)
-    part = radicals.next_u(g, q)
-    return q, part["span"], part
+    prad = radicals.p_radical(g, q)
+    return q, prad["rad_p"], prad
 
 
 def run_tower(g: LieAlgebra, u0: Subspace) -> TowerTrace:
@@ -134,7 +129,9 @@ def verify_morozov(g: LieAlgebra, trace: TowerTrace) -> VerificationReport:
     rep.checks["stabilized"] = "pass"
     u, q = trace.u_limit, trace.q_limit
 
-    u_next = radicals.next_u(g, g.normalizer(u))["span"]
+    # (a) takes the step again from u alone, (c) reads the limit's q; as
+    # q = N(u), both read the memoised p_radical of the tower's last step
+    u_next = radicals.p_radical(g, g.normalizer(u))["rad_p"]
     rep.checks["fixed_point"] = "pass" if u_next == u else "fail"
 
     verdict = parabolic.detect_parabolic(g, q)
@@ -143,11 +140,8 @@ def verify_morozov(g: LieAlgebra, trace: TowerTrace) -> VerificationReport:
                                                             "undetermined")
     rep.checks["parabolic_status"] = verdict.status
 
-    try:
-        prad = radicals.p_radical(g, q)
-        rep.checks["u_is_p_radical"] = "pass" if prad["rad_p"] == u else "fail"
-    except radicals.Undetermined:
-        rep.checks["u_is_p_radical"] = "undetermined"
+    rad_p = radicals.p_radical(g, q)["rad_p"]
+    rep.checks["u_is_p_radical"] = "pass" if rad_p == u else "fail"
 
     if u.dim == 0:
         rep.checks["kempf"] = "skipped"

@@ -116,11 +116,6 @@ CASES = [
     # the ex2 limit is not parabolic, so verification fails
     (["tower", "run", "--family", "pgl", "--n", "3", "--p", "3",
       "--subspace", "@pgl3-ex2"], EXIT_CHECK_FAILED),
-    # the sl3@2 parabolic S = (0,) is solvable and its envelope holds M_2,
-    # so its p-nilpotent cone has no envelope certificate (the lifts do not
-    # commute modulo J), and the walk over its 2^6 vectors finds no subspace
-    (["tower", "run", "--family", "sl", "--n", "3", "--p", "2", "--subspace",
-      "@sl3@2-nil-S0"], EXIT_UNDETERMINED),
     (["tower", "run", *SL3, "--subspace", "@sl3-h1"], EXIT_INPUT),
     (["parabolic", "detect", *SL3, "--subspace", "@sl3-borel"], EXIT_OK),
     (["parabolic", "detect", *SL3, "--subspace", "@sl3-levi"], EXIT_CHECK_FAILED),
@@ -148,7 +143,9 @@ CASES = [
 
 # decided with no walk by the Jacobson radical of an associative envelope:
 # the tower by the envelope certificate of the p-nilpotent cone, where the
-# walk needs 3^5 vectors (on pgl3@3, p | n, through ad);
+# walk needs 3^5 vectors (on pgl3@3, p | n, through ad), and on the sl3@2
+# nilradical S = (0,), whose normaliser is solvable with an envelope that
+# holds M_2 and p-nilpotent elements that form no subspace;
 # radical compute by the p-nilpotent and ad-nilpotent cones with no walk
 # (on a conjugated sl3@5 Borel; on the gl3@3 Borel moved by 1 + E_31,
 # whose ad envelope holds an idempotent of trace 3 = 0; on the sl3@2
@@ -159,6 +156,9 @@ ENVELOPE_CASES = {
     "tower-run-pgl3@3-envelope": (
         ["tower", "run", "--family", "pgl", "--n", "3", "--p", "3",
          "--subspace", "@pgl3@3-nil-conj"], EXIT_OK),
+    "tower-run-sl3@2-envelope": (
+        ["tower", "run", "--family", "sl", "--n", "3", "--p", "2",
+         "--subspace", "@sl3@2-nil-S0"], EXIT_OK),
     "radical-compute-sl3-envelope": (
         ["radical", "compute", *SL3, "--subspace", "@sl3-borel-conj"],
         EXIT_OK),
@@ -488,23 +488,25 @@ def test_kempf_and_tower_on_an_algebra_without_a_frame(tmp_path, capsys):
     assert checks["parabolic_status"] == "undetermined"
 
 
-def test_tower_run_ends_undetermined_on_a_cone_that_is_not_a_subspace(
+def test_tower_run_stabilises_where_the_cone_is_not_a_subspace(
         tmp_path, capsys):
     # sl3 at p = 2, S = (0,): the p-nilpotent elements of rad(q) do not
-    # form a subspace, so the tower stops there instead of stepping to
-    # their span
+    # form a subspace, but rad_p(q), the tower's next u, is the nilradical,
+    # so the tower stabilises on it at once and every check passes
     g = build("sl", 3, 2)
+    data = standard_parabolic(g, (0,))
     path = tmp_path / "u.json"
-    path.write_text(canonical_json(subspace_to_dict(
-        standard_parabolic(g, (0,))["nilradical"])))
+    path.write_text(canonical_json(subspace_to_dict(data["nilradical"])))
     argv = ["tower", "run", "--family", "sl", "--n", "3", "--p", "2",
             "--subspace", str(path)]
-    assert main(argv) == EXIT_UNDETERMINED
+    assert main(argv) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
-    assert payload["trace"]["status"] == "budget-exceeded"
-    assert "p-nilpotent elements of rad(h) do not form a subspace" in \
-        payload["trace"]["detail"]
-    assert payload["verification"] is None and payload["seed"] == 0
+    assert payload["trace"]["status"] == "stabilized" and payload["seed"] == 0
+    assert [step["u"] for step in payload["trace"]["steps"]] == [
+        subspace_to_dict(data["nilradical"])["basis"]] * 3
+    checks = payload["verification"]
+    assert (checks["fixed_point"], checks["parabolic"],
+            checks["u_is_p_radical"]) == ("pass", "pass", "pass")
 
 
 def test_two_processes_give_byte_identical_json(tmp_path):

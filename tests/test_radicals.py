@@ -12,7 +12,7 @@ from morozov.radicals import (DEFAULT_BUDGET, SubView, Undetermined,
                               _act_nilpotently, _ad_lift,
                               _certified_root_support, _nilpotent_cone,
                               _structured_solvable_radical, _view_radical,
-                              is_p_nil_subalgebra, is_p_nilpotent, next_u,
+                              is_p_nil_subalgebra, is_p_nilpotent,
                               nilradical, p_radical, pnil_part_of_radical,
                               radical_report, solvable_radical)
 from morozov.rootdata import is_closed, min_norm_point
@@ -253,75 +253,60 @@ def test_p_radical_of_parabolic_is_nilradical():
 
 def test_p_radical_is_undetermined_when_the_cone_is_not_a_subspace():
     # sl3 at p = 2, S = (0,): rad(q) = q, since sl2 is nilpotent there, and
-    # the p-nilpotent elements of q do not form a subspace: no certificate
-    # decides them, and the tower's walk leaves its next u undecided;
-    # rad_p(q), the largest ideal inside the x whose lift lies in J(A), is
-    # the nilradical
+    # the p-nilpotent elements of q do not form a subspace; rad_p(q), the
+    # largest ideal inside the x whose lift lies in J(A), is the
+    # nilradical, decided with no walk, so the tower, which steps by rad_p,
+    # stabilises on the nilradical
     g = build("sl", 3, 2)
     data = standard_parabolic(g, (0,))
-    assert pnil_part_of_radical(g, data["parabolic"])["span"] is None
-    with pytest.raises(Undetermined, match="do not form a subspace"):
-        next_u(g, data["parabolic"])
-    assert p_radical(g, data["parabolic"])["rad_p"] == data["nilradical"]
+    q = data["parabolic"]
+    assert not _oracle_cone(q, lambda v: literal_p_nilpotent(g, v))[1]
+    assert p_radical(g, q)["rad_p"] == data["nilradical"]
     trace = run_tower(g, data["nilradical"])
-    assert trace.status == "budget-exceeded" and trace.u_limit is None
-    assert "do not form a subspace" in trace.detail
-    rep = radical_report(g, data["parabolic"])
+    assert trace.status == "stabilized"
+    assert (trace.u_limit, trace.q_limit) == (data["nilradical"], q)
+    rep = radical_report(g, q)
     assert rep.status == "ok" and rep.rad_p == data["nilradical"]
 
 
-def test_tower_walk_finds_a_cone_larger_than_p(monkeypatch):
-    # gl2@2, h = <E11, E22, E12 + E21>: h is solvable, [h, h] being the
-    # line of E12 + E21, so h = rad(h); its envelope is M_2, J = 0 and
-    # P = 0; the lifts do not commute, so no certificate decides C, and
-    # the tower's walk finds C = the line of [[1, 1], [1, 1]], strictly
-    # larger than P; each walk runs once
+def test_rad_p_needs_no_walk_where_the_cone_is_larger_than_p(monkeypatch):
+    # the p-nilpotent elements C of rad(h), by the literal p-power
+    # iteration, are more than P; rad_p(h) is still the largest ideal
+    # inside P, here 0, with no walk.  gl2@2, h = <E11, E22, E12 + E21>: h
+    # is solvable, [h, h] being the line of E12 + E21, so h = rad(h); its
+    # envelope is M_2, J = 0 and P = 0, while C is the line of
+    # [[1, 1], [1, 1]]
     g = build.__wrapped__("gl", 2, 2)           # fresh memo
     swap = g.element_by_label("e12") + g.element_by_label("f12")
     h = g.subspace([g.element_by_label("t1").coords,
                     g.element_by_label("t2").coords, swap.coords])
-    members = [v for v in h.enumerate_vectors()
-               if any(v) and literal_p_nilpotent(g, v)]
-    oracle = Subspace.from_vectors(members, g.dim, g.p)
     ones = g.coordinates_of_matrix(FieldMatrix.from_rows([[1, 1], [1, 1]], 2))
-    assert oracle == g.subspace([ones]) and len(members) == 1
-    walked = []
-
-    def counting(self):
-        walked.append(self.dim)
-        return original(self)
-
-    original = Subspace.enumerate_vectors
-    monkeypatch.setattr(Subspace, "enumerate_vectors", counting)
-    part = pnil_part_of_radical(g, h)
-    assert part["radical"] == h and part["span"] is None
-    assert part["cone"].dim == 0 and walked == []
-    assert next_u(g, h)["span"] == oracle and walked == [3]
-    assert next_u(g, h)["method"] == "enumeration"
-    assert p_radical(g, h)["rad_p"].dim == 0 and walked == [3]
-
-
-def test_walked_cone_that_is_no_subalgebra_is_no_next_u():
+    assert _oracle_cone(h, lambda v: literal_p_nilpotent(g, v)) == (
+        g.subspace([ones]), True)
     # sl3@3, h = <h1, h2, e23 + f13, e12, e13 + f12, f23 + f12>: rad(h) =
-    # <h1 + 2h2, e23 + 2e12 + f13, e13 + 2f23>, P = 0, and the walk finds
-    # C = <h1 + 2h2 + e23 + 2e12 + f13, e13 + 2f23>, a subspace; but the
-    # bracket of its two basis vectors, 2h1 + h2, lies outside it, so C is
-    # no p-nil subalgebra and the tower's next u is undetermined
-    g = build.__wrapped__("sl", 3, 3)           # fresh memo
-    e = g.element_by_label
-    h = g.subspace([e("h1").coords, e("h2").coords,
-                    (e("e23") + e("f13")).coords, e("e12").coords,
-                    (e("e13") + e("f12")).coords, (e("f23") + e("f12")).coords])
-    assert g.is_subalgebra(h)
-    part = pnil_part_of_radical(g, h)
-    assert part["cone"].dim == 0 and part["span"] is None
-    members = [v for v in part["radical"].enumerate_vectors()
-               if any(v) and literal_p_nilpotent(g, v)]
-    walked = Subspace.from_vectors(members, g.dim, g.p)
-    assert len(members) + 1 == 3 ** walked.dim == 9
-    assert not g.is_subalgebra(walked)
-    with pytest.raises(Undetermined, match="do not form a subalgebra"):
-        next_u(g, h)
+    # <h1 + 2h2, e23 + 2e12 + f13, e13 + 2f23> and P = 0, while C is the
+    # plane <h1 + 2h2 + e23 + 2e12 + f13, e13 + 2f23>, whose basis vectors
+    # bracket to 2h1 + h2, outside it: no subalgebra
+    g3 = build.__wrapped__("sl", 3, 3)          # fresh memo
+    e = g3.element_by_label
+    h3 = g3.subspace([e("h1").coords, e("h2").coords,
+                      (e("e23") + e("f13")).coords, e("e12").coords,
+                      (e("e13") + e("f12")).coords,
+                      (e("f23") + e("f12")).coords])
+    assert g3.is_subalgebra(h3)
+    cone, is_subspace = _oracle_cone(solvable_radical(g3, h3),
+                                     lambda v: literal_p_nilpotent(g3, v))
+    assert is_subspace and cone.dim == 2 and not g3.is_subalgebra(cone)
+
+    def refuse(self):
+        raise AssertionError("enumerate_vectors called")
+
+    monkeypatch.setattr(Subspace, "enumerate_vectors", refuse)
+    for g, h in ((g, h), (g3, h3)):
+        part = pnil_part_of_radical(g, h)
+        assert part["radical"] == solvable_radical(g, h)
+        assert (part["cone"].dim, part["method"]) == (0, "envelope")
+        assert p_radical(g, h)["rad_p"].dim == 0
 
 
 def test_radical_chain_and_closures():
@@ -393,7 +378,7 @@ def test_structured_vs_enumeration_agree():
         members = [tuple(v) for v in r.enumerate_vectors()
                    if any(v) and is_p_nilpotent(g.element(v))]
         span = Subspace.from_vectors([list(m) for m in members], g.dim, g.p)
-        assert span == part["span"]
+        assert span == part["cone"]
         assert len(members) + 1 == g.p ** span.dim  # cone is a subspace
 
 
@@ -460,13 +445,13 @@ def test_radicals_at_2_match_brute_force(monkeypatch):
 
 def test_undetermined_budget():
     # the walk's one budget: on the conjugated pgl8@2 Borel, whose
-    # envelopes pass the word cap, the tower's next u is a walk over 2^35
+    # envelopes pass the word cap, the cone of rad_p is a walk over 2^35
     # vectors, past DEFAULT_BUDGET, so it is left undecided, never guessed
     g, b = build("pgl", 8, 2), _conjugated_pgl8_at_2_borel()
     assert coordinate_split(g, b) is None
     with pytest.raises(Undetermined, match=f"enumeration of {2 ** 35} "
                        f"elements exceeds budget {DEFAULT_BUDGET}"):
-        next_u(g, b)
+        p_radical(g, b)
 
 
 def test_undetermined_cone_is_memoised(monkeypatch):
@@ -810,6 +795,34 @@ def test_linear_torus_part_matches_view_path(fam, n):
         assert compared >= 3 * len(_subsets(g)) - 2, p
 
 
+@pytest.mark.parametrize("fam,n,p", [("sl", 4, 5), ("sp", 6, 7), ("so", 7, 7)])
+def test_structured_radical_adopts_its_canonical_rows(fam, n, p, monkeypatch):
+    # the root units and the echelon of the torus rows sit on disjoint
+    # coordinates, so merged by pivot they are the canonical basis of
+    # rad(h): the structured radical adopts them with no elimination, and
+    # its basis is the elimination of all its rows, units first in no
+    # pivot order, on every standard parabolic, Levi and nilradical
+    from morozov import radicals
+    g = build(fam, n, p)
+    merged = []
+
+    def recording(g, roots, torus):
+        merged.append((roots, torus))
+        return split_sum(g, roots, torus)
+
+    split_sum = radicals._split_sum
+    monkeypatch.setattr(radicals, "_split_sum", recording)
+    for chosen in _subsets(g):
+        data = standard_parabolic(g, chosen)
+        for role in ("parabolic", "levi", "nilradical"):
+            out = _structured_solvable_radical(g, data[role])
+            roots, torus = merged.pop()
+            assert out._span is None, (chosen, role)
+            assert out == g.subspace(
+                [g.unit(i) for i in sorted(roots, reverse=True)]
+                + list(torus.basis)), (chosen, role)
+
+
 def _dense_structured_radical(g, h):
     """The structured radical by dense spins and derived series: the sum of
     the solvable spin-ideals of h's root lines, plus the torus vectors of h
@@ -1112,7 +1125,7 @@ def test_positive_system_pinned_cases():
     assert _certified_root_support(g, [])
     levi = standard_parabolic(g, (0,))["levi"]
     part = pnil_part_of_radical(g, levi)
-    assert part["method"] == "structured" and part["span"].dim == 0
+    assert part["method"] == "structured" and part["cone"].dim == 0
     # a pair +-alpha
     assert not _certified_root_support(g, [(1, -1, 0), (-1, 1, 0)])
     # e1-e2, e2-e3, e3-e1: 0 is in the hull with no pair +-alpha
@@ -1312,7 +1325,7 @@ def test_structured_cones_match_enumeration(fam, n, p):
             for lift, test in (
                     (g.linear_lift, lambda v: literal_p_nilpotent(g, v)),
                     (_ad_lift(g, h), _view_adnil(g, h))):
-                cone, method, _ = _nilpotent_cone(g, r, lift, "cone")
+                cone, method = _nilpotent_cone(g, r, lift, "cone")
                 assert method == "structured"
                 assert _oracle_cone(r, test) == (cone, True), (chosen, role)
 
@@ -1425,28 +1438,30 @@ def _envelope_inputs(g, rng):
     for p in (2, 3, 5, 7) if (fam, p) != ("so", 2)])
 def test_envelope_cone_matches_enumeration(fam, n, p):
     # the cone P of the linear lift holds only p-nilpotent elements; where
-    # the structured step or the commuting lifts certify the set C of all
-    # of them, with no walk, it is P, the set the literal p-power
-    # iteration picks out, a subspace; a radical that is not
-    # coordinate-split, or split with a root support in no positive
-    # system, is certified by the envelope alone, and the envelope
-    # certifies some such set of every algebra
+    # the structured step certifies it, it is the set C of all of them,
+    # the set the literal p-power iteration picks out, a subspace; a
+    # radical that is not coordinate-split, or split with a root support in
+    # no positive system, is certified by the envelope alone.  Wherever C
+    # is a subspace, the largest ideal inside it is rad_p, and the envelope
+    # decides some such radical of every algebra
     g = build(fam, n, p)
     by_envelope = 0
     for r in _envelope_inputs(g, random.Random(f"envelope:{fam}{n}@{p}")):
-        cone, method, _ = _nilpotent_cone(g, r, g.linear_lift, "cone")
-        oracle = _oracle_cone(r, lambda v: literal_p_nilpotent(g, v))
-        assert oracle[0].contains(cone), r.basis
+        cone, method = _nilpotent_cone(g, r, g.linear_lift, "cone")
+        oracle, is_subspace = _oracle_cone(
+            r, lambda v: literal_p_nilpotent(g, v))
+        assert oracle.contains(cone), r.basis
         part = pnil_part_of_radical(g, r)
         assert (part["cone"], part["method"]) == (cone, method)
-        if part["span"] is None:
-            continue
         split = coordinate_split(g, r)
         structured = split is not None and _certified_root_support(
             g, [a for a, _ in split[1]])
-        assert part["method"] == ("structured" if structured else "envelope")
-        by_envelope += part["method"] == "envelope"
-        assert oracle == (part["span"], True), r.basis
+        assert method == ("structured" if structured else "envelope")
+        assert not structured or (oracle, is_subspace) == (cone, True)
+        if is_subspace:
+            assert g.largest_ideal_inside(r, oracle) == p_radical(
+                g, r)["rad_p"], r.basis
+            by_envelope += method == "envelope"
     assert by_envelope
 
 
@@ -1461,24 +1476,20 @@ def test_envelope_certificate_declines():
     one = g.coordinates_of_matrix(FieldMatrix.identity(3, 3))
     r = solvable_radical(g, g.subspace([one, *u.basis]))
     assert r.dim == 4
-    assert _nilpotent_cone(g, r, g.linear_lift, "cone")[:2] == (
-        u, "envelope")
-    assert pnil_part_of_radical(g, r)["span"] == u
+    assert _nilpotent_cone(g, r, g.linear_lift, "cone") == (u, "envelope")
+    assert pnil_part_of_radical(g, r)["cone"] == u
     # sl2@2 is nilpotent and its envelope is all of M_2, which is simple,
-    # so J = 0, while [e, f] = h = 1: the quotient is not commutative, the
-    # certificate declines C, and the walk finds that the p-nilpotent
-    # elements are no subspace; rad_p(sl2) = P = 0
+    # so J = 0 and P = 0, while the p-nilpotent elements, by the literal
+    # p-power iteration, are no subspace; rad_p(sl2) = P = 0
     g = build("sl", 2, 2)
     r = solvable_radical(g, g.full_space())
     assert r == g.full_space()
-    part = pnil_part_of_radical(g, r)
-    assert part["span"] is None and part["cone"].dim == 0
-    with pytest.raises(Undetermined, match="do not form a subspace"):
-        next_u(g, r)
+    assert pnil_part_of_radical(g, r)["cone"].dim == 0
+    assert not _oracle_cone(r, lambda v: literal_p_nilpotent(g, v))[1]
     assert p_radical(g, r)["rad_p"].dim == 0
     # pgl3@3 (p | n): the envelope of ad certifies the cone of the Borel
     # moved by 1 + E_31, which is not coordinate-split
     g = build("pgl", 3, 3)
     w, b = _conjugated_borel(g)
-    assert pnil_part_of_radical(g, b)["span"] == conjugate_subspace(
+    assert pnil_part_of_radical(g, b)["cone"] == conjugate_subspace(
         g, w, standard_borel(g)["nilradical"])
