@@ -269,13 +269,20 @@ def test_p_radical_is_undetermined_when_the_cone_is_not_a_subspace():
     assert rep.status == "ok" and rep.rad_p == data["nilradical"]
 
 
-def test_rad_p_needs_no_walk_where_the_cone_is_larger_than_p(monkeypatch):
+def _refuse_enumeration(monkeypatch):
+    def refuse(self):
+        raise AssertionError("enumerate_vectors called")
+
+    monkeypatch.setattr(Subspace, "enumerate_vectors", refuse)
+
+
+def test_tower_walk_finds_a_cone_larger_than_p(monkeypatch):
     # the p-nilpotent elements C of rad(h), by the literal p-power
-    # iteration, are more than P; rad_p(h) is still the largest ideal
-    # inside P, here 0, with no walk.  gl2@2, h = <E11, E22, E12 + E21>: h
-    # is solvable, [h, h] being the line of E12 + E21, so h = rad(h); its
-    # envelope is M_2, J = 0 and P = 0, while C is the line of
-    # [[1, 1], [1, 1]]
+    # iteration, are more than P; rad_p(h), the largest ideal inside P, is
+    # 0, decided with no walk, so the tower, which steps by rad_p, needs
+    # none.  gl2@2, h = <E11, E22, E12 + E21>: h is solvable, [h, h] being
+    # the line of E12 + E21, so h = rad(h); its envelope is M_2, J = 0 and
+    # P = 0, while C is the line of [[1, 1], [1, 1]]
     g = build.__wrapped__("gl", 2, 2)           # fresh memo
     swap = g.element_by_label("e12") + g.element_by_label("f12")
     h = g.subspace([g.element_by_label("t1").coords,
@@ -283,30 +290,33 @@ def test_rad_p_needs_no_walk_where_the_cone_is_larger_than_p(monkeypatch):
     ones = g.coordinates_of_matrix(FieldMatrix.from_rows([[1, 1], [1, 1]], 2))
     assert _oracle_cone(h, lambda v: literal_p_nilpotent(g, v)) == (
         g.subspace([ones]), True)
+    _refuse_enumeration(monkeypatch)
+    part = pnil_part_of_radical(g, h)
+    assert part["radical"] == h
+    assert (part["cone"].dim, part["method"]) == (0, "envelope")
+    assert p_radical(g, h)["rad_p"].dim == 0
+
+
+def test_walked_cone_that_is_no_subalgebra_is_no_next_u(monkeypatch):
     # sl3@3, h = <h1, h2, e23 + f13, e12, e13 + f12, f23 + f12>: rad(h) =
     # <h1 + 2h2, e23 + 2e12 + f13, e13 + 2f23> and P = 0, while C is the
     # plane <h1 + 2h2 + e23 + 2e12 + f13, e13 + 2f23>, whose basis vectors
-    # bracket to 2h1 + h2, outside it: no subalgebra
-    g3 = build.__wrapped__("sl", 3, 3)          # fresh memo
-    e = g3.element_by_label
-    h3 = g3.subspace([e("h1").coords, e("h2").coords,
-                      (e("e23") + e("f13")).coords, e("e12").coords,
-                      (e("e13") + e("f12")).coords,
-                      (e("f23") + e("f12")).coords])
-    assert g3.is_subalgebra(h3)
-    cone, is_subspace = _oracle_cone(solvable_radical(g3, h3),
-                                     lambda v: literal_p_nilpotent(g3, v))
-    assert is_subspace and cone.dim == 2 and not g3.is_subalgebra(cone)
-
-    def refuse(self):
-        raise AssertionError("enumerate_vectors called")
-
-    monkeypatch.setattr(Subspace, "enumerate_vectors", refuse)
-    for g, h in ((g, h), (g3, h3)):
-        part = pnil_part_of_radical(g, h)
-        assert part["radical"] == solvable_radical(g, h)
-        assert (part["cone"].dim, part["method"]) == (0, "envelope")
-        assert p_radical(g, h)["rad_p"].dim == 0
+    # bracket to 2h1 + h2, outside it: C is no subalgebra, so no next u;
+    # the tower steps by rad_p(h) = 0 instead, decided with no walk
+    g = build.__wrapped__("sl", 3, 3)           # fresh memo
+    e = g.element_by_label
+    h = g.subspace([e("h1").coords, e("h2").coords,
+                    (e("e23") + e("f13")).coords, e("e12").coords,
+                    (e("e13") + e("f12")).coords, (e("f23") + e("f12")).coords])
+    assert g.is_subalgebra(h)
+    cone, is_subspace = _oracle_cone(solvable_radical(g, h),
+                                     lambda v: literal_p_nilpotent(g, v))
+    assert is_subspace and cone.dim == 2 and not g.is_subalgebra(cone)
+    _refuse_enumeration(monkeypatch)
+    part = pnil_part_of_radical(g, h)
+    assert part["radical"] == solvable_radical(g, h)
+    assert (part["cone"].dim, part["method"]) == (0, "envelope")
+    assert p_radical(g, h)["rad_p"].dim == 0
 
 
 def test_radical_chain_and_closures():
