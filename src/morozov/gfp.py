@@ -2,20 +2,19 @@
 reduced row echelon form, and `solve_linear`, the one solver for "the
 subspace on which a linear condition vanishes".
 
-Each piece lives here once.  `Echelon`, a span grown row by row in RREF,
-is the one home of span growth and of reduction against a span: `rref`,
+Each piece lives here once.  `Echelon`, a span grown row by row in RREF, is
+the one home of span growth and of reduction against a span: `rref`,
 `kernel`, `Subspace`, `LieAlgebra`'s coordinates, the envelope, the flag
-frame's adapted basis and the worklists of `LieAlgebra.spin_submodule`
-and `subalgebra_closure`.  A `Subspace` eliminates only rows that are not
-canonical RREF already: canonical rows, checked against the definition in
-one pass, become its basis as they are, and its `Echelon` is filled from
-them on first use, with no arithmetic.  `trace_gram` is the one home of
-the trace form tr(XY): the Killing form, the first step of
-`jacobson_radical` and q n q^perp of the flag frame.  `jacobson_radical`
-is the one J(A), for every radical ideal of `radicals` and the flag frame
-at p = 2 and on pgl with p | n; its word basis holds MAX_DIM words, or
-more while it stays within MAX_ENVELOPE entries.  `_combine` (sum c *
-row) serves the rest.
+frame's adapted basis and the worklist of `LieAlgebra.subalgebra_closure`.
+A `Subspace` eliminates only rows that are not canonical RREF already:
+canonical rows, checked against the definition in one pass, become its
+basis as they are, and its `Echelon` is filled from them on first use, with
+no arithmetic.  `trace_gram` is the one home of the trace form tr(XY): the
+Killing form, the first step of `jacobson_radical` and q n q^perp of the
+flag frame.  `jacobson_radical` is the one J(A), for every radical ideal of
+`radicals` and the flag frame at p = 2 and on pgl with p | n; its word
+basis holds MAX_DIM words, or more while it stays within MAX_ENVELOPE
+entries.  `_combine` (sum c * row) serves the rest.
 
 All but a growing `Echelon` is immutable after construction, and every
 operation is pure.  Field elements are plain ints reduced into [0, p).

@@ -10,18 +10,25 @@ is anchored to matrix arithmetic rather than hand-entered tables.
 On root indices: the algebraic torus T acts on g by automorphisms, fixing
 the torus part and scaling each root line by its root, and the roots are
 pairwise distinct and nonzero characters of T at every p.  So T fixes a
-coordinate-split subspace (torus part plus root lines, `coordinate_split`),
-and every subspace the bracket defines from split ones (the normaliser,
-the largest h-ideal inside v, rad(h)) is T-stable, hence split as well.
-Each is read off a table of root-index pairs, filled once per algebra
-from the structure table on first use (`_root_table`): [e_a, e_b] lies in
-g_(a+b), a root line (its root index), the torus (its coroot entries) or
-0, and [z, e_b] = b(z) e_b, with b's character held on the torus
-coordinates (`split_bracket`, `character`).
+coordinate-split subspace (torus part plus root lines), and every subspace
+the bracket defines from split ones (the normaliser, the largest h-ideal
+inside v, rad(h)) is T-stable, hence split as well.  A split subspace has
+one form: its torus part and the set of its root indices.  The torus
+coordinates come first, so its canonical basis is the torus part's
+canonical rows followed by one unit row per root index, in index order:
+`coordinate_split` reads the form off the pivots and `split_sum`, its
+inverse, writes those rows, adopted by `Subspace` with no elimination.
+The bracket of split subspaces is read off a table of root-index pairs,
+filled once per algebra from the structure table on first use
+(`_root_table`): [e_a, e_b] lies in g_(a+b), a root line (its root
+index), the torus (its coroot entries) or 0, and [z, e_b] = b(z) e_b,
+with b's character held on the torus coordinates (`split_bracket`,
+`character`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -45,21 +52,22 @@ class Realization:
 
 
 class TorusFrame:
-    """Standard-torus bookkeeping for a built family: which basis indices
-    span the diagonal Cartan, the root attached to every other index, the
+    """Standard-torus bookkeeping for a built family: the first
+    `torus_count` basis indices span the diagonal Cartan (`torus_indices`),
+    and every other index carries a root; the frame holds the
     weight of every row of the realization (`build`), which embeds
     cocharacter vectors as diagonal exponent patterns, and on sp and so the
     form J the realization preserves, as (perm, sign) with
     J e_c = sign_c e_perm(c)."""
 
     def __init__(self, family: str, rootdatum: RootDatum,
-                 torus_indices: Sequence[int], index_root: dict,
+                 torus_count: int, index_root: dict,
                  position_weights: Sequence[tuple], sum_zero: bool,
                  form: Optional[tuple] = None):
         self.family = family
         self.form = form
         self.rootdatum = rootdatum
-        self.torus_indices = tuple(torus_indices)
+        self.torus_indices = range(torus_count)
         self.index_root = dict(index_root)
         self.root_index = {r: i for i, r in index_root.items()}
         self.position_weights = tuple(position_weights)
@@ -181,7 +189,9 @@ class LieAlgebra:
         of [b_i, b_j] for i < j.  The table is grouped by first index: row
         i holds (j, ((k, c), ...)) for each j > i with [b_i, b_j] != 0,
         listing the nonzero coordinates c of b_k; _ad[i][m] holds the
-        entries of [b_i, b_m] in both orders, for `basis_bracket`."""
+        entries of [b_i, b_m] in both orders, for `_root_table` and
+        `_verify_structure` (`basis_bracket` reads it as a test
+        reference)."""
         rows, ad = [], [{} for _ in range(self.dim)]
         for i in range(self.dim):
             row = []
@@ -396,11 +406,11 @@ class LieAlgebra:
         if key not in self._memo:
             split = coordinate_split(self, u)
             if split is not None:
-                lines = {i for _, i in split[1]}
+                torus, lines = split
                 zs = [tuple((t, x) for t, x in enumerate(z) if x)
-                      for z in split[0].basis]
+                      for z in torus.basis]
                 out = [a for a in self.frame.index_root if not self._split_holds(
-                    self.split_bracket({a}, lines, zs), lines, split[0])]
+                    self.split_bracket({a}, lines, zs), lines, torus)]
             self._memo[key] = solve_linear(self.full_space(), (lambda x: [
                 c for b in u.basis
                 for c in u.reduce_vector(self.bracket_vec(x, list(b)))])
@@ -436,9 +446,9 @@ class LieAlgebra:
         the torus part brackets each line into itself (module notes)."""
         split = coordinate_split(self, u)
         if split is not None:
-            lines = {i for _, i in split[1]}
+            torus, lines = split
             return self._split_holds(self.split_bracket(lines, lines, ()),
-                                     lines, split[0])
+                                     lines, torus)
         basis = [list(b) for b in u.basis]
         return all(u.contains_vector(self.bracket_vec(a, b))
                    for i, a in enumerate(basis) for b in basis[i + 1:])
@@ -465,20 +475,6 @@ class LieAlgebra:
     def is_nilpotent(self, u: Subspace) -> bool:
         return self.lower_central_series(u)[-1].dim == 0
 
-    def spin_submodule(self, v, h: Optional[Subspace] = None) -> Subspace:
-        """Smallest subspace containing v and stable under ad(x) for every
-        x in h (default: the whole algebra): the h-ideal closure of the
-        line through v.  A vector that enlarges the span is bracketed once
-        with each basis vector of h (or each unit)."""
-        gens = ([self.unit(i) for i in range(self.dim)] if h is None
-                else [list(x) for x in h.basis])
-        span, todo = Echelon(self.dim, self.p), [list(v)]
-        while todo:
-            w = todo.pop()
-            if span.add(w):
-                todo.extend(self.bracket_vec(x, w) for x in gens)
-        return Subspace(self.dim, self.p, span.rows(self.dim))
-
     def largest_ideal_inside(self, h: Subspace, v: Subspace) -> Subspace:
         """Largest h-ideal contained in v (v must sit inside h): the fixed
         point of W <- {x in W : [h, x] subset of W}.  For a coordinate-split
@@ -488,13 +484,12 @@ class LieAlgebra:
             raise ValueError("v must be contained in h")
         hsplit, vsplit = coordinate_split(self, h), coordinate_split(self, v)
         if hsplit is not None and vsplit is not None and not vsplit[0].dim:
-            h_lines = {i for _, i in hsplit[1]}
-            reach = {b: self.split_bracket(h_lines, {b}, ()) for _, b in vsplit[1]}
+            reach = {b: self.split_bracket(hsplit[1], {b}, ()) for b in vsplit[1]}
             w, kept = None, set(reach)
             while kept != w:
                 w, kept = kept, {b for b in kept
                                  if not reach[b][1] and reach[b][0] <= kept}
-            return self.subspace([self.unit(b) for b in w])
+            return split_sum(self, w, vsplit[0])
         w = v
         while w.dim:
             new = solve_linear(w, lambda x: [
@@ -784,7 +779,7 @@ def build(family: str, n: int, p: int) -> LieAlgebra:
         mats.append(root_vector(a, b))
         labels.append("x" + str(root).replace(" ", "") if perm
                       else f"e{a + 1}{b + 1}" if a < b else f"f{b + 1}{a + 1}")
-    frame = TorusFrame(family, rd, range(len(torus)), index_root, weights,
+    frame = TorusFrame(family, rd, len(torus), index_root, weights,
                        sum_zero=family in ("sl", "pgl"),
                        form=(tuple(perm), tuple(sign)) if perm else None)
     return LieAlgebra(p, labels, Realization(n, tuple(mats), family == "pgl"),
@@ -800,28 +795,28 @@ def torus_subspace(g: LieAlgebra) -> Subspace:
 
 
 def coordinate_split(g: LieAlgebra, s: Subspace) -> Optional[tuple]:
-    """(s n t, [(root, index)]) when s is its torus part plus root lines of
-    the standard frame, else None.  The two parts sit on disjoint
-    coordinates, so the canonical basis of such an s is the torus part's
-    canonical basis plus one unit row per root line: the split is read off
-    the rows, with no elimination."""
+    """(s n t, the frozenset of root indices of the lines in s) when s is
+    its torus part plus root lines of the standard frame, else None: read
+    off the pivots (module notes).  The rows pivoting below t = dim t must
+    be 0 past t; each later row, its entries in [0, p), is a root line
+    exactly when it sums to 1."""
     if g.frame is None:
         return None
-    torus = set(g.frame.torus_indices)
-    rows, lines = [], []
-    for row in s.basis:
-        support = [i for i, x in enumerate(row) if x]
-        if torus.issuperset(support):
-            rows.append(row)
-        elif len(support) == 1:
-            lines.append((g.frame.index_root[support[0]], support[0]))
-        else:
-            return None
-    return Subspace(s.ambient_dim, s.p, rows), lines
+    t = len(g.frame.torus_indices)
+    k = bisect_left(s.pivots, t)
+    if any(any(row[t:]) for row in s.basis[:k]) or \
+            any(sum(row) != 1 for row in s.basis[k:]):
+        return None
+    return Subspace(s.ambient_dim, s.p, s.basis[:k]), frozenset(s.pivots[k:])
 
 
-def root_vector_index(g: LieAlgebra, root) -> int:
-    return g.frame.root_index[tuple(root)]
+def split_sum(g: LieAlgebra, indices, torus: Subspace) -> Subspace:
+    """The split subspace of the root lines with these indices plus a
+    subspace of the torus coordinates, the inverse of `coordinate_split`:
+    the torus part's canonical rows, then the units in index order, its
+    canonical basis (module notes), adopted with no elimination."""
+    return Subspace(g.dim, g.p, list(torus.basis)
+                    + [g.unit(i) for i in sorted(indices)])
 
 
 def standard_parabolic(g: LieAlgebra, chosen_simples) -> dict:
@@ -829,19 +824,14 @@ def standard_parabolic(g: LieAlgebra, chosen_simples) -> dict:
     subalgebra, its nilradical, the Levi part and the root subset."""
     chosen = frozenset(chosen_simples)
     roots = parabolic_roots(g.frame.rootdatum, chosen)
-    rootset = set(roots)
-    sym = [r for r in roots if tuple(-x for x in r) in rootset]
-    nilroots = [r for r in roots if r not in sym]
-    torus = [g.unit(i) for i in g.frame.torus_indices]
-
-    def lines(rs):
-        return [g.unit(root_vector_index(g, r)) for r in rs]
-
+    index = {r: g.frame.root_index[r] for r in roots}
+    levi = {i for r, i in index.items() if tuple(-x for x in r) in index}
+    lines, torus = set(index.values()), torus_subspace(g)
     return {
         "roots": roots,
-        "parabolic": g.subspace(torus + lines(roots)),
-        "nilradical": g.subspace(lines(nilroots)),
-        "levi": g.subspace(torus + lines(sym)),
+        "parabolic": split_sum(g, lines, torus),
+        "nilradical": split_sum(g, lines - levi, Subspace.zero(g.dim, g.p)),
+        "levi": split_sum(g, levi, torus),
         "simples": chosen,
     }
 

@@ -232,7 +232,7 @@ def detect_parabolic(g: LieAlgebra, q: Subspace) -> ParabolicVerdict:
         split = coordinate_split(g, s)
         if split is None or split[0].dim < len(g.frame.torus_indices):
             return None
-        roots = tuple(sorted(root for root, _ in split[1]))
+        roots = tuple(sorted(g.frame.index_root[i] for i in split[1]))
         closed = is_closed(rd, roots)
         symmetric = {tuple(-x for x in r) for r in roots} | set(roots) == allroots
         if closed and symmetric:

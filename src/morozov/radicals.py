@@ -2,16 +2,15 @@
 
 The public operations take an ambient realized algebra and a subspace h and
 return subspaces in ambient coordinates.  Most of them also compute there:
-largest h-ideals, spins under ad(h), the series of a subspace and the
-ad_h-nilpotency of an element need only the ambient bracket.  One view,
-`SubView`, the sub-quotient sub/ideal in its own coordinates, is built
-only where h's own structure matters: the general solvable-radical path.
-There one peel loop (`_view_radical`) grows a solvable ideal S of h by the
-preimage of a solvable ideal of h/S, found from the centre and Killing
-form of h/S's view, until h/S is solvable or has none.  A view is a
-`LieAlgebra` without a realization whose structure table is filled once
-from its parent's bracket, so the one subalgebra calculus of `liealg`
-runs on it unchanged.
+largest h-ideals, the series of a subspace and the ad_h-nilpotency of an
+element need only the ambient bracket.  One view, `SubView`, the
+sub-quotient sub/ideal in its own coordinates, is built only where h's own
+structure matters: the general solvable-radical path.  There one peel loop
+(`_view_radical`) grows a solvable ideal S of h by the preimage of a
+solvable ideal of h/S, found from the centre and Killing form of h/S's
+view, until h/S is solvable or has none.  A view is a `LieAlgebra` without
+a realization whose structure table is filled once from its parent's
+bracket, so the one subalgebra calculus of `liealg` runs on it unchanged.
 
 Strategy notes:
   * every abelian ideal of h lies in k = ker(kappa_h), and the last
@@ -35,10 +34,13 @@ Strategy notes:
     h-ideal inside the set C of x with lift(x) nilpotent, when C is a
     subspace, is the same radical: its lifts form a Lie algebra of
     nilpotent matrices, which acts nilpotently;
-  * for a coordinate-split h, spin ideals and their derived terms are
-    root indices plus coroots [e_c, e_-c] (`liealg` notes); a torus
-    vector lies in rad(h) when it kills every root line whose spin ideal
-    is not solvable;
+  * a coordinate-split subspace is read as its torus part and its set of
+    root indices (`coordinate_split`) and written back by
+    `liealg.split_sum` (`liealg` notes).  For a split h, the spin ideals
+    of its root lines and their derived terms are root indices plus
+    coroots [e_c, e_-c], from `split_bracket`; a torus vector lies in
+    rad(h) when it kills every root line whose spin ideal is not
+    solvable; the structured rad(h) and cone are written by `split_sum`;
   * an element x is p-nilpotent exactly when `LieAlgebra.linear_lift`
     of x, a matrix linear in x, is nilpotent: the matrix of x, shifted by
     tr/n on pgl with p not dividing n; on pgl with p | n, ad x, as the
@@ -68,7 +70,7 @@ from typing import Optional
 # that rebinding reaches every module importing them by name
 from .gfp import (FieldMatrix, Subspace, image_flag,  # noqa: F401
                   jacobson_radical, kernel, rref, solve_linear)
-from .liealg import Element, LieAlgebra, coordinate_split
+from .liealg import Element, LieAlgebra, coordinate_split, split_sum
 from .rootdata import is_closed
 
 DEFAULT_BUDGET = 10 ** 7    # the walk
@@ -167,7 +169,7 @@ def is_p_nil_subalgebra(g: LieAlgebra, u: Subspace) -> bool:
     m x m matrices) reaches 0 (module notes)."""
     split = coordinate_split(g, u)
     if split is not None and not split[0].dim and _certified_root_support(
-            g, [a for a, _ in split[1]]):
+            g, [g.frame.index_root[i] for i in split[1]]):
         return True
     return _act_nilpotently([g.linear_lift(list(b)) for b in u.basis], g.p)
 
@@ -243,16 +245,15 @@ def _structured_solvable_radical(g: LieAlgebra, h: Subspace) -> Optional[Subspac
     if split is None:
         return None
     torus_part, lines = split
-    h_roots = {idx for _, idx in lines}
     roots, coroots, wild = set(), set(), []     # wild: spin not solvable
     solvable = {}       # spin -> whether it is solvable
-    for _, idx in lines:
+    for idx in lines:
         if idx in roots:
             continue        # inside a solvable ideal already found
         # the spin under h's root lines (h's torus part only rescales)
         spin = fresh = ({idx}, set())
         while any(fresh):
-            found = g.split_bracket(h_roots, *fresh)
+            found = g.split_bracket(lines, *fresh)
             fresh = (found[0] - spin[0], found[1] - spin[1])
             spin = (spin[0] | fresh[0], spin[1] | fresh[1])
         key = (frozenset(spin[0]), frozenset(spin[1]))
@@ -272,18 +273,8 @@ def _structured_solvable_radical(g: LieAlgebra, h: Subspace) -> Optional[Subspac
     # leaves solvability alone: z is in rad(h) iff it kills each wild line
     torus = solve_linear(torus_part, lambda z: [
         g.character(enumerate(z), idx) for idx in wild])
-    return _split_sum(g, roots, g.subspace(list(torus.basis) + [
+    return split_sum(g, roots, g.subspace(list(torus.basis) + [
         [dict(z).get(k, 0) for k in range(g.dim)] for z in coroots]))
-
-
-def _split_sum(g: LieAlgebra, roots, torus: Subspace) -> Subspace:
-    """The sum of the root lines with indices `roots` and a subspace of the
-    torus coordinates.  The two sit on disjoint coordinates, so in pivot
-    order their rows are the canonical basis of the sum
-    (`coordinate_split`), adopted with no elimination."""
-    rows = sorted([(idx, g.unit(idx)) for idx in roots]
-                  + list(zip(torus.pivots, torus.basis)))
-    return Subspace(g.dim, g.p, [row for _, row in rows])
 
 
 def solvable_radical(g: LieAlgebra, h: Subspace) -> Subspace:
@@ -336,9 +327,9 @@ def _nilpotent_cone(g: LieAlgebra, r: Subspace, lift, what: str) -> tuple:
     of the lifts, and one linear solve."""
     split = coordinate_split(g, r)
     if split is not None and _certified_root_support(
-            g, [a for a, _ in split[1]]):
+            g, [g.frame.index_root[i] for i in split[1]]):
         torus = solve_linear(split[0], lambda z: lift(z).entries)
-        return _split_sum(g, [idx for _, idx in split[1]], torus), "structured"
+        return split_sum(g, split[1], torus), "structured"
     lifts = [lift(list(b)) for b in r.basis]
     if _act_nilpotently(lifts, r.p):
         return r, "envelope"
@@ -407,11 +398,8 @@ def p_radical(g: LieAlgebra, h: Subspace) -> dict:
     part = pnil_part_of_radical(g, h)
     key = ("radp", h.basis)
     if key not in g._memo:
-        cand = g.largest_ideal_inside(h, part["cone"])
-        p_closed = all(
-            cand.contains_vector(g.p_power_vec(list(b))) for b in cand.basis)
-        g._memo[key] = {"rad_p": cand, "method": part["method"],
-                        "p_closed": p_closed, "radical": part["radical"]}
+        g._memo[key] = {"rad_p": g.largest_ideal_inside(h, part["cone"]),
+                        "method": part["method"], "radical": part["radical"]}
     return g._memo[key]
 
 
@@ -455,9 +443,9 @@ def radical_report(g: LieAlgebra, h: Subspace) -> RadicalReport:
         rad = solvable_radical(g, h)
         nil = nilradical(g, h)["nil"]
         prad_out = p_radical(g, h)
-        rad_p = prad_out["rad_p"]
-        p_closed = prad_out["p_closed"]
-        method = prad_out["method"]
+        rad_p, method = prad_out["rad_p"], prad_out["method"]
+        p_closed = all(rad_p.contains_vector(g.p_power_vec(list(b)))
+                       for b in rad_p.basis)
     except Undetermined as exc:
         status, detail, method = "undetermined", str(exc), "enumeration"
     return RadicalReport(rad, nil, rad_p, method, p_closed, status, detail)

@@ -9,7 +9,7 @@ from morozov.gfp import FieldMatrix, Subspace, rref
 from morozov.liealg import (LieAlgebra, build, conjugate_subspace,
                             coordinate_split, exp_trunc_matrix,
                             jacobson_defect, jacobson_defect_reference,
-                            standard_borel, standard_parabolic,
+                            split_sum, standard_borel, standard_parabolic,
                             torus_subspace, weyl_matrices)
 from morozov.serialize import (algebra_from_dict, algebra_to_dict,
                                canonical_json)
@@ -291,21 +291,6 @@ def test_centralizer_and_center():
     assert sl3.center().dim == 1  # scalars lie in sl_3 when p | n
 
 
-def _spin_by_rounds(g, v, h=None):
-    """The round loop the worklist replaced: bracket the whole span with
-    every generator until a round adds nothing."""
-    gens = ([g.unit(i) for i in range(g.dim)] if h is None
-            else [list(x) for x in h.basis])
-    span = Subspace.from_vectors([v], g.dim, g.p)
-    while True:
-        grown = Subspace.from_vectors(
-            list(span.basis) + [g.bracket_vec(x, list(b)) for x in gens
-                                for b in span.basis], g.dim, g.p)
-        if grown.dim == span.dim:
-            return span
-        span = grown
-
-
 def _closure_by_rounds(g, gens):
     """The round loop the worklist replaced: add [span, span] until a round
     adds nothing."""
@@ -329,17 +314,10 @@ def test_worklists_match_the_round_loops(alg):
                 for i in range(g.dim)]
 
     for _ in range(12):
-        support = rng.sample(range(g.dim), rng.choice([1, 2, 3, g.dim]))
         gens = [g.element(draw(rng.sample(range(g.dim), rng.choice([1, 2]))))
                 for _ in range(rng.randrange(1, 4))]
         assert g.subalgebra_closure(gens) == _closure_by_rounds(g, gens)
-        h = _closure_by_rounds(g, [g.element(draw(rng.sample(
-            range(g.dim), 2)))])
-        for space in (None, h, standard_borel(g)["parabolic"]):
-            v = draw(support)
-            assert g.spin_submodule(v, space) == _spin_by_rounds(g, v, space)
     assert g.subalgebra_closure([]) == g.subspace([])
-    assert g.spin_submodule([0] * g.dim) == g.subspace([])
 
 
 def test_closure_examples():
@@ -426,13 +404,67 @@ def test_coordinate_split_matches_its_definition(fam, n, p):
         if trial % 3 == 0:
             vecs.append([rng.randrange(p) for _ in range(g.dim)])
         s = g.subspace(vecs)
-        lines = [(g.frame.index_root[i], i) for i in roots
-                 if s.contains_vector(g.unit(i))]
+        lines = frozenset(i for i in roots if s.contains_vector(g.unit(i)))
         torus = s.intersect(t)
         expected = (torus, lines) if torus.dim + len(lines) == s.dim else None
         assert coordinate_split(g, s) == expected
         splits += expected is not None
     assert 0 < splits < 60
+
+
+@pytest.mark.parametrize("fam,n,p", [("sl", 4, 5), ("sp", 6, 7), ("so", 7, 7)])
+def test_split_sum_inverts_coordinate_split(fam, n, p):
+    # on every standard parabolic, Levi and nilradical: coordinate_split
+    # reads the torus part and the root indices of the role's roots, and
+    # split_sum rebuilds the subspace from them, adopting its rows with no
+    # elimination, as standard_parabolic's own are; the elimination of the
+    # units, last index first, and the torus rows gives the same basis.
+    # Moved by a product of root-group elements exp(t x_-a) exp(t x_a)
+    # over the simple roots a, no proper nonzero one of them is split
+    g = build(fam, n, p)
+    rng = random.Random(f"split-form:{fam}{n}@{p}")
+    simples = g.frame.rootdatum.simple_roots
+    w = FieldMatrix.identity(g.realization.n, p)
+    for root in [tuple(-x for x in a) for a in simples] + list(simples):
+        v = [0] * g.dim
+        v[g.frame.root_index[tuple(root)]] = rng.randrange(1, p)
+        w = w @ g.exp_trunc(g.element(v))
+    rank, t = len(simples), torus_subspace(g)
+    for mask in range(1 << rank):
+        data = standard_parabolic(g, [i for i in range(rank) if mask >> i & 1])
+        roots = set(data["roots"])
+        levi = {r for r in roots if tuple(-x for x in r) in roots}
+        for role, role_roots, torus in (
+                ("parabolic", roots, t), ("levi", levi, t),
+                ("nilradical", roots - levi, g.subspace([]))):
+            s = data[role]
+            lines = frozenset(g.frame.root_index[r] for r in role_roots)
+            assert coordinate_split(g, s) == (torus, lines), (mask, role)
+            rebuilt = split_sum(g, lines, torus)
+            assert rebuilt == s and rebuilt._span is None and s._span is None
+            assert rebuilt == g.subspace(
+                [g.unit(i) for i in sorted(lines, reverse=True)]
+                + list(torus.basis)), (mask, role)
+            if 0 < s.dim < g.dim:
+                assert coordinate_split(
+                    g, conjugate_subspace(g, w, s)) is None, (mask, role)
+
+
+@pytest.mark.parametrize("fam,n,p", [
+    ("gl", 2, 2), ("gl", 3, 5), ("sl", 2, 3), ("sl", 4, 2), ("pgl", 3, 3),
+    ("pgl", 4, 5), ("sp", 4, 2), ("sp", 6, 5), ("so", 5, 3), ("so", 6, 5),
+    ("so", 7, 7)])
+def test_torus_indices_are_the_first_coordinates(fam, n, p):
+    # the basis indices with no root are 0, ..., t - 1, and their
+    # realization matrices are diagonal
+    g = build(fam, n, p)
+    t = len(g.frame.torus_indices)
+    assert g.frame.torus_indices == range(t)
+    assert set(range(g.dim)) - set(g.frame.index_root) == set(range(t))
+    for i in range(t):
+        m = g.realization.mats[i]
+        assert all(not x for k, x in enumerate(m.entries)
+                   if k // m.cols != k % m.cols)
 
 
 def _character_reference(g, z, idx):
