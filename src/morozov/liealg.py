@@ -23,7 +23,8 @@ filled once per algebra from the structure table on first use
 (`_root_table`): [e_a, e_b] lies in g_(a+b), a root line (its root
 index), the torus (its coroot entries) or 0, and [z, e_b] = b(z) e_b,
 with b's character held on the torus coordinates (`split_bracket`,
-`character`).
+`character`); each coroot of the table keeps the set of lines it does not
+kill (`moved_lines`).
 """
 
 from __future__ import annotations
@@ -217,11 +218,13 @@ class LieAlgebra:
 
     @cached_property
     def _root_table(self) -> tuple:
-        """(sums, coroots, characters), read off `_ad` once, on first use:
-        sums[i][j] is the root index of the line holding [e_i, e_j] and
-        coroots[i][j] the nonzero coordinates of [e_i, e_j] in the torus,
-        over root indices i, j; characters[i][t] is b_i(h_t),
-        [h_t, e_i] = b_i(h_t) e_i, over the torus indices t."""
+        """(sums, coroots, characters, moved), read off `_ad` once, on first
+        use: sums[i][j] is the root index of the line holding [e_i, e_j]
+        and coroots[i][j] the nonzero coordinates of [e_i, e_j] in the
+        torus, over root indices i, j; characters[i][t] is b_i(h_t),
+        [h_t, e_i] = b_i(h_t) e_i, over the torus indices t; moved is keyed
+        by the coroots of the table, each mapped to the frozenset of root
+        indices it does not kill, filled on first use (`moved_lines`)."""
         roots, sums, coroots, characters = self.frame.index_root, {}, {}, {}
         for i in roots:
             sums[i], coroots[i] = {}, {}
@@ -233,7 +236,8 @@ class LieAlgebra:
                         coroots[i][j] = entries
             characters[i] = {t: sum(c for _, c in self._ad[t][i])
                              for t in self.frame.torus_indices if i in self._ad[t]}
-        return sums, coroots, characters
+        return sums, coroots, characters, dict.fromkeys(
+            z for row in coroots.values() for z in row.values())
 
     def character(self, z, idx: int) -> int:
         """b(z) in [z, e_b] = b(z) e_b, e_b = b_idx a root line, z as
@@ -241,24 +245,39 @@ class LieAlgebra:
         char = self._root_table[2][idx]
         return sum(x * char.get(t, 0) for t, x in z if x) % self.p
 
+    def moved_lines(self, z) -> Optional[frozenset]:
+        """The root indices b with b(z) != 0, for a coroot z of the table
+        (`_root_table`), kept from its first use; None for any other torus
+        vector, whose characters the caller reads one by one."""
+        moved = self._root_table[3]
+        if z not in moved:
+            return None
+        if moved[z] is None:
+            moved[z] = frozenset(i for i in self.frame.index_root
+                                 if self.character(z, i))
+        return moved[z]
+
     def split_bracket(self, a, b, coroots) -> tuple:
         """[e_i, e_j] over the root indices i in the set a, j in the set b,
         and [z, e_i] over the coroots z, as (root indices, coroots: nonzero
         coordinates of [e_c, e_-c]), from the table of root-index pairs
         (`_root_table`).  A pair in both orders counts once, as (i, j) with
-        i < j.  [e_i, e_j] and [e_j, e_i] span one line, so the lines are
-        read off the smaller of a and b."""
-        sums, tori, _ = self._root_table
+        i < j.  [e_i, e_j] and [e_j, e_i] span one line or one coroot up to
+        sign, so both are read off the rows of the smaller of a and b."""
+        sums, tori = self._root_table[:2]
         lines, found = set(), set()
         small, large = (a, b) if len(a) <= len(b) else (b, a)
-        for i in small:
-            row = sums[i]
+        for k in small:
+            row = sums[k]
             lines.update(row[j] for j in row.keys() & large)
-        for i in a:
-            for j, entries in tori[i].items():
-                if j in b and (i < j or i not in b or j not in a):
-                    found.add(entries)
-        lines |= {i for i in a if any(self.character(z, i) for z in coroots)}
+            for m in tori[k].keys() & large:
+                i, j = (k, m) if small is a else (m, k)     # i in a, j in b
+                if i < j or i not in b or j not in a:
+                    found.add(tori[i][j])
+        for z in coroots:
+            moved = self.moved_lines(z)
+            lines.update(moved.intersection(a) if moved is not None else
+                         (i for i in a if self.character(z, i)))
         return lines, found
 
     def _split_holds(self, found, lines, torus: Subspace) -> bool:
@@ -302,7 +321,8 @@ class LieAlgebra:
 
     def _verify_structure(self):
         """Check the Jacobi identity on every basis triple and ad(b_i^[p])
-        = ad(b_i)^p on every b_i, off the rows and `_ad`.  The Jacobiator is
+        = ad(b_i)^p on every b_i, off the rows and `_ad`, keeping the
+        nonzero entries of each b_i^[p] (`unit_powers`).  The Jacobiator is
         alternating, as the bracket is; on {a, b, e} it is the sum of the
         terms [b_e, [b_a, b_b]], so the sum of c [b_e, b_m] over the nonzero
         [b_a, b_b] = sum c b_m and [b_e, b_m] gives it exactly."""
@@ -328,9 +348,10 @@ class LieAlgebra:
                                 (c if a < e < b else -c, img))
         if any(map(combine, terms.values())):
             raise AssertionError("Jacobi identity fails on basis triple")
-        for i in range(d):
-            xp = [(m, x) for m, x in enumerate(self.p_power_vec(self.unit(i)))
-                  if x]
+        self.unit_powers = tuple(
+            tuple((m, x) for m, x in enumerate(self.p_power_vec(self.unit(i)))
+                  if x) for i in range(d))
+        for i, xp in enumerate(self.unit_powers):
             for j in range(d):
                 v = {j: 1}      # ad(b_i)^p b_j, by p sparse applications
                 for _ in range(p):

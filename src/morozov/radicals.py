@@ -38,9 +38,14 @@ Strategy notes:
     root indices (`coordinate_split`) and written back by
     `liealg.split_sum` (`liealg` notes).  For a split h, the spin ideals
     of its root lines and their derived terms are root indices plus
-    coroots [e_c, e_-c], from `split_bracket`; a torus vector lies in
-    rad(h) when it kills every root line whose spin ideal is not
-    solvable; the structured rad(h) and cone are written by `split_sum`;
+    coroots [e_c, e_-c].  The spins are reachability in one graph on h's
+    root lines, read off the root-index table (`_spins`): a line points to
+    its brackets with h's lines, and through each coroot it brackets to,
+    to the lines that coroot does not kill; each strongly connected set of
+    lines is spun once.  The derived terms come from `split_bracket`; a
+    torus vector lies in rad(h) when it kills every root line whose spin
+    ideal is not solvable; the structured rad(h) and cone are written by
+    `split_sum`;
   * an element x is p-nilpotent exactly when `LieAlgebra.linear_lift`
     of x, a matrix linear in x, is nilpotent: the matrix of x, shifted by
     tr/n on pgl with p not dividing n; on pgl with p | n, ad x, as the
@@ -234,47 +239,84 @@ def _view_radical(parent: LieAlgebra, h: Subspace) -> Subspace:
         s = view.lift_subspace(found)
 
 
+def _reach(succ: dict) -> dict:
+    """Each node of the graph succ (node -> its successors) mapped to the
+    frozenset of nodes it reaches, itself included, one set per strongly
+    connected component (Tarjan).  A component closes after every
+    component its edges leave to, so its set is its nodes plus their sets,
+    and no edge is followed twice."""
+    order, low, stack, reach = {}, {}, [], {}
+
+    def visit(v):
+        order[v] = low[v] = len(order)
+        stack.append(v)
+        for w in succ[v]:
+            if w not in order:
+                visit(w)
+            if w not in reach:      # on the stack: v's component is open
+                low[v] = min(low[v], low[w])
+        if low[v] == order[v]:
+            k = stack.index(v)
+            component = stack[k:]
+            del stack[k:]
+            found = frozenset(component).union(
+                *(reach[w] for u in component for w in succ[u] if w in reach))
+            reach.update(dict.fromkeys(component, found))
+
+    for v in succ:
+        if v not in order:
+            visit(v)
+    return reach
+
+
+def _spins(g: LieAlgebra, lines) -> dict:
+    """The root indices of the spin ideal of each root line of a split h,
+    h's root indices being `lines`: the lines it reaches in one graph, read
+    off the rows of `LieAlgebra._root_table` (h's torus part only
+    rescales).  Line j points to the lines [e_i, e_j], i in `lines`, and
+    to the lines that a coroot [e_i, e_j] does not kill
+    (`LieAlgebra.moved_lines`); the spin's coroots are those its lines
+    point to."""
+    sums, coroots = g._root_table[:2]
+    succ = {}
+    for j in lines:
+        row = sums[j]
+        succ[j] = {row[i] for i in row.keys() & lines}.union(*(
+            g.moved_lines(z) & lines
+            for i, z in coroots[j].items() if i in lines))
+    return _reach(succ)
+
+
 def _structured_solvable_radical(g: LieAlgebra, h: Subspace) -> Optional[Subspace]:
     """rad(h) for a coordinate-split h, at every p, with no budget.
     rad(h) is a characteristic ideal, and it commutes with extension to the
     algebraic closure (Galois descent), so it is T-stable and split
     (`liealg` notes): the sum of the solvable spin-ideals of the coordinate
     directions of h, which, like their derived terms, are split.  The
-    derived series is decided once per distinct spin."""
+    spins are read off one graph (`_spins`), and the derived series is
+    decided once per distinct spin."""
     split = coordinate_split(g, h)
     if split is None:
         return None
     torus_part, lines = split
-    roots, coroots, wild = set(), set(), []     # wild: spin not solvable
-    solvable = {}       # spin -> whether it is solvable
-    for idx in lines:
-        if idx in roots:
-            continue        # inside a solvable ideal already found
-        # the spin under h's root lines (h's torus part only rescales)
-        spin = fresh = ({idx}, set())
-        while any(fresh):
-            found = g.split_bracket(lines, *fresh)
-            fresh = (found[0] - spin[0], found[1] - spin[1])
-            spin = (spin[0] | fresh[0], spin[1] | fresh[1])
-        key = (frozenset(spin[0]), frozenset(spin[1]))
-        if key not in solvable:
-            # the derived series reaches an abelian torus part, or stalls
-            # (one term late: a term's torus vectors need not be a basis)
-            term = spin
-            while term[0] and term != (
-                    derived := g.split_bracket(term[0], term[0], term[1])):
-                term = derived
-            solvable[key] = not term[0]
-        if solvable[key]:
-            roots, coroots = roots | spin[0], coroots | spin[1]
-        else:
-            wild.append(idx)
+    spins, solvable = _spins(g, lines), {}
+    for spin in set(spins.values()):
+        # the derived series reaches an abelian torus part, or stalls (one
+        # term late: a term's torus vectors need not be a basis)
+        term = (set(spin), g.split_bracket(spin, lines, ())[1])
+        while term[0] and term != (
+                derived := g.split_bracket(term[0], term[0], term[1])):
+            term = derived
+        solvable[spin] = not term[0]
+    wild = [idx for idx in lines if not solvable[spins[idx]]]
     # spin(z) = <z> + the spins of the root lines z does not kill, and <z>
-    # leaves solvability alone: z is in rad(h) iff it kills each wild line
-    torus = solve_linear(torus_part, lambda z: [
-        g.character(enumerate(z), idx) for idx in wild])
-    return split_sum(g, roots, g.subspace(list(torus.basis) + [
-        [dict(z).get(k, 0) for k in range(g.dim)] for z in coroots]))
+    # leaves solvability alone: z is in rad(h) iff it kills each wild line,
+    # the coroots of the solvable spins among them
+    def characters(z):
+        z = [(t, x) for t, x in enumerate(z) if x]
+        return [g.character(z, idx) for idx in wild]
+    return split_sum(g, lines.difference(wild),
+                     solve_linear(torus_part, characters))
 
 
 def solvable_radical(g: LieAlgebra, h: Subspace) -> Subspace:

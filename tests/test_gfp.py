@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morozov.gfp import (MAX_DIM, MAX_ENVELOPE, Echelon, FieldMatrix,
-                         Subspace, _combine, _rref_rows, is_prime,
+                         Subspace, _combine, _rref_rows, _trace_digit, is_prime,
                          jacobson_radical, kernel, rref, solve_linear,
                          trace_gram)
 
@@ -648,6 +648,40 @@ def test_jacobson_radical_matches_brute_force(p, bound):
         assert _jacobson_subspace(mats) == radical, [m.to_rows() for m in mats]
         steps += traced != radical
     assert steps
+
+
+def _trace_digit_by_power(m, i):
+    """g_i(m) with M^(p^i) formed whole, mod p^(i+1), and its trace read
+    off the diagonal."""
+    p, mod = m.p, m.p ** (i + 1)
+    power = [list(m.row(r)) for r in range(m.rows)]
+    for _ in range(i):
+        cols = list(zip(*power))
+        for _ in range(p - 1):
+            power = [[sum(x * y for x, y in zip(row, col)) % mod
+                      for col in cols] for row in power]
+    return sum(power[r][r] for r in range(m.rows)) % mod // p ** i
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_trace_digit_folds_the_last_factor_into_the_trace(p):
+    # seeded matrices, dense and sparse, nilpotent, idempotent and scalar
+    # among them, against the digit of the whole power M^(p^i)
+    rng = random.Random(f"digit:{p}")
+    digits = set()
+    for trial in range(40):
+        n = rng.choice([1, 2, 3, 4, 5])
+        density = rng.choice([0.2, 0.5, 1.0])
+        m = FieldMatrix(n, n, p, [rng.randrange(p) if rng.random() < density
+                                  else 0 for _ in range(n * n)])
+        named = [FieldMatrix.identity(n, p), _unit(n, p, 0, n - 1),
+                 FieldMatrix.identity(n, p).scale(rng.randrange(p))]
+        for x in [m] + (named if trial < 5 else []):
+            for i in (1, 2):
+                digit = _trace_digit(x, i)
+                assert digit == _trace_digit_by_power(x, i), (x.to_rows(), i)
+                digits.add(digit)
+    assert len(digits) > 1
 
 
 def _unit(n, p, i, j):

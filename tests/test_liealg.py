@@ -13,6 +13,7 @@ from morozov.liealg import (LieAlgebra, build, conjugate_subspace,
                             torus_subspace, weyl_matrices)
 from morozov.serialize import (algebra_from_dict, algebra_to_dict,
                                canonical_json)
+from morozov.tower import _p_closed
 
 
 def test_dimensions():
@@ -483,12 +484,16 @@ def _split_bracket_reference(g, a, b, coroots):
     }, found - lines
 
 
-@pytest.mark.parametrize("fam,n,p", [
+# pgl with p | n, and sp and so at p = 2 and 3, among them
+ROOT_TABLE_CASES = [
     (fam, n, p) for p in (2, 3, 5, 7)
     for fam, n in (("gl", 2), ("gl", 3), ("sl", 2), ("sl", 3), ("pgl", 2),
                    ("pgl", 3), ("sp", 4), ("so", 5)) if (fam, p) != ("so", 2)
 ] + [("pgl", 4, 2), ("sp", 6, 2), ("sl", 8, 13), ("sp", 10, 13),
-     ("so", 11, 13)])
+     ("so", 11, 13)]
+
+
+@pytest.mark.parametrize("fam,n,p", ROOT_TABLE_CASES)
 def test_split_bracket_matches_the_pairwise_lookups(fam, n, p):
     # root-index sets as the callers pass them, with coroot sets as the
     # radical spins them and torus vectors with zero entries
@@ -516,6 +521,38 @@ def test_split_bracket_matches_the_pairwise_lookups(fam, n, p):
         for z in zs:
             for idx in rng.sample(roots, min(len(roots), 8)):
                 assert g.character(z, idx) == _character_reference(g, z, idx)
+
+
+@pytest.mark.parametrize("fam,n,p", ROOT_TABLE_CASES)
+def test_root_table_kill_sets_and_unit_p_powers(fam, n, p):
+    # each coroot of the table moves exactly the roots on which its
+    # character is nonzero; each unit's kept p-power is its p-power; and
+    # the tower's p-closure test that reads them agrees with the matrix
+    # p-powers
+    g = build(fam, n, p)
+    roots = sorted(g.frame.index_root)
+    table = {e for i in roots for j in roots
+             if (e := g.basis_bracket(i, j)) and e[0][0] not in g.frame.index_root}
+    assert set(g._root_table[3]) == table
+    for z in table:
+        assert g.moved_lines(z) == {
+            idx for idx in roots if _character_reference(g, z, idx)}, z
+    for i in range(g.dim):
+        kept = [0] * g.dim
+        for m, x in g.unit_powers[i]:
+            assert x
+            kept[m] = x
+        assert kept == g.p_power_vec(g.unit(i)), g.labels[i]
+    rng = random.Random(f"p-closed:{fam}{n}@{p}")
+    for _ in range(12):
+        units = [g.unit(i) for i in rng.sample(range(g.dim), rng.randrange(
+            1, min(4, g.dim) + 1))]
+        mixed = [[rng.randrange(p) for _ in range(g.dim)]] + units[1:]
+        for u in (g.subalgebra_closure([g.element(v) for v in units]),
+                  g.subspace(units), g.subspace(mixed)):
+            assert _p_closed(g, u) == all(
+                u.contains_vector(g.p_power_vec(list(b))) for b in u.basis), \
+                u.basis
 
 
 def test_json_roundtrip_bit_exact():
