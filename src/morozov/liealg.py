@@ -21,10 +21,10 @@ inverse, writes those rows, adopted by `Subspace` with no elimination.
 The bracket of split subspaces is read off a table of root-index pairs,
 filled once per algebra from the structure table on first use
 (`_root_table`): [e_a, e_b] lies in g_(a+b), a root line (its root
-index), the torus (its coroot entries) or 0, and [z, e_b] = b(z) e_b,
-with b's character held on the torus coordinates (`split_bracket`,
-`character`); each coroot of the table keeps the set of lines it does not
-kill (`moved_lines`).
+index), the torus (the canonical row of its line) or 0, and [z, e_b] =
+b(z) e_b (`split_bracket`, `character`).  Every torus vector z of this
+calculus is a row in ambient coordinates, as in `Subspace`; the lines it
+does not kill are kept in `_memo` (`moved_lines`).
 """
 
 from __future__ import annotations
@@ -218,13 +218,11 @@ class LieAlgebra:
 
     @cached_property
     def _root_table(self) -> tuple:
-        """(sums, coroots, characters, moved), read off `_ad` once, on first
-        use: sums[i][j] is the root index of the line holding [e_i, e_j]
-        and coroots[i][j] the nonzero coordinates of [e_i, e_j] in the
-        torus, over root indices i, j; characters[i][t] is b_i(h_t),
-        [h_t, e_i] = b_i(h_t) e_i, over the torus indices t; moved is keyed
-        by the coroots of the table, each mapped to the frozenset of root
-        indices it does not kill, filled on first use (`moved_lines`)."""
+        """(sums, coroots, characters), read off `_ad` once, on first use:
+        sums[i][j] is the root index of the line holding [e_i, e_j] and
+        coroots[i][j] the canonical row of the torus line holding
+        [e_i, e_j], over root indices i, j; characters[i][t] is b_i(h_t),
+        [h_t, e_i] = b_i(h_t) e_i, over the torus indices t."""
         roots, sums, coroots, characters = self.frame.index_root, {}, {}, {}
         for i in roots:
             sums[i], coroots[i] = {}, {}
@@ -233,58 +231,61 @@ class LieAlgebra:
                     if entries[0][0] in roots:
                         sums[i][j] = entries[0][0]
                     else:
-                        coroots[i][j] = entries
+                        # [e_i, e_j] and [e_j, e_i] have one canonical row
+                        inv, entry = inv_mod(entries[0][1], self.p), dict(entries)
+                        coroots[i][j] = tuple(entry.get(k, 0) * inv % self.p
+                                              for k in range(self.dim))
             characters[i] = {t: sum(c for _, c in self._ad[t][i])
                              for t in self.frame.torus_indices if i in self._ad[t]}
-        return sums, coroots, characters, dict.fromkeys(
-            z for row in coroots.values() for z in row.values())
+        return sums, coroots, characters
 
     def character(self, z, idx: int) -> int:
-        """b(z) in [z, e_b] = b(z) e_b, e_b = b_idx a root line, z as
-        (torus index, x) pairs."""
-        char = self._root_table[2][idx]
-        return sum(x * char.get(t, 0) for t, x in z if x) % self.p
+        """b(z) in [z, e_b] = b(z) e_b, e_b = b_idx a root line, z a torus
+        vector in ambient coordinates."""
+        return sum(z[t] * c for t, c in self._root_table[2][idx].items()) % self.p
 
-    def moved_lines(self, z) -> Optional[frozenset]:
-        """The root indices b with b(z) != 0, for a coroot z of the table
-        (`_root_table`), kept from its first use; None for any other torus
-        vector, whose characters the caller reads one by one."""
-        moved = self._root_table[3]
-        if z not in moved:
-            return None
-        if moved[z] is None:
-            moved[z] = frozenset(i for i in self.frame.index_root
-                                 if self.character(z, i))
-        return moved[z]
+    def moved_lines(self, z) -> frozenset:
+        """The root indices b with b(z) != 0, for a torus row z (a tuple in
+        ambient coordinates), memoised in `_memo` from its first use."""
+        key = ("moved", z)
+        if key not in self._memo:
+            self._memo[key] = frozenset(i for i in self.frame.index_root
+                                        if self.character(z, i))
+        return self._memo[key]
 
     def split_bracket(self, a, b, coroots) -> tuple:
         """[e_i, e_j] over the root indices i in the set a, j in the set b,
-        and [z, e_i] over the coroots z, as (root indices, coroots: nonzero
-        coordinates of [e_c, e_-c]), from the table of root-index pairs
-        (`_root_table`).  A pair in both orders counts once, as (i, j) with
-        i < j.  [e_i, e_j] and [e_j, e_i] span one line or one coroot up to
-        sign, so both are read off the rows of the smaller of a and b."""
+        and [z, e_i] over the torus rows z in `coroots`, as (root indices,
+        canonical rows of the torus lines of the coroots [e_c, e_-c]), read
+        off the table of root-index pairs (`_root_table`) and the kill sets
+        (`moved_lines`).  [e_i, e_j] and [e_j, e_i] span one line, so both
+        are read off the rows of the smaller of a and b."""
         sums, tori = self._root_table[:2]
         lines, found = set(), set()
         small, large = (a, b) if len(a) <= len(b) else (b, a)
         for k in small:
-            row = sums[k]
+            row, torus_row = sums[k], tori[k]
             lines.update(row[j] for j in row.keys() & large)
-            for m in tori[k].keys() & large:
-                i, j = (k, m) if small is a else (m, k)     # i in a, j in b
-                if i < j or i not in b or j not in a:
-                    found.add(tori[i][j])
+            found.update(torus_row[j] for j in torus_row.keys() & large)
         for z in coroots:
-            moved = self.moved_lines(z)
-            lines.update(moved.intersection(a) if moved is not None else
-                         (i for i in a if self.character(z, i)))
+            lines.update(self.moved_lines(z).intersection(a))
         return lines, found
 
+    def line_graph(self, lines) -> dict:
+        """Each root index j in the set `lines` mapped to its successors in
+        it: the lines [e_i, e_j], i in `lines`, and the lines that a coroot
+        [e_i, e_j] does not kill (`split_bracket`, `moved_lines`)."""
+        succ = {}
+        for j in lines:
+            found, coroots = self.split_bracket({j}, lines, ())
+            succ[j] = found.union(*(self.moved_lines(z) & lines
+                                    for z in coroots))
+        return succ
+
     def _split_holds(self, found, lines, torus: Subspace) -> bool:
-        """Whether `split_bracket`'s (root indices, coroots) lie in the split
-        subspace of the root lines `lines` plus the torus part `torus`."""
-        return found[0] <= lines and all(torus.contains_vector(
-            [dict(z).get(k, 0) for k in range(self.dim)]) for z in found[1])
+        """Whether `split_bracket`'s (root indices, torus rows) lie in the
+        split subspace of the root lines `lines` plus the torus `torus`."""
+        return found[0] <= lines and all(map(torus.contains_vector, found[1]))
 
     def bracket_vec(self, x: Sequence[int], y: Sequence[int]) -> list:
         # row i pairs b_i with later b_j only, so it adds nothing when
@@ -319,12 +320,21 @@ class LieAlgebra:
         m = self.matrix_of(x)
         return self.coordinates_of_matrix(m.pow(self.p))
 
+    def is_p_closed(self, u: Subspace) -> bool:
+        """Whether u holds the p-power of each of its basis vectors, which
+        for a subalgebra u is p-closure (Jacobson's formula).  A unit row
+        reads its p-power off the build (`unit_powers`), with no matrix
+        power."""
+        return all(u.contains_vector(
+            self.unit_powers[b.index(1)] if b.count(0) == self.dim - 1
+            else self.p_power_vec(list(b))) for b in u.basis)
+
     def _verify_structure(self):
         """Check the Jacobi identity on every basis triple and ad(b_i^[p])
-        = ad(b_i)^p on every b_i, off the rows and `_ad`, keeping the
-        nonzero entries of each b_i^[p] (`unit_powers`).  The Jacobiator is
-        alternating, as the bracket is; on {a, b, e} it is the sum of the
-        terms [b_e, [b_a, b_b]], so the sum of c [b_e, b_m] over the nonzero
+        = ad(b_i)^p on every b_i, off the rows and `_ad`, keeping each
+        b_i^[p] (`unit_powers`).  The Jacobiator is alternating, as the
+        bracket is; on {a, b, e} it is the sum of the terms
+        [b_e, [b_a, b_b]], so the sum of c [b_e, b_m] over the nonzero
         [b_a, b_b] = sum c b_m and [b_e, b_m] gives it exactly."""
         p, d, ad = self.p, self.dim, self._ad
 
@@ -348,10 +358,10 @@ class LieAlgebra:
                                 (c if a < e < b else -c, img))
         if any(map(combine, terms.values())):
             raise AssertionError("Jacobi identity fails on basis triple")
-        self.unit_powers = tuple(
-            tuple((m, x) for m, x in enumerate(self.p_power_vec(self.unit(i)))
-                  if x) for i in range(d))
+        self.unit_powers = tuple(tuple(self.p_power_vec(self.unit(i)))
+                                 for i in range(d))
         for i, xp in enumerate(self.unit_powers):
+            xp = [(m, x) for m, x in enumerate(xp) if x]
             for j in range(d):
                 v = {j: 1}      # ad(b_i)^p b_j, by p sparse applications
                 for _ in range(p):
@@ -428,10 +438,8 @@ class LieAlgebra:
             split = coordinate_split(self, u)
             if split is not None:
                 torus, lines = split
-                zs = [tuple((t, x) for t, x in enumerate(z) if x)
-                      for z in torus.basis]
                 out = [a for a in self.frame.index_root if not self._split_holds(
-                    self.split_bracket({a}, lines, zs), lines, torus)]
+                    self.split_bracket({a}, lines, torus.basis), lines, torus)]
             self._memo[key] = solve_linear(self.full_space(), (lambda x: [
                 c for b in u.basis
                 for c in u.reduce_vector(self.bracket_vec(x, list(b)))])

@@ -39,10 +39,10 @@ Strategy notes:
     `liealg.split_sum` (`liealg` notes).  For a split h, the spin ideals
     of its root lines and their derived terms are root indices plus
     coroots [e_c, e_-c].  The spins are reachability in one graph on h's
-    root lines, read off the root-index table (`_spins`): a line points to
-    its brackets with h's lines, and through each coroot it brackets to,
-    to the lines that coroot does not kill; each strongly connected set of
-    lines is spun once.  The derived terms come from `split_bracket`; a
+    root lines (`LieAlgebra.line_graph`): a line points to its brackets
+    with h's lines, and through each coroot it brackets to, to the lines
+    that coroot does not kill; each strongly connected set of lines is
+    spun once (`_reach`).  The derived terms come from `split_bracket`; a
     torus vector lies in rad(h) when it kills every root line whose spin
     ideal is not solvable; the structured rad(h) and cone are written by
     `split_sum`;
@@ -172,9 +172,8 @@ def is_p_nil_subalgebra(g: LieAlgebra, u: Subspace) -> bool:
     structured step; else u is p-nil when the Engel flag W_0 = F^m,
     W_(k+1) = span{L w} of its basis lifts L (`LieAlgebra.linear_lift`,
     m x m matrices) reaches 0 (module notes)."""
-    split = coordinate_split(g, u)
-    if split is not None and not split[0].dim and _certified_root_support(
-            g, [g.frame.index_root[i] for i in split[1]]):
+    split = _certified_split(g, u)
+    if split is not None and not split[0].dim:
         return True
     return _act_nilpotently([g.linear_lift(list(b)) for b in u.basis], g.p)
 
@@ -269,37 +268,19 @@ def _reach(succ: dict) -> dict:
     return reach
 
 
-def _spins(g: LieAlgebra, lines) -> dict:
-    """The root indices of the spin ideal of each root line of a split h,
-    h's root indices being `lines`: the lines it reaches in one graph, read
-    off the rows of `LieAlgebra._root_table` (h's torus part only
-    rescales).  Line j points to the lines [e_i, e_j], i in `lines`, and
-    to the lines that a coroot [e_i, e_j] does not kill
-    (`LieAlgebra.moved_lines`); the spin's coroots are those its lines
-    point to."""
-    sums, coroots = g._root_table[:2]
-    succ = {}
-    for j in lines:
-        row = sums[j]
-        succ[j] = {row[i] for i in row.keys() & lines}.union(*(
-            g.moved_lines(z) & lines
-            for i, z in coroots[j].items() if i in lines))
-    return _reach(succ)
-
-
 def _structured_solvable_radical(g: LieAlgebra, h: Subspace) -> Optional[Subspace]:
     """rad(h) for a coordinate-split h, at every p, with no budget.
     rad(h) is a characteristic ideal, and it commutes with extension to the
     algebraic closure (Galois descent), so it is T-stable and split
     (`liealg` notes): the sum of the solvable spin-ideals of the coordinate
     directions of h, which, like their derived terms, are split.  The
-    spins are read off one graph (`_spins`), and the derived series is
-    decided once per distinct spin."""
+    spins are read off one graph (`LieAlgebra.line_graph`, `_reach`), and
+    the derived series is decided once per distinct spin."""
     split = coordinate_split(g, h)
     if split is None:
         return None
     torus_part, lines = split
-    spins, solvable = _spins(g, lines), {}
+    spins, solvable = _reach(g.line_graph(lines)), {}
     for spin in set(spins.values()):
         # the derived series reaches an abelian torus part, or stalls (one
         # term late: a term's torus vectors need not be a basis)
@@ -312,11 +293,8 @@ def _structured_solvable_radical(g: LieAlgebra, h: Subspace) -> Optional[Subspac
     # spin(z) = <z> + the spins of the root lines z does not kill, and <z>
     # leaves solvability alone: z is in rad(h) iff it kills each wild line,
     # the coroots of the solvable spins among them
-    def characters(z):
-        z = [(t, x) for t, x in enumerate(z) if x]
-        return [g.character(z, idx) for idx in wild]
-    return split_sum(g, lines.difference(wild),
-                     solve_linear(torus_part, characters))
+    return split_sum(g, lines.difference(wild), solve_linear(
+        torus_part, lambda z: [g.character(z, idx) for idx in wild]))
 
 
 def solvable_radical(g: LieAlgebra, h: Subspace) -> Subspace:
@@ -345,6 +323,14 @@ def _certified_root_support(g: LieAlgebra, roots) -> bool:
         {tuple(-x for x in r) for r in roots}.isdisjoint(roots)
 
 
+def _certified_split(g: LieAlgebra, s: Subspace) -> Optional[tuple]:
+    """`coordinate_split` of s when its root indices have a certified
+    support (`_certified_root_support`), else None."""
+    split = coordinate_split(g, s)
+    return split if split is not None and _certified_root_support(
+        g, [g.frame.index_root[i] for i in split[1]]) else None
+
+
 def _nilpotent_cone(g: LieAlgebra, r: Subspace, lift, what: str) -> tuple:
     """(P, method) for P = {x in r : lift(x) in J(A)}, A generated by 1
     and the lifts of r's basis, lift(x) a matrix linear in x, from the
@@ -354,7 +340,7 @@ def _nilpotent_cone(g: LieAlgebra, r: Subspace, lift, what: str) -> tuple:
     (module notes).
 
     "structured": r is coordinate-split with a certified root support
-    (`_certified_root_support`); P is r's root part plus the z in its torus
+    (`_certified_split`); P is r's root part plus the z in its torus
     part with lift(z) = 0, one linear solve, and it is every x in r with a
     nilpotent lift.  Write x = z + n, z in the torus part and n in the root
     part.  lift(z) is semisimple, the diagonal torus action on a z-stable
@@ -367,9 +353,8 @@ def _nilpotent_cone(g: LieAlgebra, r: Subspace, lift, what: str) -> tuple:
     "envelope": P = r when the lifts generate a nilpotent algebra N (none
     for r = 0), as then A = F + N and J(A) = N; else `gfp.jacobson_radical`
     of the lifts, and one linear solve."""
-    split = coordinate_split(g, r)
-    if split is not None and _certified_root_support(
-            g, [g.frame.index_root[i] for i in split[1]]):
+    split = _certified_split(g, r)
+    if split is not None:
         torus = solve_linear(split[0], lambda z: lift(z).entries)
         return split_sum(g, split[1], torus), "structured"
     lifts = [lift(list(b)) for b in r.basis]
@@ -486,8 +471,7 @@ def radical_report(g: LieAlgebra, h: Subspace) -> RadicalReport:
         nil = nilradical(g, h)["nil"]
         prad_out = p_radical(g, h)
         rad_p, method = prad_out["rad_p"], prad_out["method"]
-        p_closed = all(rad_p.contains_vector(g.p_power_vec(list(b)))
-                       for b in rad_p.basis)
+        p_closed = g.is_p_closed(rad_p)
     except Undetermined as exc:
         status, detail, method = "undetermined", str(exc), "enumeration"
     return RadicalReport(rad, nil, rad_p, method, p_closed, status, detail)

@@ -13,7 +13,6 @@ from morozov.liealg import (LieAlgebra, build, conjugate_subspace,
                             torus_subspace, weyl_matrices)
 from morozov.serialize import (algebra_from_dict, algebra_to_dict,
                                canonical_json)
-from morozov.tower import _p_closed
 
 
 def test_dimensions():
@@ -469,19 +468,35 @@ def test_torus_indices_are_the_first_coordinates(fam, n, p):
 
 
 def _character_reference(g, z, idx):
-    """b(z) read through `basis_bracket`, one lookup per entry of z."""
-    return sum(x * c for t, x in z if x
+    """b(z) read through `basis_bracket`, one lookup per entry of the torus
+    row z."""
+    return sum(x * c for t, x in enumerate(z) if x
                for _, c in g.basis_bracket(t, idx)) % g.p
+
+
+def _line_row(g, entries):
+    """The canonical row of the line through sum c b_k, entries ((k, c),
+    ...), as `Subspace` reduces it."""
+    v = [0] * g.dim
+    for k, c in entries:
+        v[k] = c
+    return g.subspace([v]).basis[0]
 
 
 def _split_bracket_reference(g, a, b, coroots):
     """`split_bracket` read through `basis_bracket`, one lookup per pair."""
-    found = {g.basis_bracket(i, j) for i in a for j in b
-             if i < j or i not in b or j not in a} - {()}     # each pair once
+    found = {g.basis_bracket(i, j) for i in a for j in b} - {()}
     lines = {e for e in found if e[0][0] in g.frame.index_root}
     return {e[0][0] for e in lines} | {
         i for i in a if any(_character_reference(g, z, i) for z in coroots)
-    }, found - lines
+    }, {_line_row(g, e) for e in found - lines}
+
+
+def _table_coroots(g):
+    """The canonical rows of the torus lines [e_i, e_j] of root lines."""
+    roots = g.frame.index_root
+    return {_line_row(g, e) for i in roots for j in roots
+            if (e := g.basis_bracket(i, j)) and e[0][0] not in roots}
 
 
 # pgl with p | n, and sp and so at p = 2 and 3, among them
@@ -496,13 +511,11 @@ ROOT_TABLE_CASES = [
 @pytest.mark.parametrize("fam,n,p", ROOT_TABLE_CASES)
 def test_split_bracket_matches_the_pairwise_lookups(fam, n, p):
     # root-index sets as the callers pass them, with coroot sets as the
-    # radical spins them and torus vectors with zero entries
+    # radical spins them and torus rows with zero entries
     g = build(fam, n, p)
     rng = random.Random(f"split:{fam}{n}@{p}")
     roots, torus = sorted(g.frame.index_root), g.frame.torus_indices
-    every_coroot = sorted({e for i in roots for j in roots
-                           if (e := g.basis_bracket(i, j))
-                           and e[0][0] not in g.frame.index_root})
+    every_coroot = sorted(_table_coroots(g))
     assert every_coroot or (fam, n, p) == ("pgl", 2, 2)
     for trial in range(40):
         a = set(rng.sample(roots, rng.choice(
@@ -513,9 +526,9 @@ def test_split_bracket_matches_the_pairwise_lookups(fam, n, p):
             zs = set(rng.sample(every_coroot, min(len(every_coroot),
                                                   rng.randrange(4))))
         else:
-            zs = [tuple(enumerate(
-                rng.randrange(p) if i in torus and rng.randrange(2) else 0
-                for i in range(g.dim))) for _ in range(rng.randrange(4))]
+            zs = [tuple(rng.randrange(p) if i in torus and rng.randrange(2)
+                        else 0 for i in range(g.dim))
+                  for _ in range(rng.randrange(4))]
         assert g.split_bracket(a, b, zs) == _split_bracket_reference(g, a, b, zs)
         assert g.split_bracket(b, a, ()) == _split_bracket_reference(g, b, a, ())
         for z in zs:
@@ -525,24 +538,27 @@ def test_split_bracket_matches_the_pairwise_lookups(fam, n, p):
 
 @pytest.mark.parametrize("fam,n,p", ROOT_TABLE_CASES)
 def test_root_table_kill_sets_and_unit_p_powers(fam, n, p):
-    # each coroot of the table moves exactly the roots on which its
-    # character is nonzero; each unit's kept p-power is its p-power; and
-    # the tower's p-closure test that reads them agrees with the matrix
-    # p-powers
+    # each coroot of the table, and each row of a torus part as the
+    # normaliser passes it, moves exactly the roots on which its character
+    # is nonzero, kept in the algebra's memo; each unit's kept p-power is
+    # its p-power; and the p-closure test that reads them agrees with the
+    # matrix p-powers
     g = build(fam, n, p)
     roots = sorted(g.frame.index_root)
-    table = {e for i in roots for j in roots
-             if (e := g.basis_bracket(i, j)) and e[0][0] not in g.frame.index_root}
-    assert set(g._root_table[3]) == table
-    for z in table:
+    table = _table_coroots(g)
+    assert {z for row in g._root_table[1].values()
+            for z in row.values()} == table
+    rng = random.Random(f"kill-sets:{fam}{n}@{p}")
+    parts = [torus_subspace(g)] + [
+        g.subspace([[rng.randrange(p) if t in g.frame.torus_indices else 0
+                     for t in range(g.dim)] for _ in range(2)])
+        for _ in range(4)]
+    for z in table | {z for s in parts for z in s.basis}:
         assert g.moved_lines(z) == {
             idx for idx in roots if _character_reference(g, z, idx)}, z
+        assert ("moved", z) in g._memo
     for i in range(g.dim):
-        kept = [0] * g.dim
-        for m, x in g.unit_powers[i]:
-            assert x
-            kept[m] = x
-        assert kept == g.p_power_vec(g.unit(i)), g.labels[i]
+        assert list(g.unit_powers[i]) == g.p_power_vec(g.unit(i)), g.labels[i]
     rng = random.Random(f"p-closed:{fam}{n}@{p}")
     for _ in range(12):
         units = [g.unit(i) for i in rng.sample(range(g.dim), rng.randrange(
@@ -550,7 +566,7 @@ def test_root_table_kill_sets_and_unit_p_powers(fam, n, p):
         mixed = [[rng.randrange(p) for _ in range(g.dim)]] + units[1:]
         for u in (g.subalgebra_closure([g.element(v) for v in units]),
                   g.subspace(units), g.subspace(mixed)):
-            assert _p_closed(g, u) == all(
+            assert g.is_p_closed(u) == all(
                 u.contains_vector(g.p_power_vec(list(b))) for b in u.basis), \
                 u.basis
 

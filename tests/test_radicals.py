@@ -10,7 +10,7 @@ from morozov.liealg import (build, conjugate_subspace, coordinate_split,
                             split_sum, standard_borel, standard_parabolic)
 from morozov.radicals import (DEFAULT_BUDGET, SubView, Undetermined,
                               _act_nilpotently, _ad_lift,
-                              _certified_root_support, _nilpotent_cone, _spins,
+                              _certified_root_support, _nilpotent_cone, _reach,
                               _structured_solvable_radical, _view_radical,
                               is_p_nil_subalgebra, is_p_nilpotent,
                               nilradical, p_radical, pnil_part_of_radical,
@@ -898,11 +898,6 @@ def _searched_spin(g, lines, idx):
     return spin
 
 
-def _up_to_sign(g, coroots):
-    return {frozenset({z, tuple((k, -c % g.p) for k, c in z)})
-            for z in coroots}
-
-
 @pytest.mark.parametrize("fam,n,p", [
     (fam, n, p) for fam, n in (("gl", 3), ("sl", 3), ("sl", 4), ("sp", 4),
                                ("sp", 6), ("so", 5), ("so", 7))
@@ -910,7 +905,7 @@ def _up_to_sign(g, coroots):
     ("pgl", 3, 3), ("pgl", 4, 2)])
 def test_spin_graph_matches_the_search_of_each_line(fam, n, p):
     # every line's spin read off the one graph against a search from that
-    # line alone: the same root lines, and the same coroots up to sign, on
+    # line alone: the same root lines, and the same coroot rows, on
     # the standard parabolics, Levis and nilradicals and on seeded split
     # closures; on rank 3 at p > 2 some Levi has several wild spins
     g = build(fam, n, p)
@@ -923,16 +918,14 @@ def test_spin_graph_matches_the_search_of_each_line(fam, n, p):
     several = 0
     for h in inputs:
         lines = coordinate_split(g, h)[1]
-        spins, wild = _spins(g, lines), set()
+        spins, wild = _reach(g.line_graph(lines)), set()
         assert set(spins) == lines
         for idx in lines:
             roots, coroots = _searched_spin(g, lines, idx)
             assert spins[idx] == roots, (h.basis, idx)
             found = g.split_bracket(spins[idx], lines, ())[1]
-            assert _up_to_sign(g, found) == _up_to_sign(g, coroots), \
-                (h.basis, idx)
-            ideal = split_sum(g, roots, g.subspace([
-                [dict(z).get(k, 0) for k in range(g.dim)] for z in coroots]))
+            assert found == coroots, (h.basis, idx)
+            ideal = split_sum(g, roots, g.subspace(coroots))
             if not g.is_solvable(ideal):
                 wild.add(spins[idx])
         several += len(wild) > 1

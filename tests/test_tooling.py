@@ -2,11 +2,11 @@
 the source, every name kept only for the benchmark is still read by it
 and by no engine code but another such name, no function takes a budget
 but the benchmark's shims and no command a `--budget`, no module outside
-`gfp`
-takes a private `gfp` name but `_combine`, the
-packaged fixture file matches its generator, no module
-imports numpy and `pyproject.toml` declares no runtime dependency, and
-`morozov suite run` checks the structure laws with numpy unimportable."""
+`gfp` takes a private `gfp` name but `_combine`, no module but `liealg`
+reads the root-index tables or the kill-set memo, the packaged fixture
+file matches its generator, no module imports numpy and `pyproject.toml`
+declares no runtime dependency, and `morozov suite run` checks the
+structure laws with numpy unimportable."""
 
 import ast
 import importlib
@@ -186,6 +186,33 @@ def test_reduction_stays_inside_gfp():
              if path.name != "gfp.py"
              for name in sorted(_private_gfp_names(path))]
     assert [entry for entry in found if entry[1] != "_combine"] == []
+
+
+def _split_table_reads(path: Path) -> set:
+    """The tables of the split calculus a module reads: the attributes
+    `_root_table` and `unit_powers`, and the ("moved", row) keys of the
+    kill-set memo."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and \
+                node.attr in ("_root_table", "unit_powers"):
+            found.add(node.attr)
+        elif isinstance(node, ast.Tuple) and node.elts and \
+                isinstance(node.elts[0], ast.Constant) and \
+                node.elts[0].value == "moved":
+            found.add("moved")
+    return found
+
+
+def test_split_tables_are_read_inside_liealg_alone():
+    # the root-index tables, the kept unit p-powers and the kill-set memo
+    # are read through `LieAlgebra` methods (`split_bracket`,
+    # `moved_lines`, `line_graph`, `is_p_closed`); liealg reads all three,
+    # so a renamed table or key shows here
+    found = {path.stem: _split_table_reads(path)
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert found.pop("liealg") == {"_root_table", "unit_powers", "moved"}
+    assert {stem: names for stem, names in found.items() if names} == {}
 
 
 def test_packaged_fixture_file_matches_its_generator():

@@ -401,3 +401,72 @@ def test_sp4_at_2_tower_from_a_line_stops_at_a_maximal_parabolic():
     checks = verify_morozov(g, trace).checks
     assert [checks[c] for c in ("stabilized", "fixed_point", "parabolic",
                                 "u_is_p_radical", "kempf")] == ["pass"] * 5
+
+
+def test_check_c_fails_on_a_p_radical_that_loses_root_lines(monkeypatch):
+    # a p_radical that keeps only the last root line of each structured
+    # answer: every tower-std input of seed 0 with root lines breaks the
+    # chain or fails (c); from the highest root line the tower stabilises
+    # on that line, with q = N(u) a parabolic of larger nilradical, where
+    # u = rad_p(q) alone would pass
+    from morozov import radicals
+    from morozov.liealg import coordinate_split, split_sum
+    from morozov.serialize import subspace_from_dict
+    real = radicals.p_radical
+
+    def mutant(g, h):
+        out = real(g, h)
+        split = coordinate_split(g, out["rad_p"])
+        if out["method"] != "structured" or split is None or not split[1]:
+            return out
+        return dict(out, rad_p=split_sum(g, sorted(split[1])[-1:], split[0]))
+    monkeypatch.setattr(radicals, "p_radical", mutant)
+    outcomes = set()
+    for case in _workloads().generate("tower-std", 0):
+        g = build(*case["alg"])
+        u0 = subspace_from_dict(case["input"], g)
+        try:
+            trace = run_tower(g, u0)
+        except RuntimeError:
+            outcomes.add("chain")
+            continue
+        reading = verify_morozov(g, trace).checks["u_is_p_radical"]
+        assert reading == "fail" or not u0.dim, case["id"]
+        outcomes.add(reading)
+    assert "chain" in outcomes
+    for alg in (("sl", 3, 5), ("sp", 4, 5), ("so", 5, 5), ("sl", 3, 2)):
+        g = build(*alg)
+        # positive roots run by height, so the last is the highest
+        top = g.frame.root_index[g.frame.rootdatum.positive_roots[-1]]
+        u0 = g.subspace([g.unit(top)])
+        trace = run_tower(g, u0)
+        assert trace.u_limit == u0, alg
+        assert mutant(g, trace.q_limit)["rad_p"] == u0
+        checks = verify_morozov(g, trace).checks
+        assert (checks["fixed_point"], checks["parabolic"],
+                checks["u_is_p_radical"]) == ("pass", "pass", "fail"), alg
+
+
+@pytest.mark.parametrize("fam,n,p", [
+    ("sl", 3, 2), ("sl", 4, 3), ("gl", 3, 2), ("pgl", 3, 3), ("sp", 4, 2),
+    ("sp", 4, 3), ("so", 5, 3)])
+def test_check_c_reads_the_witness_of_conjugated_towers(fam, n, p):
+    # the limit of a conjugated proper standard nilradical is the
+    # nilradical of the verdict's witness, read off its root subset in the
+    # flag frame and conjugated back by that frame
+    from morozov.liealg import conjugate_subspace
+    from morozov.parabolic import detect_parabolic
+    from morozov.tower import _witness_nilradical
+    g = build(fam, n, p)
+    rng = random.Random(f"witness:{fam}{n}@{p}")
+    rank, translated = g.frame.rootdatum.rank, 0
+    for mask in range((1 << rank) - 1):
+        chosen = tuple(i for i in range(rank) if mask >> i & 1)
+        nil = standard_parabolic(g, chosen)["nilradical"]
+        u0 = conjugate_subspace(g, _unipotent_word(g, rng), nil)
+        trace = run_tower(g, u0)
+        verdict = detect_parabolic(g, trace.q_limit)
+        translated += bool(verdict.details.get("frame_translate"))
+        assert _witness_nilradical(g, verdict) == trace.u_limit == u0, chosen
+        assert verify_morozov(g, trace).checks["u_is_p_radical"] == "pass"
+    assert translated, (fam, n, p)
