@@ -1,7 +1,7 @@
 """Instability optimization on the standard maximal torus: the
 vanishing-order measure of a p-nil subalgebra under a cocharacter, the
-optimal cocharacter and the parabolic decomposition p = c + u by weight
-signs.
+optimal cocharacter and its parabolic p(lambda), split into Levi and
+nilradical by `liealg.parabolic_parts`.
 
 The optimum lies on the ray of the point of least norm in the convex hull
 of the roots on the support, found by Wolfe's algorithm in exact integer
@@ -17,7 +17,7 @@ from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .gfp import Subspace
-from .liealg import LieAlgebra
+from .liealg import LieAlgebra, parabolic_parts
 from .rootdata import _combine, _dot, min_norm_point
 from . import radicals
 
@@ -174,28 +174,25 @@ def optimize(g: LieAlgebra, u: Subspace, budget=None) -> OptimalityCertificate:
     return cert
 
 
-def parabolic_from_cochar(g: LieAlgebra, lam: Cocharacter) -> dict:
-    """Weight-sign decomposition: p = (weights >= 0), u = (> 0),
-    c = (= 0); p = c + u."""
-    w = weights(g, lam)
-
-    def span(keep):
-        return g.subspace([g.unit(i) for i in range(g.dim) if keep(w[i])])
-
-    return {"p": span(lambda x: x >= 0), "u": span(lambda x: x > 0),
-            "c": span(lambda x: x == 0), "weights": w}
+def parabolic_from_cochar(g: LieAlgebra, lam: Cocharacter, *keys) -> dict:
+    """The parts of p(lambda), the parabolic of the root subset
+    {alpha : <lambda, alpha> >= 0}, by `liealg.parabolic_parts` under the
+    keys asked for: u(lambda), the nilradical, holds the lines of weight
+    > 0, and the Levi part t plus the lines of weight 0."""
+    return parabolic_parts(g, [r for r in g.frame.index_root.values()
+                               if _dot(lam.coords, r) >= 0], *keys)
 
 
 def verify_obstruction(g: LieAlgebra, u: Subspace,
                        cert: OptimalityCertificate) -> dict:
     """The computable equalities around the optimal parabolic: containment
     of u in the positive part, and the normalizer against p(lam)."""
-    parts = parabolic_from_cochar(g, cert.lam)
+    parts = parabolic_from_cochar(g, cert.lam, "parabolic", "nilradical")
     n = g.normalizer(u)
     return {
         "lambda": list(cert.lam.coords),
-        "u_in_u_lambda": parts["u"].contains(u),
-        "normalizer_in_p_lambda": parts["p"].contains(n),
-        "normalizer_equals_p_lambda": n == parts["p"],
-        "u_equals_u_lambda": u == parts["u"],
+        "u_in_u_lambda": parts["nilradical"].contains(u),
+        "normalizer_in_p_lambda": parts["parabolic"].contains(n),
+        "normalizer_equals_p_lambda": n == parts["parabolic"],
+        "u_equals_u_lambda": u == parts["nilradical"],
     }

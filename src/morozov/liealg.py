@@ -848,21 +848,28 @@ def split_sum(g: LieAlgebra, indices, torus: Subspace) -> Subspace:
                     + [g.unit(i) for i in sorted(indices)])
 
 
-def standard_parabolic(g: LieAlgebra, chosen_simples) -> dict:
-    """The standard parabolic for a subset of simple roots: returns the
-    subalgebra, its nilradical, the Levi part and the root subset."""
-    chosen = frozenset(chosen_simples)
-    roots = parabolic_roots(g.frame.rootdatum, chosen)
+def parabolic_parts(g: LieAlgebra, roots, *keys) -> dict:
+    """The split subspaces of a parabolic root subset under the keys asked
+    for, all three when none is: "parabolic", t plus every line;
+    "nilradical", the lines whose negative root is absent; "levi", t plus
+    those whose negative is present.  The one place that split is made
+    (`standard_parabolic`, `tower`'s witness, `kempf`'s p(lambda))."""
+    keys = keys or ("parabolic", "nilradical", "levi")
     index = {r: g.frame.root_index[r] for r in roots}
     levi = {i for r, i in index.items() if tuple(-x for x in r) in index}
-    lines, torus = set(index.values()), torus_subspace(g)
-    return {
-        "roots": roots,
-        "parabolic": split_sum(g, lines, torus),
-        "nilradical": split_sum(g, lines - levi, Subspace.zero(g.dim, g.p)),
-        "levi": split_sum(g, levi, torus),
-        "simples": chosen,
-    }
+    lines = set(index.values())
+    torus = torus_subspace(g) if {"parabolic", "levi"} & set(keys) else None
+    parts = {"parabolic": (lines, torus), "levi": (levi, torus),
+             "nilradical": (lines - levi, Subspace.zero(g.dim, g.p))}
+    return {key: split_sum(g, *parts[key]) for key in keys}
+
+
+def standard_parabolic(g: LieAlgebra, chosen_simples) -> dict:
+    """The standard parabolic for a subset of simple roots: returns the
+    root subset, its `parabolic_parts` and the chosen simples."""
+    chosen = frozenset(chosen_simples)
+    roots = parabolic_roots(g.frame.rootdatum, chosen)
+    return {"roots": roots, **parabolic_parts(g, roots), "simples": chosen}
 
 
 def standard_borel(g: LieAlgebra) -> dict:

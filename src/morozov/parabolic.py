@@ -12,17 +12,19 @@ P^-1 q P stabilises a standard flag: on gl/sl/pgl its columns run through
 the flag, on sp and so they are a Witt basis adapted to it, so
 P^T J P = cJ for the realization's form J.  A frame verdict reports the
 root subset of P^-1 q P (a standard parabolic), the split torus P t P^-1
-inside q as torus_used, and P as a list of rows with "frame_translate":
-True in details; re-conjugating q by P gives the standard parabolic
-exactly.  A "not-parabolic" verdict is certified by the frame itself, at
-every p: when neither q nor P^-1 q P passes the coordinate test, q is not
-parabolic, over the algebraic closure too, since N, its flag and their
-orthogonal complements commute with extension of scalars.  "undetermined"
-is left for an algebra with no torus frame: never a false negative.  The
-envelope of the frame is never capped, as every realization read through
-J has n <= 10 and `gfp.jacobson_radical` caps only past all of M_16.  The
-invariant battery `iso_invariants` and `contains_borel` are off the
-detection path; the benchmark's tracer still wraps them.
+inside q as torus_used, "frame_translate": True in details, and the frame
+as the pair (P, P^-1), its `frame`, which the payload writes as P's rows
+(details "frame"); conjugating q by it gives the standard parabolic
+exactly.  A "not-parabolic" verdict carries its frame, if any, and is
+certified by it, at every p: when neither q nor P^-1 q P passes the
+coordinate test, q is not parabolic, over the algebraic closure too,
+since N, its flag and their orthogonal complements commute with extension
+of scalars.  "undetermined" is left for an algebra with no torus frame:
+never a false negative.  The envelope of the frame is never capped, as
+every realization read through J has n <= 10 and `gfp.jacobson_radical`
+caps only past all of M_16.  The invariant battery `iso_invariants` and
+`contains_borel` are off the detection path; the benchmark's tracer still
+wraps them.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ class ParabolicVerdict:
     root_subset: Optional[tuple] = None
     failure_reason: Optional[str] = None
     details: dict = field(default_factory=dict)
+    frame: Optional[tuple] = None      # (P, P^-1) when flag_frame built P
 
     def as_dict(self) -> dict:
         return {
@@ -56,7 +59,8 @@ class ParabolicVerdict:
             "root_subset": None if self.root_subset is None
             else [list(r) for r in self.root_subset],
             "failure_reason": self.failure_reason,
-            "details": self.details,
+            "details": self.details if self.frame is None
+            else {**self.details, "frame": self.frame[0].to_rows()},
         }
 
 
@@ -227,55 +231,50 @@ def detect_parabolic(g: LieAlgebra, q: Subspace) -> ParabolicVerdict:
     rd = g.frame.rootdatum
     allroots = set(rd.roots)
 
-    def coordinate_verdict(s, extra):
-        """The verdict on s = t + root lines, or None for any other s."""
+    def coordinate_verdict(s, frame=None):
+        """The verdict on s = t + root lines, its torus moved back by the
+        frame of s = P^-1 q P, or why it fails; None for any other s."""
         split = coordinate_split(g, s)
         if split is None or split[0].dim < len(g.frame.torus_indices):
             return None
         roots = tuple(sorted(g.frame.index_root[i] for i in split[1]))
-        closed = is_closed(rd, roots)
-        symmetric = {tuple(-x for x in r) for r in roots} | set(roots) == allroots
-        if closed and symmetric:
-            details = {"criterion": "torus + closed root subset with "
-                                    "Phi' u -Phi' = Phi"}
-            details.update(extra)
-            return ParabolicVerdict("parabolic", split[0], roots,
-                                    details=details)
-        reason = "not-closed" if not closed else "not-parabolic-subset"
-        return ParabolicVerdict("candidate-failed", split[0], roots,
-                                failure_reason=reason, details=extra)
+        if not is_closed(rd, roots):
+            return "not-closed"
+        if {tuple(-x for x in r) for r in roots} | set(roots) != allroots:
+            return "not-parabolic-subset"
+        details = {"criterion": "torus + closed root subset with "
+                                "Phi' u -Phi' = Phi"}
+        torus = split[0]
+        if frame is not None:
+            details["frame_translate"] = True
+            torus = conjugate_subspace(g, frame[0], torus, frame[1])
+        return ParabolicVerdict("parabolic", torus, roots, details=details,
+                                frame=frame)
 
     # a coordinate subset failing the parabolic-subset conditions falls
     # through to the frame certificate
-    partial = coordinate_verdict(q, {})
-    if partial is not None and partial.status == "parabolic":
+    partial = coordinate_verdict(q)
+    if isinstance(partial, ParabolicVerdict):
         return partial
 
     # conjugating frame: the flag of N finds every parabolic
     frame = flag_frame(g, q)
     if frame is not None:
-        inverse = frame.inverse()
+        frame = (frame, frame.inverse())
         verdict = coordinate_verdict(
-            conjugate_subspace(g, inverse, q, frame),
-            {"frame_translate": True, "frame": frame.to_rows()})
-        if verdict is not None and verdict.status == "parabolic":
-            verdict.torus_used = conjugate_subspace(
-                g, frame, verdict.torus_used, inverse)
+            conjugate_subspace(g, frame[1], q, frame[0]), frame)
+        if isinstance(verdict, ParabolicVerdict):
             return verdict
 
     # the frame finds every parabolic (see flag_frame), so its failure is
     # the certificate
-    details = {}
-    if partial is not None:
-        details["coordinate_failure"] = partial.failure_reason
+    details = {} if partial is None else {"coordinate_failure": partial}
     kind = "type-A" if g.frame.form is None else "Witt"
     nil = "J(A(q))" if _by_jacobson(g) else "N = [q, q n q^perp]"
     details["criterion"] = (f"{kind} flag frame of {nil} gives no "
                             "standard parabolic")
-    if frame is not None:
-        details["frame"] = frame.to_rows()
-    return ParabolicVerdict("not-parabolic", details=details, failure_reason=(
-        details.get("coordinate_failure", "not-parabolic-subset")))
+    return ParabolicVerdict("not-parabolic", details=details, frame=frame,
+                            failure_reason=partial or "not-parabolic-subset")
 
 
 def killing_detector(g: LieAlgebra, p_cand: Subspace) -> dict:

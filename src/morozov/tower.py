@@ -13,7 +13,7 @@ more step.  A step whose u does not contain the last is an engine bug
 `budget-exceeded`, the reason in `detail`.  No step takes a budget.
 Check (c), u = rad_p(q), rereads the last step's memoised rad_p, so
 where (b) finds q parabolic it also holds u against the nilradical of
-(b)'s witness, which a wrong rad_p would miss.
+(b)'s witness in the verdict's frame, which a wrong rad_p would miss.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .gfp import FieldMatrix, Subspace
-from .liealg import LieAlgebra, conjugate_subspace, split_sum
+from .gfp import Subspace
+from .liealg import LieAlgebra, conjugate_subspace, parabolic_parts
 from . import kempf, parabolic, radicals
 
 
@@ -124,16 +124,12 @@ class VerificationReport:
 
 
 def _witness_nilradical(g: LieAlgebra, verdict) -> Subspace:
-    """The nilradical of a parabolic verdict's witness: the root lines of
-    its root subset whose negatives are not in it, conjugated by the frame
-    P when the subset is that of P^-1 q P (`parabolic` notes)."""
-    roots = set(verdict.root_subset)
-    nil = split_sum(g, {g.frame.root_index[r] for r in roots
-                        if tuple(-x for x in r) not in roots},
-                    Subspace.zero(g.dim, g.p))
-    if verdict.details.get("frame_translate"):
-        nil = conjugate_subspace(
-            g, FieldMatrix.from_rows(verdict.details["frame"], g.p), nil)
+    """The nilradical of a parabolic verdict's witness: `parabolic_parts`
+    of its root subset, conjugated by the verdict's frame (P, P^-1) when
+    the subset is that of P^-1 q P (`parabolic` notes)."""
+    nil = parabolic_parts(g, verdict.root_subset, "nilradical")["nilradical"]
+    if verdict.frame is not None:
+        nil = conjugate_subspace(g, verdict.frame[0], nil, verdict.frame[1])
     return nil
 
 
@@ -169,8 +165,8 @@ def verify_morozov(g: LieAlgebra, trace: TowerTrace) -> VerificationReport:
     else:
         try:
             cert = kempf.optimize(g, u)
-            parts = kempf.parabolic_from_cochar(g, cert.lam)
-            rep.checks["kempf"] = "pass" if parts["p"] == q else "fail"
+            parts = kempf.parabolic_from_cochar(g, cert.lam, "parabolic")
+            rep.checks["kempf"] = "pass" if parts["parabolic"] == q else "fail"
             rep.checks["kempf_lambda"] = list(cert.lam.coords)
         except ValueError as exc:
             rep.checks["kempf"] = "skipped"

@@ -1,8 +1,10 @@
+import importlib.util
 import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from morozov.kempf import (AlphaResult, Cocharacter, OptimalityCertificate,
                            verify_obstruction, weights)
 from morozov.liealg import build, standard_borel, standard_parabolic
 from morozov.rootdata import min_norm_point, simple_subsets
+from morozov.serialize import subspace_from_dict
 
 
 def line(g, label):
@@ -69,8 +72,39 @@ def test_optimize_nilradical_of_borel():
     assert cert.mu == (Fraction(1, 2), Fraction(1, 2))
     check_certificate(g, n, cert)
     parts = parabolic_from_cochar(g, cert.lam)
-    assert parts["p"] == standard_borel(g)["parabolic"]
-    assert parts["u"] == n
+    assert parts["parabolic"] == standard_borel(g)["parabolic"]
+    assert parts["nilradical"] == n
+
+
+def _kempf_opt_cases():
+    """The cases of the benchmark's kempf-opt sweep, from
+    perfbench/workloads.py loaded without touching sys.path."""
+    path = Path(__file__).resolve().parent.parent / "perfbench"
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  path / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.generate("kempf-opt", 0)
+
+
+def test_parabolic_from_cochar_matches_the_weight_sign_spans():
+    # Kempf's lambda on every nilradical of the kempf-opt sweep: the split
+    # of {alpha : <lambda, alpha> >= 0} by `liealg.parabolic_parts` gives
+    # the spans of the units of weight >= 0 (p(lambda)), > 0 (u(lambda))
+    # and = 0 (the Levi part), together and each asked for alone
+    for case in _kempf_opt_cases():
+        g = build(*case["alg"])
+        lam = optimize(g, subspace_from_dict(case["input"], g)).lam
+        w = weights(g, lam)
+
+        def span(keep):
+            return g.subspace([g.unit(i) for i in range(g.dim) if keep(w[i])])
+        oracle = {"parabolic": span(lambda x: x >= 0),
+                  "nilradical": span(lambda x: x > 0),
+                  "levi": span(lambda x: x == 0)}
+        assert parabolic_from_cochar(g, lam) == oracle, case["id"]
+        for key, part in oracle.items():
+            assert parabolic_from_cochar(g, lam, key) == {key: part}
 
 
 def test_optimize_e13():
@@ -98,7 +132,7 @@ def test_optimize_maximal_parabolic():
     rep = verify_obstruction(g, data["nilradical"], cert)
     assert rep["normalizer_equals_p_lambda"] and rep["u_equals_u_lambda"]
     parts = parabolic_from_cochar(g, cert.lam)
-    assert parts["p"] == data["parabolic"]
+    assert parts["parabolic"] == data["parabolic"]
 
 
 def test_optimize_sp4():

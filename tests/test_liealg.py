@@ -9,8 +9,9 @@ from morozov.gfp import FieldMatrix, Subspace, rref
 from morozov.liealg import (LieAlgebra, build, conjugate_subspace,
                             coordinate_split, exp_trunc_matrix,
                             jacobson_defect, jacobson_defect_reference,
-                            split_sum, standard_borel, standard_parabolic,
-                            torus_subspace, weyl_matrices)
+                            parabolic_parts, split_sum, standard_borel,
+                            standard_parabolic, torus_subspace,
+                            weyl_matrices)
 from morozov.serialize import (algebra_from_dict, algebra_to_dict,
                                canonical_json)
 
@@ -448,6 +449,37 @@ def test_split_sum_inverts_coordinate_split(fam, n, p):
             if 0 < s.dim < g.dim:
                 assert coordinate_split(
                     g, conjugate_subspace(g, w, s)) is None, (mask, role)
+
+
+def _negatives_rule(g, roots):
+    """The parts of a parabolic root subset by the rule `standard_parabolic`
+    once wrote out itself, each span eliminated from its units: the
+    nilradical holds the lines whose negative root is absent, the Levi
+    part t and the lines whose negative is present."""
+    roots = set(roots)
+    levi = {r for r in roots if tuple(-x for x in r) in roots}
+    t = [g.unit(i) for i in g.frame.torus_indices]
+
+    def units(subset):
+        return [g.unit(g.frame.root_index[r]) for r in subset]
+    return {"parabolic": g.subspace(units(roots) + t),
+            "nilradical": g.subspace(units(roots - levi)),
+            "levi": g.subspace(units(levi) + t)}
+
+
+@pytest.mark.parametrize("fam,n,p", [("sl", 4, 5), ("sp", 6, 7), ("so", 7, 7)])
+def test_parabolic_parts_match_the_negatives_rule(fam, n, p):
+    # on every standard parabolic, all three parts together and each one
+    # asked for alone, which is all that is written
+    g = build(fam, n, p)
+    rank = g.frame.rootdatum.rank
+    for mask in range(1 << rank):
+        data = standard_parabolic(g, [i for i in range(rank) if mask >> i & 1])
+        oracle = _negatives_rule(g, data["roots"])
+        assert parabolic_parts(g, data["roots"]) == oracle, mask
+        assert {key: data[key] for key in oracle} == oracle, mask
+        for key, part in oracle.items():
+            assert parabolic_parts(g, data["roots"], key) == {key: part}
 
 
 @pytest.mark.parametrize("fam,n,p", [

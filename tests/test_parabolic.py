@@ -207,7 +207,8 @@ def test_conjugated_type_a_parabolics_come_back_with_frame(fam, n, p):
             frames += 1
             assert v.details["frame_translate"] is True
             assert set(v.root_subset) == set(data["roots"])
-            frame = FieldMatrix.from_rows(v.details["frame"], p)
+            frame, inverse = v.frame
+            assert frame @ inverse == FieldMatrix.identity(g.realization.n, p)
             # P^-1 q P is the standard parabolic, i.e. q = P std P^-1
             assert conjugate_subspace(g, frame, data["parabolic"]) == q
             assert v.torus_used == conjugate_subspace(g, frame, t)
@@ -269,7 +270,7 @@ def test_sp4_conjugates_decided_without_weyl_frames(p, monkeypatch):
                 continue    # decided in the standard frame
             frames += 1
             assert set(v.root_subset) == set(data["roots"])
-            frame = FieldMatrix.from_rows(v.details["frame"], p)
+            frame = v.frame[0]
             assert conjugate_subspace(g, frame, data["parabolic"]) == q
             assert v.torus_used == conjugate_subspace(g, frame, t)
             assert q.contains(v.torus_used)
@@ -303,7 +304,7 @@ def test_conjugated_sp_so_parabolics_come_back_with_a_witt_frame(fam, n, p):
                 continue    # decided in the standard frame
             frames += 1
             assert set(v.root_subset) == set(data["roots"])
-            frame = FieldMatrix.from_rows(v.details["frame"], p)
+            frame = v.frame[0]
             assert any(frame.transpose() @ form @ frame == form.scale(c)
                        for c in range(1, p))
             assert conjugate_subspace(g, frame, data["parabolic"]) == q
@@ -447,7 +448,7 @@ def test_sl2_at_2_borel_out_of_standard_position_is_not_refuted():
     # gives the frame
     g = build("sl", 2, 2)
     v = detect_parabolic(g, _borel_conjugated_at_2(g))
-    assert (v.status, v.details["frame"]) == ("parabolic", [[1, 1], [1, 0]])
+    assert (v.status, v.frame[0].to_rows()) == ("parabolic", [[1, 1], [1, 0]])
 
 
 @pytest.mark.parametrize("fam,n", [("gl", 2), ("pgl", 2), ("sl", 3),
@@ -546,11 +547,11 @@ def test_conjugated_parabolics_and_levis_at_2_are_decided(fam, n,
             q = conjugate_subspace(g, w, data["parabolic"])
             v = detect_parabolic(g, q)
             assert v.status == "parabolic", chosen
-            if "frame" not in v.details:
+            if v.frame is None:
                 continue    # decided in the standard frame
             frames += 1
             assert set(v.root_subset) == set(data["roots"])
-            frame = FieldMatrix.from_rows(v.details["frame"], 2)
+            frame = v.frame[0]
             assert conjugate_subspace(g, frame, data["parabolic"]) == q
             assert v.torus_used == conjugate_subspace(g, frame, t)
             if form is not None:

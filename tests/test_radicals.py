@@ -237,6 +237,29 @@ def test_p_radical_of_parabolic_is_nilradical():
         assert out["rad_p"] == data["nilradical"]
 
 
+def test_largest_ideal_step_cuts_the_cone_down_to_rad_p():
+    # h = <h1, h2, e12, e13 + 2 f12, f23, f13> in sl3@3 is a subalgebra
+    # with rad(h) of dimension 3, off the split calculus; the envelope's
+    # cone is P = <e12 + f13, f23>, but no nonzero h-ideal lies in P, so
+    # rad_p(h) = 0, as the exhaustive oracle finds.  A p_radical that
+    # returned P without the largest-ideal step fails here
+    from morozov.suite import _brute_radicals
+    g = build("sl", 3, 3)
+    e = g.element_by_label
+
+    def span(*elements):
+        return g.subspace([x.coords for x in elements])
+    h = span(e("h1"), e("h2"), e("e12"), e("e13") + e("f12").scale(2),
+             e("f23"), e("f13"))
+    assert h.dim == 6 and g.is_subalgebra(h) and coordinate_split(g, h) is None
+    assert solvable_radical(g, h).dim == 3
+    part = pnil_part_of_radical(g, h)
+    assert part["cone"] == span(e("e12") + e("f13"), e("f23"))
+    rad_p = p_radical(g, h)["rad_p"]
+    assert rad_p != part["cone"]
+    assert rad_p == _brute_radicals(g, h)["rad_p"] == g.subspace([])
+
+
 def test_p_radical_is_undetermined_when_the_cone_is_not_a_subspace():
     # sl3 at p = 2, S = (0,): rad(q) = q, since sl2 is nilpotent there, and
     # the p-nilpotent elements of q do not form a subspace; rad_p(q), the

@@ -215,6 +215,43 @@ def test_split_tables_are_read_inside_liealg_alone():
     assert {stem: names for stem, names in found.items() if names} == {}
 
 
+def _details_frame_reads(text: str) -> int:
+    """How often the source reads the "frame" entry of a `details`
+    dictionary: by subscript, by `.get` or by an `in` test."""
+    def is_details(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "details") \
+            or (isinstance(node, ast.Name) and node.id == "details")
+
+    def is_frame(node):
+        return isinstance(node, ast.Constant) and node.value == "frame"
+    reads = 0
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Subscript):
+            reads += is_details(node.value) and is_frame(node.slice)
+        elif isinstance(node, ast.Call) and node.args and \
+                isinstance(node.func, ast.Attribute) and \
+                node.func.attr == "get":
+            reads += is_details(node.func.value) and is_frame(node.args[0])
+        elif isinstance(node, ast.Compare) and len(node.comparators) == 1:
+            reads += is_frame(node.left) and is_details(node.comparators[0])
+    return reads
+
+
+def test_frame_is_read_off_the_verdict_not_its_details():
+    # the frame rides on a ParabolicVerdict as (P, P^-1); only its payload
+    # writes details["frame"], as P's rows, so no module in src/ but
+    # parabolic and no test reads those rows back out of `details`
+    for probe in ('FieldMatrix.from_rows(verdict.details["frame"], p)',
+                  'v.details.get("frame")', '"frame" not in details'):
+        assert _details_frame_reads(probe) == 1, probe
+    readers = [path.relative_to(ROOT).as_posix()
+               for path in sorted(PACKAGE.glob("*.py"))
+               + sorted((ROOT / "tests").glob("*.py"))
+               if path.stem != "parabolic"
+               and _details_frame_reads(path.read_text())]
+    assert readers == []
+
+
 def test_packaged_fixture_file_matches_its_generator():
     shipped = (PACKAGE / "data" / "bad_prime_fixtures.json").read_text()
     assert shipped == canonical_json(fixture_payload())

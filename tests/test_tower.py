@@ -329,6 +329,31 @@ def test_conjugated_sp6_tower_past_a_killing_form_that_vanishes():
             checks["u_is_p_radical"]) == ("pass", "pass", "pass")
 
 
+def test_conjugated_pgl5_nilradical_tower_steps_through_rad_q():
+    # the sweep's conjugate of the pgl5@5 nilradical S = (0, 1, 2): each
+    # normaliser q is not split, and its rad_p is read off the envelope of
+    # rad(q), of dimension 5.  Read off q's own envelope instead, the
+    # 24 x 24 ad lifts pass the 113-word cap and the walk over q (5^20
+    # vectors) is far past DEFAULT_BUDGET, so this tower would end
+    # `budget-exceeded`
+    from morozov.gfp import jacobson_radical
+    from morozov.liealg import conjugate_subspace, coordinate_split
+    g = build("pgl", 5, 5)
+    w = _root_group_word(g, random.Random("sweep:pgl5@5:(0, 1, 2)"))
+    nil = standard_parabolic(g, (0, 1, 2))["nilradical"]
+    u = conjugate_subspace(g, w, nil)
+    trace = run_tower(g, u)
+    assert trace.status == "stabilized" and trace.u_limit == u
+    assert all(coordinate_split(g, s.q) is None
+               and (s.method, s.radical_dim) == ("envelope", 5)
+               for s in trace.steps[1:])
+    assert jacobson_radical([g.ad_matrix_vec(list(b))
+                             for b in trace.q_limit.basis]) is None
+    checks = verify_morozov(g, trace).checks
+    assert (checks["fixed_point"], checks["parabolic"],
+            checks["u_is_p_radical"]) == ("pass", "pass", "pass")
+
+
 def _p_nil_closures(g, count, rng):
     """`count` seeded p-nil restricted subalgebras of g: the closure under
     the bracket and the p-power map of one or two sparse random elements of
@@ -453,7 +478,9 @@ def test_check_c_fails_on_a_p_radical_that_loses_root_lines(monkeypatch):
 def test_check_c_reads_the_witness_of_conjugated_towers(fam, n, p):
     # the limit of a conjugated proper standard nilradical is the
     # nilradical of the verdict's witness, read off its root subset in the
-    # flag frame and conjugated back by that frame
+    # flag frame and conjugated back by that frame; so is the witness by
+    # the old rule, the lines whose negative root is absent, conjugated by
+    # the frame rows of the verdict's payload
     from morozov.liealg import conjugate_subspace
     from morozov.parabolic import detect_parabolic
     from morozov.tower import _witness_nilradical
@@ -468,5 +495,13 @@ def test_check_c_reads_the_witness_of_conjugated_towers(fam, n, p):
         verdict = detect_parabolic(g, trace.q_limit)
         translated += bool(verdict.details.get("frame_translate"))
         assert _witness_nilradical(g, verdict) == trace.u_limit == u0, chosen
+        roots = set(verdict.root_subset)
+        old = g.subspace([g.unit(g.frame.root_index[r]) for r in roots
+                          if tuple(-x for x in r) not in roots])
+        rows = verdict.as_dict()["details"].get("frame")
+        assert (rows is None) == (verdict.frame is None), chosen
+        if rows is not None:
+            old = conjugate_subspace(g, FieldMatrix.from_rows(rows, p), old)
+        assert old == trace.u_limit, chosen
         assert verify_morozov(g, trace).checks["u_is_p_radical"] == "pass"
     assert translated, (fam, n, p)
