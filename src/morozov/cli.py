@@ -302,8 +302,7 @@ def make_parser() -> argparse.ArgumentParser:
                     help="A/B/C/D (with --n) or E6/E7/E8/F4/G2")
     cl.add_argument("--n", type=int)
     cl.add_argument("--p", type=int, required=True)
-    cl.add_argument("--seed", type=int, default=0)
-    cl.add_argument("--text", action="store_true")
+    _add_common(cl, algebra=False)
     cl.set_defaults(fn=cmd_prime_classify)
 
     hn = groups.add_parser("hn").add_subparsers(dest="action", required=True)
@@ -311,8 +310,7 @@ def make_parser() -> argparse.ArgumentParser:
     ch.add_argument("--filtration", required=True)
     ch.add_argument("--p", type=int)
     ch.add_argument("--dim-g", type=int)
-    ch.add_argument("--seed", type=int, default=0)
-    ch.add_argument("--text", action="store_true")
+    _add_common(ch, algebra=False)
     ch.set_defaults(fn=cmd_hn_check)
 
     fx = groups.add_parser("fixtures").add_subparsers(dest="action", required=True)

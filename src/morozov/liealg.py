@@ -21,10 +21,11 @@ inverse, writes those rows, adopted by `Subspace` with no elimination.
 The bracket of split subspaces is read off a table of root-index pairs,
 filled once per algebra from the structure table on first use
 (`_root_table`): [e_a, e_b] lies in g_(a+b), a root line (its root
-index), the torus (the canonical row of its line) or 0, and [z, e_b] =
-b(z) e_b (`split_bracket`, `character`).  Every torus vector z of this
-calculus is a row in ambient coordinates, as in `Subspace`; the lines it
-does not kill are kept in `_memo` (`moved_lines`).
+index), the torus (the canonical row of its line) or 0 (`split_bracket`),
+and [z, e_b] = b(z) e_b is read off the structure table's torus rows
+(`character`).  Every torus vector z of this calculus is a row in
+ambient coordinates, as in `Subspace`; the lines it does not kill are
+kept in `_memo` (`moved_lines`).
 """
 
 from __future__ import annotations
@@ -190,9 +191,9 @@ class LieAlgebra:
         of [b_i, b_j] for i < j.  The table is grouped by first index: row
         i holds (j, ((k, c), ...)) for each j > i with [b_i, b_j] != 0,
         listing the nonzero coordinates c of b_k; _ad[i][m] holds the
-        entries of [b_i, b_m] in both orders, for `_root_table` and
-        `_verify_structure` (`basis_bracket` reads it as a test
-        reference)."""
+        entries of [b_i, b_m] in both orders, for `_root_table`,
+        `character` and `_verify_structure` (`basis_bracket` reads it as a
+        test reference)."""
         rows, ad = [], [{} for _ in range(self.dim)]
         for i in range(self.dim):
             row = []
@@ -218,12 +219,11 @@ class LieAlgebra:
 
     @cached_property
     def _root_table(self) -> tuple:
-        """(sums, coroots, characters), read off `_ad` once, on first use:
-        sums[i][j] is the root index of the line holding [e_i, e_j] and
-        coroots[i][j] the canonical row of the torus line holding
-        [e_i, e_j], over root indices i, j; characters[i][t] is b_i(h_t),
-        [h_t, e_i] = b_i(h_t) e_i, over the torus indices t."""
-        roots, sums, coroots, characters = self.frame.index_root, {}, {}, {}
+        """(sums, coroots), read off `_ad` once, on first use: sums[i][j]
+        is the root index of the line holding [e_i, e_j] and coroots[i][j]
+        the canonical row of the torus line holding [e_i, e_j], over root
+        indices i, j."""
+        roots, sums, coroots = self.frame.index_root, {}, {}
         for i in roots:
             sums[i], coroots[i] = {}, {}
             for j, entries in self._ad[i].items():
@@ -235,14 +235,14 @@ class LieAlgebra:
                         inv, entry = inv_mod(entries[0][1], self.p), dict(entries)
                         coroots[i][j] = tuple(entry.get(k, 0) * inv % self.p
                                               for k in range(self.dim))
-            characters[i] = {t: sum(c for _, c in self._ad[t][i])
-                             for t in self.frame.torus_indices if i in self._ad[t]}
-        return sums, coroots, characters
+        return sums, coroots
 
     def character(self, z, idx: int) -> int:
         """b(z) in [z, e_b] = b(z) e_b, e_b = b_idx a root line, z a torus
-        vector in ambient coordinates."""
-        return sum(z[t] * c for t, c in self._root_table[2][idx].items()) % self.p
+        vector in ambient coordinates, read off `_ad`: [h_t, e_b] =
+        b(h_t) e_b for each torus index t."""
+        return sum(z[t] * c for t in self.frame.torus_indices
+                   for _, c in self._ad[t].get(idx, ())) % self.p
 
     def moved_lines(self, z) -> frozenset:
         """The root indices b with b(z) != 0, for a torus row z (a tuple in
@@ -260,7 +260,7 @@ class LieAlgebra:
         off the table of root-index pairs (`_root_table`) and the kill sets
         (`moved_lines`).  [e_i, e_j] and [e_j, e_i] span one line, so both
         are read off the rows of the smaller of a and b."""
-        sums, tori = self._root_table[:2]
+        sums, tori = self._root_table
         lines, found = set(), set()
         small, large = (a, b) if len(a) <= len(b) else (b, a)
         for k in small:

@@ -41,8 +41,8 @@ Strategy notes:
     coroots [e_c, e_-c].  The spins are reachability in one graph on h's
     root lines (`LieAlgebra.line_graph`): a line points to its brackets
     with h's lines, and through each coroot it brackets to, to the lines
-    that coroot does not kill; each strongly connected set of lines is
-    spun once (`_reach`).  The derived terms come from `split_bracket`; a
+    that coroot does not kill; each line's spin is its reach, found by a
+    plain search (`_reach`).  The derived terms come from `split_bracket`; a
     torus vector lies in rad(h) when it kills every root line whose spin
     ideal is not solvable; the structured rad(h) and cone are written by
     `split_sum`;
@@ -239,32 +239,18 @@ def _view_radical(parent: LieAlgebra, h: Subspace) -> Subspace:
 
 
 def _reach(succ: dict) -> dict:
-    """Each node of the graph succ (node -> its successors) mapped to the
-    frozenset of nodes it reaches, itself included, one set per strongly
-    connected component (Tarjan).  A component closes after every
-    component its edges leave to, so its set is its nodes plus their sets,
-    and no edge is followed twice."""
-    order, low, stack, reach = {}, {}, [], {}
-
-    def visit(v):
-        order[v] = low[v] = len(order)
-        stack.append(v)
-        for w in succ[v]:
-            if w not in order:
-                visit(w)
-            if w not in reach:      # on the stack: v's component is open
-                low[v] = min(low[v], low[w])
-        if low[v] == order[v]:
-            k = stack.index(v)
-            component = stack[k:]
-            del stack[k:]
-            found = frozenset(component).union(
-                *(reach[w] for u in component for w in succ[u] if w in reach))
-            reach.update(dict.fromkeys(component, found))
-
+    """Each node of the graph succ (node -> the set of its successors)
+    mapped to the frozenset of nodes it reaches, itself included, by a
+    plain search from each node: a line's reach in `LieAlgebra.line_graph`
+    is the root part of its spin ideal."""
+    reach = {}
     for v in succ:
-        if v not in order:
-            visit(v)
+        seen, todo = {v}, [v]
+        while todo:
+            new = succ[todo.pop()] - seen
+            seen |= new
+            todo.extend(new)
+        reach[v] = frozenset(seen)
     return reach
 
 

@@ -26,7 +26,10 @@ from typing import Sequence
 
 from .gfp import is_prime
 
-CLASSICAL = ("A", "B", "C", "D")
+# the classical types, built and tabulated from MIN_RANK up to MAX_RANK
+MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
+MAX_RANK = 8
+CLASSICAL = tuple(MIN_RANK)
 EXCEPTIONAL = ("E6", "E7", "E8", "F4", "G2")
 
 
@@ -197,11 +200,11 @@ def build_rootdatum(type_label: str, n: int = 0) -> RootDatum:
                          data["a"], data["b"])
     if type_label not in CLASSICAL:
         raise ValueError(f"unknown type {type_label!r}")
-    minimum = {"A": 1, "B": 2, "C": 2, "D": 3}[type_label]
+    minimum = MIN_RANK[type_label]
     if n < minimum:
         raise ValueError(f"type {type_label} needs rank >= {minimum}")
-    if n > 8:
-        raise ValueError("rank capped at 8")
+    if n > MAX_RANK:
+        raise ValueError(f"rank capped at {MAX_RANK}")
     simples = _simple_roots(type_label, n)
     coefficients = _orbit(simples)
     positives = sorted((r for r, c in coefficients.items() if sum(c) > 0),
@@ -322,10 +325,8 @@ def simple_subsets(rank: int) -> list:
 def table_rows():
     """All printed table rows with their generic definitional data, for
     the data suite.  Classical rows use representative ranks."""
-    rows = []
-    for label in ("A", "B", "C", "D"):
-        lo = {"A": 1, "B": 2, "C": 2, "D": 3}[label]
-        rows.append({"type": label, "ranks": list(range(lo, 9))})
+    rows = [{"type": label, "ranks": list(range(lo, MAX_RANK + 1))}
+            for label, lo in MIN_RANK.items()]
     for label in EXCEPTIONAL:
         rows.append({"type": label, "ranks": [EXCEPTIONAL_DATA[label]["rank"]]})
     return rows

@@ -582,3 +582,19 @@ def test_sp10_at_2_past_the_envelope_cap_is_undetermined():
         assert v.status == "parabolic" and v.details["frame_translate"]
         assert set(v.root_subset) == set(data["roots"])
     assert moved
+
+
+def test_a_subalgebra_whose_root_set_is_not_closed():
+    # sp4@2, q = t + g_(1,-1) + g_(1,1): [e_(1,-1), e_(1,1)] = +-2 e_(2,0)
+    # = 0 at p = 2, so q is a subalgebra, but (1,-1) + (1,1) = (2,0) is a
+    # root outside it; the coordinate reading names that failure
+    from morozov.liealg import split_sum
+    from morozov.rootdata import is_closed
+    g = build("sp", 4, 2)
+    roots = ((1, -1), (1, 1))
+    q = split_sum(g, {g.frame.root_index[r] for r in roots}, torus_subspace(g))
+    assert g.is_subalgebra(q) and (2, 0) in g.frame.root_index
+    assert not is_closed(g.frame.rootdatum, roots)
+    v = detect_parabolic(g, q)
+    assert (v.status, v.failure_reason, v.details["coordinate_failure"]) == (
+        "not-parabolic", "not-closed", "not-closed")

@@ -76,6 +76,24 @@ def test_input_validation():
         check_tower_input(g, h)
 
 
+def test_tower_input_not_closed_under_the_p_power_map():
+    # gl2@3 and u = <X>, X = [[0, 1], [1, 2]]: a line is a subalgebra, but
+    # the characteristic polynomial t^2 + t + 2 of X is irreducible over
+    # F_3, so X^3 = 2 - X lies outside u, and the tower refuses u before
+    # its p-nil gate (X is not nilpotent either)
+    g = build("gl", 2, 3)
+    x = FieldMatrix.from_rows([[0, 1], [1, 2]], 3)
+    u = g.subspace([g.coordinates_of_matrix(x)])
+    cube = g.coordinates_of_matrix(x.pow(3))
+    assert cube == g.coordinates_of_matrix(
+        FieldMatrix.from_rows([[2, 2], [2, 0]], 3))
+    assert g.is_subalgebra(u) and not u.contains_vector(cube)
+    trace = run_tower(g, u)
+    assert (trace.status, trace.detail) == (
+        "input-error", "tower input is not closed under the p-power map")
+    assert len(trace.steps) == 1 and trace.steps[0].q is None
+
+
 def test_trace_reproducibility():
     g = build("sp", 4, 5)
     u = standard_parabolic(g, (0,))["nilradical"]
@@ -505,3 +523,33 @@ def test_check_c_reads_the_witness_of_conjugated_towers(fam, n, p):
         assert old == trace.u_limit, chosen
         assert verify_morozov(g, trace).checks["u_is_p_radical"] == "pass"
     assert translated, (fam, n, p)
+
+
+def test_tower_past_the_walk_budget_ends_budget_exceeded(tmp_path, capsys):
+    # the sweep's conjugate of the pgl8@2 nilradical S = (2, 3, 5, 6): the
+    # first step's p-nilpotent cone is left to the walk over rad(q), 2^25
+    # vectors, past DEFAULT_BUDGET, so the tower ends `budget-exceeded`
+    # with u0 alone; verify_morozov reads the trace as not stabilised, and
+    # `tower run` exits 2 on it (the memoised reason makes that run fast)
+    import json
+    from morozov.cli import EXIT_UNDETERMINED, main
+    from morozov.liealg import conjugate_subspace
+    from morozov.radicals import DEFAULT_BUDGET
+    from morozov.serialize import canonical_json, subspace_to_dict
+    g = build("pgl", 8, 2)
+    chosen = (2, 3, 5, 6)
+    w = _root_group_word(g, random.Random(f"sweep:pgl8@2:{chosen}"))
+    u = conjugate_subspace(g, w, standard_parabolic(g, chosen)["nilradical"])
+    trace = run_tower(g, u)
+    detail = f"enumeration of {2 ** 25} elements exceeds budget {DEFAULT_BUDGET}"
+    assert (trace.status, trace.detail, trace.u_limit) == (
+        "budget-exceeded", detail, None)
+    assert [step.u for step in trace.steps] == [u]
+    assert verify_morozov(g, trace).checks == {"stabilized": "fail"}
+    path = tmp_path / "u.json"
+    path.write_text(canonical_json(subspace_to_dict(u)))
+    assert main(["tower", "run", "--family", "pgl", "--n", "8", "--p", "2",
+                 "--subspace", str(path)]) == EXIT_UNDETERMINED
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["trace"] == json.loads(canonical_json(trace.as_dict()))
+    assert payload["verification"] is None
