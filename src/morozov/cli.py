@@ -1,10 +1,13 @@
-"""Command-line front end.
+"""Command-line front end: one row of `COMMANDS` per subcommand, with its
+handler and its flags in `--help` order.
 
 Exit codes: 0 = computation succeeded / all checks passed, 1 = a
-verification failed, 2 = undetermined (for `tower run`: budget-exceeded, or
-a check reads undetermined and none fails), 3 = input error or malformed
-command line.  No command takes a budget: the one walk left, in
-`radicals`, runs within `radicals.DEFAULT_BUDGET`.
+verification failed, 2 = undetermined, 3 = input error or malformed
+command line.  Where a command has several readings (the checks of `tower
+run`, the status of `radical compute`, the criteria of `suite run`),
+`_exit_code` reads them: 1 if any fails, else 2 if any is undetermined,
+else 0; a tower whose budget runs out exits 2.  No command takes a budget:
+the one walk left, in `radicals`, runs within `radicals.DEFAULT_BUDGET`.
 Output is canonical JSON (default) or text; identical inputs and seed
 give byte-identical JSON."""
 
@@ -19,8 +22,8 @@ from pathlib import Path
 from . import fixtures as fixtures_mod
 from . import hnslope, kempf, parabolic, radicals, rootdata, suite, tower
 from .liealg import build
-from .serialize import (algebra_from_dict, algebra_to_dict, canonical_json,
-                        subspace_from_dict)
+from .serialize import (SCHEMA_VERSION, algebra_from_dict, algebra_to_dict,
+                        canonical_json, subspace_from_dict)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -81,22 +84,32 @@ def _subspace_from_args(args, g):
     return _load_with(args.subspace, lambda data: subspace_from_dict(data, g))
 
 
+def _exit_code(readings) -> int:
+    """The exit rule of a command with several readings: 1 if any is
+    "fail", else 2 if any is "undetermined", else 0."""
+    return EXIT_CHECK_FAILED if "fail" in readings else \
+        EXIT_UNDETERMINED if "undetermined" in readings else EXIT_OK
+
+
+def _envelope(args, payload: dict) -> str:
+    """payload as canonical JSON, with the schema version and the seed."""
+    return canonical_json({"schema": SCHEMA_VERSION, "seed": args.seed,
+                           **payload})
+
+
 def _emit(args, payload: dict, exit_code: int, text_lines=None) -> int:
-    payload = {"schema": 1, "seed": args.seed, **payload}
-    if getattr(args, "text", False) and text_lines is not None:
+    if args.text and text_lines is not None:
         for line in text_lines:
             print(line)
     else:
-        sys.stdout.write(canonical_json(payload))
+        sys.stdout.write(_envelope(args, payload))
     return exit_code
 
 
 # -- subcommand handlers -----------------------------------------------------
 
 def cmd_algebra_build(args) -> int:
-    g = _algebra_from_args(args)
-    payload = algebra_to_dict(g)
-    out = canonical_json({"schema": 1, "seed": args.seed, **payload})
+    out = _envelope(args, algebra_to_dict(_algebra_from_args(args)))
     if args.out:
         with _writing(args.out):
             Path(args.out).write_text(out)
@@ -124,10 +137,12 @@ def cmd_tower_run(args) -> int:
                      else EXIT_UNDETERMINED, text)
     for k, v in report.checks.items():
         text.append(f"  check {k}: {v}")
-    readings = report.checks.values()
-    code = EXIT_CHECK_FAILED if "fail" in readings else \
-        EXIT_UNDETERMINED if "undetermined" in readings else EXIT_OK
-    return _emit(args, payload, code, text)
+    return _emit(args, payload, _exit_code(report.checks.values()), text)
+
+
+# faults of the input, as for `tower run`; the optimizer's other refusals (no
+# torus frame, u = 0, support on the torus, 0 in the hull) read inadmissible
+_KEMPF_INPUT_FAULTS = ("input is not a subalgebra", "input is not p-nil")
 
 
 def cmd_kempf_optimize(args) -> int:
@@ -136,6 +151,8 @@ def cmd_kempf_optimize(args) -> int:
     try:
         cert = kempf.optimize(g, u)
     except ValueError as exc:
+        if str(exc) in _KEMPF_INPUT_FAULTS:
+            raise InputError(str(exc)) from exc
         return _emit(args, {"status": "inadmissible", "reason": str(exc)},
                      EXIT_UNDETERMINED)
     report = kempf.verify_obstruction(g, u, cert)
@@ -168,12 +185,11 @@ def cmd_radical_compute(args) -> int:
         raise InputError("input subspace is not a subalgebra")
     rep = radicals.radical_report(g, h)
     payload = {"report": rep.as_dict()}
-    code = EXIT_UNDETERMINED if rep.status == "undetermined" else EXIT_OK
     text = [f"rad dim {None if rep.rad is None else rep.rad.dim}",
             f"nil dim {None if rep.nil is None else rep.nil.dim}",
             f"rad_p dim {None if rep.rad_p is None else rep.rad_p.dim}",
             f"method {rep.method_used}, status {rep.status}"]
-    return _emit(args, payload, code, text)
+    return _emit(args, payload, _exit_code([rep.status]), text)
 
 
 def cmd_prime_classify(args) -> int:
@@ -229,29 +245,45 @@ def cmd_fixtures_paper(args) -> int:
 def cmd_suite_run(args) -> int:
     selected = args.criteria.split(",") if args.criteria else None
     results = suite.run_suite(selected, seed=args.seed)
-    worst = EXIT_OK
     for res in results:
         print(res.line())
-        if res.status == "fail":
-            worst = max(worst, EXIT_CHECK_FAILED)
-        elif res.status == "undetermined":
-            worst = max(worst, EXIT_UNDETERMINED)
-    return worst
+    return _exit_code([res.status for res in results])
 
 
-# -- parser -------------------------------------------------------------------
+# -- command table ------------------------------------------------------------
 
-def _add_common(sub, algebra=True, subspace=False):
-    if algebra:
-        sub.add_argument("--algebra", help="algebra JSON file")
-        sub.add_argument("--family", choices=["gl", "sl", "pgl", "sp", "so"])
-        sub.add_argument("--n", type=int)
-        sub.add_argument("--p", type=int)
-    if subspace:
-        sub.add_argument("--subspace", required=True, help="subspace JSON file")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--text", action="store_true",
-                     help="human-readable output instead of canonical JSON")
+_ALGEBRA = (("--algebra", {"help": "algebra JSON file"}),
+            ("--family", {"choices": ["gl", "sl", "pgl", "sp", "so"]}),
+            ("--n", {"type": int}), ("--p", {"type": int}))
+_SUBSPACE = (("--subspace", {"required": True, "help": "subspace JSON file"}),)
+_SEED = (("--seed", {"type": int, "default": 0}),)
+_OUTPUT = _SEED + (("--text", {
+    "action": "store_true",
+    "help": "human-readable output instead of canonical JSON"}),)
+
+# (group, action, handler, flags in --help order); one action per group
+COMMANDS = (
+    ("algebra", "build", cmd_algebra_build,
+     _ALGEBRA + _OUTPUT + (("--out", {}),)),
+    ("tower", "run", cmd_tower_run, _ALGEBRA + _SUBSPACE + _OUTPUT),
+    ("kempf", "optimize", cmd_kempf_optimize, _ALGEBRA + _SUBSPACE + _OUTPUT),
+    ("parabolic", "detect", cmd_parabolic_detect,
+     _ALGEBRA + _SUBSPACE + _OUTPUT),
+    ("radical", "compute", cmd_radical_compute,
+     _ALGEBRA + _OUTPUT + (("--subspace", {}),)),
+    ("prime", "classify", cmd_prime_classify,
+     (("--type", {"required": True,
+                  "help": "A/B/C/D (with --n) or E6/E7/E8/F4/G2"}),
+      ("--n", {"type": int}), ("--p", {"type": int, "required": True}))
+     + _OUTPUT),
+    ("hn", "check", cmd_hn_check,
+     (("--filtration", {"required": True}), ("--p", {"type": int}),
+      ("--dim-g", {"type": int})) + _OUTPUT),
+    ("fixtures", "paper", cmd_fixtures_paper,
+     (("--out", {"required": True}),) + _SEED),
+    ("suite", "run", cmd_suite_run,
+     (("--criteria", {"help": "comma-separated criterion ids"}),) + _SEED),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -268,63 +300,12 @@ def make_parser() -> argparse.ArgumentParser:
         description="exact normaliser-tower engine for restricted Lie "
                     "algebras over prime fields")
     groups = ap.add_subparsers(dest="group", required=True)
-
-    alg = groups.add_parser("algebra").add_subparsers(dest="action", required=True)
-    b = alg.add_parser("build")
-    _add_common(b)
-    b.add_argument("--out")
-    b.set_defaults(fn=cmd_algebra_build)
-
-    tw = groups.add_parser("tower").add_subparsers(dest="action", required=True)
-    r = tw.add_parser("run")
-    _add_common(r, subspace=True)
-    r.set_defaults(fn=cmd_tower_run)
-
-    ke = groups.add_parser("kempf").add_subparsers(dest="action", required=True)
-    o = ke.add_parser("optimize")
-    _add_common(o, subspace=True)
-    o.set_defaults(fn=cmd_kempf_optimize)
-
-    pb = groups.add_parser("parabolic").add_subparsers(dest="action", required=True)
-    d = pb.add_parser("detect")
-    _add_common(d, subspace=True)
-    d.set_defaults(fn=cmd_parabolic_detect)
-
-    ra = groups.add_parser("radical").add_subparsers(dest="action", required=True)
-    c = ra.add_parser("compute")
-    _add_common(c)
-    c.add_argument("--subspace")
-    c.set_defaults(fn=cmd_radical_compute)
-
-    pr = groups.add_parser("prime").add_subparsers(dest="action", required=True)
-    cl = pr.add_parser("classify")
-    cl.add_argument("--type", required=True,
-                    help="A/B/C/D (with --n) or E6/E7/E8/F4/G2")
-    cl.add_argument("--n", type=int)
-    cl.add_argument("--p", type=int, required=True)
-    _add_common(cl, algebra=False)
-    cl.set_defaults(fn=cmd_prime_classify)
-
-    hn = groups.add_parser("hn").add_subparsers(dest="action", required=True)
-    ch = hn.add_parser("check")
-    ch.add_argument("--filtration", required=True)
-    ch.add_argument("--p", type=int)
-    ch.add_argument("--dim-g", type=int)
-    _add_common(ch, algebra=False)
-    ch.set_defaults(fn=cmd_hn_check)
-
-    fx = groups.add_parser("fixtures").add_subparsers(dest="action", required=True)
-    pp = fx.add_parser("paper")
-    pp.add_argument("--out", required=True)
-    pp.add_argument("--seed", type=int, default=0)
-    pp.set_defaults(fn=cmd_fixtures_paper)
-
-    su = groups.add_parser("suite").add_subparsers(dest="action", required=True)
-    ru = su.add_parser("run")
-    ru.add_argument("--criteria", help="comma-separated criterion ids")
-    ru.add_argument("--seed", type=int, default=0)
-    ru.set_defaults(fn=cmd_suite_run)
-
+    for group, action, fn, flags in COMMANDS:
+        sub = groups.add_parser(group).add_subparsers(
+            dest="action", required=True).add_parser(action)
+        for flag, options in flags:
+            sub.add_argument(flag, **options)
+        sub.set_defaults(fn=fn)
     return ap
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from .gfp import FieldMatrix, Subspace
 from .liealg import LieAlgebra, build
+from .serialize import SCHEMA_VERSION
 
 P = 3
 
@@ -99,7 +100,7 @@ def fixture_payload() -> dict:
     x, y = ex2_generators(pgl3)
     u = ex2_subalgebra(pgl3)
     payload = {
-        "schema": 1,
+        "schema": SCHEMA_VERSION,
         "p": P,
         "ex2": {
             "algebra": {"family": "pgl", "n": 3, "p": P},

@@ -1,6 +1,7 @@
 """The acceptance battery: one callable per criterion, each returning a
-CheckResult with pass/fail/undetermined status and a detail payload.  The
-CLI `suite run` prints one line per criterion.  The brute-force oracles
+CheckResult with pass/fail/undetermined status and a detail line.
+`run_suite` runs the selected criteria and times each one; the CLI
+`suite run` prints one line per criterion.  The brute-force oracles
 kept here (`literal_p_nilpotent`, `enumerate_subspaces`) also serve the
 tests.  Criterion 1 samples the restricted-structure laws on the engine's
 own arithmetic (`LieAlgebra.bracket_vec`, `ad_matrix_vec`, `p_power_vec`
@@ -11,9 +12,10 @@ zero) and deterministic for a fixed seed."""
 
 from __future__ import annotations
 
+import functools
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import fixtures, hnslope, kempf, parabolic, radicals, rootdata, tower
 from .gfp import Subspace
@@ -36,17 +38,14 @@ class CheckResult:
     criterion: str
     status: str                  # pass | fail | undetermined
     detail: str = ""
-    elapsed: float = 0.0
-    data: dict = field(default_factory=dict)
+    elapsed: float = 0.0         # set by run_suite
 
     def line(self) -> str:
         return f"[{self.status.upper():12s}] {self.criterion} ({self.elapsed:.1f}s) {self.detail}"
 
 
-def _result(criterion, ok, detail="", t0=None, data=None, undetermined=False):
-    status = "undetermined" if undetermined else ("pass" if ok else "fail")
-    return CheckResult(criterion, status, detail,
-                       0.0 if t0 is None else time.time() - t0, data or {})
+def _result(criterion, ok, detail=""):
+    return CheckResult(criterion, "pass" if ok else "fail", detail)
 
 
 # -- criterion 1: restricted-structure laws, on LieAlgebra's own calculus ---
@@ -55,7 +54,6 @@ LAWS = ("antisymmetry", "jacobi", "ad-power", "scale-power", "jacobson")
 
 
 def criterion_structure_laws(seed: int = 0) -> CheckResult:
-    t0 = time.time()
     rng = random.Random(seed)
     failures = [f"{fam}{n}@{p}:{law}" for fam, n in LAW_ALGEBRAS
                 for p in LAW_PRIMES for law in
@@ -64,7 +62,7 @@ def criterion_structure_laws(seed: int = 0) -> CheckResult:
         "1 restricted-structure laws (Jacobi, antisymmetry, ad/scale p-power, "
         f"Jacobson) x{LAW_SAMPLES} samples",
         not failures, "; ".join(failures) or
-        f"{len(LAW_ALGEBRAS) * len(LAW_PRIMES)} algebra/prime pairs", t0)
+        f"{len(LAW_ALGEBRAS) * len(LAW_PRIMES)} algebra/prime pairs")
 
 
 def _structure_law_failures(g: LieAlgebra, rng: random.Random,
@@ -103,12 +101,8 @@ def _structure_law_failures(g: LieAlgebra, rng: random.Random,
 
 # -- criteria 2-4: tower sweep and the cocharacter cross-check ---------------
 
-_sweep_cache: dict = {}
-
-
+@functools.cache
 def _tower_sweep() -> list:
-    if "sweep" in _sweep_cache:
-        return _sweep_cache["sweep"]
     rows = []
     for fam, n, ps in TOWER_CASES:
         for p in ps:
@@ -119,12 +113,10 @@ def _tower_sweep() -> list:
                 report = tower.verify_morozov(g, trace)
                 rows.append({"tag": f"{fam}{n}@{p} S={chosen}", "g": g,
                              "data": data, "trace": trace, "report": report})
-    _sweep_cache["sweep"] = rows
     return rows
 
 
 def criterion_tower_sweep(seed: int = 0) -> CheckResult:
-    t0 = time.time()
     bad = []
     for row in _tower_sweep():
         tr, data, rep = row["trace"], row["data"], row["report"]
@@ -136,11 +128,10 @@ def criterion_tower_sweep(seed: int = 0) -> CheckResult:
         if not ok:
             bad.append(row["tag"])
     return _result("2 Morozov tower sweep over standard parabolic subsets",
-                   not bad, "; ".join(bad) or f"{len(_tower_sweep())} towers", t0)
+                   not bad, "; ".join(bad) or f"{len(_tower_sweep())} towers")
 
 
 def criterion_seed_to_borel(seed: int = 0) -> CheckResult:
-    t0 = time.time()
     g = build("sl", 3, 5)
     idx = g.labels.index("e13")
     u0 = g.subspace([[1 if i == idx else 0 for i in range(g.dim)]])
@@ -149,11 +140,10 @@ def criterion_seed_to_borel(seed: int = 0) -> CheckResult:
     ok = (tr.status == "stabilized" and tr.q_limit == b["parabolic"]
           and tr.u_limit == b["nilradical"])
     return _result("3 seed <e13> in sl3@5 climbs to the Borel", ok,
-                   f"status={tr.status}, steps={tr.stabilized_at}", t0)
+                   f"status={tr.status}, steps={tr.stabilized_at}")
 
 
 def criterion_kempf_crosscheck(seed: int = 0) -> CheckResult:
-    t0 = time.time()
     bad = []
     checked = 0
     for row in _tower_sweep():
@@ -169,13 +159,12 @@ def criterion_kempf_crosscheck(seed: int = 0) -> CheckResult:
             bad.append(row["tag"])
     return _result("4 optimal cocharacter reproduces N(u) = p(lambda), "
                    "u = u(lambda) (minimum-norm point)",
-                   not bad, "; ".join(bad) or f"{checked} optimizations", t0)
+                   not bad, "; ".join(bad) or f"{checked} optimizations")
 
 
 # -- criterion 5: bad-prime regressions --------------------------------------
 
 def criterion_bad_prime(seed: int = 0) -> CheckResult:
-    t0 = time.time()
     problems = []
     sl3 = build("sl", 3, 3)
     pgl3 = build("pgl", 3, 3)
@@ -209,25 +198,15 @@ def criterion_bad_prime(seed: int = 0) -> CheckResult:
         problems.append(f"ex2: limit status {rep.checks.get('parabolic_status')}")
     return _result("5 bad-prime regressions (p=3 counterexamples)",
                    not problems, "; ".join(problems) or
-                   "both fixtures behave as non-parabolic with Borel content", t0)
+                   "both fixtures behave as non-parabolic with Borel content")
 
 
 # -- criterion 6: Killing-form suite ------------------------------------------
 
-def _killing_fixtures():
-    out = []
-    for fam, n in LAW_ALGEBRAS:
-        for p in LAW_PRIMES:
-            g = build(fam, n, p)
-            if g.killing_nondegenerate():
-                out.append(g)
-    return out
-
-
 def criterion_killing(seed: int = 0) -> CheckResult:
-    t0 = time.time()
     problems = []
-    algebras = _killing_fixtures()
+    algebras = [g for g in (build(fam, n, p) for fam, n in LAW_ALGEBRAS
+                            for p in LAW_PRIMES) if g.killing_nondegenerate()]
     for g in algebras:
         tag = g.family + f"@{g.p}"
         b = standard_borel(g)["parabolic"]
@@ -248,7 +227,7 @@ def criterion_killing(seed: int = 0) -> CheckResult:
     return _result("6 Killing suite: nil(b) = b_perp and the orthogonal "
                    "detector on standard parabolics",
                    not problems, "; ".join(problems) or
-                   f"{len(algebras)} nondegenerate fixtures", t0)
+                   f"{len(algebras)} nondegenerate fixtures")
 
 
 # -- criterion 7: exp/Ad compatibility ----------------------------------------
@@ -272,7 +251,6 @@ def _nilpotent_samples(g: LieAlgebra, count: int, seed: int) -> list:
 
 
 def criterion_exp_ad(seed: int = 0) -> CheckResult:
-    t0 = time.time()
     problems = []
     witness_report = {}
     assert_cases = [("sl", 2, 5), ("sl", 2, 7), ("sl", 3, 5), ("sl", 3, 7)]
@@ -303,8 +281,7 @@ def criterion_exp_ad(seed: int = 0) -> CheckResult:
                        for k, v in witness_report.items())
     return _result("7 Ad(exp x) = exp(ad x) for p > 2h-2; witnesses recorded "
                    "in the h < p <= 2h-2 band",
-                   not problems, "; ".join(problems) or detail, t0,
-                   data=witness_report)
+                   not problems, "; ".join(problems) or detail)
 
 
 # -- criterion 8: characteristic-table data suite -----------------------------
@@ -317,9 +294,7 @@ EXPECTED_TORSION_EDGE = {("B", 2), ("D", 3)}
 
 
 def criterion_table_data(seed: int = 0) -> CheckResult:
-    t0 = time.time()
     problems = []
-    reports = []
     primes = [q for q in range(2, 51) if rootdata.is_prime(q)]
     good_mismatches = set()
     torsion_edges = set()
@@ -334,7 +309,6 @@ def criterion_table_data(seed: int = 0) -> CheckResult:
             if label == "A":
                 if h != n + 1:
                     problems.append(f"A{n}: formula coxeter {h} != n+1")
-                reports.append(f"A_n coxeter: formula gives n+1, table lists n")
             else:
                 expected = {"B": 2 * n, "C": 2 * n, "D": 2 * (n - 1)}.get(
                     label, printed_h if isinstance(printed_h, int) else None)
@@ -352,9 +326,7 @@ def criterion_table_data(seed: int = 0) -> CheckResult:
                     table_vg = table_good and (n + 1) % q != 0
                 else:
                     table_vg = q > printed["very_good_gt"]
-                if pc.is_good != table_good:
-                    good_mismatches.add((label, n, q))
-                if pc.is_very_good != table_vg:
+                if (pc.is_good, pc.is_very_good) != (table_good, table_vg):
                     good_mismatches.add((label, n, q))
             # the rank/coxeter growth inequality
             rg = rd.rank
@@ -373,7 +345,7 @@ def criterion_table_data(seed: int = 0) -> CheckResult:
               "(and D3 at p=2), torsion column lists the generic-rank value "
               "at B2/D3, A_n coxeter entry is n vs formula n+1")
     return _result("8 characteristic-table data suite (p <= 50)",
-                   not problems, detail, t0)
+                   not problems, detail)
 
 
 # -- criterion 9: radical brute-force oracles ---------------------------------
@@ -446,7 +418,6 @@ def _subalgebras_of(g: LieAlgebra, h: Subspace):
 
 
 def criterion_radical_oracles(seed: int = 0) -> CheckResult:
-    t0 = time.time()
     problems = []
     checked = 0
 
@@ -484,13 +455,12 @@ def criterion_radical_oracles(seed: int = 0) -> CheckResult:
                 compare(sl3, h, f"sl3@{p} sub-borel dim{h.dim}")
     return _result("9 radical operations agree with the exhaustive-ideal "
                    "brute force", not problems,
-                   "; ".join(problems[:6]) or f"{checked} inputs compared", t0)
+                   "; ".join(problems[:6]) or f"{checked} inputs compared")
 
 
 # -- criterion 10: slope arithmetic -------------------------------------------
 
 def criterion_hnslope(seed: int = 0) -> CheckResult:
-    t0 = time.time()
     rng = random.Random(seed)
     problems = []
     fuzz_total = fuzz_rejected = 0
@@ -538,8 +508,7 @@ def criterion_hnslope(seed: int = 0) -> CheckResult:
                    "perturbation fuzzer",
                    not problems,
                    "; ".join(problems) or
-                   f"{HN_SAMPLES} filtrations, {fuzz_total} perturbations rejected",
-                   t0)
+                   f"{HN_SAMPLES} filtrations, {fuzz_total} perturbations rejected")
 
 
 CRITERIA = [
@@ -557,9 +526,14 @@ CRITERIA = [
 
 
 def run_suite(selected=None, seed: int = 0) -> list:
+    """The results of the selected criteria (all when None), in CRITERIA
+    order, each with its elapsed seconds."""
     out = []
     for key, fn in CRITERIA:
         if selected and key not in selected:
             continue
-        out.append(fn(seed))
+        t0 = time.time()
+        res = fn(seed)
+        res.elapsed = time.time() - t0
+        out.append(res)
     return out

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from morozov import fixtures
+from morozov import fixtures, suite
 from morozov.cli import (EXIT_CHECK_FAILED, EXIT_INPUT, EXIT_OK,
                          EXIT_UNDETERMINED, main)
 from morozov.gfp import FieldMatrix, Subspace
@@ -42,6 +42,14 @@ def _sl3_line(label):
 def _sl3_not_closed():
     g = build("sl", 3, 5)
     return g.subspace([g.element_by_label(x).coords for x in ("e12", "f12")])
+
+
+def _sl3_not_p_nil():
+    # a line, so a subalgebra, on root coordinates alone; e12 + f12 is
+    # semisimple, not p-nilpotent
+    g = build("sl", 3, 5)
+    return g.subspace([[a + b for a, b in zip(g.element_by_label("e12").coords,
+                                              g.element_by_label("f12").coords)]])
 
 
 def _pgl8_at_2_borel_conjugated():
@@ -86,6 +94,7 @@ SUBSPACES = {
         build("sl", 3, 2), (0,))["nilradical"],
     "sl3-h1": lambda: _sl3_line("h1"),
     "sl3-not-closed": _sl3_not_closed,
+    "sl3-not-p-nil": _sl3_not_p_nil,
     "pgl3-ex2": lambda: fixtures.ex2_subalgebra(build("pgl", 3, 3)),
     "sl2@2-borel-conj": _sl2_at_2_borel_conjugated,
     "sp10@2-siegel-conj": _sp10_at_2_siegel_conjugated,
@@ -124,9 +133,13 @@ CASES = [
       "@sl2-borel"], EXIT_UNDETERMINED),
     (["parabolic", "detect", *SL3, "--subspace", "@sl3-not-closed"], EXIT_INPUT),
     (["kempf", "optimize", *SL3, "--subspace", "@sl3-nil"], EXIT_OK),
+    # a line on the torus lies outside the optimizer's search class
     (["kempf", "optimize", *SL3, "--subspace", "@sl3-h1"], EXIT_UNDETERMINED),
     (["kempf", "optimize", "--family", "sl", "--n", "3", "--p", "7",
       "--subspace", "@sl3-nil"], EXIT_INPUT),
+    # a subspace that is not a subalgebra, or not p-nil, is an input error
+    (["kempf", "optimize", *SL3, "--subspace", "@sl3-not-closed"], EXIT_INPUT),
+    (["kempf", "optimize", *SL3, "--subspace", "@sl3-not-p-nil"], EXIT_INPUT),
     (["radical", "compute", *SL3, "--subspace", "@sl3-borel"], EXIT_OK),
     # the ad envelopes of the radical ideals pass the word cap, and the
     # walks over the 2^35 vectors of the radical the budget
@@ -196,9 +209,18 @@ def _materialise(argv, tmp_path):
     return out
 
 
+def _case_ids():
+    # group-action-code; a row that repeats an earlier row's command and
+    # exit code adds its input file's name
+    ids = []
+    for argv, code in CASES:
+        case = f"{argv[0]}-{argv[1]}-{code}"
+        ids.append(f"{case}-{argv[-1][1:]}" if case in ids else case)
+    return ids
+
+
 @pytest.mark.parametrize("argv,code", CASES + list(ENVELOPE_CASES.values()),
-                         ids=[f"{a[0]}-{a[1]}-{c}" for a, c in CASES]
-                         + list(ENVELOPE_CASES))
+                         ids=_case_ids() + list(ENVELOPE_CASES))
 def test_exit_code_and_byte_identical_json(argv, code, tmp_path, capsys,
                                            monkeypatch):
     walk_free = (argv, code) in ENVELOPE_CASES.values()
@@ -430,6 +452,61 @@ def test_a_malformed_command_line_is_an_input_error(argv, capsys):
     assert exc.value.code == EXIT_INPUT
     out, err = capsys.readouterr()
     assert out == "" and "error:" in err
+
+
+def test_algebra_build_writes_its_stdout_bytes_to_out(tmp_path, capsys):
+    argv = ["algebra", "build", *SL3]
+    assert main(argv) == EXIT_OK
+    stdout = capsys.readouterr().out
+    path = tmp_path / "g.json"
+    assert main([*argv, "--out", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == f"wrote {path}\n"
+    assert path.read_text() == stdout
+
+
+def test_fixtures_paper_writes_the_packaged_fixture_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["fixtures", "paper", "--out", str(out)]) == EXIT_OK
+    path = out / "bad_prime_fixtures.json"
+    assert capsys.readouterr().out == f"wrote {path}\n"
+    packaged = Path(SRC) / "morozov" / "data" / "bad_prime_fixtures.json"
+    assert path.read_bytes() == packaged.read_bytes()
+
+
+def test_prime_classify_needs_n_for_classical_types_only(capsys):
+    assert main(["prime", "classify", "--type", "E8", "--p", "5"]) == EXIT_OK
+    pc = json.loads(capsys.readouterr().out)["classification"]
+    assert (pc["bad"], pc["torsion"], pc["coxeter_number"]) == (True, True, 30)
+    assert main(["prime", "classify", "--type", "A", "--p", "5"]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == "" and err == "input error: classical types need --n\n"
+
+
+@pytest.mark.parametrize("p,code", [("101", EXIT_OK),
+                                    ("3", EXIT_CHECK_FAILED)])
+def test_hn_check_reads_the_e0_preconditions(p, code, tmp_path, capsys):
+    # with --p and --dim-g the preconditions of E_0 decide the exit code
+    argv = _materialise(["hn", "check", "--filtration", "@hn-ok", "--p", p,
+                         "--dim-g", "3"], tmp_path)
+    assert main(argv) == code
+    pre = json.loads(capsys.readouterr().out)["e0_preconditions"]
+    assert pre["all_pass"] is (code == EXIT_OK)
+
+
+@pytest.mark.parametrize("statuses,code", [
+    (("pass", "fail", "undetermined"), EXIT_CHECK_FAILED),
+    (("undetermined", "pass"), EXIT_UNDETERMINED),
+    (("pass", "pass"), EXIT_OK),
+], ids=["fail", "undetermined", "pass"])
+def test_suite_run_exits_by_its_criteria(statuses, code, monkeypatch, capsys):
+    # 1 when a criterion fails, else 2 when one is undetermined, else 0
+    monkeypatch.setattr(suite, "CRITERIA", [
+        (str(i), lambda seed, i=i, s=s: suite.CheckResult(f"{i} stub", s))
+        for i, s in enumerate(statuses, 1)])
+    assert main(["suite", "run"]) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0].strip("[]") for line in lines] == \
+        [s.upper() for s in statuses]
 
 
 def test_parabolic_detect_on_an_algebra_without_a_frame(tmp_path, capsys):
