@@ -22,6 +22,7 @@ from pathlib import Path
 from . import fixtures as fixtures_mod
 from . import hnslope, kempf, parabolic, radicals, rootdata, suite, tower
 from .liealg import build
+from .radicals import InputError
 from .serialize import (SCHEMA_VERSION, algebra_from_dict, algebra_to_dict,
                         canonical_json, subspace_from_dict)
 
@@ -29,10 +30,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_UNDETERMINED = 2
 EXIT_INPUT = 3
-
-
-class InputError(Exception):
-    pass
 
 
 def _load_json(path: str) -> dict:
@@ -140,19 +137,16 @@ def cmd_tower_run(args) -> int:
     return _emit(args, payload, _exit_code(report.checks.values()), text)
 
 
-# faults of the input, as for `tower run`; the optimizer's other refusals (no
-# torus frame, u = 0, support on the torus, 0 in the hull) read inadmissible
-_KEMPF_INPUT_FAULTS = ("input is not a subalgebra", "input is not p-nil")
-
-
 def cmd_kempf_optimize(args) -> int:
     g = _algebra_from_args(args)
     u = _subspace_from_args(args, g)
     try:
         cert = kempf.optimize(g, u)
+    except InputError:
+        raise
     except ValueError as exc:
-        if str(exc) in _KEMPF_INPUT_FAULTS:
-            raise InputError(str(exc)) from exc
+        # the optimizer's other refusals (no torus frame, u = 0, support on
+        # the torus, 0 in the hull) read inadmissible
         return _emit(args, {"status": "inadmissible", "reason": str(exc)},
                      EXIT_UNDETERMINED)
     report = kempf.verify_obstruction(g, u, cert)
@@ -166,10 +160,7 @@ def cmd_kempf_optimize(args) -> int:
 def cmd_parabolic_detect(args) -> int:
     g = _algebra_from_args(args)
     q = _subspace_from_args(args, g)
-    try:
-        verdict = parabolic.detect_parabolic(g, q)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    verdict = parabolic.detect_parabolic(g, q)
     payload = {"verdict": verdict.as_dict()}
     code = {"parabolic": EXIT_OK, "not-parabolic": EXIT_CHECK_FAILED,
             "undetermined": EXIT_UNDETERMINED}[verdict.status]

@@ -112,7 +112,9 @@ class OptimalityCertificate:
 
 def check_search_class(g: LieAlgebra, u: Subspace, budget=None) -> None:
     """The optimizer's input class: a nonzero bracket-closed p-nil subspace
-    supported on root coordinates of the standard torus.  The p-nil gate
+    supported on root coordinates of the standard torus.  A u that is not
+    a subalgebra, or not p-nil, is an input fault (`radicals.InputError`);
+    the other refusals are ValueError, read as inadmissible.  The p-nil gate
     is `radicals.check_p_nil`: a certified root support, else one Engel
     flag, exact on every family with no budget; on a split u both checks
     run on root indices.  `budget` is unused: `perfbench/test_perfbench.py`
@@ -127,7 +129,7 @@ def check_search_class(g: LieAlgebra, u: Subspace, budget=None) -> None:
             "subspace has support on the torus part; the fixed-torus search "
             "only covers subalgebras spanned inside the root coordinates")
     if not g.is_subalgebra(u):
-        raise ValueError("input is not a subalgebra")
+        raise radicals.InputError("input is not a subalgebra")
     radicals.check_p_nil(g, u)
 
 

@@ -475,12 +475,17 @@ class LieAlgebra:
         the torus part brackets each line into itself (module notes)."""
         split = coordinate_split(self, u)
         if split is not None:
-            torus, lines = split
-            return self._split_holds(self.split_bracket(lines, lines, ()),
-                                     lines, torus)
+            return self.split_closed(split)
         basis = [list(b) for b in u.basis]
         return all(u.contains_vector(self.bracket_vec(a, b))
                    for i, a in enumerate(basis) for b in basis[i + 1:])
+
+    def split_closed(self, split) -> bool:
+        """`is_subalgebra` of a split subspace read as `coordinate_split`'s
+        (torus part, root indices): the pairs of its root lines."""
+        torus, lines = split
+        return self._split_holds(self.split_bracket(lines, lines, ()),
+                                 lines, torus)
 
     def derived_series(self, u: Subspace) -> list:
         return self._series(u, lambda t: self.bracket_spaces(t, t))

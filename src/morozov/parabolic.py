@@ -38,7 +38,7 @@ from .gfp import (Echelon, FieldMatrix, Subspace, _combine, image_flag,
                   trace_gram)
 from .liealg import (LieAlgebra, conjugate_subspace, coordinate_split,
                      standard_borel, weyl_matrices)
-from .radicals import SubView
+from .radicals import InputError, SubView
 from .rootdata import is_closed
 
 
@@ -76,15 +76,26 @@ def iso_invariants(g: LieAlgebra, q: Subspace) -> tuple:
 
 
 def _nil_maps(g: LieAlgebra, q: Subspace) -> list:
-    """The matrices of N = [q, q n q^perp] on the natural module, as maps:
+    """Matrices spanning N = [q, q n q^perp] on the natural module, as maps:
     I = q n q^perp, under the trace form, is the kernel of the `trace_gram`
     of the linear lifts of q's basis (on pgl the trace-0 lift, in
-    [gl, gl]), and N the lifts of [q, I]."""
+    [gl, gl]), and N is spanned by the brackets [x, y], x in q's basis and
+    y in I's, grown in one `Echelon`.  On a subalgebra q, N lies in I: the
+    form is invariant and the lift a Lie homomorphism, so I is an ideal of
+    q.  So the brackets stop once their rank is dim I, where N = I and the
+    maps are the lifts of I's basis; below that rank they are the lifts of
+    N's canonical rows.  `image_flag` reads only their span.  On any other
+    q the maps are whatever the stop leaves: `detect_parabolic` then
+    raises."""
     ideal = [q.combine(c) for c in kernel(trace_gram(
         [g.linear_lift(list(v)) for v in q.basis], g.p)).basis]
-    vecs = [g.bracket_vec(list(x), y) for x in q.basis for y in ideal]
-    return [g.linear_lift(list(v)).matvec
-            for v in Subspace.from_vectors(vecs, g.dim, g.p).basis]
+    span = Echelon(g.dim, g.p)
+    for x in q.basis:
+        for y in ideal:
+            if span.add(g.bracket_vec(list(x), y)) \
+                    and len(span.kept) == len(ideal):
+                return [g.linear_lift(y).matvec for y in ideal]
+    return [g.linear_lift(list(v)).matvec for v in span.rows(g.dim)]
 
 
 def _by_jacobson(g: LieAlgebra) -> bool:
@@ -172,11 +183,11 @@ def flag_frame(g: LieAlgebra, q: Subspace) -> Optional[FieldMatrix]:
     stabilises a standard flag, V > NV > N^2 V > ... > 0 for an ideal N of
     q's matrices; for a parabolic q, the flag q stabilises (Borel-Tits).
     At odd p, off pgl with p | n, N = [q, q n q^perp] (`_nil_maps`), the
-    nilradical: the bracket with q removes the scalars of q n q^perp (sl_n
-    with p | n), and every root is nonzero on the torus.  At p = 2 (N = 0
-    for a Borel of sl_2) and on pgl with p | n, N = J(A(q)), A(q)
-    generated by 1 and the `matrix_of` of q's basis
-    (`gfp.jacobson_radical`).  J commutes with extension of scalars and
+    nilradical, inside the ideal q n q^perp: the bracket with q removes the
+    scalars of q n q^perp (sl_n with p | n), and every root is nonzero on
+    the torus.  At p = 2 (N = 0 for a Borel of sl_2) and on pgl with
+    p | n, N = J(A(q)), A(q) generated by 1 and the `matrix_of` of q's
+    basis (`gfp.jacobson_radical`).  J commutes with extension of scalars and
     with conjugation, so it suffices that J(A(q)) = U, the strictly
     block-triangular matrices of the flag, for a standard q: A(q) lies
     between U and the block-triangular matrices, and A(q)/U maps onto the
@@ -189,7 +200,8 @@ def flag_frame(g: LieAlgebra, q: Subspace) -> Optional[FieldMatrix]:
     thus certifies that q is not parabolic: None (N = 0, the images stall
     above 0, or the flag closed under complements is no chain), or a
     P^-1 q P that is not standard.  A(q) is n x n with n <= 10, far
-    inside the envelope's word cap."""
+    inside the envelope's word cap.  q need not be a subalgebra: on any
+    other q, P is still a frame, and no P^-1 q P is standard."""
     if q.dim == 0:
         return None
     n, p = g.realization.n, g.p
@@ -222,19 +234,26 @@ def detect_parabolic(g: LieAlgebra, q: Subspace) -> ParabolicVerdict:
     """The verdict on a subalgebra q: "parabolic" from the standard frame or
     the flag frame, with the witness; "not-parabolic" when both fail, at
     every p; "undetermined" with no torus frame (see the module
-    docstring)."""
-    if not g.is_subalgebra(q):
-        raise ValueError("input is not a subalgebra")
+    docstring).  InputError when q is not a subalgebra.  A coordinate-split
+    q is tested first, on root indices, with the `coordinate_split` its
+    verdict reads.  Any other q is tested only where no frame verdict
+    certifies it: a standard parabolic P^-1 q P, t plus a closed root
+    subset, is a subalgebra, and so is q, conjugation by P being an
+    automorphism of g (any P on type A, mod scalars on pgl, a similitude
+    on sp and so).  The root-index test of P^-1 q P stays as the explicit
+    check; the pair test runs before a "not-parabolic" verdict."""
     if g.frame is None:
+        if not g.is_subalgebra(q):
+            raise InputError("input is not a subalgebra")
         return ParabolicVerdict("undetermined", failure_reason="no-torus-found",
                                 details={"note": "algebra has no torus frame"})
     rd = g.frame.rootdatum
     allroots = set(rd.roots)
 
-    def coordinate_verdict(s, frame=None):
-        """The verdict on s = t + root lines, its torus moved back by the
-        frame of s = P^-1 q P, or why it fails; None for any other s."""
-        split = coordinate_split(g, s)
+    def coordinate_verdict(split, frame=None):
+        """The verdict on s = t + root lines, read as its `coordinate_split`,
+        its torus moved back by the frame of s = P^-1 q P, or why it fails;
+        None for any other s."""
         if split is None or split[0].dim < len(g.frame.torus_indices):
             return None
         roots = tuple(sorted(g.frame.index_root[i] for i in split[1]))
@@ -251,9 +270,12 @@ def detect_parabolic(g: LieAlgebra, q: Subspace) -> ParabolicVerdict:
         return ParabolicVerdict("parabolic", torus, roots, details=details,
                                 frame=frame)
 
+    split = coordinate_split(g, q)
+    if split is not None and not g.split_closed(split):
+        raise InputError("input is not a subalgebra")
     # a coordinate subset failing the parabolic-subset conditions falls
     # through to the frame certificate
-    partial = coordinate_verdict(q)
+    partial = coordinate_verdict(split)
     if isinstance(partial, ParabolicVerdict):
         return partial
 
@@ -261,10 +283,14 @@ def detect_parabolic(g: LieAlgebra, q: Subspace) -> ParabolicVerdict:
     frame = flag_frame(g, q)
     if frame is not None:
         frame = (frame, frame.inverse())
-        verdict = coordinate_verdict(
-            conjugate_subspace(g, frame[1], q, frame[0]), frame)
-        if isinstance(verdict, ParabolicVerdict):
+        moved = coordinate_split(
+            g, conjugate_subspace(g, frame[1], q, frame[0]))
+        verdict = coordinate_verdict(moved, frame)
+        # a standard P^-1 q P certifies that q is a subalgebra
+        if isinstance(verdict, ParabolicVerdict) and g.split_closed(moved):
             return verdict
+    if split is None and not g.is_subalgebra(q):
+        raise InputError("input is not a subalgebra")
 
     # the frame finds every parabolic (see flag_frame), so its failure is
     # the certificate

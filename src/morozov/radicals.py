@@ -86,6 +86,12 @@ class Undetermined(Exception):
     that is no subspace (`_walk`)."""
 
 
+class InputError(ValueError):
+    """Raised on an input outside an operation's hypotheses: a subspace
+    that is not a subalgebra, not p-closed or not p-nil; the front end
+    exits 3 on it."""
+
+
 # ---------------------------------------------------------------------------
 # The view: a sub-quotient as a structure-constant algebra
 # ---------------------------------------------------------------------------
@@ -187,10 +193,10 @@ def _act_nilpotently(lifts, p: int) -> bool:
 
 def check_p_nil(g: LieAlgebra, u: Subspace, what: str = "input") -> None:
     """The one p-nil gate (`is_p_nil_subalgebra`: a certified root support,
-    else one Engel flag), exact on every family: ValueError when the
+    else one Engel flag), exact on every family: InputError when the
     subalgebra u is not p-nil."""
     if not is_p_nil_subalgebra(g, u):
-        raise ValueError(f"{what} is not p-nil")
+        raise InputError(f"{what} is not p-nil")
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +295,7 @@ def solvable_radical(g: LieAlgebra, h: Subspace) -> Subspace:
     key = ("rad", h.basis)
     if key not in g._memo:
         if not g.is_subalgebra(h):
-            raise ValueError("input is not a subalgebra")
+            raise InputError("input is not a subalgebra")
         out = _structured_solvable_radical(g, h)
         if out is None:
             out = _view_radical(g, h)

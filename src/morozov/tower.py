@@ -71,18 +71,20 @@ class TowerTrace:
 
 
 def check_tower_input(g: LieAlgebra, u: Subspace, budget=None) -> None:
-    """Hypothesis check: u must be a restricted p-nil subalgebra.  Each
-    unit basis vector, every one on a split u of root lines, reads its
-    p-power from the build (`LieAlgebra.is_p_closed`), with no matrix
-    power.  The p-nil gate is `radicals.check_p_nil`: a certified root support,
-    else one Engel flag, exact on every family with no budget; on a split
-    u both checks run on root indices.  `budget` is unused:
+    """Hypothesis check: u must be a restricted p-nil subalgebra, else
+    `radicals.InputError`.  Each unit basis vector, every one on a split u
+    of root lines, reads its p-power from the build
+    (`LieAlgebra.is_p_closed`), with no matrix power.  The p-nil gate is
+    `radicals.check_p_nil`: a certified root support, else one Engel flag,
+    exact on every family with no budget; on a split u both checks run on
+    root indices.  `budget` is unused:
     `perfbench/test_perfbench.py` still passes it, and it stays until the
     benchmark drops it."""
     if not g.is_subalgebra(u):
-        raise ValueError("tower input is not a subalgebra")
+        raise radicals.InputError("tower input is not a subalgebra")
     if not g.is_p_closed(u):
-        raise ValueError("tower input is not closed under the p-power map")
+        raise radicals.InputError(
+            "tower input is not closed under the p-power map")
     radicals.check_p_nil(g, u, "tower input")
 
 

@@ -7,7 +7,7 @@ from morozov.fixtures import (ex1_pgl_pattern, ex1_sl3_subalgebra,
                               ex2_corrected_pattern, ex2_printed_pattern,
                               ex2_subalgebra)
 from morozov.gfp import (FieldMatrix, Subspace, image_flag, jacobson_radical,
-                         rref)
+                         kernel, rref, trace_gram)
 from morozov.liealg import (LieAlgebra, build, conjugate_subspace,
                             coordinate_split, standard_borel,
                             standard_parabolic, torus_subspace)
@@ -598,3 +598,111 @@ def test_a_subalgebra_whose_root_set_is_not_closed():
     v = detect_parabolic(g, q)
     assert (v.status, v.failure_reason, v.details["coordinate_failure"]) == (
         "not-parabolic", "not-closed", "not-closed")
+
+
+def _mover(g, rng):
+    """A seeded element that normalises g: an invertible matrix on type A,
+    a root-group word on sp and so."""
+    return (_invertible(g.realization.n, g.p, rng) if g.frame.form is None
+            else _root_group_element(g, rng))
+
+
+def _moved_not_closed(g, rng):
+    """The Borel's nilradical plus the line of -a for the first simple root
+    a, moved out of standard position: not a subalgebra, as [e_a, e_-a]
+    lies in the torus, and q n q^perp holds every root line but e_a's."""
+    neg = tuple(-x for x in g.frame.rootdatum.simple_roots[0])
+    nil = standard_borel(g)["nilradical"]
+    q = conjugate_subspace(g, _mover(g, rng), Subspace.from_vectors(
+        list(nil.basis) + [g.unit(g.frame.root_index[neg])], g.dim, g.p))
+    assert coordinate_split(g, q) is None and not g.is_subalgebra(q)
+    return q
+
+
+# sl3@2 and pgl3@3 read the flag of J(A(q)); the others that of [q, q n q^perp]
+@pytest.mark.parametrize("fam,n,p", [("sl", 4, 5), ("sp", 4, 5), ("so", 5, 7),
+                                     ("sl", 3, 2), ("pgl", 3, 3)])
+def test_non_subalgebras_reach_the_frame_and_still_raise(fam, n, p, tmp_path,
+                                                         capsys, monkeypatch):
+    # a subspace off the coordinate split is tested after its frame: the
+    # frame, its inverse and the conjugate raise nothing on a non-closed
+    # q, and the pair test refuses it before a verdict
+    from morozov.cli import EXIT_INPUT, main
+    from morozov.radicals import InputError
+    from morozov.serialize import canonical_json, subspace_to_dict
+    g = build(fam, n, p)
+    rng = random.Random(n * p)
+    inputs = [_moved_not_closed(g, rng)]
+    if fam == "sl":
+        # no frame: the trace form is nondegenerate on <e12, f12>, and at
+        # p = 2 its envelope is semisimple
+        inputs.append(conjugate_subspace(g, _mover(g, rng), g.subspace(
+            [g.element_by_label(x).coords for x in ("e12", "f12")])))
+    frames = []
+    real_flag_frame = parabolic.flag_frame
+    monkeypatch.setattr(parabolic, "flag_frame", lambda g, q: frames.append(
+        real_flag_frame(g, q)) or frames[-1])
+    path = tmp_path / "q.json"
+    argv = ["parabolic", "detect", "--family", fam, "--n", str(n), "--p",
+            str(p), "--subspace", str(path)]
+    for q in inputs:
+        with pytest.raises(InputError, match="^input is not a subalgebra$"):
+            detect_parabolic(g, q)
+        path.write_text(canonical_json(subspace_to_dict(q)))
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr() == ("", "input error: input is not a "
+                                           "subalgebra\n")
+    # the first input has q n q^perp != 0, and flag_frame builds its frame
+    assert frames[0] is not None and frames[0] == frames[1]
+    if fam == "sl":
+        assert frames[2] is None
+
+
+def _nil_oracle(g, q):
+    """(I, N) for I = q n q^perp and N = [q, I] from all d * dim I
+    brackets, with no early stop."""
+    ideal = kernel(trace_gram([g.linear_lift(list(v)) for v in q.basis],
+                              g.p))
+    ideal = Subspace.from_vectors([q.combine(c) for c in ideal.basis],
+                                  g.dim, g.p)
+    return ideal, Subspace.from_vectors(
+        [g.bracket_vec(list(x), list(y)) for x in q.basis for y in ideal.basis],
+        g.dim, g.p)
+
+
+@pytest.mark.parametrize("fam,n,p", [
+    (fam, n, p) for fam, n in (("sl", 3), ("sl", 4), ("sp", 4), ("so", 5))
+    for p in (5, 7)] + [("pgl", 3, 5)])
+def test_nil_maps_stop_at_dim_i_with_the_span_and_flag_of_all_brackets(
+        fam, n, p):
+    # conjugated parabolics (N = I), Levis (I = 0) and the closures of a
+    # random element of the Levi and one of the nilradical, and of two of
+    # the nilradical, moved alike (some with dim N = dim I - 1): the early
+    # stop spans the N of every bracket, so the flag frame reads the same
+    # flag, and N lies in I on each
+    g = build(fam, n, p)
+    rng = random.Random(10 * n + p)
+    inputs = []
+    for chosen in _subsets(g):
+        w, data = _mover(g, rng), standard_parabolic(g, chosen)
+        q, levi, u = (conjugate_subspace(g, w, data[key])
+                      for key in ("parabolic", "levi", "nilradical"))
+        inputs += [q, levi] + [g.subalgebra_closure(
+            [g.element(s.combine([rng.randrange(p) for _ in s.basis]))
+             for s in gens]) for gens in ((levi, u), (u, u))]
+    full = Subspace.full(g.realization.n, p)
+    stops = set()
+    for q in inputs:
+        ideal, nil = _nil_oracle(g, q)
+        assert ideal.contains(nil)
+        maps = parabolic._nil_maps(g, q)
+        span = Subspace.from_vectors([f.__self__.entries for f in maps],
+                                     g.realization.n ** 2, p)
+        lifts = [g.linear_lift(list(v)) for v in nil.basis]
+        assert span == Subspace.from_vectors([m.entries for m in lifts],
+                                             g.realization.n ** 2, p)
+        assert image_flag(full, maps) == image_flag(
+            full, [m.matvec for m in lifts])
+        stops.add(ideal.dim - nil.dim)
+    # the stop at dim I and spans below it, one short among them
+    assert {0, 1} <= stops and max(stops) > 1

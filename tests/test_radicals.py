@@ -8,11 +8,11 @@ from morozov.gfp import FieldMatrix, Subspace, rref, solve_linear
 from morozov.kempf import check_search_class
 from morozov.liealg import (build, conjugate_subspace, coordinate_split,
                             split_sum, standard_borel, standard_parabolic)
-from morozov.radicals import (DEFAULT_BUDGET, SubView, Undetermined,
-                              _act_nilpotently, _ad_lift,
+from morozov.radicals import (DEFAULT_BUDGET, InputError, SubView,
+                              Undetermined, _act_nilpotently, _ad_lift,
                               _certified_root_support, _nilpotent_cone, _reach,
                               _structured_solvable_radical, _view_radical,
-                              is_p_nil_subalgebra, is_p_nilpotent,
+                              check_p_nil, is_p_nil_subalgebra, is_p_nilpotent,
                               nilradical, p_radical, pnil_part_of_radical,
                               radical_report, solvable_radical)
 from morozov.rootdata import is_closed, min_norm_point
@@ -1141,6 +1141,53 @@ def test_radical_compute_cli_exits_undetermined(tmp_path, capsys):
     assert main(args + ["--text"]) == EXIT_UNDETERMINED
     assert "nil dim None" in capsys.readouterr().out
 
+
+
+def _moved_e12_f12():
+    """<e12, f12> of sl3@5 moved by 1 + E_31 off the coordinate split: not
+    closed, as [e12, f12] = h1 leaves it."""
+    g = build("sl", 3, 5)
+    w = FieldMatrix.identity(3, 5) + FieldMatrix(
+        3, 3, 5, [int(i == 6) for i in range(9)])
+    q = conjugate_subspace(g, w, g.subspace(
+        [g.element_by_label(x).coords for x in ("e12", "f12")]))
+    assert coordinate_split(g, q) is None and not g.is_subalgebra(q)
+    return g, q
+
+
+def test_solvable_radical_refuses_a_non_split_non_subalgebra(tmp_path,
+                                                            capsys):
+    # the pair test of the peel loop's path refuses it, and so does the
+    # front end's own test in `radical compute`
+    from morozov.cli import EXIT_INPUT, main
+    from morozov.serialize import canonical_json, subspace_to_dict
+    g, q = _moved_e12_f12()
+    with pytest.raises(InputError, match="^input is not a subalgebra$"):
+        solvable_radical(g, q)
+    path = tmp_path / "h.json"
+    path.write_text(canonical_json(subspace_to_dict(q)))
+    assert main(["radical", "compute", "--family", "sl", "--n", "3", "--p", "5",
+                 "--subspace", str(path)]) == EXIT_INPUT
+    assert capsys.readouterr() == (
+        "", "input error: input subspace is not a subalgebra\n")
+
+
+def test_input_faults_raise_input_error():
+    # not a subalgebra or not p-nil: InputError, a ValueError;
+    # the optimizer's other refusals stay plain ValueError
+    g, q = _moved_e12_f12()
+    semisimple = g.subspace([[a + b for a, b in zip(
+        g.element_by_label("e12").coords, g.element_by_label("f12").coords)]])
+    for check in (check_tower_input, check_search_class):
+        for u in (q, semisimple):
+            with pytest.raises(InputError):
+                check(g, u)
+    with pytest.raises(InputError, match="^input is not p-nil$"):
+        check_p_nil(g, semisimple)
+    with pytest.raises(ValueError) as refusal:
+        check_search_class(g, line(g, "h1"))
+    assert not isinstance(refusal.value, InputError)
+    assert issubclass(InputError, ValueError)
 
 def _weyl_orbit_of_positive_roots(rd):
     """Every positive system of the root datum: the Weyl orbit of the
