@@ -3,13 +3,17 @@ handler and its flags in `--help` order.
 
 Exit codes: 0 = computation succeeded / all checks passed, 1 = a
 verification failed, 2 = undetermined, 3 = input error or malformed
-command line.  Where a command has several readings (the checks of `tower
-run`, the status of `radical compute`, the criteria of `suite run`),
-`_exit_code` reads them: 1 if any fails, else 2 if any is undetermined,
-else 0; a tower whose budget runs out exits 2.  No command takes a budget:
-the one walk left, in `radicals`, runs within `radicals.DEFAULT_BUDGET`.
-Output is canonical JSON (default) or text; identical inputs and seed
-give byte-identical JSON."""
+command line.  An input error has one shape on every command: nothing on
+stdout and one line `input error: ...` on stderr, written by `main` from
+the `gfp.InputError` raised by the engine gate that found the fault, or
+by the file readers here; no handler tests an input or turns an engine
+exception into an input error.  Where a command has several readings (the
+checks of `tower run`, the status of `radical compute`, the criteria of
+`suite run`), `_exit_code` reads them: 1 if any fails, else 2 if any is
+undetermined, else 0; a tower whose budget runs out exits 2.  No command
+takes a budget: the one walk left, in `radicals`, runs within
+`radicals.DEFAULT_BUDGET`.  Output is canonical JSON (default) or text;
+identical inputs and seed give byte-identical JSON."""
 
 from __future__ import annotations
 
@@ -21,8 +25,8 @@ from pathlib import Path
 
 from . import fixtures as fixtures_mod
 from . import hnslope, kempf, parabolic, radicals, rootdata, suite, tower
+from .gfp import InputError
 from .liealg import build
-from .radicals import InputError
 from .serialize import (SCHEMA_VERSION, algebra_from_dict, algebra_to_dict,
                         canonical_json, subspace_from_dict)
 
@@ -70,10 +74,7 @@ def _algebra_from_args(args) -> "LieAlgebra":
     if getattr(args, "algebra", None):
         return _load_with(args.algebra, algebra_from_dict)
     if None not in (args.family, args.n, args.p):
-        try:
-            return build(args.family, args.n, args.p)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        return build(args.family, args.n, args.p)
     raise InputError("give either --algebra FILE or --family/--n/--p")
 
 
@@ -130,8 +131,7 @@ def cmd_tower_run(args) -> int:
                     + ("" if s.q is None else f", dim q = {s.q.dim}")
                     + ("" if s.method is None else f" [{s.method}]"))
     if report is None:
-        return _emit(args, payload, EXIT_INPUT if trace.status == "input-error"
-                     else EXIT_UNDETERMINED, text)
+        return _emit(args, payload, EXIT_UNDETERMINED, text)
     for k, v in report.checks.items():
         text.append(f"  check {k}: {v}")
     return _emit(args, payload, _exit_code(report.checks.values()), text)
@@ -172,8 +172,6 @@ def cmd_parabolic_detect(args) -> int:
 def cmd_radical_compute(args) -> int:
     g = _algebra_from_args(args)
     h = _subspace_from_args(args, g) if args.subspace else g.full_space()
-    if not g.is_subalgebra(h):
-        raise InputError("input subspace is not a subalgebra")
     rep = radicals.radical_report(g, h)
     payload = {"report": rep.as_dict()}
     text = [f"rad dim {None if rep.rad is None else rep.rad.dim}",
@@ -185,18 +183,15 @@ def cmd_radical_compute(args) -> int:
 
 def cmd_prime_classify(args) -> int:
     label = args.type.upper()
-    try:
-        if label in rootdata.EXCEPTIONAL:
-            rd = rootdata.build_rootdatum(label)
-        elif label in rootdata.CLASSICAL:
-            if args.n is None:
-                raise InputError("classical types need --n")
-            rd = rootdata.build_rootdatum(label, args.n)
-        else:
-            raise InputError(f"unknown type {args.type!r}")
-        pc = rootdata.classify_prime(rd, args.p)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    if label in rootdata.EXCEPTIONAL:
+        rd = rootdata.build_rootdatum(label)
+    elif label in rootdata.CLASSICAL:
+        if args.n is None:
+            raise InputError("classical types need --n")
+        rd = rootdata.build_rootdatum(label, args.n)
+    else:
+        raise InputError(f"unknown type {args.type!r}")
+    pc = rootdata.classify_prime(rd, args.p)
     payload = {"classification": pc.as_dict()}
     text = [f"{rd.label} at p={args.p}: torsion={pc.is_torsion} "
             f"bad={pc.is_bad} good={pc.is_good} very_good={pc.is_very_good} "

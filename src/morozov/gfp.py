@@ -42,14 +42,20 @@ def is_prime(n: int) -> bool:
     return True
 
 
+class InputError(ValueError):
+    """An input outside an operation's hypotheses, raised by the check that
+    finds it: a refused modulus, family, type or size, or a subspace that
+    is not a subalgebra, not p-closed or not p-nil.  The CLI exits 3."""
+
+
 _MODULI = frozenset(q for q in range(MAX_PRIME + 1) if is_prime(q))
 
 
 def check_modulus(p: int) -> int:
     if p not in _MODULI:
         if not is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
-        raise ValueError(f"modulus {p} exceeds the supported bound {MAX_PRIME}")
+            raise InputError(f"modulus {p} is not prime")
+        raise InputError(f"modulus {p} exceeds the supported bound {MAX_PRIME}")
     return p
 
 

@@ -112,13 +112,18 @@ class OptimalityCertificate:
 
 def check_search_class(g: LieAlgebra, u: Subspace, budget=None) -> None:
     """The optimizer's input class: a nonzero bracket-closed p-nil subspace
-    supported on root coordinates of the standard torus.  A u that is not
-    a subalgebra, or not p-nil, is an input fault (`radicals.InputError`);
-    the other refusals are ValueError, read as inadmissible.  The p-nil gate
-    is `radicals.check_p_nil`: a certified root support, else one Engel
-    flag, exact on every family with no budget; on a split u both checks
-    run on root indices.  `budget` is unused: `perfbench/test_perfbench.py`
-    still passes it, and it stays until the benchmark drops it."""
+    supported on root coordinates of the standard torus.  The input's
+    faults are tested first: a u that is not a subalgebra, or not p-nil, is
+    an input fault (`radicals.InputError`).  Only then come the other
+    refusals, ValueError read as inadmissible: no torus frame, u = 0,
+    support on the torus.  The p-nil gate is `radicals.check_p_nil`: a
+    certified root support, else one Engel flag, exact on every family
+    with no budget; on a split u both checks run on root indices.
+    `budget` is unused: `perfbench/test_perfbench.py` still passes it, and
+    it stays until the benchmark drops it."""
+    if not g.is_subalgebra(u):
+        raise radicals.InputError("input is not a subalgebra")
+    radicals.check_p_nil(g, u)
     if g.frame is None:
         raise ValueError("algebra has no torus frame")
     if u.dim == 0:
@@ -128,9 +133,6 @@ def check_search_class(g: LieAlgebra, u: Subspace, budget=None) -> None:
         raise ValueError(
             "subspace has support on the torus part; the fixed-torus search "
             "only covers subalgebras spanned inside the root coordinates")
-    if not g.is_subalgebra(u):
-        raise radicals.InputError("input is not a subalgebra")
-    radicals.check_p_nil(g, u)
 
 
 def check_certificate(g: LieAlgebra, u: Subspace,

@@ -37,9 +37,9 @@ from functools import cached_property, lru_cache
 from itertools import permutations
 from typing import Optional, Sequence
 
-from .gfp import (MAX_DIM, Echelon, FieldMatrix, Subspace, _combine,
-                  check_modulus, inv_mod, kernel, rref, solve_linear,
-                  trace_gram)
+from .gfp import (MAX_DIM, Echelon, FieldMatrix, InputError, Subspace,
+                  _combine, check_modulus, inv_mod, kernel, rref,
+                  solve_linear, trace_gram)
 from .rootdata import RootDatum, build_rootdatum, parabolic_roots
 
 # ---------------------------------------------------------------------------
@@ -747,26 +747,26 @@ def build(family: str, n: int, p: int) -> LieAlgebra:
     dims = {"gl": n * n, "sl": n * n - 1, "pgl": n * n - 1,
             "sp": n * (n + 1) // 2, "so": n * (n - 1) // 2}
     if family not in dims:
-        raise ValueError(f"unknown family {family!r}")
+        raise InputError(f"unknown family {family!r}")
     if dims[family] > MAX_DIM:
-        raise ValueError(f"{family}_{n} has dimension {dims[family]}, "
+        raise InputError(f"{family}_{n} has dimension {dims[family]}, "
                          f"above the cap {MAX_DIM}")
     if family in ("gl", "sl", "pgl"):
         if n < 2:
-            raise ValueError("gl/sl/pgl take n >= 2")
+            raise InputError("gl/sl/pgl take n >= 2")
         rank, rd, perm, sign = n, build_rootdatum("A", n - 1), None, None
     elif family == "sp":
         if n % 2 or n < 4:
-            raise ValueError("sp takes the matrix size 2k >= 4")
+            raise InputError("sp takes the matrix size 2k >= 4")
         rank = n // 2
         rd = build_rootdatum("C", rank)
         perm = [(c + rank) % n for c in range(n)]
         sign = [-1] * rank + [1] * rank
     else:
         if n < 5:
-            raise ValueError("so takes n >= 5")
+            raise InputError("so takes n >= 5")
         if p == 2:
-            raise ValueError("so is not supported at p = 2")
+            raise InputError("so is not supported at p = 2")
         rank = n // 2
         rd = build_rootdatum("B" if n % 2 else "D", rank)
         perm, sign = list(reversed(range(n))), [1] * n

@@ -73,8 +73,8 @@ from typing import Optional
 
 # kernel and rref are unused here; the benchmark tracer's self-test checks
 # that rebinding reaches every module importing them by name
-from .gfp import (FieldMatrix, Subspace, image_flag,  # noqa: F401
-                  jacobson_radical, kernel, rref, solve_linear)
+from .gfp import (FieldMatrix, InputError, Subspace,  # noqa: F401
+                  image_flag, jacobson_radical, kernel, rref, solve_linear)
 from .liealg import Element, LieAlgebra, coordinate_split, split_sum
 from .rootdata import is_closed
 
@@ -84,12 +84,6 @@ DEFAULT_BUDGET = 10 ** 7    # the walk
 class Undetermined(Exception):
     """Raised where the walk gives up: past DEFAULT_BUDGET, or on a set
     that is no subspace (`_walk`)."""
-
-
-class InputError(ValueError):
-    """Raised on an input outside an operation's hypotheses: a subspace
-    that is not a subalgebra, not p-closed or not p-nil; the front end
-    exits 3 on it."""
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Sequence
 
-from .gfp import is_prime
+from .gfp import InputError, is_prime
 
 # the classical types, built and tabulated from MIN_RANK up to MAX_RANK
 MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
@@ -199,12 +199,12 @@ def build_rootdatum(type_label: str, n: int = 0) -> RootDatum:
         return RootDatum(type_label, data["rank"], (), (), (),
                          data["a"], data["b"])
     if type_label not in CLASSICAL:
-        raise ValueError(f"unknown type {type_label!r}")
+        raise InputError(f"unknown type {type_label!r}")
     minimum = MIN_RANK[type_label]
     if n < minimum:
-        raise ValueError(f"type {type_label} needs rank >= {minimum}")
+        raise InputError(f"type {type_label} needs rank >= {minimum}")
     if n > MAX_RANK:
-        raise ValueError(f"rank capped at {MAX_RANK}")
+        raise InputError(f"rank capped at {MAX_RANK}")
     simples = _simple_roots(type_label, n)
     coefficients = _orbit(simples)
     positives = sorted((r for r, c in coefficients.items() if sum(c) > 0),
@@ -254,7 +254,7 @@ class PrimeClass:
 
 def classify_prime(rd: RootDatum, p: int) -> PrimeClass:
     if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise InputError(f"{p} is not prime")
     a = rd.highest_root_coeffs
     b = rd.highest_coroot_coeffs
     torsion = any(c % p == 0 for c in b)

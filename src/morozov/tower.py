@@ -10,7 +10,9 @@ envelope fits (`radicals` notes).  So dim u never decreases and is at most
 dim g, and once u repeats the stop rule (u and q repeat) fires within one
 more step.  A step whose u does not contain the last is an engine bug
 (RuntimeError); one whose rad_p is undecided ends the tower
-`budget-exceeded`, the reason in `detail`.  No step takes a budget.
+`budget-exceeded`, the reason in `detail`.  No step takes a budget.  An
+input that is not a restricted p-nil subalgebra is no outcome of the
+tower: `check_tower_input` raises InputError before the first step.
 Check (c), u = rad_p(q), rereads the last step's memoised rad_p, so
 where (b) finds q parabolic it also holds u against the nilradical of
 (b)'s witness in the verdict's frame, which a wrong rad_p would miss.
@@ -49,7 +51,7 @@ class TowerStep:
 @dataclass
 class TowerTrace:
     steps: list
-    status: str                      # stabilized | budget-exceeded | input-error
+    status: str                      # stabilized | budget-exceeded
     stabilized_at: Optional[int] = None
     detail: str = ""
 
@@ -99,10 +101,7 @@ def tower_step(g: LieAlgebra, u: Subspace) -> tuple:
 def run_tower(g: LieAlgebra, u0: Subspace) -> TowerTrace:
     """The tower from u0 until u and q repeat: an increasing chain of p-nil
     subalgebras (module notes), checked at every step."""
-    try:
-        check_tower_input(g, u0)
-    except ValueError as exc:
-        return TowerTrace([TowerStep(0, u0, None)], "input-error", detail=str(exc))
+    check_tower_input(g, u0)
     steps = [TowerStep(0, u0, None)]
     while True:
         prev, i = steps[-1], len(steps)

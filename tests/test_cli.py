@@ -25,13 +25,17 @@ def _sl3_borel(role):
     return standard_borel(build("sl", 3, 5))[role]
 
 
+def _moved(g, s):
+    # s moved by 1 + E_31 out of standard position
+    w = FieldMatrix.identity(3, g.p) + FieldMatrix(
+        3, 3, g.p, [int(i == 6) for i in range(9)])
+    return conjugate_subspace(g, w, s)
+
+
 def _conjugated(role, family="sl", p=5):
-    # the standard Borel's part moved by 1 + E_31 out of standard position,
-    # off the structured radical path
+    # the standard Borel's part moved off the structured radical path
     g = build(family, 3, p)
-    w = FieldMatrix.identity(3, p) + FieldMatrix(
-        3, 3, p, [int(i == 6) for i in range(9)])
-    return conjugate_subspace(g, w, standard_borel(g)[role])
+    return _moved(g, standard_borel(g)[role])
 
 
 def _sl3_line(label):
@@ -42,6 +46,13 @@ def _sl3_line(label):
 def _sl3_not_closed():
     g = build("sl", 3, 5)
     return g.subspace([g.element_by_label(x).coords for x in ("e12", "f12")])
+
+
+def _sl3_not_closed_on_the_torus():
+    # span{h1 + e12, f12}: [h1 + e12, f12] = h1 - 2 f12 lies outside it
+    g = build("sl", 3, 5)
+    h1, e12, f12 = (g.element_by_label(x).coords for x in ("h1", "e12", "f12"))
+    return g.subspace([[a + b for a, b in zip(h1, e12)], f12])
 
 
 def _sl3_not_p_nil():
@@ -93,6 +104,8 @@ SUBSPACES = {
     "sl3@2-nil-S0": lambda: standard_parabolic(
         build("sl", 3, 2), (0,))["nilradical"],
     "sl3-h1": lambda: _sl3_line("h1"),
+    "sl3-e13-conj": lambda: _moved(build("sl", 3, 5), _sl3_line("e13")),
+    "sl3-not-closed-on-torus": _sl3_not_closed_on_the_torus,
     "sl3-not-closed": _sl3_not_closed,
     "sl3-not-p-nil": _sl3_not_p_nil,
     "pgl3-ex2": lambda: fixtures.ex2_subalgebra(build("pgl", 3, 3)),
@@ -133,13 +146,18 @@ CASES = [
       "@sl2-borel"], EXIT_UNDETERMINED),
     (["parabolic", "detect", *SL3, "--subspace", "@sl3-not-closed"], EXIT_INPUT),
     (["kempf", "optimize", *SL3, "--subspace", "@sl3-nil"], EXIT_OK),
-    # a line on the torus lies outside the optimizer's search class
-    (["kempf", "optimize", *SL3, "--subspace", "@sl3-h1"], EXIT_UNDETERMINED),
+    # a p-nil line off the root coordinates lies outside the optimizer's
+    # search class
+    (["kempf", "optimize", *SL3, "--subspace", "@sl3-e13-conj"],
+     EXIT_UNDETERMINED),
     (["kempf", "optimize", "--family", "sl", "--n", "3", "--p", "7",
       "--subspace", "@sl3-nil"], EXIT_INPUT),
     # a subspace that is not a subalgebra, or not p-nil, is an input error
     (["kempf", "optimize", *SL3, "--subspace", "@sl3-not-closed"], EXIT_INPUT),
     (["kempf", "optimize", *SL3, "--subspace", "@sl3-not-p-nil"], EXIT_INPUT),
+    # the input's faults are tested before the search class: h1 is not
+    # p-nil, an input error as on tower run
+    (["kempf", "optimize", *SL3, "--subspace", "@sl3-h1"], EXIT_INPUT),
     (["radical", "compute", *SL3, "--subspace", "@sl3-borel"], EXIT_OK),
     # the ad envelopes of the radical ideals pass the word cap, and the
     # walks over the 2^35 vectors of the radical the budget
@@ -232,12 +250,29 @@ def test_exit_code_and_byte_identical_json(argv, code, tmp_path, capsys,
         assert main(argv) == code
         runs.append(capsys.readouterr())
     assert runs[0].out == runs[1].out
-    if runs[0].out:
-        assert runs[0].out == canonical_json(json.loads(runs[0].out))
-    else:
-        # input errors raised before any payload go to stderr alone
-        assert code == EXIT_INPUT
-        assert runs[0].err.startswith("input error:")
+    # exit 3 exactly when stdout is empty and stderr one `input error: ` line
+    out, err = runs[0]
+    assert (code == EXIT_INPUT) == (
+        out == "" and err.startswith("input error: ") and err.count("\n") == 1)
+    if out:
+        assert out == canonical_json(json.loads(out))
+
+
+@pytest.mark.parametrize("command", [["tower", "run"], ["parabolic", "detect"],
+                                     ["radical", "compute"],
+                                     ["kempf", "optimize"]],
+                         ids=lambda command: "-".join(command))
+def test_a_subspace_that_is_not_a_subalgebra_reads_one_way(command, tmp_path,
+                                                          capsys):
+    # span{h1 + e12, f12} on every command that takes a subspace: exit 3,
+    # nothing on stdout and one line saying it is not a subalgebra
+    argv = _materialise([*command, *SL3, "--subspace",
+                         "@sl3-not-closed-on-torus"], tmp_path)
+    assert main(argv) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err in ("input error: input is not a subalgebra\n",
+                   "input error: tower input is not a subalgebra\n")
 
 
 def _sl2_algebra(edit):

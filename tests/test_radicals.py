@@ -1143,22 +1143,28 @@ def test_radical_compute_cli_exits_undetermined(tmp_path, capsys):
 
 
 
-def _moved_e12_f12():
-    """<e12, f12> of sl3@5 moved by 1 + E_31 off the coordinate split: not
-    closed, as [e12, f12] = h1 leaves it."""
+def _moved(*labels):
+    """The span of sl3@5's basis vectors `labels` moved by 1 + E_31 off the
+    coordinate split."""
     g = build("sl", 3, 5)
     w = FieldMatrix.identity(3, 5) + FieldMatrix(
         3, 3, 5, [int(i == 6) for i in range(9)])
-    q = conjugate_subspace(g, w, g.subspace(
-        [g.element_by_label(x).coords for x in ("e12", "f12")]))
+    return g, conjugate_subspace(g, w, g.subspace(
+        [g.element_by_label(x).coords for x in labels]))
+
+
+def _moved_e12_f12():
+    """<e12, f12> moved off the coordinate split: not closed, as
+    [e12, f12] = h1 leaves it."""
+    g, q = _moved("e12", "f12")
     assert coordinate_split(g, q) is None and not g.is_subalgebra(q)
     return g, q
 
 
 def test_solvable_radical_refuses_a_non_split_non_subalgebra(tmp_path,
                                                             capsys):
-    # the pair test of the peel loop's path refuses it, and so does the
-    # front end's own test in `radical compute`
+    # the pair test of the peel loop's path refuses it, and `radical
+    # compute` reports that refusal, with no test of its own
     from morozov.cli import EXIT_INPUT, main
     from morozov.serialize import canonical_json, subspace_to_dict
     g, q = _moved_e12_f12()
@@ -1169,12 +1175,13 @@ def test_solvable_radical_refuses_a_non_split_non_subalgebra(tmp_path,
     assert main(["radical", "compute", "--family", "sl", "--n", "3", "--p", "5",
                  "--subspace", str(path)]) == EXIT_INPUT
     assert capsys.readouterr() == (
-        "", "input error: input subspace is not a subalgebra\n")
+        "", "input error: input is not a subalgebra\n")
 
 
 def test_input_faults_raise_input_error():
-    # not a subalgebra or not p-nil: InputError, a ValueError;
-    # the optimizer's other refusals stay plain ValueError
+    # not a subalgebra or not p-nil: InputError, a ValueError; the
+    # optimizer's other refusals stay plain ValueError, here the p-nil line
+    # e13 moved off the root coordinates
     g, q = _moved_e12_f12()
     semisimple = g.subspace([[a + b for a, b in zip(
         g.element_by_label("e12").coords, g.element_by_label("f12").coords)]])
@@ -1185,7 +1192,7 @@ def test_input_faults_raise_input_error():
     with pytest.raises(InputError, match="^input is not p-nil$"):
         check_p_nil(g, semisimple)
     with pytest.raises(ValueError) as refusal:
-        check_search_class(g, line(g, "h1"))
+        check_search_class(*_moved("e13"))
     assert not isinstance(refusal.value, InputError)
     assert issubclass(InputError, ValueError)
 

@@ -3,10 +3,12 @@ the source, every name kept only for the benchmark is still read by it
 and by no engine code but another such name, no function takes a budget
 but the benchmark's shims and no command a `--budget`, no module outside
 `gfp` takes a private `gfp` name but `_combine`, no module but `liealg`
-reads the root-index tables or the kill-set memo, the packaged fixture
-file matches its generator, no module imports numpy and `pyproject.toml`
-declares no runtime dependency, and `morozov suite run` checks the
-structure laws with numpy unimportable."""
+reads the root-index tables or the kill-set memo, the front end runs no
+engine predicate and catches ValueError only in its file loader and its
+Kempf refusals, the packaged fixture file matches its generator, no
+module imports numpy and `pyproject.toml` declares no runtime dependency,
+and `morozov suite run` checks the structure laws with numpy
+unimportable."""
 
 import ast
 import importlib
@@ -250,6 +252,42 @@ def test_frame_is_read_off_the_verdict_not_its_details():
                if path.stem != "parabolic"
                and _details_frame_reads(path.read_text())]
     assert readers == []
+
+
+ENGINE_PREDICATES = {"is_subalgebra", "is_p_closed", "is_p_nil_subalgebra",
+                     "check_p_nil", "check_tower_input"}
+
+
+def _front_end_checks(text: str) -> tuple:
+    """The engine predicates the source calls, by bare name or attribute,
+    and the functions holding an `except` clause that names ValueError."""
+    calls, handlers = set(), set()
+    for fn in ast.walk(ast.parse(text)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                calls.update({name} & ENGINE_PREDICATES)
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None \
+                    and any(isinstance(n, ast.Name) and n.id == "ValueError"
+                            for n in ast.walk(node.type)):
+                handlers.add(fn.name)
+    return calls, handlers
+
+
+def test_the_front_end_checks_and_translates_no_input():
+    # every input fault is the engine's InputError, reported by `main`:
+    # the front end runs no engine predicate, and catches ValueError only
+    # where a loader reads a file and where Kempf's refusals read
+    # inadmissible
+    assert _front_end_checks(
+        "def f(g, u):\n    try:\n        g.is_subalgebra(u)\n"
+        "    except (KeyError, ValueError):\n        pass\n") == (
+        {"is_subalgebra"}, {"f"})
+    calls, handlers = _front_end_checks((PACKAGE / "cli.py").read_text())
+    assert calls == set()
+    assert handlers == {"_load_with", "cmd_kempf_optimize"}
 
 
 def test_packaged_fixture_file_matches_its_generator():

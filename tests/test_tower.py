@@ -8,7 +8,7 @@ import pytest
 from morozov.gfp import FieldMatrix, Subspace
 from morozov.kempf import check_search_class, optimize
 from morozov.liealg import build, standard_borel, standard_parabolic
-from morozov.radicals import p_radical, solvable_radical
+from morozov.radicals import InputError, p_radical, solvable_radical
 from morozov.tower import (TowerTrace, check_tower_input, run_tower,
                            tower_step, verify_morozov)
 
@@ -65,13 +65,14 @@ def test_run_tower_parabolic_fixed_points():
 def test_input_validation():
     g = build("sl", 2, 5)
     h = line(g, "h1")
-    tr = run_tower(g, h)
-    assert tr.status == "input-error"
+    with pytest.raises(InputError, match="^tower input is not p-nil$"):
+        run_tower(g, h)
     # not a subalgebra
     bad = g.subspace([g.element_by_label("e12").coords,
                       g.element_by_label("f12").coords])
-    tr = run_tower(g, bad)
-    assert tr.status == "input-error"
+    with pytest.raises(InputError,
+                       match="^tower input is not a subalgebra$"):
+        run_tower(g, bad)
     with pytest.raises(ValueError):
         check_tower_input(g, h)
 
@@ -88,10 +89,9 @@ def test_tower_input_not_closed_under_the_p_power_map():
     assert cube == g.coordinates_of_matrix(
         FieldMatrix.from_rows([[2, 2], [2, 0]], 3))
     assert g.is_subalgebra(u) and not u.contains_vector(cube)
-    trace = run_tower(g, u)
-    assert (trace.status, trace.detail) == (
-        "input-error", "tower input is not closed under the p-power map")
-    assert len(trace.steps) == 1 and trace.steps[0].q is None
+    with pytest.raises(InputError, match="^tower input is not closed "
+                                         "under the p-power map$"):
+        run_tower(g, u)
 
 
 def test_trace_reproducibility():
@@ -223,9 +223,8 @@ def test_pgl_input_over_budget_is_not_accepted():
     for budget in (10, None):
         with pytest.raises(ValueError, match="not p-nil"):
             check_tower_input(g, u, budget=budget)
-    tr = run_tower(g, u)
-    assert tr.status == "input-error"
-    assert tr.detail == "tower input is not p-nil"
+    with pytest.raises(InputError, match="^tower input is not p-nil$"):
+        run_tower(g, u)
     # the pgl4@5 Borel nilradical, 5^6 vectors, is accepted at budget 10
     g = build("pgl", 4, 5)
     check_tower_input(g, standard_borel(g)["nilradical"], budget=10)
