@@ -6,7 +6,8 @@ verification failed, 2 = undetermined, 3 = input error or malformed
 command line.  An input error has one shape on every command: nothing on
 stdout and one line `input error: ...` on stderr, written by `main` from
 the `gfp.InputError` raised by the engine gate that found the fault, or
-by the file readers here; no handler tests an input or turns an engine
+by the file readers here; no handler tests an input (`prime classify`
+hands its type label to `rootdata.build_rootdatum`) or turns an engine
 exception into an input error.  Where a command has several readings (the
 checks of `tower run`, the status of `radical compute`, the criteria of
 `suite run`), `_exit_code` reads them: 1 if any fails, else 2 if any is
@@ -182,15 +183,7 @@ def cmd_radical_compute(args) -> int:
 
 
 def cmd_prime_classify(args) -> int:
-    label = args.type.upper()
-    if label in rootdata.EXCEPTIONAL:
-        rd = rootdata.build_rootdatum(label)
-    elif label in rootdata.CLASSICAL:
-        if args.n is None:
-            raise InputError("classical types need --n")
-        rd = rootdata.build_rootdatum(label, args.n)
-    else:
-        raise InputError(f"unknown type {args.type!r}")
+    rd = rootdata.build_rootdatum(args.type.upper(), args.n or 0)
     pc = rootdata.classify_prime(rd, args.p)
     payload = {"classification": pc.as_dict()}
     text = [f"{rd.label} at p={args.p}: torsion={pc.is_torsion} "

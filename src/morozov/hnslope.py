@@ -133,7 +133,7 @@ def e0_preconditions(f: HNFiltration, p: int, dim_g: int) -> dict:
     """Slope hypotheses under which the E_0 term must be the canonical
     parabolic: strictly positive quotient slopes below E_0, strictly
     negative above, the tensor-slope identity licensed by p > 2 dim - 2,
-    and the inequality chain mu_min(E_0 x E_0) = 0 > mu_max(g/E_0)."""
+    and the chain mu_min(E_0 x E_0) = 0, > mu_max(g/E_0) if g/E_0 exists."""
     s = f.slopes()
     k = f.zero_index
     below = s[:k]
@@ -147,8 +147,8 @@ def e0_preconditions(f: HNFiltration, p: int, dim_g: int) -> dict:
         "mu_min_E0_tensor_E0": str(2 * mu_min_e0),
         "mu_min_E0_is_zero": mu_min_e0 == 0,
         "mu_max_g_mod_E0": None if mu_max_quot is None else str(mu_max_quot),
-        "inequality_holds": (mu_max_quot is None or
-                             (mu_min_e0 == 0 and 0 > mu_max_quot)),
+        "inequality_holds": mu_min_e0 == 0 and (mu_max_quot is None
+                                                or 0 > mu_max_quot),
     }
     return {
         "below_strictly_positive": below_positive,

@@ -113,16 +113,16 @@ class OptimalityCertificate:
 def check_search_class(g: LieAlgebra, u: Subspace, budget=None) -> None:
     """The optimizer's input class: a nonzero bracket-closed p-nil subspace
     supported on root coordinates of the standard torus.  The input's
-    faults are tested first: a u that is not a subalgebra, or not p-nil, is
-    an input fault (`radicals.InputError`).  Only then come the other
-    refusals, ValueError read as inadmissible: no torus frame, u = 0,
-    support on the torus.  The p-nil gate is `radicals.check_p_nil`: a
-    certified root support, else one Engel flag, exact on every family
-    with no budget; on a split u both checks run on root indices.
-    `budget` is unused: `perfbench/test_perfbench.py` still passes it, and
-    it stays until the benchmark drops it."""
-    if not g.is_subalgebra(u):
-        raise radicals.InputError("input is not a subalgebra")
+    faults are tested first, each by its one gate, which raises
+    `gfp.InputError`: a u that is not a subalgebra
+    (`LieAlgebra.check_subalgebra`), or not p-nil (`radicals.check_p_nil`:
+    a certified root support, else one Engel flag, exact on every family
+    with no budget; on a split u both gates run on root indices).  Only
+    then come the other refusals, ValueError read as inadmissible: no
+    torus frame, u = 0, support on the torus.  `budget` is unused:
+    `perfbench/test_perfbench.py` still passes it, and it stays until the
+    benchmark drops it."""
+    g.check_subalgebra(u)
     radicals.check_p_nil(g, u)
     if g.frame is None:
         raise ValueError("algebra has no torus frame")

@@ -480,6 +480,12 @@ class LieAlgebra:
         return all(u.contains_vector(self.bracket_vec(a, b))
                    for i, a in enumerate(basis) for b in basis[i + 1:])
 
+    def check_subalgebra(self, u: Subspace, what: str = "input") -> None:
+        """The one subalgebra gate: InputError, naming `what`, unless
+        `is_subalgebra(u)`."""
+        if not self.is_subalgebra(u):
+            raise InputError(f"{what} is not a subalgebra")
+
     def split_closed(self, split) -> bool:
         """`is_subalgebra` of a split subspace read as `coordinate_split`'s
         (torus part, root indices): the pairs of its root lines."""

@@ -38,7 +38,7 @@ from .gfp import (Echelon, FieldMatrix, Subspace, _combine, image_flag,
                   trace_gram)
 from .liealg import (LieAlgebra, conjugate_subspace, coordinate_split,
                      standard_borel, weyl_matrices)
-from .radicals import InputError, SubView
+from .radicals import SubView
 from .rootdata import is_closed
 
 
@@ -234,17 +234,16 @@ def detect_parabolic(g: LieAlgebra, q: Subspace) -> ParabolicVerdict:
     """The verdict on a subalgebra q: "parabolic" from the standard frame or
     the flag frame, with the witness; "not-parabolic" when both fail, at
     every p; "undetermined" with no torus frame (see the module
-    docstring).  InputError when q is not a subalgebra.  A coordinate-split
-    q is tested first, on root indices, with the `coordinate_split` its
-    verdict reads.  Any other q is tested only where no frame verdict
-    certifies it: a standard parabolic P^-1 q P, t plus a closed root
+    docstring).  InputError when q is not a subalgebra, from the one gate
+    `LieAlgebra.check_subalgebra`, which runs only where no verdict
+    certifies it: a standard parabolic q or P^-1 q P, t plus a closed root
     subset, is a subalgebra, and so is q, conjugation by P being an
     automorphism of g (any P on type A, mod scalars on pgl, a similitude
-    on sp and so).  The root-index test of P^-1 q P stays as the explicit
-    check; the pair test runs before a "not-parabolic" verdict."""
+    on sp and so).  The root-index test of that standard parabolic
+    (`split_closed`) stays as the explicit check; the gate runs before a
+    "not-parabolic" verdict."""
     if g.frame is None:
-        if not g.is_subalgebra(q):
-            raise InputError("input is not a subalgebra")
+        g.check_subalgebra(q)
         return ParabolicVerdict("undetermined", failure_reason="no-torus-found",
                                 details={"note": "algebra has no torus frame"})
     rd = g.frame.rootdatum
@@ -270,13 +269,12 @@ def detect_parabolic(g: LieAlgebra, q: Subspace) -> ParabolicVerdict:
         return ParabolicVerdict("parabolic", torus, roots, details=details,
                                 frame=frame)
 
-    split = coordinate_split(g, q)
-    if split is not None and not g.split_closed(split):
-        raise InputError("input is not a subalgebra")
+    # a standard parabolic q or P^-1 q P certifies that q is a subalgebra;
     # a coordinate subset failing the parabolic-subset conditions falls
     # through to the frame certificate
+    split = coordinate_split(g, q)
     partial = coordinate_verdict(split)
-    if isinstance(partial, ParabolicVerdict):
+    if isinstance(partial, ParabolicVerdict) and g.split_closed(split):
         return partial
 
     # conjugating frame: the flag of N finds every parabolic
@@ -286,11 +284,9 @@ def detect_parabolic(g: LieAlgebra, q: Subspace) -> ParabolicVerdict:
         moved = coordinate_split(
             g, conjugate_subspace(g, frame[1], q, frame[0]))
         verdict = coordinate_verdict(moved, frame)
-        # a standard P^-1 q P certifies that q is a subalgebra
         if isinstance(verdict, ParabolicVerdict) and g.split_closed(moved):
             return verdict
-    if split is None and not g.is_subalgebra(q):
-        raise InputError("input is not a subalgebra")
+    g.check_subalgebra(q)
 
     # the frame finds every parabolic (see flag_frame), so its failure is
     # the certificate

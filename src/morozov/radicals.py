@@ -30,10 +30,11 @@ Strategy notes:
     exactly when rad(h) is.  nil(h) and rad_p(h) are the largest h-ideals
     inside P = {x in rad(h) : lift(x) in J(A)}, A generated by 1 and the
     lifts of rad(h): ad_h for nil(h), `LieAlgebra.linear_lift` for rad_p(h)
-    (both radicals are ideals of rad(h) acting nilpotently).  The largest
-    h-ideal inside the set C of x with lift(x) nilpotent, when C is a
-    subspace, is the same radical: its lifts form a Lie algebra of
-    nilpotent matrices, which acts nilpotently;
+    (both radicals are ideals of rad(h) acting nilpotently), each kept as
+    one memoised record of rad(h), P and the ideal (`_radical_ideal`), an
+    undecided P as its reason.  The largest h-ideal inside the set C of x
+    with lift(x) nilpotent, when C is a subspace, is the same radical: its
+    lifts form a Lie algebra of nilpotent matrices, which acts nilpotently;
   * a coordinate-split subspace is read as its torus part and its set of
     root indices (`coordinate_split`) and written back by
     `liealg.split_sum` (`liealg` notes).  For a split h, the spin ideals
@@ -288,8 +289,7 @@ def solvable_radical(g: LieAlgebra, h: Subspace) -> Subspace:
     the structured path for a coordinate-split h, else the peel loop."""
     key = ("rad", h.basis)
     if key not in g._memo:
-        if not g.is_subalgebra(h):
-            raise InputError("input is not a subalgebra")
+        g.check_subalgebra(h)
         out = _structured_solvable_radical(g, h)
         if out is None:
             out = _view_radical(g, h)
@@ -383,49 +383,51 @@ def _ad_lift(g: LieAlgebra, h: Subspace):
 # Nilradical and p-radical
 # ---------------------------------------------------------------------------
 
-def pnil_part_of_radical(g: LieAlgebra, h: Subspace) -> dict:
-    """The p-nilpotent cone of h, memoised, an Undetermined too (exact
-    under the one walk budget): "cone", P of `_nilpotent_cone` for
-    `LieAlgebra.linear_lift` on "radical", rad(h), with its "method".  It
-    never walks where the envelope fits."""
-    key = ("pnilpart", h.basis)
+def _radical_ideal(g: LieAlgebra, h: Subspace, kind: str) -> dict:
+    """The one record of a radical ideal of h, memoised, an Undetermined
+    too (exact under the one walk budget): "radical", rad(h); "cone", the
+    P of `_nilpotent_cone` on it under the lift of `kind`,
+    `LieAlgebra.linear_lift` for "rad_p" and ad_h (`_ad_lift`) for "nil",
+    with its "method"; and under `kind`, the largest h-ideal inside P
+    (module notes).  It never walks where the envelope fits."""
+    key = (kind, h.basis)
     if key not in g._memo:
         try:
             r = solvable_radical(g, h)
+            lift, nilpotent = ((g.linear_lift, "p") if kind == "rad_p"
+                               else (_ad_lift(g, h), "ad"))
             cone, method = _nilpotent_cone(
-                g, r, g.linear_lift, "p-nilpotent elements of rad(h)")
+                g, r, lift, f"{nilpotent}-nilpotent elements of rad(h)")
         except Undetermined as exc:
             g._memo[key] = str(exc)     # its reason, not its frames
             raise
-        g._memo[key] = {"cone": cone, "method": method, "radical": r}
+        g._memo[key] = {kind: g.largest_ideal_inside(h, cone), "cone": cone,
+                        "method": method, "radical": r}
     if isinstance(g._memo[key], str):
         raise Undetermined(g._memo[key])
     return g._memo[key]
 
 
+def pnil_part_of_radical(g: LieAlgebra, h: Subspace) -> dict:
+    """The record of rad_p(h) (`_radical_ideal`): "radical", its "cone"
+    under `LieAlgebra.linear_lift` with its "method", and "rad_p"."""
+    return _radical_ideal(g, h, "rad_p")
+
+
 def p_radical(g: LieAlgebra, h: Subspace) -> dict:
-    """Maximal p-nil ideal of h: the largest h-ideal inside the cone P of
-    `pnil_part_of_radical` (module notes).  Memoised after that call, which
-    runs every time, so `perfbench/layertrace.py`, counting the cone's
-    paths there, sees each use."""
-    part = pnil_part_of_radical(g, h)
-    key = ("radp", h.basis)
-    if key not in g._memo:
-        g._memo[key] = {"rad_p": g.largest_ideal_inside(h, part["cone"]),
-                        "method": part["method"], "radical": part["radical"]}
-    return g._memo[key]
+    """Maximal p-nil ideal of h, "rad_p" of the record that
+    `pnil_part_of_radical` reads: that call runs every time, so
+    `perfbench/layertrace.py`, counting the cone's paths there, sees each
+    use."""
+    return pnil_part_of_radical(g, h)
 
 
 def nilradical(g: LieAlgebra, h: Subspace) -> dict:
-    """Maximal nilpotent ideal of h: the largest h-ideal inside the cone of
-    ad_h on rad(h) (`_ad_lift`, `_nilpotent_cone`; module notes); by the
+    """Maximal nilpotent ideal of h, "nil" of its record (`_radical_ideal`):
+    the largest h-ideal inside the cone of ad_h on rad(h); by the
     structured step, which needs rad(h) split but not h, P is its root
     part plus its torus elements central in h."""
-    r = solvable_radical(g, h)
-    cone, method = _nilpotent_cone(g, r, _ad_lift(g, h),
-                                   "ad-nilpotent elements of rad(h)")
-    return {"nil": g.largest_ideal_inside(h, cone), "method": method,
-            "radical": r}
+    return _radical_ideal(g, h, "nil")
 
 
 @dataclass

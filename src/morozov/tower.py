@@ -12,8 +12,8 @@ more step.  A step whose u does not contain the last is an engine bug
 (RuntimeError); one whose rad_p is undecided ends the tower
 `budget-exceeded`, the reason in `detail`.  No step takes a budget.  An
 input that is not a restricted p-nil subalgebra is no outcome of the
-tower: `check_tower_input` raises InputError before the first step.
-Check (c), u = rad_p(q), rereads the last step's memoised rad_p, so
+tower: `check_tower_input` raises `gfp.InputError` before the first
+step.  Check (c), u = rad_p(q), rereads the last step's rad_p record, so
 where (b) finds q parabolic it also holds u against the nilradical of
 (b)'s witness in the verdict's frame, which a wrong rad_p would miss.
 """
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .gfp import Subspace
+from .gfp import InputError, Subspace
 from .liealg import LieAlgebra, conjugate_subspace, parabolic_parts
 from . import kempf, parabolic, radicals
 
@@ -74,19 +74,18 @@ class TowerTrace:
 
 def check_tower_input(g: LieAlgebra, u: Subspace, budget=None) -> None:
     """Hypothesis check: u must be a restricted p-nil subalgebra, else
-    `radicals.InputError`.  Each unit basis vector, every one on a split u
-    of root lines, reads its p-power from the build
-    (`LieAlgebra.is_p_closed`), with no matrix power.  The p-nil gate is
-    `radicals.check_p_nil`: a certified root support, else one Engel flag,
-    exact on every family with no budget; on a split u both checks run on
-    root indices.  `budget` is unused:
+    `gfp.InputError`, from the subalgebra gate
+    (`LieAlgebra.check_subalgebra`), the p-closure test or the p-nil gate.
+    Each unit basis vector, every one on a split u of root lines, reads its
+    p-power from the build (`LieAlgebra.is_p_closed`), with no matrix
+    power.  The p-nil gate is `radicals.check_p_nil`: a certified root
+    support, else one Engel flag, exact on every family with no budget; on
+    a split u both checks run on root indices.  `budget` is unused:
     `perfbench/test_perfbench.py` still passes it, and it stays until the
     benchmark drops it."""
-    if not g.is_subalgebra(u):
-        raise radicals.InputError("tower input is not a subalgebra")
+    g.check_subalgebra(u, "tower input")
     if not g.is_p_closed(u):
-        raise radicals.InputError(
-            "tower input is not closed under the p-power map")
+        raise InputError("tower input is not closed under the p-power map")
     radicals.check_p_nil(g, u, "tower input")
 
 

@@ -512,9 +512,16 @@ def test_prime_classify_needs_n_for_classical_types_only(capsys):
     assert main(["prime", "classify", "--type", "E8", "--p", "5"]) == EXIT_OK
     pc = json.loads(capsys.readouterr().out)["classification"]
     assert (pc["bad"], pc["torsion"], pc["coxeter_number"]) == (True, True, 30)
-    assert main(["prime", "classify", "--type", "A", "--p", "5"]) == EXIT_INPUT
-    out, err = capsys.readouterr()
-    assert out == "" and err == "input error: classical types need --n\n"
+    # an exceptional type ignores --n
+    assert main(["prime", "classify", "--type", "E8", "--n", "3", "--p",
+                 "5"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["classification"] == pc
+    # the type label is tested by rootdata.build_rootdatum alone, upper-cased
+    for label, message in (("A", "type A needs rank >= 1"),
+                           ("z", "unknown type 'Z'")):
+        assert main(["prime", "classify", "--type", label, "--p",
+                     "5"]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", f"input error: {message}\n")
 
 
 @pytest.mark.parametrize("p,code", [("101", EXIT_OK),

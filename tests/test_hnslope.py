@@ -113,10 +113,21 @@ def test_e0_preconditions_read_the_inequality_chain():
                              101, 3)["chain"]
     assert chain == {"mu_min_E0_tensor_E0": "2", "mu_min_E0_is_zero": False,
                      "mu_max_g_mod_E0": "-1", "inequality_holds": False}
-    # E_0 the whole filtration: no quotient g/E_0 to bound
-    chain = e0_preconditions(HNFiltration.make([[1, 2], [1, -1]], 1),
-                             101, 3)["chain"]
-    assert chain["mu_max_g_mod_E0"] is None and chain["inequality_holds"]
+    # E_0 the whole filtration: no quotient g/E_0 to bound, but still
+    # mu_min(E_0) = -1 is not 0
+    pre = e0_preconditions(HNFiltration.make([[1, 2], [1, -1]], 1), 101, 3)
+    assert pre["chain"] == {"mu_min_E0_tensor_E0": "-2",
+                            "mu_min_E0_is_zero": False,
+                            "mu_max_g_mod_E0": None,
+                            "inequality_holds": False}
+    assert not pre["all_pass"]
+    # E_0 the whole filtration with mu_min(E_0) = 0: the chain holds
+    pre = e0_preconditions(HNFiltration.make([[1, 2], [1, 0]], 1), 101, 3)
+    assert pre["chain"] == {"mu_min_E0_tensor_E0": "0",
+                            "mu_min_E0_is_zero": True,
+                            "mu_max_g_mod_E0": None,
+                            "inequality_holds": True}
+    assert pre["all_pass"]
 
 
 @pytest.mark.parametrize("factors,k,message", [

@@ -607,14 +607,21 @@ def _mover(g, rng):
             else _root_group_element(g, rng))
 
 
-def _moved_not_closed(g, rng):
+def _not_closed(g):
     """The Borel's nilradical plus the line of -a for the first simple root
-    a, moved out of standard position: not a subalgebra, as [e_a, e_-a]
-    lies in the torus, and q n q^perp holds every root line but e_a's."""
+    a, coordinate-split: not a subalgebra, as [e_a, e_-a] lies in the
+    torus, and q n q^perp holds every root line but e_a's."""
     neg = tuple(-x for x in g.frame.rootdatum.simple_roots[0])
     nil = standard_borel(g)["nilradical"]
-    q = conjugate_subspace(g, _mover(g, rng), Subspace.from_vectors(
-        list(nil.basis) + [g.unit(g.frame.root_index[neg])], g.dim, g.p))
+    q = Subspace.from_vectors(
+        list(nil.basis) + [g.unit(g.frame.root_index[neg])], g.dim, g.p)
+    assert coordinate_split(g, q) is not None and not g.is_subalgebra(q)
+    return q
+
+
+def _moved_not_closed(g, rng):
+    """`_not_closed`, moved out of standard position."""
+    q = conjugate_subspace(g, _mover(g, rng), _not_closed(g))
     assert coordinate_split(g, q) is None and not g.is_subalgebra(q)
     return q
 
@@ -624,15 +631,16 @@ def _moved_not_closed(g, rng):
                                      ("sl", 3, 2), ("pgl", 3, 3)])
 def test_non_subalgebras_reach_the_frame_and_still_raise(fam, n, p, tmp_path,
                                                          capsys, monkeypatch):
-    # a subspace off the coordinate split is tested after its frame: the
-    # frame, its inverse and the conjugate raise nothing on a non-closed
-    # q, and the pair test refuses it before a verdict
+    # a subspace that no standard parabolic certifies, on the coordinate
+    # split or off it, is tested after its frame: the frame, its inverse
+    # and the conjugate raise nothing on a non-closed q, and the one
+    # subalgebra gate refuses it before a verdict
     from morozov.cli import EXIT_INPUT, main
     from morozov.radicals import InputError
     from morozov.serialize import canonical_json, subspace_to_dict
     g = build(fam, n, p)
     rng = random.Random(n * p)
-    inputs = [_moved_not_closed(g, rng)]
+    inputs = [_moved_not_closed(g, rng), _not_closed(g)]
     if fam == "sl":
         # no frame: the trace form is nondegenerate on <e12, f12>, and at
         # p = 2 its envelope is semisimple
@@ -652,10 +660,12 @@ def test_non_subalgebras_reach_the_frame_and_still_raise(fam, n, p, tmp_path,
         assert main(argv) == EXIT_INPUT
         assert capsys.readouterr() == ("", "input error: input is not a "
                                            "subalgebra\n")
-    # the first input has q n q^perp != 0, and flag_frame builds its frame
-    assert frames[0] is not None and frames[0] == frames[1]
+    # every input reaches flag_frame; the first two have q n q^perp != 0,
+    # and flag_frame builds their frames
+    assert len(frames) == 2 * len(inputs)
+    assert None not in frames[:4] and frames[0] == frames[1]
     if fam == "sl":
-        assert frames[2] is None
+        assert frames[4] is None
 
 
 def _nil_oracle(g, q):

@@ -475,7 +475,8 @@ def test_undetermined_budget():
 
 def test_undetermined_cone_is_memoised(monkeypatch):
     # with one walk budget the undecided cone is exact for h, so a second
-    # p_radical on the conjugated pgl8@2 Borel computes no cone again
+    # p_radical or nilradical on the conjugated pgl8@2 Borel, where both
+    # walks pass the budget, computes no cone again
     from morozov import radicals
     g, b = build("pgl", 8, 2), _conjugated_pgl8_at_2_borel()
     calls = []
@@ -485,14 +486,16 @@ def test_undetermined_cone_is_memoised(monkeypatch):
         return _nilpotent_cone(*args)
 
     monkeypatch.setattr(radicals, "_nilpotent_cone", counted)
-    monkeypatch.setattr(g, "_memo", {})     # build() is cached
-    counts = []
-    for _ in range(2):
-        with pytest.raises(Undetermined, match=f"enumeration of {2 ** 35} "
-                           f"elements exceeds budget {DEFAULT_BUDGET}"):
-            p_radical(g, b)
-        counts.append(len(calls))
-    assert counts[0] > 0 and counts[1] == counts[0]
+    for radical in (p_radical, nilradical):
+        monkeypatch.setattr(g, "_memo", {})     # build() is cached
+        counts = []
+        for _ in range(2):
+            with pytest.raises(Undetermined, match=f"enumeration of {2 ** 35} "
+                               f"elements exceeds budget {DEFAULT_BUDGET}"):
+                radical(g, b)
+            counts.append(len(calls))
+        assert counts[0] > 0 and counts[1] == counts[0], radical.__name__
+        calls.clear()
 
 
 def _subsets(g):

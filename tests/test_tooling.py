@@ -5,9 +5,10 @@ but the benchmark's shims and no command a `--budget`, no module outside
 `gfp` takes a private `gfp` name but `_combine`, no module but `liealg`
 reads the root-index tables or the kill-set memo, the front end runs no
 engine predicate and catches ValueError only in its file loader and its
-Kempf refusals, the packaged fixture file matches its generator, no
-module imports numpy and `pyproject.toml` declares no runtime dependency,
-and `morozov suite run` checks the structure laws with numpy
+Kempf refusals, one gate raises the "not a subalgebra" fault, the front
+end reads no type table, the packaged fixture file matches its generator,
+no module imports numpy and `pyproject.toml` declares no runtime
+dependency, and `morozov suite run` checks the structure laws with numpy
 unimportable."""
 
 import ast
@@ -254,8 +255,8 @@ def test_frame_is_read_off_the_verdict_not_its_details():
     assert readers == []
 
 
-ENGINE_PREDICATES = {"is_subalgebra", "is_p_closed", "is_p_nil_subalgebra",
-                     "check_p_nil", "check_tower_input"}
+ENGINE_PREDICATES = {"is_subalgebra", "check_subalgebra", "is_p_closed",
+                     "is_p_nil_subalgebra", "check_p_nil", "check_tower_input"}
 
 
 def _front_end_checks(text: str) -> tuple:
@@ -288,6 +289,59 @@ def test_the_front_end_checks_and_translates_no_input():
     calls, handlers = _front_end_checks((PACKAGE / "cli.py").read_text())
     assert calls == set()
     assert handlers == {"_load_with", "cmd_kempf_optimize"}
+
+
+def _input_error_raisers(text: str, phrase: str) -> list:
+    """The qualified names of the functions that raise an InputError whose
+    message holds `phrase` in one of its string parts."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Raise) and \
+                    isinstance(child.exc, ast.Call) and \
+                    getattr(child.exc.func, "attr",
+                            getattr(child.exc.func, "id", None)) == "InputError" \
+                    and any(isinstance(n, ast.Constant) and isinstance(
+                        n.value, str) and phrase in n.value
+                        for arg in child.exc.args for n in ast.walk(arg)):
+                found.append(".".join(scope))
+            visit(child, scope)
+    visit(ast.parse(text), ())
+    return found
+
+
+def test_one_gate_raises_the_subalgebra_fault():
+    # every "not a subalgebra" fault is raised by LieAlgebra.check_subalgebra
+    # and no other code: the detector finds each way of writing it
+    probe = ("class A:\n    def f(self, w):\n"
+             "        raise InputError(f'{w} is not a subalgebra')\n"
+             "def g():\n    if 1:\n"
+             "        raise gfp.InputError('input is not a subalgebra')\n")
+    assert _input_error_raisers(probe, "not a subalgebra") == ["A.f", "g"]
+    raisers = [f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
+               for name in _input_error_raisers(path.read_text(),
+                                                "not a subalgebra")]
+    assert raisers == ["liealg.LieAlgebra.check_subalgebra"]
+
+
+def test_the_front_end_reads_no_type_table():
+    # prime classify hands its type label to rootdata.build_rootdatum, the
+    # one gate on type and rank
+    reads = set()
+    for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text())):
+        if isinstance(node, ast.Attribute) and \
+                getattr(node.value, "id", None) == "rootdata":
+            reads.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "rootdata":
+            reads.update(alias.name for alias in node.names)
+    assert "build_rootdatum" in reads
+    assert reads.isdisjoint({"CLASSICAL", "EXCEPTIONAL", "MIN_RANK",
+                             "MAX_RANK"})
 
 
 def test_packaged_fixture_file_matches_its_generator():
