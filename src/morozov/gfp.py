@@ -378,6 +378,14 @@ class Subspace:
                                for c, row in zip(self.pivots, self.basis)}
         return self._span
 
+    def prefix(self, k: int) -> "Subspace":
+        """The span of the first k canonical rows, adopted with no check: a
+        prefix of a canonical basis is one."""
+        out = object.__new__(Subspace)
+        out.ambient_dim, out.p, out._span = self.ambient_dim, self.p, None
+        out.basis, out.pivots = self.basis[:k], self.pivots[:k]
+        return out
+
     @classmethod
     def from_vectors(cls, vectors: Iterable[Sequence[int]], ambient_dim: int, p: int) -> "Subspace":
         return cls(ambient_dim, p, vectors)

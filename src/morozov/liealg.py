@@ -16,7 +16,8 @@ inside v, rad(h)) is T-stable, hence split as well.  A split subspace has
 one form: its torus part and the set of its root indices.  The torus
 coordinates come first, so its canonical basis is the torus part's
 canonical rows followed by one unit row per root index, in index order:
-`coordinate_split` reads the form off the pivots and `split_sum`, its
+`coordinate_split` reads the form off the pivots, its torus part a
+prefix of the canonical rows (`Subspace.prefix`), and `split_sum`, its
 inverse, writes those rows, adopted by `Subspace` with no elimination.
 The bracket of split subspaces is read off a table of root-index pairs,
 filled once per algebra from the structure table on first use
@@ -847,7 +848,7 @@ def coordinate_split(g: LieAlgebra, s: Subspace) -> Optional[tuple]:
     if any(any(row[t:]) for row in s.basis[:k]) or \
             any(sum(row) != 1 for row in s.basis[k:]):
         return None
-    return Subspace(s.ambient_dim, s.p, s.basis[:k]), frozenset(s.pivots[k:])
+    return s.prefix(k), frozenset(s.pivots[k:])
 
 
 def split_sum(g: LieAlgebra, indices, torus: Subspace) -> Subspace:

@@ -38,7 +38,6 @@ from .gfp import (Echelon, FieldMatrix, Subspace, _combine, image_flag,
                   trace_gram)
 from .liealg import (LieAlgebra, conjugate_subspace, coordinate_split,
                      standard_borel, weyl_matrices)
-from .radicals import SubView
 from .rootdata import is_closed
 
 
@@ -67,6 +66,9 @@ class ParabolicVerdict:
 def iso_invariants(g: LieAlgebra, q: Subspace) -> tuple:
     """Extension-stable invariants of the subalgebra (dimension data of
     canonical constructions plus ambient normalizer/centralizer)."""
+    # imported here, off the detection path, so that `radicals` can import
+    # `flag_frame` at module level
+    from .radicals import SubView
     view = SubView(g, q)
     derived = tuple(s.dim for s in view.derived_series(view.full_space()))
     lcs = tuple(s.dim for s in view.lower_central_series(view.full_space()))

@@ -3,14 +3,22 @@
 The public operations take an ambient realized algebra and a subspace h and
 return subspaces in ambient coordinates.  Most of them also compute there:
 largest h-ideals, the series of a subspace and the ad_h-nilpotency of an
-element need only the ambient bracket.  One view, `SubView`, the
+element need only the ambient bracket.  rad(h) takes the first of four
+exact steps that applies (`solvable_radical`): the structured path for a
+coordinate-split h; h itself when its derived series in g reaches 0; the
+structured path on P^-1 h P for h's flag frame P (`parabolic.flag_frame`),
+conjugated back, when P^-1 h P is split, as on every conjugated parabolic;
+else the one peel loop.  Conjugation by P is an automorphism of g (any P
+on gl and sl, mod scalars on pgl, a similitude on sp and so) and rad is
+characteristic, so rad(h) = P rad(P^-1 h P) P^-1, and the canonical
+subspace found does not depend on the step.  One view, `SubView`, the
 sub-quotient sub/ideal in its own coordinates, is built only where h's own
-structure matters: the general solvable-radical path.  There one peel loop
-(`_view_radical`) grows a solvable ideal S of h by the preimage of a
-solvable ideal of h/S, found from the centre and Killing form of h/S's
-view, until h/S is solvable or has none.  A view is a `LieAlgebra` without
-a realization whose structure table is filled once from its parent's
-bracket, so the one subalgebra calculus of `liealg` runs on it unchanged.
+structure matters: the peel loop (`_view_radical`), which grows a solvable
+ideal S of h by the preimage of a solvable ideal of h/S, found from the
+centre and Killing form of h/S's view, until h/S is solvable or has none.
+A view is a `LieAlgebra` without a realization whose structure table is
+filled once from its parent's bracket, so the one subalgebra calculus of
+`liealg` runs on it unchanged.
 
 Strategy notes:
   * every abelian ideal of h lies in k = ker(kappa_h), and the last
@@ -76,7 +84,9 @@ from typing import Optional
 # that rebinding reaches every module importing them by name
 from .gfp import (FieldMatrix, InputError, Subspace,  # noqa: F401
                   image_flag, jacobson_radical, kernel, rref, solve_linear)
-from .liealg import Element, LieAlgebra, coordinate_split, split_sum
+from .liealg import (Element, LieAlgebra, conjugate_subspace, coordinate_split,
+                     split_sum)
+from .parabolic import flag_frame
 from .rootdata import is_closed
 
 DEFAULT_BUDGET = 10 ** 7    # the walk
@@ -284,13 +294,33 @@ def _structured_solvable_radical(g: LieAlgebra, h: Subspace) -> Optional[Subspac
         torus_part, lambda z: [g.character(z, idx) for idx in wild]))
 
 
+def _framed_radical(g: LieAlgebra, h: Subspace) -> Optional[Subspace]:
+    """rad(h) = P rad(P^-1 h P) P^-1 for the flag frame P of h
+    (`parabolic.flag_frame`), when P^-1 h P is coordinate-split; else None.
+    Conjugation by P is an automorphism of g, and rad is characteristic."""
+    frame = None if g.frame is None else flag_frame(g, h)
+    if frame is None:
+        return None
+    inverse = frame.inverse()
+    out = _structured_solvable_radical(
+        g, conjugate_subspace(g, inverse, h, frame))
+    return None if out is None else conjugate_subspace(g, frame, out, inverse)
+
+
 def solvable_radical(g: LieAlgebra, h: Subspace) -> Subspace:
-    """Maximal solvable ideal of the subalgebra h, in ambient coordinates:
-    the structured path for a coordinate-split h, else the peel loop."""
+    """Maximal solvable ideal of the subalgebra h, in ambient coordinates,
+    from the first of four steps that applies: the structured path for a
+    coordinate-split h; h itself when it is solvable, tested in g with no
+    view; the structured path on P^-1 h P, conjugated back, when h's flag
+    frame P makes it split (`_framed_radical`); else the peel loop.  Each
+    is exact (module notes), so rad(h), a canonical subspace, does not
+    depend on the step that found it."""
     key = ("rad", h.basis)
     if key not in g._memo:
         g.check_subalgebra(h)
         out = _structured_solvable_radical(g, h)
+        if out is None:
+            out = h if g.is_solvable(h) else _framed_radical(g, h)
         if out is None:
             out = _view_radical(g, h)
         g._memo[key] = out

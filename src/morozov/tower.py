@@ -10,12 +10,16 @@ envelope fits (`radicals` notes).  So dim u never decreases and is at most
 dim g, and once u repeats the stop rule (u and q repeat) fires within one
 more step.  A step whose u does not contain the last is an engine bug
 (RuntimeError); one whose rad_p is undecided ends the tower
-`budget-exceeded`, the reason in `detail`.  No step takes a budget.  An
-input that is not a restricted p-nil subalgebra is no outcome of the
-tower: `check_tower_input` raises `gfp.InputError` before the first
-step.  Check (c), u = rad_p(q), rereads the last step's rad_p record, so
-where (b) finds q parabolic it also holds u against the nilradical of
-(b)'s witness in the verdict's frame, which a wrong rad_p would miss.
+`budget-exceeded`, the reason in `detail`.  No step takes a budget.  The
+rad(q) under rad_p(q) is read on root indices for a split q, and through
+q's flag frame for a conjugated parabolic q (`radicals` notes), so a tower
+whose every q is one or the other, as from a conjugated standard
+nilradical, builds no view.  An input that is not a restricted p-nil
+subalgebra is no outcome of the tower: `check_tower_input` raises
+`gfp.InputError` before the first step.  Check (c), u = rad_p(q),
+rereads the last step's rad_p record, so where (b) finds q parabolic it
+also holds u against the nilradical of (b)'s witness in the verdict's
+frame, which a wrong rad_p would miss.
 """
 
 from __future__ import annotations

@@ -10,9 +10,11 @@ from morozov.liealg import (build, conjugate_subspace, coordinate_split,
                             split_sum, standard_borel, standard_parabolic)
 from morozov.radicals import (DEFAULT_BUDGET, InputError, SubView,
                               Undetermined, _act_nilpotently, _ad_lift,
-                              _certified_root_support, _nilpotent_cone, _reach,
+                              _certified_root_support, _framed_radical,
+                              _nilpotent_cone, _reach,
                               _structured_solvable_radical, _view_radical,
-                              check_p_nil, is_p_nil_subalgebra, is_p_nilpotent,
+                              _walk, check_p_nil, is_p_nil_subalgebra,
+                              is_p_nilpotent,
                               nilradical, p_radical, pnil_part_of_radical,
                               radical_report, solvable_radical)
 from morozov.rootdata import is_closed, min_norm_point
@@ -1330,6 +1332,84 @@ def test_view_radical_of_conjugates_matches_structured(fam, n, p, monkeypatch):
             found = _view_radical(g, conjugate_subspace(g, w, data[role]))
             assert found == conjugate_subspace(g, w, rad), (chosen, role)
     assert recursions
+
+
+@pytest.mark.parametrize("fam,n,p", [
+    ("sl", 3, 3), ("sl", 4, 5), ("gl", 3, 5), ("pgl", 3, 5), ("pgl", 3, 3),
+    ("sl", 3, 2), ("sp", 4, 5), ("so", 5, 7), ("so", 8, 5)])
+def test_framed_radical_of_conjugates_matches_view_and_structured(fam, n, p):
+    # root-group conjugates of every standard parabolic, Levi and
+    # nilradical: rad(h) through h's flag frame, where P^-1 h P is split,
+    # is the conjugate of the structured radical, and so is what the peel
+    # loop gives wherever it decides; every proper parabolic takes the
+    # frame.  pgl3@3 and sl3@2 read their frames off J(A(q)), and so8@5
+    # takes the plane step and the swap of so_2m
+    g = build(fam, n, p)
+    rng = random.Random(f"framed-radical:{fam}{n}@{p}")
+    framed = 0
+    for chosen in _subsets(g):
+        data = standard_parabolic(g, chosen)
+        for role in ("parabolic", "levi", "nilradical"):
+            w = _root_group_word(g, rng)
+            moved = conjugate_subspace(g, w, data[role])
+            known = conjugate_subspace(
+                g, w, _structured_solvable_radical(g, data[role]))
+            found = _framed_radical(g, moved)
+            if role == "parabolic" and data[role] != g.full_space():
+                assert found is not None, chosen
+            if found is not None:
+                framed += 1
+                assert found == known, (chosen, role)
+            assert solvable_radical(g, moved) == known, (chosen, role)
+            try:
+                assert _view_radical(g, moved) == known, (chosen, role)
+            except Undetermined:
+                assert found is not None, (chosen, role)
+    assert framed
+
+
+def test_solvable_radical_with_no_torus_frame_takes_the_peel_loop():
+    # an algebra built from its realization alone has no frame to read a
+    # conjugated parabolic through; the peel loop gives the same radical
+    from morozov.liealg import LieAlgebra
+    g = build("sl", 3, 5)
+    bare = LieAlgebra(g.p, g.labels, g.realization)
+    w = _group_element(g, random.Random("frameless:sl3@5"))
+    q = standard_parabolic(g, (0,))["parabolic"]
+    moved = conjugate_subspace(g, w, q)
+    assert _framed_radical(bare, moved) is None
+    assert solvable_radical(bare, moved) == solvable_radical(g, moved) == \
+        conjugate_subspace(g, w, _structured_solvable_radical(g, q))
+
+
+@pytest.mark.parametrize("chosen", [(0, 1, 2), (1, 2, 3)])
+def test_radical_report_of_conjugated_sl5_parabolics_at_3(chosen):
+    # conjugates of the sl5@3 parabolics whose kappa = 0 views pass the
+    # envelope's word cap and the walk's budget in the peel loop: their
+    # flag frame decides rad, and every radical of the report is the
+    # conjugate of the standard one
+    g = build("sl", 5, 3)
+    q = standard_parabolic(g, chosen)["parabolic"]
+    w = _group_element(g, random.Random(f"conjugated-view:sl5@3:{chosen}"))
+    moved = conjugate_subspace(g, w, q)
+    assert coordinate_split(g, moved) is None
+    with pytest.raises(Undetermined, match="exceeds budget"):
+        _view_radical(g, moved)
+    report, standard = radical_report(g, moved), radical_report(g, q)
+    assert report.status == "ok"
+    for key in ("rad", "nil", "rad_p"):
+        assert getattr(report, key) == conjugate_subspace(
+            g, w, getattr(standard, key)), key
+
+
+def test_walk_refuses_a_set_that_is_not_a_subspace():
+    # the nilpotent elements a e12 + b f12 of sl2@5 are those with ab = 0,
+    # two lines: their span need not act nilpotently, so the walk refuses
+    g = build("sl", 2, 5)
+    r = g.subspace([g.element_by_label(x).coords for x in ("e12", "f12")])
+    with pytest.raises(Undetermined, match="^the p-nilpotent elements do "
+                                           "not form a subspace$"):
+        _walk(r, g.linear_lift, "p-nilpotent elements")
 
 
 def _sl2_plus_module(g):

@@ -331,11 +331,13 @@ def _root_group_word(g, rng):
 
 def test_conjugated_sp6_tower_past_a_killing_form_that_vanishes():
     # a root-group conjugate of the sp6@7 nilradical S = (1, 2): the
-    # normaliser's radical needs the peel loop, through a 14-dim view
-    # whose Killing form vanishes and whose ad envelope has more than 128
-    # words; its nilradical, read off J, decides it, and the tower
-    # stabilises on the conjugate with every check of verify_morozov
+    # normaliser's radical is read through its flag frame, and the tower
+    # stabilises on the conjugate with every check of verify_morozov.  The
+    # peel loop gives the same radical through a 14-dim view whose Killing
+    # form vanishes and whose ad envelope has more than 128 words: its
+    # nilradical, read off J, decides it
     from morozov.liealg import conjugate_subspace
+    from morozov.radicals import _view_radical
     g = build("sp", 6, 7)
     w = _root_group_word(g, random.Random("sweep:sp6@7:(1, 2)"))
     u = conjugate_subspace(g, w, standard_parabolic(g, (1, 2))["nilradical"])
@@ -344,6 +346,52 @@ def test_conjugated_sp6_tower_past_a_killing_form_that_vanishes():
     checks = verify_morozov(g, trace).checks
     assert (checks["fixed_point"], checks["parabolic"],
             checks["u_is_p_radical"]) == ("pass", "pass", "pass")
+    assert _view_radical(g, trace.q_limit) == solvable_radical(g, trace.q_limit)
+
+
+@pytest.mark.parametrize("chosen", [(0, 1, 2), (0, 1, 3), (1, 2, 3)])
+def test_conjugated_so8_nilradical_towers_at_5_stabilise(chosen):
+    # the reach sweep's conjugates of three so8@5 nilradicals, one word a
+    # subset drawn in subset-mask order: the peel loop leaves the radical
+    # of a normaliser undetermined, past the envelope's word cap and the
+    # walk's budget, and its flag frame decides it.  Each tower stabilises
+    # on the conjugate with every check passing, Kempf's search skipped off
+    # the standard torus
+    from morozov.liealg import conjugate_subspace
+    g = build("so", 8, 5)
+    rng = random.Random(f"sweep:{('so', 8, 5)!r}")
+    rank = g.frame.rootdatum.rank
+    words = [_root_group_word(g, rng) for _ in range((1 << rank) - 1)]
+    w = words[sum(1 << i for i in chosen)]
+    u = conjugate_subspace(g, w, standard_parabolic(g, chosen)["nilradical"])
+    trace = run_tower(g, u)
+    assert trace.status == "stabilized" and trace.u_limit == u
+    checks = verify_morozov(g, trace).checks
+    checks.pop("kempf_reason")
+    assert checks.pop("parabolic_status") == "parabolic"
+    assert checks.pop("kempf") == "skipped"
+    assert set(checks.values()) == {"pass"}, checks
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_no_tower_seeded_case_reaches_the_peel_loop(seed, monkeypatch):
+    # every radical the tower-seeded sweep asks for is structured, solvable
+    # or read through its flag frame; each sweep runs on fresh algebras,
+    # as in the benchmark's workers
+    from functools import lru_cache
+    from morozov import liealg, radicals
+    workloads, framed, views = _workloads(), [], []
+    real_framed = radicals._framed_radical
+    monkeypatch.setattr(liealg, "build", lru_cache(maxsize=None)(
+        liealg.build.__wrapped__))
+    monkeypatch.setattr(radicals, "_view_radical",
+                        lambda g, h: views.append(h))
+    monkeypatch.setattr(radicals, "_framed_radical", lambda g, h: framed.append(
+        real_framed(g, h)) or framed[-1])
+    for case in workloads.generate("tower-seeded", seed):
+        workloads.run_case("tower-seeded", case, seed)
+    assert not views
+    assert framed and None not in framed
 
 
 def test_conjugated_pgl5_nilradical_tower_steps_through_rad_q():
