@@ -924,8 +924,9 @@ def weyl_matrices(g: LieAlgebra) -> list:
 def conjugate_subspace(g: LieAlgebra, w: FieldMatrix, s: Subspace,
                        winv: Optional[FieldMatrix] = None) -> Subspace:
     """Image of a subspace under conjugation by an invertible realization
-    matrix (must normalize the algebra, e.g. a Weyl representative); winv,
-    when the caller has it, is w's inverse."""
+    matrix normalising g, by one dense w M winv per basis vector (winv, when
+    given, is w's inverse): for `parabolic.contains_borel`, the tower's
+    witness, the benchmark's inputs and the tests' oracle."""
     winv = w.inverse() if winv is None else winv
     return g.subspace([g.coordinates_of_matrix(w @ g.matrix_of(list(v)) @ winv)
                        for v in s.basis])

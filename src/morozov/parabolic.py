@@ -15,12 +15,16 @@ root subset of P^-1 q P (a standard parabolic), the split torus P t P^-1
 inside q as torus_used, "frame_translate": True in details, and the frame
 as the pair (P, P^-1), its `frame`, which the payload writes as P's rows
 (details "frame"); conjugating q by it gives the standard parabolic
-exactly.  A "not-parabolic" verdict carries its frame, if any, and is
-certified by it, at every p: when neither q nor P^-1 q P passes the
-coordinate test, q is not parabolic, over the algebraic closure too,
-since N, its flag and their orthogonal complements commute with extension
-of scalars.  "undetermined" is left for an algebra with no torus frame:
-never a false negative.  The envelope of the frame is never capped, as
+exactly.  The certificate is read off the frame's images P b_i P^-1 of
+g's basis (`frame_images`), with no matrix product and no conjugate of q:
+`moved_split` reads the coordinate split of P^-1 q P off them, and
+`frame_span` moves a split back, as for torus_used.  A "not-parabolic"
+verdict carries its frame, if any, and is certified by it, at every p:
+when neither q nor P^-1 q P passes the coordinate test, q is not
+parabolic, over the algebraic closure too, since N, its flag and their
+orthogonal complements commute with extension of scalars.
+"undetermined" is left for an algebra with no torus frame: never a false
+negative.  The envelope of the frame is never capped, as
 every realization read through J has n <= 10 and `gfp.jacobson_radical`
 caps only past all of M_16.  The invariant battery `iso_invariants` and
 `contains_borel` are off the detection path; the benchmark's tracer still
@@ -37,7 +41,7 @@ from .gfp import (Echelon, FieldMatrix, Subspace, _combine, image_flag,
                   inv_mod, jacobson_radical, kernel, rref, solve_linear,
                   trace_gram)
 from .liealg import (LieAlgebra, conjugate_subspace, coordinate_split,
-                     standard_borel, weyl_matrices)
+                     standard_borel, torus_subspace, weyl_matrices)
 from .rootdata import is_closed
 
 
@@ -221,6 +225,49 @@ def flag_frame(g: LieAlgebra, q: Subspace) -> Optional[FieldMatrix]:
     return None if cols is None else FieldMatrix.from_rows(cols, p).transpose()
 
 
+def frame_images(g: LieAlgebra, frame: tuple) -> list:
+    """The coordinates of P b_i P^-1 for every basis matrix b_i, for the
+    frame (P, P^-1).  Each b_i is one or two matrix units (`g._sparse`),
+    and P E_ab P^-1 is column a of P times row b of P^-1: each image is a
+    sum of rank-one products, with no n^3 product."""
+    P, inverse = frame
+    n = g.realization.n
+    cols = [P.entries[a::n] for a in range(n)]
+    rows = [inverse.row(b) for b in range(n)]
+    images = []
+    for pairs in g._sparse:
+        m = None
+        for k, x in pairs:
+            unit = [x * c * y for c in cols[k // n] for y in rows[k % n]]
+            m = unit if m is None else [a + b for a, b in zip(m, unit)]
+        images.append(g.coordinates_of_matrix(FieldMatrix(n, n, g.p, m)))
+    return images
+
+
+def moved_split(g: LieAlgebra, images: list, s: Subspace) -> Optional[tuple]:
+    """The `coordinate_split` of P^-1 s P, read off the frame's
+    `frame_images`: the torus vectors and root lines whose images lie in
+    s.  They lie in P^-1 s P, so it is split exactly when they span dim s.
+    The torus part is all of t unless a torus image falls outside s; then
+    one `solve_linear` over t finds it."""
+    torus = torus_subspace(g)
+    if not all(s.contains_vector(images[t]) for t in g.frame.torus_indices):
+        torus = solve_linear(torus, lambda z: s.reduce_vector(
+            _combine(z, images, g.dim, g.p)))
+    lines = frozenset(i for i in g.frame.index_root
+                      if s.contains_vector(images[i]))
+    return (torus, lines) if torus.dim + len(lines) == s.dim else None
+
+
+def frame_span(g: LieAlgebra, images: list, split: tuple) -> Subspace:
+    """P s P^-1 for the split s = (torus part, root indices), read off the
+    frame's `frame_images`: the span of the images of its torus rows and
+    root lines."""
+    torus, lines = split
+    return g.subspace([_combine(z, images, g.dim, g.p) for z in torus.basis]
+                      + [images[i] for i in lines])
+
+
 def contains_borel(g: LieAlgebra, q: Subspace):
     """A Weyl-group matrix (`weyl_matrices`, types A and C) moving the
     standard Borel into q, or None.  Off the detection path; the
@@ -236,14 +283,16 @@ def detect_parabolic(g: LieAlgebra, q: Subspace) -> ParabolicVerdict:
     """The verdict on a subalgebra q: "parabolic" from the standard frame or
     the flag frame, with the witness; "not-parabolic" when both fail, at
     every p; "undetermined" with no torus frame (see the module
-    docstring).  InputError when q is not a subalgebra, from the one gate
-    `LieAlgebra.check_subalgebra`, which runs only where no verdict
-    certifies it: a standard parabolic q or P^-1 q P, t plus a closed root
-    subset, is a subalgebra, and so is q, conjugation by P being an
-    automorphism of g (any P on type A, mod scalars on pgl, a similitude
-    on sp and so).  The root-index test of that standard parabolic
-    (`split_closed`) stays as the explicit check; the gate runs before a
-    "not-parabolic" verdict."""
+    docstring).  Under the flag frame P, the split of P^-1 q P is read off
+    P's images of g's basis (`moved_split`), and torus_used is the span of
+    the torus images (`frame_span`).  InputError when q is not a
+    subalgebra, from the one gate `LieAlgebra.check_subalgebra`, which runs
+    only where no verdict certifies it: a standard parabolic q or
+    P^-1 q P, t plus a closed root subset, is a subalgebra, and so is q,
+    conjugation by P being an automorphism of g (any P on type A, mod
+    scalars on pgl, a similitude on sp and so).  The root-index test of
+    that standard parabolic (`split_closed`) stays as the explicit check;
+    the gate runs before a "not-parabolic" verdict."""
     if g.frame is None:
         g.check_subalgebra(q)
         return ParabolicVerdict("undetermined", failure_reason="no-torus-found",
@@ -251,10 +300,10 @@ def detect_parabolic(g: LieAlgebra, q: Subspace) -> ParabolicVerdict:
     rd = g.frame.rootdatum
     allroots = set(rd.roots)
 
-    def coordinate_verdict(split, frame=None):
+    def coordinate_verdict(split, frame=None, images=None):
         """The verdict on s = t + root lines, read as its `coordinate_split`,
-        its torus moved back by the frame of s = P^-1 q P, or why it fails;
-        None for any other s."""
+        its torus moved back by the frame of s = P^-1 q P through the
+        frame's `images`, or why it fails; None for any other s."""
         if split is None or split[0].dim < len(g.frame.torus_indices):
             return None
         roots = tuple(sorted(g.frame.index_root[i] for i in split[1]))
@@ -267,7 +316,7 @@ def detect_parabolic(g: LieAlgebra, q: Subspace) -> ParabolicVerdict:
         torus = split[0]
         if frame is not None:
             details["frame_translate"] = True
-            torus = conjugate_subspace(g, frame[0], torus, frame[1])
+            torus = frame_span(g, images, (torus, ()))
         return ParabolicVerdict("parabolic", torus, roots, details=details,
                                 frame=frame)
 
@@ -279,13 +328,14 @@ def detect_parabolic(g: LieAlgebra, q: Subspace) -> ParabolicVerdict:
     if isinstance(partial, ParabolicVerdict) and g.split_closed(split):
         return partial
 
-    # conjugating frame: the flag of N finds every parabolic
+    # conjugating frame: the flag of N finds every parabolic, and P^-1 q P
+    # is read off the frame's images of g's basis
     frame = flag_frame(g, q)
     if frame is not None:
         frame = (frame, frame.inverse())
-        moved = coordinate_split(
-            g, conjugate_subspace(g, frame[1], q, frame[0]))
-        verdict = coordinate_verdict(moved, frame)
+        images = frame_images(g, frame)
+        moved = moved_split(g, images, q)
+        verdict = coordinate_verdict(moved, frame, images)
         if isinstance(verdict, ParabolicVerdict) and g.split_closed(moved):
             return verdict
     g.check_subalgebra(q)

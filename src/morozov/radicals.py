@@ -11,14 +11,18 @@ conjugated back, when P^-1 h P is split, as on every conjugated parabolic;
 else the one peel loop.  Conjugation by P is an automorphism of g (any P
 on gl and sl, mod scalars on pgl, a similitude on sp and so) and rad is
 characteristic, so rad(h) = P rad(P^-1 h P) P^-1, and the canonical
-subspace found does not depend on the step.  One view, `SubView`, the
-sub-quotient sub/ideal in its own coordinates, is built only where h's own
-structure matters: the peel loop (`_view_radical`), which grows a solvable
-ideal S of h by the preimage of a solvable ideal of h/S, found from the
-centre and Killing form of h/S's view, until h/S is solvable or has none.
-A view is a `LieAlgebra` without a realization whose structure table is
-filled once from its parent's bracket, so the one subalgebra calculus of
-`liealg` runs on it unchanged.
+subspace found does not depend on the step.  Both moves are read off P's
+images of g's basis (`parabolic.frame_images`): the split of P^-1 h P
+(`parabolic.moved_split`) goes to the structured step as it is
+(`_split_radical`), and its radical comes back as the span of the images
+(`parabolic.frame_span`), with no matrix product.  One view, `SubView`,
+the sub-quotient sub/ideal in its own coordinates, is built only where h's
+own structure matters: the peel loop (`_view_radical`), which grows a
+solvable ideal S of h by the preimage of a solvable ideal of h/S, found
+from the centre and Killing form of h/S's view, until h/S is solvable or
+has none.  A view is a `LieAlgebra` without a realization whose structure
+table is filled once from its parent's bracket, so the one subalgebra
+calculus of `liealg` runs on it unchanged.
 
 Strategy notes:
   * every abelian ideal of h lies in k = ker(kappa_h), and the last
@@ -84,9 +88,8 @@ from typing import Optional
 # that rebinding reaches every module importing them by name
 from .gfp import (FieldMatrix, InputError, Subspace,  # noqa: F401
                   image_flag, jacobson_radical, kernel, rref, solve_linear)
-from .liealg import (Element, LieAlgebra, conjugate_subspace, coordinate_split,
-                     split_sum)
-from .parabolic import flag_frame
+from .liealg import Element, LieAlgebra, coordinate_split, split_sum
+from .parabolic import flag_frame, frame_images, frame_span, moved_split
 from .rootdata import is_closed
 
 DEFAULT_BUDGET = 10 ** 7    # the walk
@@ -266,16 +269,24 @@ def _reach(succ: dict) -> dict:
 
 
 def _structured_solvable_radical(g: LieAlgebra, h: Subspace) -> Optional[Subspace]:
-    """rad(h) for a coordinate-split h, at every p, with no budget.
+    """rad(h) for a coordinate-split h (`_split_radical`), written by
+    `split_sum`; None for any other h."""
+    split = coordinate_split(g, h)
+    if split is None:
+        return None
+    torus, lines = _split_radical(g, split)
+    return split_sum(g, lines, torus)
+
+
+def _split_radical(g: LieAlgebra, split: tuple) -> tuple:
+    """rad(h) for a coordinate-split h, at every p, with no budget, from
+    h's split (torus part, root indices) and in that form.
     rad(h) is a characteristic ideal, and it commutes with extension to the
     algebraic closure (Galois descent), so it is T-stable and split
     (`liealg` notes): the sum of the solvable spin-ideals of the coordinate
     directions of h, which, like their derived terms, are split.  The
     spins are read off one graph (`LieAlgebra.line_graph`, `_reach`), and
     the derived series is decided once per distinct spin."""
-    split = coordinate_split(g, h)
-    if split is None:
-        return None
     torus_part, lines = split
     spins, solvable = _reach(g.line_graph(lines)), {}
     for spin in set(spins.values()):
@@ -290,21 +301,23 @@ def _structured_solvable_radical(g: LieAlgebra, h: Subspace) -> Optional[Subspac
     # spin(z) = <z> + the spins of the root lines z does not kill, and <z>
     # leaves solvability alone: z is in rad(h) iff it kills each wild line,
     # the coroots of the solvable spins among them
-    return split_sum(g, lines.difference(wild), solve_linear(
-        torus_part, lambda z: [g.character(z, idx) for idx in wild]))
+    return solve_linear(torus_part, lambda z: [
+        g.character(z, idx) for idx in wild]), lines.difference(wild)
 
 
 def _framed_radical(g: LieAlgebra, h: Subspace) -> Optional[Subspace]:
     """rad(h) = P rad(P^-1 h P) P^-1 for the flag frame P of h
     (`parabolic.flag_frame`), when P^-1 h P is coordinate-split; else None.
-    Conjugation by P is an automorphism of g, and rad is characteristic."""
+    Conjugation by P is an automorphism of g, and rad is characteristic.
+    h is moved into the frame, and rad back out, through the frame's images
+    of g's basis (`parabolic.frame_images`), with no matrix product."""
     frame = None if g.frame is None else flag_frame(g, h)
     if frame is None:
         return None
-    inverse = frame.inverse()
-    out = _structured_solvable_radical(
-        g, conjugate_subspace(g, inverse, h, frame))
-    return None if out is None else conjugate_subspace(g, frame, out, inverse)
+    images = frame_images(g, (frame, frame.inverse()))
+    split = moved_split(g, images, h)
+    return None if split is None else frame_span(
+        g, images, _split_radical(g, split))
 
 
 def solvable_radical(g: LieAlgebra, h: Subspace) -> Subspace:

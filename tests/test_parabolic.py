@@ -716,3 +716,95 @@ def test_nil_maps_stop_at_dim_i_with_the_span_and_flag_of_all_brackets(
         stops.add(ideal.dim - nil.dim)
     # the stop at dim I and spans below it, one short among them
     assert {0, 1} <= stops and max(stops) > 1
+
+
+def _similitude(g):
+    """On sp and so at odd p, the diagonal similitude P^T J P = 4J: 4 on
+    the first half of the flag order, 1 on the second, 2 in the middle of
+    so_(2m+1)."""
+    n, k = g.realization.n, g.realization.n // 2
+    diag = [4] * k + [2] * (n % 2) + [1] * k
+    return FieldMatrix(n, n, g.p, [diag[i] if i == j else 0
+                                   for i in range(n) for j in range(n)])
+
+
+# pgl with p | n on pgl3@3 and pgl4@2; the frames at p = 2 read J(A(q))
+@pytest.mark.parametrize("fam,n,p", [
+    ("sl", 3, 2), ("sl", 4, 3), ("sl", 3, 5), ("sl", 4, 7), ("gl", 3, 2),
+    ("gl", 3, 5), ("pgl", 3, 5), ("pgl", 3, 3), ("pgl", 4, 2), ("sp", 4, 2),
+    ("sp", 4, 3), ("sp", 6, 5), ("so", 5, 3), ("so", 6, 5), ("so", 7, 7)])
+def test_frame_images_match_dense_conjugation(fam, n, p):
+    # frames: the flag frames of conjugated parabolics, seeded movers and,
+    # on sp and so at odd p, a similitude with c != 1; inputs P s P^-1 for
+    # standard parabolics and Levis (full torus), a nilradical plus a torus
+    # unit or a seeded torus vector (a proper torus part: the solve over
+    # t), seeded subspaces that are not split, and 0
+    from morozov.liealg import split_sum
+    from morozov.parabolic import flag_frame, frame_images, frame_span, \
+        moved_split
+    g = build(fam, n, p)
+    rng = random.Random(f"images:{fam}{n}@{p}")
+    t = len(g.frame.torus_indices)
+    proper = _subsets(g)[:-1]
+    frames = [flag_frame(g, conjugate_subspace(
+        g, _mover(g, rng), standard_parabolic(g, chosen)["parabolic"]))
+        for chosen in rng.sample(proper, min(2, len(proper)))]
+    frames += [_mover(g, rng) for _ in range(2)]
+    if g.frame.form is not None and p > 2:
+        frames.append(_similitude(g) @ _mover(g, rng))
+    assert None not in frames
+    seen = {"full": 0, "partial": 0, "none": 0, "zero": 0}
+    for P in frames:
+        inverse = P.inverse()
+        images = frame_images(g, (P, inverse))
+        assert images == [g.coordinates_of_matrix(P @ m @ inverse)
+                          for m in g.realization.mats]
+        splits = []
+        for chosen in rng.sample(proper, min(2, len(proper))):
+            data = standard_parabolic(g, chosen)
+            splits += [coordinate_split(g, data[role])
+                       for role in ("parabolic", "levi")]
+            lines = coordinate_split(g, data["nilradical"])[1]
+            vec = [rng.randrange(p) if i < t else 0 for i in range(g.dim)]
+            splits += [(g.subspace([g.unit(0)]), lines),
+                       (g.subspace([vec]), lines)]
+        inputs = [conjugate_subspace(g, P, split_sum(g, lines, torus), inverse)
+                  for torus, lines in splits]
+        for _ in range(2):
+            r = g.subspace([[rng.randrange(p) for _ in range(g.dim)]
+                            for _ in range(3)])
+            assert coordinate_split(g, r) is None
+            inputs.append(conjugate_subspace(g, P, r, inverse))
+        inputs.append(g.subspace([]))
+        for s in inputs:
+            found = moved_split(g, images, s)
+            assert found == coordinate_split(
+                g, conjugate_subspace(g, inverse, s, P))
+            if found is None:
+                seen["none"] += 1
+                continue
+            seen["zero" if not s.dim else "full" if found[0].dim == t
+                 else "partial"] += 1
+            assert frame_span(g, images, found) == s == conjugate_subspace(
+                g, P, split_sum(g, found[1], found[0]), inverse)
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("fam,n,p", [("sl", 4, 5), ("sp", 4, 5), ("so", 5, 7)])
+def test_detection_forms_no_matrix_product(fam, n, p, monkeypatch):
+    # a conjugated parabolic is certified from its flag frame's images of
+    # g's basis (`parabolic.frame_images`), with no conjugate of q: at odd
+    # p, off type A with p | n, detection multiplies no matrices
+    g = build(fam, n, p)
+    rng = random.Random(f"products:{fam}{n}@{p}")
+    qs = [conjugate_subspace(g, _mover(g, rng), standard_parabolic(
+        g, chosen)["parabolic"]) for chosen in _subsets(g)[:-1]]
+    products = []
+    real = FieldMatrix.__matmul__
+    monkeypatch.setattr(FieldMatrix, "__matmul__", lambda a, b: products.append(
+        1) or real(a, b))
+    verdicts = [detect_parabolic(g, q) for q in qs]
+    monkeypatch.undo()
+    assert all(v.status == "parabolic" for v in verdicts)
+    assert sum(bool(v.details.get("frame_translate")) for v in verdicts) >= 2
+    assert products == []
